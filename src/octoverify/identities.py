@@ -254,7 +254,8 @@ def exchange_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: 
             Z = _rand_full(rng, dim)
             worst = max(worst, abs(f(X, Y, Z)))
         out.append(_witness(name, worst == 0, samples, worst))
-    q.verified.add("exchange")
+    if all(w.passed for w in out):
+        q.verified.add("exchange")
     return out
 
 
@@ -293,7 +294,8 @@ def skew_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
         Z, W = _rand_full(rng, dim), _rand_full(rng, dim)
         worst = max(worst, abs(on.inner(q.eval(X, Y, Z), W) + on.inner(q.eval(X, Y, W), Z)))
     out.append(_witness("skew (Z,W) on samples", worst == 0, samples, worst))
-    q.verified.add("skew")
+    if all(w.passed for w in out):
+        q.verified.add("skew")
     return out
 
 
@@ -328,7 +330,8 @@ def anti_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
         worst = max(worst, abs(on.inner(q.eval(X, Y, W), on.multiply(X, W))))
         worst = max(worst, abs(on.inner(q.eval(X, Y, W), circ(nomc, Y, W))))
     out.append(_witness("vanishing pairings on samples", worst == 0, samples, worst))
-    q.verified.add("anti")
+    if all(w.passed for w in out):
+        q.verified.add("anti")
     return out
 
 
@@ -425,10 +428,11 @@ _REQUIRED_SUITES = {"exchange", "skew", "anti", "norm"}
 def classify_q(q: QCandidate) -> Classification:
     """Match q against the closed forms (XY-YX)Z, X(YZ)-Y(XZ), X(ZY)-(XZ)Y by
     exact comparison on the spanning basis triples.  Requires the identity
-    suites to have run; never coerces an unmatched candidate."""
+    suites to have run and passed (a suite marks the candidate only when every
+    witness passed); never coerces an unmatched candidate."""
     missing = _REQUIRED_SUITES - q.verified
     if missing:
-        raise ValueError(f"classification requires suites {sorted(missing)} to have run")
+        raise ValueError(f"classification requires suites {sorted(missing)} to have run and passed")
     dim = q.dim
 
     def ot_form(X, Y, Z):

@@ -1,4 +1,12 @@
-"""Small dense exact linear algebra over Fraction (matrices up to 32x32).
+"""Small exact linear algebra over Fraction (matrices up to 32x32).
+
+Matrices are plain lists of rows.  The products ``mat_mul``, ``mat_vec`` and
+``int_mat_mul`` multiply only nonzero entries: the FKM/OT operators hold
+32-40 nonzeros out of 1024.  An output entry that receives no nonzero product
+holds the zero the dense sum would have come to (``scalars.sum_zero``):
+``Fraction(0)`` for rational matrices, never the int ``0``, and a zero
+``MultiPoly`` when a vector has polynomial coordinates; ``int_mat_mul``
+returns the int ``0``.
 
 Hot verification loops get an integer fast path: a rational matrix is scaled
 by the lcm of its denominators once and all products run in plain ints.
@@ -9,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import DeterministicRng, pythagorean_unit, random_rational
+from .scalars import DeterministicRng, fill_zero, pythagorean_unit, random_rational, sum_zero
 
 Matrix = list
 
@@ -27,13 +35,41 @@ def transpose(a: Matrix) -> Matrix:
     return [list(row) for row in zip(*a)]
 
 
+def _sparse_mat_mul(a: Matrix, b: Matrix, zero) -> Matrix:
+    """Row-by-row product over the nonzero entries of a and b, finished by
+    ``fill_zero`` with ``zero``."""
+    ncols = len(b[0]) if b else 0
+    b_rows = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [None] * ncols
+        for j, x in enumerate(row):
+            if not x:
+                continue
+            for c, y in b_rows[j]:
+                t = x * y
+                v = acc[c]
+                acc[c] = t if v is None else v + t
+        out.append(fill_zero(acc, zero))
+    return out
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return _sparse_mat_mul(a, b, sum_zero(*a, *b))
 
 
 def mat_vec(a: Matrix, v: list) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    v_nz = [(j, y) for j, y in enumerate(v) if y]
+    out = []
+    for row in a:
+        acc = None
+        for j, y in v_nz:
+            x = row[j]
+            if x:
+                t = x * y
+                acc = t if acc is None else acc + t
+        out.append(acc)
+    return fill_zero(out, sum_zero(*a, v))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -72,8 +108,7 @@ def to_int_scaled(a: Matrix) -> tuple[int, list[list[int]]]:
 
 
 def int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return _sparse_mat_mul(a, b, 0)
 
 
 def anticommutator_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .scalars import fill_zero, sum_zero
+
 Coord = Sequence
 
 
@@ -74,22 +76,34 @@ def zero(dim: int = 8) -> tuple:
 
 
 def multiply(x, y):
-    """Table-driven bilinear product; dim-4 inputs stay in the quaternion sub-span."""
+    """Table-driven bilinear product; dim-4 inputs stay in the quaternion sub-span.
+
+    Only pairs of nonzero coordinates are multiplied.  A slot that receives no
+    nonzero product holds the zero the full double loop would have summed to
+    (``scalars.sum_zero``): ``Fraction(0)`` for rational inputs, a zero
+    ``MultiPoly`` with the inputs' ``nvars`` when any coordinate is a
+    polynomial, ``0.0`` for floats.  Every other slot is widened to that type
+    too, so mixed Fraction/MultiPoly inputs give a MultiPoly in every slot.
+    """
     dim = len(x)
     if len(y) != dim:
         raise ValueError("dimension mismatch")
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
     out = [None] * dim
-    for i in range(dim):
-        xi = x[i]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
         row_s = MULT_SIGN[i]
         row_k = MULT_INDEX[i]
-        for j in range(dim):
-            term = xi * y[j]
-            if row_s[j] < 0:
-                term = -term
+        for j, yj in ys:
+            term = xi * yj
             k = row_k[j]
-            out[k] = term if out[k] is None else out[k] + term
-    return tuple(out)
+            v = out[k]
+            if row_s[j] > 0:
+                out[k] = term if v is None else v + term
+            else:
+                out[k] = -term if v is None else v - term
+    return tuple(fill_zero(out, sum_zero(x, y)))
 
 
 def conjugate(x):
@@ -102,12 +116,17 @@ def imaginary_part(x):
 
 
 def inner(x, y):
-    """Coordinate dot product; equals (x conj(y) + y conj(x))/2 for octonions."""
+    """Coordinate dot product; equals (x conj(y) + y conj(x))/2 for octonions.
+
+    Like ``multiply``, it multiplies only pairs of nonzero coordinates and
+    returns the zero (or the type) the full sum would have had.
+    """
     acc = None
     for a, b in zip(x, y):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
+        if a and b:
+            term = a * b
+            acc = term if acc is None else acc + term
+    return fill_zero([acc], sum_zero(x, y))[0]
 
 
 def norm_sq(x):

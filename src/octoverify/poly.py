@@ -5,8 +5,15 @@ variable, so multiplying monomials is one integer addition and term dicts hash
 fast.  That keeps the degree-6 identity |grad F|^2 - 16|x|^6 in 32 variables
 (a couple of million term products) well inside the exact-arithmetic budget.
 
-The supported exponent range is 0..30 per variable; ``mul`` guards the packing
-against overflow and raises rather than silently corrupting keys.
+The supported exponent range is 0..30 per variable, and it is enforced at
+both ends.  ``_pack``, and through it ``MultiPoly.parse`` (the reader for
+``--dump-poly`` output), raises ``ValueError`` for an exponent outside that
+range or for more exponents than ``nvars``.  ``mul`` raises ``OverflowError``
+rather than silently corrupting keys when a product could leave it.  That
+guard needs each factor's largest exponent, ``maxexp``, which is computed
+lazily on the first product that asks for it and then kept; nothing else
+scans the keys.  Ring operations hand the zero-free dicts they build straight
+to the result instead of copying and re-filtering them.
 
 Identities are always verified as "difference is the zero polynomial"; there
 is no division anywhere.
@@ -24,12 +31,16 @@ from .scalars import DeterministicRng, ScalarMode, EXACT, random_rational
 
 BITS = 5
 _EXP_MASK = (1 << BITS) - 1
-_EXP_LIMIT = (1 << BITS) - 1  # keep one headroom unit so sums stay in range
+_EXP_MAX = (1 << BITS) - 2  # one value below the 5-bit field, kept as headroom
 
 
-def _pack(exponents: Iterable[int]) -> int:
+def _pack(exponents: Iterable[int], nvars: int) -> int:
     key = 0
     for i, e in enumerate(exponents):
+        if i >= nvars:
+            raise ValueError(f"more than nvars={nvars} exponents")
+        if not 0 <= e <= _EXP_MAX:
+            raise ValueError(f"exponent {e} of x{i} outside 0..{_EXP_MAX}")
         if e:
             key |= e << (BITS * i)
     return key
@@ -42,24 +53,35 @@ def _unpack(key: int, nvars: int) -> tuple[int, ...]:
 class MultiPoly:
     """Immutable-by-convention sparse polynomial over Fraction coefficients."""
 
-    __slots__ = ("nvars", "terms", "maxexp")
+    __slots__ = ("nvars", "terms", "_maxexp")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = nvars
-        self.terms: dict[int, Fraction] = {}
-        maxexp = 0
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[k] = c
-        for k in self.terms:
-            kk = k
-            while kk:
-                e = kk & _EXP_MASK
-                if e > maxexp:
-                    maxexp = e
-                kk >>= BITS
-        self.maxexp = maxexp
+        self.terms: dict[int, Fraction] = {k: c for k, c in terms.items() if c} if terms else {}
+        self._maxexp = None
+
+    @staticmethod
+    def _adopt(nvars: int, terms: dict) -> "MultiPoly":
+        """Wrap a dict that holds no zero coefficient, without copying it."""
+        p = MultiPoly.__new__(MultiPoly)
+        p.nvars = nvars
+        p.terms = terms
+        p._maxexp = None
+        return p
+
+    @property
+    def maxexp(self) -> int:
+        """Largest exponent of any variable; computed on first use, then kept."""
+        if self._maxexp is None:
+            m = 0
+            for k in self.terms:
+                while k:
+                    e = k & _EXP_MASK
+                    if e > m:
+                        m = e
+                    k >>= BITS
+            self._maxexp = m
+        return self._maxexp
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -79,7 +101,7 @@ class MultiPoly:
 
     @staticmethod
     def from_exponent_dict(nvars: int, d: dict) -> "MultiPoly":
-        return MultiPoly(nvars, {_pack(k): Fraction(v) for k, v in d.items()})
+        return MultiPoly(nvars, {_pack(k, nvars): Fraction(v) for k, v in d.items()})
 
     def exponent_dict(self) -> dict[tuple[int, ...], Fraction]:
         return {_unpack(k, self.nvars): c for k, c in self.terms.items()}
@@ -89,40 +111,51 @@ class MultiPoly:
         if self.nvars != other.nvars:
             raise ValueError(f"nvars mismatch: {self.nvars} != {other.nvars}")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+    def _merge(self, other, sign: int) -> "MultiPoly":
+        # the isinstance on MultiPoly first: Fraction's ABC check is slow
+        if not isinstance(other, MultiPoly) and isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.nvars, other)
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms and sign > 0:
+            return other
         t = dict(self.terms)
-        for k, c in other.terms.items():
+        items = other.terms.items()
+        if sign < 0:
+            items = ((k, -c) for k, c in items)
+        for k, c in items:
             v = t.get(k)
             s = c if v is None else v + c
             if s:
                 t[k] = s
             elif v is not None:
                 del t[k]
-        return MultiPoly(self.nvars, t)
+        return MultiPoly._adopt(self.nvars, t)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {k: -c for k, c in self.terms.items()})
+        return MultiPoly._adopt(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.nvars, other)
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly) and isinstance(other, (int, Fraction)):
             if other == 0:
                 return MultiPoly(self.nvars)
-            return MultiPoly(self.nvars, {k: c * other for k, c in self.terms.items()})
+            return MultiPoly._adopt(self.nvars, {k: c * other for k, c in self.terms.items()})
         self._check(other)
-        if self.maxexp + other.maxexp > _EXP_LIMIT:
+        if not self.terms or not other.terms:
+            return MultiPoly(self.nvars)
+        if self.maxexp + other.maxexp > _EXP_MAX:
             raise OverflowError("monomial exponent would exceed packing limit")
         out: dict[int, Fraction] = {}
         get = out.get
@@ -135,7 +168,7 @@ class MultiPoly:
                     out[k] = s
                 elif v is not None:
                     del out[k]
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._adopt(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -179,7 +212,7 @@ class MultiPoly:
                     gs[i][k - (1 << (BITS * i))] = c * e
                 kk >>= BITS
                 i += 1
-        return [MultiPoly(self.nvars, g) for g in gs]
+        return [MultiPoly._adopt(self.nvars, g) for g in gs]
 
     def derivative(self, i: int) -> "MultiPoly":
         shift = BITS * i
@@ -188,7 +221,7 @@ class MultiPoly:
             e = (k >> shift) & _EXP_MASK
             if e:
                 out[k - (1 << shift)] = c * e
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._adopt(self.nvars, out)
 
     def laplacian(self) -> "MultiPoly":
         out: dict[int, Fraction] = {}
@@ -207,7 +240,7 @@ class MultiPoly:
                         del out[k2]
                 kk >>= BITS
                 i += 1
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._adopt(self.nvars, out)
 
     def eval(self, point: list) -> Fraction:
         if len(point) != self.nvars:
@@ -258,19 +291,26 @@ class MultiPoly:
         if len(forms) != self.nvars:
             raise ValueError("need one substitution form per variable")
         tv = forms[0].nvars
-        out = MultiPoly(tv)
+        out: dict[int, Fraction] = {}
+        get = out.get
         for k, c in self.terms.items():
-            term = MultiPoly.const(tv, c)
+            term = None
             kk = k
             i = 0
             while kk:
                 e = kk & _EXP_MASK
                 for _ in range(e):
-                    term = term * forms[i]
+                    term = forms[i] if term is None else term * forms[i]
                 kk >>= BITS
                 i += 1
-            out = out + term
-        return out
+            for k2, c2 in ((0, 1),) if term is None else term.terms.items():
+                v = get(k2)
+                s = c * c2 if v is None else v + c * c2
+                if s:
+                    out[k2] = s
+                elif v is not None:
+                    del out[k2]
+        return MultiPoly._adopt(tv, out)
 
     # -- serialization ------------------------------------------------------
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -294,7 +334,7 @@ class MultiPoly:
                 continue
             head, *exps = line.split()
             num, den = head.split("/")
-            key = _pack(int(e) for e in exps)
+            key = _pack((int(e) for e in exps), nvars)
             terms[key] = Fraction(int(num), int(den))
         return MultiPoly(nvars, terms)
 

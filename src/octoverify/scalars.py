@@ -58,6 +58,38 @@ def scalar_eq(a: Scalar, b: Scalar, mode: ScalarMode = EXACT) -> bool:
     return abs(am - bm) <= mode.tolerance * max(1.0, abs(am), abs(bm))
 
 
+_RATIONAL_ZERO = Fraction(0)
+
+
+def sum_zero(*vectors):
+    """The zero that a dense sum of products of these coordinates comes to.
+
+    ``Fraction(0)`` when every coordinate is a Fraction or an int (and at
+    least one is a Fraction).  Otherwise it is the sum of one ``c - c`` per
+    coordinate type, which is a zero ``MultiPoly`` with the coordinates'
+    ``nvars`` when any coordinate is one, ``0.0`` when any is a float, and
+    the int ``0`` when all are ints.
+    """
+    kinds = set()
+    for v in vectors:
+        kinds.update(map(type, v))
+    if Fraction in kinds and kinds <= {Fraction, int}:
+        return _RATIONAL_ZERO
+    zero = None
+    for kind in kinds:
+        c = next(c for v in vectors for c in v if type(c) is kind)
+        zero = c - c if zero is None else zero + (c - c)
+    return _RATIONAL_ZERO if zero is None else zero
+
+
+def fill_zero(slots: list, zero) -> list:
+    """Finish the output of a zero-skipping kernel: each slot that received no
+    nonzero product (None) becomes ``zero``, and every other slot is widened to
+    ``zero``'s type, so the kernel returns what the dense loop returned."""
+    kind = type(zero)
+    return [zero if v is None else v if type(v) is kind else zero + v for v in slots]
+
+
 def pythagorean_unit(t: Fraction) -> tuple[Fraction, Fraction]:
     """Rational point (c, s) on the unit circle with c^2 + s^2 = 1 exactly.
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from octoverify import octonion as on
-from octoverify.circ import Side, nom_from_t
+from octoverify.circ import Nom, Side, nom_from_t
 from octoverify.identities import (
     QLabel,
     anti_suite,
@@ -195,3 +195,14 @@ def test_classify_q_quaternion_coincidence():
 def test_classify_q_unknown_for_nonendpoint():
     cand = _prepared(fkm_candidate(nom_from_t(Side.LEFT, Fraction(1, 2))))
     assert classify_q(cand).label is QLabel.UNKNOWN
+
+
+def test_failed_battery_blocks_classification():
+    # q = (XY)Z is not symmetrized: over the quaternions it fails the exchange
+    # and skew batteries, so they must not mark it and classify_q must refuse it
+    cand = fkm_candidate(Nom(Side.LEFT, on.basis(0, 4)))
+    cand.eval = lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z)
+    _prepared(cand)
+    assert "exchange" not in cand.verified and "skew" not in cand.verified
+    with pytest.raises(ValueError, match="passed"):
+        classify_q(cand)

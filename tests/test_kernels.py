@@ -1,0 +1,126 @@
+"""Property tests for the zero-skipping exact kernels.
+
+``octonion.multiply``, ``linalg.mat_vec``, ``mat_mul`` and ``int_mat_mul``
+multiply only nonzero entries.  These tests hold them to the dense results:
+the Cayley-Dickson recursion for the octonion product, plain double sums for
+the matrix products, and the zero type a dense sum produced in every slot.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from octoverify import octonion as on
+from octoverify.linalg import int_mat_mul, mat_mul, mat_vec
+from octoverify.poly import MultiPoly
+
+PROPS = settings(max_examples=60, deadline=None)
+
+nonzero_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+# about half the coordinates are zero, in a random pattern
+coords = st.one_of(st.just(Fraction(0)), nonzero_fractions)
+
+
+def vectors(dim):
+    return st.lists(coords, min_size=dim, max_size=dim).map(tuple)
+
+
+def _oracle(x, y):
+    """Cayley-Dickson product; dim-4 inputs are padded into the octonions."""
+    dim = len(x)
+    pad = (Fraction(0),) * (8 - dim)
+    return on.cayley_dickson_multiply(tuple(x) + pad, tuple(y) + pad)[:dim]
+
+
+@PROPS
+@given(st.sampled_from([4, 8]).flatmap(lambda d: st.tuples(vectors(d), vectors(d))))
+def test_multiply_matches_cayley_dickson(xy):
+    x, y = xy
+    got = on.multiply(x, y)
+    assert got == _oracle(x, y)
+    assert all(type(c) is Fraction for c in got)
+
+
+NV = 5
+
+
+def _mixed_coord(draw):
+    kind = draw(st.sampled_from(["zero", "fraction", "poly", "zero_poly"]))
+    if kind == "zero":
+        return Fraction(0)
+    if kind == "fraction":
+        return draw(nonzero_fractions)
+    if kind == "zero_poly":
+        return MultiPoly.zero(NV)
+    return draw(nonzero_fractions) * MultiPoly.variable(NV, draw(st.integers(0, NV - 1)))
+
+
+@st.composite
+def mixed_pairs(draw):
+    dim = draw(st.sampled_from([4, 8]))
+    x = tuple(_mixed_coord(draw) for _ in range(dim))
+    y = tuple(_mixed_coord(draw) for _ in range(dim))
+    # at least one polynomial coordinate, so the dense product is polynomial
+    if not any(isinstance(c, MultiPoly) for c in x + y):
+        x = (MultiPoly.zero(NV),) + x[1:]
+    return x, y
+
+
+@PROPS
+@given(mixed_pairs())
+def test_multiply_mixed_fraction_poly_is_poly_in_every_slot(xy):
+    x, y = xy
+    got = on.multiply(x, y)
+    for g, want in zip(got, _oracle(x, y)):
+        assert isinstance(g, MultiPoly) and g.nvars == NV
+        assert g == want
+
+
+@st.composite
+def matrices_with_zero_row(draw, entries=coords, zero=Fraction(0)):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    a = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
+    a[draw(st.integers(0, n - 1))] = [zero] * m
+    return a
+
+
+def _dense_mat_vec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+@PROPS
+@given(matrices_with_zero_row(), st.data())
+def test_mat_vec_zero_row_gives_fraction_zero(a, data):
+    v = data.draw(st.lists(coords, min_size=len(a[0]), max_size=len(a[0])))
+    got = mat_vec(a, v)
+    assert got == _dense_mat_vec(a, v)
+    assert all(type(c) is Fraction for c in got)
+    assert Fraction(0) in got
+
+
+@PROPS
+@given(matrices_with_zero_row(), st.data())
+def test_mat_mul_zero_row_gives_fraction_zero(a, data):
+    k = data.draw(st.integers(1, 6))
+    b = [data.draw(st.lists(coords, min_size=k, max_size=k)) for _ in range(len(a[0]))]
+    got = mat_mul(a, b)
+    cols = list(zip(*b))
+    assert got == [_dense_mat_vec(cols, row) for row in a]
+    assert all(type(c) is Fraction for row in got for c in row)
+
+
+@PROPS
+@given(matrices_with_zero_row(st.integers(-3, 3), 0), st.data())
+def test_int_mat_mul_matches_dense(a, data):
+    b = [data.draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3)) for _ in range(len(a[0]))]
+    got = int_mat_mul(a, b)
+    assert got == [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    assert all(type(c) is int for row in got for c in row)
+
+
+def test_mat_vec_polynomial_vector_gives_poly_zero():
+    v = [MultiPoly.variable(2, 0), Fraction(0)]
+    got = mat_vec([[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]], v)
+    assert all(isinstance(c, MultiPoly) and c.nvars == 2 for c in got)
+    assert got[0].is_zero() and got[1] == 2 * MultiPoly.variable(2, 0)

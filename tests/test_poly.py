@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octoverify.poly import MultiPoly, Rt2Poly, munzner_verify, norm_sq_poly, poly_equal_random
 from octoverify.scalars import DeterministicRng, random_rational
@@ -181,3 +182,60 @@ def test_nvars_mismatch_errors():
         vp(2, 0) + vp(3, 0)
     with pytest.raises(ValueError):
         vp(2, 0) * vp(3, 0)
+
+
+@pytest.mark.parametrize(
+    "line, nvars",
+    [
+        ("1/1 31 0", 2),  # above the supported range 0..30
+        ("1/1 32 0", 2),  # used to wrap into the next variable and read as x1
+        ("1/1 -1 0", 2),
+        ("1/1 1 0 1", 2),  # more exponents than nvars used to leave a stray key
+    ],
+)
+def test_parse_rejects_unrepresentable_exponents(line, nvars):
+    with pytest.raises(ValueError):
+        MultiPoly.parse(line, nvars)
+
+
+def test_parse_accepts_top_of_exponent_range():
+    p = MultiPoly.parse("2/3 30 0\n1/1 0 1", 2)
+    assert p == Fraction(2, 3) * vp(2, 0) ** 30 + vp(2, 1)
+
+
+def test_lazy_overflow_guard():
+    # built through sums, so no maxexp was computed before the product asks
+    p = vp(2, 0) ** 16 + vp(2, 1)
+    assert p.maxexp == 16
+    with pytest.raises(OverflowError):
+        p * p
+    x16 = vp(1, 0) ** 16
+    with pytest.raises(OverflowError):
+        x16 * x16
+    assert (vp(1, 0) ** 15 * vp(1, 0) ** 15).exponent_dict() == {(30,): Fraction(1)}
+    with pytest.raises(OverflowError):
+        vp(1, 0) ** 15 * x16
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_substitute_linear_agrees_with_evaluation(data):
+    n = data.draw(st.integers(1, 4), label="source vars")
+    m = data.draw(st.integers(1, 3), label="target vars")
+    rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    f = MultiPoly.zero(n)
+    for _ in range(data.draw(st.integers(0, 6))):
+        mono = MultiPoly.const(n, data.draw(rationals))
+        for _ in range(data.draw(st.integers(0, 3))):
+            mono = mono * vp(n, data.draw(st.integers(0, n - 1)))
+        f = f + mono
+    forms = []
+    for _ in range(n):
+        lf = MultiPoly.const(m, data.draw(rationals))
+        for j in range(m):
+            lf = lf + data.draw(rationals) * vp(m, j)
+        forms.append(lf)
+    point = [data.draw(rationals) for _ in range(m)]
+    composed = f.substitute_linear(forms)
+    assert composed.nvars == m
+    assert composed.eval(point) == f.eval([lf.eval(point) for lf in forms])
