@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .scalars import fill_zero, sum_zero
@@ -78,16 +79,29 @@ def zero(dim: int = 8) -> tuple:
 def multiply(x, y):
     """Table-driven bilinear product; dim-4 inputs stay in the quaternion sub-span.
 
-    Only pairs of nonzero coordinates are multiplied.  A slot that receives no
-    nonzero product holds the zero the full double loop would have summed to
-    (``scalars.sum_zero``): ``Fraction(0)`` for rational inputs, a zero
-    ``MultiPoly`` with the inputs' ``nvars`` when any coordinate is a
-    polynomial, ``0.0`` for floats.  Every other slot is widened to that type
-    too, so mixed Fraction/MultiPoly inputs give a MultiPoly in every slot.
+    Which loop runs follows from the coordinate types, through
+    ``scalars.sum_zero``, the zero the full double loop would have summed to:
+
+    - rational inputs (Fractions and ints, at least one Fraction; the zero is
+      ``Fraction(0)``): each vector is scaled to the lcm of its denominators,
+      the products are summed in ints, and every slot comes back as a
+      ``Fraction`` over the product of the two lcms, ``Fraction(0)`` where
+      the products cancel or none was made;
+    - anything else (a polynomial or float coordinate, or ints only): the
+      generic loop over the coordinates themselves.  A slot that receives no
+      nonzero product holds that zero (a zero ``MultiPoly`` with the inputs'
+      ``nvars`` when any coordinate is a polynomial, ``0.0`` for floats, int
+      ``0`` for ints), and every other slot is widened to its type, so mixed
+      Fraction/MultiPoly inputs give a MultiPoly in every slot.
+
+    Both loops multiply only pairs of nonzero coordinates.
     """
     dim = len(x)
     if len(y) != dim:
         raise ValueError("dimension mismatch")
+    zero = sum_zero(x, y)
+    if type(zero) is Fraction:
+        return _rational_multiply(x, y, zero)
     ys = [(j, yj) for j, yj in enumerate(y) if yj]
     out = [None] * dim
     for i, xi in enumerate(x):
@@ -103,7 +117,29 @@ def multiply(x, y):
                 out[k] = term if v is None else v + term
             else:
                 out[k] = -term if v is None else v - term
-    return tuple(fill_zero(out, sum_zero(x, y)))
+    return tuple(fill_zero(out, zero))
+
+
+def _rational_multiply(x, y, zero: Fraction) -> tuple:
+    """``multiply`` on rational coordinates, summed in int numerators; slots
+    that come to 0 share ``zero``."""
+    dx = lcm(*[c.denominator for c in x])
+    dy = lcm(*[c.denominator for c in y])
+    ys = [(j, c.numerator * (dy // c.denominator)) for j, c in enumerate(y) if c]
+    out = [0] * len(x)
+    for i, c in enumerate(x):
+        if not c:
+            continue
+        xi = c.numerator * (dx // c.denominator)
+        row_s = MULT_SIGN[i]
+        row_k = MULT_INDEX[i]
+        for j, yj in ys:
+            if row_s[j] > 0:
+                out[row_k[j]] += xi * yj
+            else:
+                out[row_k[j]] -= xi * yj
+    d = dx * dy
+    return tuple(Fraction(v, d) if v else zero for v in out)
 
 
 def conjugate(x):

@@ -5,6 +5,24 @@ variable, so multiplying monomials is one integer addition and term dicts hash
 fast.  That keeps the degree-6 identity |grad F|^2 - 16|x|^6 in 32 variables
 (a couple of million term products) well inside the exact-arithmetic budget.
 
+Coefficients are plain ints over one shared denominator: a ``MultiPoly`` is
+``terms`` (packed key -> nonzero int numerator) divided by ``den`` (a positive
+int).  The form is canonical: ``gcd(den, *numerators) == 1``, and the zero
+polynomial has ``den == 1``.  So equal polynomials have equal ``(terms, den)``
+and ``==``/``hash`` compare dicts.  Every ring operation works in ints and
+reduces its result once, with one ``math.gcd(den, *numerators)``; no
+``Fraction`` is built on the way.  ``fraction_terms`` hands the coefficients
+out as ``Fraction`` values to the few readers that want them (``dump``,
+``exponent_dict``, the expansion-form extraction).  ``eval`` clears the
+point's denominators once and sums in ints too.  This is the only
+representation: the Muenzner verifier reads ``terms`` and ``den`` directly
+instead of keeping an integer copy of its own.
+
+Only ints and ``Fraction`` enter: the constructor, ``const``, scalar
+``+ - *`` and ``eval`` raise ``TypeError`` for anything else (a float would
+otherwise be stored as a binary fraction, or compare unequal to the rational
+it stands for).
+
 The supported exponent range is 0..30 per variable, and it is enforced at
 both ends.  ``_pack``, and through it ``MultiPoly.parse`` (the reader for
 ``--dump-poly`` output), raises ``ValueError`` for an exponent outside that
@@ -23,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 from .report import Report
@@ -32,6 +50,7 @@ from .scalars import DeterministicRng, ScalarMode, EXACT, random_rational
 BITS = 5
 _EXP_MASK = (1 << BITS) - 1
 _EXP_MAX = (1 << BITS) - 2  # one value below the 5-bit field, kept as headroom
+_RATIONAL = (int, Fraction)
 
 
 def _pack(exponents: Iterable[int], nvars: int) -> int:
@@ -50,22 +69,43 @@ def _unpack(key: int, nvars: int) -> tuple[int, ...]:
     return tuple((key >> (BITS * i)) & _EXP_MASK for i in range(nvars))
 
 
-class MultiPoly:
-    """Immutable-by-convention sparse polynomial over Fraction coefficients."""
+def _rational(c):
+    if not isinstance(c, _RATIONAL):
+        raise TypeError(f"{c!r} is not an int or a Fraction")
+    return c
 
-    __slots__ = ("nvars", "terms", "_maxexp")
+
+class MultiPoly:
+    """Immutable-by-convention sparse polynomial: int numerators ``terms`` over ``den``."""
+
+    __slots__ = ("nvars", "terms", "den", "_maxexp")
 
     def __init__(self, nvars: int, terms: dict | None = None):
+        """``terms`` maps packed monomial keys to int or Fraction coefficients."""
+        # _rational raises for anything else and passes c through, so zeros drop
+        coeffs = {k: c for k, c in terms.items() if _rational(c)} if terms else {}
+        # already canonical over the lcm of the reduced denominators: each
+        # prime power dividing it divides some denominator in full, and the
+        # numerator scaled with that one is not a multiple of the prime
+        den = lcm(*(c.denominator for c in coeffs.values()))
         self.nvars = nvars
-        self.terms: dict[int, Fraction] = {k: c for k, c in terms.items() if c} if terms else {}
+        self.terms: dict[int, int] = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+        self.den = den
         self._maxexp = None
 
     @staticmethod
-    def _adopt(nvars: int, terms: dict) -> "MultiPoly":
-        """Wrap a dict that holds no zero coefficient, without copying it."""
+    def _adopt(nvars: int, terms: dict, den: int = 1) -> "MultiPoly":
+        """Wrap zero-free int numerators over ``den`` > 0 without copying them,
+        reduced to the canonical form."""
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {k: c // g for k, c in terms.items()}
+                den //= g
         p = MultiPoly.__new__(MultiPoly)
         p.nvars = nvars
         p.terms = terms
+        p.den = den
         p._maxexp = None
         return p
 
@@ -90,21 +130,22 @@ class MultiPoly:
 
     @staticmethod
     def const(nvars: int, c) -> "MultiPoly":
-        c = Fraction(c)
-        return MultiPoly(nvars, {0: c} if c else {})
+        _rational(c)
+        return MultiPoly._adopt(nvars, {0: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def variable(nvars: int, i: int) -> "MultiPoly":
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for nvars={nvars}")
-        return MultiPoly(nvars, {1 << (BITS * i): Fraction(1)})
+        return MultiPoly._adopt(nvars, {1 << (BITS * i): 1})
 
-    @staticmethod
-    def from_exponent_dict(nvars: int, d: dict) -> "MultiPoly":
-        return MultiPoly(nvars, {_pack(k, nvars): Fraction(v) for k, v in d.items()})
+    def fraction_terms(self) -> dict[int, Fraction]:
+        """Packed monomial key -> coefficient as a Fraction."""
+        den = self.den
+        return {k: Fraction(c, den) for k, c in self.terms.items()}
 
     def exponent_dict(self) -> dict[tuple[int, ...], Fraction]:
-        return {_unpack(k, self.nvars): c for k, c in self.terms.items()}
+        return {_unpack(k, self.nvars): c for k, c in self.fraction_terms().items()}
 
     # -- ring operations ----------------------------------------------------
     def _check(self, other: "MultiPoly") -> None:
@@ -113,25 +154,33 @@ class MultiPoly:
 
     def _merge(self, other, sign: int) -> "MultiPoly":
         # the isinstance on MultiPoly first: Fraction's ABC check is slow
-        if not isinstance(other, MultiPoly) and isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
             other = MultiPoly.const(self.nvars, other)
         self._check(other)
         if not other.terms:
             return self
         if not self.terms and sign > 0:
             return other
-        t = dict(self.terms)
-        items = other.terms.items()
-        if sign < 0:
-            items = ((k, -c) for k, c in items)
-        for k, c in items:
+        # bring both numerator dicts over lcm(den_a, den_b)
+        den, other_den = self.den, other.den
+        if den == other_den:
+            t = dict(self.terms)
+        else:
+            g = gcd(den, other_den)
+            t = {k: c * (other_den // g) for k, c in self.terms.items()}
+            sign *= den // g
+            den *= other_den // g
+        for k, c in other.terms.items():
+            c *= sign
             v = t.get(k)
             s = c if v is None else v + c
             if s:
                 t[k] = s
             elif v is not None:
                 del t[k]
-        return MultiPoly._adopt(self.nvars, t)
+        return MultiPoly._adopt(self.nvars, t, den)
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -139,7 +188,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._adopt(self.nvars, {k: -c for k, c in self.terms.items()})
+        return MultiPoly._adopt(self.nvars, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self._merge(other, -1)
@@ -148,16 +197,21 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, MultiPoly) and isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
             if other == 0:
                 return MultiPoly(self.nvars)
-            return MultiPoly._adopt(self.nvars, {k: c * other for k, c in self.terms.items()})
+            num = other.numerator
+            return MultiPoly._adopt(
+                self.nvars, {k: c * num for k, c in self.terms.items()}, self.den * other.denominator
+            )
         self._check(other)
         if not self.terms or not other.terms:
             return MultiPoly(self.nvars)
         if self.maxexp + other.maxexp > _EXP_MAX:
             raise OverflowError("monomial exponent would exceed packing limit")
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         get = out.get
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -168,7 +222,7 @@ class MultiPoly:
                     out[k] = s
                 elif v is not None:
                     del out[k]
-        return MultiPoly._adopt(self.nvars, out)
+        return MultiPoly._adopt(self.nvars, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -185,14 +239,14 @@ class MultiPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL):
             other = MultiPoly.const(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -212,19 +266,10 @@ class MultiPoly:
                     gs[i][k - (1 << (BITS * i))] = c * e
                 kk >>= BITS
                 i += 1
-        return [MultiPoly._adopt(self.nvars, g) for g in gs]
-
-    def derivative(self, i: int) -> "MultiPoly":
-        shift = BITS * i
-        out = {}
-        for k, c in self.terms.items():
-            e = (k >> shift) & _EXP_MASK
-            if e:
-                out[k - (1 << shift)] = c * e
-        return MultiPoly._adopt(self.nvars, out)
+        return [MultiPoly._adopt(self.nvars, g, self.den) for g in gs]
 
     def laplacian(self) -> "MultiPoly":
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for k, c in self.terms.items():
             kk = k
             i = 0
@@ -240,24 +285,42 @@ class MultiPoly:
                         del out[k2]
                 kk >>= BITS
                 i += 1
-        return MultiPoly._adopt(self.nvars, out)
+        return MultiPoly._adopt(self.nvars, out, self.den)
 
     def eval(self, point: list) -> Fraction:
+        """Exact value at a point of ints and Fractions.
+
+        The point's denominators are cleared once: with q their lcm and
+        b_i = q a_i, a term c x^e of degree d is c b^e / q^d.  Each power
+        b_i^e is computed once, terms are summed in ints per degree, and one
+        Fraction is built at the end.
+        """
         if len(point) != self.nvars:
             raise ValueError("point length does not match nvars")
-        total = None
+        q = lcm(*(_rational(a).denominator for a in point))
+        b = [a.numerator * (q // a.denominator) for a in point]
+        powers: dict[int, int] = {}  # (i << BITS) | e -> b_i ** e
+        by_degree: dict[int, int] = {}
         for k, c in self.terms.items():
             term = c
+            d = 0
             kk = k
             i = 0
             while kk:
                 e = kk & _EXP_MASK
                 if e:
-                    term = term * point[i] ** e
+                    pk = (i << BITS) | e
+                    p = powers.get(pk)
+                    if p is None:
+                        p = powers[pk] = b[i] ** e
+                    term *= p
+                    d += e
                 kk >>= BITS
                 i += 1
-            total = term if total is None else total + term
-        return total if total is not None else Fraction(0)
+            by_degree[d] = by_degree.get(d, 0) + term
+        top = max(by_degree, default=0)
+        total = sum(s * q ** (top - d) for d, s in by_degree.items())
+        return Fraction(total, self.den * q**top)
 
     # -- structure ----------------------------------------------------------
     def total_degree(self) -> int:
@@ -291,7 +354,10 @@ class MultiPoly:
         if len(forms) != self.nvars:
             raise ValueError("need one substitution form per variable")
         tv = forms[0].nvars
-        out: dict[int, Fraction] = {}
+        # a product of d forms has a denominator dividing m**d, so m**degree
+        # is a common denominator for every term
+        scale = lcm(*(lf.den for lf in forms)) ** self.total_degree()
+        out: dict[int, int] = {}
         get = out.get
         for k, c in self.terms.items():
             term = None
@@ -303,19 +369,25 @@ class MultiPoly:
                     term = forms[i] if term is None else term * forms[i]
                 kk >>= BITS
                 i += 1
-            for k2, c2 in ((0, 1),) if term is None else term.terms.items():
+            if term is None:
+                c *= scale
+                items = ((0, 1),)
+            else:
+                c *= scale // term.den
+                items = term.terms.items()
+            for k2, c2 in items:
                 v = get(k2)
                 s = c * c2 if v is None else v + c * c2
                 if s:
                     out[k2] = s
                 elif v is not None:
                     del out[k2]
-        return MultiPoly._adopt(tv, out)
+        return MultiPoly._adopt(tv, out, self.den * scale)
 
     # -- serialization ------------------------------------------------------
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Graded-lexicographic order (total degree, then exponent tuple)."""
-        items = [(_unpack(k, self.nvars), c) for k, c in self.terms.items()]
+        items = list(self.exponent_dict().items())
         items.sort(key=lambda kc: (sum(kc[0]), kc[0]))
         return items
 
@@ -343,7 +415,7 @@ class MultiPoly:
 
 
 def norm_sq_poly(nvars: int) -> MultiPoly:
-    return MultiPoly(nvars, {2 << (BITS * i): Fraction(1) for i in range(nvars)})
+    return MultiPoly._adopt(nvars, {2 << (BITS * i): 1 for i in range(nvars)})
 
 
 def poly_equal_random(
@@ -352,7 +424,7 @@ def poly_equal_random(
     """Probabilistic identity test: exact evaluation at random rational points."""
     if p.nvars != q.nvars:
         raise ValueError("nvars mismatch")
-    if p.terms == q.terms:
+    if p.den == q.den and p.terms == q.terms:
         return True
     for _ in range(trials):
         pt = [random_rational(rng, bound) for _ in range(p.nvars)]
@@ -417,29 +489,8 @@ class Rt2Poly:
 
 
 # ---------------------------------------------------------------------------
-# integer fast path used by the Muenzner verifier
+# the Muenzner verifier
 # ---------------------------------------------------------------------------
-
-def _int_cleared(p: MultiPoly) -> tuple[int, dict[int, int]]:
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return den, {k: int(c * den) for k, c in p.terms.items()}
-
-
-def _int_gradient(terms: dict[int, int], nvars: int) -> list[dict[int, int]]:
-    gs: list[dict[int, int]] = [dict() for _ in range(nvars)]
-    for k, c in terms.items():
-        kk = k
-        i = 0
-        while kk:
-            e = kk & _EXP_MASK
-            if e:
-                gs[i][k - (1 << (BITS * i))] = c * e
-            kk >>= BITS
-            i += 1
-    return gs
-
 
 def _int_square_into(acc: dict[int, int], p: dict[int, int], scale: int = 1) -> None:
     items = list(p.items())
@@ -525,10 +576,11 @@ def munzner_verify(
         rep.add("laplacian_identity_randomized", ok_lap_pos or ok_lap_neg, detail={"sign": sign})
         return rep
 
-    den, fi = _int_cleared(f)
+    # |grad(den F)|^2 in ints: each partial is over a denominator dividing den
+    den = f.den
     acc: dict[int, int] = {}
-    for gp in _int_gradient(fi, n):
-        _int_square_into(acc, gp)
+    for gp in f.gradient():
+        _int_square_into(acc, gp.terms, (den // gp.den) ** 2)
         if len(acc) > term_cap:
             rep.note("term cap exceeded; falling back to randomized verification")
             return munzner_verify(f, g, m1, m2, mode, rng, trials, term_cap, randomized=True)
@@ -543,34 +595,9 @@ def munzner_verify(
     grad_ok = all(v == 0 for v in acc.values())
     rep.add("gradient_identity", grad_ok, detail={"residual_terms": sum(1 for v in acc.values() if v)})
 
-    lap = {}
-    for k, c in fi.items():
-        kk = k
-        i = 0
-        while kk:
-            e = kk & _EXP_MASK
-            if e >= 2:
-                k2 = k - (2 << (BITS * i))
-                lap[k2] = lap.get(k2, 0) + c * e * (e - 1)
-            kk >>= BITS
-            i += 1
-    lap = {k: v for k, v in lap.items() if v}
-    if g == 1 or lap_half == 0:
-        want: dict[int, int] = {}
-        scale = 1
-    else:
-        want = _int_norm_power(n, (g - 2) // 2)
-        # lap(F*den) == lap_half * den * |x|^{g-2};  clear lap_half denominator
-        scale = den
-    wnum = lap_half * scale
-    pos = all(lap.get(k, 0) == wnum * c for k, c in want.items()) and all(
-        k in want or v == 0 for k, v in lap.items()
-    )
-    neg = all(lap.get(k, 0) == -wnum * c for k, c in want.items()) and all(
-        k in want or v == 0 for k, v in lap.items()
-    )
-    if wnum == 0:
-        pos = neg = all(v == 0 for v in lap.values())
-    sign = 1 if pos else (-1 if neg else 0)
-    rep.add("laplacian_identity", pos or neg, detail={"sign": sign})
+    # g < 2 forces m1 == m2, so lap_half is 0 wherever the power is clamped
+    lap = f.laplacian()
+    want = MultiPoly(n, {k: lap_half * c for k, c in _int_norm_power(n, max(g - 2, 0) // 2).items()})
+    sign = 1 if lap == want else (-1 if lap == -want else 0)
+    rep.add("laplacian_identity", sign != 0, detail={"sign": sign})
     return rep

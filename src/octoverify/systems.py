@@ -313,7 +313,7 @@ def extract_expansion_forms(f: MultiPoly, frame: FocalFrame) -> ExtractedForms:
     q_b: list[dict] = [dict() for _ in range(ncount)]
     t4_coeff = Fraction(0)
 
-    for key, cv in fc.terms.items():
+    for key, cv in fc.fraction_terms().items():
         exps = []
         kk = key
         i = 0

@@ -1,13 +1,15 @@
 """Property tests for the zero-skipping exact kernels.
 
 ``octonion.multiply``, ``linalg.mat_vec``, ``mat_mul`` and ``int_mat_mul``
-multiply only nonzero entries.  These tests hold them to the dense results:
+multiply only nonzero entries, and ``multiply`` sums rational inputs in int
+numerators.  These tests hold them to the dense results:
 the Cayley-Dickson recursion for the octonion product, plain double sums for
 the matrix products, and the zero type a dense sum produced in every slot.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from octoverify import octonion as on
@@ -39,6 +41,43 @@ def test_multiply_matches_cayley_dickson(xy):
     got = on.multiply(x, y)
     assert got == _oracle(x, y)
     assert all(type(c) is Fraction for c in got)
+
+
+# ints and Fractions with unlike denominators, so the lcm scaling is exercised
+mixed_rationals = st.one_of(
+    st.just(0), st.integers(-5, 5), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+)
+
+
+@PROPS
+@given(st.sampled_from([4, 8]).flatmap(lambda d: st.lists(mixed_rationals, min_size=2 * d, max_size=2 * d)))
+def test_rational_multiply_mixed_denominators(coords):
+    dim = len(coords) // 2
+    # a Fraction somewhere makes the input rational rather than all-int
+    x, y = (Fraction(coords[0]),) + tuple(coords[1:dim]), tuple(coords[dim:])
+    got = on.multiply(x, y)
+    assert got == _oracle(x, y)
+    assert all(type(c) is Fraction for c in got)
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_rational_multiply_vanishing_slots_are_fractions(dim):
+    ints = tuple(range(1, dim + 1))
+    # no nonzero product at all
+    assert on.multiply((Fraction(0),) * dim, ints) == (0,) * dim
+    assert all(type(c) is Fraction for c in on.multiply((Fraction(0),) * dim, ints))
+    # products that cancel: an imaginary element squares to -|x|^2
+    x = (Fraction(0), Fraction(1, 3)) + tuple(range(2, dim))
+    got = on.multiply(x, x)
+    assert got == (-sum(c * c for c in x),) + (0,) * (dim - 1)
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_all_int_multiply_keeps_ints():
+    x = (1, 2, 0, -1, 0, 3, 0, 1)
+    got = on.multiply(x, x[::-1])
+    assert got == _oracle(tuple(map(Fraction, x)), tuple(map(Fraction, x[::-1])))
+    assert all(type(c) is int for c in got)
 
 
 NV = 5

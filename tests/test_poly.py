@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +76,10 @@ def test_poly_equal_random():
     q2 = q + vp(2, 0) * vp(2, 1)  # one coefficient off by 1
     assert not poly_equal_random(p, q2, 20, rng)
     assert poly_equal_random(p, p, 5, rng)
+    # same numerators, different denominators
+    half = Fraction(1, 2) * vp(2, 0)
+    assert half.terms == vp(2, 0).terms
+    assert not poly_equal_random(vp(2, 0), half, 5, rng)
 
 
 def test_ring_laws_random():
@@ -239,3 +244,152 @@ def test_substitute_linear_agrees_with_evaluation(data):
     composed = f.substitute_linear(forms)
     assert composed.nvars == m
     assert composed.eval(point) == f.eval([lf.eval(point) for lf in forms])
+
+
+# -- rational ingress ----------------------------------------------------------
+
+
+def test_init_rejects_float_coefficient():
+    with pytest.raises(TypeError):
+        MultiPoly(2, {1: 0.1})
+    with pytest.raises(TypeError):
+        MultiPoly(2, {1: 0.0})  # a zero float is rejected too, not dropped
+
+
+def test_const_rejects_float():
+    with pytest.raises(TypeError):
+        MultiPoly.const(2, 0.1)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda p: p * 0.5,
+        lambda p: 0.5 * p,
+        lambda p: p + 0.1,
+        lambda p: 0.1 + p,
+        lambda p: p - 0.1,
+        lambda p: 0.1 - p,
+    ],
+)
+def test_scalar_ops_reject_float(op):
+    with pytest.raises(TypeError):
+        op(vp(2, 0))
+
+
+def test_eval_rejects_float_point():
+    with pytest.raises(TypeError):
+        vp(2, 0).eval([0.5, Fraction(1)])
+
+
+def test_canonical_form_examples():
+    half_x = Fraction(1, 2) * vp(2, 0)
+    assert (half_x.terms, half_x.den) == ({1: 1}, 2)
+    doubled = 2 * half_x  # numerator 2 over 2 reduces
+    assert (doubled.terms, doubled.den) == ({1: 1}, 1)
+    zero = half_x - half_x
+    assert (zero.terms, zero.den) == ({}, 1)
+    assert MultiPoly(2, {1: Fraction(2, 4), 32: Fraction(1, 6)}).den == 6
+
+
+# -- properties against a {exponents: Fraction} oracle ---------------------------
+
+NV = 3
+exponents = st.tuples(*[st.integers(0, 3)] * NV)
+coeffs = st.one_of(st.integers(-6, 6), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+oracles = st.dictionaries(exponents, coeffs, max_size=6)
+points = st.lists(st.one_of(st.integers(-4, 4), st.fractions(min_value=-5, max_value=5, max_denominator=9)), min_size=NV, max_size=NV)
+
+
+def _poly(d):
+    return MultiPoly(NV, {_pack_exps(e): c for e, c in d.items()})
+
+
+def _pack_exps(exps):
+    return sum(e << (5 * i) for i, e in enumerate(exps))
+
+
+def _clean(d):
+    return {e: Fraction(c) for e, c in d.items() if c}
+
+
+def _oracle_add(a, b, sign=1):
+    out = dict(_clean(a))
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _clean(out)
+
+
+def _oracle_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _clean(out)
+
+
+def _assert_canonical(p):
+    assert p.den > 0
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert gcd(p.den, *p.terms.values()) == 1
+    # rebuilding from the rationals gives the very same (terms, den)
+    q = MultiPoly(p.nvars, p.fraction_terms())
+    assert (q.terms, q.den) == (p.terms, p.den)
+    assert hash(q) == hash(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracles, oracles, coeffs)
+def test_ring_ops_match_fraction_oracle(a, b, s):
+    pa, pb = _poly(a), _poly(b)
+    results = {
+        "add": (pa + pb, _oracle_add(a, b)),
+        "sub": (pa - pb, _oracle_add(a, b, -1)),
+        "neg": (-pa, _oracle_add({}, a, -1)),
+        "mul": (pa * pb, _oracle_mul(_clean(a), _clean(b))),
+        "scalar_mul": (pa * s, _oracle_mul(_clean(a), _clean({(0,) * NV: s}))),
+        "scalar_rmul": (s * pa, _oracle_mul(_clean(a), _clean({(0,) * NV: s}))),
+        "scalar_add": (pa + s, _oracle_add(a, {(0,) * NV: s})),
+        "scalar_rsub": (s - pa, _oracle_add({(0,) * NV: s}, a, -1)),
+    }
+    for name, (got, want) in results.items():
+        assert got.exponent_dict() == want, name
+        _assert_canonical(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracles, oracles)
+def test_equal_polynomials_have_equal_representation(a, b):
+    pa, pb = _poly(a), _poly(b)
+    # the same polynomial reached along different paths
+    for left, right in [((pa + pb) - pb, pa), (pa * pb, pb * pa), (pa + pa, 2 * pa), ((pa - pb) + pb, pa)]:
+        assert left == right
+        assert (left.terms, left.den) == (right.terms, right.den)
+        assert hash(left) == hash(right)
+        _assert_canonical(left)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracles)
+def test_dump_parse_round_trip_property(a):
+    p = _poly(a)
+    text = p.dump()
+    want = [f"{c.numerator}/{c.denominator} " + " ".join(map(str, e)) for e, c in _clean(a).items()]
+    assert sorted(text.splitlines()) == sorted(want)
+    q = MultiPoly.parse(text, NV)
+    assert (q.terms, q.den) == (p.terms, p.den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracles, points)
+def test_eval_matches_naive_fraction_evaluation(a, pt):
+    want = Fraction(0)
+    for e, c in _clean(a).items():
+        term = c
+        for x, k in zip(pt, e):
+            term *= Fraction(x) ** k
+        want += term
+    got = _poly(a).eval(pt)
+    assert type(got) is Fraction
+    assert got == want
