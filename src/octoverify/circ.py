@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import octonion as on
 from .report import Report
-from .scalars import EXACT, DeterministicRng, ScalarMode, pythagorean_unit, random_rational, rational_sqrt
+from .scalars import DeterministicRng, pythagorean_unit, random_rational, rational_sqrt
 
 
 class Side(enum.Enum):
@@ -124,7 +124,7 @@ def cos_sin_2theta(nom: Nom) -> tuple[Fraction, Fraction]:
     return ta.c * ta.c - ta.s * ta.s, 2 * ta.s * ta.c
 
 
-def verify_normalized(nom: Nom, mode: ScalarMode = EXACT, rng: DeterministicRng | None = None, samples: int = 200) -> Report:
+def verify_normalized(nom: Nom, rng: DeterministicRng | None = None, samples: int = 200) -> Report:
     """Norm multiplicativity on basis and random pairs, e_0 o x = x, and the
     skew Clifford relations of the left operators U_a."""
     from .clifford import verify_skew_rep
@@ -146,7 +146,7 @@ def verify_normalized(nom: Nom, mode: ScalarMode = EXACT, rng: DeterministicRng 
     rep.add("norm_multiplicativity", ok_norm)
     ok_unit = all(circ(nom, on.basis(0, dim), on.basis(b, dim)) == on.basis(b, dim) for b in range(dim))
     rep.add("e0_left_identity", ok_unit)
-    sk = verify_skew_rep(left_ops(nom), mode)
+    sk = verify_skew_rep(left_ops(nom))
     rep.add("left_ops_skew_clifford", sk.passed, sk.max_residual())
     return rep
 
@@ -170,7 +170,10 @@ class CircTable:
         return out
 
     def as_signed_pairs(self) -> list | None:
-        """(sign, index) form when every entry is a signed basis vector, else None."""
+        """(sign, index) form when every entry is a signed basis vector, else None.
+
+        No run-time caller: ``test_nom_from_sharp_blocks_round_trip`` checks
+        rebuilt tables with it."""
         out = []
         for row in self.entries:
             orow = []
@@ -181,9 +184,6 @@ class CircTable:
                 orow.append((1 if nz[0][1] > 0 else -1, nz[0][0]))
             out.append(orow)
         return out
-
-    def as_dense(self) -> list:
-        return [[list(v) for v in row] for row in self.entries]
 
 
 def nom_table(nom: Nom) -> CircTable:
@@ -207,7 +207,7 @@ def nom_from_sharp_blocks(sharp: list) -> CircTable:
             raise ValueError(f"A#_{a} has wrong size (expected {dim}x{dim})")
         if mat != [[-mat[j][i] for j in range(dim)] for i in range(dim)]:
             raise ValueError(f"A#_{a} is not skew-symmetric")
-    sk = verify_skew_rep(sharp, EXACT)
+    sk = verify_skew_rep(sharp)
     if not sk.passed:
         raise ValueError(f"A# blocks fail skew Clifford relations: {sk.failing()}")
     for a, mat in enumerate(sharp, start=1):

@@ -69,7 +69,7 @@ from .mirror import (
 )
 from .poly import MultiPoly, munzner_verify
 from .report import Report, encode_value
-from .scalars import EXACT, DeterministicRng, ScalarMode, random_rational
+from .scalars import DeterministicRng, random_rational
 from .systems import (
     blocks_from_forms,
     build_fkm_system,
@@ -127,10 +127,6 @@ class RunConfig:
     @property
     def dim(self) -> int:
         return 4 if self.algebra == "quaternion" else 8
-
-    @property
-    def scalar_mode(self) -> ScalarMode:
-        return EXACT if self.mode == "exact" else ScalarMode.floating(self.tol)
 
     def build_nom(self) -> Nom:
         side = Side.LEFT if self.side == "left" else Side.RIGHT

@@ -92,10 +92,6 @@ def _rand_full(rng: DeterministicRng, dim: int) -> tuple:
     return tuple(random_rational(rng, 5) for _ in range(dim))
 
 
-def _max_abs(v) -> Fraction:
-    return max(abs(c) for c in v) if isinstance(v, tuple) else abs(v)
-
-
 # ---------------------------------------------------------------------------
 # R(X, Y) = q(X, Y, e_0) and its classification
 # ---------------------------------------------------------------------------
@@ -111,7 +107,8 @@ def crucial_classify(q: QCandidate, x: tuple, y: tuple) -> Report:
     """Compare R(X, Y) against the predicted XY - Y o X.
 
     Perpendicular configuration ({X, Y, XY} all perpendicular to the axis):
-    equality with the + sign and |R|^2 = 2 + 2cos(2 theta).  Parallel
+    equality with the + sign and |R|^2 = 2 + 2cos(2 theta) for a left-shifted
+    o, 2 - 2cos(2 theta) for a right-shifted one (R = 0 at theta = 0).  Parallel
     configuration (XY parallel to the axis): equality up to a recorded sign.
     Degenerate axis (theta in {0, pi}) delegates to the endpoint values
     R = XY - YX (left) / R = 0 (right).  Anything else is an error.
@@ -137,7 +134,10 @@ def crucial_classify(q: QCandidate, x: tuple, y: tuple) -> Report:
     if perp:
         rep.add("perpendicular_value", got == pred)
         c2, _ = cos_sin_2theta(q.nom)
-        rep.add("norm_sq_2_plus_2cos2theta", on.norm_sq(got) == 2 + 2 * c2)
+        if q.nom.side is Side.LEFT:
+            rep.add("norm_sq_2_plus_2cos2theta", on.norm_sq(got) == 2 + 2 * c2)
+        else:
+            rep.add("norm_sq_2_minus_2cos2theta", on.norm_sq(got) == 2 - 2 * c2)
         return rep
     if parallel:
         plus = got == pred
@@ -403,7 +403,10 @@ def obstruction_c_minus_one(dim: int, x: tuple, y: tuple, w: tuple) -> Fraction:
 
 
 def quaternion_c_minus_one_candidate(x: tuple, y: tuple, w: tuple) -> tuple:
-    """The excluded c = -1 form q(X,Y,W) = (XY - YX)W - <W, XY - YX> e_0."""
+    """The excluded c = -1 form q(X,Y,W) = (XY - YX)W - <W, XY - YX> e_0.
+
+    No run-time caller: ``test_quaternion_c_minus_one_candidate_violates_pairing``
+    shows with it that this form breaks the pairing the exclusion rests on."""
     comm = on.sub(on.multiply(x, y), on.multiply(y, x))
     val = on.multiply(comm, w)
     corr = on.scale(on.inner(w, comm), on.basis(0, len(x)))

@@ -17,7 +17,6 @@ from . import octonion as on
 from .circ import Nom, Side, circ
 from .poly import BITS, MultiPoly, Rt2Poly
 from .report import Report
-from .scalars import EXACT, DeterministicRng, ScalarMode
 from .systems import ScaledVec, symbolic_xyz
 
 
@@ -77,7 +76,10 @@ def assemble_star_blocks(a_blocks: list, a_sharp_blocks: list) -> tuple[list, li
 
 def star_blocks_identity_check(b_star: list, c_star: list) -> Report:
     """Gram identity the mirror blocks must satisfy:
-    (B*_a)^T B*_b + (B*_b)^T B*_a = (C*_a)^T C*_b + (C*_b)^T C*_a."""
+    (B*_a)^T B*_b + (B*_b)^T B*_a = (C*_a)^T C*_b + (C*_b)^T C*_a.
+
+    With D = (B*_a)^T B*_b - (C*_a)^T C*_b this reads D + D^T = 0, which is
+    symmetric in (a, b), so only the pairs a <= b are formed."""
     rep = Report("star_blocks_gram")
 
     def gram(p: HalfScaledMatrix, q: HalfScaledMatrix):
@@ -90,14 +92,12 @@ def star_blocks_identity_check(b_star: list, c_star: list) -> Report:
 
     ok = True
     for a in range(len(b_star)):
-        for b in range(len(b_star)):
-            lhs = gram(b_star[a], b_star[b])
-            lhs2 = gram(b_star[b], b_star[a])
-            rhs = gram(c_star[a], c_star[b])
-            rhs2 = gram(c_star[b], c_star[a])
-            l = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(lhs, lhs2)]
-            r = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(rhs, rhs2)]
-            if l != r:
+        for b in range(a, len(b_star)):
+            gb = gram(b_star[a], b_star[b])
+            gc = gram(c_star[a], c_star[b])
+            d = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(gb, gc)]
+            n = len(d)
+            if any(d[i][j] + d[j][i] for i in range(n) for j in range(i, n)):
                 ok = False
     rep.add("bstar_cstar_gram_identity", ok)
     return rep
@@ -142,7 +142,10 @@ def q_star_fkm_eval(nom: Nom, x: tuple, y: tuple, z: tuple) -> tuple:
 
 
 def q_star_fkm(nom: Nom, w: EigenDecomp) -> tuple:
-    """q*(W,W,W) = X(Y o Z) - Y o (XZ)."""
+    """q*(W,W,W) = X(Y o Z) - Y o (XZ).
+
+    No run-time caller: ``test_q_star_fkm_values`` checks the paper's spot
+    values through it."""
     return q_star_fkm_eval(nom, w.x, w.y, w.z)
 
 
@@ -153,7 +156,10 @@ def q_star_ot_eval(x: tuple, y: tuple, z: tuple) -> tuple:
 
 
 def q_star_ot(w: EigenDecomp) -> tuple:
-    """q*(W,W,W) = (XY - YX) Z."""
+    """q*(W,W,W) = (XY - YX) Z.
+
+    No run-time caller: ``test_q_star_ot_values`` checks the paper's spot
+    values through it."""
     return q_star_ot_eval(w.x, w.y, w.z)
 
 
@@ -205,6 +211,9 @@ class TrilinearQ:
         return self.coeffs.get((a, alpha, mu, p), Fraction(0))
 
     def contract(self, x: tuple, y: tuple, z: tuple) -> tuple:
+        """q(x, y, z) from the stored coefficients.  No run-time caller:
+        ``test_tensor_contract_matches_closed_form`` checks the tensor
+        against the closed form with it."""
         d = self.m1 + 1
         out = [Fraction(0)] * d
         for (a, alpha, mu, p), c in self.coeffs.items():
@@ -228,20 +237,16 @@ class TrilinearQ:
         return polys
 
     def mutated(self, key: tuple, value: Fraction) -> "TrilinearQ":
+        """Copy with one coefficient replaced.  No run-time caller: the
+        mutation tests (``test_verify_ot_equations_mutation_fails``,
+        ``test_c06_norm_identity_and_mutation_kill``) use it to show that
+        ``verify_ot_equations`` rejects a wrong tensor."""
         coeffs = dict(self.coeffs)
         if value == 0:
             coeffs.pop(key, None)
         else:
             coeffs[key] = value
         return TrilinearQ(self.m1, coeffs, self.reindexed)
-
-    def to_quintuples(self) -> list:
-        """Sparse (a, alpha, mu, p, coeff) rows in sorted index order."""
-        return [(a, al, mu, p, c) for (a, al, mu, p), c in sorted(self.coeffs.items())]
-
-    @staticmethod
-    def from_quintuples(m1: int, rows: list, reindexed: bool = True) -> "TrilinearQ":
-        return TrilinearQ(m1, {(a, al, mu, p): Fraction(c) for a, al, mu, p, c in rows}, reindexed)
 
     @staticmethod
     def from_closed_form(q_eval, dim: int) -> "TrilinearQ":
@@ -320,14 +325,7 @@ def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int], p_minus1: 
 # ---------------------------------------------------------------------------
 
 
-def verify_ot_equations(
-    p_minus1: MultiPoly,
-    p_vec: list,
-    q: TrilinearQ,
-    mode: ScalarMode = EXACT,
-    rng: DeterministicRng | None = None,
-    trials: int = 20,
-) -> Report:
+def verify_ot_equations(p_minus1: MultiPoly, p_vec: list, q: TrilinearQ) -> Report:
     """Three named exact checks over the tangent coordinates:
 
       norm_identity:   16|q*|^2 = 16 G (|X|^2+|Y|^2+|Z|^2) - |grad G|^2,
@@ -359,13 +357,7 @@ def verify_ot_equations(
     for d in g.gradient():
         gg = gg + d * d
     diff = 16 * q2 - (16 * (g * r2) - gg)
-    if mode.is_exact:
-        rep.add("third_form_norm_identity", diff.is_zero(), detail={"residual_terms": len(diff.terms)})
-    else:
-        rng = rng or DeterministicRng(0)
-        from .poly import poly_equal_random
-
-        rep.add("third_form_norm_identity", poly_equal_random(diff, MultiPoly(nv), trials, rng))
+    rep.add("third_form_norm_identity", diff.is_zero(), detail={"residual_terms": len(diff.terms)})
 
     def dot(gs1, gs2):
         acc = MultiPoly(nv)
@@ -409,7 +401,10 @@ def fkm_pq_tangent_forms(nom: Nom) -> tuple[MultiPoly, list, TrilinearQ]:
 
 
 def ot_pq_tangent_forms(dim: int = 8) -> tuple[MultiPoly, list, TrilinearQ]:
-    """Same for the OT closed form q* = (XY - YX) Z (o = octonion product)."""
+    """Same for the OT closed form q* = (XY - YX) Z (o = octonion product).
+
+    No run-time caller: ``test_verify_ot_equations_ot`` and
+    ``test_c06_norm_identity_and_mutation_kill`` run the OT equations on it."""
     nom = Nom(Side.LEFT, on.basis(0, dim))
     xs, ys, zs, nv = symbolic_xyz(dim)
     p_minus1 = on.inner(xs, xs) - on.inner(ys, ys)

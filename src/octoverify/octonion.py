@@ -16,7 +16,6 @@ independent oracle for the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -197,75 +196,6 @@ def right_mult_matrix(u) -> list:
     dim = len(u)
     cols = [multiply(basis(b, dim), u) for b in range(dim)]
     return [[cols[b][r] for b in range(dim)] for r in range(dim)]
-
-
-@dataclass(frozen=True)
-class Octonion:
-    """Octonion as an 8-coordinate vector against (1, i, j, k, eps, i eps, j eps, k eps).
-
-    Purely imaginary elements are Octonions with zero e_0 coordinate; the
-    quaternions are the elements supported on coordinates 0..3.
-    """
-
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != 8:
-            raise ValueError("octonion needs 8 coordinates")
-
-    @staticmethod
-    def from_coords(cs) -> "Octonion":
-        return Octonion(tuple(Fraction(c) if isinstance(c, int) else c for c in cs))
-
-    @staticmethod
-    def basis(i: int) -> "Octonion":
-        return Octonion(basis(i))
-
-    @staticmethod
-    def zero() -> "Octonion":
-        return Octonion(zero())
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(add(self.coords, other.coords))
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(sub(self.coords, other.coords))
-
-    def __neg__(self) -> "Octonion":
-        return Octonion(neg(self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, Octonion):
-            return Octonion(multiply(self.coords, other.coords))
-        return Octonion(scale(other, self.coords))
-
-    def __rmul__(self, other):
-        return Octonion(scale(other, self.coords))
-
-    def conjugate(self) -> "Octonion":
-        return Octonion(conjugate(self.coords))
-
-    def inner(self, other: "Octonion"):
-        return inner(self.coords, other.coords)
-
-    def norm_sq(self):
-        return norm_sq(self.coords)
-
-    def imaginary(self) -> "Octonion":
-        return Octonion(imaginary_part(self.coords))
-
-    def is_imaginary(self) -> bool:
-        return self.coords[0] == 0
-
-    def left_mult_matrix(self) -> list:
-        return left_mult_matrix(self.coords)
-
-    def right_mult_matrix(self) -> list:
-        return right_mult_matrix(self.coords)
-
-    def __repr__(self) -> str:
-        parts = [f"{c}*e{i}" for i, c in enumerate(self.coords) if c != 0]
-        return " + ".join(parts) if parts else "0"
 
 
 def j_generators(dim: int = 8) -> list:

@@ -45,7 +45,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .report import Report
-from .scalars import DeterministicRng, ScalarMode, EXACT, random_rational
+from .scalars import DeterministicRng, random_rational
 
 BITS = 5
 _EXP_MASK = (1 << BITS) - 1
@@ -418,21 +418,6 @@ def norm_sq_poly(nvars: int) -> MultiPoly:
     return MultiPoly._adopt(nvars, {2 << (BITS * i): 1 for i in range(nvars)})
 
 
-def poly_equal_random(
-    p: MultiPoly, q: MultiPoly, trials: int, rng: DeterministicRng, bound: int = 10
-) -> bool:
-    """Probabilistic identity test: exact evaluation at random rational points."""
-    if p.nvars != q.nvars:
-        raise ValueError("nvars mismatch")
-    if p.den == q.den and p.terms == q.terms:
-        return True
-    for _ in range(trials):
-        pt = [random_rational(rng, bound) for _ in range(p.nvars)]
-        if p.eval(pt) != q.eval(pt):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Rt2Poly:
     """Polynomial with Q(sqrt 2) coefficients, kept as rational + sqrt2-rational parts.
@@ -472,9 +457,6 @@ class Rt2Poly:
 
     __rmul__ = __mul__
 
-    def times_sqrt2(self) -> "Rt2Poly":
-        return Rt2Poly(2 * self.b, self.a)
-
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
 
@@ -482,6 +464,8 @@ class Rt2Poly:
         return self.b.is_zero()
 
     def is_pure_sqrt2(self) -> bool:
+        """No run-time caller: ``test_fkm_formula_forms_shape`` checks with it
+        that the a-indexed second-form components are pure sqrt2 multiples."""
         return self.a.is_zero()
 
     def __eq__(self, other):
@@ -528,7 +512,6 @@ def munzner_verify(
     g: int,
     m1: int,
     m2: int,
-    mode: ScalarMode = EXACT,
     rng: DeterministicRng | None = None,
     trials: int = 20,
     term_cap: int = 5_000_000,
@@ -552,7 +535,7 @@ def munzner_verify(
 
     lap_half = Fraction((m2 - m1) * g * g, 2)
 
-    if randomized or not mode.is_exact:
+    if randomized:
         rng = rng or DeterministicRng(0)
         ok_grad = True
         ok_lap_pos = True
@@ -583,7 +566,7 @@ def munzner_verify(
         _int_square_into(acc, gp.terms, (den // gp.den) ** 2)
         if len(acc) > term_cap:
             rep.note("term cap exceeded; falling back to randomized verification")
-            return munzner_verify(f, g, m1, m2, mode, rng, trials, term_cap, randomized=True)
+            return munzner_verify(f, g, m1, m2, rng, trials, term_cap, randomized=True)
     target = _int_norm_power(n, g - 1)
     gg = g * g * den * den
     for k, c in target.items():

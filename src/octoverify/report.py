@@ -83,7 +83,10 @@ _CHECK_KEYS = {"name", "pass", "residual", "detail"}
 
 
 def validate_report(d: dict) -> None:
-    """Schema check: versioned, with unknown fields forbidden at every level."""
+    """Schema check: versioned, with unknown fields forbidden at every level.
+
+    No run-time caller: ``test_report_schema_validation`` checks the CLI's
+    report against the schema with it."""
     if set(d) != _RUN_REPORT_KEYS:
         raise ValueError(f"unexpected top-level fields: {sorted(set(d) ^ _RUN_REPORT_KEYS)}")
     if d["schema_version"] != SCHEMA_VERSION:

@@ -1,9 +1,11 @@
-"""Exact/approximate scalar comparison, deterministic randomness, rational circle points.
+"""Exact scalar helpers: the zeros of the zero-skipping kernels, deterministic
+randomness, and rational points on the unit circle.
 
-Exact mode works entirely in ``fractions.Fraction``; angles are realized as
-rational points on the unit circle via the Pythagorean parametrization
-c = (1-t^2)/(1+t^2), s = 2t/(1+t^2), which keeps every downstream identity
-exactly checkable.
+The verifiers compare exactly, so there is no comparison mode here (the
+CLI's ``--mode float`` computes its own residuals in ``suite_nom_float``).
+Angles are realized as rational points on the unit circle via the Pythagorean
+parametrization c = (1-t^2)/(1+t^2), s = 2t/(1+t^2), which keeps every
+downstream identity exactly checkable.
 """
 
 from __future__ import annotations
@@ -11,52 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-Scalar = Union[Fraction, int, float]
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-
-@dataclass(frozen=True)
-class ScalarMode:
-    """Comparison mode: exact rational equality or float with relative tolerance."""
-
-    kind: str  # "exact" | "float"
-    tolerance: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "float"):
-            raise ValueError(f"unknown scalar mode {self.kind!r}")
-        if self.kind == "float" and not self.tolerance > 0:
-            raise ValueError("float mode requires tolerance > 0")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "exact"
-
-    @staticmethod
-    def exact() -> "ScalarMode":
-        return ScalarMode("exact")
-
-    @staticmethod
-    def floating(tolerance: float = 1e-9) -> "ScalarMode":
-        return ScalarMode("float", tolerance)
-
-
-EXACT = ScalarMode.exact()
-
-
-def scalar_eq(a: Scalar, b: Scalar, mode: ScalarMode = EXACT) -> bool:
-    """Equality under the given mode: literal for exact, relative for float."""
-    if mode.is_exact:
-        return a == b
-    am, bm = float(a), float(b)
-    return abs(am - bm) <= mode.tolerance * max(1.0, abs(am), abs(bm))
-
 
 _RATIONAL_ZERO = Fraction(0)
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octoverify import octonion as on
 from octoverify.circ import CircTable
@@ -16,7 +17,18 @@ from octoverify.clifford import (
     verify_symmetric_system,
     volume_sign,
 )
-from octoverify.linalg import identity, mat_mul, random_rational_orthogonal, transpose
+from octoverify.linalg import (
+    identity,
+    mat_add,
+    mat_mul,
+    mat_neg,
+    mat_scale,
+    mat_sub,
+    max_abs,
+    random_rational_orthogonal,
+    transpose,
+    zeros,
+)
 from octoverify.scalars import DeterministicRng
 
 
@@ -140,3 +152,78 @@ def test_skew_rep_plus_identity_is_orthogonal_multiplication():
             y = tuple(random_rational(rng, 5) for _ in range(8))
             assert on.norm_sq(table.mul(x, y)) == on.norm_sq(x) * on.norm_sq(y)
         assert table.mul(on.basis(0, 8), on.basis(3, 8)) == on.basis(3, 8)
+
+
+# ---------------------------------------------------------------------------
+# the integer-scaled residuals against a Fraction oracle
+# ---------------------------------------------------------------------------
+
+
+def _block_system(es: list) -> list:
+    """diag(I, -I) and [[0, E], [E^T, 0]] for each E: a symmetric Clifford
+    system whenever E_a E_b^T + E_b E_a^T = 2 delta_ab Id."""
+    ident, zero = identity(len(es[0])), zeros(len(es[0]))
+
+    def blocks(tl, tr, bl, br):
+        return [a + b for a, b in zip(tl, tr)] + [a + b for a, b in zip(bl, br)]
+
+    return [blocks(ident, zero, zero, mat_neg(ident))] + [blocks(zero, e, transpose(e), zero) for e in es]
+
+
+def _anticommutator(a: list, b: list) -> list:
+    return mat_add(mat_mul(a, b), mat_mul(b, a))
+
+
+def _perturbed(mats: list, edits: list) -> list:
+    out = [[list(row) for row in m] for m in mats]
+    for k, i, j, delta in edits:
+        m = out[k % len(out)]
+        m[i % len(m)][j % len(m)] += delta
+    return out
+
+
+_edits = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_edits)
+def test_verify_skew_rep_residuals_match_fraction_oracle(edits):
+    mats = _perturbed(on.j_generators(4), edits)
+    got = {c.name: c for c in verify_skew_rep(mats).checks}
+    ident = identity(len(mats[0]))
+    want = {
+        "orthogonality": max(max_abs(mat_sub(mat_mul(m, transpose(m)), ident)) for m in mats),
+        "square_minus_id": max(max_abs(mat_add(mat_mul(m, m), ident)) for m in mats),
+        "anticommutation": max(max_abs(_anticommutator(a, b)) for i, a in enumerate(mats) for b in mats[i + 1 :]),
+    }
+    for name, residual in want.items():
+        assert got[name].residual == residual, name
+        assert got[name].passed == (residual == 0), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(_edits)
+def test_verify_symmetric_system_residuals_match_fraction_oracle(edits):
+    base = _block_system([identity(4)] + on.j_generators(4))
+    assert verify_symmetric_system(SymmetricCliffordSystem(base, 0)).passed
+    mats = _perturbed(base, edits)
+    got = {c.name: c for c in verify_symmetric_system(SymmetricCliffordSystem(mats, 0)).checks}
+    sym = max(max_abs(mat_sub(m, transpose(m))) for m in mats)
+    ident = identity(len(mats[0]))
+    cliff = max(
+        max_abs(mat_sub(_anticommutator(a, b), mat_scale(Fraction(2 if i == k else 0), ident)))
+        for i, a in enumerate(mats)
+        for k, b in enumerate(mats)
+        if i <= k
+    )
+    for name, residual in (("symmetry", sym), ("clifford_relations", cliff)):
+        assert got[name].residual == residual, name
+        assert got[name].passed == (residual == 0), name

@@ -47,6 +47,29 @@ def test_r_form_pythagorean_value():
     assert on.norm_sq(r) == 2 + 2 * Fraction(-7, 25)
 
 
+# |R(e1, e2)|^2 at the Pythagorean point of t, as (left, right): with
+# cos 2theta = c2 it is 2 + 2 c2 on the left and 2 - 2 c2 on the right
+R_NORM_SQ = {
+    Fraction(1, 3): (Fraction(64, 25), Fraction(36, 25)),  # c2 = 7/25
+    Fraction(1, 2): (Fraction(36, 25), Fraction(64, 25)),  # c2 = -7/25
+    Fraction(1): (Fraction(0), Fraction(4)),  # c2 = -1
+    Fraction(3): (Fraction(64, 25), Fraction(36, 25)),  # c2 = 7/25
+}
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+@pytest.mark.parametrize("t", sorted(R_NORM_SQ))
+def test_crucial_classify_both_sides(side, t):
+    cand = fkm_candidate(nom_from_t(side, t))
+    want = R_NORM_SQ[t][0 if side is Side.LEFT else 1]
+    assert on.norm_sq(r_form(cand, E[1], E[2])) == want
+    perp = crucial_classify(cand, E[1], E[2])  # {e1,e2,e3} _|_ e4
+    assert perp.passed, perp.failing()
+    norm_check = "norm_sq_2_plus_2cos2theta" if side is Side.LEFT else "norm_sq_2_minus_2cos2theta"
+    assert [c.name for c in perp.checks] == ["perpendicular_value", norm_check]
+    assert crucial_classify(cand, E[1], on.neg(E[5])).passed  # e1 * (-e5) = e4
+
+
 def test_crucial_classify_branches():
     cand = fkm_candidate(nom_from_t(Side.LEFT, Fraction(1, 2)))
     rep = crucial_classify(cand, E[1], E[2])  # {e1,e2,e3} _|_ e4

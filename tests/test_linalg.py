@@ -26,23 +26,6 @@ def test_kernel_members_annihilate():
             assert sum(a * b for a, b in zip(r, v)) == 0
 
 
-def test_rank():
-    m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert la.rank(m) == 1
-    assert la.rank(la.identity(5)) == 5
-
-
-def test_gram_schmidt():
-    vs = [
-        [Fraction(1), Fraction(1), Fraction(0)],
-        [Fraction(1), Fraction(0), Fraction(1)],
-        [Fraction(2), Fraction(1), Fraction(1)],  # dependent
-    ]
-    out = la.gram_schmidt(vs)
-    assert len(out) == 2
-    assert sum(a * b for a, b in zip(out[0], out[1])) == 0
-
-
 def test_random_rational_orthogonal():
     rng = DeterministicRng(33)
     for n in (4, 8):

@@ -6,6 +6,7 @@ from octoverify import octonion as on
 from octoverify.circ import Side, left_ops, nom_from_t
 from octoverify.mirror import (
     EigenDecomp,
+    HalfScaledMatrix,
     TrilinearQ,
     assemble_star_blocks,
     fkm_pq_tangent_forms,
@@ -75,6 +76,26 @@ def test_assemble_star_blocks_nontrivial_sharp():
     assert star_blocks_identity_check(b_star, c_star).passed
     with pytest.raises(ValueError):
         assemble_star_blocks(j[:3], sharp)
+
+
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(1, 2)])
+def test_star_blocks_identity_rejects_swapped_block(t):
+    j = [on.left_mult_matrix(E[i]) for i in range(1, 8)]
+    b_star, c_star = assemble_star_blocks(j, left_ops(nom_from_t(Side.LEFT, t)))
+    assert star_blocks_identity_check(b_star, c_star).passed
+    swapped = [c_star[1], c_star[0]] + c_star[2:]
+    assert not star_blocks_identity_check(b_star, swapped).passed
+
+
+def test_star_blocks_identity_checks_gram_diagonal():
+    # one block each, so a = b is the only pair, and the Gram matrices
+    # diag(1, 1) and diag(1, 4) differ only on the diagonal
+    z, one = Fraction(0), Fraction(1)
+    b_star = [HalfScaledMatrix(((one, z), (z, one)))]
+    rotated = HalfScaledMatrix(((z, -one), (one, z)))
+    stretched = HalfScaledMatrix(((one, z), (z, 2 * one)))
+    assert star_blocks_identity_check(b_star, [rotated]).passed
+    assert not star_blocks_identity_check(b_star, [stretched]).passed
 
 
 def test_p_star_values():
@@ -230,19 +251,3 @@ def test_verify_ot_equations_mutation_fails(noms):
     rep = verify_ot_equations(p1, pv, mut)
     assert not rep.passed
     assert "third_form_norm_identity" in rep.failing()
-
-
-def test_trilinear_q_quintuple_round_trip():
-    nom = nom_from_t(Side.LEFT, Fraction(1, 2))
-    qt = TrilinearQ.from_closed_form(lambda X, Y, Z: q_star_fkm_eval(nom, X, Y, Z), 8)
-    rows = qt.to_quintuples()
-    assert TrilinearQ.from_quintuples(7, rows).coeffs == qt.coeffs
-    assert all(len(r) == 5 for r in rows)
-
-
-def test_verify_ot_equations_randomized_mode():
-    from octoverify.scalars import ScalarMode
-
-    p1, pv, qt = fkm_pq_tangent_forms(nom_from_t(Side.LEFT, Fraction(0)))
-    rep = verify_ot_equations(p1, pv, qt, mode=ScalarMode.floating(1e-9), rng=DeterministicRng(5))
-    assert rep.passed

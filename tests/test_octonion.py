@@ -1,9 +1,7 @@
 from fractions import Fraction
 
-import pytest
-
 from octoverify import octonion as on
-from octoverify.octonion import Octonion, cayley_dickson_multiply
+from octoverify.octonion import cayley_dickson_multiply
 from octoverify.scalars import DeterministicRng, random_rational
 
 E = [on.basis(i) for i in range(8)]
@@ -176,18 +174,3 @@ def test_quaternion_subspan():
         p = on.multiply(x, y)
         assert all(c == 0 for c in p[4:])
         assert on.multiply(on.multiply(x, y), z) == on.multiply(x, on.multiply(y, z))
-
-
-def test_octonion_class():
-    a = Octonion.basis(1)
-    b = Octonion.basis(2)
-    assert (a * b).coords == E[3]
-    assert (a + b - a).coords == E[2]
-    assert (-a).coords == on.neg(E[1])
-    assert (2 * a).inner(a) == 2
-    assert a.conjugate().coords == on.neg(E[1])
-    assert not a.is_imaginary() or a.coords[0] == 0
-    with pytest.raises(ValueError):
-        Octonion((Fraction(1),) * 4)
-    assert Octonion.zero().norm_sq() == 0
-    assert "e1" in repr(a)

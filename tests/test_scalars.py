@@ -4,12 +4,10 @@ import pytest
 
 from octoverify.scalars import (
     DeterministicRng,
-    ScalarMode,
     pythagorean_unit,
     random_rational,
     random_unit_rational_vector,
     rational_sqrt,
-    scalar_eq,
 )
 
 
@@ -25,20 +23,6 @@ def test_pythagorean_unit_circle_property():
         t = random_rational(rng, 50)
         c, s = pythagorean_unit(t)
         assert c * c + s * s == 1
-
-
-def test_scalar_eq_modes():
-    assert scalar_eq(Fraction(1, 3), Fraction(1, 3))
-    assert not scalar_eq(Fraction(1, 3), Fraction(1, 4))
-    assert scalar_eq(1.0, 1.0 + 1e-12, ScalarMode.floating(1e-9))
-    assert not scalar_eq(1, 2, ScalarMode.floating(1e-9))
-
-
-def test_scalar_mode_validation():
-    with pytest.raises(ValueError):
-        ScalarMode("float", 0.0)
-    with pytest.raises(ValueError):
-        ScalarMode("weird")
 
 
 def test_rng_reproducible():
