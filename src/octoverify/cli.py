@@ -14,6 +14,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import __version__
 from . import octonion as on
@@ -39,6 +40,8 @@ from .clifford import (
     volume_sign,
 )
 from .identities import (
+    REQUIRED_SUITES,
+    QCandidate,
     QLabel,
     anti_suite,
     classify_q,
@@ -71,6 +74,8 @@ from .poly import MultiPoly, munzner_verify
 from .report import Report, encode_value
 from .scalars import DeterministicRng, random_rational
 from .systems import (
+    FkmSystem,
+    OtSystem,
     blocks_from_forms,
     build_fkm_system,
     build_ot_system,
@@ -154,12 +159,48 @@ class RunConfig:
         }
 
 
+class RunContext:
+    """What one run builds once and its suites share: the configured nom, the
+    q* candidates (with the ``verified`` flags their batteries set) and the
+    FKM and OT systems.
+
+    No consumer mutates a system (munzner, mirror and classify only read
+    operators, splits and frames), so one copy serves them all.  ``F`` is not
+    kept: the run's peak memory is reached in munzner, which builds it."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self._candidates: dict = {}
+
+    @cached_property
+    def nom(self) -> Nom:
+        return self.cfg.build_nom()
+
+    def candidate(self, kind: str, nom: Nom | None = None) -> QCandidate:
+        """``fkm_candidate(nom)`` for kind "fkm", ``ot_candidate`` of the
+        configured dimension for "ot"; built once per (kind, nom)."""
+        key = (kind, nom)
+        cand = self._candidates.get(key)
+        if cand is None:
+            cand = fkm_candidate(nom) if kind == "fkm" else ot_candidate(self.cfg.dim)
+            self._candidates[key] = cand
+        return cand
+
+    @cached_property
+    def fkm(self) -> FkmSystem:
+        return build_fkm_system(self.nom)
+
+    @cached_property
+    def ot(self) -> OtSystem:
+        return build_ot_system(self.cfg.dim)
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
 
-def suite_algebra(cfg: RunConfig, rng: DeterministicRng) -> Report:
+def suite_algebra(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Report:
     rep = Report("algebra")
     dim = cfg.dim
     from .octonion import cayley_dickson_multiply
@@ -242,7 +283,7 @@ def suite_algebra(cfg: RunConfig, rng: DeterministicRng) -> Report:
     return rep
 
 
-def suite_clifford(cfg: RunConfig, rng: DeterministicRng) -> Report:
+def suite_clifford(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Report:
     rep = Report("clifford")
     dim = cfg.dim
     table = [delta_dimension(m) for m in range(1, 9)]
@@ -273,10 +314,10 @@ def suite_clifford(cfg: RunConfig, rng: DeterministicRng) -> Report:
     return rep
 
 
-def suite_nom(cfg: RunConfig, rng: DeterministicRng) -> Report:
+def suite_nom(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Report:
     rep = Report("nom")
     dim = cfg.dim
-    nom = cfg.build_nom()
+    nom = ctx.nom
     vn = verify_normalized(nom, rng=rng.fork(2))
     rep.add("verify_normalized", vn.passed, vn.max_residual())
 
@@ -333,10 +374,9 @@ def _munzner_multiplicities(dim: int, n_ops: int) -> tuple[int, int]:
     return (min(m1, m2), max(m1, m2))
 
 
-def suite_munzner(cfg: RunConfig, rng: DeterministicRng) -> Report:
+def suite_munzner(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Report:
     rep = Report("munzner")
-    nom = cfg.build_nom()
-    fkm = build_fkm_system(nom)
+    fkm = ctx.fkm
     vs = verify_symmetric_system(fkm.system)
     rep.add("fkm_clifford_relations", vs.passed, vs.max_residual())
     f = fkm_polynomial(fkm.system)
@@ -351,7 +391,7 @@ def suite_munzner(cfg: RunConfig, rng: DeterministicRng) -> Report:
     rep.add("fkm_mirror_point_focal", focal_check(fkm.system, frame.point))
     rep.add("fkm_polynomial_at_focal_rep", f.eval(list(frame.point.coords)) == 4)
 
-    ot = build_ot_system(cfg.dim)
+    ot = ctx.ot
     vso = verify_symmetric_system(ot.system)
     rep.add("ot_clifford_relations", vso.passed, vso.max_residual())
     fo = fkm_polynomial(ot.system)
@@ -362,11 +402,11 @@ def suite_munzner(cfg: RunConfig, rng: DeterministicRng) -> Report:
     return rep
 
 
-def suite_mirror(cfg: RunConfig, rng: DeterministicRng) -> Report:
+def suite_mirror(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Report:
     rep = Report("mirror")
     dim = cfg.dim
-    nom = cfg.build_nom()
-    fkm = build_fkm_system(nom)
+    nom = ctx.nom
+    fkm = ctx.fkm
 
     sf = second_form_at_focal(fkm)
     rep.add("second_form_matrix_vs_formula", sf.passed)
@@ -406,7 +446,7 @@ def suite_mirror(cfg: RunConfig, rng: DeterministicRng) -> Report:
         else:
             rep.add("ot_q_passes_condition_b_quaternion", cb_ot.passed)
 
-    ot = build_ot_system(dim)
+    ot = ctx.ot
     disp, ot_forms, ot_frame = ot_display_report(ot)
     rep.add("ot_displays", disp.passed, detail={"failing": disp.failing()})
     pr = [p.a for p in ot_forms.p]
@@ -458,11 +498,11 @@ def suite_mirror(cfg: RunConfig, rng: DeterministicRng) -> Report:
     return rep
 
 
-def suite_identities(cfg: RunConfig, rng: DeterministicRng) -> Report:
+def suite_identities(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Report:
     rep = Report("identities")
     dim = cfg.dim
-    nom = cfg.build_nom()
-    cands = [("fkm", fkm_candidate(nom)), ("ot", ot_candidate(dim))]
+    nom = ctx.nom
+    cands = [("fkm", ctx.candidate("fkm", nom)), ("ot", ctx.candidate("ot"))]
     for name, cand in cands:
         wl = exchange_suite(cand, rng.fork(11), samples=25)
         rep.add(
@@ -484,8 +524,8 @@ def suite_identities(cfg: RunConfig, rng: DeterministicRng) -> Report:
         rep.add("r_classification_perpendicular", cc.passed)
         cc2 = crucial_classify(fkmc, on.basis(1, 8), on.neg(on.basis(5, 8)))
         rep.add("r_classification_parallel", cc2.passed)
-    left_end = fkm_candidate(Nom(Side.LEFT, on.basis(0, dim)))
-    right_end = fkm_candidate(Nom(Side.RIGHT, on.basis(0, dim)))
+    left_end = ctx.candidate("fkm", Nom(Side.LEFT, on.basis(0, dim)))
+    right_end = ctx.candidate("fkm", Nom(Side.RIGHT, on.basis(0, dim)))
     ok_l = all(
         r_form(left_end, on.basis(i, dim), on.basis(j, dim))
         == on.sub(
@@ -502,7 +542,7 @@ def suite_identities(cfg: RunConfig, rng: DeterministicRng) -> Report:
     )
     rep.add("cor69_endpoints", ok_l and ok_r)
 
-    bad = fkm_candidate(nom)
+    bad = fkm_candidate(nom)  # not the shared candidate: its eval is replaced
     bad.eval = lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z)
     wl = exchange_suite(bad, rng.fork(14), samples=10)
     rep.add("unsymmetrized_candidate_fails", not all(w.passed for w in wl))
@@ -521,48 +561,50 @@ def suite_identities(cfg: RunConfig, rng: DeterministicRng) -> Report:
     return rep
 
 
-def suite_classify(cfg: RunConfig, rng: DeterministicRng) -> Report:
+def suite_classify(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Report:
     rep = Report("classify")
     dim = cfg.dim
 
     def prepared(c):
-        exchange_suite(c, rng.fork(21), samples=5)
-        skew_suite(c, rng.fork(22), samples=5)
-        anti_suite(c, rng.fork(23), samples=5)
-        norm_identity_check(c)
+        # a candidate whose batteries all passed earlier in the run (in the
+        # identities suite) keeps its flags; any other runs them here
+        if not REQUIRED_SUITES <= c.verified:
+            exchange_suite(c, rng.fork(21), samples=5)
+            skew_suite(c, rng.fork(22), samples=5)
+            anti_suite(c, rng.fork(23), samples=5)
+            norm_identity_check(c)
         return c
 
-    otc = prepared(ot_candidate(dim))
+    otc = prepared(ctx.candidate("ot"))
     cls = classify_q(otc)
     rep.add("classify_ot", cls.label is QLabel.OT_TYPE, detail={"matches": [m.value for m in cls.matches], "note": cls.note})
     if dim == 4:
         rep.add("quaternion_coincidence_reported", bool(cls.note))
 
-    leftc = prepared(fkm_candidate(Nom(Side.LEFT, on.basis(0, dim))))
+    leftc = prepared(ctx.candidate("fkm", Nom(Side.LEFT, on.basis(0, dim))))
     rep.add("classify_fkm_left", classify_q(leftc).label is QLabel.FKM_LEFT)
-    rightc = prepared(fkm_candidate(Nom(Side.RIGHT, on.basis(0, dim))))
+    rightc = prepared(ctx.candidate("fkm", Nom(Side.RIGHT, on.basis(0, dim))))
     rep.add("classify_fkm_right", classify_q(rightc).label is QLabel.FKM_RIGHT)
 
-    nom = cfg.build_nom()
+    nom = ctx.nom
     if nom.alpha != on.basis(0, dim):
-        custom = prepared(fkm_candidate(nom))
+        custom = prepared(ctx.candidate("fkm", nom))
         cls_c = classify_q(custom)
         rep.note(f"config nom classifies as {cls_c.label.value} before perturbation")
 
-    fkm = build_fkm_system(nom)
-    pm = perturb_mirror(fkm)
+    pm = perturb_mirror(ctx.fkm)
     branch = next((c.detail for c in pm.checks if c.name == "second_form_branch_identity"), None)
     rep.add("perturbation_branch_verified", pm.passed, detail={"branch": branch})
     return rep
 
 
-def suite_nom_float(cfg: RunConfig, rng: DeterministicRng) -> Report:
+def suite_nom_float(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Report:
     """Float-theta verification: residual-based versions of the nom checks."""
     import random as _random
 
     rep = Report("nom")
     dim = cfg.dim
-    nom = cfg.build_nom()
+    nom = ctx.nom
     tol = cfg.tol
     pr = _random.Random(cfg.seed)
 
@@ -617,6 +659,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
         return {"schema_version": "1", "error": str(e)}, 2
     t0 = time.time()
     rng = DeterministicRng(cfg.seed)
+    ctx = RunContext(cfg)
     suite_reports = []
     all_pass = True
     for name in cfg.suites:
@@ -629,7 +672,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
                 continue
         else:
             fn = SUITE_FUNCS[name]
-        r = fn(cfg, rng.fork(ALL_SUITES.index(name)))
+        r = fn(cfg, rng.fork(ALL_SUITES.index(name)), ctx)
         suite_reports.append(r)
         if not r.passed:
             all_pass = False

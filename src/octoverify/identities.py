@@ -425,7 +425,7 @@ class Classification:
     note: str = ""
 
 
-_REQUIRED_SUITES = {"exchange", "skew", "anti", "norm"}
+REQUIRED_SUITES = {"exchange", "skew", "anti", "norm"}
 
 
 def classify_q(q: QCandidate) -> Classification:
@@ -433,7 +433,7 @@ def classify_q(q: QCandidate) -> Classification:
     exact comparison on the spanning basis triples.  Requires the identity
     suites to have run and passed (a suite marks the candidate only when every
     witness passed); never coerces an unmatched candidate."""
-    missing = _REQUIRED_SUITES - q.verified
+    missing = REQUIRED_SUITES - q.verified
     if missing:
         raise ValueError(f"classification requires suites {sorted(missing)} to have run and passed")
     dim = q.dim

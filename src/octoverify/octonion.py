@@ -154,14 +154,30 @@ def inner(x, y):
     """Coordinate dot product; equals (x conj(y) + y conj(x))/2 for octonions.
 
     Like ``multiply``, it multiplies only pairs of nonzero coordinates and
-    returns the zero (or the type) the full sum would have had.
+    returns the zero (or the type) the full sum would have had.  On rational
+    inputs (the zero is ``Fraction(0)``) the pairs are summed in ints over
+    the lcm denominators of their two sides, giving one ``Fraction``, or the
+    shared zero when the sum is 0; polynomial, float and all-int inputs run
+    the generic loop.
     """
+    zero = sum_zero(x, y)
+    pairs = [(a, b) for a, b in zip(x, y) if a and b]
+    if type(zero) is Fraction:
+        if not pairs:
+            return zero
+        if len(pairs) == 1:  # one side a basis vector, say: a plain product
+            a, b = pairs[0]
+            v = a * b
+            return v if type(v) is Fraction else Fraction(v)
+        dx = lcm(*[a.denominator for a, _ in pairs])
+        dy = lcm(*[b.denominator for _, b in pairs])
+        s = sum(a.numerator * (dx // a.denominator) * b.numerator * (dy // b.denominator) for a, b in pairs)
+        return Fraction(s, dx * dy) if s else zero
     acc = None
-    for a, b in zip(x, y):
-        if a and b:
-            term = a * b
-            acc = term if acc is None else acc + term
-    return fill_zero([acc], sum_zero(x, y))[0]
+    for a, b in pairs:
+        term = a * b
+        acc = term if acc is None else acc + term
+    return fill_zero([acc], zero)[0]
 
 
 def norm_sq(x):

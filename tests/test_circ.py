@@ -1,12 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octoverify import octonion as on
 from octoverify.circ import (
     Nom,
     Side,
     circ,
+    circ_definition,
     comparison_check,
     cos_sin_2theta,
     left_ops,
@@ -14,10 +17,12 @@ from octoverify.circ import (
     nom_from_sharp_blocks,
     nom_from_t,
     nom_table,
+    right_ops,
     theta_axis,
     verify_normalized,
 )
 from octoverify.clifford import verify_skew_rep
+from octoverify.poly import MultiPoly
 from octoverify.scalars import DeterministicRng, random_rational
 
 E = [on.basis(i) for i in range(8)]
@@ -172,3 +177,101 @@ def test_quaternionic_restriction():
             y = tuple([random_rational(rng, 4) for _ in range(4)] + [Fraction(0)] * 4)
             want = on.multiply(x, y) if side is Side.LEFT else on.multiply(y, x)
             assert circ(nom, x, y) == want
+
+
+# ---------------------------------------------------------------------------
+# the cached table against the three-product definition
+# ---------------------------------------------------------------------------
+
+PROPS = settings(max_examples=40, deadline=None)
+NV = 4
+sides = st.sampled_from([Side.LEFT, Side.RIGHT])
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def noms(draw):
+    """A Pythagorean nom on H or O with a random axis."""
+    dim = draw(st.sampled_from([4, 8]))
+    t = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    return nom_from_t(draw(sides), t, axis=draw(st.integers(1, dim - 1)), dim=dim)
+
+
+def _coord(draw, kind):
+    if kind == "int":
+        return draw(st.integers(-4, 4))
+    c = draw(st.one_of(st.just(Fraction(0)), fractions))
+    if kind == "mixed" and draw(st.booleans()):
+        return c * MultiPoly.variable(NV, draw(st.integers(0, NV - 1))) + draw(fractions)
+    return c
+
+
+@st.composite
+def operands(draw, dim):
+    """Fraction, all-int, or mixed Fraction/MultiPoly coordinates, or a
+    scaled basis vector."""
+    kind = draw(st.sampled_from(["fraction", "int", "mixed", "basis"]))
+    if kind == "basis":
+        out = [Fraction(0)] * dim
+        out[draw(st.integers(0, dim - 1))] = draw(st.one_of(st.integers(-3, 3), fractions).filter(bool))
+        return tuple(out)
+    return tuple(_coord(draw, kind) for _ in range(dim))
+
+
+def _same(got, want):
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+@PROPS
+@given(noms(), st.data())
+def test_table_circ_matches_definition(nom, data):
+    x = data.draw(operands(nom.dim))
+    y = data.draw(operands(nom.dim))
+    _same(circ(nom, x, y), circ_definition(nom, x, y))
+    # a bare non-unit nom gets its own table
+    scaled = Nom(nom.side, tuple(2 * c for c in nom.alpha))
+    _same(circ(scaled, x, y), circ_definition(scaled, x, y))
+
+
+@PROPS
+@given(st.floats(-3.5, 3.5), sides, st.lists(st.floats(-2, 2), min_size=16, max_size=16))
+def test_float_alpha_keeps_the_definition(theta, side, values):
+    alpha = [0.0] * 8
+    alpha[0], alpha[4] = math.cos(theta), math.sin(theta)
+    nom = Nom(side, tuple(alpha))
+    x, y = tuple(values[:8]), tuple(values[8:])
+    assert circ(nom, x, y) == circ_definition(nom, x, y)
+    assert circ(nom, E[0], x) == circ_definition(nom, E[0], x)
+    ops = left_ops(nom)
+    for a in range(1, 8):
+        for b in range(8):
+            assert [ops[a - 1][r][b] for r in range(8)] == list(circ_definition(nom, E[a], E[b]))
+
+
+def test_circ_dimension_mismatch_raises():
+    nom = nom_from_t(Side.LEFT, Fraction(1, 2))
+    for x, y in ((on.basis(1, 4), E[2]), (E[1], on.basis(2, 4)), (E[1], E[2] + (Fraction(0),))):
+        with pytest.raises(ValueError):
+            circ(nom, x, y)
+
+
+def test_table_is_lazy_and_sparse():
+    nom = nom_from_t(Side.LEFT, Fraction(1, 2))
+    assert "table" not in vars(nom)
+    circ(nom, E[1], E[2])
+    assert "table" in vars(nom) and nom_table(nom) is nom.table
+    den, rows = nom.table.sparse
+    assert den == 25 and sum(len(e) for row in rows for e in row) == 88
+    for side in (Side.LEFT, Side.RIGHT):
+        endpoint = nom_from_t(side, Fraction(0)).table
+        assert endpoint.sparse[0] == 1 and endpoint.as_signed_pairs() is not None
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_operators_read_the_table(side):
+    nom = nom_from_t(side, Fraction(1, 2))
+    for ops, pair in ((left_ops(nom), lambda a, b: (E[a], E[b])), (right_ops(nom), lambda a, b: (E[b], E[a]))):
+        for a in range(1, 8):
+            for b in range(8):
+                assert [ops[a - 1][r][b] for r in range(8)] == list(circ_definition(nom, *pair(a, b)))

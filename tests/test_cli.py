@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from octoverify.cli import ALL_SUITES, RunConfig, build_parser, main, run, sweep_theta
+from octoverify.cli import ALL_SUITES, RunConfig, RunContext, build_parser, main, run, sweep_theta
 from octoverify.report import Report
+from octoverify.scalars import DeterministicRng
 
 SMALL = ("algebra", "clifford")
 
@@ -46,7 +47,7 @@ def test_config_errors_exit_2():
 def test_suite_failure_exit_1(monkeypatch):
     import octoverify.cli as cli
 
-    def failing_suite(cfg, rng):
+    def failing_suite(cfg, rng, ctx):
         rep = Report("algebra")
         rep.add("deliberately_failing_identity", False)
         return rep
@@ -56,6 +57,58 @@ def test_suite_failure_exit_1(monkeypatch):
     assert code == 1 and not report["pass"]
     failing = [c["name"] for s in report["suites"] for c in s["checks"] if not c["pass"]]
     assert failing == ["deliberately_failing_identity"]
+
+
+def _count_calls(monkeypatch, name):
+    """Record the first argument of every call of ``cli.<name>``."""
+    import octoverify.cli as cli
+
+    calls = []
+    real = getattr(cli, name)
+
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    return calls
+
+
+def test_classify_reuses_the_identities_batteries(monkeypatch):
+    calls = _count_calls(monkeypatch, "exchange_suite")
+    report, code = run(small_cfg(alpha_t=Fraction(1, 2), suites=("identities", "classify")))
+    assert code == 0
+    # identities: FKM, OT and the unsymmetrized candidate; classify: only the
+    # two endpoint candidates, which the identities suite did not prove
+    assert len(calls) == 5
+
+
+def test_classify_alone_proves_all_four_candidates(monkeypatch):
+    calls = _count_calls(monkeypatch, "exchange_suite")
+    report, code = run(small_cfg(alpha_t=Fraction(1, 2), suites=("classify",)))
+    assert code == 0
+    assert len(calls) == 4 and len({id(c) for c in calls}) == 4
+
+
+def test_classify_reruns_a_candidate_whose_battery_failed(monkeypatch):
+    import octoverify.cli as cli
+
+    cfg = small_cfg(algebra="quaternion", alpha_t=Fraction(1, 2), suites=("classify",))
+    ctx = RunContext(cfg)
+    cand = ctx.candidate("fkm", ctx.nom)
+    cand.verified |= {"exchange", "skew", "norm"}  # as if its anti battery had failed
+    calls = _count_calls(monkeypatch, "exchange_suite")
+    rep = cli.suite_classify(cfg, DeterministicRng(0), ctx)
+    assert rep.passed
+    assert len(calls) == 4 and sum(c is cand for c in calls) == 1
+
+
+def test_run_builds_each_system_once(monkeypatch):
+    fkm = _count_calls(monkeypatch, "build_fkm_system")
+    ot = _count_calls(monkeypatch, "build_ot_system")
+    report, code = run(small_cfg(algebra="quaternion", alpha_t=Fraction(1, 2), suites=("munzner", "mirror", "classify")))
+    assert code == 0
+    assert len(fkm) == 1 and len(ot) == 1
 
 
 def test_sweep_theta():

@@ -1,8 +1,9 @@
 """Property tests for the zero-skipping exact kernels.
 
-``octonion.multiply``, ``linalg.mat_vec``, ``mat_mul`` and ``int_mat_mul``
-multiply only nonzero entries, and ``multiply`` sums rational inputs in int
-numerators.  These tests hold them to the dense results:
+``octonion.multiply``, ``inner``, ``linalg.mat_vec``, ``mat_mul`` and
+``int_mat_mul`` multiply only nonzero entries, and ``multiply`` and ``inner``
+sum rational inputs in int numerators.  These tests hold them to the dense
+results:
 the Cayley-Dickson recursion for the octonion product, plain double sums for
 the matrix products, and the zero type a dense sum produced in every slot.
 """
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from octoverify import octonion as on
 from octoverify.linalg import int_mat_mul, mat_mul, mat_vec
 from octoverify.poly import MultiPoly
+from octoverify.scalars import sum_zero
 
 PROPS = settings(max_examples=60, deadline=None)
 
@@ -58,6 +60,30 @@ def test_rational_multiply_mixed_denominators(coords):
     got = on.multiply(x, y)
     assert got == _oracle(x, y)
     assert all(type(c) is Fraction for c in got)
+
+
+@PROPS
+@given(st.sampled_from([4, 8]).flatmap(lambda d: st.lists(mixed_rationals, min_size=2 * d, max_size=2 * d)))
+def test_rational_inner_matches_fraction_sum(coords):
+    dim = len(coords) // 2
+    x, y = (Fraction(coords[0]),) + tuple(coords[1:dim]), tuple(coords[dim:])
+    got = on.inner(x, y)
+    assert got == sum((Fraction(a) * Fraction(b) for a, b in zip(x, y)), Fraction(0))
+    assert type(got) is Fraction
+
+
+def test_inner_zero_and_int_types():
+    ints = (1, 2, 0, -1)
+    # nothing survives, or the products cancel: the shared rational zero
+    assert on.inner((Fraction(0),) * 4, ints) is sum_zero((Fraction(0),))
+    assert on.inner((Fraction(1), Fraction(1), 0, 0), (Fraction(1, 2), Fraction(-1, 2), 0, 0)) is sum_zero((Fraction(0),))
+    # one surviving int pair still gives a Fraction; all ints stay int
+    assert type(on.inner((Fraction(0), 3, 0, 0), ints)) is Fraction
+    assert on.inner(ints, ints) == 6 and type(on.inner(ints, ints)) is int
+    # a polynomial coordinate anywhere makes the result a polynomial
+    x = (MultiPoly.variable(NV, 0), Fraction(1), 0, 0)
+    got = on.inner(x, (Fraction(0), Fraction(2), 0, 0))
+    assert isinstance(got, MultiPoly) and got == MultiPoly.const(NV, 2)
 
 
 @pytest.mark.parametrize("dim", [4, 8])
