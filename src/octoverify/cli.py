@@ -161,12 +161,14 @@ class RunConfig:
 
 class RunContext:
     """What one run builds once and its suites share: the configured nom, the
-    q* candidates (with the ``verified`` flags their batteries set) and the
-    FKM and OT systems.
+    q* candidates (with the ``verified`` flags their batteries set), the FKM
+    and OT systems and their polynomials ``F``.
 
-    No consumer mutates a system (munzner, mirror and classify only read
-    operators, splits and frames), so one copy serves them all.  ``F`` is not
-    kept: the run's peak memory is reached in munzner, which builds it."""
+    No consumer mutates a system or an ``F`` (munzner, mirror, classify and
+    ``--dump-poly`` only read operators, splits, frames and terms), so one
+    copy serves them all.  Each ``F`` is kept from its first consumer to the
+    end of the run; the peak memory is reached in munzner, which holds both
+    anyway."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -193,6 +195,14 @@ class RunContext:
     @cached_property
     def ot(self) -> OtSystem:
         return build_ot_system(self.cfg.dim)
+
+    @cached_property
+    def fkm_poly(self) -> MultiPoly:
+        return fkm_polynomial(self.fkm.system)
+
+    @cached_property
+    def ot_poly(self) -> MultiPoly:
+        return fkm_polynomial(self.ot.system)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +389,7 @@ def suite_munzner(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Rep
     fkm = ctx.fkm
     vs = verify_symmetric_system(fkm.system)
     rep.add("fkm_clifford_relations", vs.passed, vs.max_residual())
-    f = fkm_polynomial(fkm.system)
+    f = ctx.fkm_poly
     rep.add("fkm_polynomial_degree4", f.is_homogeneous(4))
     m1, m2 = _munzner_multiplicities(cfg.dim, len(fkm.system.operators))
     mv = munzner_verify(f, 4, m1, m2)
@@ -394,7 +404,7 @@ def suite_munzner(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Rep
     ot = ctx.ot
     vso = verify_symmetric_system(ot.system)
     rep.add("ot_clifford_relations", vso.passed, vso.max_residual())
-    fo = fkm_polynomial(ot.system)
+    fo = ctx.ot_poly
     m1o, m2o = _munzner_multiplicities(cfg.dim, len(ot.system.operators))
     mvo = munzner_verify(fo, 4, m1o, m2o)
     rep.add("ot_munzner_exact", mvo.passed, detail={c.name: c.detail for c in mvo.checks})
@@ -412,8 +422,7 @@ def suite_mirror(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Repo
     rep.add("second_form_matrix_vs_formula", sf.passed)
 
     frame = fkm_mirror_frame(fkm)
-    f = fkm_polynomial(fkm.system)
-    forms = extract_expansion_forms(f, frame)
+    forms = extract_expansion_forms(ctx.fkm_poly, frame)
     formula = fkm_formula_forms(nom)
     rep.add("extracted_p_matches_formula", all((a - b).is_zero() for a, b in zip(forms.p, formula)))
     rep.add("q_original_component_vanishes", forms.q[0].is_zero())
@@ -447,7 +456,7 @@ def suite_mirror(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Repo
             rep.add("ot_q_passes_condition_b_quaternion", cb_ot.passed)
 
     ot = ctx.ot
-    disp, ot_forms, ot_frame = ot_display_report(ot)
+    disp, ot_forms, ot_frame = ot_display_report(ot, ctx.ot_poly)
     rep.add("ot_displays", disp.passed, detail={"failing": disp.failing()})
     pr = [p.a for p in ot_forms.p]
     blocks = blocks_from_forms(pr, dim, dim, dim - 1)
@@ -651,15 +660,16 @@ _FLOAT_SUITE_FUNCS = {
 }
 
 
-def run(cfg: RunConfig) -> tuple[dict, int]:
-    """Execute the selected suites; returns (report dict, exit code)."""
+def run(cfg: RunConfig, ctx: RunContext | None = None) -> tuple[dict, int]:
+    """Execute the selected suites, sharing ``ctx`` (a fresh RunContext by
+    default); returns (report dict, exit code)."""
     try:
         cfg.validate()
     except ValueError as e:
         return {"schema_version": "1", "error": str(e)}, 2
     t0 = time.time()
     rng = DeterministicRng(cfg.seed)
-    ctx = RunContext(cfg)
+    ctx = ctx or RunContext(cfg)
     suite_reports = []
     all_pass = True
     for name in cfg.suites:
@@ -780,11 +790,10 @@ def main(argv: list | None = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
+    ctx = RunContext(cfg)
     if args.dump_poly:
-        nom = cfg.build_nom()
-        f = fkm_polynomial(build_fkm_system(nom).system)
         with open(args.dump_poly, "w", encoding="utf-8") as fh:
-            fh.write(f.dump() + "\n")
+            fh.write(ctx.fkm_poly.dump() + "\n")
 
     if args.sweep_t is not None:
         try:
@@ -795,7 +804,7 @@ def main(argv: list | None = None) -> int:
         reports, code = sweep_theta(cfg, ts)
         text = json.dumps(reports, indent=2, sort_keys=True)
     else:
-        report, code = run(cfg)
+        report, code = run(cfg, ctx)
         if "error" in report:
             print(f"config error: {report['error']}", file=sys.stderr)
             return 2

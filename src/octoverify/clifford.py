@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, octonion
-from .linalg import identity, int_mat_mul, kernel_basis, mat_mul, mat_neg, mat_sub, to_int_scaled, transpose
+from .linalg import identity, int_mat_mul, kernel_basis, mat_mul, mat_neg, mat_sub, to_int_scaled, to_int_scaled_shared, transpose
 from .report import Report
 from .scalars import rational_sqrt
 
@@ -139,15 +139,23 @@ class IntertwinerResult:
 
 
 def _kernel_of_intertwiner_system(rep1: list, rep2: list) -> list:
+    """Kernel of the stacked system O A - B O = 0 over the n*n entries of O
+    (column i*n + k is O[i][k]): one sparse int row per (A, B, i, j), with A
+    and B scaled to ints over one shared denominator."""
     n = len(rep1[0])
     rows = []
     for A, B in zip(rep1, rep2):
+        _, (ia, ib) = to_int_scaled_shared([A, B])
+        a_cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*ia)]
+        b_rows = [[(k, y) for k, y in enumerate(row) if y] for row in ib]
         for i in range(n):
             for j in range(n):
-                row = [Fraction(0)] * (n * n)
-                for k in range(n):
-                    row[i * n + k] += A[k][j]
-                    row[k * n + j] -= B[i][k]
+                row: dict = {}
+                for k, x in a_cols[j]:
+                    row[i * n + k] = x
+                for k, y in b_rows[i]:
+                    c = k * n + j
+                    row[c] = row.get(c, 0) - y
                 rows.append(row)
     return kernel_basis(rows, n * n)
 

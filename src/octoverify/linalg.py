@@ -8,14 +8,17 @@ holds the zero the dense sum would have come to (``scalars.sum_zero``):
 ``MultiPoly`` when a vector has polynomial coordinates; ``int_mat_mul``
 returns the int ``0``.
 
-Hot verification loops get an integer fast path: a rational matrix is scaled
-by the lcm of its denominators once and all products run in plain ints.
+The verifiers run on ints: ``to_int_scaled`` scales a rational matrix by the
+lcm of its denominators once (``to_int_scaled_shared`` one list of matrices
+by a shared one), and every product then runs through ``int_mat_mul``.
+``kernel_basis`` is one sparse integer elimination.  Both accept int and
+Fraction entries only and raise TypeError on anything else.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import DeterministicRng, fill_zero, pythagorean_unit, random_rational, sum_zero
 
@@ -92,18 +95,41 @@ def max_abs(a: Matrix):
     return max((abs(x) for row in a for x in row), default=Fraction(0))
 
 
-# Kept beside mat_mul: on the 32x32 FKM/OT operators verify_symmetric_system
-# takes ~0.05 s per call through it and ~0.2-0.25 s through Fraction mat_mul
-# (2-vCPU Xeon).
+# The int route: verify_symmetric_system, verify_skew_rep, condition_a_check,
+# star_blocks_identity_check and the intertwiner system scale their rational
+# matrices once and run every product (or the elimination) in ints.  On the
+# 32x32 FKM/OT operators a verify_symmetric_system call takes ~0.03 s this way
+# and ~0.2-0.25 s through Fraction mat_mul (2-vCPU Xeon); ints pass through
+# to_int_scaled untouched and a Fraction costs one division of the lcm.
 def to_int_scaled(a: Matrix) -> tuple[int, list[list[int]]]:
-    """(den, M) with a == M/den and M integer."""
+    """(den, M) with a == M/den, M integer and den the lcm of the entries'
+    denominators.  Entries must be int or Fraction: anything else (a float
+    above all, whose binary expansion would pass for an exact rational)
+    raises TypeError."""
     den = 1
     for row in a:
         for x in row:
-            f = Fraction(x)
-            den = den * f.denominator // gcd(den, f.denominator)
-    out = [[int(Fraction(x) * den) for x in row] for row in a]
+            if type(x) is not int:
+                _check_exact(x)
+                if x.denominator != 1:
+                    den = lcm(den, x.denominator)
+    return den, [[x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row] for row in a]
+
+
+def to_int_scaled_shared(mats: list) -> tuple[int, list[list[list[int]]]]:
+    """(den, [M_k]) with mats[k] == M_k/den for one den shared by all: the
+    ``to_int_scaled`` of the stacked rows, split back into the matrices."""
+    den, rows = to_int_scaled([row for m in mats for row in m])
+    out, at = [], 0
+    for m in mats:
+        out.append(rows[at : at + len(m)])
+        at += len(m)
     return den, out
+
+
+def _check_exact(x) -> None:
+    if type(x) is not Fraction and type(x) is not int:
+        raise TypeError(f"exact kernels take int or Fraction entries, not {type(x).__name__}")
 
 
 def int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -116,61 +142,70 @@ def anticommutator_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]
     return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
 
 
-def _row_normalize(row: list[int]) -> list[int]:
+def _int_row(row) -> dict[int, int]:
+    """The nonzeros of to_int_scaled of a dense or {col: value} row, as
+    {col: int} divided by their gcd."""
+    items = list(row.items() if isinstance(row, dict) else enumerate(row))
+    _, (ints,) = to_int_scaled([[x for _, x in items]])
+    return _normalized({c: x for (c, _), x in zip(items, ints) if x})
+
+
+def _normalized(row: dict[int, int]) -> dict[int, int]:
     g = 0
-    for x in row:
-        g = gcd(g, abs(x))
+    for x in row.values():
+        g = gcd(g, x)
         if g == 1:
             return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+    return {c: x // g for c, x in row.items()} if g > 1 else row
 
 
-def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Exact kernel basis via integer Gaussian elimination; deterministic
-    (free variables in column order, each basis vector from row-echelon form)."""
-    imat: list[list[int]] = []
+def _eliminate(row: dict[int, int], col: int, pivot: dict[int, int]) -> dict[int, int]:
+    """The multiple of row - multiple of pivot whose entry at col is zero
+    (both entries there nonzero), divided by its gcd."""
+    p, q = pivot[col], row[col]
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    out = {c: p * x for c, x in row.items()}
+    for c, y in pivot.items():
+        x = out.get(c, 0) - q * y
+        if x:
+            out[c] = x
+        else:
+            del out[c]
+    return _normalized(out)
+
+
+def kernel_basis(rows, ncols: int) -> list[list[Fraction]]:
+    """Exact kernel basis of a rational matrix, one vector per free column
+    (in column order): 1 at the free column, -r[free]/r[pivot] at each pivot.
+
+    One sparse integer reduced-row-echelon elimination: each row, dense or a
+    {col: value} mapping with int/Fraction entries (anything else raises
+    TypeError), becomes a gcd-normalized {col: int} row at ingress.  Every
+    new pivot is back-substituted into the earlier ones, so the pivot rows
+    are the reduced row-echelon form, which is unique: the basis depends on
+    the row space only, not on the order or scale of the rows."""
+    pivots: dict[int, dict[int, int]] = {}
     for r in rows:
-        den = 1
-        for x in r:
-            f = Fraction(x)
-            den = den * f.denominator // gcd(den, f.denominator)
-        ir = [int(Fraction(x) * den) for x in r]
-        if any(ir):
-            imat.append(_row_normalize(ir))
-    piv_cols: list[int] = []
-    piv_rows: list[list[int]] = []
-    for row in imat:
-        row = row[:]
-        for pc, pr in zip(piv_cols, piv_rows):
-            if row[pc]:
-                f, lead = row[pc], pr[pc]
-                row = [lead * x - f * y for x, y in zip(row, pr)]
-                row = _row_normalize(row)
-        lead_col = next((c for c in range(ncols) if row[c]), None)
-        if lead_col is None:
+        row = _int_row(r)
+        for c in [c for c in row if c in pivots]:
+            row = _eliminate(row, c, pivots[c])
+        if not row:
             continue
-        # back-substitute into existing pivots to keep reduced form
-        for idx, (pc, pr) in enumerate(zip(piv_cols, piv_rows)):
-            if pr[lead_col]:
-                f, lead = pr[lead_col], row[lead_col]
-                newr = [lead * x - f * y for x, y in zip(pr, row)]
-                piv_rows[idx] = _row_normalize(newr)
-        piv_cols.append(lead_col)
-        piv_rows.append(row)
-    order = sorted(range(len(piv_cols)), key=lambda i: piv_cols[i])
-    piv_cols = [piv_cols[i] for i in order]
-    piv_rows = [piv_rows[i] for i in order]
-    free_cols = [c for c in range(ncols) if c not in piv_cols]
-    out = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
+        lead = min(row)
+        for c, pr in pivots.items():
+            if lead in pr:
+                pivots[c] = _eliminate(pr, lead, row)
+        pivots[lead] = row
+    basis = {c: [Fraction(0)] * ncols for c in range(ncols) if c not in pivots}
+    for fc, v in basis.items():
         v[fc] = Fraction(1)
-        for pc, pr in zip(piv_cols, piv_rows):
-            v[pc] = Fraction(-pr[fc], pr[pc])
-        out.append(v)
-    return out
+    for pc, pr in pivots.items():
+        lead = pr[pc]
+        for c, x in pr.items():
+            if c != pc:
+                basis[c][pc] = Fraction(-x, lead)
+    return list(basis.values())
 
 
 def random_rational_orthogonal(rng: DeterministicRng, n: int, steps: int | None = None) -> Matrix:

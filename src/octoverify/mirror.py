@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import octonion as on
 from .circ import Nom, Side, circ
+from .linalg import int_mat_mul, to_int_scaled_shared, transpose
 from .poly import BITS, MultiPoly, Rt2Poly
 from .report import Report
 from .systems import ScaledVec, symbolic_xyz
@@ -79,22 +80,21 @@ def star_blocks_identity_check(b_star: list, c_star: list) -> Report:
     (B*_a)^T B*_b + (B*_b)^T B*_a = (C*_a)^T C*_b + (C*_b)^T C*_a.
 
     With D = (B*_a)^T B*_b - (C*_a)^T C*_b this reads D + D^T = 0, which is
-    symmetric in (a, b), so only the pairs a <= b are formed."""
+    symmetric in (a, b), so only the pairs a <= b are formed.  All blocks
+    must carry one half-power scale (assemble_star_blocks gives every one
+    half = -1), which then divides out; the rows are scaled to ints over one
+    shared denominator and each Gram matrix is int_mat_mul(B^T, B')."""
     rep = Report("star_blocks_gram")
-
-    def gram(p: HalfScaledMatrix, q: HalfScaledMatrix):
-        rows_p, rows_q = p.rows, q.rows
-        n = len(rows_p[0])
-        return [
-            [sum(rows_p[r][i] * rows_q[r][j] for r in range(len(rows_p))) for j in range(n)]
-            for i in range(n)
-        ]
-
+    if len({m.half for m in b_star + c_star}) > 1:
+        raise ValueError("B* and C* blocks must carry one half-power scale")
+    _, ints = to_int_scaled_shared([m.rows for m in b_star + c_star])
+    b_int, c_int = ints[: len(b_star)], ints[len(b_star) :]
+    b_t, c_t = [transpose(m) for m in b_int], [transpose(m) for m in c_int]
     ok = True
     for a in range(len(b_star)):
         for b in range(a, len(b_star)):
-            gb = gram(b_star[a], b_star[b])
-            gc = gram(c_star[a], c_star[b])
+            gb = int_mat_mul(b_t[a], b_int[b])
+            gc = int_mat_mul(c_t[a], c_int[b])
             d = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(gb, gc)]
             n = len(d)
             if any(d[i][j] + d[j][i] for i in range(n) for j in range(i, n)):

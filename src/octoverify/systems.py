@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import octonion as on
 from .circ import Nom, Side, circ, right_ops
 from .clifford import SymmetricCliffordSystem, find_intertwiner, volume_sign
-from .linalg import identity, mat_mul, mat_vec, transpose
+from .linalg import identity, int_mat_mul, mat_mul, mat_vec, to_int_scaled, to_int_scaled_shared, transpose
 from .poly import MultiPoly, Rt2Poly, norm_sq_poly
 from .report import Report
 from .scalars import DeterministicRng, random_unit_rational_vector
@@ -509,7 +509,11 @@ def blocks_from_forms(p_forms: list, d_plus: int, d_minus: int, d_zero: int) -> 
 def condition_a_check(blocks: SecondFormBlocks, rng: DeterministicRng | None = None, normals: int = 20) -> Report:
     """Condition A: every B_a and C_a vanishes.  The report also verifies
     (S_n)^3 = S_n on random unit normals and, when A holds, the block
-    relations A_a A_a^T = Id, A_a A_b^T + A_b A_a^T = 0, A_a^T A_b + A_b^T A_a = 0."""
+    relations A_a A_a^T = Id, A_a A_b^T + A_b A_a^T = 0, A_a^T A_b + A_b^T A_a = 0.
+
+    Both run in ints: with D the shared denominator of the S_a and E that of
+    n, M = D E S_n is an int matrix and S_n^3 = S_n reads M^3 = (D E)^2 M; the
+    A_a are scaled by their shared denominator the same way."""
     rep = Report("condition_a")
     zero_b = all(all(all(x == 0 for x in row) for row in m) for m in blocks.b_blocks)
     zero_c = all(all(all(x == 0 for x in row) for row in m) for m in blocks.c_blocks)
@@ -517,36 +521,39 @@ def condition_a_check(blocks: SecondFormBlocks, rng: DeterministicRng | None = N
     rep.add("c_blocks_zero", zero_c)
     rng = rng or DeterministicRng(99)
     nv = len(blocks.s_matrices[0])
+    den_s, int_s = to_int_scaled_shared(blocks.s_matrices)
+    s_entries = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x] for m in int_s]
     ok_cube = True
     for _ in range(normals):
         n = random_unit_rational_vector(rng, len(blocks.s_matrices))
-        s = [[sum(n[a] * blocks.s_matrices[a][i][j] for a in range(len(n))) for j in range(nv)] for i in range(nv)]
-        s3 = mat_mul(mat_mul(s, s), s)
-        if s3 != s:
+        den_n, (int_n,) = to_int_scaled([n])
+        m = [[0] * nv for _ in range(nv)]
+        for c, entries in zip(int_n, s_entries):
+            if c:
+                for i, j, x in entries:
+                    m[i][j] += c * x
+        m3 = int_mat_mul(int_mat_mul(m, m), m)
+        scale = (den_s * den_n) ** 2
+        if m3 != [[scale * x for x in row] for row in m]:
             ok_cube = False
     rep.add("shape_operator_cube", ok_cube, detail={"normals": normals})
     if zero_b and zero_c:
-        ok9 = True
-        m1 = len(blocks.a_blocks)
-        for a in range(m1):
-            aa = blocks.a_blocks[a]
-            prod = mat_mul(aa, transpose(aa))
-            if prod != identity(blocks.d_plus):
-                ok9 = False
+        den_a, int_a = to_int_scaled_shared(blocks.a_blocks)
+        int_at = [transpose(a) for a in int_a]
+        d2 = den_a * den_a
+        ok9 = all(
+            int_mat_mul(a, at) == [[d2 if i == j else 0 for j in range(blocks.d_plus)] for i in range(blocks.d_plus)]
+            for a, at in zip(int_a, int_at)
+        )
+        m1 = len(int_a)
         for a in range(m1):
             for b in range(a + 1, m1):
-                s1 = mat_mul(blocks.a_blocks[a], transpose(blocks.a_blocks[b]))
-                s2 = mat_mul(blocks.a_blocks[b], transpose(blocks.a_blocks[a]))
-                if [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(s1, s2)] != [
-                    [Fraction(0)] * blocks.d_plus for _ in range(blocks.d_plus)
-                ]:
-                    ok9 = False
-                t1 = mat_mul(transpose(blocks.a_blocks[a]), blocks.a_blocks[b])
-                t2 = mat_mul(transpose(blocks.a_blocks[b]), blocks.a_blocks[a])
-                if [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(t1, t2)] != [
-                    [Fraction(0)] * blocks.d_minus for _ in range(blocks.d_minus)
-                ]:
-                    ok9 = False
+                for s1, s2 in (
+                    (int_mat_mul(int_a[a], int_at[b]), int_mat_mul(int_a[b], int_at[a])),
+                    (int_mat_mul(int_at[a], int_a[b]), int_mat_mul(int_at[b], int_a[a])),
+                ):
+                    if any(x + y for r1, r2 in zip(s1, s2) for x, y in zip(r1, r2)):
+                        ok9 = False
         rep.add("a_block_relations", ok9)
     return rep
 
@@ -711,8 +718,9 @@ def perturb_mirror(fkm: FkmSystem) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def ot_display_report(ot: OtSystem) -> tuple[Report, ExtractedForms, FocalFrame]:
-    """Verify the standard displays at x = (0, 0, e_0, 0):
+def ot_display_report(ot: OtSystem, f: MultiPoly) -> tuple[Report, ExtractedForms, FocalFrame]:
+    """Verify the standard displays at x = (0, 0, e_0, 0), reading the forms
+    out of f = fkm_polynomial(ot.system):
 
         p_0 = |u|^2 - |v|^2,    p_a = 2 <e_a, u conj(v)>,
         q_0 = 2 <z, u conj(v)>.
@@ -731,7 +739,6 @@ def ot_display_report(ot: OtSystem) -> tuple[Report, ExtractedForms, FocalFrame]
     fr = frame_check(frame, ot.split.ambient_dim)
     rep.add("frame_orthonormal", fr.passed)
     rep.add("point_focal", focal_check(ot.system, frame.point))
-    f = fkm_polynomial(ot.system)
     forms = extract_expansion_forms(f, frame)
 
     nv = forms.nvars  # = 3d - 1: u_0.., v_0.., z_1..

@@ -43,6 +43,11 @@ def ot_octonion():
 
 
 @pytest.fixture(scope="session")
+def ot_octonion_poly(ot_octonion):
+    return fkm_polynomial(ot_octonion.system)
+
+
+@pytest.fixture(scope="session")
 def ot_quaternion():
     return build_ot_system(4)
 

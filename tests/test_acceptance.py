@@ -47,7 +47,6 @@ from octoverify.systems import (
     extract_expansion_forms,
     fkm_formula_forms,
     fkm_mirror_frame,
-    fkm_polynomial,
     ot_display_report,
     second_form_at_focal,
 )
@@ -130,10 +129,10 @@ def test_c03_normalization_pipeline():
     _line(3, "A-system normalization pipeline (10 seeded systems, J vs J')", ok)
 
 
-def test_c04_munzner_pdes(fkm_systems, fkm_polys, ot_octonion):
+def test_c04_munzner_pdes(fkm_systems, fkm_polys, ot_octonion_poly):
     ok = True
     systems = [(f"fkm {k}", fkm_polys[k]) for k in NOM_KEYS]
-    systems.append(("ot", fkm_polynomial(ot_octonion.system)))
+    systems.append(("ot", ot_octonion_poly))
     rng = DeterministicRng(1004)
     for name, f in systems:
         t0 = time.time()
@@ -272,10 +271,10 @@ def test_c09_exclusion_witnesses():
     _line(9, f"c = -1 obstruction witnesses (octonion {oct_val}, quaternion {quat_val})", ok)
 
 
-def test_c10_condition_matrix(fkm_systems, fkm_polys, ot_octonion, ot_quaternion):
+def test_c10_condition_matrix(fkm_systems, fkm_polys, ot_octonion, ot_octonion_poly, ot_quaternion):
     ok = True
     # OT: Condition A and B true at x in M_+
-    rep, ot_forms, ot_frame = ot_display_report(ot_octonion)
+    rep, ot_forms, ot_frame = ot_display_report(ot_octonion, ot_octonion_poly)
     if not rep.passed:
         ok = False
     blocks = blocks_from_forms([p.a for p in ot_forms.p], 8, 8, 7)

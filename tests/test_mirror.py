@@ -98,6 +98,14 @@ def test_star_blocks_identity_checks_gram_diagonal():
     assert not star_blocks_identity_check(b_star, [stretched]).passed
 
 
+def test_star_blocks_identity_requires_one_half_power():
+    # B* at scale 2^(-1/2) against C* at scale 1 is a different identity;
+    # the check refuses it instead of dropping both scales
+    one = Fraction(1)
+    with pytest.raises(ValueError, match="half-power"):
+        star_blocks_identity_check([HalfScaledMatrix(((one,),), -1)], [HalfScaledMatrix(((one,),), 0)])
+
+
 def test_p_star_values():
     nom = nom_from_t(Side.LEFT, Fraction(0))
     v = p_star(nom, EigenDecomp(E[1], ZERO, E[0]))

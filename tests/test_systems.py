@@ -1,12 +1,15 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octoverify import octonion as on
 from octoverify.circ import Side, nom_from_t
 from octoverify.clifford import verify_symmetric_system
 from octoverify.poly import Rt2Poly, munzner_verify
-from octoverify.scalars import DeterministicRng
+from octoverify.linalg import identity, mat_add, mat_mul, transpose, zeros
+from octoverify.scalars import DeterministicRng, random_unit_rational_vector
 from octoverify.systems import (
     ScaledVec,
     blocks_from_forms,
@@ -71,14 +74,13 @@ def test_fkm_polynomial_properties(fkm_systems, fkm_polys):
     assert f.eval(list(frame.point.coords)) == 4
 
 
-def test_munzner_fkm_and_ot(fkm_polys, ot_octonion):
+def test_munzner_fkm_and_ot(fkm_polys, ot_octonion_poly):
     f = fkm_polys[("left", Fraction(1, 2))]
     rep = munzner_verify(f, 4, 7, 8)
     assert rep.passed
     sign = next(c.detail["sign"] for c in rep.checks if c.name == "laplacian_identity")
     assert sign == -1  # -F satisfies the (7,8)-oriented Laplacian identity
-    fo = fkm_polynomial(ot_octonion.system)
-    rep = munzner_verify(fo, 4, 7, 8)
+    rep = munzner_verify(ot_octonion_poly, 4, 7, 8)
     assert rep.passed
     sign = next(c.detail["sign"] for c in rep.checks if c.name == "laplacian_identity")
     assert sign == 1
@@ -150,8 +152,8 @@ def test_extraction_requires_focal_value():
         extract_expansion_forms(f, bad)
 
 
-def test_ot_displays_and_condition_a(ot_octonion):
-    rep, forms, frame = ot_display_report(ot_octonion)
+def test_ot_displays_and_condition_a(ot_octonion, ot_octonion_poly):
+    rep, forms, frame = ot_display_report(ot_octonion, ot_octonion_poly)
     assert rep.passed, rep.failing()
     blocks = blocks_from_forms([p.a for p in forms.p], 8, 8, 7)
     # A_a = J_a on the nose at the Condition-A point
@@ -161,8 +163,8 @@ def test_ot_displays_and_condition_a(ot_octonion):
     assert ca.passed
 
 
-def test_condition_a_rejects_nonzero_b(ot_octonion):
-    rep, forms, frame = ot_display_report(ot_octonion)
+def test_condition_a_rejects_nonzero_b(ot_octonion, ot_octonion_poly):
+    rep, forms, frame = ot_display_report(ot_octonion, ot_octonion_poly)
     blocks = blocks_from_forms([p.a for p in forms.p], 8, 8, 7)
     blocks.b_blocks[0][0][0] = Fraction(1)
     ca = condition_a_check(blocks, DeterministicRng(3), normals=2)
@@ -170,7 +172,86 @@ def test_condition_a_rejects_nonzero_b(ot_octonion):
     assert "b_blocks_zero" in ca.failing()
 
 
-def test_condition_b_fkm_and_ot(fkm_systems, fkm_polys, ot_octonion):
+@pytest.fixture(scope="module")
+def ot_blocks(ot_octonion, ot_octonion_poly):
+    _, forms, _ = ot_display_report(ot_octonion, ot_octonion_poly)
+    return blocks_from_forms([p.a for p in forms.p], 8, 8, 7)
+
+
+def _mutated(blocks, scale=1, s_edits=(), a_edits=()):
+    """A copy of blocks with every S_a and A_a scaled and single entries of
+    them moved by delta ((k, i, j, delta), indices taken modulo the shapes)."""
+    s_mats = [[[scale * x for x in row] for row in m] for m in blocks.s_matrices]
+    a_mats = [[[scale * x for x in row] for row in m] for m in blocks.a_blocks]
+    for mats, edits in ((s_mats, s_edits), (a_mats, a_edits)):
+        for k, i, j, delta in edits:
+            m = mats[k % len(mats)]
+            m[i % len(m)][j % len(m[0])] += delta
+    return replace(blocks, s_matrices=s_mats, a_blocks=a_mats)
+
+
+def _fraction_condition_a(blocks, rng, normals):
+    """The dense Fraction route the int check replaced: the verdicts of
+    S_n^3 = S_n on the same normals and of the A-block relations."""
+    nv = len(blocks.s_matrices[0])
+    ok_cube = True
+    for _ in range(normals):
+        n = random_unit_rational_vector(rng, len(blocks.s_matrices))
+        s = [[sum(n[a] * blocks.s_matrices[a][i][j] for a in range(len(n))) for j in range(nv)] for i in range(nv)]
+        if mat_mul(mat_mul(s, s), s) != s:
+            ok_cube = False
+    a_mats, dp, dm = blocks.a_blocks, blocks.d_plus, blocks.d_minus
+    ok_a = all(mat_mul(a, transpose(a)) == identity(dp) for a in a_mats)
+    for x in range(len(a_mats)):
+        for y in range(x + 1, len(a_mats)):
+            ax, ay = a_mats[x], a_mats[y]
+            if mat_add(mat_mul(ax, transpose(ay)), mat_mul(ay, transpose(ax))) != zeros(dp):
+                ok_a = False
+            if mat_add(mat_mul(transpose(ax), ay), mat_mul(transpose(ay), ax)) != zeros(dm):
+                ok_a = False
+    return ok_cube, ok_a
+
+
+def _verdicts(rep):
+    return tuple(next(c.passed for c in rep.checks if c.name == name) for name in ("shape_operator_cube", "a_block_relations"))
+
+
+def test_condition_a_cube_fails_on_doubled_blocks(ot_blocks):
+    assert condition_a_check(ot_blocks, DeterministicRng(3)).passed
+    doubled = _mutated(ot_blocks, scale=2)
+    # (2S)^3 = 8S != 2S, and (2A)(2A)^T = 4 Id
+    assert _verdicts(condition_a_check(doubled, DeterministicRng(3))) == (False, False)
+    assert _verdicts(condition_a_check(replace(doubled, a_blocks=ot_blocks.a_blocks), DeterministicRng(3))) == (False, True)
+
+
+def test_condition_a_cube_fails_on_one_perturbed_entry(ot_blocks):
+    # S_1[0][8] is the corner of A_1 inside the full matrix
+    rep = condition_a_check(_mutated(ot_blocks, s_edits=[(1, 0, 8, Fraction(1, 3))]), DeterministicRng(3))
+    assert _verdicts(rep) == (False, True)
+    rep = condition_a_check(_mutated(ot_blocks, a_edits=[(2, 5, 1, Fraction(-1))]), DeterministicRng(3))
+    assert _verdicts(rep) == (True, False)
+
+
+_block_edits = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30), st.fractions(-2, 2, max_denominator=5).filter(bool)),
+    max_size=2,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([1, 1, 1, -1, 2, Fraction(1, 2)]),
+    _block_edits,
+    _block_edits,
+    st.integers(0, 2**32),
+)
+def test_condition_a_int_verdict_matches_fraction_oracle(ot_blocks, scale, s_edits, a_edits, seed):
+    blocks = _mutated(ot_blocks, scale, s_edits, a_edits)
+    got = _verdicts(condition_a_check(blocks, DeterministicRng(seed), normals=2))
+    assert got == _fraction_condition_a(blocks, DeterministicRng(seed), normals=2)
+
+
+def test_condition_b_fkm_and_ot(fkm_systems, fkm_polys, ot_octonion, ot_octonion_poly):
     key = ("left", Fraction(1, 2))
     fkm = fkm_systems[key]
     frame = fkm_mirror_frame(fkm)
@@ -179,7 +260,7 @@ def test_condition_b_fkm_and_ot(fkm_systems, fkm_polys, ot_octonion):
     cb = condition_b_check(fkm.system, frame, formula, forms.q)
     assert cb.passed
 
-    rep, ot_forms, ot_frame = ot_display_report(ot_octonion)
+    rep, ot_forms, ot_frame = ot_display_report(ot_octonion, ot_octonion_poly)
     cbo = condition_b_check(ot_octonion.system, ot_frame, ot_forms.p, ot_forms.q)
     assert cbo.passed
 
