@@ -55,7 +55,7 @@ from .identities import (
     r_form,
     skew_suite,
 )
-from .linalg import mat_mul, random_rational_orthogonal
+from .linalg import Op, random_rational_orthogonal
 from .mirror import (
     EigenDecomp,
     TrilinearQ,
@@ -310,17 +310,17 @@ def suite_clifford(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Re
     rep.add("duplicate_generator_fails", not bad.passed)
 
     o = random_rational_orthogonal(rng.fork(1), dim)
-    a_sys = [mat_mul(o, ja) for ja in j]
+    a_sys = [o @ Op.of(ja) for ja in j]
     norm = normalize_a_system(a_sys)
     wit = verify_skew_rep(norm.witness[:-1])
     rep.add("first_stage_witness_skew", wit.passed)
-    rep.add("first_stage_last_generator_identity", norm.witness[-1] == [[Fraction(int(i == k)) for k in range(dim)] for i in range(dim)])
+    rep.add("first_stage_last_generator_identity", norm.witness[-1] == Op.identity(dim))
     res = refined_residual(norm, a_sys)
     rep.add("refined_stage_residual", res == 0, res)
 
     rep.add("j_vs_jprime_not_equivalent", not find_intertwiner(j, jp).found)
     self_res = find_intertwiner(j, j)
-    rep.add("self_intertwiner_found", self_res.found and self_res.exact)
+    rep.add("self_intertwiner_found", self_res.found)
     return rep
 
 
@@ -786,6 +786,12 @@ def main(argv: list | None = None) -> int:
             jobs=args.jobs,
         )
         cfg.validate()
+        if cfg.mode == "float":
+            # F of a float system is not a rational polynomial, and the sweep
+            # checks the exact family
+            for flag, value in (("--dump-poly", args.dump_poly), ("--sweep-t", args.sweep_t)):
+                if value is not None:
+                    raise ValueError(f"{flag} requires exact mode")
     except (ValueError, ZeroDivisionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

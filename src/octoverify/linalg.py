@@ -1,18 +1,19 @@
-"""Small exact linear algebra over Fraction (matrices up to 32x32).
+"""Small exact linear algebra over the rationals (matrices up to 32x32).
 
-Matrices are plain lists of rows.  The products ``mat_mul``, ``mat_vec`` and
-``int_mat_mul`` multiply only nonzero entries: the FKM/OT operators hold
-32-40 nonzeros out of 1024.  An output entry that receives no nonzero product
-holds the zero the dense sum would have come to (``scalars.sum_zero``):
-``Fraction(0)`` for rational matrices, never the int ``0``, and a zero
-``MultiPoly`` when a vector has polynomial coordinates; ``int_mat_mul``
-returns the int ``0``.
+One matrix type, ``Op``: a rational matrix stored as sparse ``{col: int}``
+rows over one positive denominator ``den``.  The form is canonical, as in
+``MultiPoly``: ``gcd(den, *entries) == 1``, no stored zeros, and ``den == 1``
+for the zero matrix, so ``==`` compares the structure.  Products run over the
+nonzero entries only (the FKM/OT operators hold 32-40 nonzeros out of 1024)
+and reduce their result once, with one gcd; no ``Fraction`` is built on the
+way.  ``apply`` hands a vector back as ``Fraction`` slots, with the shared
+``scalars.RATIONAL_ZERO`` where a sum is zero.
 
-The verifiers run on ints: ``to_int_scaled`` scales a rational matrix by the
-lcm of its denominators once (``to_int_scaled_shared`` one list of matrices
-by a shared one), and every product then runs through ``int_mat_mul``.
-``kernel_basis`` is one sparse integer elimination.  Both accept int and
-Fraction entries only and raise TypeError on anything else.
+Ingress has one rule: ``Op.of`` passes an ``Op`` through and converts dense
+rows of ``int`` and ``Fraction`` entries, and ``apply`` and ``kernel_basis``
+take the same entries.  Anything else (a float above all, whose binary
+expansion would pass for an exact rational) raises TypeError.
+``kernel_basis`` is one sparse integer elimination.
 """
 
 from __future__ import annotations
@@ -20,133 +21,174 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import DeterministicRng, fill_zero, pythagorean_unit, random_rational, sum_zero
-
-Matrix = list
+from .scalars import RATIONAL_ZERO, DeterministicRng, pythagorean_unit, random_rational
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def zeros(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return [[Fraction(0)] * m for _ in range(n)]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(row) for row in zip(*a)]
-
-
-def _sparse_mat_mul(a: Matrix, b: Matrix, zero) -> Matrix:
-    """Row-by-row product over the nonzero entries of a and b, finished by
-    ``fill_zero`` with ``zero``."""
-    ncols = len(b[0]) if b else 0
-    b_rows = [[(c, y) for c, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [None] * ncols
-        for j, x in enumerate(row):
-            if not x:
-                continue
-            for c, y in b_rows[j]:
-                t = x * y
-                v = acc[c]
-                acc[c] = t if v is None else v + t
-        out.append(fill_zero(acc, zero))
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return _sparse_mat_mul(a, b, sum_zero(*a, *b))
-
-
-def mat_vec(a: Matrix, v: list) -> list:
-    v_nz = [(j, y) for j, y in enumerate(v) if y]
-    out = []
-    for row in a:
-        acc = None
-        for j, y in v_nz:
-            x = row[j]
-            if x:
-                t = x * y
-                acc = t if acc is None else acc + t
-        out.append(acc)
-    return fill_zero(out, sum_zero(*a, v))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(s, a: Matrix) -> Matrix:
-    return [[s * x for x in row] for row in a]
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return [[-x for x in row] for row in a]
-
-
-def max_abs(a: Matrix):
-    return max((abs(x) for row in a for x in row), default=Fraction(0))
-
-
-# The int route: verify_symmetric_system, verify_skew_rep, condition_a_check,
-# star_blocks_identity_check and the intertwiner system scale their rational
-# matrices once and run every product (or the elimination) in ints.  On the
-# 32x32 FKM/OT operators a verify_symmetric_system call takes ~0.03 s this way
-# and ~0.2-0.25 s through Fraction mat_mul (2-vCPU Xeon); ints pass through
-# to_int_scaled untouched and a Fraction costs one division of the lcm.
-def to_int_scaled(a: Matrix) -> tuple[int, list[list[int]]]:
-    """(den, M) with a == M/den, M integer and den the lcm of the entries'
-    denominators.  Entries must be int or Fraction: anything else (a float
-    above all, whose binary expansion would pass for an exact rational)
-    raises TypeError."""
+def _scaled(values) -> tuple[int, list[int]]:
+    """(den, ints) with values[k] == ints[k]/den and den the lcm of the
+    denominators; TypeError for an entry that is not an int or a Fraction."""
     den = 1
-    for row in a:
-        for x in row:
-            if type(x) is not int:
-                _check_exact(x)
-                if x.denominator != 1:
-                    den = lcm(den, x.denominator)
-    return den, [[x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row] for row in a]
+    for x in values:
+        if type(x) is not int:
+            if type(x) is not Fraction:
+                raise TypeError(f"exact kernels take int or Fraction entries, not {type(x).__name__}")
+            if x.denominator != 1:
+                den = lcm(den, x.denominator)
+    return den, [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in values]
 
 
-def to_int_scaled_shared(mats: list) -> tuple[int, list[list[list[int]]]]:
-    """(den, [M_k]) with mats[k] == M_k/den for one den shared by all: the
-    ``to_int_scaled`` of the stacked rows, split back into the matrices."""
-    den, rows = to_int_scaled([row for m in mats for row in m])
-    out, at = [], 0
-    for m in mats:
-        out.append(rows[at : at + len(m)])
-        at += len(m)
-    return den, out
+class Op:
+    """Rational matrix: ``rows[i]`` maps column -> nonzero int numerator over
+    ``den``; ``ncols`` columns.  Immutable by convention."""
 
+    __slots__ = ("den", "rows", "ncols")
 
-def _check_exact(x) -> None:
-    if type(x) is not Fraction and type(x) is not int:
-        raise TypeError(f"exact kernels take int or Fraction entries, not {type(x).__name__}")
+    @staticmethod
+    def _wrap(den: int, rows: list, ncols: int) -> "Op":
+        """Wrap rows that are already canonical, without copying them."""
+        op = object.__new__(Op)
+        op.den, op.rows, op.ncols = den, rows, ncols
+        return op
 
+    @staticmethod
+    def _adopt(den: int, rows: list, ncols: int) -> "Op":
+        """Wrap zero-free int rows over ``den`` > 0, reduced to the canonical form."""
+        if den != 1:
+            g = gcd(den, *(x for row in rows for x in row.values()))
+            if g != 1:
+                rows = [{c: x // g for c, x in row.items()} for row in rows]
+                den //= g
+        return Op._wrap(den, rows, ncols)
 
-def int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return _sparse_mat_mul(a, b, 0)
+    @staticmethod
+    def of(rows) -> "Op":
+        """An ``Op`` unchanged, or dense rows of int/Fraction entries converted.
+        Already canonical over the lcm of the reduced denominators: each prime
+        power dividing it divides some denominator in full, and the numerator
+        scaled with that one is not a multiple of the prime."""
+        if isinstance(rows, Op):
+            return rows
+        rows = [list(row) for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("rows of unequal length")
+        den, flat = _scaled([x for row in rows for x in row])
+        out = [{c: x for c, x in enumerate(flat[i * ncols : (i + 1) * ncols]) if x} for i in range(len(rows))]
+        return Op._wrap(den, out, ncols)
 
+    @staticmethod
+    def identity(n: int) -> "Op":
+        return Op._wrap(1, [{i: 1} for i in range(n)], n)
 
-def anticommutator_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    ab = int_mat_mul(a, b)
-    ba = int_mat_mul(b, a)
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+    @property
+    def T(self) -> "Op":
+        out: list[dict] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for c, x in row.items():
+                out[c][i] = x
+        return Op._wrap(self.den, out, len(self.rows))
+
+    def __matmul__(self, other):
+        if not isinstance(other, Op):
+            return NotImplemented
+        if self.ncols != len(other.rows):
+            raise ValueError("matrix shapes do not chain")
+        b = other.rows
+        out = []
+        for row in self.rows:
+            acc: dict = {}
+            for j, x in row.items():
+                for c, y in b[j].items():
+                    acc[c] = acc.get(c, 0) + x * y
+            out.append({c: v for c, v in acc.items() if v})
+        return Op._adopt(self.den * other.den, out, other.ncols)
+
+    def _merge(self, other, sign: int):
+        if not isinstance(other, Op):
+            return NotImplemented
+        if len(self.rows) != len(other.rows) or self.ncols != other.ncols:
+            raise ValueError("matrix shapes differ")
+        # both numerators over lcm(den_a, den_b)
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        out = []
+        for ra, rb in zip(self.rows, other.rows):
+            row = {c: x * fa for c, x in ra.items()}
+            for c, y in rb.items():
+                v = row.get(c, 0) + fb * y
+                if v:
+                    row[c] = v
+                else:
+                    row.pop(c, None)
+            out.append(row)
+        return Op._adopt(self.den * fa, out, self.ncols)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
+
+    def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def __neg__(self) -> "Op":
+        return Op._wrap(self.den, [{c: -x for c, x in row.items()} for row in self.rows], self.ncols)
+
+    def __mul__(self, k):
+        """Scalar multiple; ``k`` an int or a Fraction."""
+        if type(k) is int:
+            num, kden = k, 1
+        elif type(k) is Fraction:
+            num, kden = k.numerator, k.denominator
+        else:
+            return NotImplemented
+        if not num:
+            return Op._wrap(1, [{} for _ in self.rows], self.ncols)
+        return Op._adopt(self.den * kden, [{c: x * num for c, x in row.items()} for row in self.rows], self.ncols)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, Op):
+            return NotImplemented
+        return self.den == other.den and self.ncols == other.ncols and self.rows == other.rows
+
+    def __repr__(self) -> str:
+        return f"Op(den={self.den}, rows={self.rows}, ncols={self.ncols})"
+
+    def apply(self, v) -> list:
+        """The vector A v, a Fraction in every slot (``RATIONAL_ZERO`` where
+        the sum is zero); the entries of v must be ints or Fractions."""
+        if len(v) != self.ncols:
+            raise ValueError("vector length differs from the column count")
+        vden, vn = _scaled(v)
+        den = self.den * vden
+        out = []
+        for row in self.rows:
+            s = 0
+            for c, x in row.items():
+                s += x * vn[c]
+            out.append(Fraction(s, den) if s else RATIONAL_ZERO)
+        return out
+
+    def max_abs(self) -> Fraction:
+        """The largest |entry|, Fraction(0) for the zero matrix."""
+        return Fraction(max((abs(x) for row in self.rows for x in row.values()), default=0), self.den)
+
+    def scalar(self) -> Fraction | None:
+        """lambda when the matrix is lambda Id (0 for the square zero matrix), else None."""
+        n = len(self.rows)
+        if n != self.ncols:
+            return None
+        lam = self.rows[0].get(0, 0) if n else 0
+        if any(row != ({i: lam} if lam else {}) for i, row in enumerate(self.rows)):
+            return None
+        return Fraction(lam, self.den)
 
 
 def _int_row(row) -> dict[int, int]:
-    """The nonzeros of to_int_scaled of a dense or {col: value} row, as
+    """The nonzeros of a dense or {col: value} row scaled to ints, as
     {col: int} divided by their gcd."""
     items = list(row.items() if isinstance(row, dict) else enumerate(row))
-    _, (ints,) = to_int_scaled([[x for _, x in items]])
+    _, ints = _scaled([x for _, x in items])
     return _normalized({c: x for (c, _), x in zip(items, ints) if x})
 
 
@@ -208,9 +250,9 @@ def kernel_basis(rows, ncols: int) -> list[list[Fraction]]:
     return list(basis.values())
 
 
-def random_rational_orthogonal(rng: DeterministicRng, n: int, steps: int | None = None) -> Matrix:
+def random_rational_orthogonal(rng: DeterministicRng, n: int, steps: int | None = None) -> Op:
     """Exact orthogonal matrix: product of Pythagorean Givens rotations."""
-    m = identity(n)
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(steps if steps is not None else 2 * n):
         i = rng.next_int(0, n - 1)
         j = rng.next_int(0, n - 1)
@@ -220,4 +262,4 @@ def random_rational_orthogonal(rng: DeterministicRng, n: int, steps: int | None 
         for row in m:
             ri, rj = row[i], row[j]
             row[i], row[j] = c * ri - s * rj, s * ri + c * rj
-    return m
+    return Op.of(m)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import octonion as on
 from .circ import Nom, Side, circ
-from .linalg import int_mat_mul, to_int_scaled_shared, transpose
+from .linalg import Op
 from .poly import BITS, MultiPoly, Rt2Poly
 from .report import Report
 from .systems import ScaledVec, symbolic_xyz
@@ -82,22 +82,17 @@ def star_blocks_identity_check(b_star: list, c_star: list) -> Report:
     With D = (B*_a)^T B*_b - (C*_a)^T C*_b this reads D + D^T = 0, which is
     symmetric in (a, b), so only the pairs a <= b are formed.  All blocks
     must carry one half-power scale (assemble_star_blocks gives every one
-    half = -1), which then divides out; the rows are scaled to ints over one
-    shared denominator and each Gram matrix is int_mat_mul(B^T, B')."""
+    half = -1), which then divides out."""
     rep = Report("star_blocks_gram")
     if len({m.half for m in b_star + c_star}) > 1:
         raise ValueError("B* and C* blocks must carry one half-power scale")
-    _, ints = to_int_scaled_shared([m.rows for m in b_star + c_star])
-    b_int, c_int = ints[: len(b_star)], ints[len(b_star) :]
-    b_t, c_t = [transpose(m) for m in b_int], [transpose(m) for m in c_int]
+    bs = [Op.of(m.rows) for m in b_star]
+    cs = [Op.of(m.rows) for m in c_star]
     ok = True
-    for a in range(len(b_star)):
-        for b in range(a, len(b_star)):
-            gb = int_mat_mul(b_t[a], b_int[b])
-            gc = int_mat_mul(c_t[a], c_int[b])
-            d = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(gb, gc)]
-            n = len(d)
-            if any(d[i][j] + d[j][i] for i in range(n) for j in range(i, n)):
+    for a in range(len(bs)):
+        for b in range(a, len(bs)):
+            d = bs[a].T @ bs[b] - cs[a].T @ cs[b]
+            if (d + d.T).scalar() != 0:
                 ok = False
     rep.add("bstar_cstar_gram_identity", ok)
     return rep

@@ -19,7 +19,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-_RATIONAL_ZERO = Fraction(0)
+RATIONAL_ZERO = Fraction(0)
 
 
 def sum_zero(*vectors):
@@ -35,12 +35,12 @@ def sum_zero(*vectors):
     for v in vectors:
         kinds.update(map(type, v))
     if Fraction in kinds and kinds <= {Fraction, int}:
-        return _RATIONAL_ZERO
+        return RATIONAL_ZERO
     zero = None
     for kind in kinds:
         c = next(c for v in vectors for c in v if type(c) is kind)
         zero = c - c if zero is None else zero + (c - c)
-    return _RATIONAL_ZERO if zero is None else zero
+    return RATIONAL_ZERO if zero is None else zero
 
 
 def fill_zero(slots: list, zero) -> list:

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from . import octonion as on
 from .circ import Nom, Side, circ, right_ops
 from .clifford import SymmetricCliffordSystem, find_intertwiner, volume_sign
-from .linalg import identity, int_mat_mul, mat_mul, mat_vec, to_int_scaled, to_int_scaled_shared, transpose
+from .linalg import Op
 from .poly import MultiPoly, Rt2Poly, norm_sq_poly
 from .report import Report
 from .scalars import DeterministicRng, random_unit_rational_vector
@@ -66,9 +67,9 @@ class ScaledVec:
         return n2 * Fraction(2) ** self.half
 
 
-def _op_matrix(f, n: int) -> list:
+def _op_matrix(f, n: int) -> Op:
     cols = [f(tuple(Fraction(int(i == b)) for i in range(n))) for b in range(n)]
-    return [[cols[b][r] for b in range(n)] for r in range(n)]
+    return Op.of([[cols[b][r] for b in range(n)] for r in range(n)])
 
 
 @dataclass
@@ -78,7 +79,7 @@ class FkmSystem:
     system: SymmetricCliffordSystem  # indices -1..block_dim-1
 
     def apply(self, index: int, v: tuple) -> tuple:
-        return tuple(mat_vec(self.system.operator(index), list(v)))
+        return tuple(self.system.operator(index).apply(v))
 
 
 @dataclass
@@ -87,7 +88,7 @@ class OtSystem:
     system: SymmetricCliffordSystem  # indices 0..block_dim-1
 
     def apply(self, index: int, v: tuple) -> tuple:
-        return tuple(mat_vec(self.system.operator(index), list(v)))
+        return tuple(self.system.operator(index).apply(v))
 
 
 def build_fkm_system(nom: Nom) -> FkmSystem:
@@ -145,20 +146,20 @@ def build_ot_system(block_dim: int = 8) -> OtSystem:
 
 
 def fkm_polynomial(system: SymmetricCliffordSystem) -> MultiPoly:
-    """F(x) = <x,x>^2 - 2 sum_i <P_i x, x>^2, homogeneous of degree 4."""
+    """F(x) = <x,x>^2 - 2 sum_i <P_i x, x>^2, homogeneous of degree 4.
+
+    Each quadratic form <P x, x> is built from the int numerators of P over
+    its denominator."""
     n = system.dim
     r2 = norm_sq_poly(n)
     f = r2 * r2
     for m in system.operators:
         q: dict = {}
-        for r in range(n):
-            row = m[r]
-            for k in range(n):
-                c = row[k]
-                if c:
-                    key = (1 << (5 * r)) + (1 << (5 * k))
-                    q[key] = q.get(key, Fraction(0)) + c
-        qp = MultiPoly(n, q)
+        for r, row in enumerate(m.rows):
+            for k, c in row.items():
+                key = (1 << (5 * r)) + (1 << (5 * k))
+                q[key] = q.get(key, 0) + c
+        qp = MultiPoly._adopt(n, {key: c for key, c in q.items() if c}, m.den)
         f = f - 2 * (qp * qp)
     return f
 
@@ -167,8 +168,7 @@ def focal_check(system: SymmetricCliffordSystem, x: ScaledVec) -> bool:
     """x lies on the focal zero locus: |x| = 1 and <P_i x, x> = 0 for all i."""
     if x.norm_sq() != 1:
         return False
-    v = list(x.coords)
-    return all(on.inner(tuple(mat_vec(m, v)), x.coords) == 0 for m in system.operators)
+    return all(on.inner(tuple(m.apply(x.coords)), x.coords) == 0 for m in system.operators)
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +241,17 @@ def ot_plus_frame(ot: OtSystem) -> FocalFrame:
     return FocalFrame(x0, tangent, normals, first_index=0, labels={"point": "x_plus"})
 
 
-def fkm_perturbed_frame(fkm: FkmSystem, u_matrix: list) -> FocalFrame:
+def fkm_perturbed_frame(fkm: FkmSystem, u: Op) -> FocalFrame:
     """Frame at x*_n = (x# + n#)/sqrt2 where x# = (0, e_0, 0, 0),
     n# = (0, 0, n, 0), n = -U(e_0); tangent vectors are (Z, X, U(Y), U(Z))."""
     d = fkm.split.block_dim
     sp = fkm.split
     zero = on.zero(d)
-    u_e0 = tuple(mat_vec(u_matrix, list(on.basis(0, d))))
-    n = on.neg(u_e0)
+    n = on.neg(tuple(u.apply(on.basis(0, d))))
     xs = ScaledVec(sp.join(zero, on.basis(0, d), n, zero), -1)
     tangent = [ScaledVec(sp.join(zero, on.basis(a, d), zero, zero), 0) for a in range(1, d)]
-    tangent += [
-        ScaledVec(sp.join(zero, zero, tuple(mat_vec(u_matrix, list(on.basis(m, d)))), zero), 0)
-        for m in range(1, d)
-    ]
-    tangent += [
-        ScaledVec(sp.join(on.basis(p, d), zero, zero, tuple(mat_vec(u_matrix, list(on.basis(p, d))))), -1)
-        for p in range(d)
-    ]
+    tangent += [ScaledVec(sp.join(zero, zero, u.apply(on.basis(m, d)), zero), 0) for m in range(1, d)]
+    tangent += [ScaledVec(sp.join(on.basis(p, d), zero, zero, u.apply(on.basis(p, d))), -1) for p in range(d)]
     normals = [ScaledVec(fkm.apply(i, xs.coords), -1) for i in fkm.system.indices]
     return FocalFrame(xs, tangent, normals, first_index=-1, labels={"point": "x*_n"})
 
@@ -369,28 +362,32 @@ def extract_expansion_forms(f: MultiPoly, frame: FocalFrame) -> ExtractedForms:
 # ---------------------------------------------------------------------------
 
 
+def _rows_op(vecs: list) -> Op:
+    """The matrix whose rows are the rational representatives of ``vecs``."""
+    return Op.of([v.coords for v in vecs])
+
+
 def matrix_route_forms(system: SymmetricCliffordSystem, frame: FocalFrame) -> list:
-    """Quadratics -<P_i v(c), v(c)> in unit tangent coordinates, as Rt2Poly."""
+    """Quadratics -<P_i v(c), v(c)> in unit tangent coordinates, as Rt2Poly:
+    with V the tangent representatives as rows, the coefficient of c_j c_k is
+    -(G_jk + G_kj) for j < k and -G_jj on the diagonal, G = V P_i V^T.  A
+    pair of tangent vectors whose half-power tags sum to an odd kfold lands
+    in the sqrt2 part."""
     tcount = len(frame.tangent)
+    halves = [t.half for t in frame.tangent]
+    v = _rows_op(frame.tangent)
+    vt = v.T
     out = []
     for m in system.operators:
-        pu = [tuple(mat_vec(m, list(v.coords))) for v in frame.tangent]
+        g = v @ m @ vt
         terms_a: dict = {}
         terms_b: dict = {}
-        for jdx in range(tcount):
-            for kdx in range(jdx, tcount):
-                val = on.inner(pu[jdx], frame.tangent[kdx].coords)
-                if jdx != kdx:
-                    val = val + on.inner(pu[kdx], frame.tangent[jdx].coords)
-                if not val:
-                    continue
-                val = -val
-                kfold = frame.tangent[jdx].half + frame.tangent[kdx].half
-                key = (1 << (5 * jdx)) + (1 << (5 * kdx))
-                if kfold % 2 == 0:
-                    terms_a[key] = terms_a.get(key, Fraction(0)) + val * Fraction(2) ** (kfold // 2)
-                else:
-                    terms_b[key] = terms_b.get(key, Fraction(0)) + val * Fraction(2) ** ((kfold - 1) // 2)
+        for j, row in enumerate(g.rows):
+            for k, x in row.items():
+                kfold = halves[j] + halves[k]
+                target = terms_a if kfold % 2 == 0 else terms_b
+                key = (1 << (5 * j)) + (1 << (5 * k))
+                target[key] = target.get(key, 0) - Fraction(x, g.den) * Fraction(2) ** (kfold // 2)
         out.append(Rt2Poly(MultiPoly(tcount, terms_a), MultiPoly(tcount, terms_b)))
     return out
 
@@ -443,7 +440,8 @@ def second_form_at_focal(fkm: FkmSystem, frame: FocalFrame | None = None) -> Rep
 @dataclass
 class SecondFormBlocks:
     """Blocks of the second-fundamental matrices in an eigenbasis: S_0 is
-    diag(Id, -Id, 0) and S_a has A_a: V- -> V+, B_a: V0 -> V+, C_a: V0 -> V-."""
+    diag(Id, -Id, 0) and S_a has A_a: V- -> V+, B_a: V0 -> V+, C_a: V0 -> V-.
+    Every block and matrix is an ``Op``."""
 
     a_blocks: list
     b_blocks: list
@@ -500,60 +498,38 @@ def blocks_from_forms(p_forms: list, d_plus: int, d_minus: int, d_zero: int) -> 
                         raise ValueError(f"S_{a} has a nonzero within-eigenspace entry at {(i, j)}")
     a_blocks, b_blocks, c_blocks = [], [], []
     for s in mats[1:]:
-        a_blocks.append([row[d_plus : d_plus + d_minus] for row in s[:d_plus]])
-        b_blocks.append([row[d_plus + d_minus :] for row in s[:d_plus]])
-        c_blocks.append([row[d_plus + d_minus :] for row in s[d_plus : d_plus + d_minus]])
-    return SecondFormBlocks(a_blocks, b_blocks, c_blocks, d_plus, d_minus, d_zero, mats)
+        a_blocks.append(Op.of([row[d_plus : d_plus + d_minus] for row in s[:d_plus]]))
+        b_blocks.append(Op.of([row[d_plus + d_minus :] for row in s[:d_plus]]))
+        c_blocks.append(Op.of([row[d_plus + d_minus :] for row in s[d_plus : d_plus + d_minus]]))
+    return SecondFormBlocks(a_blocks, b_blocks, c_blocks, d_plus, d_minus, d_zero, [Op.of(s) for s in mats])
 
 
 def condition_a_check(blocks: SecondFormBlocks, rng: DeterministicRng | None = None, normals: int = 20) -> Report:
     """Condition A: every B_a and C_a vanishes.  The report also verifies
-    (S_n)^3 = S_n on random unit normals and, when A holds, the block
-    relations A_a A_a^T = Id, A_a A_b^T + A_b A_a^T = 0, A_a^T A_b + A_b^T A_a = 0.
-
-    Both run in ints: with D the shared denominator of the S_a and E that of
-    n, M = D E S_n is an int matrix and S_n^3 = S_n reads M^3 = (D E)^2 M; the
-    A_a are scaled by their shared denominator the same way."""
+    S_n^3 = S_n, with S_n = sum_a n_a S_a, on random unit normals n and, when
+    A holds, the block relations A_a A_a^T = Id, A_a A_b^T + A_b A_a^T = 0,
+    A_a^T A_b + A_b^T A_a = 0."""
     rep = Report("condition_a")
-    zero_b = all(all(all(x == 0 for x in row) for row in m) for m in blocks.b_blocks)
-    zero_c = all(all(all(x == 0 for x in row) for row in m) for m in blocks.c_blocks)
+    zero_b = all(m.max_abs() == 0 for m in blocks.b_blocks)
+    zero_c = all(m.max_abs() == 0 for m in blocks.c_blocks)
     rep.add("b_blocks_zero", zero_b)
     rep.add("c_blocks_zero", zero_c)
     rng = rng or DeterministicRng(99)
-    nv = len(blocks.s_matrices[0])
-    den_s, int_s = to_int_scaled_shared(blocks.s_matrices)
-    s_entries = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x] for m in int_s]
+    s = blocks.s_matrices
     ok_cube = True
     for _ in range(normals):
-        n = random_unit_rational_vector(rng, len(blocks.s_matrices))
-        den_n, (int_n,) = to_int_scaled([n])
-        m = [[0] * nv for _ in range(nv)]
-        for c, entries in zip(int_n, s_entries):
-            if c:
-                for i, j, x in entries:
-                    m[i][j] += c * x
-        m3 = int_mat_mul(int_mat_mul(m, m), m)
-        scale = (den_s * den_n) ** 2
-        if m3 != [[scale * x for x in row] for row in m]:
+        n = random_unit_rational_vector(rng, len(s))
+        s_n = reduce(Op.__add__, (c * m for c, m in zip(n, s)))
+        if s_n @ s_n @ s_n != s_n:
             ok_cube = False
     rep.add("shape_operator_cube", ok_cube, detail={"normals": normals})
     if zero_b and zero_c:
-        den_a, int_a = to_int_scaled_shared(blocks.a_blocks)
-        int_at = [transpose(a) for a in int_a]
-        d2 = den_a * den_a
-        ok9 = all(
-            int_mat_mul(a, at) == [[d2 if i == j else 0 for j in range(blocks.d_plus)] for i in range(blocks.d_plus)]
-            for a, at in zip(int_a, int_at)
-        )
-        m1 = len(int_a)
-        for a in range(m1):
-            for b in range(a + 1, m1):
-                for s1, s2 in (
-                    (int_mat_mul(int_a[a], int_at[b]), int_mat_mul(int_a[b], int_at[a])),
-                    (int_mat_mul(int_at[a], int_a[b]), int_mat_mul(int_at[b], int_a[a])),
-                ):
-                    if any(x + y for r1, r2 in zip(s1, s2) for x, y in zip(r1, r2)):
-                        ok9 = False
+        a_ops = blocks.a_blocks
+        ok9 = all((a @ a.T).scalar() == 1 for a in a_ops)
+        for i, a in enumerate(a_ops):
+            for b in a_ops[i + 1 :]:
+                if (a @ b.T + b @ a.T).scalar() != 0 or (a.T @ b + b.T @ a).scalar() != 0:
+                    ok9 = False
         rep.add("a_block_relations", ok9)
     return rep
 
@@ -581,7 +557,7 @@ def condition_b_check(
     nops = len(system.operators)
     orient = []
     for i, nvec in enumerate(frame.normals):
-        pi_x = tuple(mat_vec(system.operators[i], list(frame.point.coords)))
+        pi_x = tuple(system.operators[i].apply(frame.point.coords))
         if nvec.coords == pi_x:
             orient.append(1)
         elif nvec.coords == on.neg(pi_x):
@@ -590,22 +566,19 @@ def condition_b_check(
             orient.append(0)
     rep.note(f"normal orientation relative to P_i(x): {orient}")
 
+    # r_ab(c) = sum_j c_j <P_a v_j, n_b>: row b of N P_a V^T, with the
+    # normals N and tangent representatives V as rows
     r: list = [[None] * nops for _ in range(nops)]
+    vt = _rows_op(frame.tangent).T
+    nrm = _rows_op(frame.normals)
     for a in range(nops):
-        pa_u = [tuple(mat_vec(system.operators[a], list(v.coords))) for v in frame.tangent]
+        g = nrm @ system.operators[a] @ vt
         for b in range(nops):
             ta: dict = {}
             tb: dict = {}
-            for j in range(tcount):
-                val = on.inner(pa_u[j], frame.normals[b].coords)
-                if not val:
-                    continue
+            for j, x in g.rows[b].items():
                 kfold = frame.tangent[j].half + frame.normals[b].half
-                key = 1 << (5 * j)
-                if kfold % 2 == 0:
-                    ta[key] = val * Fraction(2) ** (kfold // 2)
-                else:
-                    tb[key] = val * Fraction(2) ** ((kfold - 1) // 2)
+                (ta if kfold % 2 == 0 else tb)[1 << (5 * j)] = Fraction(x, g.den) * Fraction(2) ** (kfold // 2)
             r[a][b] = Rt2Poly(MultiPoly(tcount, ta), MultiPoly(tcount, tb))
 
     skew = all((r[a][b] + r[b][a]).is_zero() for a in range(nops) for b in range(nops))
@@ -629,7 +602,7 @@ def condition_b_check(
 # ---------------------------------------------------------------------------
 
 
-def mirror_intertwiner(nom: Nom) -> tuple[list, int]:
+def mirror_intertwiner(nom: Nom) -> tuple[Op, int]:
     """Orthogonal U with U(z) o e_a = U(z e_a) (branch +1) or U(e_a z)
     (branch -1) for all a, z.
 
@@ -642,40 +615,31 @@ def mirror_intertwiner(nom: Nom) -> tuple[list, int]:
     d = nom.dim
     ca = on.conjugate(nom.alpha)
     if nom.side is Side.LEFT:
-        u = on.left_mult_matrix(ca)
+        u = Op.of(on.left_mult_matrix(ca))
         branch = 1
     else:
-        u = on.right_mult_matrix(ca)
+        u = Op.of(on.right_mult_matrix(ca))
         branch = -1
     if _mirror_u_ok(nom, u, branch):
         return u, branch
     rro = right_ops(nom)
-    jp = [on.right_mult_matrix(on.basis(i, d)) for i in range(1, d)]
-    jj = [on.left_mult_matrix(on.basis(i, d)) for i in range(1, d)]
-    res = find_intertwiner(jp, rro)
-    if res.found and res.exact:
+    res = find_intertwiner(on.j_prime_generators(d), rro)
+    if res.found:
         return res.matrix, 1
-    res = find_intertwiner(jj, rro)
-    if res.found and res.exact:
+    res = find_intertwiner(on.j_generators(d), rro)
+    if res.found:
         return res.matrix, -1
     raise ValueError("no exact mirror intertwiner found")
 
 
-def _mirror_u_ok(nom: Nom, u: list, branch: int) -> bool:
+def _mirror_u_ok(nom: Nom, u: Op, branch: int) -> bool:
+    """U U^T = Id and R_a U = U J'_a (branch +1) or U J_a (branch -1) for
+    every a, with R_a(z) = z o e_a: that is U(z) o e_a = U(z e_a) or U(e_a z)."""
     d = nom.dim
-    if mat_mul(u, transpose(u)) != identity(d):
+    gens = on.j_prime_generators(d) if branch == 1 else on.j_generators(d)
+    if (u @ u.T).scalar() != 1:
         return False
-    for a in range(1, d):
-        ea = on.basis(a, d)
-        for b in range(d):
-            z = on.basis(b, d)
-            uz = tuple(mat_vec(u, list(z)))
-            lhs = circ(nom, uz, ea)
-            inner_prod = on.multiply(z, ea) if branch == 1 else on.multiply(ea, z)
-            rhs = tuple(mat_vec(u, list(inner_prod)))
-            if lhs != rhs:
-                return False
-    return True
+    return all(Op.of(r) @ u == u @ Op.of(g) for r, g in zip(right_ops(nom), gens))
 
 
 def perturb_mirror(fkm: FkmSystem) -> Report:

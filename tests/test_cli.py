@@ -157,6 +157,24 @@ def test_cli_float_mode(tmp_path):
     assert "skipped" in " ".join(by_name["mirror"]["notes"])
 
 
+def test_float_mode_dump_poly_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # F of a float system is not a rational polynomial: refused before any
+    # system is built or the file is opened
+    built = _count_calls(monkeypatch, "build_fkm_system")
+    path = tmp_path / "P"
+    code = main(["--mode", "float", "--theta", "0.8", "--suites", "nom", "--dump-poly", str(path)])
+    assert code == 2 and not path.exists() and not built
+    assert "--dump-poly" in capsys.readouterr().err
+
+
+def test_float_mode_sweep_is_a_config_error(tmp_path, capsys, monkeypatch):
+    built = _count_calls(monkeypatch, "build_fkm_system")
+    out = tmp_path / "sweep.json"
+    code = main(["--mode", "float", "--theta", "0.8", "--sweep-t", "0", "--out", str(out)])
+    assert code == 2 and not out.exists() and not built
+    assert "--sweep-t" in capsys.readouterr().err
+
+
 def test_cli_sweep_flag(tmp_path):
     out = tmp_path / "sweep.json"
     code = main(["--sweep-t", "0,1", "--suites", "classify", "--out", str(out)])

@@ -17,18 +17,8 @@ from octoverify.clifford import (
     verify_symmetric_system,
     volume_sign,
 )
-from octoverify.linalg import (
-    identity,
-    mat_add,
-    mat_mul,
-    mat_neg,
-    mat_scale,
-    mat_sub,
-    max_abs,
-    random_rational_orthogonal,
-    transpose,
-    zeros,
-)
+from matrix_oracle import add, identity, max_abs, mul, neg, scale, sub, transpose, zeros
+from octoverify.linalg import Op, random_rational_orthogonal
 from octoverify.scalars import DeterministicRng
 
 
@@ -78,9 +68,8 @@ def test_volume_signs():
 def test_normalize_identity_a_system():
     j = on.j_generators()
     norm = normalize_a_system(j)
-    assert norm.exact
     assert refined_residual(norm, j) == 0
-    assert norm.witness[-1] == identity(8)
+    assert norm.witness[-1] == Op.identity(8)
     assert verify_skew_rep(norm.witness[:-1]).passed
 
 
@@ -89,19 +78,17 @@ def test_normalize_seeded_a_systems():
     j = on.j_generators()
     for trial in range(3):
         o = random_rational_orthogonal(rng.fork(trial), 8)
-        a = [mat_mul(o, m) for m in j]
+        a = [o @ Op.of(m) for m in j]
         norm = normalize_a_system(a)
-        assert norm.exact
         assert refined_residual(norm, a) == 0
         # refined P, Q are orthogonal
-        assert mat_mul(norm.p_refined, transpose(norm.p_refined)) == identity(8)
-        assert mat_mul(norm.q_refined, transpose(norm.q_refined)) == identity(8)
+        assert norm.p_refined @ norm.p_refined.T == Op.identity(8)
+        assert norm.q_refined @ norm.q_refined.T == Op.identity(8)
 
 
 def test_normalize_quaternionic():
     j4 = on.j_generators(4)
     norm = normalize_a_system(j4)
-    assert norm.exact
     assert refined_residual(norm, j4) == 0
 
 
@@ -120,9 +107,9 @@ def test_find_intertwiner_conjugated():
     rng = DeterministicRng(55)
     j = on.j_generators()
     o = random_rational_orthogonal(rng, 8)
-    rep2 = [mat_mul(mat_mul(o, m), transpose(o)) for m in j]
+    rep2 = [o @ Op.of(m) @ o.T for m in j]
     res = find_intertwiner(j, rep2)
-    assert res.found and res.exact
+    assert res.found
     assert conjugation_residual(res, j, rep2) == 0
 
 
@@ -131,8 +118,20 @@ def test_find_intertwiner_inequivalent_and_self():
     jp = on.j_prime_generators()
     assert not find_intertwiner(j, jp).found
     res = find_intertwiner(j, j)
-    assert res.found and res.exact
+    assert res.found
     assert conjugation_residual(res, j, j) == 0
+
+
+def test_find_intertwiner_raises_without_a_rational_square_root():
+    # K = Id + J_1 has K K^T = 2 Id, so K/sqrt2 conjugates J_a to
+    # K J_a K^T / 2, and every kernel element is a rational multiple of K
+    j = [Op.of(m) for m in on.j_generators()]
+    k = Op.identity(8) + j[0]
+    assert (k @ k.T).scalar() == 2
+    rep2 = [k @ m @ k.T * Fraction(1, 2) for m in j]
+    assert verify_skew_rep(rep2).passed
+    with pytest.raises(ValueError, match="lam = 2"):
+        find_intertwiner(j, rep2)
 
 
 def test_skew_rep_plus_identity_is_orthogonal_multiplication():
@@ -155,7 +154,7 @@ def test_skew_rep_plus_identity_is_orthogonal_multiplication():
 
 
 # ---------------------------------------------------------------------------
-# the integer-scaled residuals against a Fraction oracle
+# the Op residuals against the naive Fraction oracle
 # ---------------------------------------------------------------------------
 
 
@@ -167,11 +166,11 @@ def _block_system(es: list) -> list:
     def blocks(tl, tr, bl, br):
         return [a + b for a, b in zip(tl, tr)] + [a + b for a, b in zip(bl, br)]
 
-    return [blocks(ident, zero, zero, mat_neg(ident))] + [blocks(zero, e, transpose(e), zero) for e in es]
+    return [blocks(ident, zero, zero, neg(ident))] + [blocks(zero, e, transpose(e), zero) for e in es]
 
 
 def _anticommutator(a: list, b: list) -> list:
-    return mat_add(mat_mul(a, b), mat_mul(b, a))
+    return add(mul(a, b), mul(b, a))
 
 
 def _perturbed(mats: list, edits: list) -> list:
@@ -200,8 +199,8 @@ def test_verify_skew_rep_residuals_match_fraction_oracle(edits):
     got = {c.name: c for c in verify_skew_rep(mats).checks}
     ident = identity(len(mats[0]))
     want = {
-        "orthogonality": max(max_abs(mat_sub(mat_mul(m, transpose(m)), ident)) for m in mats),
-        "square_minus_id": max(max_abs(mat_add(mat_mul(m, m), ident)) for m in mats),
+        "orthogonality": max(max_abs(sub(mul(m, transpose(m)), ident)) for m in mats),
+        "square_minus_id": max(max_abs(add(mul(m, m), ident)) for m in mats),
         "anticommutation": max(max_abs(_anticommutator(a, b)) for i, a in enumerate(mats) for b in mats[i + 1 :]),
     }
     for name, residual in want.items():
@@ -216,10 +215,10 @@ def test_verify_symmetric_system_residuals_match_fraction_oracle(edits):
     assert verify_symmetric_system(SymmetricCliffordSystem(base, 0)).passed
     mats = _perturbed(base, edits)
     got = {c.name: c for c in verify_symmetric_system(SymmetricCliffordSystem(mats, 0)).checks}
-    sym = max(max_abs(mat_sub(m, transpose(m))) for m in mats)
+    sym = max(max_abs(sub(m, transpose(m))) for m in mats)
     ident = identity(len(mats[0]))
     cliff = max(
-        max_abs(mat_sub(_anticommutator(a, b), mat_scale(Fraction(2 if i == k else 0), ident)))
+        max_abs(sub(_anticommutator(a, b), scale(Fraction(2 if i == k else 0), ident)))
         for i, a in enumerate(mats)
         for k, b in enumerate(mats)
         if i <= k

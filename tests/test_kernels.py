@@ -1,11 +1,10 @@
 """Property tests for the zero-skipping exact kernels.
 
-``octonion.multiply``, ``inner``, ``linalg.mat_vec``, ``mat_mul`` and
-``int_mat_mul`` multiply only nonzero entries, and ``multiply`` and ``inner``
-sum rational inputs in int numerators.  These tests hold them to the dense
-results:
-the Cayley-Dickson recursion for the octonion product, plain double sums for
-the matrix products, and the zero type a dense sum produced in every slot.
+``octonion.multiply``, ``inner`` and the products of ``linalg.Op`` multiply
+only nonzero entries, and ``multiply``, ``inner`` and ``Op`` sum rational
+inputs in int numerators.  These tests hold them to the dense results: the
+Cayley-Dickson recursion for the octonion product, plain double sums for the
+matrix products, and the zero type a dense sum produced in every slot.
 """
 
 from fractions import Fraction
@@ -13,8 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matrix_oracle as naive
 from octoverify import octonion as on
-from octoverify.linalg import int_mat_mul, mat_mul, mat_vec
+from octoverify.linalg import Op
 from octoverify.poly import MultiPoly
 from octoverify.scalars import sum_zero
 
@@ -158,10 +158,11 @@ def _dense_mat_vec(a, v):
 @given(matrices_with_zero_row(), st.data())
 def test_mat_vec_zero_row_gives_fraction_zero(a, data):
     v = data.draw(st.lists(coords, min_size=len(a[0]), max_size=len(a[0])))
-    got = mat_vec(a, v)
+    got = Op.of(a).apply(v)
     assert got == _dense_mat_vec(a, v)
     assert all(type(c) is Fraction for c in got)
     assert Fraction(0) in got
+    assert all(c is sum_zero((Fraction(0),)) for c in got if not c)
 
 
 @PROPS
@@ -169,23 +170,16 @@ def test_mat_vec_zero_row_gives_fraction_zero(a, data):
 def test_mat_mul_zero_row_gives_fraction_zero(a, data):
     k = data.draw(st.integers(1, 6))
     b = [data.draw(st.lists(coords, min_size=k, max_size=k)) for _ in range(len(a[0]))]
-    got = mat_mul(a, b)
+    got = Op.of(a) @ Op.of(b)
     cols = list(zip(*b))
-    assert got == [_dense_mat_vec(cols, row) for row in a]
-    assert all(type(c) is Fraction for row in got for c in row)
+    assert naive.dense(got) == [_dense_mat_vec(cols, row) for row in a]
+    assert {} in got.rows  # the zero row stores nothing
 
 
 @PROPS
 @given(matrices_with_zero_row(st.integers(-3, 3), 0), st.data())
 def test_int_mat_mul_matches_dense(a, data):
     b = [data.draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3)) for _ in range(len(a[0]))]
-    got = int_mat_mul(a, b)
-    assert got == [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-    assert all(type(c) is int for row in got for c in row)
-
-
-def test_mat_vec_polynomial_vector_gives_poly_zero():
-    v = [MultiPoly.variable(2, 0), Fraction(0)]
-    got = mat_vec([[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]], v)
-    assert all(isinstance(c, MultiPoly) and c.nvars == 2 for c in got)
-    assert got[0].is_zero() and got[1] == 2 * MultiPoly.variable(2, 0)
+    got = Op.of(a) @ Op.of(b)
+    assert got.den == 1 and all(type(c) is int for row in got.rows for c in row.values())
+    assert naive.dense(got) == [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]

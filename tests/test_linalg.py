@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matrix_oracle as naive
 from octoverify import linalg as la
 from octoverify import octonion as on
 from octoverify.circ import Nom, Side, left_ops
 from octoverify.clifford import _kernel_of_intertwiner_system, verify_skew_rep
-from octoverify.scalars import DeterministicRng
+from octoverify.linalg import Op
+from octoverify.scalars import RATIONAL_ZERO, DeterministicRng
 
 
 def test_kernel_basis_known():
@@ -37,31 +39,24 @@ def test_random_rational_orthogonal():
     rng = DeterministicRng(33)
     for n in (4, 8):
         m = la.random_rational_orthogonal(rng, n)
-        assert la.mat_mul(m, la.transpose(m)) == la.identity(n)
+        assert m @ m.T == Op.identity(n)
 
 
 def test_int_scaling_round_trip():
     m = [[Fraction(1, 2), Fraction(-1, 3)], [Fraction(0), Fraction(5, 6)]]
-    den, im = la.to_int_scaled(m)
-    assert den == 6
-    assert [[Fraction(x, den) for x in row] for row in im] == m
-    a = [[1, 2], [3, 4]]
-    assert la.int_mat_mul(a, a) == [[7, 10], [15, 22]]
+    op = Op.of(m)
+    assert op.den == 6 and op.rows == [{0: 3, 1: -2}, {1: 5}]
+    assert naive.dense(op) == m
+    a = Op.of([[1, 2], [3, 4]])
+    assert (a @ a).den == 1 and (a @ a).rows == [{0: 7, 1: 10}, {0: 15, 1: 22}]
 
 
 def test_mat_helpers():
-    a = la.identity(3)
-    assert la.mat_vec(a, [Fraction(1), Fraction(2), Fraction(3)]) == [1, 2, 3]
-    assert la.mat_sub(a, a) == la.zeros(3)
-    assert la.max_abs(la.mat_scale(Fraction(-7), a)) == 7
-
-
-def test_to_int_scaled_shared_splits_back():
-    a = [[Fraction(1, 2), 0], [Fraction(0), 3]]
-    b = [[Fraction(2, 3)]]
-    den, (ia, ib) = la.to_int_scaled_shared([a, b])
-    assert den == 6
-    assert ia == [[3, 0], [0, 18]] and ib == [[4]]
+    a = Op.identity(3)
+    assert a.apply([Fraction(1), Fraction(2), Fraction(3)]) == [1, 2, 3]
+    assert a - a == Op.of(naive.zeros(3))
+    assert (Fraction(-7) * a).max_abs() == 7
+    assert (Fraction(-7) * a).scalar() == -7 and Op.of([[1, 1], [0, 1]]).scalar() is None
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +67,11 @@ def test_to_int_scaled_shared_splits_back():
 @pytest.mark.parametrize("bad", [0.5, 0.0, True, "1"])
 def test_exact_kernels_refuse_non_rational_entries(bad):
     with pytest.raises(TypeError):
-        la.to_int_scaled([[Fraction(1), bad]])
+        Op.of([[Fraction(1), bad]])
+    with pytest.raises(TypeError):
+        Op.identity(2).apply([Fraction(1), bad])
+    with pytest.raises(TypeError):
+        Op.identity(2) * bad
     with pytest.raises(TypeError):
         la.kernel_basis([[Fraction(1), bad]], 2)
     with pytest.raises(TypeError):
@@ -140,9 +139,9 @@ def test_kernel_basis_ignores_row_order_and_scale():
 def _dense_intertwiner_rows(rep1, rep2):
     """The rows of O A - B O = 0 as dense Fraction rows (the construction the
     sparse int rows replaced)."""
-    n = len(rep1[0])
+    n = rep1[0].ncols
     rows = []
-    for A, B in zip(rep1, rep2):
+    for A, B in zip(map(naive.dense, rep1), map(naive.dense, rep2)):
         for i in range(n):
             for j in range(n):
                 row = [Fraction(0)] * (n * n)
@@ -154,13 +153,14 @@ def _dense_intertwiner_rows(rep1, rep2):
 
 
 def _intertwiner_pairs(n):
-    j, jp = on.j_generators(n), on.j_prime_generators(n)
+    j = [Op.of(m) for m in on.j_generators(n)]
+    jp = [Op.of(m) for m in on.j_prime_generators(n)]
     # the normalize_a_system witness of a seeded A-system o J_a
     o = la.random_rational_orthogonal(DeterministicRng(17).fork(n), n)
-    a_sys = [la.mat_mul(o, m) for m in j]
-    q0 = la.transpose(a_sys[-1])
-    witness = [la.mat_mul(a, q0) for a in a_sys[:-1]]
-    jjm = [la.mat_mul(m, j[-1]) for m in j[:-1]]
+    a_sys = [o @ m for m in j]
+    q0 = a_sys[-1].T
+    witness = [a @ q0 for a in a_sys[:-1]]
+    jjm = [m @ j[-1] for m in j[:-1]]
     return {"j/j": (j, j), "j/j'": (j, jp), "witness": (jjm, witness)}
 
 
@@ -173,3 +173,107 @@ def test_intertwiner_kernel_matches_dense_construction(n, case):
     # the commutant of the irreducible pair: right quaternion multiplications
     # (dimension 4) for n = 4, the scalars for n = 8; nothing for J vs J'
     assert len(got) == (0 if case == "j/j'" else 4 if n == 4 else 1)
+
+
+# ---------------------------------------------------------------------------
+# Op against the naive triple-loop Fraction oracle
+# ---------------------------------------------------------------------------
+
+
+def _canonical(op):
+    """Assert the canonical form: int entries, no stored zeros, columns in
+    range, gcd(den, *entries) == 1 and den == 1 for the zero matrix."""
+    entries = [x for row in op.rows for x in row.values()]
+    assert op.den > 0 and all(type(x) is int and x for x in entries)
+    assert all(0 <= c < op.ncols for row in op.rows for c in row)
+    assert math.gcd(op.den, *entries) == 1
+    return op
+
+
+def dense_matrices(nrows, ncols):
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+
+
+dims = st.integers(1, 5)
+same_shape_pairs = st.tuples(dims, dims).flatmap(lambda s: st.tuples(dense_matrices(*s), dense_matrices(*s)))
+chained_pairs = st.tuples(dims, dims, dims).flatmap(lambda s: st.tuples(dense_matrices(s[0], s[1]), dense_matrices(s[1], s[2])))
+scalars_ = st.one_of(st.just(0), st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=9))
+OPS = settings(max_examples=80, deadline=None)
+
+
+@OPS
+@given(chained_pairs)
+def test_op_matmul_matches_naive(ab):
+    a, b = ab
+    got = _canonical(Op.of(a) @ Op.of(b))
+    assert naive.dense(got) == naive.mul(a, b)
+
+
+@OPS
+@given(same_shape_pairs)
+def test_op_add_sub_neg_transpose_match_naive(ab):
+    a, b = ab
+    x, y = _canonical(Op.of(a)), _canonical(Op.of(b))
+    assert naive.dense(x) == [[Fraction(v) for v in row] for row in a]
+    assert naive.dense(_canonical(x + y)) == naive.add(a, b)
+    assert naive.dense(_canonical(x - y)) == naive.sub(a, b)
+    assert naive.dense(_canonical(-x)) == naive.neg(a)
+    assert naive.dense(_canonical(x.T)) == naive.transpose(a)
+    assert x.T.T == x
+
+
+@OPS
+@given(st.tuples(dims, dims).flatmap(lambda s: dense_matrices(*s)), scalars_)
+def test_op_scalar_multiple_and_max_abs_match_naive(a, k):
+    x = Op.of(a)
+    assert naive.dense(_canonical(k * x)) == naive.scale(k, a) == naive.dense(_canonical(x * k))
+    assert x.max_abs() == naive.max_abs(a) and type(x.max_abs()) is Fraction
+
+
+@OPS
+@given(st.tuples(dims, dims).flatmap(lambda s: st.tuples(dense_matrices(*s), st.lists(entries, min_size=s[1], max_size=s[1]))))
+def test_op_apply_matches_naive_with_fraction_slots(av):
+    a, v = av
+    got = Op.of(a).apply(v)
+    assert got == naive.mat_vec(a, v)
+    assert all(type(c) is Fraction for c in got)
+    assert all(c is RATIONAL_ZERO for c in got if not c)
+
+
+@OPS
+@given(same_shape_pairs, st.booleans())
+def test_op_equality_is_dense_equality(ab, copy):
+    a, b = ab
+    if copy:
+        # the same values written differently: ints as Fractions and back
+        b = [[Fraction(x) for x in row] for row in a]
+    want = [[Fraction(x) for x in row] for row in a] == [[Fraction(x) for x in row] for row in b]
+    assert (Op.of(a) == Op.of(b)) == want
+    # the same matrix reached through arithmetic compares equal
+    x = Op.of(a)
+    assert (x + x) * Fraction(1, 2) == x == x - Op.of(b) + Op.of(b)
+
+
+@OPS
+@given(st.integers(2, 5), scalars_, st.integers(0, 24), st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool))
+def test_op_scalar_reads_multiples_of_identity(n, lam, at, delta):
+    # n >= 2: an edit of a 1 x 1 matrix leaves a multiple of the identity
+    x = lam * Op.identity(n)
+    assert x.scalar() == lam
+    edited = naive.dense(x)
+    edited[at % n][(at // n) % n] += delta
+    assert Op.of(edited).scalar() is None
+    assert Op.of([row + [Fraction(0)] for row in naive.dense(x)]).scalar() is None  # not square
+
+
+def test_op_of_passes_an_op_through_and_checks_shapes():
+    x = Op.of([[Fraction(1, 2), 0], [0, 1]])
+    assert Op.of(x) is x
+    with pytest.raises(ValueError):
+        Op.of([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        x @ Op.of([[1, 2]])
+    with pytest.raises(ValueError):
+        x + Op.of([[1, 2]])
+    with pytest.raises(TypeError):
+        x @ [[1, 0], [0, 1]]

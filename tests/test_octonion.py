@@ -113,10 +113,10 @@ def test_mult_matrices():
     assert tuple(col0) == E[1]
     rng = DeterministicRng(8)
     u, z = rand_oct(rng), rand_oct(rng)
-    from octoverify.linalg import mat_vec
+    from octoverify.linalg import Op
 
-    assert tuple(mat_vec(on.left_mult_matrix(u), list(z))) == on.multiply(u, z)
-    assert tuple(mat_vec(on.right_mult_matrix(u), list(z))) == on.multiply(z, u)
+    assert tuple(Op.of(on.left_mult_matrix(u)).apply(z)) == on.multiply(u, z)
+    assert tuple(Op.of(on.right_mult_matrix(u)).apply(z)) == on.multiply(z, u)
     # linearity in u
     v = rand_oct(rng)
     lu = on.left_mult_matrix(u)
@@ -126,43 +126,37 @@ def test_mult_matrices():
 
 
 def test_j_matrices_orthogonal_square_minus_id():
-    from octoverify.linalg import identity, mat_mul, mat_neg, transpose
+    from octoverify.linalg import Op
 
     for i in range(1, 8):
-        j = on.left_mult_matrix(E[i])
-        assert mat_mul(j, transpose(j)) == identity(8)
-        assert mat_mul(j, j) == mat_neg(identity(8))
+        j = Op.of(on.left_mult_matrix(E[i]))
+        assert j @ j.T == Op.identity(8)
+        assert j @ j == -Op.identity(8)
 
 
 def test_clifford_relations_and_volume_signs():
-    from octoverify.linalg import identity, mat_mul, mat_neg
+    from octoverify.linalg import Op
 
-    j = on.j_generators()
-    jp = on.j_prime_generators()
+    j = [Op.of(m) for m in on.j_generators()]
+    jp = [Op.of(m) for m in on.j_prime_generators()]
     for fam in (j, jp):
         for a in range(7):
             for b in range(7):
-                s = mat_mul(fam[a], fam[b])
-                t = mat_mul(fam[b], fam[a])
-                tot = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(s, t)]
-                if a == b:
-                    assert tot == [[Fraction(-2 if i == k else 0) for k in range(8)] for i in range(8)]
-                else:
-                    assert tot == [[Fraction(0)] * 8 for _ in range(8)]
-    prod = identity(8)
+                tot = fam[a] @ fam[b] + fam[b] @ fam[a]
+                assert tot == (-2 if a == b else 0) * Op.identity(8)
+    prod = Op.identity(8)
     for m in j:
-        prod = mat_mul(prod, m)
-    assert prod == mat_neg(identity(8))
-    prod = identity(8)
+        prod = prod @ m
+    assert prod == -Op.identity(8)
+    prod = Op.identity(8)
     for m in jp:
-        prod = mat_mul(prod, m)
-    assert prod == identity(8)
+        prod = prod @ m
+    assert prod == Op.identity(8)
     # quaternionic volume: J_1 J_2 J_3 = -Id on R^4
-    j4 = on.j_generators(4)
-    prod = identity(4)
-    for m in j4:
-        prod = mat_mul(prod, m)
-    assert prod == mat_neg(identity(4))
+    prod = Op.identity(4)
+    for m in on.j_generators(4):
+        prod = prod @ Op.of(m)
+    assert prod == -Op.identity(4)
 
 
 def test_quaternion_subspan():

@@ -8,7 +8,8 @@ from octoverify import octonion as on
 from octoverify.circ import Side, nom_from_t
 from octoverify.clifford import verify_symmetric_system
 from octoverify.poly import Rt2Poly, munzner_verify
-from octoverify.linalg import identity, mat_add, mat_mul, transpose, zeros
+from matrix_oracle import add, dense, identity, mul, transpose, zeros
+from octoverify.linalg import Op
 from octoverify.scalars import DeterministicRng, random_unit_rational_vector
 from octoverify.systems import (
     ScaledVec,
@@ -38,7 +39,7 @@ def test_fkm_systems_pass(fkm_systems):
         assert verify_symmetric_system(fkm.system).passed, key
         assert fkm.system.indices[0] == -1
     # P_-1 is symmetric diagonal +-1 with square Id
-    p = fkm_systems[("left", Fraction(0))].system.operator(-1)
+    p = dense(fkm_systems[("left", Fraction(0))].system.operator(-1))
     assert all(p[i][j] == (0 if i != j else p[i][i]) for i in range(32) for j in range(32))
     assert all(p[i][i] in (1, -1) for i in range(32))
 
@@ -61,9 +62,7 @@ def test_ot_systems_pass(ot_octonion, ot_quaternion):
     assert verify_symmetric_system(ot_octonion.system).passed
     assert verify_symmetric_system(ot_quaternion.system).passed
     p0 = ot_octonion.system.operator(0)
-    from octoverify.linalg import identity, mat_mul
-
-    assert mat_mul(p0, p0) == identity(32)
+    assert p0 @ p0 == Op.identity(32)
 
 
 def test_fkm_polynomial_properties(fkm_systems, fkm_polys):
@@ -158,7 +157,7 @@ def test_ot_displays_and_condition_a(ot_octonion, ot_octonion_poly):
     blocks = blocks_from_forms([p.a for p in forms.p], 8, 8, 7)
     # A_a = J_a on the nose at the Condition-A point
     for a in range(1, 8):
-        assert blocks.a_blocks[a - 1] == on.left_mult_matrix(E[a])
+        assert blocks.a_blocks[a - 1] == Op.of(on.left_mult_matrix(E[a]))
     ca = condition_a_check(blocks, DeterministicRng(3))
     assert ca.passed
 
@@ -166,7 +165,9 @@ def test_ot_displays_and_condition_a(ot_octonion, ot_octonion_poly):
 def test_condition_a_rejects_nonzero_b(ot_octonion, ot_octonion_poly):
     rep, forms, frame = ot_display_report(ot_octonion, ot_octonion_poly)
     blocks = blocks_from_forms([p.a for p in forms.p], 8, 8, 7)
-    blocks.b_blocks[0][0][0] = Fraction(1)
+    b0 = dense(blocks.b_blocks[0])
+    b0[0][0] = Fraction(1)
+    blocks = replace(blocks, b_blocks=[Op.of(b0)] + blocks.b_blocks[1:])
     ca = condition_a_check(blocks, DeterministicRng(3), normals=2)
     assert not ca.passed
     assert "b_blocks_zero" in ca.failing()
@@ -181,33 +182,34 @@ def ot_blocks(ot_octonion, ot_octonion_poly):
 def _mutated(blocks, scale=1, s_edits=(), a_edits=()):
     """A copy of blocks with every S_a and A_a scaled and single entries of
     them moved by delta ((k, i, j, delta), indices taken modulo the shapes)."""
-    s_mats = [[[scale * x for x in row] for row in m] for m in blocks.s_matrices]
-    a_mats = [[[scale * x for x in row] for row in m] for m in blocks.a_blocks]
+    s_mats = [[[scale * x for x in row] for row in dense(m)] for m in blocks.s_matrices]
+    a_mats = [[[scale * x for x in row] for row in dense(m)] for m in blocks.a_blocks]
     for mats, edits in ((s_mats, s_edits), (a_mats, a_edits)):
         for k, i, j, delta in edits:
             m = mats[k % len(mats)]
             m[i % len(m)][j % len(m[0])] += delta
-    return replace(blocks, s_matrices=s_mats, a_blocks=a_mats)
+    return replace(blocks, s_matrices=[Op.of(m) for m in s_mats], a_blocks=[Op.of(m) for m in a_mats])
 
 
 def _fraction_condition_a(blocks, rng, normals):
-    """The dense Fraction route the int check replaced: the verdicts of
-    S_n^3 = S_n on the same normals and of the A-block relations."""
-    nv = len(blocks.s_matrices[0])
+    """The naive dense Fraction route: the verdicts of S_n^3 = S_n on the
+    same normals and of the A-block relations."""
+    s_mats = [dense(m) for m in blocks.s_matrices]
+    nv = len(s_mats[0])
     ok_cube = True
     for _ in range(normals):
-        n = random_unit_rational_vector(rng, len(blocks.s_matrices))
-        s = [[sum(n[a] * blocks.s_matrices[a][i][j] for a in range(len(n))) for j in range(nv)] for i in range(nv)]
-        if mat_mul(mat_mul(s, s), s) != s:
+        n = random_unit_rational_vector(rng, len(s_mats))
+        s = [[sum(n[a] * s_mats[a][i][j] for a in range(len(n))) for j in range(nv)] for i in range(nv)]
+        if mul(mul(s, s), s) != s:
             ok_cube = False
-    a_mats, dp, dm = blocks.a_blocks, blocks.d_plus, blocks.d_minus
-    ok_a = all(mat_mul(a, transpose(a)) == identity(dp) for a in a_mats)
+    a_mats, dp, dm = [dense(m) for m in blocks.a_blocks], blocks.d_plus, blocks.d_minus
+    ok_a = all(mul(a, transpose(a)) == identity(dp) for a in a_mats)
     for x in range(len(a_mats)):
         for y in range(x + 1, len(a_mats)):
             ax, ay = a_mats[x], a_mats[y]
-            if mat_add(mat_mul(ax, transpose(ay)), mat_mul(ay, transpose(ax))) != zeros(dp):
+            if add(mul(ax, transpose(ay)), mul(ay, transpose(ax))) != zeros(dp):
                 ok_a = False
-            if mat_add(mat_mul(transpose(ax), ay), mat_mul(transpose(ay), ax)) != zeros(dm):
+            if add(mul(transpose(ax), ay), mul(transpose(ay), ax)) != zeros(dm):
                 ok_a = False
     return ok_cube, ok_a
 
@@ -268,15 +270,13 @@ def test_condition_b_fkm_and_ot(fkm_systems, fkm_polys, ot_octonion, ot_octonion
 def test_condition_b_recipe_r_values(ot_octonion):
     # r_0b = <z, e_b>: the recipe form against the b-th normal is the z_b
     # coordinate exactly (tangent layout: u_0..7, v_0..7, z_1..7)
-    from octoverify.linalg import mat_vec
-
     frame = ot_plus_frame(ot_octonion)
     tcount = len(frame.tangent)
     p0 = ot_octonion.system.operator(0)
     for b in range(1, 8):
         vals = []
         for j, tv in enumerate(frame.tangent):
-            vals.append(on.inner(tuple(mat_vec(p0, list(tv.coords))), frame.normals[b].coords))
+            vals.append(on.inner(tuple(p0.apply(tv.coords)), frame.normals[b].coords))
         nz = [(j, v) for j, v in enumerate(vals) if v]
         assert nz == [(16 + b - 1, Fraction(1))]  # z_b slot, coefficient +1
 
@@ -314,7 +314,7 @@ def test_mirror_intertwiner_closed_forms():
         u, branch = mirror_intertwiner(nom)
         assert branch == (1 if side is Side.LEFT else -1)
         want = on.left_mult_matrix(on.conjugate(nom.alpha)) if side is Side.LEFT else on.right_mult_matrix(on.conjugate(nom.alpha))
-        assert u == want
+        assert u == Op.of(want)
 
 
 @pytest.mark.parametrize(
