@@ -21,6 +21,12 @@ t = 1/2 it holds 88 nonzeros out of 512 over the denominator 25, and at the
 endpoints it is a signed permutation.  A float alpha (the CLI's float mode)
 and all-int coordinates keep the three-product definition, so float
 residuals are computed exactly as the definition computes them.
+
+The operators U_a(x) = e_a o x and R_a(x) = x o e_a (``left_ops``,
+``right_ops``) are ``linalg.Op``s read off that table, so a float nom raises
+TypeError there; float mode reads ``Nom.table.entries`` itself.
+``nom_from_sharp_blocks`` goes the other way, from ``Op`` blocks A#_a back
+to a table.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from functools import cached_property
 from math import lcm
 
 from . import octonion as on
+from .linalg import Op
 from .report import Report
 from .scalars import DeterministicRng, fill_zero, pythagorean_unit, random_rational, rational_sqrt, sum_zero
 
@@ -111,17 +118,15 @@ def circ(nom: Nom, x, y):
 
 
 def left_ops(nom: Nom) -> list:
-    """U_a(x) = e_a o x for a = 1..dim-1, as matrices (column b is e_a o e_b)."""
-    dim = nom.dim
+    """U_a(x) = e_a o x for a = 1..dim-1 (column b is e_a o e_b)."""
     entries = nom.table.entries
-    return [[[entries[a][b][r] for b in range(dim)] for r in range(dim)] for a in range(1, dim)]
+    return [Op.of(entries[a]).T for a in range(1, nom.dim)]
 
 
 def right_ops(nom: Nom) -> list:
-    """R_a(x) = x o e_a for a = 1..dim-1, as matrices (column b is e_b o e_a)."""
-    dim = nom.dim
+    """R_a(x) = x o e_a for a = 1..dim-1 (column b is e_b o e_a)."""
     entries = nom.table.entries
-    return [[[entries[b][a][r] for b in range(dim)] for r in range(dim)] for a in range(1, dim)]
+    return [Op.of([row[a] for row in entries]).T for a in range(1, nom.dim)]
 
 
 @dataclass(frozen=True)
@@ -279,13 +284,8 @@ class CircTable:
         return out
 
 
-def nom_table(nom: Nom) -> CircTable:
-    """The table ``nom`` caches (``Nom.table``)."""
-    return nom.table
-
-
 def nom_from_sharp_blocks(sharp: list) -> CircTable:
-    """Rebuild the multiplication table from mirror-point blocks A#_a.
+    """Rebuild the multiplication table from the mirror-point ``Op`` blocks A#_a.
 
     Preconditions (each checked, error names the first failure): A#_a is
     skew-symmetric orthogonal, the family pairwise Clifford-anticommutes, and
@@ -296,24 +296,18 @@ def nom_from_sharp_blocks(sharp: list) -> CircTable:
     m = len(sharp)
     dim = m + 1
     for a, mat in enumerate(sharp, start=1):
-        if len(mat) != dim or any(len(r) != dim for r in mat):
+        if len(mat.rows) != dim or mat.ncols != dim:
             raise ValueError(f"A#_{a} has wrong size (expected {dim}x{dim})")
-        if mat != [[-mat[j][i] for j in range(dim)] for i in range(dim)]:
+        if mat.T != -mat:
             raise ValueError(f"A#_{a} is not skew-symmetric")
     sk = verify_skew_rep(sharp)
     if not sk.passed:
         raise ValueError(f"A# blocks fail skew Clifford relations: {sk.failing()}")
-    for a, mat in enumerate(sharp, start=1):
-        if mat_col(mat, 0) != list(on.basis(a, dim)):
+    columns = [[tuple(mat.apply(on.basis(b, dim))) for b in range(dim)] for mat in sharp]
+    for a, cols in enumerate(columns, start=1):
+        if cols[0] != on.basis(a, dim):
             raise ValueError(f"A#_{a}(e_0) != e_{a}")
-    entries = [[on.basis(b, dim) for b in range(dim)]]
-    for a in range(1, dim):
-        entries.append([tuple(mat_col(sharp[a - 1], b)) for b in range(dim)])
-    return CircTable(entries)
-
-
-def mat_col(mat: list, b: int) -> list:
-    return [mat[r][b] for r in range(len(mat))]
+    return CircTable([[on.basis(b, dim) for b in range(dim)]] + columns)
 
 
 def comparison_check(nom: Nom, a, b) -> Report:

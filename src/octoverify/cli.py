@@ -26,7 +26,6 @@ from .circ import (
     left_ops,
     nom_from_sharp_blocks,
     nom_from_t,
-    nom_table,
     theta_axis,
     verify_normalized,
 )
@@ -310,7 +309,7 @@ def suite_clifford(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Re
     rep.add("duplicate_generator_fails", not bad.passed)
 
     o = random_rational_orthogonal(rng.fork(1), dim)
-    a_sys = [o @ Op.of(ja) for ja in j]
+    a_sys = [o @ ja for ja in j]
     norm = normalize_a_system(a_sys)
     wit = verify_skew_rep(norm.witness[:-1])
     rep.add("first_stage_witness_skew", wit.passed)
@@ -343,10 +342,8 @@ def suite_nom(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Report:
             cc2 = comparison_check(nom, x, y)
             rep.add("comparison_parallel", cc2.passed)
 
-    table = nom_table(nom)
-    sharp = left_ops(nom)
-    rebuilt = nom_from_sharp_blocks(sharp)
-    rep.add("sharp_blocks_round_trip", rebuilt.entries == table.entries)
+    rebuilt = nom_from_sharp_blocks(left_ops(nom))
+    rep.add("sharp_blocks_round_trip", rebuilt.entries == nom.table.entries)
 
     ok_ex = True
     for _ in range(min(cfg.trials, 200)):
@@ -478,24 +475,20 @@ def suite_mirror(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Repo
     mf = mirror_points(x_pt, n_pt)
     rep.add("mirror_point_matches_frame", mf.x_star.coords == frame.point.coords)
 
-    j4 = [on.left_mult_matrix(on.basis(i, d)) for i in range(1, d)]
+    j4 = on.j_generators(d)
     sharp = left_ops(nom)
     b_star, c_star = assemble_star_blocks(j4, sharp)
-    ok_zero_col = all(
-        all(b_star[a - 1].rows[b][a - 1] == 0 for b in range(d - 1)) for a in range(1, d)
-    )
+    ok_zero_col = all(a - 1 not in row for a in range(1, d) for row in b_star[a - 1].op.rows)
     rep.add("bstar_ath_column_zero", ok_zero_col)
     gram = star_blocks_identity_check(b_star, c_star)
     rep.add("star_blocks_gram", gram.passed)
 
     q0 = MultiPoly(2 * d + (d - 1))
-    for a in range(1, d):
-        for alpha in range(d):
-            for mu in range(d):
-                c = sharp[a - 1][alpha][mu]
-                if c:
-                    key = (1 << (5 * alpha)) + (1 << (5 * (d + mu))) + (1 << (5 * (2 * d + a - 1)))
-                    q0 = q0 + MultiPoly(2 * d + (d - 1), {key: 2 * c})
+    for a, m in enumerate(sharp, start=1):
+        for alpha, row in enumerate(m.rows):
+            for mu, x in row.items():
+                key = (1 << (5 * alpha)) + (1 << (5 * (d + mu))) + (1 << (5 * (2 * d + a - 1)))
+                q0 = q0 + MultiPoly(2 * d + (d - 1), {key: Fraction(2 * x, m.den)})
     rec = sharp_from_q0(q0, d - 1)
     rep.add("sharp_from_q0_round_trip", rec == sharp)
 
@@ -630,13 +623,14 @@ def suite_nom_float(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> R
         v = circ(nom, on.basis(0, dim), tuple(float(c) for c in on.basis(b, dim)))
         worst = max(worst, max(abs(v[r] - (1.0 if r == b else 0.0)) for r in range(dim)))
     rep.add("e0_identity_residual", worst <= tol, worst)
-    ops = left_ops(nom)
+    # U_a[i][k] = <e_a o e_k, e_i>, read off the float table for a = 1..dim-1
+    ops = nom.table.entries[1:]
     worst = 0.0
     for a in range(len(ops)):
         for b in range(a, len(ops)):
             for i in range(dim):
                 for j in range(dim):
-                    s = sum(ops[a][i][k] * ops[b][k][j] + ops[b][i][k] * ops[a][k][j] for k in range(dim))
+                    s = sum(ops[a][k][i] * ops[b][j][k] + ops[b][k][i] * ops[a][j][k] for k in range(dim))
                     want = -2.0 if (i == j and a == b) else 0.0
                     worst = max(worst, abs(s - want))
     rep.add("left_ops_clifford_residual", worst <= tol * 10, worst)
@@ -744,10 +738,6 @@ def sweep_theta(cfg: RunConfig, t_values: list) -> tuple[list, int]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="octoverify",
@@ -755,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--algebra", choices=["quaternion", "octonion"], default="octonion")
     p.add_argument("--side", choices=["left", "right"], default="left")
-    p.add_argument("--alpha-t", type=_parse_fraction, default=Fraction(0), metavar="RAT", help="rational t parametrizing alpha (exact mode)")
+    p.add_argument("--alpha-t", type=Fraction, default=Fraction(0), metavar="RAT", help="rational t parametrizing alpha (exact mode)")
     p.add_argument("--theta", type=float, default=None, help="float-mode angle theta")
     p.add_argument("--mode", choices=["exact", "float"], default="exact")
     p.add_argument("--tol", type=float, default=1e-9)

@@ -3,7 +3,8 @@
 Covers verification of the defining relations, normalization of A-systems
 (A_a A_b^T + A_b A_a^T = 2 delta_ab Id) to the standard left-multiplication
 generators, exact intertwiner search between representations, volume signs,
-and the delta(m) dimension table.
+and the delta(m) dimension table.  Every matrix taken or returned is a
+``linalg.Op``.
 """
 
 from __future__ import annotations
@@ -27,27 +28,25 @@ def delta_dimension(m: int) -> int:
     return _DELTA_TABLE[r] * 16**k
 
 
-def _square_ops(mats: list) -> list:
-    """``Op.of`` of each matrix; ValueError unless all are n x n for one n."""
-    ops = [Op.of(m) for m in mats]
+def _square_dim(ops: list) -> int:
+    """n when every operator is n x n for one n, else ValueError."""
     n = ops[0].ncols
     if any(len(m.rows) != n or m.ncols != n for m in ops):
         raise ValueError("generator dimension mismatch")
-    return ops
+    return n
 
 
-def verify_skew_rep(mats: list) -> Report:
+def verify_skew_rep(ops: list) -> Report:
     """Check orthogonality E E^T = Id, E^2 = -Id, and pairwise anticommutation.
 
     Each residual is the largest |entry| of the difference; pass means
     literally zero.
     """
     rep = Report("skew_rep")
-    if not mats:
+    if not ops:
         rep.add("nonempty", False)
         return rep
-    ops = _square_ops(mats)
-    ident = Op.identity(ops[0].ncols)
+    ident = Op.identity(_square_dim(ops))
     worst_orth = max((m @ m.T - ident).max_abs() for m in ops)
     worst_sq = max((m @ m + ident).max_abs() for m in ops)
     worst_anti = max(((a @ b + b @ a).max_abs() for i, a in enumerate(ops) for b in ops[i + 1 :]), default=Fraction(0))
@@ -61,14 +60,10 @@ def verify_skew_rep(mats: list) -> Report:
 class SymmetricCliffordSystem:
     """Family P_first, ..., P_{first+len-1} of symmetric orthogonal operators
     with P_i P_j + P_j P_i = 2 delta_ij Id.  The usual index range is -1..m
-    with index -1 stored at slot 0.  The operators are stored as ``Op``s
-    (dense rows are converted on construction)."""
+    with index -1 stored at slot 0.  The operators are ``Op``s."""
 
     operators: list
     first_index: int = -1
-
-    def __post_init__(self):
-        self.operators = [Op.of(m) for m in self.operators]
 
     @property
     def indices(self) -> list[int]:
@@ -97,11 +92,11 @@ def verify_symmetric_system(sys: SymmetricCliffordSystem) -> Report:
     return rep
 
 
-def volume_sign(rep_mats: list) -> int:
+def volume_sign(ops: list) -> int:
     """Sign of the product of all generators; must be +-Id (full system)."""
-    prod = Op.identity(Op.of(rep_mats[0]).ncols)
-    for m in rep_mats:
-        prod = prod @ Op.of(m)
+    prod = Op.identity(ops[0].ncols)
+    for m in ops:
+        prod = prod @ m
     lam = prod.scalar()
     if lam in (1, -1):
         return int(lam)
@@ -112,7 +107,6 @@ def volume_sign(rep_mats: list) -> int:
 class IntertwinerResult:
     found: bool
     matrix: Op | None = None
-    lam: Fraction | None = None
 
     @staticmethod
     def not_equivalent() -> "IntertwinerResult":
@@ -145,17 +139,18 @@ def _as_matrix(vec: list, n: int) -> Op:
 def find_intertwiner(rep1: list, rep2: list) -> IntertwinerResult:
     """Orthogonal O with O rep1_a O^{-1} = rep2_a for all a, or NotEquivalent.
 
-    Solves the stacked homogeneous system O X_a - Y_a O = 0 exactly.  Any
-    kernel element K of an irreducible pair satisfies K K^T = lam Id; kernel
-    basis elements are scanned in row-echelon order (then pairwise sums) for a
-    perfect-square lam, which yields an exact orthogonal K/sqrt(lam).  A
-    nonzero kernel with no such element raises ValueError naming lam.
+    Solves the stacked homogeneous system O X_a - Y_a O = 0 exactly; an empty
+    kernel means not equivalent.  Any nonzero kernel element K of an
+    irreducible pair satisfies K K^T = lam Id; kernel basis elements are
+    scanned in row-echelon order (then pairwise sums) for a perfect-square
+    lam, which yields an exact orthogonal K/sqrt(lam).  A nonzero kernel with
+    no such element raises ValueError: it names lam when the scalar lams
+    found have irrational square roots, and calls the pair reducible when no
+    scanned K K^T is scalar (for an irreducible pair every one is).
     """
     if len(rep1) != len(rep2):
         raise ValueError("generator count mismatch")
-    ops = _square_ops(list(rep1) + list(rep2))
-    rep1, rep2 = ops[: len(rep1)], ops[len(rep1) :]
-    n = ops[0].ncols
+    n = _square_dim(list(rep1) + list(rep2))
     ker = _kernel_of_intertwiner_system(rep1, rep2)
     if not ker:
         return IntertwinerResult.not_equivalent()
@@ -173,12 +168,11 @@ def find_intertwiner(rep1: list, rep2: list) -> IntertwinerResult:
             continue
         root = rational_sqrt(lam)
         if root is not None:
-            return IntertwinerResult(True, K * (1 / root), lam)
+            return IntertwinerResult(True, K * (1 / root))
         if first is None:
             first = lam
     if first is None:
-        # kernel exists but no usable scalar element surfaced; treat as failure
-        return IntertwinerResult.not_equivalent()
+        raise ValueError(f"reducible pair: kernel of dimension {len(ker)}, no scanned K has K K^T = lam Id")
     raise ValueError(f"no rational intertwiner: K K^T = lam Id with lam = {first}, whose square root is irrational")
 
 
@@ -190,13 +184,12 @@ def conjugation_residual(result: IntertwinerResult, rep1: list, rep2: list) -> F
     if not result.found:
         raise ValueError("no intertwiner to check")
     O = result.matrix
-    return max((O @ Op.of(A) - Op.of(B) @ O).max_abs() for A, B in zip(rep1, rep2))
+    return max((O @ A - B @ O).max_abs() for A, B in zip(rep1, rep2))
 
 
-def verify_a_system(a_mats: list) -> Report:
+def verify_a_system(ops: list) -> Report:
     """A_a A_b^T + A_b A_a^T = 2 delta_ab Id; failure names the first bad pair."""
     rep = Report("a_system")
-    ops = [Op.of(m) for m in a_mats]
     first_bad = None
     for a in range(len(ops)):
         for b in range(a, len(ops)):
@@ -209,24 +202,17 @@ def verify_a_system(a_mats: list) -> Report:
 
 @dataclass
 class NormalizedASystem:
-    """First-stage (P, Q) with P^-1 A_m Q = Id plus the refined pair with
-    P J_a Q^-1 = A_a for every a; neither pair is canonical, both are
-    recorded."""
+    """The first-stage witness E_a = A_a Q0 with Q0 = A_m^T (so E_m = Id),
+    and the refined pair (P, Q) with P J_a Q^-1 = A_a for every a; the pair
+    is not canonical."""
 
-    p_initial: Op
-    q_initial: Op
-    witness: list  # E_a = P^-1 A_a Q, a = 1..m (E_m = Id)
+    witness: list  # E_a, a = 1..m
     p_refined: Op
     q_refined: Op
 
 
-def _j_ops(n: int) -> list:
-    return [Op.of(m) for m in octonion.j_generators(n)]
-
-
-def normalize_a_system(a_mats: list) -> NormalizedASystem:
-    m = len(a_mats)
-    a_ops = [Op.of(a) for a in a_mats]
+def normalize_a_system(a_ops: list) -> NormalizedASystem:
+    m = len(a_ops)
     n = a_ops[0].ncols
     if (m, n) not in ((3, 4), (7, 8)):
         raise ValueError("expected m in {3,7} with (m+1)-square matrices")
@@ -235,23 +221,22 @@ def normalize_a_system(a_mats: list) -> NormalizedASystem:
         bad = arep.checks[0].detail["first_failing_pair"]
         raise ValueError(f"A-system relations fail first at pair {bad}")
 
-    p0 = Op.identity(n)
     q0 = a_ops[-1].T  # A_m^{-1} = A_m^T
     witness = [a @ q0 for a in a_ops]
 
-    j = _j_ops(n)
+    j = octonion.j_generators(n)
     jm = j[m - 1]
     jjm = [j[a] @ jm for a in range(m - 1)]
     res = find_intertwiner(jjm, witness[:-1])
     if not res.found:
         raise ValueError("no intertwiner between witness and J_a J_m generators")
     O = res.matrix
-    # P <- P0 O J_m^{-1} = P0 O (-J_m), Q <- Q0 O  gives P^{-1} A_a Q = J_a.
-    return NormalizedASystem(p0, q0, witness, p0 @ O @ -jm, q0 @ O)
+    # P <- O J_m^{-1} = O (-J_m), Q <- Q0 O  gives P^{-1} A_a Q = J_a.
+    return NormalizedASystem(witness, O @ -jm, q0 @ O)
 
 
-def refined_residual(norm: NormalizedASystem, a_mats: list) -> Fraction:
+def refined_residual(norm: NormalizedASystem, a_ops: list) -> Fraction:
     """max |P J_a Q^{-1} - A_a| for the refined pair (Q orthogonal: Q^{-1} = Q^T)."""
     n = norm.p_refined.ncols
     qinv = norm.q_refined.T
-    return max((norm.p_refined @ ja @ qinv - Op.of(A)).max_abs() for ja, A in zip(_j_ops(n), a_mats))
+    return max((norm.p_refined @ ja @ qinv - A).max_abs() for ja, A in zip(octonion.j_generators(n), a_ops))

@@ -59,29 +59,8 @@ def ot_candidate(dim: int = 8) -> QCandidate:
 
 
 # ---------------------------------------------------------------------------
-# symbolic slots
+# random slots
 # ---------------------------------------------------------------------------
-
-
-def _sym_octets(dim: int, names: str) -> tuple:
-    """Tuple of symbolic octonions, one per letter; 'x' and 'y' letters are
-    purely imaginary, uppercase letters are full elements."""
-    counts = [(dim - 1) if ch.islower() else dim for ch in names]
-    nv = sum(counts)
-    offs = []
-    acc = 0
-    for c in counts:
-        offs.append(acc)
-        acc += c
-    zero = MultiPoly.zero(nv)
-    out = []
-    for ch, off, c in zip(names, offs, counts):
-        if ch.islower():
-            coords = [zero] + [MultiPoly.variable(nv, off + i) for i in range(c)]
-        else:
-            coords = [MultiPoly.variable(nv, off + i) for i in range(c)]
-        out.append(tuple(coords))
-    return tuple(out)
 
 
 def _rand_imag(rng: DeterministicRng, dim: int) -> tuple:
@@ -167,7 +146,7 @@ def exchange_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: 
     E = [on.basis(i, dim) for i in range(dim)]
     out: list[WitnessReport] = []
 
-    xs, ys = _sym_octets(dim, "xy")
+    xs, ys = on.symbolic_octets(dim, "xy")
 
     # basis-slot battery, symbolic in X and/or Y, exhaustive over indices
     ok = True
@@ -268,7 +247,7 @@ def skew_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
     out: list[WitnessReport] = []
     E = [on.basis(i, dim) for i in range(dim)]
 
-    us, ys, ws = _sym_octets(dim, "UyW")
+    us, ys, ws = on.symbolic_octets(dim, "UyW")
     ok = True
     for vb in range(dim):
         V = E[vb]
@@ -277,11 +256,11 @@ def skew_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
         ok = ok and (lhs + rhs).is_zero()
     out.append(_witness("<q(U conj V,Y,V),W> = -<q(W conj V,Y,V),U>", ok, dim, 0 if ok else 1))
 
-    xs, ys2, zs, ws2 = _sym_octets(dim, "xyZW")
+    xs, ys2, zs, ws2 = on.symbolic_octets(dim, "xyZW")
     val = on.inner(q.eval(xs, ys2, zs), ws2) + on.inner(q.eval(xs, ys2, ws2), zs)
     out.append(_witness("<q(X,Y,Z),W> skew in (Z,W)", val.is_zero(), 1, 0 if val.is_zero() else 1))
 
-    xs3, ys3, zs3 = _sym_octets(dim, "XYZ")
+    xs3, ys3, zs3 = on.symbolic_octets(dim, "XYZ")
     r = lambda A, B: q.eval(A, B, E[0])
     t12 = on.inner(r(xs3, ys3), zs3) + on.inner(r(ys3, xs3), zs3)
     t23 = on.inner(r(xs3, ys3), zs3) + on.inner(r(xs3, zs3), ys3)
@@ -307,13 +286,13 @@ def anti_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
     nomc = q.nom
     out: list[WitnessReport] = []
 
-    xs, ys, ws = _sym_octets(dim, "xyW")
+    xs, ys, ws = on.symbolic_octets(dim, "xyW")
     v1 = on.inner(q.eval(xs, ys, ws), on.multiply(xs, ws))
     out.append(_witness("<q(X,Y,W),XW> = 0", v1.is_zero(), 1, 0 if v1.is_zero() else 1))
     v2 = on.inner(q.eval(xs, ys, ws), circ(nomc, ys, ws))
     out.append(_witness("<q(X,Y,W),Y o W> = 0", v2.is_zero(), 1, 0 if v2.is_zero() else 1))
 
-    xs2, ys2, us, vs = _sym_octets(dim, "xyUV")
+    xs2, ys2, us, vs = on.symbolic_octets(dim, "xyUV")
     a1 = on.inner(q.eval(xs2, ys2, us), on.multiply(xs2, vs)) + on.inner(
         q.eval(xs2, ys2, vs), on.multiply(xs2, us)
     )
@@ -338,7 +317,7 @@ def anti_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
 def norm_identity_check(q: QCandidate) -> bool:
     """|q(X,Y,Z)|^2 = |X(Y o Z) - Y o (XZ)|^2 as a polynomial identity."""
     dim = q.dim
-    xs, ys, zs = _sym_octets(dim, "xyZ")
+    xs, ys, zs = on.symbolic_octets(dim, "xyZ")
     got = on.norm_sq(q.eval(xs, ys, zs))
     ref = on.norm_sq(
         on.sub(on.multiply(xs, circ(q.nom, ys, zs)), circ(q.nom, ys, on.multiply(xs, zs)))
@@ -356,7 +335,7 @@ def good_identity_check(q: QCandidate) -> bool:
     dim = q.dim
     ta = theta_axis(q.nom.alpha)
     if ta.degenerate:
-        xs, _, zs = _sym_octets(dim, "xyZ")
+        xs, _, zs = on.symbolic_octets(dim, "xyZ")
         return on.norm_sq(q.eval(xs, xs, zs)).is_zero()
     _, s2 = cos_sin_2theta(q.nom)
     e = ta.axis

@@ -1,7 +1,11 @@
 """Small exact linear algebra over the rationals (matrices up to 32x32).
 
 One matrix type, ``Op``: a rational matrix stored as sparse ``{col: int}``
-rows over one positive denominator ``den``.  The form is canonical, as in
+rows over one positive denominator ``den``.  It is the only matrix type that
+crosses a module boundary: the octonion generators J_a, J'_a, the
+o-operators U_a, R_a, the mirror blocks A#_a, the FKM/OT operators and the
+Condition A blocks are built as ``Op``s once, and every verifier takes
+``Op``s only.  The form is canonical, as in
 ``MultiPoly``: ``gcd(den, *entries) == 1``, no stored zeros, and ``den == 1``
 for the zero matrix, so ``==`` compares the structure.  Products run over the
 nonzero entries only (the FKM/OT operators hold 32-40 nonzeros out of 1024)
@@ -9,9 +13,9 @@ and reduce their result once, with one gcd; no ``Fraction`` is built on the
 way.  ``apply`` hands a vector back as ``Fraction`` slots, with the shared
 ``scalars.RATIONAL_ZERO`` where a sum is zero.
 
-Ingress has one rule: ``Op.of`` passes an ``Op`` through and converts dense
-rows of ``int`` and ``Fraction`` entries, and ``apply`` and ``kernel_basis``
-take the same entries.  Anything else (a float above all, whose binary
+Ingress has one rule: ``Op.of`` is the one way in for dense data (it passes
+an ``Op`` through and converts dense rows of ``int`` and ``Fraction``
+entries), and ``apply`` and ``kernel_basis`` take the same entries.  Anything else (a float above all, whose binary
 expansion would pass for an exact rational) raises TypeError.
 ``kernel_basis`` is one sparse integer elimination.
 """
@@ -250,10 +254,10 @@ def kernel_basis(rows, ncols: int) -> list[list[Fraction]]:
     return list(basis.values())
 
 
-def random_rational_orthogonal(rng: DeterministicRng, n: int, steps: int | None = None) -> Op:
-    """Exact orthogonal matrix: product of Pythagorean Givens rotations."""
+def random_rational_orthogonal(rng: DeterministicRng, n: int) -> Op:
+    """Exact orthogonal matrix: product of 2n Pythagorean Givens rotations."""
     m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for _ in range(steps if steps is not None else 2 * n):
+    for _ in range(2 * n):
         i = rng.next_int(0, n - 1)
         j = rng.next_int(0, n - 1)
         if i == j:

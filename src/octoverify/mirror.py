@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import octonion as on
-from .circ import Nom, Side, circ
+from .circ import Nom, circ
 from .linalg import Op
 from .poly import BITS, MultiPoly, Rt2Poly
 from .report import Report
-from .systems import ScaledVec, symbolic_xyz
+from .systems import ScaledVec
 
 
 @dataclass(frozen=True)
@@ -48,30 +49,33 @@ def mirror_points(x: tuple, n0: tuple) -> MirrorFrame:
 
 @dataclass(frozen=True)
 class HalfScaledMatrix:
-    """rows * 2^(half/2), mirroring ScaledVec for matrices."""
+    """op * 2^(half/2), mirroring ScaledVec for matrices."""
 
-    rows: tuple
+    op: Op
     half: int = 0
 
 
+def _negated_rows(blocks: list, i: int) -> Op:
+    """The matrix whose row b is row i of -blocks[b]."""
+    den = lcm(*(m.den for m in blocks))
+    rows = [{c: -x * (den // m.den) for c, x in m.rows[i].items()} for m in blocks]
+    return Op._adopt(den, rows, blocks[0].ncols)
+
+
 def assemble_star_blocks(a_blocks: list, a_sharp_blocks: list) -> tuple[list, list]:
-    """B*_a and C*_a, a = 1..m1+1: row b of B*_a is row a of -A_b/sqrt2
-    (rows of A are 0-indexed here, so 'row a' means index a-1), and C* is the
-    same stacking of the -A#_b/sqrt2."""
+    """B*_a and C*_a, a = 1..m1+1, from the ``Op`` blocks A_b and A#_b: row b
+    of B*_a is row a of -A_b/sqrt2 (rows of A are 0-indexed here, so 'row a'
+    means index a-1), and C* is the same stacking of the -A#_b/sqrt2."""
     m1 = len(a_blocks)
     n = m1 + 1
     for name, blocks in (("A", a_blocks), ("A#", a_sharp_blocks)):
         if len(blocks) != m1:
             raise ValueError(f"expected {m1} {name} blocks")
         for m in blocks:
-            if len(m) != n or any(len(r) != n for r in m):
+            if len(m.rows) != n or m.ncols != n:
                 raise ValueError(f"{name} blocks must be {n}x{n}")
-    b_star, c_star = [], []
-    for a in range(1, n + 1):
-        b_rows = tuple(tuple(-x for x in a_blocks[b][a - 1]) for b in range(m1))
-        c_rows = tuple(tuple(-x for x in a_sharp_blocks[b][a - 1]) for b in range(m1))
-        b_star.append(HalfScaledMatrix(b_rows, -1))
-        c_star.append(HalfScaledMatrix(c_rows, -1))
+    b_star = [HalfScaledMatrix(_negated_rows(a_blocks, a), -1) for a in range(n)]
+    c_star = [HalfScaledMatrix(_negated_rows(a_sharp_blocks, a), -1) for a in range(n)]
     return b_star, c_star
 
 
@@ -86,8 +90,8 @@ def star_blocks_identity_check(b_star: list, c_star: list) -> Report:
     rep = Report("star_blocks_gram")
     if len({m.half for m in b_star + c_star}) > 1:
         raise ValueError("B* and C* blocks must carry one half-power scale")
-    bs = [Op.of(m.rows) for m in b_star]
-    cs = [Op.of(m.rows) for m in c_star]
+    bs = [m.op for m in b_star]
+    cs = [m.op for m in c_star]
     ok = True
     for a in range(len(bs)):
         for b in range(a, len(bs)):
@@ -164,7 +168,7 @@ def q_star_ot(w: EigenDecomp) -> tuple:
 
 
 def sharp_from_q0(q0: MultiPoly, m1: int) -> list:
-    """A#_a entries from the cubic q_0 at a Condition-A point:
+    """The ``Op`` blocks A#_a from the cubic q_0 at a Condition-A point:
     A#_a[alpha][mu] = coeff(x_alpha y_mu z_a) / 2.
 
     Variable layout of q0: x_0..x_{m2-1}, y_0..y_{m2-1}, z_1..z_{m1} with
@@ -184,7 +188,7 @@ def sharp_from_q0(q0: MultiPoly, m1: int) -> list:
             raise ValueError(f"monomial {exps} is outside the x*y*z shape")
         alpha, mu, a = idx[0], idx[1] - m2, idx[2] - 2 * m2 + 1
         blocks[a - 1][alpha][mu] = c / 2
-    return blocks
+    return [Op.of(b) for b in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +265,15 @@ class TrilinearQ:
         return TrilinearQ(m1, coeffs)
 
 
-def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int], p_minus1: MultiPoly | None = None) -> TrilinearQ:
+def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> TrilinearQ:
     """Build the TrilinearQ tensor from extracted third-form components.
 
     q_forms is indexed -1, 0..m1 (extraction order); ranges = (d_x, d_y, d_z)
     declares the three tangent variable ranges.  Checks, in order: the
     original index--1 component vanishes; every monomial of the remaining
     components has degree exactly 1 in each range (error names the first
-    violating monomial); and <grad p_-1, grad q_a> = 0 for all a.
+    violating monomial); and <grad p_-1, grad q_a> = 0 for all a, with
+    p_-1 = |x|^2 - |y|^2 over the first two ranges.
     """
     dx, dy, dz = ranges
     nv = dx + dy + dz
@@ -297,14 +302,12 @@ def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int], p_minus1: 
             mu = next(i for i in range(dy) if exps[dx + i]) + 1
             p = next(i for i in range(dz) if exps[dx + dy + i])
             coeffs[(a, alpha, mu, p)] = c
-    if p_minus1 is None:
-        terms: dict = {}
-        for i in range(dx):
-            terms[2 << (BITS * i)] = Fraction(1)
-        for i in range(dy):
-            terms[2 << (BITS * (dx + i))] = Fraction(-1)
-        p_minus1 = MultiPoly(nv, terms)
-    gp = p_minus1.gradient()
+    terms: dict = {}
+    for i in range(dx):
+        terms[2 << (BITS * i)] = Fraction(1)
+    for i in range(dy):
+        terms[2 << (BITS * (dx + i))] = Fraction(-1)
+    gp = MultiPoly(nv, terms).gradient()
     for a, f in enumerate(comps[1:]):
         gq = f.gradient()
         acc = MultiPoly(nv)
@@ -387,7 +390,7 @@ def fkm_pq_tangent_forms(nom: Nom) -> tuple[MultiPoly, list, TrilinearQ]:
     """Symbolic (p_-1, p_vec rational parts, q tensor) for the FKM closed
     forms at x*, over the standard (x, y, z) tangent layout."""
     d = nom.dim
-    xs, ys, zs, nv = symbolic_xyz(d)
+    xs, ys, zs = on.symbolic_octets(d, "xyZ")
     p_minus1 = on.inner(xs, xs) - on.inner(ys, ys)
     vec = on.add(on.multiply(xs, zs), circ(nom, ys, zs))
     p_vec = [vec[a] for a in range(d)]
@@ -400,8 +403,7 @@ def ot_pq_tangent_forms(dim: int = 8) -> tuple[MultiPoly, list, TrilinearQ]:
 
     No run-time caller: ``test_verify_ot_equations_ot`` and
     ``test_c06_norm_identity_and_mutation_kill`` run the OT equations on it."""
-    nom = Nom(Side.LEFT, on.basis(0, dim))
-    xs, ys, zs, nv = symbolic_xyz(dim)
+    xs, ys, zs = on.symbolic_octets(dim, "xyZ")
     p_minus1 = on.inner(xs, xs) - on.inner(ys, ys)
     vec = on.add(on.multiply(xs, zs), on.multiply(ys, zs))
     p_vec = [vec[a] for a in range(dim)]

@@ -12,6 +12,11 @@ commutative coefficient ring (Fraction, float, or polynomial coordinates).
 
 ``cayley_dickson_multiply`` keeps the recursive definition around as an
 independent oracle for the table.
+
+The multiplication matrices (``left_mult_matrix``, ``right_mult_matrix``) and
+the generators J_a, J'_a built from them are ``linalg.Op``s, so they take
+rational coordinates only.  ``symbolic_octets`` gives polynomial-coordinate
+slots for the symbolic proofs.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .linalg import Op
+from .poly import MultiPoly
 from .scalars import fill_zero, sum_zero
 
 Coord = Sequence
@@ -200,18 +207,16 @@ def scale(s, x):
     return tuple(s * a for a in x)
 
 
-def left_mult_matrix(u) -> list:
+def left_mult_matrix(u) -> Op:
     """Matrix of z -> u z on coordinate columns (column b = coords of u e_b)."""
     dim = len(u)
-    cols = [multiply(u, basis(b, dim)) for b in range(dim)]
-    return [[cols[b][r] for b in range(dim)] for r in range(dim)]
+    return Op.of([multiply(u, basis(b, dim)) for b in range(dim)]).T
 
 
-def right_mult_matrix(u) -> list:
+def right_mult_matrix(u) -> Op:
     """Matrix of z -> z u."""
     dim = len(u)
-    cols = [multiply(basis(b, dim), u) for b in range(dim)]
-    return [[cols[b][r] for b in range(dim)] for r in range(dim)]
+    return Op.of([multiply(basis(b, dim), u) for b in range(dim)]).T
 
 
 def j_generators(dim: int = 8) -> list:
@@ -222,3 +227,20 @@ def j_generators(dim: int = 8) -> list:
 def j_prime_generators(dim: int = 8) -> list:
     """Right-multiplication generators J'_i(z) = z e_i."""
     return [right_mult_matrix(basis(i, dim)) for i in range(1, dim)]
+
+
+def symbolic_octets(dim: int, names: str) -> tuple:
+    """Tuple of symbolic elements, one per letter, over consecutive variables
+    of one shared ring: a lowercase letter is purely imaginary (dim - 1
+    variables, slot 0 the zero polynomial), an uppercase letter is a full
+    element (dim variables)."""
+    counts = [(dim - 1) if ch.islower() else dim for ch in names]
+    nv = sum(counts)
+    zero = MultiPoly.zero(nv)
+    out = []
+    off = 0
+    for ch, c in zip(names, counts):
+        coords = [MultiPoly.variable(nv, off + i) for i in range(c)]
+        out.append(tuple([zero] + coords if ch.islower() else coords))
+        off += c
+    return tuple(out)

@@ -24,7 +24,7 @@ allow the documented global sign flip (X, Y, Z) -> (-X, -Y, -Z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
@@ -187,8 +187,6 @@ class FocalFrame:
     point: ScaledVec
     tangent: list
     normals: list
-    first_index: int
-    labels: dict = field(default_factory=dict)
 
 
 def frame_check(frame: FocalFrame, ambient_dim: int) -> Report:
@@ -221,7 +219,7 @@ def fkm_mirror_frame(fkm: FkmSystem) -> FocalFrame:
     tangent += [ScaledVec(sp.join(zero, zero, on.basis(m, d), zero), 0) for m in range(1, d)]
     tangent += [ScaledVec(sp.join(on.basis(p, d), zero, zero, on.basis(p, d)), -1) for p in range(d)]
     normals = [ScaledVec(fkm.apply(i, xs.coords), -1) for i in fkm.system.indices]
-    return FocalFrame(xs, tangent, normals, first_index=-1, labels={"point": "x*"})
+    return FocalFrame(xs, tangent, normals)
 
 
 def ot_plus_frame(ot: OtSystem) -> FocalFrame:
@@ -238,7 +236,7 @@ def ot_plus_frame(ot: OtSystem) -> FocalFrame:
     tangent += [ScaledVec(sp.join(zero, on.basis(a, d), zero, zero), 0) for a in range(d)]
     tangent += [ScaledVec(sp.join(zero, zero, on.basis(p, d), zero), 0) for p in range(1, d)]
     normals = [ScaledVec(on.neg(ot.apply(i, x0.coords)), 0) for i in ot.system.indices]
-    return FocalFrame(x0, tangent, normals, first_index=0, labels={"point": "x_plus"})
+    return FocalFrame(x0, tangent, normals)
 
 
 def fkm_perturbed_frame(fkm: FkmSystem, u: Op) -> FocalFrame:
@@ -253,7 +251,7 @@ def fkm_perturbed_frame(fkm: FkmSystem, u: Op) -> FocalFrame:
     tangent += [ScaledVec(sp.join(zero, zero, u.apply(on.basis(m, d)), zero), 0) for m in range(1, d)]
     tangent += [ScaledVec(sp.join(on.basis(p, d), zero, zero, u.apply(on.basis(p, d))), -1) for p in range(d)]
     normals = [ScaledVec(fkm.apply(i, xs.coords), -1) for i in fkm.system.indices]
-    return FocalFrame(xs, tangent, normals, first_index=-1, labels={"point": "x*_n"})
+    return FocalFrame(xs, tangent, normals)
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +262,10 @@ def fkm_perturbed_frame(fkm: FkmSystem, u: Op) -> FocalFrame:
 @dataclass
 class ExtractedForms:
     """p_i (quadratic) and q_i (cubic) forms in unit tangent coordinates,
-    indexed like the system operators (first_index first)."""
+    in the order of the frame's normals."""
 
     p: list  # list[Rt2Poly]
     q: list
-    first_index: int
     nvars: int
 
 
@@ -354,7 +351,7 @@ def extract_expansion_forms(f: MultiPoly, frame: FocalFrame) -> ExtractedForms:
         raise ValueError(f"expansion point is not on the +1 focal locus (t^4 coeff {t4_coeff})")
     ps = [Rt2Poly(MultiPoly(tcount, a), MultiPoly(tcount, b)) for a, b in zip(p_a, p_b)]
     qs = [Rt2Poly(MultiPoly(tcount, a), MultiPoly(tcount, b)) for a, b in zip(q_a, q_b)]
-    return ExtractedForms(ps, qs, frame.first_index, tcount)
+    return ExtractedForms(ps, qs, tcount)
 
 
 # ---------------------------------------------------------------------------
@@ -392,22 +389,12 @@ def matrix_route_forms(system: SymmetricCliffordSystem, frame: FocalFrame) -> li
     return out
 
 
-def symbolic_xyz(block_dim: int) -> tuple:
-    """Symbolic tangent octonions: X, Y imaginary, Z full, over 3d-2 variables
-    ordered (x_1.., y_1.., z_0..)."""
-    nv = 3 * block_dim - 2
-    zero = MultiPoly.zero(nv)
-    xs = tuple([zero] + [MultiPoly.variable(nv, i) for i in range(block_dim - 1)])
-    ys = tuple([zero] + [MultiPoly.variable(nv, block_dim - 1 + i) for i in range(block_dim - 1)])
-    zs = tuple(MultiPoly.variable(nv, 2 * (block_dim - 1) + i) for i in range(block_dim))
-    return xs, ys, zs, nv
-
-
 def fkm_formula_forms(nom: Nom) -> list:
     """Closed mirror-point second-form formulas: p_-1 = |X|^2 - |Y|^2 and
-    p_a = -sqrt2 <XZ + Y o Z, e_a>."""
+    p_a = -sqrt2 <XZ + Y o Z, e_a>, over the tangent variables ordered
+    (x_1.., y_1.., z_0..)."""
     d = nom.dim
-    xs, ys, zs, nv = symbolic_xyz(d)
+    xs, ys, zs = on.symbolic_octets(d, "xyZ")
     out = [Rt2Poly.rational(on.inner(xs, xs) - on.inner(ys, ys))]
     vec = on.add(on.multiply(xs, zs), circ(nom, ys, zs))
     for a in range(d):
@@ -415,12 +402,12 @@ def fkm_formula_forms(nom: Nom) -> list:
     return out
 
 
-def second_form_at_focal(fkm: FkmSystem, frame: FocalFrame | None = None) -> Report:
+def second_form_at_focal(fkm: FkmSystem) -> Report:
     """Exact identity: -P_i restricted to the tangent space at x* equals the
     closed second-fundamental form (-sqrt2 (XZ + Y o Z), with |X|^2 - |Y|^2 on
     the P_-1 slot), as polynomials in unit tangent coordinates."""
     rep = Report("second_form_at_focal")
-    frame = frame or fkm_mirror_frame(fkm)
+    frame = fkm_mirror_frame(fkm)
     if not focal_check(fkm.system, frame.point):
         raise ValueError("frame point is not on the focal zero locus")
     fr = frame_check(frame, fkm.split.ambient_dim)
@@ -615,10 +602,10 @@ def mirror_intertwiner(nom: Nom) -> tuple[Op, int]:
     d = nom.dim
     ca = on.conjugate(nom.alpha)
     if nom.side is Side.LEFT:
-        u = Op.of(on.left_mult_matrix(ca))
+        u = on.left_mult_matrix(ca)
         branch = 1
     else:
-        u = Op.of(on.right_mult_matrix(ca))
+        u = on.right_mult_matrix(ca)
         branch = -1
     if _mirror_u_ok(nom, u, branch):
         return u, branch
@@ -639,7 +626,7 @@ def _mirror_u_ok(nom: Nom, u: Op, branch: int) -> bool:
     gens = on.j_prime_generators(d) if branch == 1 else on.j_generators(d)
     if (u @ u.T).scalar() != 1:
         return False
-    return all(Op.of(r) @ u == u @ Op.of(g) for r, g in zip(right_ops(nom), gens))
+    return all(r @ u == u @ g for r, g in zip(right_ops(nom), gens))
 
 
 def perturb_mirror(fkm: FkmSystem) -> Report:
@@ -663,7 +650,7 @@ def perturb_mirror(fkm: FkmSystem) -> Report:
     rep.add("frame_orthonormal", fr.passed)
 
     got = matrix_route_forms(fkm.system, frame)
-    xs, ys, zs, nv = symbolic_xyz(d)
+    xs, ys, zs = on.symbolic_octets(d, "xyZ")
     if branch == 1:
         vec = on.add(on.multiply(xs, zs), on.multiply(ys, zs))
         label = "XZ+YZ"
@@ -705,11 +692,7 @@ def ot_display_report(ot: OtSystem, f: MultiPoly) -> tuple[Report, ExtractedForm
     rep.add("point_focal", focal_check(ot.system, frame.point))
     forms = extract_expansion_forms(f, frame)
 
-    nv = forms.nvars  # = 3d - 1: u_0.., v_0.., z_1..
-    zero = MultiPoly.zero(nv)
-    us = tuple(MultiPoly.variable(nv, i) for i in range(d))
-    vs = tuple(MultiPoly.variable(nv, d + i) for i in range(d))
-    zs = tuple([zero] + [MultiPoly.variable(nv, 2 * d + i) for i in range(d - 1)])
+    us, vs, zs = on.symbolic_octets(d, "UVz")  # the frame's 3d - 1 tangent variables
 
     p0_want = on.inner(us, us) - on.inner(vs, vs)
     rep.add("p0_display", forms.p[0] == Rt2Poly.rational(p0_want))

@@ -103,12 +103,12 @@ def test_c02_clifford_relations_and_volume_signs():
             ok = False
     prod = Op.identity(8)
     for m in j:
-        prod = prod @ Op.of(m)
+        prod = prod @ m
     if prod != -Op.identity(8):
         ok = False
     prod = Op.identity(8)
     for m in jp:
-        prod = prod @ Op.of(m)
+        prod = prod @ m
     if prod != Op.identity(8):
         ok = False
     _line(2, "J/J' Clifford relations and volume signs", ok)
@@ -120,7 +120,7 @@ def test_c03_normalization_pipeline():
     ok = True
     for trial in range(10):
         o = random_rational_orthogonal(rng.fork(trial), 8)
-        a = [o @ Op.of(m) for m in j]
+        a = [o @ m for m in j]
         norm = normalize_a_system(a)
         if refined_residual(norm, a) != 0:
             ok = False

@@ -16,11 +16,11 @@ from octoverify.circ import (
     make_nom,
     nom_from_sharp_blocks,
     nom_from_t,
-    nom_table,
     right_ops,
     theta_axis,
     verify_normalized,
 )
+from matrix_oracle import dense
 from octoverify.clifford import verify_skew_rep
 from octoverify.poly import MultiPoly
 from octoverify.scalars import DeterministicRng, random_rational
@@ -113,9 +113,9 @@ def test_nom_from_sharp_blocks_octonion_tables():
 def test_nom_from_sharp_blocks_round_trip():
     nom = nom_from_t(Side.LEFT, Fraction(1, 2))
     rebuilt = nom_from_sharp_blocks(left_ops(nom))
-    assert rebuilt.entries == nom_table(nom).entries
+    assert rebuilt.entries == nom.table.entries
     assert rebuilt.as_signed_pairs() is None  # generic alpha is not a signed table
-    t0 = nom_table(nom_from_t(Side.LEFT, Fraction(0)))
+    t0 = nom_from_t(Side.LEFT, Fraction(0)).table
     pairs = t0.as_signed_pairs()
     assert pairs is not None and pairs[1][2] == (1, 3)
 
@@ -123,7 +123,7 @@ def test_nom_from_sharp_blocks_round_trip():
 def test_nom_from_sharp_blocks_preconditions():
     j = [on.left_mult_matrix(E[i]) for i in range(1, 8)]
     bad = [m for m in j]
-    bad[0] = [[x * 2 for x in row] for row in bad[0]]
+    bad[0] = bad[0] * 2
     with pytest.raises(ValueError):
         nom_from_sharp_blocks(bad)
     swapped = [j[1], j[0]] + j[2:]  # A#_1(e_0) = e_2 != e_1
@@ -243,10 +243,14 @@ def test_float_alpha_keeps_the_definition(theta, side, values):
     x, y = tuple(values[:8]), tuple(values[8:])
     assert circ(nom, x, y) == circ_definition(nom, x, y)
     assert circ(nom, E[0], x) == circ_definition(nom, E[0], x)
-    ops = left_ops(nom)
+    # float mode reads U_a off the table: column b of U_a is entries[a][b]
+    entries = nom.table.entries
     for a in range(1, 8):
         for b in range(8):
-            assert [ops[a - 1][r][b] for r in range(8)] == list(circ_definition(nom, E[a], E[b]))
+            assert list(entries[a][b]) == list(circ_definition(nom, E[a], E[b]))
+    # the operators are exact, so a float nom is refused there
+    with pytest.raises(TypeError):
+        left_ops(nom)
 
 
 def test_circ_dimension_mismatch_raises():
@@ -260,7 +264,7 @@ def test_table_is_lazy_and_sparse():
     nom = nom_from_t(Side.LEFT, Fraction(1, 2))
     assert "table" not in vars(nom)
     circ(nom, E[1], E[2])
-    assert "table" in vars(nom) and nom_table(nom) is nom.table
+    assert "table" in vars(nom)
     den, rows = nom.table.sparse
     assert den == 25 and sum(len(e) for row in rows for e in row) == 88
     for side in (Side.LEFT, Side.RIGHT):
@@ -273,5 +277,6 @@ def test_operators_read_the_table(side):
     nom = nom_from_t(side, Fraction(1, 2))
     for ops, pair in ((left_ops(nom), lambda a, b: (E[a], E[b])), (right_ops(nom), lambda a, b: (E[b], E[a]))):
         for a in range(1, 8):
+            m = dense(ops[a - 1])
             for b in range(8):
-                assert [ops[a - 1][r][b] for r in range(8)] == list(circ_definition(nom, *pair(a, b)))
+                assert [m[r][b] for r in range(8)] == list(circ_definition(nom, *pair(a, b)))

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from octoverify.cli import ALL_SUITES, RunConfig, RunContext, build_parser, main, run, sweep_theta
+from octoverify import octonion as on
+from octoverify.circ import Nom, Side, circ_definition
+from octoverify.cli import ALL_SUITES, RunConfig, RunContext, build_parser, main, run, suite_nom_float, sweep_theta
 from octoverify.report import Report
 from octoverify.scalars import DeterministicRng
 
@@ -155,6 +157,45 @@ def test_cli_float_mode(tmp_path):
     by_name = {s["name"]: s for s in data["suites"]}
     assert by_name["nom"]["pass"]
     assert "skipped" in " ".join(by_name["mirror"]["notes"])
+
+
+def _definition_clifford_residual(nom: Nom) -> float:
+    """max |U_a U_b + U_b U_a + 2 delta_ab Id| over 1 <= a <= b, with U_a
+    recomputed from circ_definition on basis pairs: U_a[i][k] = (e_a o e_k)_i."""
+    dim = nom.dim
+    u = [[circ_definition(nom, on.basis(a, dim), on.basis(k, dim)) for k in range(dim)] for a in range(1, dim)]
+    worst = 0.0
+    for a in range(dim - 1):
+        for b in range(a, dim - 1):
+            for i in range(dim):
+                for j in range(dim):
+                    s = sum(u[a][k][i] * u[b][j][k] + u[b][k][i] * u[a][j][k] for k in range(dim))
+                    worst = max(worst, abs(s - (-2.0 if i == j and a == b else 0.0)))
+    return worst
+
+
+def _float_clifford_check(cfg: RunConfig, ctx: RunContext):
+    rep = suite_nom_float(cfg, DeterministicRng(0), ctx)
+    return next(c for c in rep.checks if c.name == "left_ops_clifford_residual")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("theta", [0.3, 0.8, 2.5])
+def test_float_clifford_residual_matches_the_definition(side, theta):
+    cfg = RunConfig(mode="float", theta=theta, side=side, suites=("nom",), trials=5)
+    ctx = RunContext(cfg)
+    check = _float_clifford_check(cfg, ctx)
+    assert check.residual == _definition_clifford_residual(ctx.nom)
+    assert check.passed
+
+
+def test_float_clifford_residual_fails_for_a_non_unit_alpha():
+    cfg = RunConfig(mode="float", theta=0.8, suites=("nom",), trials=5)
+    ctx = RunContext(cfg)
+    ctx.nom = Nom(Side.LEFT, tuple(1.1 * c for c in cfg.build_nom().alpha))
+    check = _float_clifford_check(cfg, ctx)
+    assert check.residual == _definition_clifford_residual(ctx.nom)
+    assert not check.passed
 
 
 def test_float_mode_dump_poly_is_a_config_error(tmp_path, capsys, monkeypatch):

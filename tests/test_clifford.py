@@ -17,7 +17,7 @@ from octoverify.clifford import (
     verify_symmetric_system,
     volume_sign,
 )
-from matrix_oracle import add, identity, max_abs, mul, neg, scale, sub, transpose, zeros
+from matrix_oracle import add, dense, identity, max_abs, mul, neg, scale, sub, transpose, zeros
 from octoverify.linalg import Op, random_rational_orthogonal
 from octoverify.scalars import DeterministicRng
 
@@ -46,12 +46,12 @@ def test_verify_skew_rep():
     bad = verify_skew_rep([j[0], j[0]])
     assert not bad.passed
     with pytest.raises(ValueError):
-        verify_skew_rep([j[0], [row[:4] for row in j[1][:4]]])
+        verify_skew_rep([j[0], Op.of([row[:4] for row in dense(j[1])[:4]])])
 
 
 def test_verify_symmetric_system(fkm_systems):
     assert verify_symmetric_system(fkm_systems[("left", Fraction(0))].system).passed
-    ident = identity(4)
+    ident = Op.identity(4)
     assert verify_symmetric_system(SymmetricCliffordSystem([ident], 0)).passed
     assert not verify_symmetric_system(SymmetricCliffordSystem([ident, ident], 0)).passed
 
@@ -78,7 +78,7 @@ def test_normalize_seeded_a_systems():
     j = on.j_generators()
     for trial in range(3):
         o = random_rational_orthogonal(rng.fork(trial), 8)
-        a = [o @ Op.of(m) for m in j]
+        a = [o @ m for m in j]
         norm = normalize_a_system(a)
         assert refined_residual(norm, a) == 0
         # refined P, Q are orthogonal
@@ -95,7 +95,7 @@ def test_normalize_quaternionic():
 def test_normalize_rejects_bad_system():
     j = on.j_generators()
     bad = list(j)
-    bad[0] = [[2 * x for x in row] for row in bad[0]]
+    bad[0] = bad[0] * 2
     with pytest.raises(ValueError, match="pair"):
         normalize_a_system(bad)
     rep = verify_a_system(bad)
@@ -107,7 +107,7 @@ def test_find_intertwiner_conjugated():
     rng = DeterministicRng(55)
     j = on.j_generators()
     o = random_rational_orthogonal(rng, 8)
-    rep2 = [o @ Op.of(m) @ o.T for m in j]
+    rep2 = [o @ m @ o.T for m in j]
     res = find_intertwiner(j, rep2)
     assert res.found
     assert conjugation_residual(res, j, rep2) == 0
@@ -125,12 +125,22 @@ def test_find_intertwiner_inequivalent_and_self():
 def test_find_intertwiner_raises_without_a_rational_square_root():
     # K = Id + J_1 has K K^T = 2 Id, so K/sqrt2 conjugates J_a to
     # K J_a K^T / 2, and every kernel element is a rational multiple of K
-    j = [Op.of(m) for m in on.j_generators()]
+    j = on.j_generators()
     k = Op.identity(8) + j[0]
     assert (k @ k.T).scalar() == 2
     rep2 = [k @ m @ k.T * Fraction(1, 2) for m in j]
     assert verify_skew_rep(rep2).passed
     with pytest.raises(ValueError, match="lam = 2"):
+        find_intertwiner(j, rep2)
+
+
+def test_find_intertwiner_raises_on_a_reducible_pair():
+    # one complex structure on R^4 is reducible: the kernel is 8-dimensional
+    # and no scanned K has K K^T = lam Id, yet the pair is equivalent
+    j = on.j_generators(4)[:1]
+    o = random_rational_orthogonal(DeterministicRng(0), 4)
+    rep2 = [o @ j[0] @ o.T]
+    with pytest.raises(ValueError, match="reducible"):
         find_intertwiner(j, rep2)
 
 
@@ -140,7 +150,7 @@ def test_skew_rep_plus_identity_is_orthogonal_multiplication():
     for rep in (on.j_prime_generators(), on.j_generators()):
         assert verify_skew_rep(rep).passed
         entries = [[on.basis(b, 8) for b in range(8)]]
-        for m in rep:
+        for m in map(dense, rep):
             entries.append([tuple(m[r][b] for r in range(8)) for b in range(8)])
         table = CircTable(entries)
         rng = DeterministicRng(77)
@@ -195,8 +205,8 @@ _edits = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(_edits)
 def test_verify_skew_rep_residuals_match_fraction_oracle(edits):
-    mats = _perturbed(on.j_generators(4), edits)
-    got = {c.name: c for c in verify_skew_rep(mats).checks}
+    mats = _perturbed([dense(m) for m in on.j_generators(4)], edits)
+    got = {c.name: c for c in verify_skew_rep([Op.of(m) for m in mats]).checks}
     ident = identity(len(mats[0]))
     want = {
         "orthogonality": max(max_abs(sub(mul(m, transpose(m)), ident)) for m in mats),
@@ -211,10 +221,10 @@ def test_verify_skew_rep_residuals_match_fraction_oracle(edits):
 @settings(max_examples=40, deadline=None)
 @given(_edits)
 def test_verify_symmetric_system_residuals_match_fraction_oracle(edits):
-    base = _block_system([identity(4)] + on.j_generators(4))
-    assert verify_symmetric_system(SymmetricCliffordSystem(base, 0)).passed
+    base = _block_system([identity(4)] + [dense(m) for m in on.j_generators(4)])
+    assert verify_symmetric_system(SymmetricCliffordSystem([Op.of(m) for m in base], 0)).passed
     mats = _perturbed(base, edits)
-    got = {c.name: c for c in verify_symmetric_system(SymmetricCliffordSystem(mats, 0)).checks}
+    got = {c.name: c for c in verify_symmetric_system(SymmetricCliffordSystem([Op.of(m) for m in mats], 0)).checks}
     sym = max(max_abs(sub(m, transpose(m))) for m in mats)
     ident = identity(len(mats[0]))
     cliff = max(

@@ -153,8 +153,8 @@ def _dense_intertwiner_rows(rep1, rep2):
 
 
 def _intertwiner_pairs(n):
-    j = [Op.of(m) for m in on.j_generators(n)]
-    jp = [Op.of(m) for m in on.j_prime_generators(n)]
+    j = on.j_generators(n)
+    jp = on.j_prime_generators(n)
     # the normalize_a_system witness of a seeded A-system o J_a
     o = la.random_rational_orthogonal(DeterministicRng(17).fork(n), n)
     a_sys = [o @ m for m in j]

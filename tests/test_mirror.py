@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from matrix_oracle import dense
 from octoverify import octonion as on
 from octoverify.circ import Side, left_ops, nom_from_t
 from octoverify.mirror import (
@@ -22,6 +23,7 @@ from octoverify.mirror import (
     trilinearity_extract,
     verify_ot_equations,
 )
+from octoverify.linalg import Op
 from octoverify.poly import MultiPoly
 from octoverify.scalars import DeterministicRng, random_rational
 from octoverify.systems import extract_expansion_forms, fkm_mirror_frame
@@ -58,19 +60,20 @@ def test_mirror_points_preconditions():
 
 
 def test_assemble_star_blocks_dimensions_and_zero_column():
-    j = [on.left_mult_matrix(E[i]) for i in range(1, 8)]
+    j = on.j_generators()
     b_star, c_star = assemble_star_blocks(j, j)
     assert len(b_star) == 8
-    assert len(b_star[0].rows) == 7 and len(b_star[0].rows[0]) == 8
+    rows = dense(b_star[0].op)
+    assert len(rows) == 7 and len(rows[0]) == 8
     assert b_star[0].half == -1
     # the a-th column of B*_a vanishes, a = 1..7
     for a in range(1, 8):
-        assert all(b_star[a - 1].rows[b][a - 1] == 0 for b in range(7))
+        assert all(dense(b_star[a - 1].op)[b][a - 1] == 0 for b in range(7))
     assert star_blocks_identity_check(b_star, c_star).passed
 
 
 def test_assemble_star_blocks_nontrivial_sharp():
-    j = [on.left_mult_matrix(E[i]) for i in range(1, 8)]
+    j = on.j_generators()
     sharp = left_ops(nom_from_t(Side.LEFT, Fraction(1, 2)))
     b_star, c_star = assemble_star_blocks(j, sharp)
     assert star_blocks_identity_check(b_star, c_star).passed
@@ -80,7 +83,7 @@ def test_assemble_star_blocks_nontrivial_sharp():
 
 @pytest.mark.parametrize("t", [Fraction(0), Fraction(1, 2)])
 def test_star_blocks_identity_rejects_swapped_block(t):
-    j = [on.left_mult_matrix(E[i]) for i in range(1, 8)]
+    j = on.j_generators()
     b_star, c_star = assemble_star_blocks(j, left_ops(nom_from_t(Side.LEFT, t)))
     assert star_blocks_identity_check(b_star, c_star).passed
     swapped = [c_star[1], c_star[0]] + c_star[2:]
@@ -91,9 +94,9 @@ def test_star_blocks_identity_checks_gram_diagonal():
     # one block each, so a = b is the only pair, and the Gram matrices
     # diag(1, 1) and diag(1, 4) differ only on the diagonal
     z, one = Fraction(0), Fraction(1)
-    b_star = [HalfScaledMatrix(((one, z), (z, one)))]
-    rotated = HalfScaledMatrix(((z, -one), (one, z)))
-    stretched = HalfScaledMatrix(((one, z), (z, 2 * one)))
+    b_star = [HalfScaledMatrix(Op.of(((one, z), (z, one))))]
+    rotated = HalfScaledMatrix(Op.of(((z, -one), (one, z))))
+    stretched = HalfScaledMatrix(Op.of(((one, z), (z, 2 * one))))
     assert star_blocks_identity_check(b_star, [rotated]).passed
     assert not star_blocks_identity_check(b_star, [stretched]).passed
 
@@ -103,7 +106,7 @@ def test_star_blocks_identity_requires_one_half_power():
     # the check refuses it instead of dropping both scales
     one = Fraction(1)
     with pytest.raises(ValueError, match="half-power"):
-        star_blocks_identity_check([HalfScaledMatrix(((one,),), -1)], [HalfScaledMatrix(((one,),), 0)])
+        star_blocks_identity_check([HalfScaledMatrix(Op.of(((one,),)), -1)], [HalfScaledMatrix(Op.of(((one,),)), 0)])
 
 
 def test_p_star_values():
@@ -158,7 +161,7 @@ def test_sharp_from_q0_ot_gives_j():
     blocks = sharp_from_q0(q0, 7)
     for a in range(1, 8):
         assert blocks[a - 1] == on.left_mult_matrix(E[a])
-    assert sharp_from_q0(MultiPoly.zero(nv), 7) == [[[Fraction(0)] * 8 for _ in range(8)] for _ in range(7)]
+    assert [dense(m) for m in sharp_from_q0(MultiPoly.zero(nv), 7)] == [[[Fraction(0)] * 8 for _ in range(8)] for _ in range(7)]
 
 
 def test_sharp_from_q0_round_trip_and_errors():
@@ -167,9 +170,10 @@ def test_sharp_from_q0_round_trip_and_errors():
     nv = 23
     q0 = MultiPoly.zero(nv)
     for a in range(1, 8):
+        m = dense(sharp[a - 1])
         for alpha in range(8):
             for mu in range(8):
-                c = sharp[a - 1][alpha][mu]
+                c = m[alpha][mu]
                 if c:
                     q0 = q0 + 2 * c * (
                         MultiPoly.variable(nv, alpha)

@@ -146,7 +146,7 @@ def test_extraction_requires_focal_value():
     fkm = build_fkm_system(nom_from_t(Side.LEFT, Fraction(0)))
     f = fkm_polynomial(fkm.system)
     frame = fkm_mirror_frame(fkm)
-    bad = frame.__class__(ScaledVec(frame.tangent[0].coords, 0), frame.tangent, frame.normals, -1)
+    bad = frame.__class__(ScaledVec(frame.tangent[0].coords, 0), frame.tangent, frame.normals)
     with pytest.raises(ValueError):
         extract_expansion_forms(f, bad)
 
@@ -157,7 +157,7 @@ def test_ot_displays_and_condition_a(ot_octonion, ot_octonion_poly):
     blocks = blocks_from_forms([p.a for p in forms.p], 8, 8, 7)
     # A_a = J_a on the nose at the Condition-A point
     for a in range(1, 8):
-        assert blocks.a_blocks[a - 1] == Op.of(on.left_mult_matrix(E[a]))
+        assert blocks.a_blocks[a - 1] == on.left_mult_matrix(E[a])
     ca = condition_a_check(blocks, DeterministicRng(3))
     assert ca.passed
 
@@ -314,7 +314,7 @@ def test_mirror_intertwiner_closed_forms():
         u, branch = mirror_intertwiner(nom)
         assert branch == (1 if side is Side.LEFT else -1)
         want = on.left_mult_matrix(on.conjugate(nom.alpha)) if side is Side.LEFT else on.right_mult_matrix(on.conjugate(nom.alpha))
-        assert u == Op.of(want)
+        assert u == want
 
 
 @pytest.mark.parametrize(
