@@ -14,17 +14,20 @@ Pythagorean alpha (built from a rational t) keeps every o-product rational.
 
 ``circ_definition`` evaluates the three chained octonion products above.  It
 is the definition, and the oracle that builds each multiplication's table:
-``Nom.table``, the values e_a o e_b on all basis pairs, built on first use
-(never at import) and kept on the ``Nom``.  For a rational alpha, ``circ``
-runs one sparse bilinear pass over that table instead of three products; at
-t = 1/2 it holds 88 nonzeros out of 512 over the denominator 25, and at the
-endpoints it is a signed permutation.  A float alpha (the CLI's float mode)
-and all-int coordinates keep the three-product definition, so float
-residuals are computed exactly as the definition computes them.
+``Nom.table``, an ``octonion.ProductTable`` of the values e_a o e_b on all
+basis pairs, built on first use (never at import) and kept on the ``Nom``.
+The octonion product itself is such a table, so for a rational alpha ``circ``
+runs the same sparse bilinear kernel as ``octonion.multiply``, once, instead
+of three products; at t = 1/2 the table holds 88 nonzeros out of 512 over
+the denominator 25, and at the endpoints it is a signed permutation.  A float
+alpha (the CLI's float mode) and all-int coordinates keep the three-product
+definition, so float residuals are computed exactly as the definition
+computes them.
 
 The operators U_a(x) = e_a o x and R_a(x) = x o e_a (``left_ops``,
-``right_ops``) are ``linalg.Op``s read off that table, so a float nom raises
-TypeError there; float mode reads ``Nom.table.entries`` itself.
+``right_ops``) are the table's ``linalg.Op``s, read off it the way the
+octonion generators J_a, J'_a are read off the octonion table, so a float nom
+raises TypeError there; float mode reads ``Nom.table.entries`` itself.
 ``nom_from_sharp_blocks`` goes the other way, from ``Op`` blocks A#_a back
 to a table.
 """
@@ -35,12 +38,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from . import octonion as on
-from .linalg import Op
 from .report import Report
-from .scalars import DeterministicRng, fill_zero, pythagorean_unit, random_rational, rational_sqrt, sum_zero
+from .scalars import DeterministicRng, pythagorean_unit, random_rational, rational_sqrt, sum_zero
 
 
 class Side(enum.Enum):
@@ -61,12 +62,12 @@ class NormalizedOrthogonalMultiplication:
         return len(self.alpha)
 
     @cached_property
-    def table(self) -> "CircTable":
+    def table(self) -> on.ProductTable:
         """e_a o e_b on all basis pairs, from ``circ_definition``; built on
         first use and kept (the frozen fields it reads never change).  Every
         caller gets the same table, so nothing may modify its entries."""
         dim = self.dim
-        return CircTable(
+        return on.ProductTable(
             [[circ_definition(self, on.basis(a, dim), on.basis(b, dim)) for b in range(dim)] for a in range(dim)]
         )
 
@@ -108,9 +109,9 @@ def circ(nom: Nom, x, y):
 
     The coordinate types decide the route, through ``scalars.sum_zero`` of
     alpha, x and y, the zero the definition's products come to: a rational
-    or polynomial zero runs ``nom.table`` (see ``CircTable.mul``), a float or
-    int zero runs ``circ_definition``.  Both return the same values in the
-    same slot types."""
+    or polynomial zero runs ``nom.table`` (see ``ProductTable.product``), a
+    float or int zero runs ``circ_definition``.  Both return the same values
+    in the same slot types."""
     zero = sum_zero(nom.alpha, x, y)
     if isinstance(zero, (int, float)):
         return circ_definition(nom, x, y)
@@ -119,14 +120,12 @@ def circ(nom: Nom, x, y):
 
 def left_ops(nom: Nom) -> list:
     """U_a(x) = e_a o x for a = 1..dim-1 (column b is e_a o e_b)."""
-    entries = nom.table.entries
-    return [Op.of(entries[a]).T for a in range(1, nom.dim)]
+    return nom.table.left_ops()
 
 
 def right_ops(nom: Nom) -> list:
     """R_a(x) = x o e_a for a = 1..dim-1 (column b is e_b o e_a)."""
-    entries = nom.table.entries
-    return [Op.of([row[a] for row in entries]).T for a in range(1, nom.dim)]
+    return nom.table.right_ops()
 
 
 @dataclass(frozen=True)
@@ -186,105 +185,7 @@ def verify_normalized(nom: Nom, rng: DeterministicRng | None = None, samples: in
     return rep
 
 
-@dataclass
-class CircTable:
-    """(m+1)x(m+1) table of e_a o e_b values with its bilinear extension.
-
-    ``mul`` reads the rational entries in a sparse form built on first use,
-    ``sparse``: one common denominator D and, for each (a, b), the nonzero
-    coordinates of e_a o e_b as ``(k, w)`` pairs with int w = D * value."""
-
-    entries: list  # entries[a][b] = coordinate tuple of e_a o e_b
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def sparse(self) -> tuple[int, list]:
-        """(D, rows) with ``rows[a][b]`` the ``(k, w)`` pairs of e_a o e_b."""
-        values = [c for row in self.entries for v in row for c in v]
-        if not all(isinstance(c, (int, Fraction)) for c in values):
-            raise TypeError("the sparse table needs rational entries")
-        den = lcm(*(c.denominator for c in values))
-        rows = [
-            [tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(v) if c) for v in row]
-            for row in self.entries
-        ]
-        return den, rows
-
-    def mul(self, x, y):
-        """sum_ab x_a y_b (e_a o e_b), with the slot types of the dense sum."""
-        return self.product(x, y, sum_zero(self.entries[0][0], x, y))
-
-    def product(self, x, y, zero) -> tuple:
-        """``mul`` with ``zero`` (``scalars.sum_zero`` of the table's and the
-        inputs' coordinates) given.
-
-        Only pairs of nonzero coordinates are multiplied.  Rational inputs
-        (``zero`` is a ``Fraction``) are summed in int numerators, as in
-        ``octonion.multiply``, and every slot is one ``Fraction`` over
-        dx * dy * D (the inputs' lcm denominators times the table's), the
-        shared ``zero`` where the sum is 0; a single nonzero pair (two scaled
-        basis vectors) just scales its entry.  Anything else (polynomial
-        coordinates) sums w * (x_a y_b) per slot, divides by D once and
-        widens every slot to ``zero``'s type through ``scalars.fill_zero``."""
-        dim = self.dim
-        if len(x) != dim or len(y) != dim:
-            raise ValueError("dimension mismatch")
-        den, rows = self.sparse
-        xs = [(a, c) for a, c in enumerate(x) if c]
-        ys = [(b, c) for b, c in enumerate(y) if c]
-        if type(zero) is Fraction:
-            if len(xs) == 1 and len(ys) == 1:  # a scaled basis pair: a scaled entry
-                (a, c), (b, d) = xs[0], ys[0]
-                s = c * d
-                return tuple([s * v if v else zero for v in self.entries[a][b]])
-            dx = lcm(*[c.denominator for _, c in xs])
-            dy = lcm(*[c.denominator for _, c in ys])
-            ys = [(b, c.numerator * (dy // c.denominator)) for b, c in ys]
-            acc = [0] * dim
-            for a, c in xs:
-                xa = c.numerator * (dx // c.denominator)
-                row = rows[a]
-                for b, yb in ys:
-                    p = xa * yb
-                    for k, w in row[b]:
-                        acc[k] += w * p
-            d = dx * dy * den
-            return tuple([Fraction(v, d) if v else zero for v in acc])
-        out = [None] * dim
-        for a, xa in xs:
-            row = rows[a]
-            for b, yb in ys:
-                p = xa * yb
-                for k, w in row[b]:
-                    t = p if w == 1 else -p if w == -1 else p * w
-                    v = out[k]
-                    out[k] = t if v is None else v + t
-        if den != 1:
-            scale = Fraction(1, den)
-            out = [None if v is None else v * scale for v in out]
-        return tuple(fill_zero(out, zero))
-
-    def as_signed_pairs(self) -> list | None:
-        """(sign, index) form when every entry is a signed basis vector, else None.
-
-        No run-time caller: ``test_nom_from_sharp_blocks_round_trip`` checks
-        rebuilt tables with it."""
-        out = []
-        for row in self.entries:
-            orow = []
-            for v in row:
-                nz = [(k, c) for k, c in enumerate(v) if c != 0]
-                if len(nz) != 1 or abs(nz[0][1]) != 1:
-                    return None
-                orow.append((1 if nz[0][1] > 0 else -1, nz[0][0]))
-            out.append(orow)
-        return out
-
-
-def nom_from_sharp_blocks(sharp: list) -> CircTable:
+def nom_from_sharp_blocks(sharp: list) -> on.ProductTable:
     """Rebuild the multiplication table from the mirror-point ``Op`` blocks A#_a.
 
     Preconditions (each checked, error names the first failure): A#_a is
@@ -307,7 +208,7 @@ def nom_from_sharp_blocks(sharp: list) -> CircTable:
     for a, cols in enumerate(columns, start=1):
         if cols[0] != on.basis(a, dim):
             raise ValueError(f"A#_{a}(e_0) != e_{a}")
-    return CircTable([[on.basis(b, dim) for b in range(dim)]] + columns)
+    return on.ProductTable([[on.basis(b, dim) for b in range(dim)]] + columns)
 
 
 def comparison_check(nom: Nom, a, b) -> Report:

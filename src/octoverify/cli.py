@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -69,7 +69,7 @@ from .mirror import (
     trilinearity_extract,
     verify_ot_equations,
 )
-from .poly import MultiPoly, munzner_verify
+from .poly import MultiPoly, monomial_key, munzner_verify
 from .report import Report, encode_value
 from .scalars import DeterministicRng, random_rational
 from .systems import (
@@ -123,6 +123,11 @@ class RunConfig:
         bad = [s for s in self.suites if s not in ALL_SUITES]
         if bad:
             raise ValueError(f"unknown suites: {bad}")
+        if not self.suites:
+            raise ValueError("no suites selected")
+        repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
+        if repeated:
+            raise ValueError(f"repeated suites: {repeated}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
@@ -487,7 +492,7 @@ def suite_mirror(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Repo
     for a, m in enumerate(sharp, start=1):
         for alpha, row in enumerate(m.rows):
             for mu, x in row.items():
-                key = (1 << (5 * alpha)) + (1 << (5 * (d + mu))) + (1 << (5 * (2 * d + a - 1)))
+                key = monomial_key(alpha, d + mu, 2 * d + a - 1)
                 q0 = q0 + MultiPoly(2 * d + (d - 1), {key: Fraction(2 * x, m.den)})
     rec = sharp_from_q0(q0, d - 1)
     rep.add("sharp_from_q0_round_trip", rec == sharp)
@@ -692,30 +697,22 @@ def run(cfg: RunConfig, ctx: RunContext | None = None) -> tuple[dict, int]:
 
 
 def sweep_theta(cfg: RunConfig, t_values: list) -> tuple[list, int]:
-    """One perturbation report per rational t; exact mode only."""
+    """One perturbation report per rational t, each from its own
+    ``RunContext`` (``cfg`` at that t); exact mode only."""
     if cfg.mode != "exact":
         raise ValueError("sweep requires exact mode")
     reports = []
     worst = 0
     for t in t_values:
-        sub = RunConfig(
-            algebra=cfg.algebra,
-            side=cfg.side,
-            alpha_t=Fraction(t),
-            mode="exact",
-            seed=cfg.seed,
-            suites=cfg.suites,
-            trials=cfg.trials,
-        )
+        sub = replace(cfg, alpha_t=Fraction(t))
         sub.validate()
-        nom = sub.build_nom()
+        ctx = RunContext(sub)
         rep = Report(f"sweep_t={t}")
-        vn = verify_normalized(nom, rng=DeterministicRng(cfg.seed).fork(31))
+        vn = verify_normalized(ctx.nom, rng=DeterministicRng(cfg.seed).fork(31))
         rep.add("verify_normalized", vn.passed)
-        fkm = build_fkm_system(nom)
-        vs = verify_symmetric_system(fkm.system)
+        vs = verify_symmetric_system(ctx.fkm.system)
         rep.add("clifford_relations", vs.passed)
-        pm = perturb_mirror(fkm)
+        pm = perturb_mirror(ctx.fkm)
         branch = next((c.detail for c in pm.checks if c.name == "second_form_branch_identity"), None)
         rep.add("perturb_mirror", pm.passed, detail=branch)
         reports.append(rep)
@@ -738,6 +735,15 @@ def sweep_theta(cfg: RunConfig, t_values: list) -> tuple[list, int]:
 # ---------------------------------------------------------------------------
 
 
+def rational(text: str) -> Fraction:
+    """``Fraction(text)``, with a zero denominator raised as ``ValueError``
+    (argparse turns that, as a ``type=`` callable, into a usage error)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as e:
+        raise ValueError(f"zero denominator in {text!r}") from e
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="octoverify",
@@ -745,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--algebra", choices=["quaternion", "octonion"], default="octonion")
     p.add_argument("--side", choices=["left", "right"], default="left")
-    p.add_argument("--alpha-t", type=Fraction, default=Fraction(0), metavar="RAT", help="rational t parametrizing alpha (exact mode)")
+    p.add_argument("--alpha-t", type=rational, default=Fraction(0), metavar="RAT", help="rational t parametrizing alpha (exact mode)")
     p.add_argument("--theta", type=float, default=None, help="float-mode angle theta")
     p.add_argument("--mode", choices=["exact", "float"], default="exact")
     p.add_argument("--tol", type=float, default=1e-9)
@@ -782,7 +788,14 @@ def main(argv: list | None = None) -> int:
             for flag, value in (("--dump-poly", args.dump_poly), ("--sweep-t", args.sweep_t)):
                 if value is not None:
                     raise ValueError(f"{flag} requires exact mode")
-    except (ValueError, ZeroDivisionError) as e:
+        if args.sweep_t is not None:
+            try:
+                ts = [rational(x.strip()) for x in args.sweep_t.split(",") if x.strip()]
+            except ValueError as e:
+                raise ValueError(f"bad --sweep-t: {e}") from e
+            if not ts:
+                raise ValueError("--sweep-t selects no t values")
+    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
@@ -792,11 +805,6 @@ def main(argv: list | None = None) -> int:
             fh.write(ctx.fkm_poly.dump() + "\n")
 
     if args.sweep_t is not None:
-        try:
-            ts = [Fraction(x.strip()) for x in args.sweep_t.split(",") if x.strip()]
-        except (ValueError, ZeroDivisionError) as e:
-            print(f"config error: bad --sweep-t: {e}", file=sys.stderr)
-            return 2
         reports, code = sweep_theta(cfg, ts)
         text = json.dumps(reports, indent=2, sort_keys=True)
     else:

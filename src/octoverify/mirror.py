@@ -17,7 +17,7 @@ from math import lcm
 from . import octonion as on
 from .circ import Nom, circ
 from .linalg import Op
-from .poly import BITS, MultiPoly, Rt2Poly
+from .poly import MultiPoly, Rt2Poly, monomial_key
 from .report import Report
 from .systems import ScaledVec
 
@@ -230,7 +230,7 @@ class TrilinearQ:
             for (aa, alpha, mu, p), c in self.coeffs.items():
                 if aa != a:
                     continue
-                key = (1 << (BITS * (alpha - 1))) + (1 << (BITS * (m1 + mu - 1))) + (1 << (BITS * (2 * m1 + p)))
+                key = monomial_key(alpha - 1, m1 + mu - 1, 2 * m1 + p)
                 terms[key] = terms.get(key, Fraction(0)) + c
             polys.append(MultiPoly(nv, terms))
         return polys
@@ -304,9 +304,9 @@ def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> Triline
             coeffs[(a, alpha, mu, p)] = c
     terms: dict = {}
     for i in range(dx):
-        terms[2 << (BITS * i)] = Fraction(1)
+        terms[monomial_key(i, i)] = Fraction(1)
     for i in range(dy):
-        terms[2 << (BITS * (dx + i))] = Fraction(-1)
+        terms[monomial_key(dx + i, dx + i)] = Fraction(-1)
     gp = MultiPoly(nv, terms).gradient()
     for a, f in enumerate(comps[1:]):
         gq = f.gradient()

@@ -5,23 +5,29 @@ The octonion product is the Cayley-Dickson extension of the quaternions:
     (a, b)(c, d) = (ac - conj(d) b,  da + b conj(c))
 
 with the basis fixed as (e_0,...,e_7) = (1, i, j, k, eps, i eps, j eps, k eps),
-so the quaternions are the sub-span of coordinates 0..3.  All structure
-constants are 0 or +-1; they are cached once in a signed 8x8 table and the
-general product is the table-driven bilinear extension, which works over any
-commutative coefficient ring (Fraction, float, or polynomial coordinates).
+so the quaternions are the sub-span of coordinates 0..3.
 
-``cayley_dickson_multiply`` keeps the recursive definition around as an
-independent oracle for the table.
+``ProductTable`` holds the products e_a e_b of some bilinear multiplication
+on all basis pairs and is its one sparse kernel: it extends the table
+bilinearly over any commutative coefficient ring (Fraction, float, or
+polynomial coordinates), summing rational inputs in int numerators.  The
+octonion product is the table ``PRODUCT_TABLES[dim]``, built at import for
+dims 4 and 8 from ``cayley_dickson_multiply`` on int basis vectors (entries
+0 and +-1); every normalized multiplication x o y is another such table
+(``circ.Nom.table``).  ``cayley_dickson_multiply`` keeps the recursive
+definition around as an independent oracle for the table.
 
 The multiplication matrices (``left_mult_matrix``, ``right_mult_matrix``) and
-the generators J_a, J'_a built from them are ``linalg.Op``s, so they take
-rational coordinates only.  ``symbolic_octets`` gives polynomial-coordinate
-slots for the symbolic proofs.
+the generators J_a, J'_a (the table's ``left_ops``, ``right_ops``) are
+``linalg.Op``s, so they take rational coordinates only.  ``symbolic_octets``
+gives polynomial-coordinate slots for the symbolic proofs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -56,24 +62,6 @@ def cayley_dickson_multiply(x, y):
     return z1 + z2
 
 
-def _build_tables():
-    sign = [[0] * 8 for _ in range(8)]
-    index = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        ei = tuple(Fraction(int(i == t)) for t in range(8))
-        for j in range(8):
-            ej = tuple(Fraction(int(j == t)) for t in range(8))
-            p = cayley_dickson_multiply(ei, ej)
-            nz = [(k, c) for k, c in enumerate(p) if c != 0]
-            assert len(nz) == 1 and abs(nz[0][1]) == 1
-            index[i][j] = nz[0][0]
-            sign[i][j] = 1 if nz[0][1] > 0 else -1
-    return sign, index
-
-
-MULT_SIGN, MULT_INDEX = _build_tables()
-
-
 def basis(i: int, dim: int = 8) -> tuple:
     return tuple(Fraction(int(j == i)) for j in range(dim))
 
@@ -82,70 +70,131 @@ def zero(dim: int = 8) -> tuple:
     return tuple(Fraction(0) for _ in range(dim))
 
 
+@dataclass
+class ProductTable:
+    """Table of basis products e_a e_b with its bilinear extension.
+
+    One kernel serves the octonion product (``PRODUCT_TABLES``) and every
+    normalized multiplication (``circ.Nom.table``).  ``product`` reads the
+    entries in a sparse form built on first use, ``sparse``: one common
+    denominator D and, for each (a, b), the nonzero coordinates of e_a e_b as
+    ``(k, w)`` pairs with int w = D * value."""
+
+    entries: list  # entries[a][b] = coordinate tuple of e_a e_b
+
+    @property
+    def dim(self) -> int:
+        return len(self.entries)
+
+    @cached_property
+    def sparse(self) -> tuple[int, list]:
+        """(D, rows) with ``rows[a][b]`` the ``(k, w)`` pairs of e_a e_b."""
+        values = [c for row in self.entries for v in row for c in v]
+        if not all(isinstance(c, (int, Fraction)) for c in values):
+            raise TypeError("the sparse table needs rational entries")
+        den = lcm(*(c.denominator for c in values))
+        rows = [
+            [tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(v) if c) for v in row]
+            for row in self.entries
+        ]
+        return den, rows
+
+    def product(self, x, y, zero) -> tuple:
+        """sum_ab x_a y_b (e_a e_b), with the slot types of the dense sum;
+        ``zero`` is the zero that sum comes to (``scalars.sum_zero`` of the
+        table's and the inputs' coordinates).
+
+        Only pairs of nonzero coordinates are multiplied.  Rational inputs
+        (``zero`` is a ``Fraction``) are scaled to the lcm of their
+        denominators and summed in ints, and every slot is one ``Fraction``
+        over dx * dy * D, the shared ``zero`` where the sum is 0.  Anything
+        else (polynomial, float or all-int coordinates) sums w * (x_a y_b) per
+        slot in the order of the nonzero pairs, divides by D once when D != 1
+        and widens every slot to ``zero``'s type through ``scalars.fill_zero``,
+        so a slot that got no nonzero product holds ``zero``."""
+        dim = self.dim
+        if len(x) != dim or len(y) != dim:
+            raise ValueError("dimension mismatch")
+        den, rows = self.sparse
+        if type(zero) is Fraction:
+            dx = lcm(*[c.denominator for c in x])
+            dy = lcm(*[c.denominator for c in y])
+            xs = [(a, c.numerator * (dx // c.denominator)) for a, c in enumerate(x) if c]
+            ys = [(b, c.numerator * (dy // c.denominator)) for b, c in enumerate(y) if c]
+            acc = [0] * dim
+            for a, xa in xs:
+                row = rows[a]
+                for b, yb in ys:
+                    p = xa * yb
+                    for k, w in row[b]:
+                        acc[k] += w * p
+            d = dx * dy * den
+            return tuple([Fraction(v, d) if v else zero for v in acc])
+        xs = [(a, c) for a, c in enumerate(x) if c]
+        ys = [(b, c) for b, c in enumerate(y) if c]
+        out = [None] * dim
+        for a, xa in xs:
+            row = rows[a]
+            for b, yb in ys:
+                p = xa * yb
+                for k, w in row[b]:
+                    t = p if w == 1 else -p if w == -1 else p * w
+                    v = out[k]
+                    out[k] = t if v is None else v + t
+        if den != 1:
+            scale = Fraction(1, den)
+            out = [None if v is None else v * scale for v in out]
+        return tuple(fill_zero(out, zero))
+
+    def left_ops(self) -> list:
+        """L_a(x) = e_a x for a = 1..dim-1 as ``Op``s (column b is e_a e_b)."""
+        return [Op.of(self.entries[a]).T for a in range(1, self.dim)]
+
+    def right_ops(self) -> list:
+        """R_a(x) = x e_a for a = 1..dim-1 as ``Op``s (column b is e_b e_a)."""
+        return [Op.of([row[a] for row in self.entries]).T for a in range(1, self.dim)]
+
+    def as_signed_pairs(self) -> list | None:
+        """(sign, index) form when every entry is a signed basis vector, else None.
+
+        No run-time caller: the tests check the octonion tables and rebuilt
+        tables with it."""
+        out = []
+        for row in self.entries:
+            orow = []
+            for v in row:
+                nz = [(k, c) for k, c in enumerate(v) if c != 0]
+                if len(nz) != 1 or abs(nz[0][1]) != 1:
+                    return None
+                orow.append((1 if nz[0][1] > 0 else -1, nz[0][0]))
+            out.append(orow)
+        return out
+
+
+def _basis_product_table(dim: int) -> ProductTable:
+    """e_a e_b from the doubling rule on int basis vectors (padded to the
+    octonions; the quaternions are the sub-span of coordinates 0..3)."""
+    e = [tuple(int(j == i) for j in range(8)) for i in range(dim)]
+    return ProductTable([[cayley_dickson_multiply(a, b)[:dim] for b in e] for a in e])
+
+
+PRODUCT_TABLES = {dim: _basis_product_table(dim) for dim in (4, 8)}
+
+
+def _table(dim: int) -> ProductTable:
+    table = PRODUCT_TABLES.get(dim)
+    if table is None:
+        raise ValueError(f"no product table in dimension {dim}; use 4 or 8")
+    return table
+
+
 def multiply(x, y):
-    """Table-driven bilinear product; dim-4 inputs stay in the quaternion sub-span.
-
-    Which loop runs follows from the coordinate types, through
-    ``scalars.sum_zero``, the zero the full double loop would have summed to:
-
-    - rational inputs (Fractions and ints, at least one Fraction; the zero is
-      ``Fraction(0)``): each vector is scaled to the lcm of its denominators,
-      the products are summed in ints, and every slot comes back as a
-      ``Fraction`` over the product of the two lcms, ``Fraction(0)`` where
-      the products cancel or none was made;
-    - anything else (a polynomial or float coordinate, or ints only): the
-      generic loop over the coordinates themselves.  A slot that receives no
-      nonzero product holds that zero (a zero ``MultiPoly`` with the inputs'
-      ``nvars`` when any coordinate is a polynomial, ``0.0`` for floats, int
-      ``0`` for ints), and every other slot is widened to its type, so mixed
-      Fraction/MultiPoly inputs give a MultiPoly in every slot.
-
-    Both loops multiply only pairs of nonzero coordinates.
-    """
-    dim = len(x)
-    if len(y) != dim:
-        raise ValueError("dimension mismatch")
-    zero = sum_zero(x, y)
-    if type(zero) is Fraction:
-        return _rational_multiply(x, y, zero)
-    ys = [(j, yj) for j, yj in enumerate(y) if yj]
-    out = [None] * dim
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row_s = MULT_SIGN[i]
-        row_k = MULT_INDEX[i]
-        for j, yj in ys:
-            term = xi * yj
-            k = row_k[j]
-            v = out[k]
-            if row_s[j] > 0:
-                out[k] = term if v is None else v + term
-            else:
-                out[k] = -term if v is None else v - term
-    return tuple(fill_zero(out, zero))
-
-
-def _rational_multiply(x, y, zero: Fraction) -> tuple:
-    """``multiply`` on rational coordinates, summed in int numerators; slots
-    that come to 0 share ``zero``."""
-    dx = lcm(*[c.denominator for c in x])
-    dy = lcm(*[c.denominator for c in y])
-    ys = [(j, c.numerator * (dy // c.denominator)) for j, c in enumerate(y) if c]
-    out = [0] * len(x)
-    for i, c in enumerate(x):
-        if not c:
-            continue
-        xi = c.numerator * (dx // c.denominator)
-        row_s = MULT_SIGN[i]
-        row_k = MULT_INDEX[i]
-        for j, yj in ys:
-            if row_s[j] > 0:
-                out[row_k[j]] += xi * yj
-            else:
-                out[row_k[j]] -= xi * yj
-    d = dx * dy
-    return tuple(Fraction(v, d) if v else zero for v in out)
+    """The product xy, through the dimension's ``ProductTable``; dim-4 inputs
+    stay in the quaternion sub-span.  The slot types follow from the
+    coordinates through ``scalars.sum_zero``: rational inputs give a
+    ``Fraction`` in every slot, mixed Fraction/MultiPoly inputs a MultiPoly,
+    floats floats and all-int inputs ints."""
+    return _table(len(x)).product(x, y, sum_zero(x, y))
 
 
 def conjugate(x):
@@ -221,12 +270,12 @@ def right_mult_matrix(u) -> Op:
 
 def j_generators(dim: int = 8) -> list:
     """Left-multiplication generators J_i(z) = e_i z, i = 1..dim-1."""
-    return [left_mult_matrix(basis(i, dim)) for i in range(1, dim)]
+    return _table(dim).left_ops()
 
 
 def j_prime_generators(dim: int = 8) -> list:
     """Right-multiplication generators J'_i(z) = z e_i."""
-    return [right_mult_matrix(basis(i, dim)) for i in range(1, dim)]
+    return _table(dim).right_ops()
 
 
 def symbolic_octets(dim: int, names: str) -> tuple:

@@ -65,6 +65,15 @@ def _pack(exponents: Iterable[int], nvars: int) -> int:
     return key
 
 
+def monomial_key(*indices: int) -> int:
+    """Packed key of the monomial x_i x_j ... over the given variable indices;
+    a repeated index raises its exponent, so (i, i) is x_i^2."""
+    key = 0
+    for i in indices:
+        key += 1 << (BITS * i)
+    return key
+
+
 def _unpack(key: int, nvars: int) -> tuple[int, ...]:
     return tuple((key >> (BITS * i)) & _EXP_MASK for i in range(nvars))
 

@@ -32,7 +32,7 @@ from . import octonion as on
 from .circ import Nom, Side, circ, right_ops
 from .clifford import SymmetricCliffordSystem, find_intertwiner, volume_sign
 from .linalg import Op
-from .poly import MultiPoly, Rt2Poly, norm_sq_poly
+from .poly import MultiPoly, Rt2Poly, monomial_key, norm_sq_poly
 from .report import Report
 from .scalars import DeterministicRng, random_unit_rational_vector
 
@@ -157,7 +157,7 @@ def fkm_polynomial(system: SymmetricCliffordSystem) -> MultiPoly:
         q: dict = {}
         for r, row in enumerate(m.rows):
             for k, c in row.items():
-                key = (1 << (5 * r)) + (1 << (5 * k))
+                key = monomial_key(r, k)
                 q[key] = q.get(key, 0) + c
         qp = MultiPoly._adopt(n, {key: c for key, c in q.items() if c}, m.den)
         f = f - 2 * (qp * qp)
@@ -383,7 +383,7 @@ def matrix_route_forms(system: SymmetricCliffordSystem, frame: FocalFrame) -> li
             for k, x in row.items():
                 kfold = halves[j] + halves[k]
                 target = terms_a if kfold % 2 == 0 else terms_b
-                key = (1 << (5 * j)) + (1 << (5 * k))
+                key = monomial_key(j, k)
                 target[key] = target.get(key, 0) - Fraction(x, g.den) * Fraction(2) ** (kfold // 2)
         out.append(Rt2Poly(MultiPoly(tcount, terms_a), MultiPoly(tcount, terms_b)))
     return out
@@ -565,7 +565,7 @@ def condition_b_check(
             tb: dict = {}
             for j, x in g.rows[b].items():
                 kfold = frame.tangent[j].half + frame.normals[b].half
-                (ta if kfold % 2 == 0 else tb)[1 << (5 * j)] = Fraction(x, g.den) * Fraction(2) ** (kfold // 2)
+                (ta if kfold % 2 == 0 else tb)[monomial_key(j)] = Fraction(x, g.den) * Fraction(2) ** (kfold // 2)
             r[a][b] = Rt2Poly(MultiPoly(tcount, ta), MultiPoly(tcount, tb))
 
     skew = all((r[a][b] + r[b][a]).is_zero() for a in range(nops) for b in range(nops))

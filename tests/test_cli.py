@@ -46,6 +46,43 @@ def test_config_errors_exit_2():
     assert main(["--alpha-t", "1/2", "--suites", "nonsense"]) == 2
 
 
+def test_alpha_t_zero_denominator_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--alpha-t", "1/0", "--suites", "algebra"])
+    assert exc.value.code == 2
+    assert "--alpha-t" in capsys.readouterr().err
+    assert main(["--sweep-t", "0,1/0", "--suites", "classify"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suites", ","],
+        ["--suites", " "],
+        ["--suites", "nom,nom"],
+        ["--suites", "algebra,nom,algebra"],
+        ["--sweep-t", ","],
+        ["--sweep-t", ""],
+        ["--sweep-t", "0", "--suites", ","],
+    ],
+)
+def test_empty_or_repeated_selection_is_a_config_error(argv, tmp_path, capsys, monkeypatch):
+    built = _count_calls(monkeypatch, "build_fkm_system")
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists() and not built
+    assert "config error" in capsys.readouterr().err
+
+
+def test_validate_rejects_empty_and_repeated_suites():
+    with pytest.raises(ValueError, match="no suites"):
+        RunConfig(suites=()).validate()
+    with pytest.raises(ValueError, match="repeated"):
+        RunConfig(suites=("nom", "clifford", "nom")).validate()
+    report, code = run(RunConfig(suites=()))
+    assert code == 2 and "error" in report
+
+
 def test_suite_failure_exit_1(monkeypatch):
     import octoverify.cli as cli
 
@@ -113,10 +150,17 @@ def test_run_builds_each_system_once(monkeypatch):
     assert len(fkm) == 1 and len(ot) == 1
 
 
-def test_sweep_theta():
+def test_sweep_theta(monkeypatch):
     cfg = small_cfg(suites=("classify",))
     reports, code = sweep_theta(cfg, [Fraction(0), Fraction(0)])
     assert code == 0 and len(reports) == 2  # duplicates are not deduplicated
+    # one context per t, each building its own nom and FKM system
+    contexts = _count_calls(monkeypatch, "RunContext")
+    built = _count_calls(monkeypatch, "build_fkm_system")
+    reports, code = sweep_theta(cfg, [Fraction(1, 2), Fraction(1)])
+    assert code == 0 and [c.alpha_t for c in contexts] == [Fraction(1, 2), Fraction(1)]
+    assert [n.alpha for n in built] == [c.build_nom().alpha for c in contexts]
+    assert [d["config"]["alpha_t"] for d in reports] == ["1/2", "1"]
     reports, code = sweep_theta(cfg, [])
     assert reports == [] and code == 0
     with pytest.raises(ValueError):

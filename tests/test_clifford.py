@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octoverify import octonion as on
-from octoverify.circ import CircTable
+from octoverify.octonion import ProductTable
 from octoverify.clifford import (
     SymmetricCliffordSystem,
     delta_dimension,
@@ -19,7 +19,7 @@ from octoverify.clifford import (
 )
 from matrix_oracle import add, dense, identity, max_abs, mul, neg, scale, sub, transpose, zeros
 from octoverify.linalg import Op, random_rational_orthogonal
-from octoverify.scalars import DeterministicRng
+from octoverify.scalars import DeterministicRng, sum_zero
 
 
 def test_delta_dimension_table():
@@ -152,15 +152,15 @@ def test_skew_rep_plus_identity_is_orthogonal_multiplication():
         entries = [[on.basis(b, 8) for b in range(8)]]
         for m in map(dense, rep):
             entries.append([tuple(m[r][b] for r in range(8)) for b in range(8)])
-        table = CircTable(entries)
+        table = ProductTable(entries)
         rng = DeterministicRng(77)
         from octoverify.scalars import random_rational
 
         for _ in range(50):
             x = tuple(random_rational(rng, 5) for _ in range(8))
             y = tuple(random_rational(rng, 5) for _ in range(8))
-            assert on.norm_sq(table.mul(x, y)) == on.norm_sq(x) * on.norm_sq(y)
-        assert table.mul(on.basis(0, 8), on.basis(3, 8)) == on.basis(3, 8)
+            assert on.norm_sq(table.product(x, y, sum_zero(x, y))) == on.norm_sq(x) * on.norm_sq(y)
+        assert table.product(on.basis(0, 8), on.basis(3, 8), sum_zero(on.basis(0, 8))) == on.basis(3, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,24 @@ def test_all_int_multiply_keeps_ints():
     assert all(type(c) is int for c in got)
 
 
+# small integer values, so float products and sums are exact and the oracle
+# can be compared with ==
+small_ints = st.one_of(st.just(0), st.integers(-6, 6))
+
+
+@PROPS
+@given(
+    st.sampled_from([4, 8]).flatmap(lambda d: st.lists(small_ints, min_size=2 * d, max_size=2 * d)),
+    st.sampled_from([int, float]),
+)
+def test_multiply_keeps_int_and_float_slots(coords, kind):
+    dim = len(coords) // 2
+    x, y = tuple(map(kind, coords[:dim])), tuple(map(kind, coords[dim:]))
+    got = on.multiply(x, y)
+    assert got == _oracle(tuple(map(Fraction, coords[:dim])), tuple(map(Fraction, coords[dim:])))
+    assert all(type(c) is kind for c in got)
+
+
 NV = 5
 
 

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import pytest
 from matrix_oracle import dense
 from octoverify import octonion as on
+from octoverify.circ import Nom, Side, left_ops, right_ops
 from octoverify.linalg import Op
 from octoverify.octonion import cayley_dickson_multiply
 from octoverify.scalars import DeterministicRng, random_rational
@@ -20,16 +22,35 @@ def test_table_matches_cayley_dickson_oracle():
 
 
 def test_mult_table_invariants():
-    from octoverify.octonion import MULT_INDEX, MULT_SIGN
+    # every entry is a signed basis vector; row 0 and column 0 are the
+    # identity, and every row and column is a signed permutation
+    for dim in (4, 8):
+        pairs = on.PRODUCT_TABLES[dim].as_signed_pairs()
+        assert pairs is not None
+        assert pairs[0] == [(1, b) for b in range(dim)]
+        assert [row[0] for row in pairs] == [(1, a) for a in range(dim)]
+        for i in range(dim):
+            assert sorted(k for _, k in pairs[i]) == list(range(dim))
+            assert sorted(pairs[r][i][1] for r in range(dim)) == list(range(dim))
+    assert on.PRODUCT_TABLES[8].sparse[0] == 1
+    assert all(type(c) is int for row in on.PRODUCT_TABLES[8].entries for v in row for c in v)
 
-    # row 0 and column 0 are identity rows; every row/column is a signed permutation
-    assert MULT_INDEX[0] == list(range(8)) and all(s == 1 for s in MULT_SIGN[0])
-    assert [MULT_INDEX[i][0] for i in range(8)] == list(range(8))
-    assert all(MULT_SIGN[i][0] == 1 for i in range(8))
-    for i in range(8):
-        assert sorted(MULT_INDEX[i]) == list(range(8))
-        assert sorted(MULT_INDEX[r][i] for r in range(8)) == list(range(8))
-        assert all(s in (1, -1) for s in MULT_SIGN[i])
+
+def test_multiply_refuses_unsupported_shapes():
+    for x, y in (((Fraction(1),) * 3, (Fraction(1),) * 3), (E[1], E[2][:4]), (E[1][:4], E[2])):
+        with pytest.raises(ValueError):
+            on.multiply(x, y)
+    with pytest.raises(ValueError):
+        on.j_generators(3)
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_generators_are_the_endpoint_nom_operators(dim):
+    nom = Nom(Side.LEFT, on.basis(0, dim))
+    assert on.j_generators(dim) == left_ops(nom)
+    assert on.j_prime_generators(dim) == right_ops(nom)
+    assert on.j_generators(dim) == [on.left_mult_matrix(on.basis(a, dim)) for a in range(1, dim)]
+    assert on.j_prime_generators(dim) == [on.right_mult_matrix(on.basis(a, dim)) for a in range(1, dim)]
 
 
 def test_identity_element():

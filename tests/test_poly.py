@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octoverify.poly import MultiPoly, Rt2Poly, munzner_verify, norm_sq_poly
+from octoverify.poly import MultiPoly, Rt2Poly, monomial_key, munzner_verify, norm_sq_poly
 from octoverify.scalars import DeterministicRng, random_rational
 
 
@@ -275,6 +275,16 @@ def test_canonical_form_examples():
     zero = half_x - half_x
     assert (zero.terms, zero.den) == ({}, 1)
     assert MultiPoly(2, {1: Fraction(2, 4), 32: Fraction(1, 6)}).den == 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 11), max_size=4))
+def test_monomial_key_is_the_product_of_its_variables(indices):
+    nv = 12
+    want = MultiPoly.const(nv, 1)
+    for i in indices:
+        want = want * MultiPoly.variable(nv, i)
+    assert MultiPoly(nv, {monomial_key(*indices): 1}) == want
 
 
 # -- properties against a {exponents: Fraction} oracle ---------------------------
