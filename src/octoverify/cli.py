@@ -57,19 +57,15 @@ from .identities import (
 from .linalg import Op, random_rational_orthogonal
 from .mirror import (
     EigenDecomp,
-    TrilinearQ,
     assemble_star_blocks,
-    fkm_pq_tangent_forms,
     mirror_points,
     p_star,
-    q_star_fkm_eval,
-    q_star_ot_eval,
     sharp_from_q0,
     star_blocks_identity_check,
     trilinearity_extract,
     verify_ot_equations,
 )
-from .poly import MultiPoly, monomial_key, munzner_verify
+from .poly import MultiPoly, Rt2Poly, monomial_key, munzner_verify
 from .report import Report, encode_value
 from .scalars import DeterministicRng, random_rational
 from .systems import (
@@ -120,6 +116,10 @@ class RunConfig:
             raise ValueError("float mode requires --theta or --alpha-t")
         if self.mode == "float" and not self.tol > 0:
             raise ValueError("float mode requires --tol > 0")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValueError("--theta must be finite")
+        if not math.isfinite(self.tol):
+            raise ValueError("--tol must be finite")
         bad = [s for s in self.suites if s not in ALL_SUITES]
         if bad:
             raise ValueError(f"unknown suites: {bad}")
@@ -431,23 +431,19 @@ def suite_mirror(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Repo
 
     m1 = dim - 1
     qt = trilinearity_extract(forms.q, (m1, m1, dim))
-    closed = TrilinearQ.from_closed_form(lambda X, Y, Z: q_star_fkm_eval(nom, X, Y, Z), dim)
+    closed = ctx.candidate("fkm", nom).tensor
     same = qt.coeffs == closed.coeffs
     negd = qt.coeffs == {k: -v for k, v in closed.coeffs.items()}
     rep.add("extracted_q_matches_closed_form", same or negd, detail={"global_sign": 1 if same else (-1 if negd else 0)})
 
-    p_minus1, p_vec, qt_c = fkm_pq_tangent_forms(nom)
-    oe = verify_ot_equations(p_minus1, p_vec, qt_c)
-    rep.merge(oe)
+    rep.merge(verify_ot_equations(formula, closed))
 
     cb = condition_b_check(fkm.system, frame, formula, forms.q)
     rep.add("condition_b_at_x_star", cb.passed, detail={"failing": cb.failing()})
 
-    ot_qt = TrilinearQ.from_closed_form(q_star_ot_eval, dim)
     theta0 = nom.alpha == on.basis(0, dim) and nom.side is Side.LEFT
     if theta0:
-        from .poly import Rt2Poly
-
+        ot_qt = ctx.candidate("ot").tensor
         ot_q_forms = [Rt2Poly.zero(forms.nvars)] + [
             Rt2Poly.rational(p) for p in ot_qt.component_polys(forms.nvars)
         ]
@@ -549,8 +545,7 @@ def suite_identities(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> 
     )
     rep.add("cor69_endpoints", ok_l and ok_r)
 
-    bad = fkm_candidate(nom)  # not the shared candidate: its eval is replaced
-    bad.eval = lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z)
+    bad = QCandidate(QLabel.CUSTOM, nom, lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z))
     wl = exchange_suite(bad, rng.fork(14), samples=10)
     rep.add("unsymmetrized_candidate_fails", not all(w.passed for w in wl))
 
@@ -582,21 +577,21 @@ def suite_classify(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Re
             norm_identity_check(c)
         return c
 
-    otc = prepared(ctx.candidate("ot"))
-    cls = classify_q(otc)
+    otc = ctx.candidate("ot")
+    leftc = ctx.candidate("fkm", Nom(Side.LEFT, on.basis(0, dim)))
+    rightc = ctx.candidate("fkm", Nom(Side.RIGHT, on.basis(0, dim)))
+    refs = [otc, leftc, rightc]
+    cls = classify_q(prepared(otc), refs)
     rep.add("classify_ot", cls.label is QLabel.OT_TYPE, detail={"matches": [m.value for m in cls.matches], "note": cls.note})
     if dim == 4:
         rep.add("quaternion_coincidence_reported", bool(cls.note))
 
-    leftc = prepared(ctx.candidate("fkm", Nom(Side.LEFT, on.basis(0, dim))))
-    rep.add("classify_fkm_left", classify_q(leftc).label is QLabel.FKM_LEFT)
-    rightc = prepared(ctx.candidate("fkm", Nom(Side.RIGHT, on.basis(0, dim))))
-    rep.add("classify_fkm_right", classify_q(rightc).label is QLabel.FKM_RIGHT)
+    rep.add("classify_fkm_left", classify_q(prepared(leftc), refs).label is QLabel.FKM_LEFT)
+    rep.add("classify_fkm_right", classify_q(prepared(rightc), refs).label is QLabel.FKM_RIGHT)
 
     nom = ctx.nom
     if nom.alpha != on.basis(0, dim):
-        custom = prepared(ctx.candidate("fkm", nom))
-        cls_c = classify_q(custom)
+        cls_c = classify_q(prepared(ctx.candidate("fkm", nom)), refs)
         rep.note(f"config nom classifies as {cls_c.label.value} before perturbation")
 
     pm = perturb_mirror(ctx.fkm)

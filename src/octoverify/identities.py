@@ -9,6 +9,13 @@ the two families are
 Each suite checks its identities both symbolically (multilinear slots carry
 polynomial coordinates, so a pass is a genuine proof of the identity) and on
 seeded random samples recorded as witnesses.
+
+Classification compares tensors: each candidate carries its coefficient
+tensor (``QCandidate.tensor``, read off its ``eval`` on the spanning basis
+triples once), and ``classify_q`` matches it against the tensors of the
+endpoint candidates (OT, FKM-left and FKM-right at alpha = e_0).  The closed
+forms themselves live only in ``mirror.q_star_ot_eval`` and
+``mirror.q_star_fkm_eval``.
 """
 
 from __future__ import annotations
@@ -16,11 +23,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from . import octonion as on
 from .circ import Nom, Side, circ, cos_sin_2theta, theta_axis
-from .mirror import q_star_fkm_eval, q_star_ot_eval
+from .mirror import TrilinearQ, q_star_fkm_eval, q_star_ot_eval
 from .poly import MultiPoly
 from .report import Report, WitnessReport
 from .scalars import DeterministicRng, random_rational
@@ -36,6 +44,10 @@ class QLabel(enum.Enum):
 
 @dataclass
 class QCandidate:
+    """A trilinear candidate q* with the ``verified`` flags its batteries
+    set.  ``tensor`` is cached on first use, so a different ``eval`` needs a
+    new candidate."""
+
     label: QLabel
     nom: Nom
     eval: Callable  # (X, Y, Z) coordinate tuples -> coordinate tuple
@@ -44,6 +56,11 @@ class QCandidate:
     @property
     def dim(self) -> int:
         return self.nom.dim
+
+    @cached_property
+    def tensor(self) -> TrilinearQ:
+        """The coefficients of ``eval`` on the spanning basis triples."""
+        return TrilinearQ.from_closed_form(self.eval, self.dim)
 
 
 def fkm_candidate(nom: Nom) -> QCandidate:
@@ -407,46 +424,21 @@ class Classification:
 REQUIRED_SUITES = {"exchange", "skew", "anti", "norm"}
 
 
-def classify_q(q: QCandidate) -> Classification:
-    """Match q against the closed forms (XY-YX)Z, X(YZ)-Y(XZ), X(ZY)-(XZ)Y by
-    exact comparison on the spanning basis triples.  Requires the identity
-    suites to have run and passed (a suite marks the candidate only when every
-    witness passed); never coerces an unmatched candidate."""
+def classify_q(q: QCandidate, references: list) -> Classification:
+    """Match q against the endpoint candidates ``references`` (OT, FKM-left
+    and FKM-right at alpha = e_0, in that order): q matches a reference when
+    their tensors are equal, that is, when they agree on every spanning basis
+    triple.  Requires the identity suites to have run and passed on q (a
+    suite marks the candidate only when every witness passed); never coerces
+    an unmatched candidate."""
     missing = REQUIRED_SUITES - q.verified
     if missing:
         raise ValueError(f"classification requires suites {sorted(missing)} to have run and passed")
-    dim = q.dim
-
-    def ot_form(X, Y, Z):
-        return on.multiply(on.sub(on.multiply(X, Y), on.multiply(Y, X)), Z)
-
-    def fkm_left(X, Y, Z):
-        return on.sub(on.multiply(X, on.multiply(Y, Z)), on.multiply(Y, on.multiply(X, Z)))
-
-    def fkm_right(X, Y, Z):
-        return on.sub(on.multiply(X, on.multiply(Z, Y)), on.multiply(on.multiply(X, Z), Y))
-
-    refs = [(QLabel.OT_TYPE, ot_form), (QLabel.FKM_LEFT, fkm_left), (QLabel.FKM_RIGHT, fkm_right)]
-    matches = []
-    for label, f in refs:
-        ok = True
-        for alpha in range(1, dim):
-            for mu in range(1, dim):
-                for p in range(dim):
-                    ea, em, ep = on.basis(alpha, dim), on.basis(mu, dim), on.basis(p, dim)
-                    if q.eval(ea, em, ep) != f(ea, em, ep):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            matches.append(label)
+    matches = [ref.label for ref in references if ref.tensor.coeffs == q.tensor.coeffs]
     if not matches:
         return Classification(QLabel.UNKNOWN, [])
     note = ""
-    if dim == 4 and QLabel.OT_TYPE in matches and QLabel.FKM_LEFT in matches:
+    if q.dim == 4 and QLabel.OT_TYPE in matches and QLabel.FKM_LEFT in matches:
         note = "quaternion coincidence: (XY-YX)Z = X(YZ)-Y(XZ), OT and FKM-left agree"
     preferred = q.label if q.label in matches else matches[0]
     return Classification(preferred, matches, note)

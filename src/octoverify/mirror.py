@@ -323,19 +323,24 @@ def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> Triline
 # ---------------------------------------------------------------------------
 
 
-def verify_ot_equations(p_minus1: MultiPoly, p_vec: list, q: TrilinearQ) -> Report:
+def verify_ot_equations(p_forms: list, q: TrilinearQ) -> Report:
     """Three named exact checks over the tangent coordinates:
 
       norm_identity:   16|q*|^2 = 16 G (|X|^2+|Y|^2+|Z|^2) - |grad G|^2,
-                       G = p_-1^2 + sum_a (p*_a)^2 with p*_a = -sqrt2 p_vec[a]
+                       G = p_-1^2 + sum_a (p*_a)^2
       gradient_pairs:  <grad p*_i, grad q*_j> + <grad p*_j, grad q*_i> = 0
                        for all -1 <= i != j <= m1 (q*_-1 = 0)
       p_dot_q:         <p*, q*> = 0
 
-    p_vec holds the rational parts of the a-indexed second-form components
-    (their true values carry a common -sqrt2, which squares away in G and
-    factors out of the other two identities).
+    p_forms is the closed second form as ``systems.closed_second_form``
+    builds it: a rational p_-1, then pure-sqrt2 components p*_a = sqrt2
+    p_vec[a].  The common sqrt2 squares away in G and factors out of the
+    other two identities, so they run on the rational p_vec.
     """
+    if not p_forms[0].is_rational() or not all(f.is_pure_sqrt2() for f in p_forms[1:]):
+        raise ValueError("expected a rational p_-1 and pure-sqrt2 p*_a")
+    p_minus1 = p_forms[0].a
+    p_vec = [f.b for f in p_forms[1:]]
     rep = Report("ot_equations")
     m1 = q.m1
     nv = p_minus1.nvars
@@ -368,11 +373,11 @@ def verify_ot_equations(p_minus1: MultiPoly, p_vec: list, q: TrilinearQ) -> Repo
     gqa = [f.gradient() for f in qpolys]
     ok_pairs = True
     # (i, j) = (-1, a): q_-1 = 0, so only <grad p_-1, grad q_a> remains; the
-    # -sqrt2 on p_a multiplies the vanished term and drops out.
+    # sqrt2 on p_a multiplies the vanished term and drops out.
     for a in range(m1 + 1):
         if not dot(gpm1, gqa[a]).is_zero():
             ok_pairs = False
-    # (i, j) = (a, b), a != b >= 0: both terms share the -sqrt2 factor.
+    # (i, j) = (a, b), a != b >= 0: both terms share the sqrt2 factor.
     for a in range(m1 + 1):
         for b in range(a + 1, m1 + 1):
             if not (dot(gpa[a], gqa[b]) + dot(gpa[b], gqa[a])).is_zero():
@@ -384,28 +389,3 @@ def verify_ot_equations(p_minus1: MultiPoly, p_vec: list, q: TrilinearQ) -> Repo
         pq = pq + f * qf
     rep.add("p_dot_q", pq.is_zero())
     return rep
-
-
-def fkm_pq_tangent_forms(nom: Nom) -> tuple[MultiPoly, list, TrilinearQ]:
-    """Symbolic (p_-1, p_vec rational parts, q tensor) for the FKM closed
-    forms at x*, over the standard (x, y, z) tangent layout."""
-    d = nom.dim
-    xs, ys, zs = on.symbolic_octets(d, "xyZ")
-    p_minus1 = on.inner(xs, xs) - on.inner(ys, ys)
-    vec = on.add(on.multiply(xs, zs), circ(nom, ys, zs))
-    p_vec = [vec[a] for a in range(d)]
-    qt = TrilinearQ.from_closed_form(lambda X, Y, Z: q_star_fkm_eval(nom, X, Y, Z), d)
-    return p_minus1, p_vec, qt
-
-
-def ot_pq_tangent_forms(dim: int = 8) -> tuple[MultiPoly, list, TrilinearQ]:
-    """Same for the OT closed form q* = (XY - YX) Z (o = octonion product).
-
-    No run-time caller: ``test_verify_ot_equations_ot`` and
-    ``test_c06_norm_identity_and_mutation_kill`` run the OT equations on it."""
-    xs, ys, zs = on.symbolic_octets(dim, "xyZ")
-    p_minus1 = on.inner(xs, xs) - on.inner(ys, ys)
-    vec = on.add(on.multiply(xs, zs), on.multiply(ys, zs))
-    p_vec = [vec[a] for a in range(dim)]
-    qt = TrilinearQ.from_closed_form(q_star_ot_eval, dim)
-    return p_minus1, p_vec, qt

@@ -78,6 +78,20 @@ def _unpack(key: int, nvars: int) -> tuple[int, ...]:
     return tuple((key >> (BITS * i)) & _EXP_MASK for i in range(nvars))
 
 
+def monomial_exponents(key: int) -> list[tuple[int, int]]:
+    """The (variable index, exponent) pairs of a packed key with a nonzero
+    exponent, in index order."""
+    out = []
+    i = 0
+    while key:
+        e = key & _EXP_MASK
+        if e:
+            out.append((i, e))
+        key >>= BITS
+        i += 1
+    return out
+
+
 def _rational(c):
     if not isinstance(c, _RATIONAL):
         raise TypeError(f"{c!r} is not an int or a Fraction")
@@ -473,12 +487,21 @@ class Rt2Poly:
         return self.b.is_zero()
 
     def is_pure_sqrt2(self) -> bool:
-        """No run-time caller: ``test_fkm_formula_forms_shape`` checks with it
-        that the a-indexed second-form components are pure sqrt2 multiples."""
         return self.a.is_zero()
 
     def __eq__(self, other):
         return isinstance(other, Rt2Poly) and self.a == other.a and self.b == other.b
+
+
+def rt2_poly(nvars: int, terms: Iterable[tuple[int, Fraction, int]]) -> Rt2Poly:
+    """The sum of c * 2^(kfold/2) * (monomial ``key``) over the (key, c, kfold)
+    triples: an even kfold adds c * 2^(kfold/2) to the rational part, an odd
+    one c * 2^((kfold-1)/2) to the sqrt2 part."""
+    parts: tuple[dict, dict] = ({}, {})
+    for key, c, kfold in terms:
+        part = parts[kfold % 2]
+        part[key] = part.get(key, 0) + c * Fraction(2) ** (kfold // 2)
+    return Rt2Poly(MultiPoly(nvars, parts[0]), MultiPoly(nvars, parts[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from . import octonion as on
 from .circ import Nom, Side, circ, right_ops
 from .clifford import SymmetricCliffordSystem, find_intertwiner, volume_sign
 from .linalg import Op
-from .poly import MultiPoly, Rt2Poly, monomial_key, norm_sq_poly
+from .poly import MultiPoly, Rt2Poly, monomial_exponents, monomial_key, norm_sq_poly, rt2_poly
 from .report import Report
 from .scalars import DeterministicRng, random_unit_rational_vector
 
@@ -205,21 +205,14 @@ def frame_check(frame: FocalFrame, ambient_dim: int) -> Report:
 
 
 def fkm_mirror_frame(fkm: FkmSystem) -> FocalFrame:
-    """Frame at x* = (0, e_0, -e_0, 0)/sqrt2 with normals n_i = P_i(x*).
+    """Frame at x* = (0, e_0, -e_0, 0)/sqrt2 with normals n_i = P_i(x*): the
+    ``fkm_perturbed_frame`` at U = Id.
 
     Tangent order: X-type (0, e_alpha, 0, 0), Y-type (0, 0, e_mu, 0), then
     Z-type (e_p, 0, 0, e_p)/sqrt2, matching the symbolic (X, Y, Z) variable
     layout used by the closed-form routes.
     """
-    d = fkm.split.block_dim
-    sp = fkm.split
-    zero = on.zero(d)
-    xs = ScaledVec(sp.join(zero, on.basis(0, d), on.neg(on.basis(0, d)), zero), -1)
-    tangent = [ScaledVec(sp.join(zero, on.basis(a, d), zero, zero), 0) for a in range(1, d)]
-    tangent += [ScaledVec(sp.join(zero, zero, on.basis(m, d), zero), 0) for m in range(1, d)]
-    tangent += [ScaledVec(sp.join(on.basis(p, d), zero, zero, on.basis(p, d)), -1) for p in range(d)]
-    normals = [ScaledVec(fkm.apply(i, xs.coords), -1) for i in fkm.system.indices]
-    return FocalFrame(xs, tangent, normals)
+    return fkm_perturbed_frame(fkm, Op.identity(fkm.split.block_dim))
 
 
 def ot_plus_frame(ot: OtSystem) -> FocalFrame:
@@ -241,7 +234,11 @@ def ot_plus_frame(ot: OtSystem) -> FocalFrame:
 
 def fkm_perturbed_frame(fkm: FkmSystem, u: Op) -> FocalFrame:
     """Frame at x*_n = (x# + n#)/sqrt2 where x# = (0, e_0, 0, 0),
-    n# = (0, 0, n, 0), n = -U(e_0); tangent vectors are (Z, X, U(Y), U(Z))."""
+    n# = (0, 0, n, 0), n = -U(e_0), with normals n_i = P_i(x*_n).
+
+    Tangent order: X-type (0, e_alpha, 0, 0), Y-type (0, 0, U(e_mu), 0), then
+    Z-type (e_p, 0, 0, U(e_p))/sqrt2.  The orthogonal U comes from
+    ``mirror_intertwiner``; U = Id gives x* itself (``fkm_mirror_frame``)."""
     d = fkm.split.block_dim
     sp = fkm.split
     zero = on.zero(d)
@@ -295,39 +292,24 @@ def extract_expansion_forms(f: MultiPoly, frame: FocalFrame) -> ExtractedForms:
         forms.append(lf)
     fc = f.substitute_linear(forms)
 
-    from .poly import BITS, _EXP_MASK  # packing internals shared deliberately
-
-    p_a: list[dict] = [dict() for _ in range(ncount)]
-    p_b: list[dict] = [dict() for _ in range(ncount)]
-    q_a: list[dict] = [dict() for _ in range(ncount)]
-    q_b: list[dict] = [dict() for _ in range(ncount)]
+    p_terms: list[list] = [[] for _ in range(ncount)]
+    q_terms: list[list] = [[] for _ in range(ncount)]
     t4_coeff = Fraction(0)
 
     for key, cv in fc.fraction_terms().items():
-        exps = []
-        kk = key
-        i = 0
-        while kk:
-            e = kk & _EXP_MASK
-            if e:
-                exps.append((i, e))
-            kk >>= BITS
-            i += 1
         tdeg = 0
         wslots = []
-        tangent_part = 0
+        tangent_vars = []
         kfold = 0
-        tangent_deg = 0
-        for idx, e in exps:
+        for idx, e in monomial_exponents(key):
             kfold += halves[idx] * e
             if idx == 0:
                 tdeg = e
             elif idx <= tcount:
-                tangent_part += e << (BITS * (idx - 1))
-                tangent_deg += e
+                tangent_vars += [idx - 1] * e
             else:
                 wslots.append((idx - 1 - tcount, e))
-        if tdeg == 4 and not wslots and tangent_deg == 0:
+        if tdeg == 4 and not wslots and not tangent_vars:
             if kfold % 2 != 0:
                 raise ValueError("t^4 coefficient carries sqrt2; frame is inconsistent")
             t4_coeff = cv * Fraction(2) ** (kfold // 2)
@@ -335,22 +317,18 @@ def extract_expansion_forms(f: MultiPoly, frame: FocalFrame) -> ExtractedForms:
         if len(wslots) != 1 or wslots[0][1] != 1:
             continue
         widx = wslots[0][0]
-        if tdeg == 1 and tangent_deg == 2:
-            target_a, target_b = p_a[widx], p_b[widx]
-        elif tdeg == 0 and tangent_deg == 3:
-            target_a, target_b = q_a[widx], q_b[widx]
+        if tdeg == 1 and len(tangent_vars) == 2:
+            target = p_terms[widx]
+        elif tdeg == 0 and len(tangent_vars) == 3:
+            target = q_terms[widx]
         else:
             continue
-        c8 = cv / 8
-        if kfold % 2 == 0:
-            target_a[tangent_part] = target_a.get(tangent_part, Fraction(0)) + c8 * Fraction(2) ** (kfold // 2)
-        else:
-            target_b[tangent_part] = target_b.get(tangent_part, Fraction(0)) + c8 * Fraction(2) ** ((kfold - 1) // 2)
+        target.append((monomial_key(*tangent_vars), cv / 8, kfold))
 
     if t4_coeff != 1:
         raise ValueError(f"expansion point is not on the +1 focal locus (t^4 coeff {t4_coeff})")
-    ps = [Rt2Poly(MultiPoly(tcount, a), MultiPoly(tcount, b)) for a, b in zip(p_a, p_b)]
-    qs = [Rt2Poly(MultiPoly(tcount, a), MultiPoly(tcount, b)) for a, b in zip(q_a, q_b)]
+    ps = [rt2_poly(tcount, t) for t in p_terms]
+    qs = [rt2_poly(tcount, t) for t in q_terms]
     return ExtractedForms(ps, qs, tcount)
 
 
@@ -377,29 +355,29 @@ def matrix_route_forms(system: SymmetricCliffordSystem, frame: FocalFrame) -> li
     out = []
     for m in system.operators:
         g = v @ m @ vt
-        terms_a: dict = {}
-        terms_b: dict = {}
-        for j, row in enumerate(g.rows):
-            for k, x in row.items():
-                kfold = halves[j] + halves[k]
-                target = terms_a if kfold % 2 == 0 else terms_b
-                key = monomial_key(j, k)
-                target[key] = target.get(key, 0) - Fraction(x, g.den) * Fraction(2) ** (kfold // 2)
-        out.append(Rt2Poly(MultiPoly(tcount, terms_a), MultiPoly(tcount, terms_b)))
+        terms = (
+            (monomial_key(j, k), -Fraction(x, g.den), halves[j] + halves[k])
+            for j, row in enumerate(g.rows)
+            for k, x in row.items()
+        )
+        out.append(rt2_poly(tcount, terms))
     return out
+
+
+def closed_second_form(dim: int, yz) -> list:
+    """The closed second form at a mirror point, over the tangent variables
+    ordered (x_1.., y_1.., z_0..): p_-1 = |X|^2 - |Y|^2 and
+    p_a = -sqrt2 <XZ + Y.Z, e_a>, with the product Y.Z = yz(Y, Z).  Y o Z
+    gives it at x* (``fkm_formula_forms``); YZ or ZY at the perturbed point
+    x*_n (``perturb_mirror``), and YZ also for the OT family."""
+    xs, ys, zs = on.symbolic_octets(dim, "xyZ")
+    vec = on.add(on.multiply(xs, zs), yz(ys, zs))
+    return [Rt2Poly.rational(on.inner(xs, xs) - on.inner(ys, ys))] + [Rt2Poly.sqrt2_times(-c) for c in vec]
 
 
 def fkm_formula_forms(nom: Nom) -> list:
-    """Closed mirror-point second-form formulas: p_-1 = |X|^2 - |Y|^2 and
-    p_a = -sqrt2 <XZ + Y o Z, e_a>, over the tangent variables ordered
-    (x_1.., y_1.., z_0..)."""
-    d = nom.dim
-    xs, ys, zs = on.symbolic_octets(d, "xyZ")
-    out = [Rt2Poly.rational(on.inner(xs, xs) - on.inner(ys, ys))]
-    vec = on.add(on.multiply(xs, zs), circ(nom, ys, zs))
-    for a in range(d):
-        out.append(Rt2Poly.sqrt2_times(-vec[a]))
-    return out
+    """The closed second form at x*: p_a = -sqrt2 <XZ + Y o Z, e_a>."""
+    return closed_second_form(nom.dim, lambda y, z: circ(nom, y, z))
 
 
 def second_form_at_focal(fkm: FkmSystem) -> Report:
@@ -561,12 +539,11 @@ def condition_b_check(
     for a in range(nops):
         g = nrm @ system.operators[a] @ vt
         for b in range(nops):
-            ta: dict = {}
-            tb: dict = {}
-            for j, x in g.rows[b].items():
-                kfold = frame.tangent[j].half + frame.normals[b].half
-                (ta if kfold % 2 == 0 else tb)[monomial_key(j)] = Fraction(x, g.den) * Fraction(2) ** (kfold // 2)
-            r[a][b] = Rt2Poly(MultiPoly(tcount, ta), MultiPoly(tcount, tb))
+            terms = (
+                (monomial_key(j), Fraction(x, g.den), frame.tangent[j].half + frame.normals[b].half)
+                for j, x in g.rows[b].items()
+            )
+            r[a][b] = rt2_poly(tcount, terms)
 
     skew = all((r[a][b] + r[b][a]).is_zero() for a in range(nops) for b in range(nops))
     rep.add("r_skew_symmetric", skew)
@@ -650,15 +627,12 @@ def perturb_mirror(fkm: FkmSystem) -> Report:
     rep.add("frame_orthonormal", fr.passed)
 
     got = matrix_route_forms(fkm.system, frame)
-    xs, ys, zs = on.symbolic_octets(d, "xyZ")
     if branch == 1:
-        vec = on.add(on.multiply(xs, zs), on.multiply(ys, zs))
+        want = closed_second_form(d, on.multiply)
         label = "XZ+YZ"
     else:
-        vec = on.add(on.multiply(xs, zs), on.multiply(zs, ys))
+        want = closed_second_form(d, lambda y, z: on.multiply(z, y))
         label = "XZ+ZY"
-    want = [Rt2Poly.rational(on.inner(xs, xs) - on.inner(ys, ys))]
-    want += [Rt2Poly.sqrt2_times(-vec[a]) for a in range(d)]
     ok = all((g - w).is_zero() for g, w in zip(got, want))
     rep.add("second_form_branch_identity", ok, detail={"branch": label})
     return rep

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from octoverify import octonion as on
-from octoverify.circ import Side, nom_from_t
+from octoverify.circ import Nom, Side, nom_from_t
 from octoverify.cli import RunConfig, run, sweep_theta
 from octoverify.clifford import (
     find_intertwiner,
@@ -33,15 +33,14 @@ from octoverify.identities import (
 from octoverify.linalg import Op, random_rational_orthogonal
 from octoverify.mirror import (
     TrilinearQ,
-    fkm_pq_tangent_forms,
-    ot_pq_tangent_forms,
     q_star_ot_eval,
     verify_ot_equations,
 )
-from octoverify.poly import MultiPoly, Rt2Poly, munzner_verify, norm_sq_poly
+from octoverify.poly import MultiPoly, Rt2Poly, monomial_key, munzner_verify, norm_sq_poly
 from octoverify.scalars import DeterministicRng, random_rational
 from octoverify.systems import (
     blocks_from_forms,
+    closed_second_form,
     condition_a_check,
     condition_b_check,
     extract_expansion_forms,
@@ -161,13 +160,15 @@ def test_c05_second_fundamental_form(fkm_systems):
 
 def test_c06_norm_identity_and_mutation_kill(noms):
     ok = True
-    families = [fkm_pq_tangent_forms(noms[k]) for k in NOM_KEYS]
-    families.append(ot_pq_tangent_forms(8))
+    families = [(fkm_formula_forms(noms[k]), fkm_candidate(noms[k]).tensor) for k in NOM_KEYS]
+    families.append((closed_second_form(8, on.multiply), ot_candidate(8).tensor))
     rhs_cache = []
-    for p1, pv, qt in families:
-        rep = verify_ot_equations(p1, pv, qt)
+    for p_forms, qt in families:
+        rep = verify_ot_equations(p_forms, qt)
         if not rep.passed:
             ok = False
+        p1 = p_forms[0].a
+        pv = [f.b for f in p_forms[1:]]
         nv = p1.nvars
         g = p1 * p1
         for f in pv:
@@ -192,14 +193,7 @@ def test_c06_norm_identity_and_mutation_kill(noms):
         a = key[0]
         nv = rhs.nvars
         qa = qt.component_polys(nv)[a]
-        m = MultiPoly(
-            nv,
-            {
-                (1 << (5 * (key[1] - 1)))
-                + (1 << (5 * (qt.m1 + key[2] - 1)))
-                + (1 << (5 * (2 * qt.m1 + key[3]))): Fraction(1)
-            },
-        )
+        m = MultiPoly(nv, {monomial_key(key[1] - 1, qt.m1 + key[2] - 1, 2 * qt.m1 + key[3]): Fraction(1)})
         defect = 16 * ((-2 * c) * (qa * m) + (c * c) * (m * m))
         if not defect.is_zero():
             kills += 1
@@ -307,13 +301,18 @@ def test_c10_condition_matrix(fkm_systems, fkm_polys, ot_octonion, ot_octonion_p
         norm_identity_check(c)
         return c
 
-    if classify_q(prepared(ot_candidate(8))).label is not QLabel.OT_TYPE:
+    def endpoints(dim):
+        e0 = on.basis(0, dim)
+        return [ot_candidate(dim), fkm_candidate(Nom(Side.LEFT, e0)), fkm_candidate(Nom(Side.RIGHT, e0))]
+
+    refs = endpoints(8)
+    if classify_q(prepared(ot_candidate(8)), refs).label is not QLabel.OT_TYPE:
         ok = False
-    if classify_q(prepared(fkm_candidate(nom_from_t(Side.LEFT, Fraction(0))))).label is not QLabel.FKM_LEFT:
+    if classify_q(prepared(fkm_candidate(nom_from_t(Side.LEFT, Fraction(0)))), refs).label is not QLabel.FKM_LEFT:
         ok = False
-    if classify_q(prepared(fkm_candidate(nom_from_t(Side.RIGHT, Fraction(0))))).label is not QLabel.FKM_RIGHT:
+    if classify_q(prepared(fkm_candidate(nom_from_t(Side.RIGHT, Fraction(0)))), refs).label is not QLabel.FKM_RIGHT:
         ok = False
-    cls4 = classify_q(prepared(ot_candidate(4)))
+    cls4 = classify_q(prepared(ot_candidate(4)), endpoints(4))
     if "coincidence" not in cls4.note:
         ok = False
     _line(10, "Condition A/B matrix and classification labels", ok)

@@ -252,6 +252,21 @@ def test_float_mode_dump_poly_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert "--dump-poly" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--theta", "nan"],  # NaN residuals passed every check with max(0.0, nan) == 0.0
+        ["--theta", "inf"],  # math.cos(inf) raised a traceback
+        ["--theta", "0.8", "--tol", "inf"],  # every residual is within an infinite tolerance
+    ],
+)
+def test_non_finite_float_input_is_a_config_error(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["--mode", "float", "--suites", "nom", "--out", str(out)] + argv) == 2
+    assert not out.exists()
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_float_mode_sweep_is_a_config_error(tmp_path, capsys, monkeypatch):
     built = _count_calls(monkeypatch, "build_fkm_system")
     out = tmp_path / "sweep.json"

@@ -5,6 +5,8 @@ import pytest
 from octoverify import octonion as on
 from octoverify.circ import Nom, Side, nom_from_t
 from octoverify.identities import (
+    REQUIRED_SUITES,
+    QCandidate,
     QLabel,
     anti_suite,
     classify_q,
@@ -20,6 +22,7 @@ from octoverify.identities import (
     skew_suite,
 )
 from octoverify.mirror import q_star_fkm_eval
+from octoverify.octonion import cayley_dickson_multiply
 from octoverify.scalars import DeterministicRng, random_rational
 
 E = [on.basis(i) for i in range(8)]
@@ -115,8 +118,7 @@ def test_batteries_quaternion_candidates():
 
 
 def test_unsymmetrized_candidate_fails():
-    cand = fkm_candidate(nom_from_t(Side.LEFT, Fraction(0)))
-    cand.eval = lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z)
+    cand = QCandidate(QLabel.CUSTOM, nom_from_t(Side.LEFT, Fraction(0)), lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z))
     rng = DeterministicRng(9)
     results = exchange_suite(cand, rng, samples=10)
     assert not all(w.passed for w in results)
@@ -198,34 +200,95 @@ def _prepared(cand):
     return cand
 
 
+def _endpoints(dim):
+    """The classifier's references: OT, FKM-left and FKM-right at alpha = e_0."""
+    e0 = on.basis(0, dim)
+    return [ot_candidate(dim), fkm_candidate(Nom(Side.LEFT, e0)), fkm_candidate(Nom(Side.RIGHT, e0))]
+
+
 def test_classify_q_labels():
-    assert classify_q(_prepared(ot_candidate(8))).label is QLabel.OT_TYPE
-    assert classify_q(_prepared(fkm_candidate(nom_from_t(Side.LEFT, Fraction(0))))).label is QLabel.FKM_LEFT
-    assert classify_q(_prepared(fkm_candidate(nom_from_t(Side.RIGHT, Fraction(0))))).label is QLabel.FKM_RIGHT
+    refs = _endpoints(8)
+    assert classify_q(_prepared(ot_candidate(8)), refs).label is QLabel.OT_TYPE
+    assert classify_q(_prepared(fkm_candidate(nom_from_t(Side.LEFT, Fraction(0)))), refs).label is QLabel.FKM_LEFT
+    assert classify_q(_prepared(fkm_candidate(nom_from_t(Side.RIGHT, Fraction(0)))), refs).label is QLabel.FKM_RIGHT
 
 
 def test_classify_q_requires_suites():
     with pytest.raises(ValueError, match="suites"):
-        classify_q(ot_candidate(8))
+        classify_q(ot_candidate(8), _endpoints(8))
 
 
 def test_classify_q_quaternion_coincidence():
-    cls = classify_q(_prepared(ot_candidate(4)))
+    cls = classify_q(_prepared(ot_candidate(4)), _endpoints(4))
     assert QLabel.OT_TYPE in cls.matches and QLabel.FKM_LEFT in cls.matches
     assert "coincidence" in cls.note
 
 
 def test_classify_q_unknown_for_nonendpoint():
     cand = _prepared(fkm_candidate(nom_from_t(Side.LEFT, Fraction(1, 2))))
-    assert classify_q(cand).label is QLabel.UNKNOWN
+    assert classify_q(cand, _endpoints(8)).label is QLabel.UNKNOWN
+
+
+def _cd_multiply(x, y):
+    """The Cayley-Dickson product, for quaternions through the quaternion
+    sub-span of the octonions."""
+    pad = (Fraction(0),) * (8 - len(x))
+    return cayley_dickson_multiply(tuple(x) + pad, tuple(y) + pad)[: len(x)]
+
+
+def _oracle_matches(cand):
+    """The closed forms (XY - YX)Z, X(YZ) - Y(XZ) and X(ZY) - (XZ)Y, written
+    with the Cayley-Dickson product, that agree with cand on every spanning
+    basis triple."""
+    m = _cd_multiply
+    forms = [
+        (QLabel.OT_TYPE, lambda X, Y, Z: m(on.sub(m(X, Y), m(Y, X)), Z)),
+        (QLabel.FKM_LEFT, lambda X, Y, Z: on.sub(m(X, m(Y, Z)), m(Y, m(X, Z)))),
+        (QLabel.FKM_RIGHT, lambda X, Y, Z: on.sub(m(X, m(Z, Y)), m(m(X, Z), Y))),
+    ]
+    dim = cand.dim
+    E = [on.basis(i, dim) for i in range(dim)]
+    triples = [(E[a], E[b], E[p]) for a in range(1, dim) for b in range(1, dim) for p in range(dim)]
+    return [label for label, f in forms if all(cand.eval(*t) == f(*t) for t in triples)]
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(1, 2)])
+def test_classify_q_matches_the_cayley_dickson_oracle(dim, side, t):
+    refs = _endpoints(dim)
+    cand = fkm_candidate(nom_from_t(side, t, axis=4 if dim == 8 else 1, dim=dim))
+    cand.verified.update(REQUIRED_SUITES)  # the matcher alone is under test
+    assert classify_q(cand, refs).matches == _oracle_matches(cand)
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_classify_q_ot_matches_the_cayley_dickson_oracle(dim):
+    cand = ot_candidate(dim)
+    cand.verified.update(REQUIRED_SUITES)
+    want = [QLabel.OT_TYPE, QLabel.FKM_LEFT] if dim == 4 else [QLabel.OT_TYPE]
+    assert _oracle_matches(cand) == want
+    assert classify_q(cand, _endpoints(dim)).matches == want
+
+
+def test_classify_q_unknown_when_one_basis_triple_differs():
+    left = fkm_candidate(Nom(Side.LEFT, E[0]))
+
+    def bumped(X, Y, Z):
+        # adds X_1 Y_2 Z_3 e_4: trilinear, nonzero only on (e_1, e_2, e_3)
+        return on.add(left.eval(X, Y, Z), on.scale(X[1] * Y[2] * Z[3], E[4]))
+
+    cand = QCandidate(QLabel.CUSTOM, left.nom, bumped, set(REQUIRED_SUITES))
+    assert [k for k in cand.tensor.coeffs if cand.tensor.coeffs[k] != left.tensor.coeffs.get(k)] == [(4, 1, 2, 3)]
+    cls = classify_q(cand, _endpoints(8))
+    assert cls.label is QLabel.UNKNOWN and cls.matches == []
 
 
 def test_failed_battery_blocks_classification():
     # q = (XY)Z is not symmetrized: over the quaternions it fails the exchange
     # and skew batteries, so they must not mark it and classify_q must refuse it
-    cand = fkm_candidate(Nom(Side.LEFT, on.basis(0, 4)))
-    cand.eval = lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z)
+    cand = QCandidate(QLabel.CUSTOM, Nom(Side.LEFT, on.basis(0, 4)), lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z))
     _prepared(cand)
     assert "exchange" not in cand.verified and "skew" not in cand.verified
     with pytest.raises(ValueError, match="passed"):
-        classify_q(cand)
+        classify_q(cand, _endpoints(4))

@@ -10,9 +10,7 @@ from octoverify.mirror import (
     HalfScaledMatrix,
     TrilinearQ,
     assemble_star_blocks,
-    fkm_pq_tangent_forms,
     mirror_points,
-    ot_pq_tangent_forms,
     p_star,
     q_star_fkm,
     q_star_fkm_eval,
@@ -26,7 +24,8 @@ from octoverify.mirror import (
 from octoverify.linalg import Op
 from octoverify.poly import MultiPoly
 from octoverify.scalars import DeterministicRng, random_rational
-from octoverify.systems import extract_expansion_forms, fkm_mirror_frame
+from octoverify.identities import fkm_candidate, ot_candidate
+from octoverify.systems import closed_second_form, extract_expansion_forms, fkm_formula_forms, fkm_mirror_frame
 
 E = [on.basis(i) for i in range(8)]
 ZERO = on.zero(8)
@@ -245,21 +244,27 @@ def test_norm_identity_between_families():
 
 @pytest.mark.parametrize("key", [("left", Fraction(0)), ("right", Fraction(0)), ("left", Fraction(1, 2))])
 def test_verify_ot_equations_fkm(noms, key):
-    p1, pv, qt = fkm_pq_tangent_forms(noms[key])
-    rep = verify_ot_equations(p1, pv, qt)
+    rep = verify_ot_equations(fkm_formula_forms(noms[key]), fkm_candidate(noms[key]).tensor)
     assert rep.passed, rep.failing()
 
 
 def test_verify_ot_equations_ot():
-    p1, pv, qt = ot_pq_tangent_forms(8)
-    rep = verify_ot_equations(p1, pv, qt)
+    rep = verify_ot_equations(closed_second_form(8, on.multiply), ot_candidate(8).tensor)
     assert rep.passed, rep.failing()
 
 
 def test_verify_ot_equations_mutation_fails(noms):
-    p1, pv, qt = fkm_pq_tangent_forms(noms[("left", Fraction(0))])
+    nom = noms[("left", Fraction(0))]
+    qt = fkm_candidate(nom).tensor
     key = next(iter(qt.coeffs))
     mut = qt.mutated(key, Fraction(0))
-    rep = verify_ot_equations(p1, pv, mut)
+    rep = verify_ot_equations(fkm_formula_forms(nom), mut)
     assert not rep.passed
     assert "third_form_norm_identity" in rep.failing()
+
+
+def test_verify_ot_equations_rejects_a_rational_p_component(noms):
+    nom = noms[("left", Fraction(0))]
+    p_minus1 = fkm_formula_forms(nom)[0]
+    with pytest.raises(ValueError, match="pure-sqrt2"):
+        verify_ot_equations([p_minus1, p_minus1], fkm_candidate(nom).tensor)
