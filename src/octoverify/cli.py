@@ -112,6 +112,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "exact" and self.alpha_t is None:
             raise ValueError("exact mode requires a rational --alpha-t")
+        if self.mode == "exact" and self.theta is not None:
+            raise ValueError("--theta requires float mode; exact mode reads --alpha-t")
         if self.mode == "float" and self.theta is None and self.alpha_t is None:
             raise ValueError("float mode requires --theta or --alpha-t")
         if self.mode == "float" and not self.tol > 0:
@@ -479,7 +481,7 @@ def suite_mirror(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Repo
     j4 = on.j_generators(d)
     sharp = left_ops(nom)
     b_star, c_star = assemble_star_blocks(j4, sharp)
-    ok_zero_col = all(a - 1 not in row for a in range(1, d) for row in b_star[a - 1].op.rows)
+    ok_zero_col = all(a - 1 not in row for a in range(1, d) for row in b_star[a - 1].rows)
     rep.add("bstar_ath_column_zero", ok_zero_col)
     gram = star_blocks_identity_check(b_star, c_star)
     rep.add("star_blocks_gram", gram.passed)

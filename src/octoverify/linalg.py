@@ -13,6 +13,9 @@ and reduce their result once, with one gcd; no ``Fraction`` is built on the
 way.  ``apply`` hands a vector back as ``Fraction`` slots, with the shared
 ``scalars.RATIONAL_ZERO`` where a sum is zero.
 
+``Op.blocks`` assembles a block matrix from ``Op`` blocks, the way the
+FKM/OT operators are built from the octonion and o-multiplication operators.
+
 Ingress has one rule: ``Op.of`` is the one way in for dense data (it passes
 an ``Op`` through and converts dense rows of ``int`` and ``Fraction``
 entries), and ``apply`` and ``kernel_basis`` take the same entries.  Anything else (a float above all, whose binary
@@ -83,6 +86,30 @@ class Op:
     @staticmethod
     def identity(n: int) -> "Op":
         return Op._wrap(1, [{i: 1} for i in range(n)], n)
+
+    @staticmethod
+    def blocks(grid) -> "Op":
+        """The block matrix with the ``Op`` ``grid[i][j]`` in block (i, j) and
+        ``None`` for a zero block; each block row and block column needs one
+        ``Op`` to fix its size.  Canonical over the lcm of the blocks'
+        denominators, as in ``of``."""
+        heights = [next(len(b.rows) for b in brow if b is not None) for brow in grid]
+        widths = [next(brow[j].ncols for brow in grid if brow[j] is not None) for j in range(len(grid[0]))]
+        offsets = [sum(widths[:j]) for j in range(len(widths))]
+        den = lcm(*(b.den for brow in grid for b in brow if b is not None))
+        rows: list[dict] = []
+        for brow, h in zip(grid, heights):
+            out: list[dict] = [{} for _ in range(h)]
+            for b, w, off in zip(brow, widths, offsets):
+                if b is None:
+                    continue
+                if len(b.rows) != h or b.ncols != w:
+                    raise ValueError("blocks do not line up")
+                f = den // b.den
+                for row, src in zip(out, b.rows):
+                    row.update({off + c: x * f for c, x in src.items()})
+            rows += out
+        return Op._wrap(den, rows, sum(widths))
 
     @property
     def T(self) -> "Op":

@@ -4,8 +4,7 @@ Ozeki-Takeuchi integrability identities.
 Index bookkeeping: at the mirror point x* the form components are indexed
 -1, 0..m1 (the -1 slot is the diagonal form |X|^2 - |Y|^2, and the original
 index-0 third-form component vanishes, after which the remaining components
-are renamed 0..m1).  TrilinearQ carries a ``reindexed`` flag so reports cannot
-mix the two conventions.
+are renamed 0..m1).  TrilinearQ always holds the renamed convention.
 """
 
 from __future__ import annotations
@@ -47,14 +46,6 @@ def mirror_points(x: tuple, n0: tuple) -> MirrorFrame:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HalfScaledMatrix:
-    """op * 2^(half/2), mirroring ScaledVec for matrices."""
-
-    op: Op
-    half: int = 0
-
-
 def _negated_rows(blocks: list, i: int) -> Op:
     """The matrix whose row b is row i of -blocks[b]."""
     den = lcm(*(m.den for m in blocks))
@@ -64,8 +55,9 @@ def _negated_rows(blocks: list, i: int) -> Op:
 
 def assemble_star_blocks(a_blocks: list, a_sharp_blocks: list) -> tuple[list, list]:
     """B*_a and C*_a, a = 1..m1+1, from the ``Op`` blocks A_b and A#_b: row b
-    of B*_a is row a of -A_b/sqrt2 (rows of A are 0-indexed here, so 'row a'
-    means index a-1), and C* is the same stacking of the -A#_b/sqrt2."""
+    of sqrt2 B*_a is row a of -A_b (rows of A are 0-indexed here, so 'row a'
+    means index a-1), and sqrt2 C* is the same stacking of the -A#_b.  Every
+    block shares the factor 1/sqrt2, so the returned ``Op``s leave it out."""
     m1 = len(a_blocks)
     n = m1 + 1
     for name, blocks in (("A", a_blocks), ("A#", a_sharp_blocks)):
@@ -74,8 +66,8 @@ def assemble_star_blocks(a_blocks: list, a_sharp_blocks: list) -> tuple[list, li
         for m in blocks:
             if len(m.rows) != n or m.ncols != n:
                 raise ValueError(f"{name} blocks must be {n}x{n}")
-    b_star = [HalfScaledMatrix(_negated_rows(a_blocks, a), -1) for a in range(n)]
-    c_star = [HalfScaledMatrix(_negated_rows(a_sharp_blocks, a), -1) for a in range(n)]
+    b_star = [_negated_rows(a_blocks, a) for a in range(n)]
+    c_star = [_negated_rows(a_sharp_blocks, a) for a in range(n)]
     return b_star, c_star
 
 
@@ -84,18 +76,14 @@ def star_blocks_identity_check(b_star: list, c_star: list) -> Report:
     (B*_a)^T B*_b + (B*_b)^T B*_a = (C*_a)^T C*_b + (C*_b)^T C*_a.
 
     With D = (B*_a)^T B*_b - (C*_a)^T C*_b this reads D + D^T = 0, which is
-    symmetric in (a, b), so only the pairs a <= b are formed.  All blocks
-    must carry one half-power scale (assemble_star_blocks gives every one
-    half = -1), which then divides out."""
+    symmetric in (a, b), so only the pairs a <= b are formed.  A common
+    scale of all blocks (the 1/sqrt2 that ``assemble_star_blocks`` leaves
+    out) does not change it."""
     rep = Report("star_blocks_gram")
-    if len({m.half for m in b_star + c_star}) > 1:
-        raise ValueError("B* and C* blocks must carry one half-power scale")
-    bs = [m.op for m in b_star]
-    cs = [m.op for m in c_star]
     ok = True
-    for a in range(len(bs)):
-        for b in range(a, len(bs)):
-            d = bs[a].T @ bs[b] - cs[a].T @ cs[b]
+    for a in range(len(b_star)):
+        for b in range(a, len(b_star)):
+            d = b_star[a].T @ b_star[b] - c_star[a].T @ c_star[b]
             if (d + d.T).scalar() != 0:
                 ok = False
     rep.add("bstar_cstar_gram_identity", ok)
@@ -199,12 +187,11 @@ def sharp_from_q0(q0: MultiPoly, m1: int) -> list:
 @dataclass
 class TrilinearQ:
     """Coefficients q_a^{alpha mu p} of <q*(X, Y, Z), e_a>; indices follow the
-    renamed convention a, p in 0..m1, alpha, mu in 1..m1 (reindexed=True means
-    the vanished original index-0 component has been dropped)."""
+    renamed convention a, p in 0..m1, alpha, mu in 1..m1 (the vanished
+    original index-0 component has been dropped)."""
 
     m1: int
     coeffs: dict  # (a, alpha, mu, p) -> Fraction
-    reindexed: bool = True
 
     def value(self, a: int, alpha: int, mu: int, p: int) -> Fraction:
         return self.coeffs.get((a, alpha, mu, p), Fraction(0))
@@ -245,7 +232,7 @@ class TrilinearQ:
             coeffs.pop(key, None)
         else:
             coeffs[key] = value
-        return TrilinearQ(self.m1, coeffs, self.reindexed)
+        return TrilinearQ(self.m1, coeffs)
 
     @staticmethod
     def from_closed_form(q_eval, dim: int) -> "TrilinearQ":
@@ -315,7 +302,7 @@ def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> Triline
             acc = acc + u * v
         if not acc.is_zero():
             raise ValueError(f"<grad p_-1, grad q_{a}> != 0")
-    return TrilinearQ(m1, coeffs, reindexed=True)
+    return TrilinearQ(m1, coeffs)
 
 
 # ---------------------------------------------------------------------------

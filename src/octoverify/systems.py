@@ -10,6 +10,13 @@ for 0 <= a <= m1, with o a normalized orthogonal multiplication; the OT family
 by P_0: (u, v, z, w) -> (u, -v, w, z) and
 P_a: (u, v, z, w) -> (e_a v, -e_a u, e_a w, -e_a z).
 
+Each operator is a 4x4 block ``Op`` (``Op.blocks``) whose blocks are the
+multiplication operators the product tables already give as ``Op``s: J_a and
+J'_a from the octonion table (``octonion.j_generators``,
+``j_prime_generators``) and Ro_a(x) = x o e_a from the nom's table
+(``circ.right_ops``).  No operator is built by pushing basis vectors through
+the maps above; the tests keep those maps as the oracle.
+
 Mirror points like x* = (0, e_0, -e_0, 0)/sqrt(2) carry the sqrt(2) as a
 half-power-of-two tag on a rational representative (ScaledVec), so focal
 checks, tangent frames, and the degree-4 expansion of F at such points all
@@ -30,7 +37,7 @@ from functools import reduce
 
 from . import octonion as on
 from .circ import Nom, Side, circ, right_ops
-from .clifford import SymmetricCliffordSystem, find_intertwiner, volume_sign
+from .clifford import SymmetricCliffordSystem, volume_sign
 from .linalg import Op
 from .poly import MultiPoly, Rt2Poly, monomial_exponents, monomial_key, norm_sq_poly, rt2_poly
 from .report import Report
@@ -46,10 +53,6 @@ class AmbientSplit:
     @property
     def ambient_dim(self) -> int:
         return 4 * self.block_dim
-
-    def split(self, v: tuple) -> tuple:
-        d = self.block_dim
-        return tuple(tuple(v[i * d : (i + 1) * d]) for i in range(4))
 
     def join(self, a, b, c, d) -> tuple:
         return tuple(a) + tuple(b) + tuple(c) + tuple(d)
@@ -67,19 +70,11 @@ class ScaledVec:
         return n2 * Fraction(2) ** self.half
 
 
-def _op_matrix(f, n: int) -> Op:
-    cols = [f(tuple(Fraction(int(i == b)) for i in range(n))) for b in range(n)]
-    return Op.of([[cols[b][r] for b in range(n)] for r in range(n)])
-
-
 @dataclass
 class FkmSystem:
     nom: Nom
     split: AmbientSplit
     system: SymmetricCliffordSystem  # indices -1..block_dim-1
-
-    def apply(self, index: int, v: tuple) -> tuple:
-        return tuple(self.system.operator(index).apply(v))
 
 
 @dataclass
@@ -87,62 +82,56 @@ class OtSystem:
     split: AmbientSplit
     system: SymmetricCliffordSystem  # indices 0..block_dim-1
 
-    def apply(self, index: int, v: tuple) -> tuple:
-        return tuple(self.system.operator(index).apply(v))
-
 
 def build_fkm_system(nom: Nom) -> FkmSystem:
+    """P_-1 = diag(I, -I, I, -I) and, for each a, P_a with -R'_a in block
+    (1, 2), -R'_{conj a} in (2, 1), -Ro_{conj a} in (3, 4) and -Ro_a in
+    (4, 3), where R'_a(x) = x e_a (J'_a) and Ro_a(x) = x o e_a.  For a >= 1,
+    conj(e_a) = -e_a flips the sign of the (2, 1) and (3, 4) blocks; e_0 is a
+    two-sided unit of xy and of every o, so R'_0 = Ro_0 = I."""
     d = nom.dim
-    sp = AmbientSplit(d)
+    one = Op.identity(d)
 
-    def p_minus1(v):
-        A, X, Y, B = sp.split(v)
-        return sp.join(A, on.neg(X), Y, on.neg(B))
+    def p_a(r1, r1_conj, ro, ro_conj) -> Op:
+        return Op.blocks([
+            [None, -r1, None, None],
+            [-r1_conj, None, None, None],
+            [None, None, None, -ro_conj],
+            [None, None, -ro, None],
+        ])
 
-    def p_a(a):
-        ea = on.basis(a, d)
-        cea = on.conjugate(ea)
-
-        def f(v):
-            A, X, Y, B = sp.split(v)
-            return sp.join(
-                on.neg(on.multiply(X, ea)),
-                on.neg(on.multiply(A, cea)),
-                on.neg(circ(nom, B, cea)),
-                on.neg(circ(nom, Y, ea)),
-            )
-
-        return f
-
-    ops = [_op_matrix(p_minus1, sp.ambient_dim)]
-    ops += [_op_matrix(p_a(a), sp.ambient_dim) for a in range(d)]
-    return FkmSystem(nom, sp, SymmetricCliffordSystem(ops, first_index=-1))
+    ops = [Op.blocks([
+        [one, None, None, None],
+        [None, -one, None, None],
+        [None, None, one, None],
+        [None, None, None, -one],
+    ])]
+    ops.append(p_a(one, one, one, one))
+    ops += [p_a(r1, -r1, ro, -ro) for r1, ro in zip(on.j_prime_generators(d), right_ops(nom))]
+    return FkmSystem(nom, AmbientSplit(d), SymmetricCliffordSystem(ops, first_index=-1))
 
 
 def build_ot_system(block_dim: int = 8) -> OtSystem:
-    sp = AmbientSplit(block_dim)
-
-    def p_0(v):
-        u, vv, z, w = sp.split(v)
-        return sp.join(u, on.neg(vv), w, z)
-
-    def p_a(a):
-        ea = on.basis(a, block_dim)
-
-        def f(v):
-            u, vv, z, w = sp.split(v)
-            return sp.join(
-                on.multiply(ea, vv),
-                on.neg(on.multiply(ea, u)),
-                on.multiply(ea, w),
-                on.neg(on.multiply(ea, z)),
-            )
-
-        return f
-
-    ops = [_op_matrix(p_0, sp.ambient_dim)]
-    ops += [_op_matrix(p_a(a), sp.ambient_dim) for a in range(1, block_dim)]
-    return OtSystem(sp, SymmetricCliffordSystem(ops, first_index=0))
+    """P_0 = (I, -I) on the diagonal with I in blocks (3, 4) and (4, 3);
+    P_a has J_a, -J_a, J_a, -J_a in blocks (1, 2), (2, 1), (3, 4), (4, 3),
+    with J_a(x) = e_a x."""
+    one = Op.identity(block_dim)
+    ops = [Op.blocks([
+        [one, None, None, None],
+        [None, -one, None, None],
+        [None, None, None, one],
+        [None, None, one, None],
+    ])]
+    ops += [
+        Op.blocks([
+            [None, j, None, None],
+            [-j, None, None, None],
+            [None, None, None, j],
+            [None, None, -j, None],
+        ])
+        for j in on.j_generators(block_dim)
+    ]
+    return OtSystem(AmbientSplit(block_dim), SymmetricCliffordSystem(ops, first_index=0))
 
 
 def fkm_polynomial(system: SymmetricCliffordSystem) -> MultiPoly:
@@ -228,7 +217,7 @@ def ot_plus_frame(ot: OtSystem) -> FocalFrame:
     tangent = [ScaledVec(sp.join(on.basis(a, d), zero, zero, zero), 0) for a in range(d)]
     tangent += [ScaledVec(sp.join(zero, on.basis(a, d), zero, zero), 0) for a in range(d)]
     tangent += [ScaledVec(sp.join(zero, zero, on.basis(p, d), zero), 0) for p in range(1, d)]
-    normals = [ScaledVec(on.neg(ot.apply(i, x0.coords)), 0) for i in ot.system.indices]
+    normals = [ScaledVec(on.neg(ot.system.operator(i).apply(x0.coords)), 0) for i in ot.system.indices]
     return FocalFrame(x0, tangent, normals)
 
 
@@ -247,7 +236,7 @@ def fkm_perturbed_frame(fkm: FkmSystem, u: Op) -> FocalFrame:
     tangent = [ScaledVec(sp.join(zero, on.basis(a, d), zero, zero), 0) for a in range(1, d)]
     tangent += [ScaledVec(sp.join(zero, zero, u.apply(on.basis(m, d)), zero), 0) for m in range(1, d)]
     tangent += [ScaledVec(sp.join(on.basis(p, d), zero, zero, u.apply(on.basis(p, d))), -1) for p in range(d)]
-    normals = [ScaledVec(fkm.apply(i, xs.coords), -1) for i in fkm.system.indices]
+    normals = [ScaledVec(tuple(fkm.system.operator(i).apply(xs.coords)), -1) for i in fkm.system.indices]
     return FocalFrame(xs, tangent, normals)
 
 
@@ -572,28 +561,17 @@ def mirror_intertwiner(nom: Nom) -> tuple[Op, int]:
 
     For a left-shifted nom, U = Lmat(conj alpha) satisfies the first relation
     (a middle-Moufang consequence); for a right-shifted one, U = Rmat(conj
-    alpha) satisfies the second.  The returned U is verified exactly; if the
-    closed form ever failed, the generic intertwiner solve between the right
-    o-operators and J'/J recovers one.
+    alpha) satisfies the second.  The returned U is verified exactly, and a
+    U that fails the check raises ValueError.
     """
-    d = nom.dim
     ca = on.conjugate(nom.alpha)
     if nom.side is Side.LEFT:
-        u = on.left_mult_matrix(ca)
-        branch = 1
+        u, branch = on.left_mult_matrix(ca), 1
     else:
-        u = on.right_mult_matrix(ca)
-        branch = -1
-    if _mirror_u_ok(nom, u, branch):
-        return u, branch
-    rro = right_ops(nom)
-    res = find_intertwiner(on.j_prime_generators(d), rro)
-    if res.found:
-        return res.matrix, 1
-    res = find_intertwiner(on.j_generators(d), rro)
-    if res.found:
-        return res.matrix, -1
-    raise ValueError("no exact mirror intertwiner found")
+        u, branch = on.right_mult_matrix(ca), -1
+    if not _mirror_u_ok(nom, u, branch):
+        raise ValueError("the closed-form mirror intertwiner fails its exact check")
+    return u, branch
 
 
 def _mirror_u_ok(nom: Nom, u: Op, branch: int) -> bool:

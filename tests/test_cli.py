@@ -267,6 +267,16 @@ def test_non_finite_float_input_is_a_config_error(argv, tmp_path, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_theta_outside_float_mode_is_a_config_error(tmp_path, capsys):
+    # exact mode used to write "theta": 0.5 in the config and check t = 0
+    out = tmp_path / "report.json"
+    assert main(["--theta", "0.5", "--suites", "nom", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--theta requires float mode" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="float mode"):
+        RunConfig(theta=0.5).validate()
+
+
 def test_float_mode_sweep_is_a_config_error(tmp_path, capsys, monkeypatch):
     built = _count_calls(monkeypatch, "build_fkm_system")
     out = tmp_path / "sweep.json"

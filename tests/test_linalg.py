@@ -277,3 +277,35 @@ def test_op_of_passes_an_op_through_and_checks_shapes():
         x + Op.of([[1, 2]])
     with pytest.raises(TypeError):
         x @ [[1, 0], [0, 1]]
+
+
+block_grids = st.tuples(dims, dims, dims, dims).flatmap(
+    lambda s: st.tuples(
+        st.tuples(dense_matrices(s[0], s[2]), dense_matrices(s[0], s[3]), dense_matrices(s[1], s[2]), dense_matrices(s[1], s[3])),
+        st.booleans(),
+        st.booleans(),
+    )
+)
+
+
+@OPS
+@given(block_grids)
+def test_op_blocks_match_the_dense_assembly(grid):
+    (a, b, c, d), keep_b, keep_c = grid
+    # the diagonal blocks fix every size; an off-diagonal None is a zero block
+    b = b if keep_b else [[0] * len(b[0]) for _ in b]
+    c = c if keep_c else [[0] * len(c[0]) for _ in c]
+    got = _canonical(
+        Op.blocks([[Op.of(a), Op.of(b) if keep_b else None], [Op.of(c) if keep_c else None, Op.of(d)]])
+    )
+    want = [ra + rb for ra, rb in zip(a, b)] + [rc + rd for rc, rd in zip(c, d)]
+    assert naive.dense(got) == [[Fraction(x) for x in row] for row in want]
+
+
+def test_op_blocks_check_that_the_blocks_line_up():
+    i2, i3 = Op.identity(2), Op.identity(3)
+    assert Op.blocks([[i2, None], [None, -i3]]) == Op.of([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]] + [[0, 0] + [-int(j == k) for j in range(3)] for k in range(3)])
+    with pytest.raises(ValueError):
+        Op.blocks([[i2, i3], [None, i3]])  # block row 0: heights 2 and 3
+    with pytest.raises(ValueError):
+        Op.blocks([[i2, None], [i3, i3]])  # block column 0: widths 2 and 3

@@ -7,7 +7,6 @@ from octoverify import octonion as on
 from octoverify.circ import Side, left_ops, nom_from_t
 from octoverify.mirror import (
     EigenDecomp,
-    HalfScaledMatrix,
     TrilinearQ,
     assemble_star_blocks,
     mirror_points,
@@ -62,12 +61,13 @@ def test_assemble_star_blocks_dimensions_and_zero_column():
     j = on.j_generators()
     b_star, c_star = assemble_star_blocks(j, j)
     assert len(b_star) == 8
-    rows = dense(b_star[0].op)
+    rows = dense(b_star[0])
     assert len(rows) == 7 and len(rows[0]) == 8
-    assert b_star[0].half == -1
+    # row b of sqrt2 B*_1 is row 1 (index 0) of -A_b
+    assert rows == [[-x for x in dense(j[b])[0]] for b in range(7)]
     # the a-th column of B*_a vanishes, a = 1..7
     for a in range(1, 8):
-        assert all(dense(b_star[a - 1].op)[b][a - 1] == 0 for b in range(7))
+        assert all(dense(b_star[a - 1])[b][a - 1] == 0 for b in range(7))
     assert star_blocks_identity_check(b_star, c_star).passed
 
 
@@ -93,19 +93,11 @@ def test_star_blocks_identity_checks_gram_diagonal():
     # one block each, so a = b is the only pair, and the Gram matrices
     # diag(1, 1) and diag(1, 4) differ only on the diagonal
     z, one = Fraction(0), Fraction(1)
-    b_star = [HalfScaledMatrix(Op.of(((one, z), (z, one))))]
-    rotated = HalfScaledMatrix(Op.of(((z, -one), (one, z))))
-    stretched = HalfScaledMatrix(Op.of(((one, z), (z, 2 * one))))
+    b_star = [Op.of(((one, z), (z, one)))]
+    rotated = Op.of(((z, -one), (one, z)))
+    stretched = Op.of(((one, z), (z, 2 * one)))
     assert star_blocks_identity_check(b_star, [rotated]).passed
     assert not star_blocks_identity_check(b_star, [stretched]).passed
-
-
-def test_star_blocks_identity_requires_one_half_power():
-    # B* at scale 2^(-1/2) against C* at scale 1 is a different identity;
-    # the check refuses it instead of dropping both scales
-    one = Fraction(1)
-    with pytest.raises(ValueError, match="half-power"):
-        star_blocks_identity_check([HalfScaledMatrix(Op.of(((one,),)), -1)], [HalfScaledMatrix(Op.of(((one,),)), 0)])
 
 
 def test_p_star_values():
@@ -191,7 +183,7 @@ def test_trilinearity_extract_success(fkm_systems, fkm_polys):
     fkm = fkm_systems[key]
     forms = extract_expansion_forms(fkm_polys[key], fkm_mirror_frame(fkm))
     qt = trilinearity_extract(forms.q, (7, 7, 8))
-    assert qt.reindexed and qt.m1 == 7
+    assert qt.m1 == 7
     closed = TrilinearQ.from_closed_form(lambda X, Y, Z: q_star_fkm_eval(fkm.nom, X, Y, Z), 8)
     neg = {k: -v for k, v in closed.coeffs.items()}
     assert qt.coeffs in (closed.coeffs, neg)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octoverify import octonion as on
-from octoverify.circ import Side, nom_from_t
+from octoverify.circ import Nom, Side, circ_definition, nom_from_t
 from octoverify.clifford import verify_symmetric_system
 from octoverify.poly import Rt2Poly, munzner_verify
 from matrix_oracle import add, dense, identity, mul, transpose, zeros
@@ -15,6 +15,7 @@ from octoverify.systems import (
     ScaledVec,
     blocks_from_forms,
     build_fkm_system,
+    build_ot_system,
     condition_a_check,
     condition_b_check,
     extract_expansion_forms,
@@ -42,6 +43,69 @@ def test_fkm_systems_pass(fkm_systems):
     p = dense(fkm_systems[("left", Fraction(0))].system.operator(-1))
     assert all(p[i][j] == (0 if i != j else p[i][i]) for i in range(32) for j in range(32))
     assert all(p[i][i] in (1, -1) for i in range(32))
+
+
+def _cd(x, y):
+    """xy by the doubling rule; quaternions are padded into the octonions."""
+    pad = (0,) * (8 - len(x))
+    return on.cayley_dickson_multiply(tuple(x) + pad, tuple(y) + pad)[: len(x)]
+
+
+def _matrix_of(f, d):
+    """The Op whose column b is f(A, X, Y, B) at the b-th basis vector of
+    the ambient space, split into four slots of dimension d."""
+    cols = []
+    for b in range(4 * d):
+        v = on.basis(b, 4 * d)
+        slots = f(*(v[i * d : (i + 1) * d] for i in range(4)))
+        cols.append([c for s in slots for c in s])
+    return Op.of(cols).T
+
+
+def _fkm_maps(nom):
+    """P_-1: (A, X, Y, B) -> (A, -X, Y, -B) and
+    P_a: (A, X, Y, B) -> (-X e_a, -A conj(e_a), -B o conj(e_a), -Y o e_a)."""
+    d = nom.dim
+
+    def p_a(a):
+        ea = on.basis(a, d)
+        cea = on.conjugate(ea)
+        return lambda A, X, Y, B: (
+            on.neg(_cd(X, ea)),
+            on.neg(_cd(A, cea)),
+            on.neg(circ_definition(nom, B, cea)),
+            on.neg(circ_definition(nom, Y, ea)),
+        )
+
+    return [lambda A, X, Y, B: (A, on.neg(X), Y, on.neg(B))] + [p_a(a) for a in range(d)]
+
+
+def _ot_maps(d):
+    """P_0: (u, v, z, w) -> (u, -v, w, z) and
+    P_a: (u, v, z, w) -> (e_a v, -e_a u, e_a w, -e_a z)."""
+
+    def p_a(a):
+        ea = on.basis(a, d)
+        return lambda u, v, z, w: (_cd(ea, v), on.neg(_cd(ea, u)), _cd(ea, w), on.neg(_cd(ea, z)))
+
+    return [lambda u, v, z, w: (u, on.neg(v), w, z)] + [p_a(a) for a in range(1, d)]
+
+
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(1, 2)])
+def test_fkm_blocks_equal_the_maps(d, side, t):
+    nom = nom_from_t(side, t, axis=4 if d == 8 else 1, dim=d)
+    fkm = build_fkm_system(nom)
+    assert fkm.system.first_index == -1
+    assert fkm.system.operators == [_matrix_of(f, d) for f in _fkm_maps(nom)]
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_ot_blocks_equal_the_maps(d):
+    ot = build_ot_system(d)
+    assert ot.system.first_index == 0
+    assert ot.system.operators == [_matrix_of(f, d) for f in _ot_maps(d)]
 
 
 def test_fkm_quaternion_system(fkm_quaternion):
@@ -315,6 +379,9 @@ def test_mirror_intertwiner_closed_forms():
         assert branch == (1 if side is Side.LEFT else -1)
         want = on.left_mult_matrix(on.conjugate(nom.alpha)) if side is Side.LEFT else on.right_mult_matrix(on.conjugate(nom.alpha))
         assert u == want
+    # a non-unit alpha: the closed form is not orthogonal, and nothing else is tried
+    with pytest.raises(ValueError, match="mirror intertwiner"):
+        mirror_intertwiner(Nom(Side.LEFT, on.scale(Fraction(2), E[0])))
 
 
 @pytest.mark.parametrize(
