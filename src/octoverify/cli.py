@@ -66,7 +66,7 @@ from .mirror import (
     verify_ot_equations,
 )
 from .poly import MultiPoly, Rt2Poly, monomial_key, munzner_verify
-from .report import Report, encode_value
+from .report import SCHEMA_VERSION, Report, encode_value
 from .scalars import DeterministicRng, random_rational
 from .systems import (
     FkmSystem,
@@ -662,33 +662,31 @@ def run(cfg: RunConfig, ctx: RunContext | None = None) -> tuple[dict, int]:
     try:
         cfg.validate()
     except ValueError as e:
-        return {"schema_version": "1", "error": str(e)}, 2
-    t0 = time.time()
+        return {"schema_version": SCHEMA_VERSION, "error": str(e)}, 2
+    t0 = time.perf_counter()
     rng = DeterministicRng(cfg.seed)
     ctx = ctx or RunContext(cfg)
     suite_reports = []
+    suite_s = {}
     all_pass = True
     for name in cfg.suites:
-        if cfg.mode == "float":
-            fn = _FLOAT_SUITE_FUNCS.get(name)
-            if fn is None:
-                r = Report(name)
-                r.note("skipped: suite requires exact mode")
-                suite_reports.append(r)
-                continue
+        ts = time.perf_counter()
+        fn = (_FLOAT_SUITE_FUNCS if cfg.mode == "float" else SUITE_FUNCS).get(name)
+        if fn is None:
+            r = Report(name)
+            r.note("skipped: suite requires exact mode")
         else:
-            fn = SUITE_FUNCS[name]
-        r = fn(cfg, rng.fork(ALL_SUITES.index(name)), ctx)
+            r = fn(cfg, rng.fork(ALL_SUITES.index(name)), ctx)
         suite_reports.append(r)
-        if not r.passed:
-            all_pass = False
+        all_pass = all_pass and r.passed
+        suite_s[name] = round(time.perf_counter() - ts, 3)
     out = {
-        "schema_version": "1",
+        "schema_version": SCHEMA_VERSION,
         "tool": {"name": "octoverify", "version": __version__},
         "config": cfg.to_json(),
         "suites": [r.to_json() for r in suite_reports],
         "pass": all_pass,
-        "timing": {"total_s": round(time.time() - t0, 3)},
+        "timing": {"total_s": round(time.perf_counter() - t0, 3), "suites": suite_s},
     }
     return out, 0 if all_pass else 1
 
@@ -717,7 +715,7 @@ def sweep_theta(cfg: RunConfig, t_values: list) -> tuple[list, int]:
             worst = 1
     out = [
         {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "config": {**cfg.to_json(), "alpha_t": encode_value(Fraction(t))},
             "suites": [r.to_json()],
             "pass": r.passed,

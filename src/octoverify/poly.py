@@ -13,15 +13,17 @@ and ``==``/``hash`` compare dicts.  Every ring operation works in ints and
 reduces its result once, with one ``math.gcd(den, *numerators)``; no
 ``Fraction`` is built on the way.  ``fraction_terms`` hands the coefficients
 out as ``Fraction`` values to the few readers that want them (``dump``,
-``exponent_dict``, the expansion-form extraction).  ``eval`` clears the
-point's denominators once and sums in ints too.  This is the only
-representation: the Muenzner verifier reads ``terms`` and ``den`` directly
-instead of keeping an integer copy of its own.
+``exponent_dict``, the expansion-form extraction).  ``eval_many`` decodes
+each packed key once for all its points, clears each point's denominators
+once and sums in ints too; ``eval`` is ``eval_many`` at one point, so there
+is one evaluator.  This is the only representation: the Muenzner verifier
+reads ``terms`` and ``den`` directly instead of keeping an integer copy of
+its own.
 
 Only ints and ``Fraction`` enter: the constructor, ``const``, scalar
-``+ - *`` and ``eval`` raise ``TypeError`` for anything else (a float would
-otherwise be stored as a binary fraction, or compare unequal to the rational
-it stands for).
+``+ - *`` and ``eval``/``eval_many`` raise ``TypeError`` for anything else
+(a float would otherwise be stored as a binary fraction, or compare unequal
+to the rational it stands for).
 
 The supported exponent range is 0..30 per variable, and it is enforced at
 both ends.  ``_pack``, and through it ``MultiPoly.parse`` (the reader for
@@ -311,39 +313,48 @@ class MultiPoly:
         return MultiPoly._adopt(self.nvars, out, self.den)
 
     def eval(self, point: list) -> Fraction:
-        """Exact value at a point of ints and Fractions.
+        """Exact value at a point of ints and Fractions (see ``eval_many``)."""
+        return self.eval_many([point])[0]
 
-        The point's denominators are cleared once: with q their lcm and
-        b_i = q a_i, a term c x^e of degree d is c b^e / q^d.  Each power
-        b_i^e is computed once, terms are summed in ints per degree, and one
-        Fraction is built at the end.
+    def eval_many(self, points: list) -> list[Fraction]:
+        """Exact values at several points of ints and Fractions.
+
+        Every point is checked before anything is evaluated.  Each packed key
+        is decoded once, into its degree and its (variable, exponent) slots.
+        Per point the denominators are cleared once: with q their lcm and
+        b_i = q a_i, a term c x^e of degree d is c b^e / q^d.  The powers
+        b_i^e are computed once per point, terms are summed in ints per
+        degree, and one Fraction is built at the end.
         """
-        if len(point) != self.nvars:
-            raise ValueError("point length does not match nvars")
-        q = lcm(*(_rational(a).denominator for a in point))
-        b = [a.numerator * (q // a.denominator) for a in point]
-        powers: dict[int, int] = {}  # (i << BITS) | e -> b_i ** e
-        by_degree: dict[int, int] = {}
+        scaled = []
+        for point in points:
+            if len(point) != self.nvars:
+                raise ValueError("point length does not match nvars")
+            q = lcm(*(_rational(a).denominator for a in point))
+            scaled.append((q, [a.numerator * (q // a.denominator) for a in point]))
+        # (numerator, degree, slots) per term; a slot (i << BITS) | e indexes b_i^e
+        monos = []
         for k, c in self.terms.items():
-            term = c
-            d = 0
-            kk = k
-            i = 0
-            while kk:
-                e = kk & _EXP_MASK
-                if e:
-                    pk = (i << BITS) | e
-                    p = powers.get(pk)
-                    if p is None:
-                        p = powers[pk] = b[i] ** e
-                    term *= p
-                    d += e
-                kk >>= BITS
-                i += 1
-            by_degree[d] = by_degree.get(d, 0) + term
-        top = max(by_degree, default=0)
-        total = sum(s * q ** (top - d) for d, s in by_degree.items())
-        return Fraction(total, self.den * q**top)
+            exps = monomial_exponents(k)
+            monos.append((c, sum(e for _, e in exps), [(i << BITS) | e for i, e in exps]))
+        top = max((d for _, d, _ in monos), default=0)
+        maxexp = self.maxexp
+        out = []
+        for q, b in scaled:
+            powers = [0] * (self.nvars << BITS)
+            for i, bi in enumerate(b):
+                p = 1
+                for e in range(1, maxexp + 1):
+                    p *= bi
+                    powers[(i << BITS) | e] = p
+            by_degree: dict[int, int] = {}
+            for c, d, slots in monos:
+                for s in slots:
+                    c *= powers[s]
+                by_degree[d] = by_degree.get(d, 0) + c
+            total = sum(s * q ** (top - d) for d, s in by_degree.items())
+            out.append(Fraction(total, self.den * q**top))
+        return out
 
     # -- structure ----------------------------------------------------------
     def total_degree(self) -> int:
@@ -558,6 +569,9 @@ def munzner_verify(
     the multiplicities as given, -1 means -F does).  Both are proved as
     polynomial identities; only ``randomized=True`` samples them instead, at
     ``trials`` random points, under check names ending in ``_randomized``.
+    The sampled route draws all the points first and then evaluates each
+    partial derivative and the Laplacian over all of them with one
+    ``eval_many`` call each.
     """
     rep = Report("munzner")
     n = f.nvars
@@ -573,15 +587,15 @@ def munzner_verify(
         ok_grad = True
         ok_lap_pos = True
         ok_lap_neg = True
-        grads = f.gradient()
-        lap = f.laplacian()
-        for _ in range(trials):
-            pt = [random_rational(rng, 7) for _ in range(n)]
+        pts = [[random_rational(rng, 7) for _ in range(n)] for _ in range(trials)]
+        grad_sq = [Fraction(0)] * trials
+        for gp in f.gradient():
+            grad_sq = [s + v * v for s, v in zip(grad_sq, gp.eval_many(pts))]
+        lap_vals = f.laplacian().eval_many(pts)
+        for pt, gv, lv in zip(pts, grad_sq, lap_vals):
             r2 = sum(x * x for x in pt)
-            gv = sum(gp.eval(pt) ** 2 for gp in grads)
             if gv != g * g * r2 ** (g - 1):
                 ok_grad = False
-            lv = lap.eval(pt)
             want = lap_half * r2 ** ((g - 2) // 2) if g >= 2 else Fraction(0)
             if lv != want:
                 ok_lap_pos = False

@@ -33,6 +33,19 @@ def test_run_deterministic_modulo_timing():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def test_timing_records_each_selected_suite_in_order():
+    from octoverify.report import validate_report
+
+    for cfg in (small_cfg(suites=("clifford", "algebra")), small_cfg(mode="float", theta=0.8, suites=("munzner", "clifford"))):
+        report, code = run(cfg)
+        assert code == 0
+        suites = report["timing"]["suites"]
+        assert list(suites) == list(cfg.suites)
+        assert all(isinstance(v, float) and v >= 0 for v in suites.values())
+        assert report["timing"]["total_s"] >= 0
+        validate_report(report)
+
+
 def test_config_errors_exit_2():
     bad = RunConfig(algebra="fancy")
     report, code = run(bad)

@@ -23,6 +23,7 @@ from octoverify.identities import (
 )
 from octoverify.mirror import q_star_fkm_eval
 from octoverify.octonion import cayley_dickson_multiply
+from octoverify.poly import MultiPoly
 from octoverify.scalars import DeterministicRng, random_rational
 
 E = [on.basis(i) for i in range(8)]
@@ -292,3 +293,55 @@ def test_failed_battery_blocks_classification():
     assert "exchange" not in cand.verified and "skew" not in cand.verified
     with pytest.raises(ValueError, match="passed"):
         classify_q(cand, _endpoints(4))
+
+
+def _exchange_summary(results):
+    return [(w.identity_name, w.inputs["instances"], w.passed) for w in results]
+
+
+def test_exchange_suite_evaluates_each_symbolic_triple_once():
+    nom = nom_from_t(Side.LEFT, Fraction(1, 2))
+    seen = {}
+
+    def counting(X, Y, Z):
+        # the symbolic loops put a polynomial slot in every triple; the
+        # sampled battery passes rational vectors only
+        if any(isinstance(c, MultiPoly) for v in (X, Y, Z) for c in v):
+            seen[(X, Y, Z)] = seen.get((X, Y, Z), 0) + 1
+        return q_star_fkm_eval(nom, X, Y, Z)
+
+    results = exchange_suite(QCandidate(QLabel.CUSTOM, nom, counting), DeterministicRng(7), samples=2)
+    assert seen and max(seen.values()) == 1
+    assert _exchange_summary(results) == _exchange_summary(exchange_suite(fkm_candidate(nom), DeterministicRng(7), samples=2))
+    assert _exchange_summary(results) == [
+        ("q(X,Y,e_a) _|_ e_a", 8, True),
+        ("q(X,Y,e_0) _|_ X and Y", 2, True),
+        ("<q(e_a,Y,e_p),e_a> = -<q(e_a conj(e_p),Y,e_0),e_a>", 64, True),
+        ("<q(X,e_a,e_p),e_a> = -<q(X,e_a o conj(e_p),e_0),e_a>", 64, True),
+        ("<q(e_a,Y,e_a),e_p> = -<q(e_p conj(e_a),Y,e_0),e_a>", 64, True),
+        ("<q(X,e_a,e_a),e_p> = -<q(X,e_p o conj(e_a),e_0),e_a>", 64, True),
+        ("sixth identity transposed ordering (informational)", 64, True),
+        ("<q(X,Y,Z),Z> = 0 (Z imaginary or e_0)", 2, True),
+        ("<q(X,Y,e_0),X> = 0", 2, True),
+        ("<q(X,Y,e_0),Y> = 0", 2, True),
+        ("<q(X,Y,Z),X> = -<q(X conj(Z),Y,e_0),X>", 2, True),
+        ("<q(X,Y,Z),Y> = -<q(X,Y o conj(Z),e_0),Y>", 2, True),
+        ("<q(X,Y,X),Z> = <q(ZX,Y,e_0),X>", 2, True),
+        ("<q(X,Y,Y),Z> = <q(X,Z o Y,e_0),Y>", 2, True),
+    ]
+
+
+def test_exchange_suite_catches_a_defect_seen_only_through_the_memo():
+    # q(e_1, Y, e_1) gains Y_2 e_3: the loop over <q(e_a,Y,e_p),e_a> evaluates
+    # that triple first (a = p = 1), where pairing with e_1 hides the defect,
+    # so the loop over <q(e_a,Y,e_a),e_p> sees it only as a memo hit
+    left = fkm_candidate(Nom(Side.LEFT, E[0]))
+
+    def perturbed(X, Y, Z):
+        return on.add(left.eval(X, Y, Z), on.scale(X[1] * Y[2] * Z[1], E[3]))
+
+    cand = QCandidate(QLabel.CUSTOM, left.nom, perturbed)
+    passed = {w.identity_name: w.passed for w in exchange_suite(cand, DeterministicRng(7), samples=2)}
+    assert passed["<q(e_a,Y,e_p),e_a> = -<q(e_a conj(e_p),Y,e_0),e_a>"]
+    assert not passed["<q(e_a,Y,e_a),e_p> = -<q(e_p conj(e_a),Y,e_0),e_a>"]
+    assert "exchange" not in cand.verified

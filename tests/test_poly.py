@@ -388,3 +388,36 @@ def test_eval_matches_naive_fraction_evaluation(a, pt):
     got = _poly(a).eval(pt)
     assert type(got) is Fraction
     assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracles, st.lists(points, max_size=4))
+def test_eval_many_matches_eval_at_each_point(a, pts):
+    p = _poly(a)
+    got = p.eval_many(pts)
+    assert got == [p.eval(pt) for pt in pts]
+    assert all(type(v) is Fraction for v in got)
+
+
+def test_eval_many_of_no_points_is_empty():
+    assert _poly({(1, 0, 2): 3}).eval_many([]) == []
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_eval_many_checks_every_point_before_evaluating(pos, monkeypatch):
+    import octoverify.poly as poly
+
+    def no_decoding(key):
+        raise AssertionError("a key was decoded before every point was checked")
+
+    monkeypatch.setattr(poly, "monomial_exponents", no_decoding)
+    p = _poly({(1, 0, 2): 3, (0, 1, 0): Fraction(1, 2)})
+    good = [1, Fraction(1, 3), 2]
+    short = [good, good, good]
+    short[pos] = [1, 2]
+    with pytest.raises(ValueError, match="nvars"):
+        p.eval_many(short)
+    floaty = [good, good, good]
+    floaty[pos] = [1, 0.5, 2]
+    with pytest.raises(TypeError):
+        p.eval_many(floaty)
