@@ -37,11 +37,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import octonion as on
-from .report import Report
-from .scalars import DeterministicRng, pythagorean_unit, random_rational, rational_sqrt, sum_zero
+from .report import Report, sampled
+from .scalars import DeterministicRng, pythagorean_unit, rational_sqrt, sum_zero
 
 
 class Side(enum.Enum):
@@ -166,18 +166,16 @@ def verify_normalized(nom: Nom, rng: DeterministicRng | None = None, samples: in
     rep = Report("normalized_orthogonal_multiplication")
     dim = nom.dim
     rng = rng or DeterministicRng(2024)
-    ok_norm = True
-    for i in range(dim):
-        for j in range(dim):
-            p = circ(nom, on.basis(i, dim), on.basis(j, dim))
-            if on.norm_sq(p) != 1:
-                ok_norm = False
-    for _ in range(samples):
-        x = tuple(random_rational(rng, 6) for _ in range(dim))
-        y = tuple(random_rational(rng, 6) for _ in range(dim))
-        if on.norm_sq(circ(nom, x, y)) != on.norm_sq(x) * on.norm_sq(y):
-            ok_norm = False
-    rep.add("norm_multiplicativity", ok_norm)
+    mul = partial(circ, nom)
+    E = [on.basis(i, dim) for i in range(dim)]
+    basis_ok = all(on.norm_defect(mul, a, b) == 0 for a in E for b in E)
+    w = sampled(
+        "norm_multiplicativity",
+        samples,
+        lambda: on.random_octets(rng, dim, "XY", bound=6),
+        lambda x, y: (on.norm_defect(mul, x, y),),
+    )
+    rep.add(w.identity_name, basis_ok and w.passed, w.residual)
     ok_unit = all(circ(nom, on.basis(0, dim), on.basis(b, dim)) == on.basis(b, dim) for b in range(dim))
     rep.add("e0_left_identity", ok_unit)
     sk = verify_skew_rep(left_ops(nom))

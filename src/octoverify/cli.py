@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import __version__
 from . import octonion as on
@@ -66,8 +66,8 @@ from .mirror import (
     verify_ot_equations,
 )
 from .poly import MultiPoly, Rt2Poly, monomial_key, munzner_verify
-from .report import SCHEMA_VERSION, Report, encode_value
-from .scalars import DeterministicRng, random_rational
+from .report import SCHEMA_VERSION, Report, encode_value, sampled
+from .scalars import DeterministicRng
 from .systems import (
     FkmSystem,
     OtSystem,
@@ -229,54 +229,44 @@ def suite_algebra(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Rep
     )
     rep.add("table_matches_cayley_dickson_oracle", ok, detail={"pairs": 64})
 
-    def rand_o(r):
-        return tuple(random_rational(r, 6) for _ in range(dim))
+    w = sampled(
+        "norm_multiplicativity",
+        cfg.trials,
+        lambda: on.random_octets(rng, dim, "XY", bound=6),
+        lambda x, y: (on.norm_defect(on.multiply, x, y),),
+    )
+    rep.add(w.identity_name, w.passed, w.residual, detail={"trials": cfg.trials})
 
-    ok_norm = True
-    for _ in range(cfg.trials):
-        x, y = rand_o(rng), rand_o(rng)
-        if on.norm_sq(on.multiply(x, y)) != on.norm_sq(x) * on.norm_sq(y):
-            ok_norm = False
-    rep.add("norm_multiplicativity", ok_norm, detail={"trials": cfg.trials})
+    w = sampled(
+        "exchange_identities",
+        cfg.trials,
+        lambda: on.random_octets(rng, dim, "XYZ", bound=6),
+        lambda x, y, z: (
+            on.inner(on.conjugate(x), on.conjugate(y)) - on.inner(x, y),
+            *on.exchange_defects(on.multiply, x, y, z),
+        ),
+    )
+    rep.add(w.identity_name, w.passed, w.residual, detail={"trials": cfg.trials})
 
-    ok_ex = True
-    for _ in range(cfg.trials):
-        x, y, z = rand_o(rng), rand_o(rng), rand_o(rng)
-        if on.inner(on.conjugate(x), on.conjugate(y)) != on.inner(x, y):
-            ok_ex = False
-        if on.inner(on.multiply(x, y), z) != on.inner(y, on.multiply(on.conjugate(x), z)):
-            ok_ex = False
-        if on.inner(on.multiply(x, y), z) != on.inner(x, on.multiply(z, on.conjugate(y))):
-            ok_ex = False
-        lhs = on.add(
-            on.multiply(x, on.multiply(on.conjugate(y), z)),
-            on.multiply(y, on.multiply(on.conjugate(x), z)),
-        )
-        mid = on.add(
-            on.multiply(on.multiply(z, x), on.conjugate(y)),
-            on.multiply(on.multiply(z, y), on.conjugate(x)),
-        )
-        want = on.scale(2 * on.inner(x, y), z)
-        if lhs != want or mid != want:
-            ok_ex = False
-    rep.add("exchange_identities", ok_ex, detail={"trials": cfg.trials})
-
-    ok4 = True
-    for _ in range(min(cfg.trials, 200)):
-        x = tuple([Fraction(0)] + [random_rational(rng, 5) for _ in range(dim - 1)])
-        y0 = tuple([Fraction(0)] + [random_rational(rng, 5) for _ in range(dim - 1)])
+    def perpendicular_slots():
+        x, y = on.random_octets(rng, dim, "xy")
         n2 = on.norm_sq(x)
-        if n2 == 0:
-            continue
-        y = on.sub(y0, on.scale(on.inner(x, y0) / n2, x))  # y _|_ x, imaginary
-        z = rand_o(rng)
-        if on.multiply(x, y) != on.neg(on.multiply(y, x)):
-            ok4 = False
-        if on.multiply(x, on.multiply(y, z)) != on.neg(on.multiply(y, on.multiply(x, z))):
-            ok4 = False
-        if on.multiply(on.multiply(z, x), y) != on.neg(on.multiply(on.multiply(z, y), x)):
-            ok4 = False
-    rep.add("perpendicular_imaginary_rules", ok4)
+        if n2 == 0:  # x = 0 satisfies every rule; z is drawn for a nonzero x only
+            return x, y, x
+        (z,) = on.random_octets(rng, dim, "Z", bound=6)
+        return x, on.sub(y, on.scale(on.inner(x, y) / n2, x)), z  # y _|_ x, imaginary
+
+    w = sampled(
+        "perpendicular_imaginary_rules",
+        min(cfg.trials, 200),
+        perpendicular_slots,
+        lambda x, y, z: (
+            *on.add(on.multiply(x, y), on.multiply(y, x)),
+            *on.add(on.multiply(x, on.multiply(y, z)), on.multiply(y, on.multiply(x, z))),
+            *on.add(on.multiply(on.multiply(z, x), y), on.multiply(on.multiply(z, y), x)),
+        ),
+    )
+    rep.add(w.identity_name, w.passed, w.residual)
 
     j = on.j_generators(dim)
     jp = on.j_prime_generators(dim)
@@ -285,17 +275,17 @@ def suite_algebra(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Rep
     rep.add("volume_sign_left", volume_sign(j) == -1)
     rep.add("volume_sign_right", volume_sign(jp) == 1)
 
-    ok_q = True
-    for _ in range(min(cfg.trials, 200)):
-        x = tuple(list(rand_o(rng))[:4]) + (Fraction(0),) * (dim - 4) if dim == 8 else rand_o(rng)
-        y = tuple(list(rand_o(rng))[:4]) + (Fraction(0),) * (dim - 4) if dim == 8 else rand_o(rng)
-        z = tuple(list(rand_o(rng))[:4]) + (Fraction(0),) * (dim - 4) if dim == 8 else rand_o(rng)
-        p = on.multiply(x, y)
-        if dim == 8 and any(p[4:]):
-            ok_q = False
-        if on.multiply(on.multiply(x, y), z) != on.multiply(x, on.multiply(y, z)):
-            ok_q = False
-    rep.add("quaternion_subspan_closed_associative", ok_q)
+    # the first four coordinates of each full draw span the quaternions
+    w = sampled(
+        "quaternion_subspan_closed_associative",
+        min(cfg.trials, 200),
+        lambda: [v[:4] + (Fraction(0),) * (dim - 4) for v in on.random_octets(rng, dim, "XYZ", bound=6)],
+        lambda x, y, z: (
+            *on.multiply(x, y)[4:],
+            *on.sub(on.multiply(on.multiply(x, y), z), on.multiply(x, on.multiply(y, z))),
+        ),
+    )
+    rep.add(w.identity_name, w.passed, w.residual)
     return rep
 
 
@@ -352,30 +342,24 @@ def suite_nom(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Report:
     rebuilt = nom_from_sharp_blocks(left_ops(nom))
     rep.add("sharp_blocks_round_trip", rebuilt.entries == nom.table.entries)
 
-    ok_ex = True
-    for _ in range(min(cfg.trials, 200)):
-        x = tuple(random_rational(rng, 5) for _ in range(dim))
-        y = tuple(random_rational(rng, 5) for _ in range(dim))
-        z = tuple(random_rational(rng, 5) for _ in range(dim))
-        if on.inner(circ(nom, x, y), z) != on.inner(y, circ(nom, on.conjugate(x), z)):
-            ok_ex = False
-        if on.inner(circ(nom, x, y), z) != on.inner(x, circ(nom, z, on.conjugate(y))):
-            ok_ex = False
-        lhs = on.add(circ(nom, x, circ(nom, on.conjugate(y), z)), circ(nom, y, circ(nom, on.conjugate(x), z)))
-        if lhs != on.scale(2 * on.inner(x, y), z):
-            ok_ex = False
-    rep.add("circ_exchange_identities", ok_ex)
+    o = partial(circ, nom)
+    w = sampled(
+        "circ_exchange_identities",
+        min(cfg.trials, 200),
+        lambda: on.random_octets(rng, dim, "XYZ"),
+        lambda x, y, z: on.exchange_defects(o, x, y, z),
+    )
+    rep.add(w.identity_name, w.passed, w.residual)
 
     # the quaternionic restriction needs alpha inside the quaternion sub-span
     hnom = nom_from_t(nom.side, Fraction(cfg.alpha_t), axis=1, dim=dim)
-    ok_h = True
-    for _ in range(100):
-        x = tuple([random_rational(rng, 5) for _ in range(4)] + [Fraction(0)] * (dim - 4))
-        y = tuple([random_rational(rng, 5) for _ in range(4)] + [Fraction(0)] * (dim - 4))
-        want = on.multiply(x, y) if hnom.side is Side.LEFT else on.multiply(y, x)
-        if circ(hnom, x, y) != want:
-            ok_h = False
-    rep.add("quaternionic_restriction", ok_h)
+    w = sampled(
+        "quaternionic_restriction",
+        100,
+        lambda: [v + (Fraction(0),) * (dim - 4) for v in on.random_octets(rng, 4, "XY")],
+        lambda x, y: on.sub(circ(hnom, x, y), on.multiply(x, y) if hnom.side is Side.LEFT else on.multiply(y, x)),
+    )
+    rep.add(w.identity_name, w.passed, w.residual)
     return rep
 
 
@@ -428,7 +412,7 @@ def suite_mirror(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Repo
     frame = fkm_mirror_frame(fkm)
     forms = extract_expansion_forms(ctx.fkm_poly, frame)
     formula = fkm_formula_forms(nom)
-    rep.add("extracted_p_matches_formula", all((a - b).is_zero() for a, b in zip(forms.p, formula)))
+    rep.add("extracted_p_matches_formula", all((a - b).is_zero() for a, b in zip(forms.p, formula, strict=True)))
     rep.add("q_original_component_vanishes", forms.q[0].is_zero())
 
     m1 = dim - 1

@@ -6,9 +6,13 @@ the two families are
     OT:  q(X, Y, Z) = (XY - YX) Z           (o = the algebra product)
     FKM: q(X, Y, Z) = X (Y o Z) - Y o (X Z)  for a normalized o
 
-Each suite checks its identities both symbolically (multilinear slots carry
-polynomial coordinates, so a pass is a genuine proof of the identity) and on
-seeded random samples recorded as witnesses.
+Each battery states each identity once, as a function of its named slots
+that returns the values that must vanish, and checks it through one of two
+drivers in ``report``: ``proved`` on ``octonion.symbolic_octets`` slots
+(multilinear slots carry polynomial coordinates, so a pass is a genuine
+proof of the identity) or ``sampled`` on seeded ``octonion.random_octets``
+draws, in the same slot layout, recorded as witnesses.  Where an identity is
+checked both ways, the two witnesses share its one residual function.
 
 Classification compares tensors: each candidate carries its coefficient
 tensor (``QCandidate.tensor``, read off its ``eval`` on the spanning basis
@@ -23,15 +27,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable
 
 from . import octonion as on
 from .circ import Nom, Side, circ, cos_sin_2theta, theta_axis
 from .mirror import TrilinearQ, q_star_fkm_eval, q_star_ot_eval
 from .poly import MultiPoly
-from .report import Report, WitnessReport
-from .scalars import DeterministicRng, random_rational
+from .report import Report, WitnessReport, proved, sampled
+from .scalars import DeterministicRng
 
 
 class QLabel(enum.Enum):
@@ -73,19 +77,6 @@ def fkm_candidate(nom: Nom) -> QCandidate:
 def ot_candidate(dim: int = 8) -> QCandidate:
     nom = Nom(Side.LEFT, on.basis(0, dim))  # o coincides with the algebra product
     return QCandidate(QLabel.OT_TYPE, nom, lambda X, Y, Z: q_star_ot_eval(X, Y, Z))
-
-
-# ---------------------------------------------------------------------------
-# random slots
-# ---------------------------------------------------------------------------
-
-
-def _rand_imag(rng: DeterministicRng, dim: int) -> tuple:
-    return tuple([Fraction(0)] + [random_rational(rng, 5) for _ in range(dim - 1)])
-
-
-def _rand_full(rng: DeterministicRng, dim: int) -> tuple:
-    return tuple(random_rational(rng, 5) for _ in range(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -149,93 +140,60 @@ def crucial_classify(q: QCandidate, x: tuple, y: tuple) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _witness(name: str, ok: bool, count: int, residual) -> WitnessReport:
-    return WitnessReport(name, {"instances": count}, None, None, residual, ok)
-
-
 def exchange_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int = 100) -> list:
     """The six exchange identities of the third form plus their six
     imaginary-vector corollaries, verified symbolically over free slots and on
     random samples.
 
-    The symbolic loops evaluate q through a memo keyed by the argument triple
-    (X, Y, Z), local to this call, so each distinct triple is evaluated once:
-    q(e_a, Y, e_a) and q(X, e_a, e_a) do not depend on p, and the e_0-slot
-    right-hand sides repeat between the loops.  Every instance is still
-    checked.  The sampled battery evaluates q directly."""
+    The symbolic identities evaluate q through a memo keyed by the argument
+    triple (X, Y, Z), local to this call, so each distinct triple is evaluated
+    once: q(e_a, Y, e_a) and q(X, e_a, e_a) do not depend on p, and the
+    e_0-slot right-hand sides repeat between the identities.  Every instance
+    is still checked.  The sampled battery evaluates q directly."""
     dim = q.dim
     rng = rng or DeterministicRng(6)
     nomc = q.nom
     E = [on.basis(i, dim) for i in range(dim)]
-    out: list[WitnessReport] = []
-    qm = cache(q.eval)  # the symbolic loops' memo, dropped when this call returns
+    qm = cache(q.eval)  # the symbolic identities' memo, dropped when this call returns
 
+    # basis-slot battery, symbolic in X and/or Y, exhaustive over indices; the
+    # same two identities hold in the X slot with the algebra product and in
+    # the Y slot with o
     xs, ys = on.symbolic_octets(dim, "xy")
+    o = partial(circ, nomc)
 
-    # basis-slot battery, symbolic in X and/or Y, exhaustive over indices
-    ok = True
-    cnt = 0
-    for a in range(dim):
-        val = on.inner(qm(xs, ys, E[a]), E[a])
-        cnt += 1
-        ok = ok and val.is_zero()
-    out.append(_witness("q(X,Y,e_a) _|_ e_a", ok, cnt, 0 if ok else 1))
+    def q_in(slot, v, z):
+        """q(v, Y, z) for slot "X", q(X, v, z) for slot "Y"."""
+        return qm(v, ys, z) if slot == "X" else qm(xs, v, z)
+
+    def exchange_ap(slot, mul):
+        """<q(e_a, e_p), e_a> + <q(mul(e_a, conj(e_p)), e_0), e_a> over all (a, p)."""
+        for ea in E:
+            for ep in E:
+                yield on.inner(q_in(slot, ea, ep), ea) + on.inner(q_in(slot, mul(ea, on.conjugate(ep)), E[0]), ea)
+
+    def exchange_aa(slot, mul):
+        """<q(e_a, e_a), e_p> + <q(mul(e_p, conj(e_a)), e_0), e_a> over all (a, p)."""
+        for ea in E:
+            for ep in E:
+                yield on.inner(q_in(slot, ea, ea), ep) + on.inner(q_in(slot, mul(ep, on.conjugate(ea)), E[0]), ea)
 
     r = qm(xs, ys, E[0])
-    ok = on.inner(r, xs).is_zero() and on.inner(r, ys).is_zero()
-    out.append(_witness("q(X,Y,e_0) _|_ X and Y", ok, 2, 0 if ok else 1))
-
-    ok = True
-    cnt = 0
-    for a in range(dim):
-        for p in range(dim):
-            lhs = on.inner(qm(E[a], ys, E[p]), E[a])
-            rhs = on.inner(qm(on.multiply(E[a], on.conjugate(E[p])), ys, E[0]), E[a])
-            cnt += 1
-            ok = ok and (lhs + rhs).is_zero()
-    out.append(_witness("<q(e_a,Y,e_p),e_a> = -<q(e_a conj(e_p),Y,e_0),e_a>", ok, cnt, 0 if ok else 1))
-
-    ok = True
-    cnt = 0
-    for a in range(dim):
-        for p in range(dim):
-            lhs = on.inner(qm(xs, E[a], E[p]), E[a])
-            rhs = on.inner(qm(xs, circ(nomc, E[a], on.conjugate(E[p])), E[0]), E[a])
-            cnt += 1
-            ok = ok and (lhs + rhs).is_zero()
-    out.append(_witness("<q(X,e_a,e_p),e_a> = -<q(X,e_a o conj(e_p),e_0),e_a>", ok, cnt, 0 if ok else 1))
-
-    ok = True
-    cnt = 0
-    for a in range(dim):
-        for p in range(dim):
-            lhs = on.inner(qm(E[a], ys, E[a]), E[p])
-            rhs = on.inner(qm(on.multiply(E[p], on.conjugate(E[a])), ys, E[0]), E[a])
-            cnt += 1
-            ok = ok and (lhs + rhs).is_zero()
-    out.append(_witness("<q(e_a,Y,e_a),e_p> = -<q(e_p conj(e_a),Y,e_0),e_a>", ok, cnt, 0 if ok else 1))
-
-    ok = True
-    ok_transposed = True
-    cnt = 0
-    for a in range(dim):
-        for p in range(dim):
-            lhs = on.inner(qm(xs, E[a], E[a]), E[p])
-            rhs = on.inner(qm(xs, circ(nomc, E[p], on.conjugate(E[a])), E[0]), E[a])
-            rhs_t = on.inner(qm(xs, circ(nomc, on.conjugate(E[a]), E[p]), E[0]), E[a])
-            cnt += 1
-            ok = ok and (lhs + rhs).is_zero()
-            ok_transposed = ok_transposed and (lhs + rhs_t).is_zero()
-    out.append(_witness("<q(X,e_a,e_a),e_p> = -<q(X,e_p o conj(e_a),e_0),e_a>", ok, cnt, 0 if ok else 1))
+    out = [
+        proved("q(X,Y,e_a) _|_ e_a", (on.inner(qm(xs, ys, e), e) for e in E)),
+        proved("q(X,Y,e_0) _|_ X and Y", (on.inner(r, xs), on.inner(r, ys))),
+        proved("<q(e_a,Y,e_p),e_a> = -<q(e_a conj(e_p),Y,e_0),e_a>", exchange_ap("X", on.multiply)),
+        proved("<q(X,e_a,e_p),e_a> = -<q(X,e_a o conj(e_p),e_0),e_a>", exchange_ap("Y", o)),
+        proved("<q(e_a,Y,e_a),e_p> = -<q(e_p conj(e_a),Y,e_0),e_a>", exchange_aa("X", on.multiply)),
+        proved("<q(X,e_a,e_a),e_p> = -<q(X,e_p o conj(e_a),e_0),e_a>", exchange_aa("Y", o)),
+    ]
     # informational: the e_p o conj(e_a) ordering is what the identity asserts;
     # whether the transposed conj(e_a) o e_p ordering also validates is recorded,
     # never required
-    info = _witness("sixth identity transposed ordering (informational)", True, cnt, 0)
-    info.lhs = "validates"
-    info.rhs = bool(ok_transposed)
-    out.append(info)
+    transposed = proved("sixth identity transposed ordering (informational)", exchange_aa("Y", lambda u, v: o(v, u)))
+    out.append(WitnessReport(transposed.identity_name, transposed.inputs, "validates", transposed.passed, 0, True))
 
-    # polarized battery on random imaginary X, Y and full Z
+    # polarized battery on random imaginary X, Y and full Z, one value per sample
     checks = {
         "<q(X,Y,Z),Z> = 0 (Z imaginary or e_0)": lambda X, Y, Z: on.inner(q.eval(X, Y, on.imaginary_part(Z)), on.imaginary_part(Z)),
         "<q(X,Y,e_0),X> = 0": lambda X, Y, Z: on.inner(q.eval(X, Y, E[0]), X),
@@ -249,14 +207,8 @@ def exchange_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: 
         "<q(X,Y,Y),Z> = <q(X,Z o Y,e_0),Y>": lambda X, Y, Z: on.inner(q.eval(X, Y, Y), Z)
         - on.inner(q.eval(X, circ(nomc, Z, Y), E[0]), Y),
     }
-    for name, f in checks.items():
-        worst = Fraction(0)
-        for _ in range(samples):
-            X = _rand_imag(rng, dim)
-            Y = _rand_imag(rng, dim)
-            Z = _rand_full(rng, dim)
-            worst = max(worst, abs(f(X, Y, Z)))
-        out.append(_witness(name, worst == 0, samples, worst))
+    draw = lambda: on.random_octets(rng, dim, "xyZ")
+    out += [sampled(name, samples, draw, lambda *slots, f=f: (f(*slots),)) for name, f in checks.items()]
     if all(w.passed for w in out):
         q.verified.add("exchange")
     return out
@@ -264,75 +216,72 @@ def exchange_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: 
 
 def skew_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int = 50) -> list:
     """Skew symmetries: the U/W exchange identity over V = e_0 or imaginary
-    basis, skewness of <q(X,Y,Z),W> in (Z, W), and full antisymmetry of
-    <q(X,Y,e_0),Z>."""
+    basis, skewness of <q(X,Y,Z),W> in (Z, W), proved and on samples, and
+    full antisymmetry of <q(X,Y,e_0),Z>."""
     dim = q.dim
     rng = rng or DeterministicRng(39)
-    out: list[WitnessReport] = []
     E = [on.basis(i, dim) for i in range(dim)]
 
+    def skew_zw(X, Y, Z, W):
+        return (on.inner(q.eval(X, Y, Z), W) + on.inner(q.eval(X, Y, W), Z),)
+
+    def r(A, B):
+        return q.eval(A, B, E[0])
+
     us, ys, ws = on.symbolic_octets(dim, "UyW")
-    ok = True
-    for vb in range(dim):
-        V = E[vb]
-        lhs = on.inner(q.eval(on.multiply(us, on.conjugate(V)), ys, V), ws)
-        rhs = on.inner(q.eval(on.multiply(ws, on.conjugate(V)), ys, V), us)
-        ok = ok and (lhs + rhs).is_zero()
-    out.append(_witness("<q(U conj V,Y,V),W> = -<q(W conj V,Y,V),U>", ok, dim, 0 if ok else 1))
-
-    xs, ys2, zs, ws2 = on.symbolic_octets(dim, "xyZW")
-    val = on.inner(q.eval(xs, ys2, zs), ws2) + on.inner(q.eval(xs, ys2, ws2), zs)
-    out.append(_witness("<q(X,Y,Z),W> skew in (Z,W)", val.is_zero(), 1, 0 if val.is_zero() else 1))
-
-    xs3, ys3, zs3 = on.symbolic_octets(dim, "XYZ")
-    r = lambda A, B: q.eval(A, B, E[0])
-    t12 = on.inner(r(xs3, ys3), zs3) + on.inner(r(ys3, xs3), zs3)
-    t23 = on.inner(r(xs3, ys3), zs3) + on.inner(r(xs3, zs3), ys3)
-    ok = t12.is_zero() and t23.is_zero()
-    out.append(_witness("<q(X,Y,e_0),Z> fully antisymmetric", ok, 2, 0 if ok else 1))
-
-    worst = Fraction(0)
-    for _ in range(samples):
-        X, Y = _rand_imag(rng, dim), _rand_imag(rng, dim)
-        Z, W = _rand_full(rng, dim), _rand_full(rng, dim)
-        worst = max(worst, abs(on.inner(q.eval(X, Y, Z), W) + on.inner(q.eval(X, Y, W), Z)))
-    out.append(_witness("skew (Z,W) on samples", worst == 0, samples, worst))
+    xs, ys3, zs = on.symbolic_octets(dim, "XYZ")
+    out = [
+        proved(
+            "<q(U conj V,Y,V),W> = -<q(W conj V,Y,V),U>",
+            (
+                on.inner(q.eval(on.multiply(us, on.conjugate(V)), ys, V), ws)
+                + on.inner(q.eval(on.multiply(ws, on.conjugate(V)), ys, V), us)
+                for V in E
+            ),
+        ),
+        proved("<q(X,Y,Z),W> skew in (Z,W)", skew_zw(*on.symbolic_octets(dim, "xyZW"))),
+        proved(
+            "<q(X,Y,e_0),Z> fully antisymmetric",
+            (
+                on.inner(r(xs, ys3), zs) + on.inner(r(ys3, xs), zs),
+                on.inner(r(xs, ys3), zs) + on.inner(r(xs, zs), ys3),
+            ),
+        ),
+        sampled("skew (Z,W) on samples", samples, lambda: on.random_octets(rng, dim, "xyZW"), skew_zw),
+    ]
     if all(w.passed for w in out):
         q.verified.add("skew")
     return out
 
 
 def anti_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int = 50) -> list:
-    """Vanishing pairings <q(X,Y,W), XW> = <q(X,Y,W), Y o W> = 0 and their
-    anti-symmetrized (U, V) versions, symbolic plus sampled."""
+    """Vanishing pairings <q(X,Y,W), XW> = <q(X,Y,W), Y o W> = 0, proved and
+    on samples, and their anti-symmetrized (U, V) versions."""
     dim = q.dim
     rng = rng or DeterministicRng(67)
     nomc = q.nom
-    out: list[WitnessReport] = []
+
+    def pairings(X, Y, U, V):
+        """<q(X,Y,U), XV> and <q(X,Y,U), Y o V>."""
+        val = q.eval(X, Y, U)
+        return on.inner(val, on.multiply(X, V)), on.inner(val, circ(nomc, Y, V))
 
     xs, ys, ws = on.symbolic_octets(dim, "xyW")
-    v1 = on.inner(q.eval(xs, ys, ws), on.multiply(xs, ws))
-    out.append(_witness("<q(X,Y,W),XW> = 0", v1.is_zero(), 1, 0 if v1.is_zero() else 1))
-    v2 = on.inner(q.eval(xs, ys, ws), circ(nomc, ys, ws))
-    out.append(_witness("<q(X,Y,W),Y o W> = 0", v2.is_zero(), 1, 0 if v2.is_zero() else 1))
-
+    v1, v2 = pairings(xs, ys, ws, ws)
     xs2, ys2, us, vs = on.symbolic_octets(dim, "xyUV")
-    a1 = on.inner(q.eval(xs2, ys2, us), on.multiply(xs2, vs)) + on.inner(
-        q.eval(xs2, ys2, vs), on.multiply(xs2, us)
-    )
-    out.append(_witness("<q(X,Y,U),XV> + <q(X,Y,V),XU> = 0", a1.is_zero(), 1, 0 if a1.is_zero() else 1))
-    a2 = on.inner(q.eval(xs2, ys2, us), circ(nomc, ys2, vs)) + on.inner(
-        q.eval(xs2, ys2, vs), circ(nomc, ys2, us)
-    )
-    out.append(_witness("<q(X,Y,U),Y o V> + <q(X,Y,V),Y o U> = 0", a2.is_zero(), 1, 0 if a2.is_zero() else 1))
-
-    worst = Fraction(0)
-    for _ in range(samples):
-        X, Y = _rand_imag(rng, dim), _rand_imag(rng, dim)
-        W = _rand_full(rng, dim)
-        worst = max(worst, abs(on.inner(q.eval(X, Y, W), on.multiply(X, W))))
-        worst = max(worst, abs(on.inner(q.eval(X, Y, W), circ(nomc, Y, W))))
-    out.append(_witness("vanishing pairings on samples", worst == 0, samples, worst))
+    a1, a2 = on.add(pairings(xs2, ys2, us, vs), pairings(xs2, ys2, vs, us))
+    out = [
+        proved("<q(X,Y,W),XW> = 0", [v1]),
+        proved("<q(X,Y,W),Y o W> = 0", [v2]),
+        proved("<q(X,Y,U),XV> + <q(X,Y,V),XU> = 0", [a1]),
+        proved("<q(X,Y,U),Y o V> + <q(X,Y,V),Y o U> = 0", [a2]),
+        sampled(
+            "vanishing pairings on samples",
+            samples,
+            lambda: on.random_octets(rng, dim, "xyW"),
+            lambda X, Y, W: pairings(X, Y, W, W),
+        ),
+    ]
     if all(w.passed for w in out):
         q.verified.add("anti")
     return out
@@ -340,13 +289,9 @@ def anti_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
 
 def norm_identity_check(q: QCandidate) -> bool:
     """|q(X,Y,Z)|^2 = |X(Y o Z) - Y o (XZ)|^2 as a polynomial identity."""
-    dim = q.dim
-    xs, ys, zs = on.symbolic_octets(dim, "xyZ")
+    xs, ys, zs = on.symbolic_octets(q.dim, "xyZ")
     got = on.norm_sq(q.eval(xs, ys, zs))
-    ref = on.norm_sq(
-        on.sub(on.multiply(xs, circ(q.nom, ys, zs)), circ(q.nom, ys, on.multiply(xs, zs)))
-    )
-    ok = (got - ref).is_zero()
+    ok = (got - on.norm_sq(q_star_fkm_eval(q.nom, xs, ys, zs))).is_zero()
     if ok:
         q.verified.add("norm")
     return ok
@@ -365,8 +310,8 @@ def good_identity_check(q: QCandidate) -> bool:
     e = ta.axis
     nvz = dim
     zs = tuple(MultiPoly.variable(nvz, i) for i in range(dim))
-    units = [on.basis(i, dim) for i in range(1, dim) if on.inner(on.basis(i, dim), e) == 0]
     perp = [i for i in range(1, dim) if on.inner(on.basis(i, dim), e) == 0]
+    units = [on.basis(i, dim) for i in perp]
     if len(perp) >= 2:
         i, j = perp[0], perp[1]
         units.append(

@@ -372,7 +372,7 @@ def verify_ot_equations(p_forms: list, q: TrilinearQ) -> Report:
     rep.add("gradient_pair_identity", ok_pairs)
 
     pq = MultiPoly(nv)
-    for f, qf in zip(p_vec, qpolys):
+    for f, qf in zip(p_vec, qpolys, strict=True):
         pq = pq + f * qf
     rep.add("p_dot_q", pq.is_zero())
     return rep

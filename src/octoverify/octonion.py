@@ -20,7 +20,11 @@ definition around as an independent oracle for the table.
 The multiplication matrices (``left_mult_matrix``, ``right_mult_matrix``) and
 the generators J_a, J'_a (the table's ``left_ops``, ``right_ops``) are
 ``linalg.Op``s, so they take rational coordinates only.  ``symbolic_octets``
-gives polynomial-coordinate slots for the symbolic proofs.
+gives polynomial-coordinate slots for the symbolic proofs, ``random_octets``
+seeded rational slots in the same layout for the sampled checks.
+``norm_defect`` and ``exchange_defects`` state the identities every
+orthogonal multiplication satisfies, once, for any product ``mul``: the
+octonion product and every x o y.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Sequence
 
 from .linalg import Op
 from .poly import MultiPoly
-from .scalars import fill_zero, sum_zero
+from .scalars import DeterministicRng, fill_zero, random_rational, sum_zero
 
 Coord = Sequence
 
@@ -217,7 +221,7 @@ def inner(x, y):
     the generic loop.
     """
     zero = sum_zero(x, y)
-    pairs = [(a, b) for a, b in zip(x, y) if a and b]
+    pairs = [(a, b) for a, b in zip(x, y, strict=True) if a and b]
     if type(zero) is Fraction:
         if not pairs:
             return zero
@@ -241,11 +245,11 @@ def norm_sq(x):
 
 
 def add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(a + b for a, b in zip(x, y, strict=True))
 
 
 def sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(a - b for a, b in zip(x, y, strict=True))
 
 
 def neg(x):
@@ -278,18 +282,47 @@ def j_prime_generators(dim: int = 8) -> list:
     return _table(dim).right_ops()
 
 
+def _octets(dim: int, names: str, zero, coords) -> tuple:
+    """One element per letter: a lowercase letter is purely imaginary (slot 0
+    is ``zero``), an uppercase letter is a full element; ``coords(n)`` gives
+    the letter's next n coordinates, letter by letter."""
+    return tuple(tuple(([zero] if ch.islower() else []) + coords(dim - ch.islower())) for ch in names)
+
+
 def symbolic_octets(dim: int, names: str) -> tuple:
-    """Tuple of symbolic elements, one per letter, over consecutive variables
-    of one shared ring: a lowercase letter is purely imaginary (dim - 1
-    variables, slot 0 the zero polynomial), an uppercase letter is a full
-    element (dim variables)."""
-    counts = [(dim - 1) if ch.islower() else dim for ch in names]
-    nv = sum(counts)
-    zero = MultiPoly.zero(nv)
-    out = []
-    off = 0
-    for ch, c in zip(names, counts):
-        coords = [MultiPoly.variable(nv, off + i) for i in range(c)]
-        out.append(tuple([zero] + coords if ch.islower() else coords))
-        off += c
-    return tuple(out)
+    """Tuple of symbolic elements, one per letter (see ``_octets``), over
+    consecutive variables of one shared ring: dim - 1 variables for a
+    lowercase letter, dim for an uppercase one."""
+    nv = sum(dim - ch.islower() for ch in names)
+    var = iter(range(nv))
+    return _octets(dim, names, MultiPoly.zero(nv), lambda n: [MultiPoly.variable(nv, next(var)) for _ in range(n)])
+
+
+def random_octets(rng: DeterministicRng, dim: int, names: str, bound: int = 5) -> tuple:
+    """Tuple of seeded rational elements in the layout of ``symbolic_octets``;
+    slot 0 of a lowercase letter is ``Fraction(0)``, and every other
+    coordinate is one ``random_rational(rng, bound)``, drawn in order."""
+    return _octets(dim, names, Fraction(0), lambda n: [random_rational(rng, bound) for _ in range(n)])
+
+
+def norm_defect(mul, x, y):
+    """|mul(x, y)|^2 - |x|^2 |y|^2, zero for an orthogonal multiplication."""
+    return norm_sq(mul(x, y)) - norm_sq(x) * norm_sq(y)
+
+
+def exchange_defects(mul, x, y, z) -> tuple:
+    """The values that vanish when ``mul`` satisfies the exchange identities
+
+        <xy, z> = <y, conj(x) z>,   <xy, z> = <x, z conj(y)>,
+        x(conj(y) z) + y(conj(x) z) = 2<x, y> z = (zx) conj(y) + (zy) conj(x)
+
+    (the vector identities contribute one value per coordinate)."""
+    cx, cy = conjugate(x), conjugate(y)
+    xy_z = inner(mul(x, y), z)
+    twice = scale(2 * inner(x, y), z)
+    return (
+        xy_z - inner(y, mul(cx, z)),
+        xy_z - inner(x, mul(z, cy)),
+        *sub(add(mul(x, mul(cy, z)), mul(y, mul(cx, z))), twice),
+        *sub(add(mul(mul(z, x), cy), mul(mul(z, y), cx)), twice),
+    )

@@ -1,4 +1,6 @@
-"""Check/report containers with deterministic JSON serialization."""
+"""Check/report containers with deterministic JSON serialization, and the two
+drivers that check an identity stated as the values that must vanish:
+``proved`` for polynomials in symbolic slots, ``sampled`` for seeded draws."""
 
 from __future__ import annotations
 
@@ -121,3 +123,30 @@ class WitnessReport:
             "residual": encode_value(self.residual),
             "pass": self.passed,
         }
+
+
+def proved(name: str, residuals) -> WitnessReport:
+    """The witness that every polynomial in ``residuals`` is zero: a proof of
+    the identity when its slots are ``octonion.symbolic_octets``.
+    ``instances`` counts the residuals; the recorded residual is 0 on a pass,
+    1 on a failure."""
+    count = 0
+    ok = True
+    for r in residuals:
+        count += 1
+        ok = r.is_zero() and ok
+    return WitnessReport(name, {"instances": count}, None, None, 0 if ok else 1, ok)
+
+
+def sampled(name: str, samples: int, draw, residuals) -> WitnessReport:
+    """The witness that every value of ``residuals(*draw())`` vanishes on
+    ``samples`` draws (typically of ``octonion.random_octets``).  Every draw is
+    made, also after a failing sample, so the generator behind ``draw`` ends
+    at the same place either way; the recorded residual is the worst
+    |value|."""
+    worst = Fraction(0)
+    for _ in range(samples):
+        for v in residuals(*draw()):
+            if v:
+                worst = max(worst, abs(v))
+    return WitnessReport(name, {"instances": samples}, None, None, worst, worst == 0)

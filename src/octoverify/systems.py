@@ -381,7 +381,7 @@ def second_form_at_focal(fkm: FkmSystem) -> Report:
     rep.add("frame_orthonormal", fr.passed)
     got = matrix_route_forms(fkm.system, frame)
     want = fkm_formula_forms(fkm.nom)
-    ok = all((g - w).is_zero() for g, w in zip(got, want))
+    ok = all((g - w).is_zero() for g, w in zip(got, want, strict=True))
     rep.add("matrix_equals_formula", ok)
     return rep
 
@@ -543,8 +543,8 @@ def condition_b_check(
         for a in range(nops):
             acc = acc + r[a][b] * p_forms[a]
         sums.append(acc)
-    plus_ok = all((s - q).is_zero() for s, q in zip(sums, q_forms))
-    minus_ok = all((s + q).is_zero() for s, q in zip(sums, q_forms))
+    plus_ok = all((s - q).is_zero() for s, q in zip(sums, q_forms, strict=True))
+    minus_ok = all((s + q).is_zero() for s, q in zip(sums, q_forms, strict=True))
     sign = 1 if plus_ok else (-1 if minus_ok else 0)
     rep.add("linear_span_identity", plus_ok or minus_ok, detail={"matched_sign": sign})
     return rep
@@ -611,7 +611,7 @@ def perturb_mirror(fkm: FkmSystem) -> Report:
     else:
         want = closed_second_form(d, lambda y, z: on.multiply(z, y))
         label = "XZ+ZY"
-    ok = all((g - w).is_zero() for g, w in zip(got, want))
+    ok = all((g - w).is_zero() for g, w in zip(got, want, strict=True))
     rep.add("second_form_branch_identity", ok, detail={"branch": label})
     return rep
 

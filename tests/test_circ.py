@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,3 +281,12 @@ def test_operators_read_the_table(side):
             m = dense(ops[a - 1])
             for b in range(8):
                 assert [m[r][b] for r in range(8)] == list(circ_definition(nom, *pair(a, b)))
+
+
+@PROPS
+@given(noms(), st.data())
+def test_norm_and_exchange_defects_vanish_for_the_product_and_every_nom(nom, data):
+    x, y, z = (data.draw(st.tuples(*[fractions] * nom.dim)) for _ in range(3))
+    for mul in (on.multiply, partial(circ, nom)):
+        assert on.norm_defect(mul, x, y) == 0
+        assert not any(on.exchange_defects(mul, x, y, z))

@@ -111,6 +111,28 @@ def test_suite_failure_exit_1(monkeypatch):
     assert failing == ["deliberately_failing_identity"]
 
 
+@pytest.mark.parametrize(
+    "name, failing",
+    [
+        ("exchange_defects", {"algebra": ["exchange_identities"], "nom": ["circ_exchange_identities"]}),
+        ("norm_defect", {"algebra": ["norm_multiplicativity"], "nom": ["verify_normalized"]}),
+    ],
+)
+def test_one_definition_serves_the_product_and_circ_checks(monkeypatch, name, failing):
+    # a defect planted in the shared definition fails the octonion check and
+    # the o check alike
+    real = getattr(on, name)
+
+    def planted(mul, *slots):
+        out = real(mul, *slots)
+        return out + Fraction(1) if name == "norm_defect" else (Fraction(1), *out)
+
+    monkeypatch.setattr(on, name, planted)
+    report, code = run(small_cfg(suites=("algebra", "nom"), trials=5))
+    assert code == 1
+    assert {s["name"]: [c["name"] for c in s["checks"] if not c["pass"]] for s in report["suites"]} == failing
+
+
 def _count_calls(monkeypatch, name):
     """Record the first argument of every call of ``cli.<name>``."""
     import octoverify.cli as cli

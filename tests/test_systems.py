@@ -331,6 +331,18 @@ def test_condition_b_fkm_and_ot(fkm_systems, fkm_polys, ot_octonion, ot_octonion
     assert cbo.passed
 
 
+def test_condition_b_refuses_a_q_list_of_the_wrong_length(fkm_systems, fkm_polys):
+    # a short list must not be compared on its prefix alone, nor an empty one pass
+    key = ("left", Fraction(1, 2))
+    fkm = fkm_systems[key]
+    frame = fkm_mirror_frame(fkm)
+    q = extract_expansion_forms(fkm_polys[key], frame).q
+    formula = fkm_formula_forms(fkm.nom)
+    for short in (q[:-1], []):
+        with pytest.raises(ValueError):
+            condition_b_check(fkm.system, frame, formula, short)
+
+
 def test_condition_b_recipe_r_values(ot_octonion):
     # r_0b = <z, e_b>: the recipe form against the b-th normal is the z_b
     # coordinate exactly (tangent layout: u_0..7, v_0..7, z_1..7)
