@@ -418,8 +418,8 @@ def suite_mirror(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Repo
     m1 = dim - 1
     qt = trilinearity_extract(forms.q, (m1, m1, dim))
     closed = ctx.candidate("fkm", nom).tensor
-    same = qt.coeffs == closed.coeffs
-    negd = qt.coeffs == {k: -v for k, v in closed.coeffs.items()}
+    same = qt == closed
+    negd = qt == tuple(-f for f in closed)
     rep.add("extracted_q_matches_closed_form", same or negd, detail={"global_sign": 1 if same else (-1 if negd else 0)})
 
     rep.merge(verify_ot_equations(formula, closed))
@@ -429,10 +429,7 @@ def suite_mirror(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Repo
 
     theta0 = nom.alpha == on.basis(0, dim) and nom.side is Side.LEFT
     if theta0:
-        ot_qt = ctx.candidate("ot").tensor
-        ot_q_forms = [Rt2Poly.zero(forms.nvars)] + [
-            Rt2Poly.rational(p) for p in ot_qt.component_polys(forms.nvars)
-        ]
+        ot_q_forms = [Rt2Poly.zero(forms.nvars)] + [Rt2Poly.rational(p) for p in ctx.candidate("ot").tensor]
         cb_ot = condition_b_check(fkm.system, frame, formula, ot_q_forms)
         if dim == 8:
             rep.add("ot_q_fails_condition_b_at_x_star", not cb_ot.passed)

@@ -184,7 +184,7 @@ def conjugation_residual(result: IntertwinerResult, rep1: list, rep2: list) -> F
     if not result.found:
         raise ValueError("no intertwiner to check")
     O = result.matrix
-    return max((O @ A - B @ O).max_abs() for A, B in zip(rep1, rep2))
+    return max((O @ A - B @ O).max_abs() for A, B in zip(rep1, rep2, strict=True))
 
 
 def verify_a_system(ops: list) -> Report:
@@ -239,4 +239,5 @@ def refined_residual(norm: NormalizedASystem, a_ops: list) -> Fraction:
     """max |P J_a Q^{-1} - A_a| for the refined pair (Q orthogonal: Q^{-1} = Q^T)."""
     n = norm.p_refined.ncols
     qinv = norm.q_refined.T
-    return max((norm.p_refined @ ja @ qinv - A).max_abs() for ja, A in zip(octonion.j_generators(n), a_ops))
+    pairs = zip(octonion.j_generators(n), a_ops, strict=True)
+    return max((norm.p_refined @ ja @ qinv - A).max_abs() for ja, A in pairs)

@@ -14,11 +14,11 @@ proof of the identity) or ``sampled`` on seeded ``octonion.random_octets``
 draws, in the same slot layout, recorded as witnesses.  Where an identity is
 checked both ways, the two witnesses share its one residual function.
 
-Classification compares tensors: each candidate carries its coefficient
-tensor (``QCandidate.tensor``, read off its ``eval`` on the spanning basis
-triples once), and ``classify_q`` matches it against the tensors of the
-endpoint candidates (OT, FKM-left and FKM-right at alpha = e_0).  The closed
-forms themselves live only in ``mirror.q_star_ot_eval`` and
+Classification compares components: each candidate carries the cubic
+component polynomials of its ``eval`` (``QCandidate.tensor``, built once by
+``mirror.cubic_components``), and ``classify_q`` matches them against those
+of the endpoint candidates (OT, FKM-left and FKM-right at alpha = e_0).  The
+closed forms themselves live only in ``mirror.q_star_ot_eval`` and
 ``mirror.q_star_fkm_eval``.
 """
 
@@ -32,7 +32,7 @@ from typing import Callable
 
 from . import octonion as on
 from .circ import Nom, Side, circ, cos_sin_2theta, theta_axis
-from .mirror import TrilinearQ, q_star_fkm_eval, q_star_ot_eval
+from .mirror import cubic_components, q_star_fkm_eval, q_star_ot_eval
 from .poly import MultiPoly
 from .report import Report, WitnessReport, proved, sampled
 from .scalars import DeterministicRng
@@ -62,9 +62,9 @@ class QCandidate:
         return self.nom.dim
 
     @cached_property
-    def tensor(self) -> TrilinearQ:
-        """The coefficients of ``eval`` on the spanning basis triples."""
-        return TrilinearQ.from_closed_form(self.eval, self.dim)
+    def tensor(self) -> tuple:
+        """The components of ``eval`` as cubic polynomials (``cubic_components``)."""
+        return cubic_components(self.eval, self.dim)
 
 
 def fkm_candidate(nom: Nom) -> QCandidate:
@@ -289,9 +289,8 @@ def anti_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
 
 def norm_identity_check(q: QCandidate) -> bool:
     """|q(X,Y,Z)|^2 = |X(Y o Z) - Y o (XZ)|^2 as a polynomial identity."""
-    xs, ys, zs = on.symbolic_octets(q.dim, "xyZ")
-    got = on.norm_sq(q.eval(xs, ys, zs))
-    ok = (got - on.norm_sq(q_star_fkm_eval(q.nom, xs, ys, zs))).is_zero()
+    fkm = cubic_components(partial(q_star_fkm_eval, q.nom), q.dim)
+    ok = (on.norm_sq(q.tensor) - on.norm_sq(fkm)).is_zero()
     if ok:
         q.verified.add("norm")
     return ok
@@ -379,14 +378,13 @@ REQUIRED_SUITES = {"exchange", "skew", "anti", "norm"}
 def classify_q(q: QCandidate, references: list) -> Classification:
     """Match q against the endpoint candidates ``references`` (OT, FKM-left
     and FKM-right at alpha = e_0, in that order): q matches a reference when
-    their tensors are equal, that is, when they agree on every spanning basis
-    triple.  Requires the identity suites to have run and passed on q (a
-    suite marks the candidate only when every witness passed); never coerces
-    an unmatched candidate."""
+    their cubic components are equal.  Requires the identity suites to have
+    run and passed on q (a suite marks the candidate only when every witness
+    passed); never coerces an unmatched candidate."""
     missing = REQUIRED_SUITES - q.verified
     if missing:
         raise ValueError(f"classification requires suites {sorted(missing)} to have run and passed")
-    matches = [ref.label for ref in references if ref.tensor.coeffs == q.tensor.coeffs]
+    matches = [ref.label for ref in references if ref.tensor == q.tensor]
     if not matches:
         return Classification(QLabel.UNKNOWN, [])
     note = ""

@@ -92,7 +92,9 @@ class Op:
         """The block matrix with the ``Op`` ``grid[i][j]`` in block (i, j) and
         ``None`` for a zero block; each block row and block column needs one
         ``Op`` to fix its size.  Canonical over the lcm of the blocks'
-        denominators, as in ``of``."""
+        denominators, as in ``of``.  A ragged grid raises ``ValueError``."""
+        if any(len(brow) != len(grid[0]) for brow in grid):
+            raise ValueError("block rows differ in length")
         heights = [next(len(b.rows) for b in brow if b is not None) for brow in grid]
         widths = [next(brow[j].ncols for brow in grid if brow[j] is not None) for j in range(len(grid[0]))]
         offsets = [sum(widths[:j]) for j in range(len(widths))]

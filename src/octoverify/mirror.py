@@ -4,20 +4,28 @@ Ozeki-Takeuchi integrability identities.
 Index bookkeeping: at the mirror point x* the form components are indexed
 -1, 0..m1 (the -1 slot is the diagonal form |X|^2 - |Y|^2, and the original
 index-0 third-form component vanishes, after which the remaining components
-are renamed 0..m1).  TrilinearQ always holds the renamed convention.
+are renamed 0..m1).
+
+The third form q* is one thing throughout: the tuple of its renamed
+components <q*(X, Y, Z), e_a>, a = 0..m1, as cubic ``MultiPoly``s over the
+(x_1.., y_1.., z_0..) layout of ``octonion.symbolic_octets(dim, "xyZ")``.
+``cubic_components`` builds it from a closed form by one symbolic
+evaluation, ``trilinearity_extract`` reads it off the expansion at x*, and
+``verify_ot_equations``, Condition B and the classifier consume it as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from . import octonion as on
 from .circ import Nom, circ
 from .linalg import Op
-from .poly import MultiPoly, Rt2Poly, monomial_key
-from .report import Report
+from .poly import MultiPoly, Rt2Poly, monomial_key, norm_sq_poly
+from .report import Report, proved
 from .systems import ScaledVec
 
 
@@ -180,87 +188,27 @@ def sharp_from_q0(q0: MultiPoly, m1: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# trilinear tensor of the third fundamental form
+# the third fundamental form as cubic component polynomials
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrilinearQ:
-    """Coefficients q_a^{alpha mu p} of <q*(X, Y, Z), e_a>; indices follow the
-    renamed convention a, p in 0..m1, alpha, mu in 1..m1 (the vanished
-    original index-0 component has been dropped)."""
-
-    m1: int
-    coeffs: dict  # (a, alpha, mu, p) -> Fraction
-
-    def value(self, a: int, alpha: int, mu: int, p: int) -> Fraction:
-        return self.coeffs.get((a, alpha, mu, p), Fraction(0))
-
-    def contract(self, x: tuple, y: tuple, z: tuple) -> tuple:
-        """q(x, y, z) from the stored coefficients.  No run-time caller:
-        ``test_tensor_contract_matches_closed_form`` checks the tensor
-        against the closed form with it."""
-        d = self.m1 + 1
-        out = [Fraction(0)] * d
-        for (a, alpha, mu, p), c in self.coeffs.items():
-            v = c * x[alpha] * y[mu] * z[p]
-            out[a] += v
-        return tuple(out)
-
-    def component_polys(self, nvars: int | None = None) -> list:
-        """Components as MultiPolys over the (x_1.., y_1.., z_0..) layout."""
-        m1 = self.m1
-        nv = nvars or (3 * m1 + 1)
-        polys = []
-        for a in range(m1 + 1):
-            terms: dict = {}
-            for (aa, alpha, mu, p), c in self.coeffs.items():
-                if aa != a:
-                    continue
-                key = monomial_key(alpha - 1, m1 + mu - 1, 2 * m1 + p)
-                terms[key] = terms.get(key, Fraction(0)) + c
-            polys.append(MultiPoly(nv, terms))
-        return polys
-
-    def mutated(self, key: tuple, value: Fraction) -> "TrilinearQ":
-        """Copy with one coefficient replaced.  No run-time caller: the
-        mutation tests (``test_verify_ot_equations_mutation_fails``,
-        ``test_c06_norm_identity_and_mutation_kill``) use it to show that
-        ``verify_ot_equations`` rejects a wrong tensor."""
-        coeffs = dict(self.coeffs)
-        if value == 0:
-            coeffs.pop(key, None)
-        else:
-            coeffs[key] = value
-        return TrilinearQ(self.m1, coeffs)
-
-    @staticmethod
-    def from_closed_form(q_eval, dim: int) -> "TrilinearQ":
-        """Tensor of a trilinear map (X, Y, Z) -> algebra element by spanning
-        over basis triples."""
-        m1 = dim - 1
-        coeffs: dict = {}
-        for alpha in range(1, dim):
-            ea = on.basis(alpha, dim)
-            for mu in range(1, dim):
-                em = on.basis(mu, dim)
-                for p in range(dim):
-                    val = q_eval(ea, em, on.basis(p, dim))
-                    for a in range(dim):
-                        if val[a]:
-                            coeffs[(a, alpha, mu, p)] = val[a]
-        return TrilinearQ(m1, coeffs)
+def cubic_components(q_eval, dim: int) -> tuple:
+    """The components <q(X, Y, Z), e_a>, a = 0..dim-1, of a trilinear map as
+    cubic ``MultiPoly``s over the (x_1.., y_1.., z_0..) layout of
+    ``octonion.symbolic_octets(dim, "xyZ")``: one symbolic evaluation."""
+    return tuple(q_eval(*on.symbolic_octets(dim, "xyZ")))
 
 
-def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> TrilinearQ:
-    """Build the TrilinearQ tensor from extracted third-form components.
+def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> tuple:
+    """The third form's components from the extracted ones, in the layout of
+    ``cubic_components``.
 
     q_forms is indexed -1, 0..m1 (extraction order); ranges = (d_x, d_y, d_z)
-    declares the three tangent variable ranges.  Checks, in order: the
-    original index--1 component vanishes; every monomial of the remaining
-    components has degree exactly 1 in each range (error names the first
-    violating monomial); and <grad p_-1, grad q_a> = 0 for all a, with
-    p_-1 = |x|^2 - |y|^2 over the first two ranges.
+    declares the three tangent variable ranges.  Checks, in order: every
+    monomial has degree exactly 1 in each range (error names the first
+    violating monomial); the original index--1 component vanishes; and
+    <grad p_-1, grad q_a> = 0 for all a, with p_-1 = |x|^2 - |y|^2 over the
+    first two ranges.  Returns the components after the vanished one.
     """
     dx, dy, dz = ranges
     nv = dx + dy + dz
@@ -273,7 +221,7 @@ def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> Triline
         comps.append(f)
     # trilinearity first: the shape failure is the informative error
     for a, f in enumerate(comps):
-        for exps, c in f.exponent_dict().items():
+        for exps in f.exponent_dict():
             d1 = sum(exps[:dx])
             d2 = sum(exps[dx : dx + dy])
             d3 = sum(exps[dx + dy :])
@@ -281,14 +229,6 @@ def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> Triline
                 raise ValueError(f"non-trilinear monomial {exps} in component {a}")
     if not comps[0].is_zero():
         raise ValueError("original index-0 third-form component does not vanish")
-    m1 = len(comps) - 2
-    coeffs: dict = {}
-    for a, f in enumerate(comps[1:]):
-        for exps, c in f.exponent_dict().items():
-            alpha = next(i for i in range(dx) if exps[i]) + 1
-            mu = next(i for i in range(dy) if exps[dx + i]) + 1
-            p = next(i for i in range(dz) if exps[dx + dy + i])
-            coeffs[(a, alpha, mu, p)] = c
     terms: dict = {}
     for i in range(dx):
         terms[monomial_key(i, i)] = Fraction(1)
@@ -296,13 +236,9 @@ def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> Triline
         terms[monomial_key(dx + i, dx + i)] = Fraction(-1)
     gp = MultiPoly(nv, terms).gradient()
     for a, f in enumerate(comps[1:]):
-        gq = f.gradient()
-        acc = MultiPoly(nv)
-        for u, v in zip(gp, gq):
-            acc = acc + u * v
-        if not acc.is_zero():
+        if not on.inner(gp, f.gradient()).is_zero():
             raise ValueError(f"<grad p_-1, grad q_{a}> != 0")
-    return TrilinearQ(m1, coeffs)
+    return tuple(comps[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +246,7 @@ def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> Triline
 # ---------------------------------------------------------------------------
 
 
-def verify_ot_equations(p_forms: list, q: TrilinearQ) -> Report:
+def verify_ot_equations(p_forms: list, q: tuple) -> Report:
     """Three named exact checks over the tangent coordinates:
 
       norm_identity:   16|q*|^2 = 16 G (|X|^2+|Y|^2+|Z|^2) - |grad G|^2,
@@ -322,57 +258,33 @@ def verify_ot_equations(p_forms: list, q: TrilinearQ) -> Report:
     p_forms is the closed second form as ``systems.closed_second_form``
     builds it: a rational p_-1, then pure-sqrt2 components p*_a = sqrt2
     p_vec[a].  The common sqrt2 squares away in G and factors out of the
-    other two identities, so they run on the rational p_vec.
+    other two identities, so they run on the rational p_vec.  q holds the
+    components q*_a, a = 0..m1, as ``cubic_components`` builds them.
     """
     if not p_forms[0].is_rational() or not all(f.is_pure_sqrt2() for f in p_forms[1:]):
         raise ValueError("expected a rational p_-1 and pure-sqrt2 p*_a")
     p_minus1 = p_forms[0].a
     p_vec = [f.b for f in p_forms[1:]]
     rep = Report("ot_equations")
-    m1 = q.m1
-    nv = p_minus1.nvars
-    qpolys = q.component_polys(nv)
 
-    g = p_minus1 * p_minus1
-    for f in p_vec:
-        g = g + 2 * (f * f)
-    q2 = MultiPoly(nv)
-    for f in qpolys:
-        q2 = q2 + f * f
-    r2 = MultiPoly(nv)
-    for i in range(nv):
-        v = MultiPoly.variable(nv, i)
-        r2 = r2 + v * v
-    gg = MultiPoly(nv)
-    for d in g.gradient():
-        gg = gg + d * d
-    diff = 16 * q2 - (16 * (g * r2) - gg)
+    g = p_minus1 * p_minus1 + 2 * on.norm_sq(p_vec)
+    diff = 16 * on.norm_sq(q) - (16 * (g * norm_sq_poly(p_minus1.nvars)) - on.norm_sq(g.gradient()))
     rep.add("third_form_norm_identity", diff.is_zero(), detail={"residual_terms": len(diff.terms)})
-
-    def dot(gs1, gs2):
-        acc = MultiPoly(nv)
-        for u, v in zip(gs1, gs2):
-            acc = acc + u * v
-        return acc
 
     gpm1 = p_minus1.gradient()
     gpa = [f.gradient() for f in p_vec]
-    gqa = [f.gradient() for f in qpolys]
-    ok_pairs = True
-    # (i, j) = (-1, a): q_-1 = 0, so only <grad p_-1, grad q_a> remains; the
-    # sqrt2 on p_a multiplies the vanished term and drops out.
-    for a in range(m1 + 1):
-        if not dot(gpm1, gqa[a]).is_zero():
-            ok_pairs = False
-    # (i, j) = (a, b), a != b >= 0: both terms share the sqrt2 factor.
-    for a in range(m1 + 1):
-        for b in range(a + 1, m1 + 1):
-            if not (dot(gpa[a], gqa[b]) + dot(gpa[b], gqa[a])).is_zero():
-                ok_pairs = False
-    rep.add("gradient_pair_identity", ok_pairs)
-
-    pq = MultiPoly(nv)
-    for f, qf in zip(p_vec, qpolys, strict=True):
-        pq = pq + f * qf
-    rep.add("p_dot_q", pq.is_zero())
+    gqa = [f.gradient() for f in q]
+    n = len(gqa)
+    pairs = proved(
+        "gradient_pair_identity",
+        chain(
+            # (i, j) = (-1, a): q_-1 = 0, so only <grad p_-1, grad q_a> remains;
+            # the sqrt2 on p_a multiplies the vanished term and drops out
+            (on.inner(gpm1, gq) for gq in gqa),
+            # (i, j) = (a, b), a != b >= 0: both terms share the sqrt2 factor
+            (on.inner(gpa[a], gqa[b]) + on.inner(gpa[b], gqa[a]) for a in range(n) for b in range(a + 1, n)),
+        ),
+    )
+    rep.add("gradient_pair_identity", pairs.passed)
+    rep.add("p_dot_q", on.inner(p_vec, q).is_zero())
     return rep

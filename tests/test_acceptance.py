@@ -31,12 +31,8 @@ from octoverify.identities import (
     skew_suite,
 )
 from octoverify.linalg import Op, random_rational_orthogonal
-from octoverify.mirror import (
-    TrilinearQ,
-    q_star_ot_eval,
-    verify_ot_equations,
-)
-from octoverify.poly import MultiPoly, Rt2Poly, monomial_key, munzner_verify, norm_sq_poly
+from octoverify.mirror import cubic_components, q_star_ot_eval, verify_ot_equations
+from octoverify.poly import MultiPoly, Rt2Poly, monomial_exponents, munzner_verify, norm_sq_poly
 from octoverify.scalars import DeterministicRng, random_rational
 from octoverify.systems import (
     blocks_from_forms,
@@ -158,6 +154,13 @@ def test_c05_second_fundamental_form(fkm_systems):
     _line(5, "second fundamental form: matrix route == -sqrt2(XZ + Y o Z)", ok)
 
 
+def _terms_in_index_order(q):
+    """(a, monomial key, coefficient) for every term of the components q, in
+    the order of (a, alpha, mu, p) for the monomial x_alpha y_mu z_p."""
+    terms = [(a, k, c) for a, f in enumerate(q) for k, c in f.fraction_terms().items()]
+    return sorted(terms, key=lambda t: (t[0], monomial_exponents(t[1])))
+
+
 def test_c06_norm_identity_and_mutation_kill(noms):
     ok = True
     families = [(fkm_formula_forms(noms[k]), fkm_candidate(noms[k]).tensor) for k in NOM_KEYS]
@@ -168,58 +171,32 @@ def test_c06_norm_identity_and_mutation_kill(noms):
         if not rep.passed:
             ok = False
         p1 = p_forms[0].a
-        pv = [f.b for f in p_forms[1:]]
-        nv = p1.nvars
-        g = p1 * p1
-        for f in pv:
-            g = g + 2 * (f * f)
-        r2 = norm_sq_poly(nv)
-        gg = MultiPoly(nv)
-        for d in g.gradient():
-            gg = gg + d * d
-        rhs_cache.append((16 * (g * r2) - gg, qt))
-    # 50 seeded single-coefficient zeroings; each must break the norm identity.
-    # With 16 * sum q_a^2 == RHS exact for the unmutated tensor, zeroing the
-    # coefficient c of monomial m in component a shifts the left side by
+        g = p1 * p1 + 2 * on.norm_sq([f.b for f in p_forms[1:]])
+        rhs = 16 * (g * norm_sq_poly(p1.nvars)) - on.norm_sq(g.gradient())
+        rhs_cache.append((rhs, qt, _terms_in_index_order(qt)))
+    # 50 seeded single-monomial drops; each must break the norm identity.
+    # With 16 * sum q_a^2 == RHS exact for the unmutated components, dropping
+    # the term c m from component a shifts the left side by
     # 16(-2c q_a m + c^2 m^2), so the defect polynomial is exactly that.
     rng = DeterministicRng(1006)
     kills = 0
     total = 50
     for trial in range(total):
-        rhs, qt = rhs_cache[trial % len(rhs_cache)]
-        keys = sorted(qt.coeffs)
-        key = keys[rng.next_int(0, len(keys) - 1)]
-        c = qt.coeffs[key]
-        a = key[0]
-        nv = rhs.nvars
-        qa = qt.component_polys(nv)[a]
-        m = MultiPoly(nv, {monomial_key(key[1] - 1, qt.m1 + key[2] - 1, 2 * qt.m1 + key[3]): Fraction(1)})
-        defect = 16 * ((-2 * c) * (qa * m) + (c * c) * (m * m))
+        rhs, qt, terms = rhs_cache[trial % len(rhs_cache)]
+        a, key, c = terms[rng.next_int(0, len(terms) - 1)]
+        m = MultiPoly(rhs.nvars, {key: Fraction(1)})
+        defect = 16 * ((-2 * c) * (qt[a] * m) + (c * c) * (m * m))
         if not defect.is_zero():
             kills += 1
         if trial == 0:
             # cross-check the incremental defect against a full recomputation
-            mut = qt.mutated(key, Fraction(0))
-            qs = mut.component_polys(nv)
-            lhs = MultiPoly(nv)
-            for f in qs:
-                lhs = lhs + f * f
-            full_defect = 16 * lhs - rhs
-            if full_defect != defect:
-                ok = False
-            if verify_ot_equations_first_check(mut, rhs, nv):
+            mut = qt[:a] + (qt[a] - c * m,) + qt[a + 1 :]
+            full_defect = 16 * on.norm_sq(mut) - rhs
+            if full_defect != defect or full_defect.is_zero():
                 ok = False
     if kills != total:
         ok = False
     _line(6, f"third-form norm identity exact + mutation kill rate {kills}/{total}", ok)
-
-
-def verify_ot_equations_first_check(qt, rhs, nv):
-    """True when the mutated tensor still satisfies the norm identity (it must not)."""
-    lhs = MultiPoly(nv)
-    for f in qt.component_polys(nv):
-        lhs = lhs + f * f
-    return (16 * lhs - rhs).is_zero()
 
 
 def test_c07_identity_batteries(noms):
@@ -288,8 +265,7 @@ def test_c10_condition_matrix(fkm_systems, fkm_polys, ot_octonion, ot_octonion_p
     fkm0 = fkm_systems[("left", Fraction(0))]
     frame0 = fkm_mirror_frame(fkm0)
     formula0 = fkm_formula_forms(fkm0.nom)
-    qt_ot = TrilinearQ.from_closed_form(q_star_ot_eval, 8)
-    q_forms = [Rt2Poly.zero(22)] + [Rt2Poly.rational(p) for p in qt_ot.component_polys(22)]
+    q_forms = [Rt2Poly.zero(22)] + [Rt2Poly.rational(p) for p in cubic_components(q_star_ot_eval, 8)]
     if condition_b_check(fkm0.system, frame0, formula0, q_forms).passed:
         ok = False
 

@@ -86,6 +86,16 @@ def test_normalize_seeded_a_systems():
         assert norm.q_refined @ norm.q_refined.T == Op.identity(8)
 
 
+def test_refined_residual_refuses_a_short_system():
+    # a prefix of a correct system would otherwise compare as a perfect fit
+    rng = DeterministicRng(101)
+    o = random_rational_orthogonal(rng, 8)
+    a = [o @ m for m in on.j_generators()]
+    norm = normalize_a_system(a)
+    with pytest.raises(ValueError):
+        refined_residual(norm, a[:2])
+
+
 def test_normalize_quaternionic():
     j4 = on.j_generators(4)
     norm = normalize_a_system(j4)
@@ -120,6 +130,8 @@ def test_find_intertwiner_inequivalent_and_self():
     res = find_intertwiner(j, j)
     assert res.found
     assert conjugation_residual(res, j, j) == 0
+    with pytest.raises(ValueError):
+        conjugation_residual(res, j, j[:1])
 
 
 def test_find_intertwiner_raises_without_a_rational_square_root():

@@ -23,7 +23,7 @@ from octoverify.identities import (
 )
 from octoverify.mirror import q_star_fkm_eval
 from octoverify.octonion import cayley_dickson_multiply
-from octoverify.poly import MultiPoly
+from octoverify.poly import MultiPoly, monomial_key
 from octoverify.scalars import DeterministicRng, random_rational
 
 E = [on.basis(i) for i in range(8)]
@@ -280,7 +280,9 @@ def test_classify_q_unknown_when_one_basis_triple_differs():
         return on.add(left.eval(X, Y, Z), on.scale(X[1] * Y[2] * Z[3], E[4]))
 
     cand = QCandidate(QLabel.CUSTOM, left.nom, bumped, set(REQUIRED_SUITES))
-    assert [k for k in cand.tensor.coeffs if cand.tensor.coeffs[k] != left.tensor.coeffs.get(k)] == [(4, 1, 2, 3)]
+    assert [a for a in range(8) if cand.tensor[a] != left.tensor[a]] == [4]
+    # x_1 y_2 z_3 in the (x_1..x_7, y_1..y_7, z_0..z_7) layout
+    assert cand.tensor[4] - left.tensor[4] == MultiPoly(22, {monomial_key(0, 8, 17): 1})
     cls = classify_q(cand, _endpoints(8))
     assert cls.label is QLabel.UNKNOWN and cls.matches == []
 

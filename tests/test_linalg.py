@@ -309,3 +309,11 @@ def test_op_blocks_check_that_the_blocks_line_up():
         Op.blocks([[i2, i3], [None, i3]])  # block row 0: heights 2 and 3
     with pytest.raises(ValueError):
         Op.blocks([[i2, None], [i3, i3]])  # block column 0: widths 2 and 3
+
+
+def test_op_blocks_reject_a_ragged_grid():
+    i = Op.identity(2)
+    with pytest.raises(ValueError, match="block rows"):
+        Op.blocks([[i, None], [None, i, i]])  # a third block in row 1 would be dropped
+    with pytest.raises(ValueError, match="block rows"):
+        Op.blocks([[i, i], [i]])  # the missing block would read as zero

@@ -7,8 +7,8 @@ from octoverify import octonion as on
 from octoverify.circ import Side, left_ops, nom_from_t
 from octoverify.mirror import (
     EigenDecomp,
-    TrilinearQ,
     assemble_star_blocks,
+    cubic_components,
     mirror_points,
     p_star,
     q_star_fkm,
@@ -21,7 +21,7 @@ from octoverify.mirror import (
     verify_ot_equations,
 )
 from octoverify.linalg import Op
-from octoverify.poly import MultiPoly
+from octoverify.poly import MultiPoly, monomial_key
 from octoverify.scalars import DeterministicRng, random_rational
 from octoverify.identities import fkm_candidate, ot_candidate
 from octoverify.systems import closed_second_form, extract_expansion_forms, fkm_formula_forms, fkm_mirror_frame
@@ -183,17 +183,16 @@ def test_trilinearity_extract_success(fkm_systems, fkm_polys):
     fkm = fkm_systems[key]
     forms = extract_expansion_forms(fkm_polys[key], fkm_mirror_frame(fkm))
     qt = trilinearity_extract(forms.q, (7, 7, 8))
-    assert qt.m1 == 7
-    closed = TrilinearQ.from_closed_form(lambda X, Y, Z: q_star_fkm_eval(fkm.nom, X, Y, Z), 8)
-    neg = {k: -v for k, v in closed.coeffs.items()}
-    assert qt.coeffs in (closed.coeffs, neg)
+    assert len(qt) == 8
+    closed = cubic_components(lambda X, Y, Z: q_star_fkm_eval(fkm.nom, X, Y, Z), 8)
+    assert qt in (closed, tuple(-f for f in closed))
 
 
 def test_trilinearity_extract_errors():
     nv = 22
     zero = [MultiPoly.zero(nv)] * 9
     qt = trilinearity_extract(zero, (7, 7, 8))
-    assert qt.coeffs == {}
+    assert qt == (MultiPoly.zero(nv),) * 8
     bad = list(zero)
     bad[1] = MultiPoly.variable(nv, 0) * MultiPoly.variable(nv, 1) * MultiPoly.variable(nv, 2)
     with pytest.raises(ValueError, match="non-trilinear"):
@@ -206,15 +205,46 @@ def test_trilinearity_extract_errors():
         trilinearity_extract(bad2, (7, 7, 8))
 
 
+def _basis_triple_components(q_eval, dim):
+    """Independent oracle for ``cubic_components``: the coefficient of
+    x_alpha y_mu z_p in component a is <q(e_alpha, e_mu, e_p), e_a>, read off
+    ``q_eval`` on every basis triple with imaginary e_alpha, e_mu."""
+    m1 = dim - 1
+    terms = [{} for _ in range(dim)]
+    for alpha in range(1, dim):
+        for mu in range(1, dim):
+            for p in range(dim):
+                val = q_eval(on.basis(alpha, dim), on.basis(mu, dim), on.basis(p, dim))
+                for a in range(dim):
+                    if val[a]:
+                        terms[a][monomial_key(alpha - 1, m1 + mu - 1, 2 * m1 + p)] = val[a]
+    return tuple(MultiPoly(3 * m1 + 1, t) for t in terms)
+
+
+ORACLE_T = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(2, 3)]
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_cubic_components_match_the_basis_triple_oracle(dim):
+    for side in (Side.LEFT, Side.RIGHT):
+        for t in ORACLE_T:
+            nom = nom_from_t(side, t, axis=4 if dim == 8 else 1, dim=dim)
+            q_eval = lambda X, Y, Z: q_star_fkm_eval(nom, X, Y, Z)
+            assert cubic_components(q_eval, dim) == _basis_triple_components(q_eval, dim), (side, t)
+    assert ot_candidate(dim).tensor == _basis_triple_components(q_star_ot_eval, dim)
+
+
 def test_tensor_contract_matches_closed_form():
+    # the components, evaluated at a point, are the closed form at that point
     nom = nom_from_t(Side.LEFT, Fraction(1, 3))
-    qt = TrilinearQ.from_closed_form(lambda X, Y, Z: q_star_fkm_eval(nom, X, Y, Z), 8)
+    comps = cubic_components(lambda X, Y, Z: q_star_fkm_eval(nom, X, Y, Z), 8)
     rng = DeterministicRng(81)
     for _ in range(60):
         x = tuple([Fraction(0)] + [random_rational(rng, 4) for _ in range(7)])
         y = tuple([Fraction(0)] + [random_rational(rng, 4) for _ in range(7)])
         z = tuple(random_rational(rng, 4) for _ in range(8))
-        assert qt.contract(x, y, z) == q_star_fkm_eval(nom, x, y, z)
+        point = list(x[1:] + y[1:] + z)
+        assert tuple(f.eval(point) for f in comps) == q_star_fkm_eval(nom, x, y, z)
 
 
 def test_norm_identity_between_families():
@@ -248,8 +278,9 @@ def test_verify_ot_equations_ot():
 def test_verify_ot_equations_mutation_fails(noms):
     nom = noms[("left", Fraction(0))]
     qt = fkm_candidate(nom).tensor
-    key = next(iter(qt.coeffs))
-    mut = qt.mutated(key, Fraction(0))
+    a = next(a for a, f in enumerate(qt) if f)  # drop the first monomial of the first nonzero component
+    key, c = next(iter(qt[a].fraction_terms().items()))
+    mut = qt[:a] + (qt[a] - MultiPoly(qt[a].nvars, {key: c}),) + qt[a + 1 :]
     rep = verify_ot_equations(fkm_formula_forms(nom), mut)
     assert not rep.passed
     assert "third_form_norm_identity" in rep.failing()
