@@ -9,11 +9,12 @@ so the quaternions are the sub-span of coordinates 0..3.
 
 ``ProductTable`` holds the products e_a e_b of some bilinear multiplication
 on all basis pairs and is its one sparse kernel: it extends the table
-bilinearly over any commutative coefficient ring (Fraction, float, or
-polynomial coordinates), summing rational inputs in int numerators.  The
-octonion product is the table ``PRODUCT_TABLES[dim]``, built at import for
-dims 4 and 8 from ``cayley_dickson_multiply`` on int basis vectors (entries
-0 and +-1); every normalized multiplication x o y is another such table
+bilinearly over any commutative coefficient ring (Fraction, float,
+polynomial or ``scalars.SampleBatch`` coordinates), summing rational inputs
+in int numerators.  The octonion product is the table
+``PRODUCT_TABLES[dim]``, built at import for dims 4 and 8 from
+``cayley_dickson_multiply`` on int basis vectors (entries 0 and +-1); every
+normalized multiplication x o y is another such table
 (``circ.Nom.table``).  ``cayley_dickson_multiply`` keeps the recursive
 definition around as an independent oracle for the table.
 
@@ -21,7 +22,8 @@ The multiplication matrices (``left_mult_matrix``, ``right_mult_matrix``) and
 the generators J_a, J'_a (the table's ``left_ops``, ``right_ops``) are
 ``linalg.Op``s, so they take rational coordinates only.  ``symbolic_octets``
 gives polynomial-coordinate slots for the symbolic proofs, ``random_octets``
-seeded rational slots in the same layout for the sampled checks.
+seeded rational slots in the same layout for the sampled checks (which
+evaluate them batched, see ``report.sampled``).
 ``norm_defect`` and ``exchange_defects`` state the identities every
 orthogonal multiplication satisfies, once, for any product ``mul``: the
 octonion product and every x o y.
@@ -112,10 +114,11 @@ class ProductTable:
         (``zero`` is a ``Fraction``) are scaled to the lcm of their
         denominators and summed in ints, and every slot is one ``Fraction``
         over dx * dy * D, the shared ``zero`` where the sum is 0.  Anything
-        else (polynomial, float or all-int coordinates) sums w * (x_a y_b) per
-        slot in the order of the nonzero pairs, divides by D once when D != 1
-        and widens every slot to ``zero``'s type through ``scalars.fill_zero``,
-        so a slot that got no nonzero product holds ``zero``."""
+        else (polynomial, sample-batch, float or all-int coordinates) sums
+        w * (x_a y_b) per slot in the order of the nonzero pairs, divides by D
+        once when D != 1 and widens every slot to ``zero``'s type through
+        ``scalars.fill_zero``, so a slot that got no nonzero product holds
+        ``zero``."""
         dim = self.dim
         if len(x) != dim or len(y) != dim:
             raise ValueError("dimension mismatch")
@@ -217,8 +220,8 @@ def inner(x, y):
     returns the zero (or the type) the full sum would have had.  On rational
     inputs (the zero is ``Fraction(0)``) the pairs are summed in ints over
     the lcm denominators of their two sides, giving one ``Fraction``, or the
-    shared zero when the sum is 0; polynomial, float and all-int inputs run
-    the generic loop.
+    shared zero when the sum is 0; polynomial, sample-batch, float and
+    all-int inputs run the generic loop.
     """
     zero = sum_zero(x, y)
     pairs = [(a, b) for a, b in zip(x, y, strict=True) if a and b]

@@ -1,6 +1,12 @@
 """Check/report containers with deterministic JSON serialization, and the two
 drivers that check an identity stated as the values that must vanish:
-``proved`` for polynomials in symbolic slots, ``sampled`` for seeded draws."""
+``proved`` for polynomials in symbolic slots, ``sampled`` for seeded draws.
+
+``sampled`` evaluates its residual function once per chunk of draws, on
+slots whose coordinates are ``scalars.SampleBatch``es that hold every draw
+of the chunk, so a residual must be a branch-free ring expression in its
+slots (``+ - *`` with ints and Fractions, through the kernels' generic
+paths) that draws nothing itself."""
 
 from __future__ import annotations
 
@@ -8,7 +14,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from .scalars import SampleBatch, stack_vectors
+
 SCHEMA_VERSION = "1"
+
+# Draws evaluated together by ``sampled``: the batch amortises the per-call
+# cost of the kernels, and the chunk bounds the memory held by the batch.
+SAMPLES_PER_CHUNK = 100
 
 
 def encode_value(v: Any) -> Any:
@@ -140,13 +152,20 @@ def proved(name: str, residuals) -> WitnessReport:
 
 def sampled(name: str, samples: int, draw, residuals) -> WitnessReport:
     """The witness that every value of ``residuals(*draw())`` vanishes on
-    ``samples`` draws (typically of ``octonion.random_octets``).  Every draw is
-    made, also after a failing sample, so the generator behind ``draw`` ends
-    at the same place either way; the recorded residual is the worst
-    |value|."""
+    ``samples`` draws (typically of ``octonion.random_octets``).
+
+    The draws are made in order, ``SAMPLES_PER_CHUNK`` at a time; each slot
+    of a chunk is stacked by ``scalars.stack_vectors``, and ``residuals`` is
+    called once per chunk on the stacked slots, so each value it returns is
+    a ``SampleBatch`` holding that value for every draw of the chunk (a
+    plain rational value counts once).  Every draw is made, also after a
+    failing sample, so the generator behind ``draw`` ends at the same place
+    either way; the recorded residual is the worst |value| over every
+    sample."""
     worst = Fraction(0)
-    for _ in range(samples):
-        for v in residuals(*draw()):
+    for start in range(0, samples, SAMPLES_PER_CHUNK):
+        draws = [draw() for _ in range(min(SAMPLES_PER_CHUNK, samples - start))]
+        for v in residuals(*map(stack_vectors, zip(*draws))):
             if v:
-                worst = max(worst, abs(v))
+                worst = max(worst, *map(abs, v.values() if isinstance(v, SampleBatch) else (v,)))
     return WitnessReport(name, {"instances": samples}, None, None, worst, worst == 0)

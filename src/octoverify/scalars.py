@@ -1,11 +1,17 @@
-"""Exact scalar helpers: the zeros of the zero-skipping kernels, deterministic
-randomness, and rational points on the unit circle.
+"""Exact scalar helpers: the zeros of the zero-skipping kernels, the batched
+scalar of the sampled checks, deterministic randomness, and rational points
+on the unit circle.
 
 The verifiers compare exactly, so there is no comparison mode here (the
 CLI's ``--mode float`` computes its own residuals in ``suite_nom_float``).
 Angles are realized as rational points on the unit circle via the Pythagorean
 parametrization c = (1-t^2)/(1+t^2), s = 2t/(1+t^2), which keeps every
 downstream identity exactly checkable.
+
+``SampleBatch`` is one exact scalar that holds a coordinate of many seeded
+draws at once (``report.sampled`` stacks each slot with ``stack_vectors``),
+so a residual runs the unchanged generic paths of the kernels once per batch
+of draws instead of once per draw.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ def sum_zero(*vectors):
     ``Fraction(0)`` when every coordinate is a Fraction or an int (and at
     least one is a Fraction).  Otherwise it is the sum of one ``c - c`` per
     coordinate type, which is a zero ``MultiPoly`` with the coordinates'
-    ``nvars`` when any coordinate is one, ``0.0`` when any is a float, and
-    the int ``0`` when all are ints.
+    ``nvars`` when any coordinate is one, a zero ``SampleBatch`` (over the
+    batch's ``dens``) when any is one, ``0.0`` when any is a float, and the
+    int ``0`` when all are ints.
     """
     kinds = set()
     for v in vectors:
@@ -49,6 +56,99 @@ def fill_zero(slots: list, zero) -> list:
     ``zero``'s type, so the kernel returns what the dense loop returned."""
     kind = type(zero)
     return [zero if v is None else v if type(v) is kind else zero + v for v in slots]
+
+
+class SampleBatch:
+    """One exact scalar per sample of a batch of draws: sample i holds
+    ``nums[i] / dens[i]``, int numerators over per-sample int denominators,
+    left unreduced.  It is a commutative ring element under ``+ - *`` with
+    another batch of the same samples or with an int or ``Fraction`` (on
+    either side), so the kernels' generic paths evaluate a residual for every
+    sample of the batch in one pass.
+
+    A sum of two batches over equal ``dens`` adds the numerators only; every
+    product inside one kernel call shares its ``dens`` (``stack_vectors``
+    gives all coordinates of a slot one ``dens``), so that is the common
+    case.  Truth is "some sample is nonzero", so a zero-skipping kernel skips
+    only a coordinate that is zero in every sample.  There is no single
+    value to compare or hash: ``==``, ordering and ``hash`` raise
+    ``TypeError``, so code that branches on a value fails loudly.  Batches
+    are never modified; results may share ``nums`` or ``dens`` lists."""
+
+    __slots__ = ("nums", "dens")
+
+    def __init__(self, nums: list, dens: list):
+        self.nums = nums
+        self.dens = dens
+
+    def values(self) -> list[Fraction]:
+        """The reduced value of each sample."""
+        return [Fraction(n, d) for n, d in zip(self.nums, self.dens)]
+
+    def __bool__(self) -> bool:
+        return any(self.nums)
+
+    def __neg__(self) -> "SampleBatch":
+        return SampleBatch([-n for n in self.nums], self.dens)
+
+    def __add__(self, other):
+        nums, dens = self.nums, self.dens
+        if type(other) is SampleBatch:
+            if other.dens is dens or other.dens == dens:
+                return SampleBatch([a + b for a, b in zip(nums, other.nums)], dens)
+            return SampleBatch(
+                [a * e + b * d for a, d, b, e in zip(nums, dens, other.nums, other.dens)],
+                [d * e for d, e in zip(dens, other.dens)],
+            )
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            if q == 1:
+                return SampleBatch([a + p * d for a, d in zip(nums, dens)], dens)
+            return SampleBatch([a * q + p * d for a, d in zip(nums, dens)], [d * q for d in dens])
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is SampleBatch or isinstance(other, (int, Fraction)):
+            return self + -other
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
+
+    def __mul__(self, other):
+        if type(other) is SampleBatch:
+            return SampleBatch(
+                [a * b for a, b in zip(self.nums, other.nums)], [d * e for d, e in zip(self.dens, other.dens)]
+            )
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            nums = self.nums if p == 1 else [a * p for a in self.nums]
+            return SampleBatch(nums, self.dens if q == 1 else [d * q for d in self.dens])
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def _no_single_value(self, other):
+        raise TypeError("a SampleBatch holds one value per sample: it cannot be compared")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _no_single_value
+    __hash__ = None
+
+
+def stack_vectors(vectors) -> tuple:
+    """One slot of a batch of draws as ``SampleBatch`` coordinates:
+    ``vectors[i]`` is sample i's rational coordinate tuple, and coordinate k
+    of the result holds coordinate k of every sample.  Each sample's vector
+    is lifted to the lcm of its own denominators (the scaling of
+    ``ProductTable.product``'s rational path), so all coordinates share one
+    ``dens``."""
+    dens = [math.lcm(*[c.denominator for c in v]) for v in vectors]
+    rows = [[c.numerator * (d // c.denominator) for c in v] for v, d in zip(vectors, dens)]
+    return tuple(SampleBatch(list(col), dens) for col in zip(*rows))
 
 
 def pythagorean_unit(t: Fraction) -> tuple[Fraction, Fraction]:
@@ -79,8 +179,8 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 class DeterministicRng:
     """Counter-based splittable generator: output depends only on (seed, counter).
 
-    Advancing the counter is the only mutation; clones with disjoint counter
-    ranges (`at`, `fork`) may be handed to parallel workers.
+    Advancing the counter is the only mutation; ``fork`` derives an
+    independent stream.
     """
 
     seed: int
@@ -105,9 +205,6 @@ class DeterministicRng:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
-
-    def at(self, counter: int) -> "DeterministicRng":
-        return DeterministicRng(self.seed, counter)
 
     def fork(self, tag: int) -> "DeterministicRng":
         """Independent stream derived from (seed, tag)."""
