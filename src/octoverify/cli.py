@@ -383,7 +383,7 @@ def suite_munzner(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Rep
     mv = munzner_verify(f, 4, m1, m2)
     rep.add("fkm_munzner_exact", mv.passed, detail={c.name: c.detail for c in mv.checks})
     mvr = munzner_verify(f, 4, m1, m2, rng=rng.fork(3), randomized=True)
-    rep.add("fkm_munzner_randomized_agrees", mvr.passed == mv.passed)
+    rep.add("fkm_munzner_randomized_agrees", mv.passed and mvr.passed)
 
     frame = fkm_mirror_frame(fkm)
     rep.add("fkm_mirror_point_focal", focal_check(fkm.system, frame.point))
@@ -439,8 +439,7 @@ def suite_mirror(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Repo
     ot = ctx.ot
     disp, ot_forms, ot_frame = ot_display_report(ot, ctx.ot_poly)
     rep.add("ot_displays", disp.passed, detail={"failing": disp.failing()})
-    pr = [p.a for p in ot_forms.p]
-    blocks = blocks_from_forms(pr, dim, dim, dim - 1)
+    blocks = blocks_from_forms(ot_forms.p, dim, dim, dim - 1)
     ca = condition_a_check(blocks, rng.fork(4))
     rep.add("ot_condition_a", ca.passed)
     cbo = condition_b_check(ot.system, ot_frame, ot_forms.p, ot_forms.q)
@@ -786,9 +785,6 @@ def main(argv: list | None = None) -> int:
         text = json.dumps(reports, indent=2, sort_keys=True)
     else:
         report, code = run(cfg, ctx)
-        if "error" in report:
-            print(f"config error: {report['error']}", file=sys.stderr)
-            return 2
         text = json.dumps(report, indent=2, sort_keys=True)
 
     if args.out:

@@ -16,11 +16,12 @@ way.  ``apply`` hands a vector back as ``Fraction`` slots, with the shared
 ``Op.blocks`` assembles a block matrix from ``Op`` blocks, the way the
 FKM/OT operators are built from the octonion and o-multiplication operators.
 
-Ingress has one rule: ``Op.of`` is the one way in for dense data (it passes
-an ``Op`` through and converts dense rows of ``int`` and ``Fraction``
-entries), and ``apply`` and ``kernel_basis`` take the same entries.  Anything else (a float above all, whose binary
-expansion would pass for an exact rational) raises TypeError.
-``kernel_basis`` is one sparse integer elimination.
+Ingress has one rule, ``scalars.int_scaled``'s: ``Op.of`` is the one way in
+for dense data (it passes an ``Op`` through and converts dense rows of
+``int`` and ``Fraction`` entries), and ``apply`` and ``kernel_basis`` take
+the same entries, each cleared of denominators by ``int_scaled``, which
+raises TypeError for anything else.  ``kernel_basis`` is one sparse integer
+elimination.
 """
 
 from __future__ import annotations
@@ -28,20 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import RATIONAL_ZERO, DeterministicRng, pythagorean_unit, random_rational
-
-
-def _scaled(values) -> tuple[int, list[int]]:
-    """(den, ints) with values[k] == ints[k]/den and den the lcm of the
-    denominators; TypeError for an entry that is not an int or a Fraction."""
-    den = 1
-    for x in values:
-        if type(x) is not int:
-            if type(x) is not Fraction:
-                raise TypeError(f"exact kernels take int or Fraction entries, not {type(x).__name__}")
-            if x.denominator != 1:
-                den = lcm(den, x.denominator)
-    return den, [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in values]
+from .scalars import RATIONAL_ZERO, DeterministicRng, int_scaled, pythagorean_unit, random_rational
 
 
 class Op:
@@ -79,7 +67,7 @@ class Op:
         ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
             raise ValueError("rows of unequal length")
-        den, flat = _scaled([x for row in rows for x in row])
+        den, flat = int_scaled([x for row in rows for x in row])
         out = [{c: x for c, x in enumerate(flat[i * ncols : (i + 1) * ncols]) if x} for i in range(len(rows))]
         return Op._wrap(den, out, ncols)
 
@@ -192,7 +180,7 @@ class Op:
         the sum is zero); the entries of v must be ints or Fractions."""
         if len(v) != self.ncols:
             raise ValueError("vector length differs from the column count")
-        vden, vn = _scaled(v)
+        vden, vn = int_scaled(v)
         den = self.den * vden
         out = []
         for row in self.rows:
@@ -221,7 +209,7 @@ def _int_row(row) -> dict[int, int]:
     """The nonzeros of a dense or {col: value} row scaled to ints, as
     {col: int} divided by their gcd."""
     items = list(row.items() if isinstance(row, dict) else enumerate(row))
-    _, ints = _scaled([x for _, x in items])
+    _, ints = int_scaled([x for _, x in items])
     return _normalized({c: x for (c, _), x in zip(items, ints) if x})
 
 

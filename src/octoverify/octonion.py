@@ -10,12 +10,13 @@ so the quaternions are the sub-span of coordinates 0..3.
 ``ProductTable`` holds the products e_a e_b of some bilinear multiplication
 on all basis pairs and is its one sparse kernel: it extends the table
 bilinearly over any commutative coefficient ring (Fraction, float,
-polynomial or ``scalars.SampleBatch`` coordinates), summing rational inputs
-in int numerators.  The octonion product is the table
-``PRODUCT_TABLES[dim]``, built at import for dims 4 and 8 from
-``cayley_dickson_multiply`` on int basis vectors (entries 0 and +-1); every
-normalized multiplication x o y is another such table
-(``circ.Nom.table``).  ``cayley_dickson_multiply`` keeps the recursive
+polynomial or ``scalars.SampleBatch`` coordinates) in one accumulation loop,
+which rational inputs enter as int numerators: ``scalars.int_scaled`` clears
+their denominators, as it does for the table's own entries and for
+``inner``.  The octonion product is the table ``PRODUCT_TABLES[dim]``, built
+at import for dims 4 and 8 from ``cayley_dickson_multiply`` on int basis
+vectors (entries 0 and +-1); every normalized multiplication x o y is
+another such table (``circ.Nom.table``).  ``cayley_dickson_multiply`` keeps the recursive
 definition around as an independent oracle for the table.
 
 The multiplication matrices (``left_mult_matrix``, ``right_mult_matrix``) and
@@ -34,12 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import islice
 from typing import Sequence
 
 from .linalg import Op
 from .poly import MultiPoly
-from .scalars import DeterministicRng, fill_zero, random_rational, sum_zero
+from .scalars import DeterministicRng, fill_zero, int_scaled, random_rational, sum_zero
 
 Coord = Sequence
 
@@ -94,15 +95,11 @@ class ProductTable:
 
     @cached_property
     def sparse(self) -> tuple[int, list]:
-        """(D, rows) with ``rows[a][b]`` the ``(k, w)`` pairs of e_a e_b."""
-        values = [c for row in self.entries for v in row for c in v]
-        if not all(isinstance(c, (int, Fraction)) for c in values):
-            raise TypeError("the sparse table needs rational entries")
-        den = lcm(*(c.denominator for c in values))
-        rows = [
-            [tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(v) if c) for v in row]
-            for row in self.entries
-        ]
+        """(D, rows) with ``rows[a][b]`` the ``(k, w)`` pairs of e_a e_b; the
+        entries must be ints or Fractions (``int_scaled``)."""
+        den, ints = int_scaled([c for row in self.entries for v in row for c in v])
+        it = iter(ints)
+        rows = [[tuple((k, w) for k, w in enumerate(islice(it, len(v))) if w) for v in row] for row in self.entries]
         return den, rows
 
     def product(self, x, y, zero) -> tuple:
@@ -110,33 +107,21 @@ class ProductTable:
         ``zero`` is the zero that sum comes to (``scalars.sum_zero`` of the
         table's and the inputs' coordinates).
 
-        Only pairs of nonzero coordinates are multiplied.  Rational inputs
-        (``zero`` is a ``Fraction``) are scaled to the lcm of their
-        denominators and summed in ints, and every slot is one ``Fraction``
-        over dx * dy * D, the shared ``zero`` where the sum is 0.  Anything
-        else (polynomial, sample-batch, float or all-int coordinates) sums
-        w * (x_a y_b) per slot in the order of the nonzero pairs, divides by D
-        once when D != 1 and widens every slot to ``zero``'s type through
-        ``scalars.fill_zero``, so a slot that got no nonzero product holds
-        ``zero``."""
+        One loop sums w * (x_a y_b) per slot over the pairs of nonzero
+        coordinates.  Rational inputs (``zero`` is a ``Fraction``) enter it
+        as ``int_scaled`` numerators over one denominator d, and each slot
+        comes out as one ``Fraction`` over d * d * D, or the shared ``zero``.
+        Any other slot is divided by D once and widened to ``zero``'s type by
+        ``scalars.fill_zero``."""
         dim = self.dim
         if len(x) != dim or len(y) != dim:
             raise ValueError("dimension mismatch")
         den, rows = self.sparse
-        if type(zero) is Fraction:
-            dx = lcm(*[c.denominator for c in x])
-            dy = lcm(*[c.denominator for c in y])
-            xs = [(a, c.numerator * (dx // c.denominator)) for a, c in enumerate(x) if c]
-            ys = [(b, c.numerator * (dy // c.denominator)) for b, c in enumerate(y) if c]
-            acc = [0] * dim
-            for a, xa in xs:
-                row = rows[a]
-                for b, yb in ys:
-                    p = xa * yb
-                    for k, w in row[b]:
-                        acc[k] += w * p
-            d = dx * dy * den
-            return tuple([Fraction(v, d) if v else zero for v in acc])
+        rational = type(zero) is Fraction
+        if rational:
+            d, ints = int_scaled([*x, *y])
+            x, y = ints[:dim], ints[dim:]
+            den *= d * d
         xs = [(a, c) for a, c in enumerate(x) if c]
         ys = [(b, c) for b, c in enumerate(y) if c]
         out = [None] * dim
@@ -145,9 +130,17 @@ class ProductTable:
             for b, yb in ys:
                 p = xa * yb
                 for k, w in row[b]:
-                    t = p if w == 1 else -p if w == -1 else p * w
                     v = out[k]
-                    out[k] = t if v is None else v + t
+                    if v is None:
+                        out[k] = p if w == 1 else -p if w == -1 else p * w
+                    elif w == 1:
+                        out[k] = v + p
+                    elif w == -1:
+                        out[k] = v - p
+                    else:
+                        out[k] = v + p * w
+        if rational:
+            return tuple([Fraction(v, den) if v else zero for v in out])
         if den != 1:
             scale = Fraction(1, den)
             out = [None if v is None else v * scale for v in out]
@@ -216,30 +209,26 @@ def imaginary_part(x):
 def inner(x, y):
     """Coordinate dot product; equals (x conj(y) + y conj(x))/2 for octonions.
 
-    Like ``multiply``, it multiplies only pairs of nonzero coordinates and
-    returns the zero (or the type) the full sum would have had.  On rational
-    inputs (the zero is ``Fraction(0)``) the pairs are summed in ints over
-    the lcm denominators of their two sides, giving one ``Fraction``, or the
-    shared zero when the sum is 0; polynomial, sample-batch, float and
-    all-int inputs run the generic loop.
+    Like ``multiply``, it sums in one loop over the pairs of nonzero
+    coordinates and returns the zero (or the type) the full sum would have
+    had.  Rational inputs (the zero is ``Fraction(0)``) enter the loop as the
+    int numerators of ``int_scaled`` and come out as one ``Fraction``, or the
+    shared zero.
     """
     zero = sum_zero(x, y)
     pairs = [(a, b) for a, b in zip(x, y, strict=True) if a and b]
-    if type(zero) is Fraction:
-        if not pairs:
-            return zero
-        if len(pairs) == 1:  # one side a basis vector, say: a plain product
-            a, b = pairs[0]
-            v = a * b
-            return v if type(v) is Fraction else Fraction(v)
-        dx = lcm(*[a.denominator for a, _ in pairs])
-        dy = lcm(*[b.denominator for _, b in pairs])
-        s = sum(a.numerator * (dx // a.denominator) * b.numerator * (dy // b.denominator) for a, b in pairs)
-        return Fraction(s, dx * dy) if s else zero
+    if not pairs:
+        return zero
+    rational = type(zero) is Fraction
+    if rational:
+        den, ints = int_scaled([c for pair in pairs for c in pair])
+        pairs = zip(ints[::2], ints[1::2])
     acc = None
     for a, b in pairs:
         term = a * b
         acc = term if acc is None else acc + term
+    if rational:
+        return Fraction(acc, den * den) if acc else zero
     return fill_zero([acc], zero)[0]
 
 

@@ -20,10 +20,12 @@ is one evaluator.  This is the only representation: the Muenzner verifier
 reads ``terms`` and ``den`` directly instead of keeping an integer copy of
 its own.
 
-Only ints and ``Fraction`` enter: the constructor, ``const``, scalar
-``+ - *`` and ``eval``/``eval_many`` raise ``TypeError`` for anything else
-(a float would otherwise be stored as a binary fraction, or compare unequal
-to the rational it stands for).
+Only ints and ``Fraction`` enter, by the rule of ``scalars.int_scaled``,
+which clears the denominators of the constructor's coefficients and of each
+point of ``eval_many``: the constructor, ``const``, scalar ``+ - *`` and
+``eval``/``eval_many`` raise ``TypeError`` for anything else, a ``bool``
+too (a float would otherwise be stored as a binary fraction, or compare
+unequal to the rational it stands for).
 
 The supported exponent range is 0..30 per variable, and it is enforced at
 both ends.  ``_pack``, and through it ``MultiPoly.parse`` (the reader for
@@ -47,12 +49,11 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .report import Report
-from .scalars import DeterministicRng, random_rational
+from .scalars import EXACT_TYPES, DeterministicRng, int_scaled, random_rational
 
 BITS = 5
 _EXP_MASK = (1 << BITS) - 1
 _EXP_MAX = (1 << BITS) - 2  # one value below the 5-bit field, kept as headroom
-_RATIONAL = (int, Fraction)
 
 
 def _pack(exponents: Iterable[int], nvars: int) -> int:
@@ -95,7 +96,7 @@ def monomial_exponents(key: int) -> list[tuple[int, int]]:
 
 
 def _rational(c):
-    if not isinstance(c, _RATIONAL):
+    if type(c) not in EXACT_TYPES:
         raise TypeError(f"{c!r} is not an int or a Fraction")
     return c
 
@@ -107,14 +108,13 @@ class MultiPoly:
 
     def __init__(self, nvars: int, terms: dict | None = None):
         """``terms`` maps packed monomial keys to int or Fraction coefficients."""
-        # _rational raises for anything else and passes c through, so zeros drop
-        coeffs = {k: c for k, c in terms.items() if _rational(c)} if terms else {}
         # already canonical over the lcm of the reduced denominators: each
         # prime power dividing it divides some denominator in full, and the
         # numerator scaled with that one is not a multiple of the prime
-        den = lcm(*(c.denominator for c in coeffs.values()))
+        terms = terms or {}
+        den, nums = int_scaled(terms.values())
         self.nvars = nvars
-        self.terms: dict[int, int] = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+        self.terms: dict[int, int] = {k: c for k, c in zip(terms, nums) if c}
         self.den = den
         self._maxexp = None
 
@@ -178,9 +178,8 @@ class MultiPoly:
             raise ValueError(f"nvars mismatch: {self.nvars} != {other.nvars}")
 
     def _merge(self, other, sign: int) -> "MultiPoly":
-        # the isinstance on MultiPoly first: Fraction's ABC check is slow
         if not isinstance(other, MultiPoly):
-            if not isinstance(other, _RATIONAL):
+            if type(other) not in EXACT_TYPES:
                 return NotImplemented
             other = MultiPoly.const(self.nvars, other)
         self._check(other)
@@ -223,7 +222,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            if not isinstance(other, _RATIONAL):
+            if type(other) not in EXACT_TYPES:
                 return NotImplemented
             if other == 0:
                 return MultiPoly(self.nvars)
@@ -264,7 +263,7 @@ class MultiPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, _RATIONAL):
+        if type(other) in EXACT_TYPES:
             other = MultiPoly.const(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -330,8 +329,7 @@ class MultiPoly:
         for point in points:
             if len(point) != self.nvars:
                 raise ValueError("point length does not match nvars")
-            q = lcm(*(_rational(a).denominator for a in point))
-            scaled.append((q, [a.numerator * (q // a.denominator) for a in point]))
+            scaled.append(int_scaled(point))
         # (numerator, degree, slots) per term; a slot (i << BITS) | e indexes b_i^e
         monos = []
         for k, c in self.terms.items():

@@ -1,6 +1,13 @@
-"""Exact scalar helpers: the zeros of the zero-skipping kernels, the batched
-scalar of the sampled checks, deterministic randomness, and rational points
-on the unit circle.
+"""Exact scalar helpers: the one exact ingress of the kernels, the zeros of
+the zero-skipping kernels, the batched scalar of the sampled checks,
+deterministic randomness, and rational points on the unit circle.
+
+``int_scaled`` is where rational data enters every exact kernel
+(``linalg.Op``, ``kernel_basis``, ``MultiPoly``, ``ProductTable`` and
+``inner``, ``stack_vectors``): it clears the denominators of a sequence in
+one place and raises ``TypeError`` for anything but an ``int`` or a
+``Fraction`` (a ``bool``, or a float whose binary expansion would pass for
+an exact rational).
 
 The verifiers compare exactly, so there is no comparison mode here (the
 CLI's ``--mode float`` computes its own residuals in ``suite_nom_float``).
@@ -26,6 +33,25 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 RATIONAL_ZERO = Fraction(0)
+EXACT_TYPES = frozenset({int, Fraction})
+
+
+def int_scaled(values) -> tuple[int, list[int]]:
+    """(den, ints) with ``values[k] == ints[k] / den`` and den the lcm of the
+    denominators.  ``values`` is a sequence (it is read more than once) whose
+    entries are exactly ints or Fractions; anything else, a ``bool`` too,
+    raises ``TypeError``."""
+    kinds = set(map(type, values))
+    if not kinds <= EXACT_TYPES:
+        bad = next(type(v).__name__ for v in values if type(v) not in EXACT_TYPES)
+        raise TypeError(f"exact kernels take int or Fraction entries, not {bad}")
+    if Fraction not in kinds:
+        return 1, list(values)
+    pairs = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in pairs])
+    if den == 1:
+        return 1, [n for n, _ in pairs]
+    return den, [n * (den // d) for n, d in pairs]
 
 
 def sum_zero(*vectors):
@@ -143,12 +169,11 @@ def stack_vectors(vectors) -> tuple:
     """One slot of a batch of draws as ``SampleBatch`` coordinates:
     ``vectors[i]`` is sample i's rational coordinate tuple, and coordinate k
     of the result holds coordinate k of every sample.  Each sample's vector
-    is lifted to the lcm of its own denominators (the scaling of
-    ``ProductTable.product``'s rational path), so all coordinates share one
-    ``dens``."""
-    dens = [math.lcm(*[c.denominator for c in v]) for v in vectors]
-    rows = [[c.numerator * (d // c.denominator) for c in v] for v, d in zip(vectors, dens)]
-    return tuple(SampleBatch(list(col), dens) for col in zip(*rows))
+    is lifted to the lcm of its own denominators by ``int_scaled``, so all
+    coordinates share one ``dens``."""
+    scaled = [int_scaled(v) for v in vectors]
+    dens = [d for d, _ in scaled]
+    return tuple(SampleBatch(list(col), dens) for col in zip(*(ints for _, ints in scaled)))
 
 
 def pythagorean_unit(t: Fraction) -> tuple[Fraction, Fraction]:

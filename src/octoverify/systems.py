@@ -423,19 +423,18 @@ def _hessian_half(p: MultiPoly, nv: int) -> list:
 
 
 def blocks_from_forms(p_forms: list, d_plus: int, d_minus: int, d_zero: int) -> SecondFormBlocks:
-    """Split the quadratic forms p_0..p_m1 (rational parts) into the standard
-    eigenbasis blocks.
+    """Split the quadratic forms p_0..p_m1, ``Rt2Poly``s whose sqrt(2) parts
+    must be zero (``ValueError`` otherwise), into the standard eigenbasis
+    blocks.
 
     p_forms[0] must be the diagonal form |x_+|^2 - |x_-|^2.
     """
     nv = d_plus + d_minus + d_zero
     mats = []
     for f in p_forms:
-        if isinstance(f, Rt2Poly):
-            if not f.is_rational():
-                raise ValueError("block extraction expects rational forms")
-            f = f.a
-        mats.append(_hessian_half(f, nv))
+        if not f.is_rational():
+            raise ValueError("block extraction expects rational forms")
+        mats.append(_hessian_half(f.a, nv))
     s0_want = [[Fraction(0)] * nv for _ in range(nv)]
     for i in range(d_plus):
         s0_want[i][i] = Fraction(1)

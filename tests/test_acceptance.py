@@ -248,7 +248,7 @@ def test_c10_condition_matrix(fkm_systems, fkm_polys, ot_octonion, ot_octonion_p
     rep, ot_forms, ot_frame = ot_display_report(ot_octonion, ot_octonion_poly)
     if not rep.passed:
         ok = False
-    blocks = blocks_from_forms([p.a for p in ot_forms.p], 8, 8, 7)
+    blocks = blocks_from_forms(ot_forms.p, 8, 8, 7)
     if not condition_a_check(blocks, DeterministicRng(1010)).passed:
         ok = False
     if not condition_b_check(ot_octonion.system, ot_frame, ot_forms.p, ot_forms.q).passed:

@@ -6,6 +6,7 @@ import pytest
 from octoverify import octonion as on
 from octoverify.circ import Nom, Side, circ_definition
 from octoverify.cli import ALL_SUITES, RunConfig, RunContext, build_parser, main, run, suite_nom_float, sweep_theta
+from octoverify.poly import MultiPoly, monomial_key
 from octoverify.report import Report
 from octoverify.scalars import DeterministicRng
 
@@ -349,3 +350,16 @@ def test_report_schema_validation():
     report["suites"][0]["extra"] = 1
     with pytest.raises(ValueError, match="suite"):
         validate_report(report)
+
+
+def test_munzner_agreement_fails_when_both_routes_fail():
+    # F + x0 x1 x2 x3 fails the exact and the randomized Muenzner check alike
+    cfg = RunConfig(algebra="quaternion", alpha_t=Fraction(0), suites=("munzner",))
+    ctx = RunContext(cfg)
+    f = ctx.fkm_poly
+    ctx.fkm_poly = f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1})
+    report, code = run(cfg, ctx)
+    checks = {c["name"]: c["pass"] for c in report["suites"][0]["checks"]}
+    assert code == 1
+    assert not checks["fkm_munzner_exact"]
+    assert not checks["fkm_munzner_randomized_agrees"]

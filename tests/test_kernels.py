@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import matrix_oracle as naive
 from octoverify import octonion as on
-from octoverify.linalg import Op
+from octoverify.linalg import Op, kernel_basis
 from octoverify.poly import MultiPoly
-from octoverify.scalars import sum_zero
+from octoverify.scalars import stack_vectors, sum_zero
 
 PROPS = settings(max_examples=60, deadline=None)
 
@@ -201,3 +201,27 @@ def test_int_mat_mul_matches_dense(a, data):
     got = Op.of(a) @ Op.of(b)
     assert got.den == 1 and all(type(c) is int for row in got.rows for c in row.values())
     assert naive.dense(got) == [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+# every entry point that clears denominators, fed eight exact values
+EXACT = [Fraction(1, 2), 3, Fraction(-2, 3), 0, 5, Fraction(7, 4), 1, -1]
+INGRESS = {
+    "Op.of": lambda v: Op.of([v[:4], v[4:]]),
+    "Op.apply": lambda v: Op.identity(8).apply(v),
+    "kernel_basis": lambda v: kernel_basis([v[:4], v[4:]], 4),
+    "MultiPoly": lambda v: MultiPoly(1, dict(enumerate(v))),
+    "eval_many": lambda v: MultiPoly.variable(8, 0).eval_many([v]),
+    "stack_vectors": lambda v: stack_vectors([v]),
+    "ProductTable.sparse": lambda v: on.ProductTable([[v[0:2], v[2:4]], [v[4:6], v[6:8]]]).sparse,
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("pos", [0, 4, 7], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("entry", list(INGRESS))
+def test_ingress_refuses_anything_but_int_and_fraction(entry, pos, bad):
+    INGRESS[entry](EXACT)
+    values = list(EXACT)
+    values[pos] = bad
+    with pytest.raises(TypeError):
+        INGRESS[entry](values)

@@ -1,3 +1,4 @@
+import math
 import operator
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from octoverify.scalars import (
     DeterministicRng,
     SampleBatch,
+    int_scaled,
     pythagorean_unit,
     random_rational,
     random_unit_rational_vector,
@@ -164,3 +166,14 @@ def test_stack_vectors_lifts_each_sample_to_its_own_lcm():
     # a zero of the batch's kind, which the kernels return for an empty sum
     zero = sum_zero(slot, (Fraction(1),) * 3)
     assert type(zero) is SampleBatch and zero.values() == [0, 0] and not zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)), max_size=12))
+def test_int_scaled_agrees_with_fraction_arithmetic(values):
+    den, ints = int_scaled(values)
+    assert den == math.lcm(*(Fraction(v).denominator for v in values))
+    assert all(type(n) is int for n in ints)
+    assert [Fraction(n, den) for n in ints] == [Fraction(v) for v in values]
+    if any(values):
+        assert math.gcd(den, *ints) == 1

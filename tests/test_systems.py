@@ -218,7 +218,7 @@ def test_extraction_requires_focal_value():
 def test_ot_displays_and_condition_a(ot_octonion, ot_octonion_poly):
     rep, forms, frame = ot_display_report(ot_octonion, ot_octonion_poly)
     assert rep.passed, rep.failing()
-    blocks = blocks_from_forms([p.a for p in forms.p], 8, 8, 7)
+    blocks = blocks_from_forms(forms.p, 8, 8, 7)
     # A_a = J_a on the nose at the Condition-A point
     for a in range(1, 8):
         assert blocks.a_blocks[a - 1] == on.left_mult_matrix(E[a])
@@ -228,7 +228,7 @@ def test_ot_displays_and_condition_a(ot_octonion, ot_octonion_poly):
 
 def test_condition_a_rejects_nonzero_b(ot_octonion, ot_octonion_poly):
     rep, forms, frame = ot_display_report(ot_octonion, ot_octonion_poly)
-    blocks = blocks_from_forms([p.a for p in forms.p], 8, 8, 7)
+    blocks = blocks_from_forms(forms.p, 8, 8, 7)
     b0 = dense(blocks.b_blocks[0])
     b0[0][0] = Fraction(1)
     blocks = replace(blocks, b_blocks=[Op.of(b0)] + blocks.b_blocks[1:])
@@ -237,10 +237,18 @@ def test_condition_a_rejects_nonzero_b(ot_octonion, ot_octonion_poly):
     assert "b_blocks_zero" in ca.failing()
 
 
+def test_blocks_from_forms_refuses_a_sqrt2_part(ot_octonion, ot_octonion_poly):
+    _, forms, _ = ot_display_report(ot_octonion, ot_octonion_poly)
+    p = list(forms.p)
+    p[1] = p[1] + Rt2Poly.sqrt2_times(p[1].a)
+    with pytest.raises(ValueError, match="rational forms"):
+        blocks_from_forms(p, 8, 8, 7)
+
+
 @pytest.fixture(scope="module")
 def ot_blocks(ot_octonion, ot_octonion_poly):
     _, forms, _ = ot_display_report(ot_octonion, ot_octonion_poly)
-    return blocks_from_forms([p.a for p in forms.p], 8, 8, 7)
+    return blocks_from_forms(forms.p, 8, 8, 7)
 
 
 def _mutated(blocks, scale=1, s_edits=(), a_edits=()):
