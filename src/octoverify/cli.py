@@ -1,8 +1,9 @@
 """Command-line entry point: suite orchestration and machine-readable reports.
 
-Exit codes: 0 all selected suites pass, 1 at least one identity fails,
-2 configuration error.  Reports are deterministic for a fixed config except
-for the top-level "timing" object.
+Exit codes: 0 all selected suites pass, 1 at least one identity fails (or a
+suite raised, which its report records as a failing check), 2 configuration
+error.  Reports are deterministic for a fixed config except for the
+top-level "timing" object.
 """
 
 from __future__ import annotations
@@ -639,7 +640,12 @@ _FLOAT_SUITE_FUNCS = {
 
 def run(cfg: RunConfig, ctx: RunContext | None = None) -> tuple[dict, int]:
     """Execute the selected suites, sharing ``ctx`` (a fresh RunContext by
-    default); returns (report dict, exit code)."""
+    default); returns (report dict, exit code).
+
+    An exception raised inside a suite does not end the run: that suite's
+    report becomes one failing check ``completed`` whose detail names the
+    exception (its traceback goes to stderr), and the remaining suites
+    still run."""
     try:
         cfg.validate()
     except ValueError as e:
@@ -657,7 +663,14 @@ def run(cfg: RunConfig, ctx: RunContext | None = None) -> tuple[dict, int]:
             r = Report(name)
             r.note("skipped: suite requires exact mode")
         else:
-            r = fn(cfg, rng.fork(ALL_SUITES.index(name)), ctx)
+            try:
+                r = fn(cfg, rng.fork(ALL_SUITES.index(name)), ctx)
+            except Exception as e:
+                import traceback  # imported here, so that start-up does not pay for it
+
+                traceback.print_exc()
+                r = Report(name)
+                r.add("completed", False, detail=f"{type(e).__name__}: {e}")
         suite_reports.append(r)
         all_pass = all_pass and r.passed
         suite_s[name] = round(time.perf_counter() - ts, 3)

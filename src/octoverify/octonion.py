@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .linalg import Op
 from .poly import MultiPoly
-from .scalars import DeterministicRng, fill_zero, int_scaled, random_rational, sum_zero
+from .scalars import DeterministicRng, fill_zero, int_scaled, random_rationals, sum_zero
 
 Coord = Sequence
 
@@ -292,9 +292,10 @@ def symbolic_octets(dim: int, names: str) -> tuple:
 
 def random_octets(rng: DeterministicRng, dim: int, names: str, bound: int = 5) -> tuple:
     """Tuple of seeded rational elements in the layout of ``symbolic_octets``;
-    slot 0 of a lowercase letter is ``Fraction(0)``, and every other
-    coordinate is one ``random_rational(rng, bound)``, drawn in order."""
-    return _octets(dim, names, Fraction(0), lambda n: [random_rational(rng, bound) for _ in range(n)])
+    slot 0 of a lowercase letter is ``Fraction(0)``, and the other
+    coordinates of each letter are one ``random_rationals(rng, bound, n)``
+    call, drawn letter by letter."""
+    return _octets(dim, names, Fraction(0), lambda n: random_rationals(rng, bound, n))
 
 
 def norm_defect(mul, x, y):

@@ -49,7 +49,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .report import Report
-from .scalars import EXACT_TYPES, DeterministicRng, int_scaled, random_rational
+from .scalars import EXACT_TYPES, DeterministicRng, int_scaled, random_rationals
 
 BITS = 5
 _EXP_MASK = (1 << BITS) - 1
@@ -585,7 +585,7 @@ def munzner_verify(
         ok_grad = True
         ok_lap_pos = True
         ok_lap_neg = True
-        pts = [[random_rational(rng, 7) for _ in range(n)] for _ in range(trials)]
+        pts = [random_rationals(rng, 7, n) for _ in range(trials)]
         grad_sq = [Fraction(0)] * trials
         for gp in f.gradient():
             grad_sq = [s + v * v for s, v in zip(grad_sq, gp.eval_many(pts))]

@@ -152,7 +152,8 @@ def proved(name: str, residuals) -> WitnessReport:
 
 def sampled(name: str, samples: int, draw, residuals) -> WitnessReport:
     """The witness that every value of ``residuals(*draw())`` vanishes on
-    ``samples`` draws (typically of ``octonion.random_octets``).
+    ``samples`` draws (typically of ``octonion.random_octets``, which draws
+    each letter's coordinates in one ``scalars.random_rationals`` call).
 
     The draws are made in order, ``SAMPLES_PER_CHUNK`` at a time; each slot
     of a chunk is stacked by ``scalars.stack_vectors``, and ``residuals`` is
@@ -161,7 +162,10 @@ def sampled(name: str, samples: int, draw, residuals) -> WitnessReport:
     plain rational value counts once).  Every draw is made, also after a
     failing sample, so the generator behind ``draw`` ends at the same place
     either way; the recorded residual is the worst |value| over every
-    sample."""
+    sample.  ``samples`` < 1 raises ``ValueError``: a pass over no draws
+    would witness nothing."""
+    if samples < 1:
+        raise ValueError(f"{name}: sampled needs at least one sample, not {samples}")
     worst = Fraction(0)
     for start in range(0, samples, SAMPLES_PER_CHUNK):
         draws = [draw() for _ in range(min(SAMPLES_PER_CHUNK, samples - start))]

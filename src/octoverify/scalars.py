@@ -18,7 +18,17 @@ downstream identity exactly checkable.
 ``SampleBatch`` is one exact scalar that holds a coordinate of many seeded
 draws at once (``report.sampled`` stacks each slot with ``stack_vectors``),
 so a residual runs the unchanged generic paths of the kernels once per batch
-of draws instead of once per draw.
+of draws instead of once per draw.  Every coordinate of a slot shares one
+``dens`` list, so a product reuses the previous product's denominator list
+when it has the same operands (the same two ``dens`` lists, or the same list
+and an equal int denominator): a one-entry memo in ``_dens_times``.  Sums
+of such products then find one shared ``dens`` object.
+
+The seeded draws are counter-based splitmix64 (``DeterministicRng``).
+``random_rationals`` makes many draws in one loop, each from two counters,
+and reads each value from a per-bound table of interned ``Fraction``s
+(filled on first draw), so a draw builds and reduces no ``Fraction``;
+``random_rational`` is its single draw.
 """
 
 from __future__ import annotations
@@ -84,6 +94,28 @@ def fill_zero(slots: list, zero) -> list:
     return [zero if v is None else v if type(v) is kind else zero + v for v in slots]
 
 
+# The last product formed by ``_dens_times``, as (dens, factor, product).  It
+# holds its operands, so their ids cannot be reused while it is kept, and it
+# is replaced as one tuple, so another thread reads either entry whole.
+_last_dens_product: tuple = (None, None, None)
+
+
+def _dens_times(dens: list, factor) -> list:
+    """``dens`` times ``factor`` sample by sample, where ``factor`` is the
+    ``dens`` of another batch of the same samples or an int.  A call with
+    the operands of the previous one (the same two lists, or the same list
+    and an equal int) returns the previous product: every coordinate of a
+    slot shares one ``dens``, so a kernel forms the same product for each
+    pair of coordinates it multiplies."""
+    global _last_dens_product
+    last_dens, last_factor, product = _last_dens_product
+    if last_dens is dens and (last_factor is factor or (type(factor) is int and last_factor == factor)):
+        return product
+    product = [d * factor for d in dens] if type(factor) is int else [d * e for d, e in zip(dens, factor)]
+    _last_dens_product = (dens, factor, product)
+    return product
+
+
 class SampleBatch:
     """One exact scalar per sample of a batch of draws: sample i holds
     ``nums[i] / dens[i]``, int numerators over per-sample int denominators,
@@ -94,12 +126,13 @@ class SampleBatch:
 
     A sum of two batches over equal ``dens`` adds the numerators only; every
     product inside one kernel call shares its ``dens`` (``stack_vectors``
-    gives all coordinates of a slot one ``dens``), so that is the common
-    case.  Truth is "some sample is nonzero", so a zero-skipping kernel skips
-    only a coordinate that is zero in every sample.  There is no single
-    value to compare or hash: ``==``, ordering and ``hash`` raise
-    ``TypeError``, so code that branches on a value fails loudly.  Batches
-    are never modified; results may share ``nums`` or ``dens`` lists."""
+    gives all coordinates of a slot one ``dens``, and ``_dens_times`` forms
+    their product once), so that is the common case.  Truth is "some sample
+    is nonzero", so a zero-skipping kernel skips only a coordinate that is
+    zero in every sample.  There is no single value to compare or hash:
+    ``==``, ordering and ``hash`` raise ``TypeError``, so code that branches
+    on a value fails loudly.  Batches are never modified; results may share
+    ``nums`` or ``dens`` lists."""
 
     __slots__ = ("nums", "dens")
 
@@ -147,13 +180,11 @@ class SampleBatch:
 
     def __mul__(self, other):
         if type(other) is SampleBatch:
-            return SampleBatch(
-                [a * b for a, b in zip(self.nums, other.nums)], [d * e for d, e in zip(self.dens, other.dens)]
-            )
+            return SampleBatch([a * b for a, b in zip(self.nums, other.nums)], _dens_times(self.dens, other.dens))
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
             nums = self.nums if p == 1 else [a * p for a in self.nums]
-            return SampleBatch(nums, self.dens if q == 1 else [d * q for d in self.dens])
+            return SampleBatch(nums, self.dens if q == 1 else _dens_times(self.dens, q))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -200,6 +231,17 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
+def _splitmix64(seed: int, n: int) -> int:
+    """Output number n of the splitmix64 stream of ``seed``."""
+    z = (seed + (n + 1) * _GAMMA) & _MASK64
+    z ^= z >> 30
+    z = (z * _MIX1) & _MASK64
+    z ^= z >> 27
+    z = (z * _MIX2) & _MASK64
+    z ^= z >> 31
+    return z
+
+
 @dataclass
 class DeterministicRng:
     """Counter-based splittable generator: output depends only on (seed, counter).
@@ -211,17 +253,8 @@ class DeterministicRng:
     seed: int
     counter: int = 0
 
-    def _mix(self, n: int) -> int:
-        z = (self.seed + (n + 1) * _GAMMA) & _MASK64
-        z ^= z >> 30
-        z = (z * _MIX1) & _MASK64
-        z ^= z >> 27
-        z = (z * _MIX2) & _MASK64
-        z ^= z >> 31
-        return z
-
     def next_u64(self) -> int:
-        v = self._mix(self.counter)
+        v = _splitmix64(self.seed, self.counter)
         self.counter += 1
         return v
 
@@ -233,16 +266,52 @@ class DeterministicRng:
 
     def fork(self, tag: int) -> "DeterministicRng":
         """Independent stream derived from (seed, tag)."""
-        return DeterministicRng(self._mix(tag ^ 0xD6E8FEB86659FD93), 0)
+        return DeterministicRng(_splitmix64(self.seed, tag ^ 0xD6E8FEB86659FD93), 0)
+
+
+class _RationalTable(dict):
+    """The values ``random_rationals`` draws at one bound b, interned: key
+    i * b + j holds ``Fraction(i - b, j + 1)`` for 0 <= i <= 2b, 0 <= j < b.
+    An entry is built on its first draw, so the table never holds more than
+    the (2b+1)·b possible values, nor more than were drawn."""
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound = bound
+
+    def __missing__(self, key: int) -> Fraction:
+        i, j = divmod(key, self.bound)
+        value = self[key] = Fraction(i - self.bound, j + 1)
+        return value
+
+
+_RATIONAL_TABLES: dict[int, _RationalTable] = {}
+
+
+def random_rationals(rng: DeterministicRng, bound: int, count: int) -> list[Fraction]:
+    """``count`` successive random rationals with |numerator|, denominator
+    <= bound (so |r| <= bound).  Each is drawn from two counters of ``rng``,
+    as ``Fraction(rng.next_int(-bound, bound), rng.next_int(1, bound))``, and
+    read from the bound's table of interned values instead of being built
+    and reduced."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    table = _RATIONAL_TABLES.get(bound)
+    if table is None:
+        table = _RATIONAL_TABLES.setdefault(bound, _RationalTable(bound))
+    seed, start, span = rng.seed, rng.counter, 2 * bound + 1
+    rng.counter = start + 2 * count
+    return [
+        table[_splitmix64(seed, n) % span * bound + _splitmix64(seed, n + 1) % bound]
+        for n in range(start, start + 2 * count, 2)
+    ]
 
 
 def random_rational(rng: DeterministicRng, bound: int) -> Fraction:
-    """Random rational with |numerator|, denominator <= bound (so |r| <= bound)."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    num = rng.next_int(-bound, bound)
-    den = rng.next_int(1, bound)
-    return Fraction(num, den)
+    """One draw of ``random_rationals``."""
+    return random_rationals(rng, bound, 1)[0]
 
 
 def random_unit_rational_vector(rng: DeterministicRng, n: int) -> list[Fraction]:

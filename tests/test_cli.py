@@ -112,6 +112,45 @@ def test_suite_failure_exit_1(monkeypatch):
     assert failing == ["deliberately_failing_identity"]
 
 
+def test_an_exception_in_a_suite_fails_that_suite_and_the_run_goes_on(monkeypatch, tmp_path, capsys):
+    import octoverify.cli as cli
+
+    def raising_suite(cfg, rng, ctx):
+        raise RuntimeError("planted")
+
+    monkeypatch.setitem(cli.SUITE_FUNCS, "algebra", raising_suite)
+    out = tmp_path / "report.json"
+    code = main(["--suites", "algebra,clifford", "--trials", "20", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert code == 1 and not report["pass"]
+    algebra, clifford = report["suites"]
+    assert algebra["checks"] == [
+        {"name": "completed", "pass": False, "residual": "0", "detail": "RuntimeError: planted"}
+    ]
+    assert clifford["pass"] and clifford["checks"]
+    assert list(report["timing"]["suites"]) == ["algebra", "clifford"]
+    assert "RuntimeError: planted" in capsys.readouterr().err
+
+
+def test_a_non_trilinear_cubic_form_fails_the_mirror_suite_with_a_report():
+    # F + x0 x1 x2 x3 makes the mirror suite's cubic form non-trilinear, which
+    # trilinearity_extract refuses with a ValueError
+    from octoverify.report import validate_report
+
+    cfg = RunConfig(algebra="quaternion", alpha_t=Fraction(0), suites=("munzner", "mirror"))
+    ctx = RunContext(cfg)
+    f = ctx.fkm_poly
+    ctx.fkm_poly = f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1})
+    report, code = run(cfg, ctx)
+    validate_report(report)
+    assert code == 1
+    munzner, mirror = report["suites"]
+    assert not {c["name"]: c["pass"] for c in munzner["checks"]}["fkm_munzner_exact"]
+    (check,) = mirror["checks"]
+    assert check["name"] == "completed" and not check["pass"]
+    assert check["detail"].startswith("ValueError: non-trilinear monomial")
+
+
 @pytest.mark.parametrize(
     "name, failing",
     [

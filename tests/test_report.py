@@ -86,6 +86,14 @@ def test_sampled_counts_a_plain_rational_value_once():
     assert w.residual == Fraction(2, 3) and not w.passed
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sampled_refuses_a_witness_over_no_draws(samples):
+    drawn = []
+    with pytest.raises(ValueError, match="at least one sample"):
+        sampled("none", samples, lambda: drawn.append(1) or (on.zero(4),), lambda x: ())
+    assert drawn == []
+
+
 # ---------------------------------------------------------------------------
 # the batched driver against the per-sample loop it replaced
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from octoverify.scalars import (
     int_scaled,
     pythagorean_unit,
     random_rational,
+    random_rationals,
     random_unit_rational_vector,
     rational_sqrt,
     stack_vectors,
@@ -60,6 +61,76 @@ def test_random_rational_bounds_and_determinism():
     assert r1 != r2
     with pytest.raises(ValueError):
         random_rational(rng, 0)
+
+
+# ---------------------------------------------------------------------------
+# the random stream, pinned: a passing sampled check reports 0 whatever was
+# drawn, so unchanged reports cannot show that the draws are unchanged
+# ---------------------------------------------------------------------------
+
+# Written by the per-draw generator that the bulk draw replaced.
+GOLDEN_U64 = [
+    0xE220A8397B1DCDAF,
+    0x6E789E6AA1B965F4,
+    0x06C45D188009454F,
+    0xF88BB8A8724C81EC,
+    0x1B39896A51A8749B,
+    0x53CB9F0C747EA2EA,
+    0x2C829ABE1F4532E1,
+    0xC584133AC916AB3C,
+]
+GOLDEN_DRAWS = {
+    4: "3 -3 0 1 4/3 -1 -1 -1/2 -1/3 -1 1 2 -1/4 1 1 0",
+    5: "-4 -4/5 2 -3 4 -1/2 2 5/3 2/3 1/5 3/2 -3 -3/5 1/3 1/4 0",
+    6: "3 -1 -2 4/3 5/3 0 -1/2 -1 -2/3 -2/5 -1/2 -1 -2/3 -3/5 1/5 -1/3",
+    7: "3/2 -3/5 0 1/3 7/6 -6/5 -2 -5/7 -1 5/7 1/2 -4 -1 -2/3 3 -6/7",
+}
+
+
+def reference_u64(seed, n):
+    """Output n of splitmix64 seeded with ``seed``, spelled out."""
+    z = (seed + (n + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def reference_draws(seed, counter, bound, count):
+    """``count`` draws as ``Fraction(next_int(-bound, bound), next_int(1, bound))``."""
+    out = []
+    for n in range(counter, counter + 2 * count, 2):
+        num = -bound + reference_u64(seed, n) % (2 * bound + 1)
+        den = 1 + reference_u64(seed, n + 1) % bound
+        out.append(Fraction(num, den))
+    return out
+
+
+def test_the_stream_of_seed_0_is_pinned():
+    rng = DeterministicRng(0)
+    assert [rng.next_u64() for _ in range(8)] == GOLDEN_U64 == [reference_u64(0, n) for n in range(8)]
+    for bound, golden in GOLDEN_DRAWS.items():
+        rng = DeterministicRng(0)
+        draws = [random_rational(rng, bound) for _ in range(16)]
+        assert draws == [Fraction(v) for v in golden.split()] == reference_draws(0, 0, bound, 16)
+        assert rng.counter == 32
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 9), st.integers(0, 20))
+def test_random_rationals_equals_the_reference_draws(seed, counter, bound, count):
+    rng = DeterministicRng(seed, counter)
+    draws = random_rationals(rng, bound, count)
+    assert draws == reference_draws(seed, counter, bound, count)
+    assert all(type(v) is Fraction for v in draws)
+    assert rng.counter == counter + 2 * count
+    for bad in (0, -bound):
+        with pytest.raises(ValueError):
+            random_rationals(rng, bad, count)
+        with pytest.raises(ValueError):
+            random_rationals(rng, bad, 0)
+    with pytest.raises(ValueError):
+        random_rationals(rng, bound, -1)
+    assert rng.counter == counter + 2 * count
 
 
 def test_rational_field_laws():
@@ -143,6 +214,38 @@ def test_batch_scalar_operations_match_fractions_on_either_side(a, c):
         assert type(left) is SampleBatch and type(right) is SampleBatch
         assert left.values() == [op(u, c) for u in a.values()]
         assert right.values() == [op(c, u) for u in a.values()]
+
+
+@st.composite
+def batch_pools(draw):
+    """Batches of the same samples: the second shares the first's ``dens``
+    object, the third has an equal but distinct ``dens`` list, and the
+    fourth a different one."""
+    a, d = draw(batches), draw(batches)
+    nums = st.lists(ints, min_size=SAMPLES, max_size=SAMPLES)
+    return [a, SampleBatch(draw(nums), a.dens), SampleBatch(draw(nums), list(a.dens)), d]
+
+
+# (left index, right index or scalar): a product of two pool batches or of
+# a batch and an int or Fraction
+pool_products = st.lists(
+    st.tuples(st.integers(0, 3), st.one_of(st.integers(0, 3), scalars.map(lambda c: (c,)))),
+    min_size=1,
+    max_size=12,
+)
+
+
+@BATCH_PROPS
+@given(batch_pools(), pool_products)
+def test_batch_products_match_fractions_whatever_the_previous_product(pool, products):
+    # the products share ``dens`` lists through a memo of the last one, which
+    # must not serve a product with other operands: a*b, a*c, a*b, a*(1/2), ...
+    for i, j in products:
+        left, right = pool[i], pool[j] if type(j) is int else j[0]
+        rights = right.values() if type(j) is int else [right] * SAMPLES
+        want = [u * v for u, v in zip(left.values(), rights)]
+        for got in (left * right, right * left):
+            assert type(got) is SampleBatch and got.values() == want
 
 
 def test_batch_has_no_single_value_to_compare_or_hash():
