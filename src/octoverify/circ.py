@@ -30,6 +30,9 @@ octonion generators J_a, J'_a are read off the octonion table, so a float nom
 raises TypeError there; float mode reads ``Nom.table.entries`` itself.
 ``nom_from_sharp_blocks`` goes the other way, from ``Op`` blocks A#_a back
 to a table.
+
+``verify_normalized`` proves |x o y|^2 = |x|^2 |y|^2 in symbolic slots x, y
+(``octonion.symbolic_octets``), which covers every basis pair as well.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from fractions import Fraction
 from functools import cached_property, partial
 
 from . import octonion as on
-from .report import Report, sampled
-from .scalars import DeterministicRng, pythagorean_unit, rational_sqrt, sum_zero
+from .report import Report, proved
+from .scalars import pythagorean_unit, rational_sqrt, sum_zero
 
 
 class Side(enum.Enum):
@@ -158,24 +161,17 @@ def cos_sin_2theta(nom: Nom) -> tuple[Fraction, Fraction]:
     return ta.c * ta.c - ta.s * ta.s, 2 * ta.s * ta.c
 
 
-def verify_normalized(nom: Nom, rng: DeterministicRng | None = None, samples: int = 200) -> Report:
-    """Norm multiplicativity on basis and random pairs, e_0 o x = x, and the
-    skew Clifford relations of the left operators U_a."""
+def verify_normalized(nom: Nom) -> Report:
+    """Norm multiplicativity |x o y|^2 = |x|^2 |y|^2, proved in symbolic
+    slots x, y (so on every pair, the basis pairs included), e_0 o x = x,
+    and the skew Clifford relations of the left operators U_a.  The nom's
+    alpha must be rational."""
     from .clifford import verify_skew_rep
 
     rep = Report("normalized_orthogonal_multiplication")
     dim = nom.dim
-    rng = rng or DeterministicRng(2024)
-    mul = partial(circ, nom)
-    E = [on.basis(i, dim) for i in range(dim)]
-    basis_ok = all(on.norm_defect(mul, a, b) == 0 for a in E for b in E)
-    w = sampled(
-        "norm_multiplicativity",
-        samples,
-        lambda: on.random_octets(rng, dim, "XY", bound=6),
-        lambda x, y: (on.norm_defect(mul, x, y),),
-    )
-    rep.add(w.identity_name, basis_ok and w.passed, w.residual)
+    w = proved("norm_multiplicativity", (on.norm_defect(partial(circ, nom), *on.symbolic_octets(dim, "XY")),))
+    rep.add(w.identity_name, w.passed, Fraction(w.residual))
     ok_unit = all(circ(nom, on.basis(0, dim), on.basis(b, dim)) == on.basis(b, dim) for b in range(dim))
     rep.add("e0_left_identity", ok_unit)
     sk = verify_skew_rep(left_ops(nom))

@@ -1,5 +1,10 @@
 """Command-line entry point: suite orchestration and machine-readable reports.
 
+An identity that a suite states as the values that must vanish is checked
+with ``report.proved`` in symbolic slots, or, where its report entry records
+a sample count (``trials``, or a witness's ``instances``), with
+``report.sampled`` on seeded draws.
+
 Exit codes: 0 all selected suites pass, 1 at least one identity fails (or a
 suite raised, which its report records as a failing check), 2 configuration
 error.  Reports are deterministic for a fixed config except for the
@@ -67,7 +72,7 @@ from .mirror import (
     verify_ot_equations,
 )
 from .poly import MultiPoly, Rt2Poly, monomial_key, munzner_verify
-from .report import SCHEMA_VERSION, Report, encode_value, sampled
+from .report import SCHEMA_VERSION, Report, encode_value, proved, sampled
 from .scalars import DeterministicRng
 from .systems import (
     FkmSystem,
@@ -217,6 +222,12 @@ class RunContext:
 # ---------------------------------------------------------------------------
 
 
+def quaternion_slots(dim: int, names: str) -> tuple:
+    """``on.symbolic_octets(4, names)``, each element padded with zeros to
+    ``dim`` coordinates: symbolic slots that span the quaternion sub-span."""
+    return tuple(v + (Fraction(0),) * (dim - 4) for v in on.symbolic_octets(4, names))
+
+
 def suite_algebra(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Report:
     rep = Report("algebra")
     dim = cfg.dim
@@ -249,25 +260,20 @@ def suite_algebra(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Rep
     )
     rep.add(w.identity_name, w.passed, w.residual, detail={"trials": cfg.trials})
 
-    def perpendicular_slots():
-        x, y = on.random_octets(rng, dim, "xy")
-        n2 = on.norm_sq(x)
-        if n2 == 0:  # x = 0 satisfies every rule; z is drawn for a nonzero x only
-            return x, y, x
-        (z,) = on.random_octets(rng, dim, "Z", bound=6)
-        return x, on.sub(y, on.scale(on.inner(x, y) / n2, x)), z  # y _|_ x, imaginary
-
-    w = sampled(
+    # xy = -yx, x(yz) = -y(xz) and (zx)y = -(zy)x for perpendicular imaginary
+    # x, y, proved in polarised form: for all imaginary x, y the three sums
+    # are -2<x,y> e_0, -2<x,y> z and -2<x,y> z
+    x, y, z = on.symbolic_octets(dim, "xyZ")
+    twice = 2 * on.inner(x, y)
+    w = proved(
         "perpendicular_imaginary_rules",
-        min(cfg.trials, 200),
-        perpendicular_slots,
-        lambda x, y, z: (
-            *on.add(on.multiply(x, y), on.multiply(y, x)),
-            *on.add(on.multiply(x, on.multiply(y, z)), on.multiply(y, on.multiply(x, z))),
-            *on.add(on.multiply(on.multiply(z, x), y), on.multiply(on.multiply(z, y), x)),
+        (
+            *on.add(on.add(on.multiply(x, y), on.multiply(y, x)), on.scale(twice, on.basis(0, dim))),
+            *on.add(on.add(on.multiply(x, on.multiply(y, z)), on.multiply(y, on.multiply(x, z))), on.scale(twice, z)),
+            *on.add(on.add(on.multiply(on.multiply(z, x), y), on.multiply(on.multiply(z, y), x)), on.scale(twice, z)),
         ),
     )
-    rep.add(w.identity_name, w.passed, w.residual)
+    rep.add(w.identity_name, w.passed, Fraction(w.residual))
 
     j = on.j_generators(dim)
     jp = on.j_prime_generators(dim)
@@ -276,17 +282,15 @@ def suite_algebra(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Rep
     rep.add("volume_sign_left", volume_sign(j) == -1)
     rep.add("volume_sign_right", volume_sign(jp) == 1)
 
-    # the first four coordinates of each full draw span the quaternions
-    w = sampled(
+    x, y, z = quaternion_slots(dim, "XYZ")
+    w = proved(
         "quaternion_subspan_closed_associative",
-        min(cfg.trials, 200),
-        lambda: [v[:4] + (Fraction(0),) * (dim - 4) for v in on.random_octets(rng, dim, "XYZ", bound=6)],
-        lambda x, y, z: (
+        (
             *on.multiply(x, y)[4:],
             *on.sub(on.multiply(on.multiply(x, y), z), on.multiply(x, on.multiply(y, z))),
         ),
     )
-    rep.add(w.identity_name, w.passed, w.residual)
+    rep.add(w.identity_name, w.passed, Fraction(w.residual))
     return rep
 
 
@@ -325,7 +329,7 @@ def suite_nom(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Report:
     rep = Report("nom")
     dim = cfg.dim
     nom = ctx.nom
-    vn = verify_normalized(nom, rng=rng.fork(2))
+    vn = verify_normalized(nom)
     rep.add("verify_normalized", vn.passed, vn.max_residual())
 
     ta = theta_axis(nom.alpha)
@@ -343,24 +347,17 @@ def suite_nom(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Report:
     rebuilt = nom_from_sharp_blocks(left_ops(nom))
     rep.add("sharp_blocks_round_trip", rebuilt.entries == nom.table.entries)
 
-    o = partial(circ, nom)
-    w = sampled(
-        "circ_exchange_identities",
-        min(cfg.trials, 200),
-        lambda: on.random_octets(rng, dim, "XYZ"),
-        lambda x, y, z: on.exchange_defects(o, x, y, z),
-    )
-    rep.add(w.identity_name, w.passed, w.residual)
+    w = proved("circ_exchange_identities", on.exchange_defects(partial(circ, nom), *on.symbolic_octets(dim, "XYZ")))
+    rep.add(w.identity_name, w.passed, Fraction(w.residual))
 
     # the quaternionic restriction needs alpha inside the quaternion sub-span
     hnom = nom_from_t(nom.side, Fraction(cfg.alpha_t), axis=1, dim=dim)
-    w = sampled(
+    x, y = quaternion_slots(dim, "XY")
+    w = proved(
         "quaternionic_restriction",
-        100,
-        lambda: [v + (Fraction(0),) * (dim - 4) for v in on.random_octets(rng, 4, "XY")],
-        lambda x, y: on.sub(circ(hnom, x, y), on.multiply(x, y) if hnom.side is Side.LEFT else on.multiply(y, x)),
+        on.sub(circ(hnom, x, y), on.multiply(x, y) if hnom.side is Side.LEFT else on.multiply(y, x)),
     )
-    rep.add(w.identity_name, w.passed, w.residual)
+    rep.add(w.identity_name, w.passed, Fraction(w.residual))
     return rep
 
 
@@ -638,14 +635,28 @@ _FLOAT_SUITE_FUNCS = {
 }
 
 
+def contained(name: str, build) -> Report:
+    """``build()``, or, if it raises, the report ``name`` with one failing
+    check ``completed`` whose detail names the exception (its traceback goes
+    to stderr)."""
+    try:
+        return build()
+    except Exception as e:
+        import traceback  # imported here, so that start-up does not pay for it
+
+        traceback.print_exc()
+        r = Report(name)
+        r.add("completed", False, detail=f"{type(e).__name__}: {e}")
+        return r
+
+
 def run(cfg: RunConfig, ctx: RunContext | None = None) -> tuple[dict, int]:
     """Execute the selected suites, sharing ``ctx`` (a fresh RunContext by
     default); returns (report dict, exit code).
 
     An exception raised inside a suite does not end the run: that suite's
-    report becomes one failing check ``completed`` whose detail names the
-    exception (its traceback goes to stderr), and the remaining suites
-    still run."""
+    report becomes one failing check ``completed`` (see ``contained``), and
+    the remaining suites still run."""
     try:
         cfg.validate()
     except ValueError as e:
@@ -663,14 +674,7 @@ def run(cfg: RunConfig, ctx: RunContext | None = None) -> tuple[dict, int]:
             r = Report(name)
             r.note("skipped: suite requires exact mode")
         else:
-            try:
-                r = fn(cfg, rng.fork(ALL_SUITES.index(name)), ctx)
-            except Exception as e:
-                import traceback  # imported here, so that start-up does not pay for it
-
-                traceback.print_exc()
-                r = Report(name)
-                r.add("completed", False, detail=f"{type(e).__name__}: {e}")
+            r = contained(name, partial(fn, cfg, rng.fork(ALL_SUITES.index(name)), ctx))
         suite_reports.append(r)
         all_pass = all_pass and r.passed
         suite_s[name] = round(time.perf_counter() - ts, 3)
@@ -685,9 +689,26 @@ def run(cfg: RunConfig, ctx: RunContext | None = None) -> tuple[dict, int]:
     return out, 0 if all_pass else 1
 
 
+def sweep_point(cfg: RunConfig, name: str) -> Report:
+    """The sweep's perturbation report ``name`` at ``cfg``'s t, from its own
+    ``RunContext``."""
+    ctx = RunContext(cfg)
+    rep = Report(name)
+    vn = verify_normalized(ctx.nom)
+    rep.add("verify_normalized", vn.passed)
+    vs = verify_symmetric_system(ctx.fkm.system)
+    rep.add("clifford_relations", vs.passed)
+    pm = perturb_mirror(ctx.fkm)
+    branch = next((c.detail for c in pm.checks if c.name == "second_form_branch_identity"), None)
+    rep.add("perturb_mirror", pm.passed, detail=branch)
+    return rep
+
+
 def sweep_theta(cfg: RunConfig, t_values: list) -> tuple[list, int]:
-    """One perturbation report per rational t, each from its own
-    ``RunContext`` (``cfg`` at that t); exact mode only."""
+    """One ``sweep_point`` report per rational t; exact mode only.
+
+    Like a suite in ``run``, a t whose report raises gets one failing check
+    ``completed`` (see ``contained``), and the other t's still run."""
     if cfg.mode != "exact":
         raise ValueError("sweep requires exact mode")
     reports = []
@@ -695,15 +716,8 @@ def sweep_theta(cfg: RunConfig, t_values: list) -> tuple[list, int]:
     for t in t_values:
         sub = replace(cfg, alpha_t=Fraction(t))
         sub.validate()
-        ctx = RunContext(sub)
-        rep = Report(f"sweep_t={t}")
-        vn = verify_normalized(ctx.nom, rng=DeterministicRng(cfg.seed).fork(31))
-        rep.add("verify_normalized", vn.passed)
-        vs = verify_symmetric_system(ctx.fkm.system)
-        rep.add("clifford_relations", vs.passed)
-        pm = perturb_mirror(ctx.fkm)
-        branch = next((c.detail for c in pm.checks if c.name == "second_form_branch_identity"), None)
-        rep.add("perturb_mirror", pm.passed, detail=branch)
+        name = f"sweep_t={t}"
+        rep = contained(name, partial(sweep_point, sub, name))
         reports.append(rep)
         if not rep.passed:
             worst = 1

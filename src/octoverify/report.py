@@ -138,15 +138,16 @@ class WitnessReport:
 
 
 def proved(name: str, residuals) -> WitnessReport:
-    """The witness that every polynomial in ``residuals`` is zero: a proof of
-    the identity when its slots are ``octonion.symbolic_octets``.
-    ``instances`` counts the residuals; the recorded residual is 0 on a pass,
-    1 on a failure."""
+    """The witness that every value in ``residuals`` is zero: a proof of the
+    identity when its slots are ``octonion.symbolic_octets``.  A value is a
+    polynomial or a plain rational (a term with no slot in it), and either
+    is judged by its truth.  ``instances`` counts the residuals; the
+    recorded residual is 0 on a pass, 1 on a failure."""
     count = 0
     ok = True
     for r in residuals:
         count += 1
-        ok = r.is_zero() and ok
+        ok = not r and ok
     return WitnessReport(name, {"instances": count}, None, None, 0 if ok else 1, ok)
 
 

@@ -242,6 +242,35 @@ def test_sweep_theta(monkeypatch):
         sweep_theta(small_cfg(mode="float", theta=0.3), [Fraction(0)])
 
 
+def test_a_raising_t_fails_its_sweep_report_only(monkeypatch, tmp_path, capsys):
+    import octoverify.cli as cli
+    from octoverify.circ import nom_from_t
+
+    real = cli.perturb_mirror
+    half = nom_from_t(Side.LEFT, Fraction(1, 2)).alpha
+
+    def planted(fkm):
+        if fkm.nom.alpha == half:
+            raise RuntimeError("planted")
+        return real(fkm)
+
+    monkeypatch.setattr(cli, "perturb_mirror", planted)
+    out = tmp_path / "sweep.json"
+    assert main(["--sweep-t", "0,1/2,1", "--suites", "classify", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert [d["config"]["alpha_t"] for d in data] == ["0", "1/2", "1"]
+    assert [d["pass"] for d in data] == [True, False, True]
+    assert [[c["name"] for c in d["suites"][0]["checks"]] for d in data] == [
+        ["verify_normalized", "clifford_relations", "perturb_mirror"],
+        ["completed"],
+        ["verify_normalized", "clifford_relations", "perturb_mirror"],
+    ]
+    (suite,) = data[1]["suites"]
+    assert suite["name"] == "sweep_t=1/2"
+    assert suite["checks"] == [{"name": "completed", "pass": False, "residual": "0", "detail": "RuntimeError: planted"}]
+    assert "RuntimeError: planted" in capsys.readouterr().err
+
+
 def test_cli_main_and_output(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(

@@ -1,0 +1,131 @@
+"""Negative controls for the proved checks of the algebra and nom suites: a
+planted defect must fail exactly the checks that state the identity it
+breaks.
+
+A defect is a monkeypatch of table entries or of alpha, planted in the
+product that the checks under test see (``on.multiply``, the ``circ`` the
+nom suite or ``verify_normalized`` calls, the nom the quaternionic
+restriction builds).  The generators J_a and each nom's operators U_a are
+read off the unpatched tables, so the suites' preconditions still hold and
+the identities' own checks are the ones that fail.  A defect in the octonion
+table itself stops both suites at a precondition instead (the last test).
+The scaled-alpha control of ``verify_normalized`` is in ``test_circ.py``."""
+
+from fractions import Fraction
+
+import pytest
+
+from octoverify import circ as circ_module
+from octoverify import cli
+from octoverify import octonion as on
+from octoverify.circ import Side, nom_from_t, verify_normalized
+from octoverify.scalars import sum_zero
+
+HALF = Fraction(1, 2)
+E56 = [(5, 6), (6, 5)]  # e5 e6 and e6 e5: both factors outside the quaternions
+E12 = [(1, 2), (2, 1)]  # e1 e2 and e2 e1: inside the quaternions
+
+
+def negated(table: on.ProductTable, pairs) -> on.ProductTable:
+    """``table`` with e_a e_b negated for each (a, b) in ``pairs``."""
+    entries = [list(row) for row in table.entries]
+    for a, b in pairs:
+        entries[a][b] = on.neg(entries[a][b])
+    return on.ProductTable(entries)
+
+
+def defective_product(pairs):
+    """The octonion product with the entries ``pairs`` of its table negated."""
+    bad = negated(on.PRODUCT_TABLES[8], pairs)
+    return lambda x, y: bad.product(x, y, sum_zero(x, y))
+
+
+def defective_circ(pairs):
+    """x o y with the entries ``pairs`` of each nom's table negated."""
+    tables = {}
+
+    def mul(nom, x, y):
+        bad = tables.get(nom)
+        if bad is None:
+            bad = tables[nom] = negated(nom.table, pairs)
+        return bad.product(x, y, sum_zero(nom.alpha, x, y))
+
+    return mul
+
+
+def axis_outside_h(side, t, axis=4, dim=8):
+    """``nom_from_t`` with alpha's axis e_4, outside the quaternions, whatever
+    axis is asked for."""
+    return nom_from_t(side, t, axis=4, dim=dim)
+
+
+# planted defect: (module, attribute, replacement, suite, the suite's failing checks)
+CONTROLS = {
+    "product e5e6 e6e5 negated": (
+        on,
+        "multiply",
+        defective_product(E56),
+        "algebra",
+        ["table_matches_cayley_dickson_oracle", "norm_multiplicativity", "exchange_identities", "perpendicular_imaginary_rules"],
+    ),
+    "product e1e2 e2e1 negated": (
+        on,
+        "multiply",
+        defective_product(E12),
+        "algebra",
+        [
+            "table_matches_cayley_dickson_oracle",
+            "norm_multiplicativity",
+            "exchange_identities",
+            "perpendicular_imaginary_rules",
+            "quaternion_subspan_closed_associative",
+        ],
+    ),
+    "suite circ e5e6 e6e5 negated": (cli, "circ", defective_circ(E56), "nom", ["circ_exchange_identities"]),
+    "suite circ e1e2 e2e1 negated": (
+        cli,
+        "circ",
+        defective_circ(E12),
+        "nom",
+        ["circ_exchange_identities", "quaternionic_restriction"],
+    ),
+    "verify_normalized circ e5e6 e6e5 negated": (circ_module, "circ", defective_circ(E56), "nom", ["verify_normalized"]),
+    "alpha axis outside H": (cli, "nom_from_t", axis_outside_h, "nom", ["quaternionic_restriction"]),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("control", list(CONTROLS))
+def test_a_planted_defect_fails_exactly_its_checks(monkeypatch, control, side):
+    owner, name, value, suite, failing = CONTROLS[control]
+    monkeypatch.setattr(owner, name, value)
+    report, code = cli.run(cli.RunConfig(alpha_t=HALF, side=side, suites=(suite,), trials=20))
+    assert code == 1
+    assert {s["name"]: [c["name"] for c in s["checks"] if not c["pass"]] for s in report["suites"]} == {suite: failing}
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_norm_multiplicativity_fails_on_a_defective_circ(monkeypatch, side):
+    nom = nom_from_t(side, HALF)
+    assert verify_normalized(nom).passed
+    monkeypatch.setattr(circ_module, "circ", defective_circ(E56))
+    # e_0 o x and the operators U_a are read off the intact table
+    assert verify_normalized(nom).failing() == ["norm_multiplicativity"]
+
+
+def test_the_sweep_fails_verify_normalized_at_every_t(monkeypatch):
+    monkeypatch.setattr(circ_module, "circ", defective_circ(E56))
+    reports, code = cli.sweep_theta(cli.RunConfig(suites=("classify",)), [Fraction(0), HALF, Fraction(1)])
+    assert code == 1
+    assert [[c["name"] for c in r["suites"][0]["checks"] if not c["pass"]] for r in reports] == [["verify_normalized"]] * 3
+
+
+def test_a_defect_in_the_octonion_table_itself_stops_the_suites_at_a_precondition(monkeypatch, capsys):
+    monkeypatch.setitem(on.PRODUCT_TABLES, 8, negated(on.PRODUCT_TABLES[8], E56))
+    report, code = cli.run(cli.RunConfig(alpha_t=HALF, suites=("algebra", "nom"), trials=20))
+    assert code == 1
+    assert [[(c["name"], c["detail"]) for c in s["checks"]] for s in report["suites"]] == [
+        [("completed", "ValueError: not a full irreducible system: product of generators is not +-Id")],
+        [("completed", "ValueError: A#_5 is not skew-symmetric")],
+    ]
+    capsys.readouterr()

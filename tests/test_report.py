@@ -23,6 +23,16 @@ def test_proved_counts_every_instance():
     assert proved("none", []).inputs == {"instances": 0}
 
 
+def test_proved_judges_plain_rational_residuals_too():
+    # an identity whose terms hold no slot leaves a plain rational among the
+    # polynomials; a zero one passes and a nonzero one fails
+    x = MultiPoly.variable(2, 0)
+    w = proved("mixed", [x - x, Fraction(0), 0])
+    assert (w.inputs, w.residual, w.passed) == ({"instances": 3}, 0, True)
+    w = proved("nonzero constant", [x - x, Fraction(1, 3), x - x])
+    assert (w.inputs, w.residual, w.passed) == ({"instances": 3}, 1, False)
+
+
 def _run(sample, values, samples=10):
     """``sampled`` on a check whose values are ``values`` at draw number
     ``sample`` (counted from 1) and vanish at every other draw: the defect is
@@ -144,9 +154,30 @@ def test_sampled_equals_the_per_sample_loop(samples, letters, residuals, passes)
     assert batched[0]["pass"] is passes
 
 
+@pytest.mark.parametrize("mul, passes", [(on.multiply, True), (_not_orthogonal, False)], ids=["product", "defective product"])
+def test_a_zero_draw_in_a_part_chunk_equals_the_per_sample_loop(mul, passes):
+    # one draw of the last, part chunk is the zero vector in every slot: its
+    # numerators are all 0 while the chunk's other samples are not
+    samples = SAMPLES_PER_CHUNK + 30
+    out = []
+    for driver in (sampled, reference_sampled):
+        rng = DeterministicRng(29)
+        drawn = []
+
+        def draw():
+            drawn.append(1)
+            slots = on.random_octets(rng, 8, "XYZ", bound=6)
+            return (on.zero(8),) * 3 if len(drawn) == SAMPLES_PER_CHUNK + 7 else slots
+
+        w = driver("id", samples, draw, partial(on.exchange_defects, mul))
+        out.append((w.to_json(), rng.counter))
+    assert out[0] == out[1]
+    assert out[0][0]["pass"] is passes
+
+
 def test_algebra_suite_equals_the_per_sample_loop(monkeypatch):
-    # seed 16 draws x = 0 in sample 32 of the perpendicular rules, where z is
-    # not drawn, and 250 trials end in a part chunk
+    # the algebra suite's sampled checks on one generator: 250 trials end in
+    # a part chunk
     cfg = cli.RunConfig(algebra="quaternion", seed=16, suites=("algebra",), trials=250)
     runs = []
     for driver in (sampled, reference_sampled):
