@@ -176,17 +176,6 @@ def find_intertwiner(rep1: list, rep2: list) -> IntertwinerResult:
     raise ValueError(f"no rational intertwiner: K K^T = lam Id with lam = {first}, whose square root is irrational")
 
 
-def conjugation_residual(result: IntertwinerResult, rep1: list, rep2: list) -> Fraction:
-    """max |O X_a - Y_a O| over generators.
-
-    No run-time caller: the ``test_find_intertwiner_*`` tests in
-    ``tests/test_clifford.py`` use it to check ``find_intertwiner``'s result."""
-    if not result.found:
-        raise ValueError("no intertwiner to check")
-    O = result.matrix
-    return max((O @ A - B @ O).max_abs() for A, B in zip(rep1, rep2, strict=True))
-
-
 def verify_a_system(ops: list) -> Report:
     """A_a A_b^T + A_b A_a^T = 2 delta_ab Id; failure names the first bad pair."""
     rep = Report("a_system")

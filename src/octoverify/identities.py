@@ -288,9 +288,11 @@ def anti_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
 
 
 def norm_identity_check(q: QCandidate) -> bool:
-    """|q(X,Y,Z)|^2 = |X(Y o Z) - Y o (XZ)|^2 as a polynomial identity."""
+    """|q(X,Y,Z)|^2 = |X(Y o Z) - Y o (XZ)|^2 as a polynomial identity.
+    Equal components prove it at once (so an FKM candidate squares
+    nothing); only components that differ have their norms compared."""
     fkm = cubic_components(partial(q_star_fkm_eval, q.nom), q.dim)
-    ok = (on.norm_sq(q.tensor) - on.norm_sq(fkm)).is_zero()
+    ok = q.tensor == fkm or (on.norm_sq(q.tensor) - on.norm_sq(fkm)).is_zero()
     if ok:
         q.verified.add("norm")
     return ok
@@ -347,17 +349,6 @@ def obstruction_c_minus_one(dim: int, x: tuple, y: tuple, w: tuple) -> Fraction:
     e = on.multiply(x, y)
     h = on.scale(Fraction(-4), on.multiply(on.imaginary_part(w), e))
     return on.inner(h, on.multiply(x, w))
-
-
-def quaternion_c_minus_one_candidate(x: tuple, y: tuple, w: tuple) -> tuple:
-    """The excluded c = -1 form q(X,Y,W) = (XY - YX)W - <W, XY - YX> e_0.
-
-    No run-time caller: ``test_quaternion_c_minus_one_candidate_violates_pairing``
-    shows with it that this form breaks the pairing the exclusion rests on."""
-    comm = on.sub(on.multiply(x, y), on.multiply(y, x))
-    val = on.multiply(comm, w)
-    corr = on.scale(on.inner(w, comm), on.basis(0, len(x)))
-    return on.sub(val, corr)
 
 
 # ---------------------------------------------------------------------------

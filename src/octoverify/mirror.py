@@ -136,26 +136,10 @@ def q_star_fkm_eval(nom: Nom, x: tuple, y: tuple, z: tuple) -> tuple:
     return on.sub(on.multiply(x, circ(nom, y, z)), circ(nom, y, on.multiply(x, z)))
 
 
-def q_star_fkm(nom: Nom, w: EigenDecomp) -> tuple:
-    """q*(W,W,W) = X(Y o Z) - Y o (XZ).
-
-    No run-time caller: ``test_q_star_fkm_values`` checks the paper's spot
-    values through it."""
-    return q_star_fkm_eval(nom, w.x, w.y, w.z)
-
-
 def q_star_ot_eval(x: tuple, y: tuple, z: tuple) -> tuple:
     """q*(X,Y,Z) = (XY - YX) Z on full octonion slots."""
     comm = on.sub(on.multiply(x, y), on.multiply(y, x))
     return on.multiply(comm, z)
-
-
-def q_star_ot(w: EigenDecomp) -> tuple:
-    """q*(W,W,W) = (XY - YX) Z.
-
-    No run-time caller: ``test_q_star_ot_values`` checks the paper's spot
-    values through it."""
-    return q_star_ot_eval(w.x, w.y, w.z)
 
 
 # ---------------------------------------------------------------------------

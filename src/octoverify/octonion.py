@@ -9,14 +9,16 @@ so the quaternions are the sub-span of coordinates 0..3.
 
 ``ProductTable`` holds the products e_a e_b of some bilinear multiplication
 on all basis pairs and is its one sparse kernel: it extends the table
-bilinearly over any commutative coefficient ring (Fraction, float,
-polynomial or ``scalars.SampleBatch`` coordinates) in one accumulation loop,
-which rational inputs enter as int numerators: ``scalars.int_scaled`` clears
-their denominators, as it does for the table's own entries and for
-``inner``.  The octonion product is the table ``PRODUCT_TABLES[dim]``, built
-at import for dims 4 and 8 from ``cayley_dickson_multiply`` on int basis
-vectors (entries 0 and +-1); every normalized multiplication x o y is
-another such table (``circ.Nom.table``).  ``cayley_dickson_multiply`` keeps the recursive
+bilinearly over any commutative coefficient ring, reading only pairs of
+nonzero coordinates.  Polynomial coordinates are summed slot by slot by
+``poly.weighted_products``, in one pass per product.  Fraction, int, float
+and ``scalars.SampleBatch`` coordinates run one accumulation loop, which
+rational inputs enter as int numerators: ``scalars.int_scaled`` clears
+their denominators, as it does for the table's own entries.  ``inner``
+takes the same two routes.  The octonion product is the table
+``PRODUCT_TABLES[dim]``, built at import for dims 4 and 8 from
+``cayley_dickson_multiply`` on int basis vectors (entries 0 and +-1); every
+normalized multiplication x o y is another such table (``circ.Nom.table``).  ``cayley_dickson_multiply`` keeps the recursive
 definition around as an independent oracle for the table.
 
 The multiplication matrices (``left_mult_matrix``, ``right_mult_matrix``) and
@@ -39,7 +41,7 @@ from itertools import islice
 from typing import Sequence
 
 from .linalg import Op
-from .poly import MultiPoly
+from .poly import MultiPoly, weighted_products
 from .scalars import DeterministicRng, fill_zero, int_scaled, random_rationals, sum_zero
 
 Coord = Sequence
@@ -107,16 +109,29 @@ class ProductTable:
         ``zero`` is the zero that sum comes to (``scalars.sum_zero`` of the
         table's and the inputs' coordinates).
 
-        One loop sums w * (x_a y_b) per slot over the pairs of nonzero
-        coordinates.  Rational inputs (``zero`` is a ``Fraction``) enter it
-        as ``int_scaled`` numerators over one denominator d, and each slot
-        comes out as one ``Fraction`` over d * d * D, or the shared ``zero``.
-        Any other slot is divided by D once and widened to ``zero``'s type by
-        ``scalars.fill_zero``."""
+        Only pairs of nonzero coordinates are read.  With polynomial
+        coordinates (``zero`` is a ``MultiPoly``) each slot is the triples
+        (w, a, b) of its pairs, summed by ``poly.weighted_products`` over
+        D in one pass.  Any other coordinates run one loop that sums
+        w * (x_a y_b) per slot.  Rational inputs (``zero`` is a
+        ``Fraction``) enter it as ``int_scaled`` numerators over one
+        denominator d, and each slot comes out as one ``Fraction`` over
+        d * d * D, or the shared ``zero``.  Any other slot is divided by D
+        once and widened to ``zero``'s type by ``scalars.fill_zero``."""
         dim = self.dim
         if len(x) != dim or len(y) != dim:
             raise ValueError("dimension mismatch")
         den, rows = self.sparse
+        if type(zero) is MultiPoly:
+            xs = [a for a, c in enumerate(x) if c]
+            ys = [b for b, c in enumerate(y) if c]
+            slots = [[] for _ in range(dim)]
+            for i, a in enumerate(xs):
+                row = rows[a]
+                for j, b in enumerate(ys):
+                    for k, w in row[b]:
+                        slots[k].append((w, i, j))
+            return tuple(weighted_products(zero.nvars, [x[a] for a in xs], [y[b] for b in ys], slots, den))
         rational = type(zero) is Fraction
         if rational:
             d, ints = int_scaled([*x, *y])
@@ -153,22 +168,6 @@ class ProductTable:
     def right_ops(self) -> list:
         """R_a(x) = x e_a for a = 1..dim-1 as ``Op``s (column b is e_b e_a)."""
         return [Op.of([row[a] for row in self.entries]).T for a in range(1, self.dim)]
-
-    def as_signed_pairs(self) -> list | None:
-        """(sign, index) form when every entry is a signed basis vector, else None.
-
-        No run-time caller: the tests check the octonion tables and rebuilt
-        tables with it."""
-        out = []
-        for row in self.entries:
-            orow = []
-            for v in row:
-                nz = [(k, c) for k, c in enumerate(v) if c != 0]
-                if len(nz) != 1 or abs(nz[0][1]) != 1:
-                    return None
-                orow.append((1 if nz[0][1] > 0 else -1, nz[0][0]))
-            out.append(orow)
-        return out
 
 
 def _basis_product_table(dim: int) -> ProductTable:
@@ -209,16 +208,19 @@ def imaginary_part(x):
 def inner(x, y):
     """Coordinate dot product; equals (x conj(y) + y conj(x))/2 for octonions.
 
-    Like ``multiply``, it sums in one loop over the pairs of nonzero
-    coordinates and returns the zero (or the type) the full sum would have
-    had.  Rational inputs (the zero is ``Fraction(0)``) enter the loop as the
-    int numerators of ``int_scaled`` and come out as one ``Fraction``, or the
-    shared zero.
+    Like ``multiply``, it reads only the pairs of nonzero coordinates and
+    returns the zero (or the type) the full sum would have had.  Polynomial
+    coordinates are summed by ``poly.weighted_products`` in one pass.
+    Rational inputs (the zero is ``Fraction(0)``) enter one loop as the int
+    numerators of ``int_scaled`` and come out as one ``Fraction``, or the
+    shared zero; any other coordinates run the same loop as they are.
     """
     zero = sum_zero(x, y)
     pairs = [(a, b) for a, b in zip(x, y, strict=True) if a and b]
     if not pairs:
         return zero
+    if type(zero) is MultiPoly:
+        return weighted_products(zero.nvars, *zip(*pairs), [[(1, i, i) for i in range(len(pairs))]])[0]
     rational = type(zero) is Fraction
     if rational:
         den, ints = int_scaled([c for pair in pairs for c in pair])

@@ -11,12 +11,18 @@ int).  The form is canonical: ``gcd(den, *numerators) == 1``, and the zero
 polynomial has ``den == 1``.  So equal polynomials have equal ``(terms, den)``
 and ``==``/``hash`` compare dicts.  Every ring operation works in ints and
 reduces its result once, with one ``math.gcd(den, *numerators)``; no
-``Fraction`` is built on the way.  ``fraction_terms`` hands the coefficients
-out as ``Fraction`` values to the few readers that want them (``dump``,
-``exponent_dict``, the expansion-form extraction).  ``eval_many`` decodes
-each packed key once for all its points, clears each point's denominators
-once and sums in ints too; ``eval`` is ``eval_many`` at one point, so there
-is one evaluator.  This is the only representation: the Muenzner verifier
+``Fraction`` is built on the way.  Polynomials are multiplied in one place,
+``weighted_products``: it sums w * p * q over a list of (weight, factor,
+factor) triples per output straight into one int-numerator dict over one
+common denominator, with a rational factor scaling the other's numerators.
+``MultiPoly.__mul__`` is its one-triple case, and the octonion kernels
+(``ProductTable.product``, ``inner``) hand it every output slot's triples,
+so a product of polynomial coordinates builds no polynomial per pair.
+``fraction_terms`` hands the coefficients out as ``Fraction`` values to the
+few readers that want them (``dump``, ``exponent_dict``, the expansion-form
+extraction).  ``eval_many`` decodes each packed key once for all its
+points, clears each point's denominators once and sums in ints too;
+``eval`` is ``eval_many`` at one point, so there is one evaluator.  This is the only representation: the Muenzner verifier
 reads ``terms`` and ``den`` directly instead of keeping an integer copy of
 its own.
 
@@ -30,12 +36,15 @@ unequal to the rational it stands for).
 The supported exponent range is 0..30 per variable, and it is enforced at
 both ends.  ``_pack``, and through it ``MultiPoly.parse`` (the reader for
 ``--dump-poly`` output), raises ``ValueError`` for an exponent outside that
-range or for more exponents than ``nvars``.  ``mul`` raises ``OverflowError``
-rather than silently corrupting keys when a product could leave it.  That
-guard needs each factor's largest exponent, ``maxexp``, which is computed
-lazily on the first product that asks for it and then kept; nothing else
-scans the keys.  Ring operations hand the zero-free dicts they build straight
-to the result instead of copying and re-filtering them.
+range or for more exponents than ``nvars``.  ``weighted_products`` raises
+``OverflowError`` rather than silently corrupting keys when a product could
+leave it.  That guard is checked once per call, from each operand's largest
+exponent, ``maxexp``, or a bound on it: variables, constants, products,
+sums, negations and gradients carry an upper bound from how they were built
+(``_expbound``), and the exact ``maxexp`` is computed lazily, and then
+kept, only for a polynomial without one or when the bounds do not settle
+the guard.  Ring operations hand the zero-free dicts they build straight to
+the result instead of copying and re-filtering them.
 
 Identities are always verified as "difference is the zero polynomial"; there
 is no division anywhere.
@@ -45,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable
 
@@ -95,6 +105,12 @@ def monomial_exponents(key: int) -> list[tuple[int, int]]:
     return out
 
 
+@cache
+def _high_bits(nvars: int) -> int:
+    """Every bit but the lowest of each of the nvars exponent fields."""
+    return ((1 << (BITS * nvars)) - 1) // _EXP_MASK * (_EXP_MASK - 1)
+
+
 def _rational(c):
     if type(c) not in EXACT_TYPES:
         raise TypeError(f"{c!r} is not an int or a Fraction")
@@ -104,7 +120,7 @@ def _rational(c):
 class MultiPoly:
     """Immutable-by-convention sparse polynomial: int numerators ``terms`` over ``den``."""
 
-    __slots__ = ("nvars", "terms", "den", "_maxexp")
+    __slots__ = ("nvars", "terms", "den", "_maxexp", "_expbound")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         """``terms`` maps packed monomial keys to int or Fraction coefficients."""
@@ -116,12 +132,13 @@ class MultiPoly:
         self.nvars = nvars
         self.terms: dict[int, int] = {k: c for k, c in zip(terms, nums) if c}
         self.den = den
-        self._maxexp = None
+        self._maxexp = self._expbound = None
 
     @staticmethod
-    def _adopt(nvars: int, terms: dict, den: int = 1) -> "MultiPoly":
+    def _adopt(nvars: int, terms: dict, den: int = 1, expbound: int | None = None) -> "MultiPoly":
         """Wrap zero-free int numerators over ``den`` > 0 without copying them,
-        reduced to the canonical form."""
+        reduced to the canonical form; ``expbound`` is an upper bound on their
+        ``maxexp`` when the caller knows one."""
         if den != 1:
             g = gcd(den, *terms.values())
             if g != 1:
@@ -132,37 +149,46 @@ class MultiPoly:
         p.terms = terms
         p.den = den
         p._maxexp = None
+        p._expbound = expbound
         return p
 
     @property
     def maxexp(self) -> int:
-        """Largest exponent of any variable; computed on first use, then kept."""
+        """Largest exponent of any variable; computed on first use, then kept
+        (also as ``_expbound``, which otherwise holds an upper bound known
+        from how the polynomial was built, or None).  A key with none of
+        ``_high_bits`` set has no exponent above 1, so a multilinear
+        polynomial is settled by one masked pass over its keys."""
         if self._maxexp is None:
-            m = 0
-            for k in self.terms:
-                while k:
-                    e = k & _EXP_MASK
-                    if e > m:
-                        m = e
-                    k >>= BITS
-            self._maxexp = m
+            terms = self.terms
+            if not any(map(_high_bits(self.nvars).__and__, terms)):
+                m = 1 if any(terms) else 0
+            else:
+                m = 0
+                for k in terms:
+                    while k:
+                        e = k & _EXP_MASK
+                        if e > m:
+                            m = e
+                        k >>= BITS
+            self._maxexp = self._expbound = m
         return self._maxexp
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zero(nvars: int) -> "MultiPoly":
-        return MultiPoly(nvars)
+        return MultiPoly._adopt(nvars, {}, 1, 0)
 
     @staticmethod
     def const(nvars: int, c) -> "MultiPoly":
         _rational(c)
-        return MultiPoly._adopt(nvars, {0: c.numerator} if c else {}, c.denominator)
+        return MultiPoly._adopt(nvars, {0: c.numerator} if c else {}, c.denominator, 0)
 
     @staticmethod
     def variable(nvars: int, i: int) -> "MultiPoly":
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for nvars={nvars}")
-        return MultiPoly._adopt(nvars, {1 << (BITS * i): 1})
+        return MultiPoly._adopt(nvars, {1 << (BITS * i): 1}, 1, 1)
 
     def fraction_terms(self) -> dict[int, Fraction]:
         """Packed monomial key -> coefficient as a Fraction."""
@@ -204,7 +230,8 @@ class MultiPoly:
                 t[k] = s
             elif v is not None:
                 del t[k]
-        return MultiPoly._adopt(self.nvars, t, den)
+        a, b = self._expbound, other._expbound
+        return MultiPoly._adopt(self.nvars, t, den, None if a is None or b is None else max(a, b))
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -212,7 +239,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._adopt(self.nvars, {k: -c for k, c in self.terms.items()}, self.den)
+        return MultiPoly._adopt(self.nvars, {k: -c for k, c in self.terms.items()}, self.den, self._expbound)
 
     def __sub__(self, other):
         return self._merge(other, -1)
@@ -221,32 +248,9 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            if type(other) not in EXACT_TYPES:
-                return NotImplemented
-            if other == 0:
-                return MultiPoly(self.nvars)
-            num = other.numerator
-            return MultiPoly._adopt(
-                self.nvars, {k: c * num for k, c in self.terms.items()}, self.den * other.denominator
-            )
-        self._check(other)
-        if not self.terms or not other.terms:
-            return MultiPoly(self.nvars)
-        if self.maxexp + other.maxexp > _EXP_MAX:
-            raise OverflowError("monomial exponent would exceed packing limit")
-        out: dict[int, int] = {}
-        get = out.get
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                v = get(k)
-                s = c1 * c2 if v is None else v + c1 * c2
-                if s:
-                    out[k] = s
-                elif v is not None:
-                    del out[k]
-        return MultiPoly._adopt(self.nvars, out, self.den * other.den)
+        if not isinstance(other, MultiPoly) and type(other) not in EXACT_TYPES:
+            return NotImplemented
+        return weighted_products(self.nvars, (self,), (other,), (((1, 0, 0),),))[0]
 
     __rmul__ = __mul__
 
@@ -290,7 +294,7 @@ class MultiPoly:
                     gs[i][k - (1 << (BITS * i))] = c * e
                 kk >>= BITS
                 i += 1
-        return [MultiPoly._adopt(self.nvars, g, self.den) for g in gs]
+        return [MultiPoly._adopt(self.nvars, g, self.den, self._expbound) for g in gs]
 
     def laplacian(self) -> "MultiPoly":
         out: dict[int, int] = {}
@@ -446,8 +450,101 @@ class MultiPoly:
         return f"MultiPoly(nvars={self.nvars}, terms={len(self.terms)})"
 
 
+def _operand(nvars: int, coords) -> tuple[int, list, int]:
+    """One operand of ``weighted_products`` as its loop reads it: (den,
+    factors, maxexp).  den is the lcm of the coordinates' denominators;
+    factor a is (scale, items): a polynomial coordinate is its numerator
+    items times the int scale, over den, and a rational one is the int
+    scale over den, with items None; maxexp bounds the largest ``maxexp``
+    of the polynomial coordinates, read from their ``_expbound``s."""
+    dens, factors, top = [], [], 0
+    for c in coords:
+        kind = type(c)
+        if kind is MultiPoly:
+            if c.nvars != nvars:
+                raise ValueError(f"nvars mismatch: {nvars} != {c.nvars}")
+            dens.append(c.den)
+            factors.append((1, c.terms.items()))
+            m = c._expbound
+            if m is None:
+                m = c.maxexp
+            if m > top:
+                top = m
+        elif kind is Fraction:
+            n, d = c.as_integer_ratio()
+            dens.append(d)
+            factors.append((n, None))
+        elif kind is int:
+            dens.append(1)
+            factors.append((c, None))
+        else:
+            raise TypeError(f"{c!r} is not a MultiPoly, an int or a Fraction")
+    den = lcm(*dens)
+    if den != 1:
+        factors = [(s * (den // d), items) for (s, items), d in zip(factors, dens)]
+    return den, factors, top
+
+
+def weighted_products(nvars: int, x, y, slots, den: int = 1) -> list[MultiPoly]:
+    """The polynomials sum(w * x[a] * y[b] for w, a, b in triples) / den,
+    one per entry ``triples`` of ``slots``, for coordinates x, y that are
+    ``MultiPoly``s over ``nvars`` variables, ints or Fractions, and int
+    weights w.  This is the one product of polynomials: ``MultiPoly.__mul__``
+    is its one-triple case, and ``octonion.ProductTable.product`` and
+    ``octonion.inner`` hand it the triples of every output slot.
+
+    Each operand's denominators are cleared once, to their lcm, so a slot
+    sums its products as int numerators straight into one dict over one
+    common denominator and is reduced once, by ``MultiPoly._adopt``.  A
+    rational coordinate scales the other factor's numerators; it is never
+    made a constant polynomial.
+
+    The exponent guard is checked once per call, from each operand's
+    largest ``maxexp`` or the bound on it that the coordinate carries
+    (``_expbound``); only when the sum of the two fails are the pairs that
+    the triples name checked with exact ``maxexp``s, so a call raises
+    ``OverflowError`` exactly when one of its pairs of polynomials could
+    leave the packing range.  The sum that passed is the results' bound."""
+    dx, fx, mx = _operand(nvars, x)
+    dy, fy, my = _operand(nvars, y)
+    bound = mx + my
+    if bound > _EXP_MAX:
+        # the operands' bounds fail: take the exact exponents of each pair
+        ex, ey = ([c.maxexp if type(c) is MultiPoly else 0 for c in v] for v in (x, y))
+        bound = max((ex[a] + ey[b] for triples in slots for _, a, b in triples), default=0)
+        if bound > _EXP_MAX:
+            raise OverflowError("monomial exponent would exceed packing limit")
+    den *= dx * dy
+    out = []
+    for triples in slots:
+        acc: dict[int, int] = {}
+        get = acc.get
+        for w, a, b in triples:
+            sa, pa = fx[a]
+            sb, pb = fy[b]
+            s = w * sa * sb
+            if pa is None:
+                pa, pb = pb, None
+                if pa is None:
+                    acc[0] = get(0, 0) + s
+                    continue
+            if pb is None:
+                for k, c in pa:
+                    acc[k] = get(k, 0) + c * s
+            else:
+                for k1, c1 in pa:
+                    c1 *= s
+                    for k2, c2 in pb:
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + c1 * c2
+        if not all(acc.values()):
+            acc = {k: c for k, c in acc.items() if c}
+        out.append(MultiPoly._adopt(nvars, acc, den, bound))
+    return out
+
+
 def norm_sq_poly(nvars: int) -> MultiPoly:
-    return MultiPoly._adopt(nvars, {2 << (BITS * i): 1 for i in range(nvars)})
+    return MultiPoly._adopt(nvars, {2 << (BITS * i): 1 for i in range(nvars)}, 1, 2)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -46,15 +47,22 @@ RATIONAL_ZERO = Fraction(0)
 EXACT_TYPES = frozenset({int, Fraction})
 
 
+def _exact_kinds(values) -> set:
+    """The entry types of ``values``; anything but an int or a Fraction, a
+    ``bool`` too, raises ``TypeError``."""
+    kinds = set(map(type, values))
+    if not kinds <= EXACT_TYPES:
+        bad = next(type(v).__name__ for v in values if type(v) not in EXACT_TYPES)
+        raise TypeError(f"exact kernels take int or Fraction entries, not {bad}")
+    return kinds
+
+
 def int_scaled(values) -> tuple[int, list[int]]:
     """(den, ints) with ``values[k] == ints[k] / den`` and den the lcm of the
     denominators.  ``values`` is a sequence (it is read more than once) whose
     entries are exactly ints or Fractions; anything else, a ``bool`` too,
     raises ``TypeError``."""
-    kinds = set(map(type, values))
-    if not kinds <= EXACT_TYPES:
-        bad = next(type(v).__name__ for v in values if type(v) not in EXACT_TYPES)
-        raise TypeError(f"exact kernels take int or Fraction entries, not {bad}")
+    kinds = _exact_kinds(values)
     if Fraction not in kinds:
         return 1, list(values)
     pairs = [v.as_integer_ratio() for v in values]
@@ -64,26 +72,36 @@ def int_scaled(values) -> tuple[int, list[int]]:
     return den, [n * (den // d) for n, d in pairs]
 
 
+@cache
+def _multipoly_type() -> type:
+    """``poly.MultiPoly``, imported on first use: poly imports this module."""
+    from .poly import MultiPoly
+
+    return MultiPoly
+
+
 def sum_zero(*vectors):
     """The zero that a dense sum of products of these coordinates comes to.
 
     ``Fraction(0)`` when every coordinate is a Fraction or an int (and at
-    least one is a Fraction).  Otherwise it is the sum of one ``c - c`` per
-    coordinate type, which is a zero ``MultiPoly`` with the coordinates'
-    ``nvars`` when any coordinate is one, a zero ``SampleBatch`` (over the
-    batch's ``dens``) when any is one, ``0.0`` when any is a float, and the
-    int ``0`` when all are ints.
+    least one is a Fraction, or there are none), and the int ``0`` when all
+    are ints.  Otherwise it is the sum of one zero per other coordinate
+    type: ``MultiPoly.zero`` with the coordinates' ``nvars`` for a
+    ``MultiPoly``, and ``c - c`` for any other type, which is a zero
+    ``SampleBatch`` over the batch's ``dens`` or ``0.0``.
     """
     kinds = set()
     for v in vectors:
         kinds.update(map(type, v))
-    if Fraction in kinds and kinds <= {Fraction, int}:
-        return RATIONAL_ZERO
+    if kinds <= EXACT_TYPES:
+        return 0 if kinds == {int} else RATIONAL_ZERO
+    MultiPoly = _multipoly_type()
     zero = None
-    for kind in kinds:
+    for kind in kinds - EXACT_TYPES:
         c = next(c for v in vectors for c in v if type(c) is kind)
-        zero = c - c if zero is None else zero + (c - c)
-    return RATIONAL_ZERO if zero is None else zero
+        z = MultiPoly.zero(c.nvars) if kind is MultiPoly else c - c
+        zero = z if zero is None else zero + z
+    return zero
 
 
 def fill_zero(slots: list, zero) -> list:
@@ -200,11 +218,23 @@ def stack_vectors(vectors) -> tuple:
     """One slot of a batch of draws as ``SampleBatch`` coordinates:
     ``vectors[i]`` is sample i's rational coordinate tuple, and coordinate k
     of the result holds coordinate k of every sample.  Each sample's vector
-    is lifted to the lcm of its own denominators by ``int_scaled``, so all
-    coordinates share one ``dens``."""
-    scaled = [int_scaled(v) for v in vectors]
-    dens = [d for d, _ in scaled]
-    return tuple(SampleBatch(list(col), dens) for col in zip(*(ints for _, ints in scaled)))
+    is lifted to the lcm of its own denominators, as ``int_scaled`` lifts
+    it, so all coordinates share one ``dens``; the entry types of the whole
+    chunk are checked once, by ``int_scaled``'s rule."""
+    flat = [c for v in vectors for c in v]
+    _exact_kinds(flat)
+    dim = len(vectors[0]) if vectors else 0
+    if len(flat) != dim * len(vectors):
+        raise ValueError("the samples of a slot must have equal lengths")
+    if not dim:
+        return ()
+    ratios = [c.as_integer_ratio() for c in flat]
+    nums = [n for n, _ in ratios]
+    ds = [d for _, d in ratios]
+    dens = list(map(math.lcm, *(ds[k::dim] for k in range(dim))))
+    return tuple(
+        SampleBatch([n * (den // d) for n, d, den in zip(nums[k::dim], ds[k::dim], dens)], dens) for k in range(dim)
+    )
 
 
 def pythagorean_unit(t: Fraction) -> tuple[Fraction, Fraction]:

@@ -1,6 +1,7 @@
 """Naive dense ``Fraction`` matrices: the triple-loop oracle that the tests
-hold ``linalg.Op`` and the matrix verifiers to.  Nothing here skips a zero
-or scales to ints."""
+hold ``linalg.Op`` and the matrix verifiers to, and ``signed_pairs``, the
+signed-permutation form of a product table.  Nothing here skips a zero or
+scales to ints."""
 
 from fractions import Fraction
 
@@ -48,3 +49,18 @@ def neg(a: list) -> list:
 
 def max_abs(a: list) -> Fraction:
     return max((abs(Fraction(x)) for row in a for x in row), default=Fraction(0))
+
+
+def signed_pairs(table) -> list | None:
+    """The (sign, index) form of a ``ProductTable`` whose every entry e_a e_b
+    is a signed basis vector, else None."""
+    out = []
+    for row in table.entries:
+        orow = []
+        for v in row:
+            nz = [(k, c) for k, c in enumerate(v) if c != 0]
+            if len(nz) != 1 or abs(nz[0][1]) != 1:
+                return None
+            orow.append((1 if nz[0][1] > 0 else -1, nz[0][0]))
+        out.append(orow)
+    return out

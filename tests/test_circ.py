@@ -21,7 +21,7 @@ from octoverify.circ import (
     theta_axis,
     verify_normalized,
 )
-from matrix_oracle import dense
+from matrix_oracle import dense, signed_pairs
 from octoverify.clifford import verify_skew_rep
 from octoverify.poly import MultiPoly
 from octoverify.scalars import DeterministicRng, random_rational
@@ -115,9 +115,9 @@ def test_nom_from_sharp_blocks_round_trip():
     nom = nom_from_t(Side.LEFT, Fraction(1, 2))
     rebuilt = nom_from_sharp_blocks(left_ops(nom))
     assert rebuilt.entries == nom.table.entries
-    assert rebuilt.as_signed_pairs() is None  # generic alpha is not a signed table
+    assert signed_pairs(rebuilt) is None  # generic alpha is not a signed table
     t0 = nom_from_t(Side.LEFT, Fraction(0)).table
-    pairs = t0.as_signed_pairs()
+    pairs = signed_pairs(t0)
     assert pairs is not None and pairs[1][2] == (1, 3)
 
 
@@ -270,7 +270,7 @@ def test_table_is_lazy_and_sparse():
     assert den == 25 and sum(len(e) for row in rows for e in row) == 88
     for side in (Side.LEFT, Side.RIGHT):
         endpoint = nom_from_t(side, Fraction(0)).table
-        assert endpoint.sparse[0] == 1 and endpoint.as_signed_pairs() is not None
+        assert endpoint.sparse[0] == 1 and signed_pairs(endpoint) is not None
 
 
 @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from octoverify import octonion as on
 from octoverify.octonion import ProductTable
 from octoverify.clifford import (
+    IntertwinerResult,
     SymmetricCliffordSystem,
     delta_dimension,
     find_intertwiner,
-    conjugation_residual,
     normalize_a_system,
     refined_residual,
     verify_a_system,
@@ -111,6 +111,14 @@ def test_normalize_rejects_bad_system():
     rep = verify_a_system(bad)
     assert not rep.passed
     assert rep.checks[0].detail["first_failing_pair"] == (1, 1)
+
+
+def conjugation_residual(result: IntertwinerResult, rep1: list, rep2: list) -> Fraction:
+    """max |O X_a - Y_a O| over the generators, for the intertwiner O of ``result``."""
+    if not result.found:
+        raise ValueError("no intertwiner to check")
+    O = result.matrix
+    return max((O @ A - B @ O).max_abs() for A, B in zip(rep1, rep2, strict=True))
 
 
 def test_find_intertwiner_conjugated():

@@ -17,7 +17,6 @@ from octoverify.identities import (
     norm_identity_check,
     obstruction_c_minus_one,
     ot_candidate,
-    quaternion_c_minus_one_candidate,
     r_form,
     skew_suite,
 )
@@ -180,6 +179,14 @@ def test_obstruction_values():
         obstruction_c_minus_one(8, E[0], E[2], w)
     with pytest.raises(ValueError):
         obstruction_c_minus_one(8, x, on.scale(Fraction(2), E[2]), w)
+
+
+def quaternion_c_minus_one_candidate(x: tuple, y: tuple, w: tuple) -> tuple:
+    """The excluded c = -1 form q(X,Y,W) = (XY - YX)W - <W, XY - YX> e_0."""
+    comm = on.sub(on.multiply(x, y), on.multiply(y, x))
+    val = on.multiply(comm, w)
+    corr = on.scale(on.inner(w, comm), on.basis(0, len(x)))
+    return on.sub(val, corr)
 
 
 def test_quaternion_c_minus_one_candidate_violates_pairing():

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 import matrix_oracle as naive
 from octoverify import octonion as on
 from octoverify.linalg import Op, kernel_basis
-from octoverify.poly import MultiPoly
+from octoverify.circ import Side, nom_from_t
+from octoverify.poly import MultiPoly, monomial_key
 from octoverify.scalars import stack_vectors, sum_zero
 
 PROPS = settings(max_examples=60, deadline=None)
@@ -225,3 +226,154 @@ def test_ingress_refuses_anything_but_int_and_fraction(entry, pos, bad):
     values[pos] = bad
     with pytest.raises(TypeError):
         INGRESS[entry](values)
+
+
+# ---------------------------------------------------------------------------
+# polynomial coordinates: poly.weighted_products behind product and inner
+# ---------------------------------------------------------------------------
+
+PNV = 3
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+# monomials of degree <= 3 over PNV variables, repeated indices allowed
+monomials = st.lists(st.integers(0, PNV - 1), max_size=3).map(lambda idx: monomial_key(*idx))
+polys = st.dictionaries(monomials, small_fractions, max_size=4).map(lambda t: MultiPoly(PNV, t))
+# zeros of three kinds, ints, Fractions with unlike denominators, polynomials
+poly_coords = st.one_of(
+    st.just(0), st.just(Fraction(0)), st.just(MultiPoly.zero(PNV)), st.integers(-4, 4), small_fractions, polys
+)
+
+
+def _fraction_terms(c) -> dict:
+    """A coordinate as packed key -> Fraction coefficient."""
+    if isinstance(c, MultiPoly):
+        return c.fraction_terms()
+    return {0: Fraction(c)} if c else {}
+
+
+def _times(p: dict, q: dict) -> dict:
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return out
+
+
+def _accumulate(into: dict, w, p: dict) -> None:
+    for k, c in p.items():
+        into[k] = into.get(k, 0) + w * c
+
+
+def _reference_product(table, x, y) -> list:
+    """sum_ab x_a y_b (e_a e_b) pair by pair, in Fraction coefficients."""
+    out = [{} for _ in range(table.dim)]
+    for a, xa in enumerate(x):
+        for b, yb in enumerate(y):
+            pq = _times(_fraction_terms(xa), _fraction_terms(yb))
+            for k, w in enumerate(table.entries[a][b]):
+                _accumulate(out[k], Fraction(w), pq)
+    return [{k: c for k, c in o.items() if c} for o in out]
+
+
+def _with_a_poly(x):
+    """x, with a polynomial coordinate in front if it had none, so the sum
+    is polynomial."""
+    return x if any(isinstance(c, MultiPoly) for c in x) else (MultiPoly.variable(PNV, 0),) + x[1:]
+
+
+def _poly_vectors(dim):
+    return st.lists(poly_coords, min_size=dim, max_size=dim).map(tuple)
+
+
+def _half_table(dim):
+    return nom_from_t(Side.LEFT, Fraction(1, 2), axis=1 if dim == 4 else 4, dim=dim).table
+
+
+@PROPS
+@given(
+    st.sampled_from([4, 8]).flatmap(lambda d: st.tuples(_poly_vectors(d), _poly_vectors(d))),
+    st.sampled_from(["octonion", "t=1/2"]),
+)
+def test_polynomial_product_matches_the_per_pair_fraction_reference(xy, which):
+    x, y = xy
+    x = _with_a_poly(x)
+    dim = len(x)
+    table = on.PRODUCT_TABLES[dim] if which == "octonion" else _half_table(dim)
+    got = table.product(x, y, sum_zero(x, y))
+    assert all(type(g) is MultiPoly and g.nvars == PNV for g in got)
+    assert [g.fraction_terms() for g in got] == _reference_product(table, x, y)
+    # canonical: rebuilding from the Fraction coefficients changes nothing
+    assert all(MultiPoly(PNV, g.fraction_terms()) == g for g in got)
+
+
+def test_the_half_table_has_weights_other_than_one():
+    den, rows = _half_table(8).sparse
+    assert den == 25 and {abs(w) for row in rows for pairs in row for _, w in pairs} - {1, 25}
+
+
+@PROPS
+@given(st.sampled_from([4, 8]).flatmap(lambda d: st.tuples(_poly_vectors(d), _poly_vectors(d))))
+def test_polynomial_inner_matches_the_per_pair_fraction_reference(xy):
+    x, y = xy
+    x = _with_a_poly(x)
+    want = {}
+    for a, b in zip(x, y):
+        _accumulate(want, 1, _times(_fraction_terms(a), _fraction_terms(b)))
+    got = on.inner(x, y)
+    assert type(got) is MultiPoly and got.nvars == PNV
+    assert got.fraction_terms() == {k: c for k, c in want.items() if c}
+
+
+def test_polynomial_exponent_guard_in_product_and_inner():
+    v = MultiPoly.variable(1, 0)
+    x15, x16 = v**15, v**16
+    zero = Fraction(0)
+    pad = (zero,) * 3
+    for a, b in [((x16,) + pad, (x16,) + pad), ((x16,) + pad, (zero, x15, zero, zero))]:
+        with pytest.raises(OverflowError):
+            on.multiply(a, b)
+    with pytest.raises(OverflowError):
+        on.inner((x16, v), (x16, v))
+    assert on.multiply((x15,) + pad, (x15,) + pad)[0] == v**30
+    assert on.inner((x15, Fraction(2)), (x15, Fraction(3))) == v**30 + 6
+    # the bound from each operand's largest exponent fails here (16 + 16), but
+    # no pair of polynomials multiplies past 17, so nothing raises
+    assert on.inner((x16, v), (v, x16)) == 2 * v**17
+    # a rational factor adds no exponent
+    assert on.multiply((x16,) + pad, (Fraction(1, 2),) + pad)[0] == x16 * Fraction(1, 2)
+
+
+def test_empty_polynomial_slots_are_polynomial_zeros():
+    X = on.symbolic_octets(8, "X")[0]
+    e0 = on.basis(0, 8)
+    # only e_0 e_0 contributes: slots 1..7 receive no product
+    got = on.multiply((X[0],) + e0[1:], e0)
+    assert got[0] == X[0]
+    for g in got[1:]:
+        assert type(g) is MultiPoly and g.is_zero() and g.nvars == 8 and g.den == 1
+    # no pair of nonzero coordinates at all
+    got = on.multiply((MultiPoly.zero(8),) + e0[1:], e0)
+    assert all(type(g) is MultiPoly and g.is_zero() and g.nvars == 8 for g in got)
+    z = on.inner((X[1], Fraction(0)), (Fraction(0), X[2]))
+    assert type(z) is MultiPoly and z.is_zero() and z.nvars == 8
+
+
+def test_a_symbolic_octonion_product_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    X, Y = on.symbolic_octets(8, "XY")
+    # rational scaling and a constant term next to the variables
+    Y = on.add(on.scale(Fraction(2, 3), Y), on.scale(Fraction(-1, 5), on.basis(5)))
+    syms = sympy.symbols("v0:16")
+    xs = syms[:8]
+    ys = [sympy.Rational(2, 3) * s for s in syms[8:]]
+    ys[5] -= sympy.Rational(1, 5)
+    want = on.cayley_dickson_multiply(tuple(xs), tuple(ys))
+
+    def to_sympy(p):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(syms, exps)))
+             for exps, c in p.exponent_dict().items()),
+            sympy.Integer(0),
+        )
+
+    got = on.multiply(X, Y)
+    assert [sympy.expand(to_sympy(g) - w) for g, w in zip(got, want)] == [0] * 8

@@ -11,9 +11,7 @@ from octoverify.mirror import (
     cubic_components,
     mirror_points,
     p_star,
-    q_star_fkm,
     q_star_fkm_eval,
-    q_star_ot,
     q_star_ot_eval,
     sharp_from_q0,
     star_blocks_identity_check,
@@ -117,6 +115,16 @@ def test_p_star_values():
     assert v4.p_minus1 == 1 and v4.p_vec.coords == on.neg(e41)
     with pytest.raises(ValueError):
         EigenDecomp(E[0], ZERO, E[0])
+
+
+def q_star_fkm(nom, w: EigenDecomp) -> tuple:
+    """q*(W,W,W) = X(Y o Z) - Y o (XZ) at the eigen-decomposition W."""
+    return q_star_fkm_eval(nom, w.x, w.y, w.z)
+
+
+def q_star_ot(w: EigenDecomp) -> tuple:
+    """q*(W,W,W) = (XY - YX) Z at the eigen-decomposition W."""
+    return q_star_ot_eval(w.x, w.y, w.z)
 
 
 def test_q_star_fkm_values():

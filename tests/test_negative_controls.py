@@ -1,6 +1,7 @@
 """Negative controls for the proved checks of the algebra and nom suites: a
 planted defect must fail exactly the checks that state the identity it
-breaks.
+breaks.  The norm identity of the identities suite gets a perturbed
+candidate (the last test).
 
 A defect is a monkeypatch of table entries or of alpha, planted in the
 product that the checks under test see (``on.multiply``, the ``circ`` the
@@ -19,6 +20,8 @@ from octoverify import circ as circ_module
 from octoverify import cli
 from octoverify import octonion as on
 from octoverify.circ import Side, nom_from_t, verify_normalized
+from octoverify.identities import QCandidate, QLabel, fkm_candidate, norm_identity_check
+from octoverify.mirror import q_star_fkm_eval
 from octoverify.scalars import sum_zero
 
 HALF = Fraction(1, 2)
@@ -129,3 +132,18 @@ def test_a_defect_in_the_octonion_table_itself_stops_the_suites_at_a_preconditio
         [("completed", "ValueError: A#_5 is not skew-symmetric")],
     ]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_the_norm_identity_fails_on_a_perturbed_candidate(side):
+    nom = nom_from_t(side, HALF)
+    fkm = lambda X, Y, Z: q_star_fkm_eval(nom, X, Y, Z)
+    assert norm_identity_check(fkm_candidate(nom))
+    # components that differ from FKM's but keep its norm pass through the norms
+    negated_q = QCandidate(QLabel.CUSTOM, nom, lambda X, Y, Z: on.neg(fkm(X, Y, Z)))
+    assert negated_q.tensor != fkm_candidate(nom).tensor
+    assert norm_identity_check(negated_q) and "norm" in negated_q.verified
+    # adding <X, Y> Z changes the norm
+    perturbed = QCandidate(QLabel.CUSTOM, nom, lambda X, Y, Z: on.add(fkm(X, Y, Z), on.scale(on.inner(X, Y), Z)))
+    assert not norm_identity_check(perturbed)
+    assert "norm" not in perturbed.verified

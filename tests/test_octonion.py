@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from matrix_oracle import dense
+from matrix_oracle import dense, signed_pairs
 from octoverify import octonion as on
 from octoverify.circ import Nom, Side, left_ops, right_ops
 from octoverify.linalg import Op
@@ -25,7 +25,7 @@ def test_mult_table_invariants():
     # every entry is a signed basis vector; row 0 and column 0 are the
     # identity, and every row and column is a signed permutation
     for dim in (4, 8):
-        pairs = on.PRODUCT_TABLES[dim].as_signed_pairs()
+        pairs = signed_pairs(on.PRODUCT_TABLES[dim])
         assert pairs is not None
         assert pairs[0] == [(1, b) for b in range(dim)]
         assert [row[0] for row in pairs] == [(1, a) for a in range(dim)]

@@ -271,6 +271,37 @@ def test_stack_vectors_lifts_each_sample_to_its_own_lcm():
     assert type(zero) is SampleBatch and zero.values() == [0, 0] and not zero
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda dim: st.lists(
+            st.lists(st.one_of(st.integers(-9, 9), st.fractions(max_denominator=12)), min_size=dim, max_size=dim),
+            max_size=6,
+        )
+    )
+)
+def test_stack_vectors_equals_int_scaled_per_sample(vectors):
+    slot = stack_vectors(vectors)
+    scaled = [int_scaled(v) for v in vectors]
+    if not vectors:
+        assert slot == ()
+        return
+    assert [c.dens for c in slot] == [[d for d, _ in scaled]] * len(vectors[0])
+    assert [c.nums for c in slot] == [list(col) for col in zip(*(ints for _, ints in scaled))]
+    assert all(type(n) is int for c in slot for n in c.nums)
+
+
+def test_stack_vectors_checks_the_whole_chunk():
+    good = (Fraction(1, 2), 3)
+    with pytest.raises(TypeError):
+        stack_vectors([good, good, (Fraction(1), 0.5)])
+    with pytest.raises(TypeError):
+        stack_vectors([(True, 1), good])
+    with pytest.raises(ValueError):
+        stack_vectors([good, (Fraction(1),)])
+    assert stack_vectors([(), ()]) == ()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)), max_size=12))
 def test_int_scaled_agrees_with_fraction_arithmetic(values):
