@@ -14,17 +14,19 @@ reduces its result once, with one ``math.gcd(den, *numerators)``; no
 ``Fraction`` is built on the way.  Polynomials are multiplied in one place,
 ``weighted_products``: it sums w * p * q over a list of (weight, factor,
 factor) triples per output straight into one int-numerator dict over one
-common denominator, with a rational factor scaling the other's numerators.
-``MultiPoly.__mul__`` is its one-triple case, and the octonion kernels
-(``ProductTable.product``, ``inner``) hand it every output slot's triples,
-so a product of polynomial coordinates builds no polynomial per pair.
-``fraction_terms`` hands the coefficients out as ``Fraction`` values to the
-few readers that want them (``dump``, ``exponent_dict``, the expansion-form
-extraction).  ``eval_many`` decodes each packed key once for all its
-points, clears each point's denominators once and sums in ints too;
-``eval`` is ``eval_many`` at one point, so there is one evaluator.  This is the only representation: the Muenzner verifier
-reads ``terms`` and ``den`` directly instead of keeping an integer copy of
-its own.
+common denominator, with a rational factor scaling the other's numerators,
+and sums a square's cross terms once, doubled.  ``MultiPoly.__mul__`` is
+its one-triple case, and the octonion kernels (``ProductTable.product``,
+``inner``) hand it every output slot's triples, so a product of polynomial
+coordinates builds no polynomial per pair.  ``substitute_linear``, F
+(``systems.fkm_polynomial``), the Muenzner gradient identity and ``Rt2Poly``
+products are each one call of it too; no other loop multiplies and sums
+polynomial terms.  ``fraction_terms`` hands the coefficients out as
+``Fraction`` values to the few readers that want them (``dump``,
+``exponent_dict``, the expansion-form extraction).  ``eval_many`` decodes
+each packed key once for all its points, clears each point's denominators
+once and sums in ints too; ``eval`` is ``eval_many`` at one point, so there
+is one evaluator.
 
 Only ints and ``Fraction`` enter, by the rule of ``scalars.int_scaled``,
 which clears the denominators of the constructor's coefficients and of each
@@ -359,17 +361,6 @@ class MultiPoly:
         return out
 
     # -- structure ----------------------------------------------------------
-    def total_degree(self) -> int:
-        deg = 0
-        for k in self.terms:
-            d = 0
-            kk = k
-            while kk:
-                d += kk & _EXP_MASK
-                kk >>= BITS
-            deg = max(deg, d)
-        return deg
-
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degs = set()
         for k in self.terms:
@@ -386,39 +377,38 @@ class MultiPoly:
         return degree is None or degs.pop() == degree
 
     def substitute_linear(self, forms: list["MultiPoly"]) -> "MultiPoly":
-        """Compose with x_i -> forms[i]; forms share a target variable space."""
+        """Compose with x_i -> forms[i]; the forms share one target variable
+        space, and a form over another raises ValueError.
+
+        Each monomial is split into two halves of its variables.  Each
+        distinct half is composed once, as the composition of its prefix
+        times one form, and every c * lo * hi is summed by one
+        ``weighted_products`` call over ``den``."""
         if len(forms) != self.nvars:
             raise ValueError("need one substitution form per variable")
         tv = forms[0].nvars
-        # a product of d forms has a denominator dividing m**d, so m**degree
-        # is a common denominator for every term
-        scale = lcm(*(lf.den for lf in forms)) ** self.total_degree()
-        out: dict[int, int] = {}
-        get = out.get
+        if any(lf.nvars != tv for lf in forms):
+            raise ValueError(f"forms over different nvars: {sorted({lf.nvars for lf in forms})}")
+        halves = [MultiPoly.const(tv, 1)]
+        at = {0: 0}  # packed key of a half -> its composition's place in halves
+
+        def compose(indices) -> int:
+            key = place = 0
+            for i in indices:
+                key += 1 << (BITS * i)
+                nxt = at.get(key)
+                if nxt is None:
+                    nxt = at[key] = len(halves)
+                    halves.append(halves[place] * forms[i])
+                place = nxt
+            return place
+
+        triples = []
         for k, c in self.terms.items():
-            term = None
-            kk = k
-            i = 0
-            while kk:
-                e = kk & _EXP_MASK
-                for _ in range(e):
-                    term = forms[i] if term is None else term * forms[i]
-                kk >>= BITS
-                i += 1
-            if term is None:
-                c *= scale
-                items = ((0, 1),)
-            else:
-                c *= scale // term.den
-                items = term.terms.items()
-            for k2, c2 in items:
-                v = get(k2)
-                s = c * c2 if v is None else v + c * c2
-                if s:
-                    out[k2] = s
-                elif v is not None:
-                    del out[k2]
-        return MultiPoly._adopt(tv, out, self.den * scale)
+            indices = [i for i, e in monomial_exponents(k) for _ in range(e)]
+            h = len(indices) // 2
+            triples.append((c, compose(indices[:h]), compose(indices[h:])))
+        return weighted_products(tv, halves, halves, [triples], self.den)[0]
 
     # -- serialization ------------------------------------------------------
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -453,10 +443,11 @@ class MultiPoly:
 def _operand(nvars: int, coords) -> tuple[int, list, int]:
     """One operand of ``weighted_products`` as its loop reads it: (den,
     factors, maxexp).  den is the lcm of the coordinates' denominators;
-    factor a is (scale, items): a polynomial coordinate is its numerator
-    items times the int scale, over den, and a rational one is the int
-    scale over den, with items None; maxexp bounds the largest ``maxexp``
-    of the polynomial coordinates, read from their ``_expbound``s."""
+    factor a is (scale, terms): a polynomial coordinate is its numerator
+    dict ``terms`` times the int scale, over den, and a rational one is the
+    int scale over den, with terms None; maxexp bounds the largest
+    ``maxexp`` of the polynomial coordinates, read from their
+    ``_expbound``s."""
     dens, factors, top = [], [], 0
     for c in coords:
         kind = type(c)
@@ -464,7 +455,7 @@ def _operand(nvars: int, coords) -> tuple[int, list, int]:
             if c.nvars != nvars:
                 raise ValueError(f"nvars mismatch: {nvars} != {c.nvars}")
             dens.append(c.den)
-            factors.append((1, c.terms.items()))
+            factors.append((1, c.terms))
             m = c._expbound
             if m is None:
                 m = c.maxexp
@@ -481,7 +472,7 @@ def _operand(nvars: int, coords) -> tuple[int, list, int]:
             raise TypeError(f"{c!r} is not a MultiPoly, an int or a Fraction")
     den = lcm(*dens)
     if den != 1:
-        factors = [(s * (den // d), items) for (s, items), d in zip(factors, dens)]
+        factors = [(s * (den // d), terms) for (s, terms), d in zip(factors, dens)]
     return den, factors, top
 
 
@@ -490,14 +481,18 @@ def weighted_products(nvars: int, x, y, slots, den: int = 1) -> list[MultiPoly]:
     one per entry ``triples`` of ``slots``, for coordinates x, y that are
     ``MultiPoly``s over ``nvars`` variables, ints or Fractions, and int
     weights w.  This is the one product of polynomials: ``MultiPoly.__mul__``
-    is its one-triple case, and ``octonion.ProductTable.product`` and
-    ``octonion.inner`` hand it the triples of every output slot.
+    is its one-triple case, ``octonion.ProductTable.product`` and
+    ``octonion.inner`` hand it the triples of every output slot, and F, the
+    Muenzner identity, ``MultiPoly.substitute_linear`` and ``Rt2Poly``
+    products are each one call.  x and y may be the same sequence.
 
     Each operand's denominators are cleared once, to their lcm, so a slot
     sums its products as int numerators straight into one dict over one
     common denominator and is reduced once, by ``MultiPoly._adopt``.  A
     rational coordinate scales the other factor's numerators; it is never
-    made a constant polynomial.
+    made a constant polynomial.  A square, a triple whose two factors are
+    one polynomial (``p * p``, ``norm_sq``), adds each cross term once,
+    doubled, over the upper triangle of its term pairs.
 
     The exponent guard is checked once per call, from each operand's
     largest ``maxexp`` or the bound on it that the coordinate carries
@@ -506,7 +501,7 @@ def weighted_products(nvars: int, x, y, slots, den: int = 1) -> list[MultiPoly]:
     ``OverflowError`` exactly when one of its pairs of polynomials could
     leave the packing range.  The sum that passed is the results' bound."""
     dx, fx, mx = _operand(nvars, x)
-    dy, fy, my = _operand(nvars, y)
+    dy, fy, my = (dx, fx, mx) if y is x else _operand(nvars, y)
     bound = mx + my
     if bound > _EXP_MAX:
         # the operands' bounds fail: take the exact exponents of each pair
@@ -529,10 +524,21 @@ def weighted_products(nvars: int, x, y, slots, den: int = 1) -> list[MultiPoly]:
                     acc[0] = get(0, 0) + s
                     continue
             if pb is None:
-                for k, c in pa:
+                for k, c in pa.items():
                     acc[k] = get(k, 0) + c * s
+            elif pa is pb:
+                items = list(pa.items())
+                for i, (k1, c1) in enumerate(items):
+                    cs = c1 * s
+                    k = k1 + k1
+                    acc[k] = get(k, 0) + cs * c1
+                    cs += cs
+                    for k2, c2 in items[i + 1 :]:
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + cs * c2
             else:
-                for k1, c1 in pa:
+                pb = pb.items()
+                for k1, c1 in pa.items():
                     c1 *= s
                     for k2, c2 in pb:
                         k = k1 + k2
@@ -581,7 +587,9 @@ class Rt2Poly:
 
     def __mul__(self, other):
         if isinstance(other, Rt2Poly):
-            return Rt2Poly(self.a * other.a + 2 * (self.b * other.b), self.a * other.b + self.b * other.a)
+            # (a + sqrt2 b)(a' + sqrt2 b') = aa' + 2bb' + sqrt2 (ab' + ba')
+            slots = (((1, 0, 0), (2, 1, 1)), ((1, 0, 1), (1, 1, 0)))
+            return Rt2Poly(*weighted_products(self.a.nvars, (self.a, self.b), (other.a, other.b), slots))
         return Rt2Poly(self.a * other, self.b * other)
 
     __rmul__ = __mul__
@@ -613,37 +621,6 @@ def rt2_poly(nvars: int, terms: Iterable[tuple[int, Fraction, int]]) -> Rt2Poly:
 # ---------------------------------------------------------------------------
 # the Muenzner verifier
 # ---------------------------------------------------------------------------
-
-def _int_square_into(acc: dict[int, int], p: dict[int, int], scale: int = 1) -> None:
-    items = list(p.items())
-    m = len(items)
-    for i in range(m):
-        k1, c1 = items[i]
-        kk = k1 + k1
-        w = scale * c1 * c1
-        v = acc.get(kk)
-        acc[kk] = w if v is None else v + w
-        c1d = 2 * scale * c1
-        for j in range(i + 1, m):
-            k2, c2 = items[j]
-            k = k1 + k2
-            w = c1d * c2
-            v = acc.get(k)
-            acc[k] = w if v is None else v + w
-
-
-def _int_norm_power(nvars: int, power: int) -> dict[int, int]:
-    base = {2 << (BITS * i): 1 for i in range(nvars)}
-    out = {0: 1}
-    for _ in range(power):
-        nxt: dict[int, int] = {}
-        for k1, c1 in out.items():
-            for k2, c2 in base.items():
-                k = k1 + k2
-                nxt[k] = nxt.get(k, 0) + c1 * c2
-        out = nxt
-    return out
-
 
 def munzner_verify(
     f: MultiPoly,
@@ -701,25 +678,14 @@ def munzner_verify(
         rep.add("laplacian_identity_randomized", ok_lap_pos or ok_lap_neg, detail={"sign": sign})
         return rep
 
-    # |grad(den F)|^2 in ints: each partial is over a denominator dividing den
-    den = f.den
-    acc: dict[int, int] = {}
-    for gp in f.gradient():
-        _int_square_into(acc, gp.terms, (den // gp.den) ** 2)
-    target = _int_norm_power(n, g - 1)
-    gg = g * g * den * den
-    for k, c in target.items():
-        v = acc.get(k, 0) - gg * c
-        if v:
-            acc[k] = v
-        else:
-            acc.pop(k, None)
-    grad_ok = all(v == 0 for v in acc.values())
-    rep.add("gradient_identity", grad_ok, detail={"residual_terms": sum(1 for v in acc.values() if v)})
+    grads = f.gradient()
+    grad_sq = weighted_products(n, grads, grads, [[(1, i, i) for i in range(n)]])[0]
+    residual = grad_sq - g * g * norm_sq_poly(n) ** max(g - 1, 0)
+    rep.add("gradient_identity", not residual, detail={"residual_terms": len(residual.terms)})
 
     # g < 2 forces m1 == m2, so lap_half is 0 wherever the power is clamped
     lap = f.laplacian()
-    want = MultiPoly(n, {k: lap_half * c for k, c in _int_norm_power(n, max(g - 2, 0) // 2).items()})
+    want = lap_half * norm_sq_poly(n) ** (max(g - 2, 0) // 2)
     sign = 1 if lap == want else (-1 if lap == -want else 0)
     rep.add("laplacian_identity", sign != 0, detail={"sign": sign})
     return rep

@@ -39,7 +39,15 @@ from . import octonion as on
 from .circ import Nom, Side, circ, right_ops
 from .clifford import SymmetricCliffordSystem, volume_sign
 from .linalg import Op
-from .poly import MultiPoly, Rt2Poly, monomial_exponents, monomial_key, norm_sq_poly, rt2_poly
+from .poly import (
+    MultiPoly,
+    Rt2Poly,
+    monomial_exponents,
+    monomial_key,
+    norm_sq_poly,
+    rt2_poly,
+    weighted_products,
+)
 from .report import Report
 from .scalars import DeterministicRng, random_unit_rational_vector
 
@@ -138,19 +146,19 @@ def fkm_polynomial(system: SymmetricCliffordSystem) -> MultiPoly:
     """F(x) = <x,x>^2 - 2 sum_i <P_i x, x>^2, homogeneous of degree 4.
 
     Each quadratic form <P x, x> is built from the int numerators of P over
-    its denominator."""
+    its denominator, and F is one ``weighted_products`` call over
+    [|x|^2, <P_i x, x>...]."""
     n = system.dim
-    r2 = norm_sq_poly(n)
-    f = r2 * r2
+    quads = [norm_sq_poly(n)]
     for m in system.operators:
         q: dict = {}
         for r, row in enumerate(m.rows):
             for k, c in row.items():
                 key = monomial_key(r, k)
                 q[key] = q.get(key, 0) + c
-        qp = MultiPoly._adopt(n, {key: c for key, c in q.items() if c}, m.den)
-        f = f - 2 * (qp * qp)
-    return f
+        quads.append(MultiPoly._adopt(n, {key: c for key, c in q.items() if c}, m.den))
+    triples = [(1, 0, 0)] + [(-2, i, i) for i in range(1, len(quads))]
+    return weighted_products(n, quads, quads, [triples])[0]
 
 
 def focal_check(system: SymmetricCliffordSystem, x: ScaledVec) -> bool:

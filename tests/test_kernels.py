@@ -16,7 +16,7 @@ import matrix_oracle as naive
 from octoverify import octonion as on
 from octoverify.linalg import Op, kernel_basis
 from octoverify.circ import Side, nom_from_t
-from octoverify.poly import MultiPoly, monomial_key
+from octoverify.poly import MultiPoly, monomial_key, weighted_products
 from octoverify.scalars import stack_vectors, sum_zero
 
 PROPS = settings(max_examples=60, deadline=None)
@@ -320,6 +320,35 @@ def test_polynomial_inner_matches_the_per_pair_fraction_reference(xy):
         _accumulate(want, 1, _times(_fraction_terms(a), _fraction_terms(b)))
     got = on.inner(x, y)
     assert type(got) is MultiPoly and got.nvars == PNV
+    assert got.fraction_terms() == {k: c for k, c in want.items() if c}
+
+
+def _copy(c):
+    """An equal coordinate that is a distinct object (and, for a polynomial,
+    holds distinct terms), so a product with it is not a square."""
+    return MultiPoly(c.nvars, c.fraction_terms()) if isinstance(c, MultiPoly) else c
+
+
+weights = st.integers(-7, 7).filter(bool)
+
+
+@PROPS
+@given(polys, st.lists(poly_coords, min_size=1, max_size=6), st.data())
+def test_squares_equal_the_products_of_distinct_copies(p, x, data):
+    p2 = _copy(p)
+    assert p2 == p and p2.terms is not p.terms
+    assert p * p == p * p2
+    assert p**3 == p * p2 * p
+    x = _with_a_poly(tuple(x))
+    x2 = tuple(map(_copy, x))
+    assert on.norm_sq(x) == on.inner(x, x2)
+    # weights other than +-1, squares beside cross terms, over one operand
+    triples = [(data.draw(weights), i, data.draw(st.integers(0, len(x) - 1))) for i in range(len(x))]
+    got = weighted_products(PNV, x, x, [triples], 3)[0]
+    assert got == weighted_products(PNV, x, x2, [triples], 3)[0]
+    want = {}
+    for w, a, b in triples:
+        _accumulate(want, Fraction(w, 3), _times(_fraction_terms(x[a]), _fraction_terms(x[b])))
     assert got.fraction_terms() == {k: c for k, c in want.items() if c}
 
 

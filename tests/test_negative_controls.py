@@ -1,7 +1,7 @@
 """Negative controls for the proved checks of the algebra and nom suites: a
 planted defect must fail exactly the checks that state the identity it
 breaks.  The norm identity of the identities suite gets a perturbed
-candidate (the last test).
+candidate, and the Muenzner suite a perturbed F (the last two tests).
 
 A defect is a monkeypatch of table entries or of alpha, planted in the
 product that the checks under test see (``on.multiply``, the ``circ`` the
@@ -22,7 +22,9 @@ from octoverify import octonion as on
 from octoverify.circ import Side, nom_from_t, verify_normalized
 from octoverify.identities import QCandidate, QLabel, fkm_candidate, norm_identity_check
 from octoverify.mirror import q_star_fkm_eval
+from octoverify.poly import MultiPoly, monomial_key
 from octoverify.scalars import sum_zero
+from octoverify.systems import fkm_polynomial
 
 HALF = Fraction(1, 2)
 E56 = [(5, 6), (6, 5)]  # e5 e6 and e6 e5: both factors outside the quaternions
@@ -147,3 +149,27 @@ def test_the_norm_identity_fails_on_a_perturbed_candidate(side):
     perturbed = QCandidate(QLabel.CUSTOM, nom, lambda X, Y, Z: on.add(fkm(X, Y, Z), on.scale(on.inner(X, Y), Z)))
     assert not norm_identity_check(perturbed)
     assert "norm" not in perturbed.verified
+
+
+@pytest.mark.parametrize("algebra, side", [("octonion", "left"), ("octonion", "right"), ("quaternion", "left")])
+def test_the_munzner_suite_fails_on_a_perturbed_f(monkeypatch, algebra, side):
+    # F + x0 x1 x2 x3 is still homogeneous of degree 4 and harmonic in the
+    # added term, so only the gradient identity breaks, for both F the suite
+    # builds; the focal point has a zero among x0..x3, so F there is unchanged
+    def planted(system):
+        f = fkm_polynomial(system)
+        return f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1})
+
+    monkeypatch.setattr(cli, "fkm_polynomial", planted)
+    report, code = cli.run(cli.RunConfig(algebra=algebra, alpha_t=HALF, side=side, suites=("munzner",), trials=20))
+    assert code == 1
+    (suite,) = report["suites"]
+    assert [c["name"] for c in suite["checks"] if not c["pass"]] == [
+        "fkm_munzner_exact",
+        "fkm_munzner_randomized_agrees",
+        "ot_munzner_exact",
+    ]
+    for name in ("fkm_munzner_exact", "ot_munzner_exact"):
+        detail = next(c["detail"] for c in suite["checks"] if c["name"] == name)
+        assert detail["gradient_identity"]["residual_terms"] > 0
+        assert detail["laplacian_identity"]["sign"] != 0

@@ -4,12 +4,17 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octoverify.poly import MultiPoly, Rt2Poly, monomial_key, munzner_verify, norm_sq_poly
+from octoverify.poly import MultiPoly, Rt2Poly, monomial_exponents, monomial_key, munzner_verify, norm_sq_poly
 from octoverify.scalars import DeterministicRng, random_rational
 
 
 def vp(n, i):
     return MultiPoly.variable(n, i)
+
+
+def total_degree(p: MultiPoly) -> int:
+    """Largest total degree of any term of p (0 for the zero polynomial)."""
+    return max((sum(e for _, e in monomial_exponents(k)) for k in p.terms), default=0)
 
 
 def test_basic_products():
@@ -96,7 +101,7 @@ def test_structure_queries():
     p = vp(n, 0) * vp(n, 1) + vp(n, 2) * vp(n, 2)
     assert p.is_homogeneous(2)
     assert not (p + vp(n, 0)).is_homogeneous()
-    assert p.total_degree() == 2
+    assert total_degree(p) == 2
     assert MultiPoly.zero(n).is_homogeneous(17)
 
 
@@ -106,6 +111,52 @@ def test_substitute_linear():
     u, v = vp(2, 0), vp(2, 1)
     out = p.substitute_linear([u + v, u - v])
     assert out == u * u - v * v
+
+
+def test_substitute_linear_rejects_forms_of_different_nvars():
+    # x2 is not a variable of a 2-variable target: the forms must agree
+    with pytest.raises(ValueError, match="nvars"):
+        (vp(2, 0) + vp(2, 1)).substitute_linear([vp(2, 0), vp(3, 2)])
+    with pytest.raises(ValueError, match="nvars"):
+        vp(2, 0).substitute_linear([vp(3, 0), vp(2, 1)])
+    with pytest.raises(ValueError):
+        vp(2, 0).substitute_linear([vp(2, 0)])
+
+
+def test_substitute_linear_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
+    n, m = 4, 3
+    R, *xs = ring(",".join(f"x{i}" for i in range(n)), QQ)
+    S, *us = ring(",".join(f"u{j}" for j in range(m)), QQ)
+    rng = DeterministicRng(23)
+    # a degree-4 polynomial with a square, a cube, a fourth power and a
+    # constant, through rational affine forms
+    f = MultiPoly.const(n, Fraction(-2, 7))
+    want = R(QQ(-2, 7))
+    for idx in [(0, 1, 2, 3), (0, 0, 1, 3), (2, 2, 2), (1, 1, 1, 1), (3, 0), (2,)]:
+        c = random_rational(rng, 5)
+        f = f + c * MultiPoly(n, {monomial_key(*idx): 1})
+        want += QQ(c.numerator, c.denominator) * sympy.prod([xs[i] for i in idx], start=R.one)
+    forms, images = [], []
+    for _ in range(n):
+        c0 = random_rational(rng, 4)
+        lf, im = MultiPoly.const(m, c0), S(QQ(c0.numerator, c0.denominator))
+        for j in range(m):
+            c = random_rational(rng, 6)
+            lf, im = lf + c * vp(m, j), im + QQ(c.numerator, c.denominator) * us[j]
+        forms.append(lf)
+        images.append(im)
+    got = f.substitute_linear(forms)
+    composed = S.zero
+    for exps, c in want.terms():
+        term = S(c)
+        for i, e in enumerate(exps):
+            term *= images[i] ** e
+        composed += term
+    assert {tuple(e): Fraction(c.numerator, c.denominator) for e, c in composed.terms()} == got.exponent_dict()
 
 
 def test_dump_parse_round_trip():
@@ -216,7 +267,8 @@ def test_substitute_linear_agrees_with_evaluation(data):
     f = MultiPoly.zero(n)
     for _ in range(data.draw(st.integers(0, 6))):
         mono = MultiPoly.const(n, data.draw(rationals))
-        for _ in range(data.draw(st.integers(0, 3))):
+        # up to degree 5: odd splits, repeated variables and constants
+        for _ in range(data.draw(st.integers(0, 5))):
             mono = mono * vp(n, data.draw(st.integers(0, n - 1)))
         f = f + mono
     forms = []
@@ -421,3 +473,22 @@ def test_eval_many_checks_every_point_before_evaluating(pos, monkeypatch):
     floaty[pos] = [1, 0.5, 2]
     with pytest.raises(TypeError):
         p.eval_many(floaty)
+
+
+def test_munzner_residual_terms_of_a_planted_f(fkm_polys):
+    # |x|^4 on R^5 meets the gradient identity; plant m = x0 x1 x2 x3.  The
+    # residual is 2 <grad |x|^4, grad m> + |grad m|^2 = 32 |x|^2 m +
+    # sum_i (m / x_i)^2: five terms x_k^2 m and four x_j^2 x_k^2 x_l^2
+    n = 5
+    s = norm_sq_poly(n)
+    m = MultiPoly(n, {monomial_key(0, 1, 2, 3): 1})
+    rep = munzner_verify(s * s + m, 4, 1, 2)
+    assert rep.checks[0].name == "gradient_identity" and not rep.checks[0].passed
+    assert rep.checks[0].detail == {"residual_terms": 9}
+    # the octonion FKM F at t = 0 with the same term planted
+    f = fkm_polys[("left", Fraction(0))]
+    rep = munzner_verify(f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1}), 4, 7, 8)
+    assert {c.name: (c.passed, c.detail) for c in rep.checks} == {
+        "gradient_identity": (False, {"residual_terms": 292}),
+        "laplacian_identity": (True, {"sign": -1}),
+    }

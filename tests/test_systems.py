@@ -137,6 +137,30 @@ def test_fkm_polynomial_properties(fkm_systems, fkm_polys):
     assert f.eval(list(frame.point.coords)) == 4
 
 
+@pytest.mark.parametrize("which", ["fkm t=0", "fkm t=1/2", "ot"])
+def test_fkm_polynomial_matches_sympy(which):
+    # F = |x|^4 - 2 sum_i (x^T P_i x)^2 expanded by sympy's sparse rings, at d = 4
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
+    if which == "ot":
+        system = build_ot_system(4).system
+    else:
+        t = Fraction(0) if which == "fkm t=0" else Fraction(1, 2)
+        system = build_fkm_system(nom_from_t(Side.LEFT, t, axis=1, dim=4)).system
+    n = system.dim
+    R, *xs = ring(",".join(f"x{i}" for i in range(n)), QQ)
+    r2 = sum((x * x for x in xs), R.zero)
+    want = r2 * r2
+    for op in system.operators:
+        q = sum((QQ(c, op.den) * xs[r] * xs[k] for r, row in enumerate(op.rows) for k, c in row.items()), R.zero)
+        want -= 2 * q * q
+    got = fkm_polynomial(system)
+    assert got.nvars == n
+    assert got.exponent_dict() == {tuple(e): Fraction(c.numerator, c.denominator) for e, c in want.terms()}
+
+
 def test_munzner_fkm_and_ot(fkm_polys, ot_octonion_poly):
     f = fkm_polys[("left", Fraction(1, 2))]
     rep = munzner_verify(f, 4, 7, 8)
