@@ -173,8 +173,9 @@ class RunConfig:
 
 class RunContext:
     """What one run builds once and its suites share: the configured nom, the
-    q* candidates (with the ``verified`` flags their batteries set), the FKM
-    and OT systems and their polynomials ``F``.
+    q* candidates (with their coefficient tables and the ``verified`` flags
+    their batteries set), the FKM and OT systems and their polynomials
+    ``F``.
 
     No consumer mutates a system or an ``F`` (munzner, mirror, classify and
     ``--dump-poly`` only read operators, splits, frames and terms), so one

@@ -6,19 +6,26 @@ the two families are
     OT:  q(X, Y, Z) = (XY - YX) Z           (o = the algebra product)
     FKM: q(X, Y, Z) = X (Y o Z) - Y o (X Z)  for a normalized o
 
-Each battery states each identity once, as a function of its named slots
-that returns the values that must vanish, and checks it through one of two
-drivers in ``report``: ``proved`` on ``octonion.symbolic_octets`` slots
-(multilinear slots carry polynomial coordinates, so a pass is a genuine
-proof of the identity) or ``sampled`` on seeded ``octonion.random_octets``
-draws, in the same slot layout, recorded as witnesses.  Where an identity is
-checked both ways, the two witnesses share its one residual function.
+Each candidate carries one coefficient table of its ``eval``
+(``QCandidate.table``, a ``mirror.TrilinearTable``), built on first use from
+one symbolic evaluation on full slots, which also checks that ``eval`` is
+trilinear; ``r_form`` contracts it at rational slots.  Each battery states
+each identity once, as the values that must vanish, and checks it through
+one of two drivers in ``report``: ``proved`` or ``sampled`` on seeded
+``octonion.random_octets`` draws, recorded as witnesses.  A proved
+identity is a polynomial in free slots that vanishes exactly when each of
+its coefficients does.  The skew and anti batteries evaluate ``eval`` on
+``octonion.symbolic_octets`` slots to get it; the exchange battery, whose
+other slots hold basis vectors or their products, reads each coefficient
+off the table as a sum of entries (``exchange_suite``).  Either way a pass
+is a proof of the identity.  Where an identity is checked both ways, the
+two witnesses share its one residual function.
 
 Classification compares components: each candidate carries the cubic
-component polynomials of its ``eval`` (``QCandidate.tensor``, built once by
-``mirror.cubic_components``), and ``classify_q`` matches them against those
-of the endpoint candidates (OT, FKM-left and FKM-right at alpha = e_0).  The
-closed forms themselves live only in ``mirror.q_star_ot_eval`` and
+component polynomials of its ``eval`` (``QCandidate.tensor``, read off its
+table), and ``classify_q`` matches them against those of the endpoint
+candidates (OT, FKM-left and FKM-right at alpha = e_0).  The closed forms
+themselves live only in ``mirror.q_star_ot_eval`` and
 ``mirror.q_star_fkm_eval``.
 """
 
@@ -27,12 +34,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 from . import octonion as on
 from .circ import Nom, Side, circ, cos_sin_2theta, theta_axis
-from .mirror import cubic_components, q_star_fkm_eval, q_star_ot_eval
+from .mirror import TrilinearTable, q_star_fkm_eval, q_star_ot_eval
 from .poly import MultiPoly
 from .report import Report, WitnessReport, proved, sampled
 from .scalars import DeterministicRng
@@ -49,8 +56,8 @@ class QLabel(enum.Enum):
 @dataclass
 class QCandidate:
     """A trilinear candidate q* with the ``verified`` flags its batteries
-    set.  ``tensor`` is cached on first use, so a different ``eval`` needs a
-    new candidate."""
+    set.  ``table`` and ``tensor`` are cached on first use, so a different
+    ``eval`` needs a new candidate."""
 
     label: QLabel
     nom: Nom
@@ -62,9 +69,16 @@ class QCandidate:
         return self.nom.dim
 
     @cached_property
+    def table(self) -> TrilinearTable:
+        """The coefficients of ``eval`` on basis triples, from its one
+        symbolic evaluation (``TrilinearTable.of``)."""
+        return TrilinearTable.of(self.eval, self.dim)
+
+    @cached_property
     def tensor(self) -> tuple:
-        """The components of ``eval`` as cubic polynomials (``cubic_components``)."""
-        return cubic_components(self.eval, self.dim)
+        """The components of ``eval`` as cubic polynomials, read off ``table``
+        (``TrilinearTable.components``)."""
+        return self.table.components()
 
 
 def fkm_candidate(nom: Nom) -> QCandidate:
@@ -85,9 +99,10 @@ def ot_candidate(dim: int = 8) -> QCandidate:
 
 
 def r_form(q: QCandidate, x: tuple, y: tuple) -> tuple:
+    """R(X, Y) = q(X, Y, e_0) at rational X, Y, contracted from ``q.table``."""
     if x[0] != 0 or y[0] != 0:
         raise ValueError("X, Y must be purely imaginary")
-    return q.eval(x, y, on.basis(0, q.dim))
+    return q.table.contract(x, y, on.basis(0, q.dim))
 
 
 def crucial_classify(q: QCandidate, x: tuple, y: tuple) -> Report:
@@ -145,52 +160,69 @@ def exchange_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: 
     imaginary-vector corollaries, verified symbolically over free slots and on
     random samples.
 
-    The symbolic identities evaluate q through a memo keyed by the argument
-    triple (X, Y, Z), local to this call, so each distinct triple is evaluated
-    once: q(e_a, Y, e_a) and q(X, e_a, e_a) do not depend on p, and the
-    e_0-slot right-hand sides repeat between the identities.  Every instance
-    is still checked.  The sampled battery evaluates q directly."""
+    The symbolic identities are read off ``q.table``, T[k; i, j, l] =
+    <q(e_i, e_j, e_l), e_k>, with the purely imaginary X and Y as free slots.
+    The two bilinear ones vanish exactly when the coefficients of their
+    monomials do: T[a; i, j, a] for q(X,Y,e_a) _|_ e_a, and the symmetric
+    parts of (k, i) -> T[k; i, j, 0] and (k, j) -> T[k; i, j, 0] for
+    q(X,Y,e_0) _|_ X, Y.  In the loops over (a, p) every slot but one holds
+    a basis vector or a product of two, so each instance is a linear form in
+    its free slot, checked coefficient by coefficient: the coefficient of
+    y_f in <q(e_a,Y,e_p),e_a> + <q(e_a conj(e_p),Y,e_0),e_a> is
+    T[a; a, f, p] + sum_k v_k T[a; k, f, 0] with v = e_a conj(e_p) read off
+    the product's ``ProductTable.sparse``; each (a, p) is one instance of
+    its witness.  The sampled battery evaluates q directly."""
     dim = q.dim
     rng = rng or DeterministicRng(6)
     nomc = q.nom
     E = [on.basis(i, dim) for i in range(dim)]
-    qm = cache(q.eval)  # the symbolic identities' memo, dropped when this call returns
+    coeff = q.table.coeff  # den * T[k; i, j, l]
+    im = range(1, dim)  # the coordinates of the purely imaginary slots X, Y
 
-    # basis-slot battery, symbolic in X and/or Y, exhaustive over indices; the
-    # same two identities hold in the X slot with the algebra product and in
-    # the Y slot with o
-    xs, ys = on.symbolic_octets(dim, "xy")
-    o = partial(circ, nomc)
+    def at(slot, k, s, f, l):
+        """den * <q(e_s, e_f, e_l), e_k> for slot "X", den * <q(e_f, e_s, e_l), e_k> for slot "Y"."""
+        return coeff(k, s, f, l) if slot == "X" else coeff(k, f, s, l)
 
-    def q_in(slot, v, z):
-        """q(v, Y, z) for slot "X", q(X, v, z) for slot "Y"."""
-        return qm(v, ys, z) if slot == "X" else qm(xs, v, z)
+    def exchange(slot, product, instances):
+        """Per instance ((k, s, l), (eps, g, h, c)) of ``instances``, the
+        free coordinates f whose coefficient in
+        <q(e_s, ., e_l), e_k> + eps <q(e_g * e_h, ., e_0), e_c>
+        does not vanish: e_s and the product e_g * e_h (``product``'s table)
+        fill ``slot``, and the other of X, Y is free."""
+        den, rows = product.sparse
+        for (k, s, l), (eps, g, h, c) in instances:
+            v = rows[g][h]
+            yield [f for f in im if den * at(slot, k, s, f, l) + eps * sum(w * at(slot, c, m, f, 0) for m, w in v)]
 
-    def exchange_ap(slot, mul):
-        """<q(e_a, e_p), e_a> + <q(mul(e_a, conj(e_p)), e_0), e_a> over all (a, p)."""
-        for ea in E:
-            for ep in E:
-                yield on.inner(q_in(slot, ea, ep), ea) + on.inner(q_in(slot, mul(ea, on.conjugate(ep)), E[0]), ea)
-
-    def exchange_aa(slot, mul):
-        """<q(e_a, e_a), e_p> + <q(mul(e_p, conj(e_a)), e_0), e_a> over all (a, p)."""
-        for ea in E:
-            for ep in E:
-                yield on.inner(q_in(slot, ea, ea), ep) + on.inner(q_in(slot, mul(ep, on.conjugate(ea)), E[0]), ea)
-
-    r = qm(xs, ys, E[0])
+    # the basis-slot loops: the same identities hold in the X slot with the
+    # algebra product and in the Y slot with o; conj(e_i) = sign[i] e_i
+    sign = [1] + [-1] * (dim - 1)
+    pairs = [(a, p) for a in range(dim) for p in range(dim)]
+    # <q(e_a, e_p), e_a> + <q(e_a conj(e_p), e_0), e_a>
+    ap = [((a, a, p), (sign[p], a, p, a)) for a, p in pairs]
+    # <q(e_a, e_a), e_p> + <q(e_p conj(e_a), e_0), e_a>
+    aa = [((p, a, a), (sign[a], p, a, a)) for a, p in pairs]
+    # <q(e_a, e_a), e_p> + <q(conj(e_a) e_p, e_0), e_a>
+    aa_transposed = [((p, a, a), (sign[a], a, p, a)) for a, p in pairs]
+    octonion, o = on.PRODUCT_TABLES[dim], nomc.table
     out = [
-        proved("q(X,Y,e_a) _|_ e_a", (on.inner(qm(xs, ys, e), e) for e in E)),
-        proved("q(X,Y,e_0) _|_ X and Y", (on.inner(r, xs), on.inner(r, ys))),
-        proved("<q(e_a,Y,e_p),e_a> = -<q(e_a conj(e_p),Y,e_0),e_a>", exchange_ap("X", on.multiply)),
-        proved("<q(X,e_a,e_p),e_a> = -<q(X,e_a o conj(e_p),e_0),e_a>", exchange_ap("Y", o)),
-        proved("<q(e_a,Y,e_a),e_p> = -<q(e_p conj(e_a),Y,e_0),e_a>", exchange_aa("X", on.multiply)),
-        proved("<q(X,e_a,e_a),e_p> = -<q(X,e_p o conj(e_a),e_0),e_a>", exchange_aa("Y", o)),
+        proved("q(X,Y,e_a) _|_ e_a", ([(i, j) for i in im for j in im if coeff(a, i, j, a)] for a in range(dim))),
+        proved(
+            "q(X,Y,e_0) _|_ X and Y",
+            (
+                [(i, j, k) for j in im for i in im for k in range(i, dim) if coeff(k, i, j, 0) + coeff(i, k, j, 0)],
+                [(i, j, k) for i in im for j in im for k in range(j, dim) if coeff(k, i, j, 0) + coeff(j, i, k, 0)],
+            ),
+        ),
+        proved("<q(e_a,Y,e_p),e_a> = -<q(e_a conj(e_p),Y,e_0),e_a>", exchange("X", octonion, ap)),
+        proved("<q(X,e_a,e_p),e_a> = -<q(X,e_a o conj(e_p),e_0),e_a>", exchange("Y", o, ap)),
+        proved("<q(e_a,Y,e_a),e_p> = -<q(e_p conj(e_a),Y,e_0),e_a>", exchange("X", octonion, aa)),
+        proved("<q(X,e_a,e_a),e_p> = -<q(X,e_p o conj(e_a),e_0),e_a>", exchange("Y", o, aa)),
     ]
     # informational: the e_p o conj(e_a) ordering is what the identity asserts;
     # whether the transposed conj(e_a) o e_p ordering also validates is recorded,
     # never required
-    transposed = proved("sixth identity transposed ordering (informational)", exchange_aa("Y", lambda u, v: o(v, u)))
+    transposed = proved("sixth identity transposed ordering (informational)", exchange("Y", o, aa_transposed))
     out.append(WitnessReport(transposed.identity_name, transposed.inputs, "validates", transposed.passed, 0, True))
 
     # polarized battery on random imaginary X, Y and full Z, one value per sample
@@ -288,11 +320,12 @@ def anti_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
 
 
 def norm_identity_check(q: QCandidate) -> bool:
-    """|q(X,Y,Z)|^2 = |X(Y o Z) - Y o (XZ)|^2 as a polynomial identity.
+    """|q(X,Y,Z)|^2 = |X(Y o Z) - Y o (XZ)|^2 as a polynomial identity, with
+    the right side read off the table of the FKM candidate at q's nom.
     Equal components prove it at once (so an FKM candidate squares
     nothing); only components that differ have their norms compared."""
-    fkm = cubic_components(partial(q_star_fkm_eval, q.nom), q.dim)
-    ok = q.tensor == fkm or (on.norm_sq(q.tensor) - on.norm_sq(fkm)).is_zero()
+    ref = fkm_candidate(q.nom).tensor
+    ok = q.tensor == ref or (on.norm_sq(q.tensor) - on.norm_sq(ref)).is_zero()
     if ok:
         q.verified.add("norm")
     return ok

@@ -9,9 +9,11 @@ are renamed 0..m1).
 The third form q* is one thing throughout: the tuple of its renamed
 components <q*(X, Y, Z), e_a>, a = 0..m1, as cubic ``MultiPoly``s over the
 (x_1.., y_1.., z_0..) layout of ``octonion.symbolic_octets(dim, "xyZ")``.
-``cubic_components`` builds it from a closed form by one symbolic
-evaluation, ``trilinearity_extract`` reads it off the expansion at x*, and
-``verify_ot_equations``, Condition B and the classifier consume it as it is.
+A closed form's ``TrilinearTable`` holds its coefficients on basis triples,
+from one symbolic evaluation on full slots, and ``TrilinearTable.components``
+reads the tuple off that table; ``trilinearity_extract`` reads it off the
+expansion at x*, and ``verify_ot_equations``, Condition B and the
+classifier consume it as it is.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import lcm
 from . import octonion as on
 from .circ import Nom, circ
 from .linalg import Op
-from .poly import MultiPoly, Rt2Poly, monomial_key, norm_sq_poly
+from .poly import MultiPoly, Rt2Poly, monomial_exponents, monomial_key, norm_sq_poly
 from .report import Report, proved
 from .systems import ScaledVec
 
@@ -172,20 +174,94 @@ def sharp_from_q0(q0: MultiPoly, m1: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the third fundamental form as cubic component polynomials
+# the third fundamental form as a coefficient table and as cubic components
 # ---------------------------------------------------------------------------
 
 
-def cubic_components(q_eval, dim: int) -> tuple:
-    """The components <q(X, Y, Z), e_a>, a = 0..dim-1, of a trilinear map as
-    cubic ``MultiPoly``s over the (x_1.., y_1.., z_0..) layout of
-    ``octonion.symbolic_octets(dim, "xyZ")``: one symbolic evaluation."""
-    return tuple(q_eval(*on.symbolic_octets(dim, "xyZ")))
+def _monomial_name(key: int, dim: int) -> str:
+    """A monomial of the (X_0.., Y_0.., Z_0..) layout of
+    ``octonion.symbolic_octets(dim, "XYZ")``, as in ``X_1 Y_2^2``."""
+    names = ["XYZ"[v // dim] + f"_{v % dim}" + (f"^{e}" if e > 1 else "") for v, e in monomial_exponents(key)]
+    return " ".join(names) or "1"
+
+
+@dataclass(frozen=True)
+class TrilinearTable:
+    """A trilinear map q on full slots, by its values on basis triples, held
+    the way ``ProductTable.sparse`` holds a product's: one common
+    denominator ``den`` and, in ``rows[i][j][l]``, the nonzero coordinates
+    of q(e_i, e_j, e_l) as ``(k, w)`` pairs with int w = den * value."""
+
+    den: int
+    rows: list
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    @staticmethod
+    def of(q_eval, dim: int) -> "TrilinearTable":
+        """The table of ``q_eval`` from one symbolic evaluation on
+        ``octonion.symbolic_octets(dim, "XYZ")``.  Raises ``ValueError``
+        naming the component and the monomial if a coordinate of the value
+        is not trilinear in (X, Y, Z)."""
+        value = q_eval(*on.symbolic_octets(dim, "XYZ"))
+        comps = [f if isinstance(f, MultiPoly) else MultiPoly.const(3 * dim, f) for f in value]
+        den = lcm(*(f.den for f in comps))
+        rows = [[[[] for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        for k, f in enumerate(comps):
+            scale = den // f.den
+            for key, c in f.terms.items():
+                slots = monomial_exponents(key)
+                if [e for _, e in slots] != [1, 1, 1] or [v // dim for v, _ in slots] != [0, 1, 2]:
+                    name = _monomial_name(key, dim)
+                    raise ValueError(f"component {k} has the monomial {name}, not trilinear in (X, Y, Z)")
+                (i, _), (j, _), (l, _) = slots
+                rows[i][j - dim][l - 2 * dim].append((k, c * scale))
+        return TrilinearTable(den, [[[tuple(v) for v in row] for row in plane] for plane in rows])
+
+    def coeff(self, k: int, i: int, j: int, l: int) -> int:
+        """den * <q(e_i, e_j, e_l), e_k>."""
+        for c, w in self.rows[i][j][l]:
+            if c == k:
+                return w
+        return 0
+
+    def contract(self, x, y, z) -> tuple:
+        """q(x, y, z) at rational slots, in ``Fraction`` coordinates."""
+        out = [0] * self.dim
+        for i, xi in enumerate(x):
+            if xi:
+                plane = self.rows[i]
+                for j, yj in enumerate(y):
+                    if yj:
+                        row = plane[j]
+                        for l, zl in enumerate(z):
+                            if zl:
+                                p = xi * yj * zl
+                                for k, w in row[l]:
+                                    out[k] += p * w
+        return tuple(Fraction(v) / self.den for v in out)
+
+    def components(self) -> tuple:
+        """The components <q(X, Y, Z), e_a>, a = 0..dim-1, at purely
+        imaginary X, Y, as cubic ``MultiPoly``s over the (x_1.., y_1..,
+        z_0..) layout of ``octonion.symbolic_octets(dim, "xyZ")``."""
+        dim = self.dim
+        m = dim - 1
+        terms = [{} for _ in range(dim)]
+        for i in range(1, dim):
+            for j in range(1, dim):
+                for l, entry in enumerate(self.rows[i][j]):
+                    key = monomial_key(i - 1, m + j - 1, 2 * m + l)
+                    for k, w in entry:
+                        terms[k][key] = w
+        return tuple(MultiPoly._adopt(2 * m + dim, t, self.den, 1) for t in terms)
 
 
 def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> tuple:
     """The third form's components from the extracted ones, in the layout of
-    ``cubic_components``.
+    ``TrilinearTable.components``.
 
     q_forms is indexed -1, 0..m1 (extraction order); ranges = (d_x, d_y, d_z)
     declares the three tangent variable ranges.  Checks, in order: every
@@ -243,7 +319,7 @@ def verify_ot_equations(p_forms: list, q: tuple) -> Report:
     builds it: a rational p_-1, then pure-sqrt2 components p*_a = sqrt2
     p_vec[a].  The common sqrt2 squares away in G and factors out of the
     other two identities, so they run on the rational p_vec.  q holds the
-    components q*_a, a = 0..m1, as ``cubic_components`` builds them.
+    components q*_a, a = 0..m1, as ``TrilinearTable.components`` builds them.
     """
     if not p_forms[0].is_rational() or not all(f.is_pure_sqrt2() for f in p_forms[1:]):
         raise ValueError("expected a rational p_-1 and pure-sqrt2 p*_a")

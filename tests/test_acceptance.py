@@ -31,7 +31,7 @@ from octoverify.identities import (
     skew_suite,
 )
 from octoverify.linalg import Op, random_rational_orthogonal
-from octoverify.mirror import cubic_components, q_star_ot_eval, verify_ot_equations
+from octoverify.mirror import TrilinearTable, q_star_ot_eval, verify_ot_equations
 from octoverify.poly import MultiPoly, Rt2Poly, monomial_exponents, munzner_verify, norm_sq_poly
 from octoverify.scalars import DeterministicRng, random_rational
 from octoverify.systems import (
@@ -265,7 +265,7 @@ def test_c10_condition_matrix(fkm_systems, fkm_polys, ot_octonion, ot_octonion_p
     fkm0 = fkm_systems[("left", Fraction(0))]
     frame0 = fkm_mirror_frame(fkm0)
     formula0 = fkm_formula_forms(fkm0.nom)
-    q_forms = [Rt2Poly.zero(22)] + [Rt2Poly.rational(p) for p in cubic_components(q_star_ot_eval, 8)]
+    q_forms = [Rt2Poly.zero(22)] + [Rt2Poly.rational(p) for p in TrilinearTable.of(q_star_ot_eval, 8).components()]
     if condition_b_check(fkm0.system, frame0, formula0, q_forms).passed:
         ok = False
 

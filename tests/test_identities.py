@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octoverify import octonion as on
-from octoverify.circ import Nom, Side, nom_from_t
+from octoverify.circ import Nom, Side, circ, nom_from_t
 from octoverify.identities import (
     REQUIRED_SUITES,
     QCandidate,
@@ -309,41 +310,49 @@ def _exchange_summary(results):
 
 
 def test_exchange_suite_evaluates_each_symbolic_triple_once():
+    # the proved identities read q's coefficient table, built from one
+    # evaluation on full symbolic slots; a second battery reuses it
     nom = nom_from_t(Side.LEFT, Fraction(1, 2))
-    seen = {}
+    for ref in (fkm_candidate(nom), ot_candidate(8)):
+        seen = []
 
-    def counting(X, Y, Z):
-        # the symbolic loops put a polynomial slot in every triple; the
-        # sampled battery passes rational vectors only
-        if any(isinstance(c, MultiPoly) for v in (X, Y, Z) for c in v):
-            seen[(X, Y, Z)] = seen.get((X, Y, Z), 0) + 1
-        return q_star_fkm_eval(nom, X, Y, Z)
+        def counting(X, Y, Z, q_eval=ref.eval):
+            # the sampled battery passes rational draws only
+            if any(isinstance(c, MultiPoly) for v in (X, Y, Z) for c in v):
+                seen.append((X, Y, Z))
+            return q_eval(X, Y, Z)
 
-    results = exchange_suite(QCandidate(QLabel.CUSTOM, nom, counting), DeterministicRng(7), samples=2)
-    assert seen and max(seen.values()) == 1
-    assert _exchange_summary(results) == _exchange_summary(exchange_suite(fkm_candidate(nom), DeterministicRng(7), samples=2))
-    assert _exchange_summary(results) == [
-        ("q(X,Y,e_a) _|_ e_a", 8, True),
-        ("q(X,Y,e_0) _|_ X and Y", 2, True),
-        ("<q(e_a,Y,e_p),e_a> = -<q(e_a conj(e_p),Y,e_0),e_a>", 64, True),
-        ("<q(X,e_a,e_p),e_a> = -<q(X,e_a o conj(e_p),e_0),e_a>", 64, True),
-        ("<q(e_a,Y,e_a),e_p> = -<q(e_p conj(e_a),Y,e_0),e_a>", 64, True),
-        ("<q(X,e_a,e_a),e_p> = -<q(X,e_p o conj(e_a),e_0),e_a>", 64, True),
-        ("sixth identity transposed ordering (informational)", 64, True),
-        ("<q(X,Y,Z),Z> = 0 (Z imaginary or e_0)", 2, True),
-        ("<q(X,Y,e_0),X> = 0", 2, True),
-        ("<q(X,Y,e_0),Y> = 0", 2, True),
-        ("<q(X,Y,Z),X> = -<q(X conj(Z),Y,e_0),X>", 2, True),
-        ("<q(X,Y,Z),Y> = -<q(X,Y o conj(Z),e_0),Y>", 2, True),
-        ("<q(X,Y,X),Z> = <q(ZX,Y,e_0),X>", 2, True),
-        ("<q(X,Y,Y),Z> = <q(X,Z o Y,e_0),Y>", 2, True),
-    ]
+        cand = QCandidate(QLabel.CUSTOM, ref.nom, counting)
+        results = exchange_suite(cand, DeterministicRng(7), samples=2)
+        assert seen == [on.symbolic_octets(8, "XYZ")]
+        exchange_suite(cand, DeterministicRng(7), samples=2)
+        assert len(seen) == 1
+        # the transposed ordering does not validate for either candidate
+        assert results[6].rhs is False
+        assert _exchange_summary(results) == _exchange_summary(exchange_suite(ref, DeterministicRng(7), samples=2))
+        assert _exchange_summary(results) == [
+            ("q(X,Y,e_a) _|_ e_a", 8, True),
+            ("q(X,Y,e_0) _|_ X and Y", 2, True),
+            ("<q(e_a,Y,e_p),e_a> = -<q(e_a conj(e_p),Y,e_0),e_a>", 64, True),
+            ("<q(X,e_a,e_p),e_a> = -<q(X,e_a o conj(e_p),e_0),e_a>", 64, True),
+            ("<q(e_a,Y,e_a),e_p> = -<q(e_p conj(e_a),Y,e_0),e_a>", 64, True),
+            ("<q(X,e_a,e_a),e_p> = -<q(X,e_p o conj(e_a),e_0),e_a>", 64, True),
+            ("sixth identity transposed ordering (informational)", 64, True),
+            ("<q(X,Y,Z),Z> = 0 (Z imaginary or e_0)", 2, True),
+            ("<q(X,Y,e_0),X> = 0", 2, True),
+            ("<q(X,Y,e_0),Y> = 0", 2, True),
+            ("<q(X,Y,Z),X> = -<q(X conj(Z),Y,e_0),X>", 2, True),
+            ("<q(X,Y,Z),Y> = -<q(X,Y o conj(Z),e_0),Y>", 2, True),
+            ("<q(X,Y,X),Z> = <q(ZX,Y,e_0),X>", 2, True),
+            ("<q(X,Y,Y),Z> = <q(X,Z o Y,e_0),Y>", 2, True),
+        ]
 
 
 def test_exchange_suite_catches_a_defect_seen_only_through_the_memo():
-    # q(e_1, Y, e_1) gains Y_2 e_3: the loop over <q(e_a,Y,e_p),e_a> evaluates
-    # that triple first (a = p = 1), where pairing with e_1 hides the defect,
-    # so the loop over <q(e_a,Y,e_a),e_p> sees it only as a memo hit
+    # q(e_1, Y, e_1) gains Y_2 e_3, which is trilinear, so it lands in the
+    # table as <q(e_1, e_2, e_1), e_3>: the loop over <q(e_a,Y,e_p),e_a>
+    # pairs that triple with e_1 only (a = p = 1) and misses it, and the loop
+    # over <q(e_a,Y,e_a),e_p> reads it at (a, p) = (1, 3)
     left = fkm_candidate(Nom(Side.LEFT, E[0]))
 
     def perturbed(X, Y, Z):
@@ -354,3 +363,161 @@ def test_exchange_suite_catches_a_defect_seen_only_through_the_memo():
     assert passed["<q(e_a,Y,e_p),e_a> = -<q(e_a conj(e_p),Y,e_0),e_a>"]
     assert not passed["<q(e_a,Y,e_a),e_p> = -<q(e_p conj(e_a),Y,e_0),e_a>"]
     assert "exchange" not in cand.verified
+
+
+@pytest.mark.parametrize(
+    "q_eval, monomial",
+    [
+        (lambda X, Y, Z: on.multiply(on.multiply(X, Y), Y), r"X_\d Y_\d\^2"),
+        (lambda X, Y, Z: on.multiply(X, Y), r"X_\d Y_\d"),
+        (lambda X, Y, Z: on.add(on.multiply(on.multiply(X, Y), Z), on.basis(0)), "1"),
+    ],
+    ids=["y-squared", "no-z", "constant"],
+)
+def test_a_candidate_that_is_not_trilinear_is_refused_at_its_table(q_eval, monomial):
+    cand = QCandidate(QLabel.CUSTOM, Nom(Side.LEFT, E[0]), q_eval)
+    message = rf"component \d has the monomial {monomial}, not trilinear in \(X, Y, Z\)"
+    with pytest.raises(ValueError, match=message):
+        cand.table
+    with pytest.raises(ValueError, match=message):
+        exchange_suite(cand, DeterministicRng(7), samples=2)
+
+
+_rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=7))
+_TABLE_CANDIDATES = {}
+
+
+def _table_candidate(key):
+    """The candidate of ``key``, ("fkm", dim, side, t), ("ot", dim) or
+    ("thirds", 8), built once for all the examples that draw it.  "thirds"
+    is FKM-left plus X_1 Y_2 Z_3 e_4 / 3, so its components do not share one
+    denominator."""
+    cand = _TABLE_CANDIDATES.get(key)
+    if cand is None:
+        if key[0] == "ot":
+            cand = ot_candidate(key[1])
+        elif key[0] == "thirds":
+            cand = _moved(fkm_candidate(Nom(Side.LEFT, E[0])), [(1, 2, 3, 4, Fraction(1, 3))])
+        else:
+            _, dim, side, t = key
+            cand = fkm_candidate(nom_from_t(side, t, axis=4 if dim == 8 else 1, dim=dim))
+        _TABLE_CANDIDATES[key] = cand
+    return cand
+
+
+@pytest.mark.parametrize(
+    "key",
+    [("fkm", dim, side, t) for dim in (4, 8) for side in Side for t in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3))]
+    + [("ot", 4), ("ot", 8), ("thirds", 8)],
+    ids=lambda key: "-".join(str(getattr(part, "value", part)) for part in key),
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_the_table_contracts_to_eval(key, data):
+    cand = _table_candidate(key)
+    full = st.lists(_rationals, min_size=cand.dim, max_size=cand.dim).map(tuple)
+    X, Y, Z = data.draw(st.tuples(full, full, full))
+    value = cand.table.contract(X, Y, Z)
+    assert value == cand.eval(X, Y, Z)
+    if key[0] == "ot":
+        m = _cd_multiply
+        assert value == m(on.sub(m(X, Y), m(Y, X)), Z)
+
+
+def _exchange_by_evaluation(q):
+    """The outcomes of ``exchange_suite``'s seven proved identities with q
+    evaluated on symbolic slots, each identity as its statement reads: an
+    oracle for the coefficient sums the suite reads off ``q.table``."""
+    dim = q.dim
+    E = [on.basis(i, dim) for i in range(dim)]
+    xs, ys = on.symbolic_octets(dim, "xy")
+
+    def o(u, v):
+        return circ(q.nom, u, v)
+
+    def q_in(slot, v, z):
+        return q.eval(v, ys, z) if slot == "X" else q.eval(xs, v, z)
+
+    def ap(slot, mul):
+        return all(
+            not on.inner(q_in(slot, ea, ep), ea) + on.inner(q_in(slot, mul(ea, on.conjugate(ep)), E[0]), ea)
+            for ea in E
+            for ep in E
+        )
+
+    def aa(slot, mul):
+        return all(
+            not on.inner(q_in(slot, ea, ea), ep) + on.inner(q_in(slot, mul(ep, on.conjugate(ea)), E[0]), ea)
+            for ea in E
+            for ep in E
+        )
+
+    r = q.eval(xs, ys, E[0])
+    return [
+        all(not on.inner(q.eval(xs, ys, e), e) for e in E),
+        not on.inner(r, xs) and not on.inner(r, ys),
+        ap("X", on.multiply),
+        ap("Y", o),
+        aa("X", on.multiply),
+        aa("Y", o),
+        aa("Y", lambda u, v: o(v, u)),
+    ]
+
+
+def _moved(ref, entries):
+    """``ref`` plus c X_i Y_j Z_l e_k for each (i, j, l, k, c) of ``entries``:
+    those table entries moved."""
+    dim = ref.dim
+
+    def q_eval(X, Y, Z):
+        value = ref.eval(X, Y, Z)
+        for i, j, l, k, c in entries:
+            value = on.add(value, on.scale(c * X[i] * Y[j] * Z[l], on.basis(k, dim)))
+        return value
+
+    return QCandidate(QLabel.CUSTOM, ref.nom, q_eval)
+
+
+def _exchange_outcomes(q):
+    results = exchange_suite(q, DeterministicRng(7), samples=1)
+    return [w.passed for w in results[:6]] + [results[6].rhs]
+
+
+C = Fraction(2, 5)
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "side, t, entries",
+    [
+        (Side.LEFT, HALF, [(1, 2, 0, 1, C)]),
+        (Side.LEFT, HALF, [(1, 2, 1, 3, C)]),
+        (Side.LEFT, HALF, [(0, 3, 5, 6, C)]),
+        (Side.LEFT, HALF, [(4, 0, 0, 2, C)]),
+        (Side.LEFT, HALF, [(2, 2, 2, 2, C)]),
+        (Side.LEFT, HALF, [(7, 6, 5, 0, C)]),
+        # pairs that cancel in one instance, and only with its conj sign
+        (Side.LEFT, HALF, [(0, 2, 0, 3, C), (3, 2, 0, 0, -C)]),
+        (Side.LEFT, HALF, [(3, 2, 3, 0, C), (3, 2, 0, 3, C)]),
+        (Side.LEFT, HALF, [(2, 0, 3, 0, C), (2, 3, 0, 0, C)]),
+        (Side.LEFT, HALF, [(2, 0, 0, 3, C), (2, 3, 0, 0, -C)]),
+        # the transposed ordering validates at the right endpoint, and still
+        # does with these, which cancel in it only with its conj sign
+        (Side.RIGHT, Fraction(0), [(2, 0, 0, 3, C), (2, 3, 0, 0, -C), (2, 3, 3, 3, -C)]),
+    ],
+    ids=lambda v: "+".join("".join(map(str, e[:4])) for e in v) if isinstance(v, list) else str(getattr(v, "value", v)),
+)
+def test_exchange_suite_agrees_with_evaluation_on_moved_entries(side, t, entries):
+    cand = _moved(fkm_candidate(nom_from_t(side, t)), entries)
+    assert _exchange_outcomes(cand) == _exchange_by_evaluation(cand)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    side=st.sampled_from(list(Side)),
+    t=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(2, 3)]),
+    entries=st.lists(st.tuples(*[st.integers(0, 3)] * 4, st.sampled_from([Fraction(1), Fraction(-3, 7)])), max_size=2),
+)
+def test_exchange_suite_agrees_with_evaluation_over_the_quaternions(side, t, entries):
+    cand = _moved(fkm_candidate(nom_from_t(side, t, axis=1, dim=4)), entries)
+    assert _exchange_outcomes(cand) == _exchange_by_evaluation(cand)

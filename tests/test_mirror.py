@@ -7,8 +7,8 @@ from octoverify import octonion as on
 from octoverify.circ import Side, left_ops, nom_from_t
 from octoverify.mirror import (
     EigenDecomp,
+    TrilinearTable,
     assemble_star_blocks,
-    cubic_components,
     mirror_points,
     p_star,
     q_star_fkm_eval,
@@ -192,7 +192,7 @@ def test_trilinearity_extract_success(fkm_systems, fkm_polys):
     forms = extract_expansion_forms(fkm_polys[key], fkm_mirror_frame(fkm))
     qt = trilinearity_extract(forms.q, (7, 7, 8))
     assert len(qt) == 8
-    closed = cubic_components(lambda X, Y, Z: q_star_fkm_eval(fkm.nom, X, Y, Z), 8)
+    closed = TrilinearTable.of(lambda X, Y, Z: q_star_fkm_eval(fkm.nom, X, Y, Z), 8).components()
     assert qt in (closed, tuple(-f for f in closed))
 
 
@@ -214,7 +214,7 @@ def test_trilinearity_extract_errors():
 
 
 def _basis_triple_components(q_eval, dim):
-    """Independent oracle for ``cubic_components``: the coefficient of
+    """Independent oracle for ``TrilinearTable.components``: the coefficient of
     x_alpha y_mu z_p in component a is <q(e_alpha, e_mu, e_p), e_a>, read off
     ``q_eval`` on every basis triple with imaginary e_alpha, e_mu."""
     m1 = dim - 1
@@ -238,14 +238,14 @@ def test_cubic_components_match_the_basis_triple_oracle(dim):
         for t in ORACLE_T:
             nom = nom_from_t(side, t, axis=4 if dim == 8 else 1, dim=dim)
             q_eval = lambda X, Y, Z: q_star_fkm_eval(nom, X, Y, Z)
-            assert cubic_components(q_eval, dim) == _basis_triple_components(q_eval, dim), (side, t)
+            assert TrilinearTable.of(q_eval, dim).components() == _basis_triple_components(q_eval, dim), (side, t)
     assert ot_candidate(dim).tensor == _basis_triple_components(q_star_ot_eval, dim)
 
 
 def test_tensor_contract_matches_closed_form():
     # the components, evaluated at a point, are the closed form at that point
     nom = nom_from_t(Side.LEFT, Fraction(1, 3))
-    comps = cubic_components(lambda X, Y, Z: q_star_fkm_eval(nom, X, Y, Z), 8)
+    comps = TrilinearTable.of(lambda X, Y, Z: q_star_fkm_eval(nom, X, Y, Z), 8).components()
     rng = DeterministicRng(81)
     for _ in range(60):
         x = tuple([Fraction(0)] + [random_rational(rng, 4) for _ in range(7)])

@@ -1,7 +1,8 @@
 """Negative controls for the proved checks of the algebra and nom suites: a
 planted defect must fail exactly the checks that state the identity it
 breaks.  The norm identity of the identities suite gets a perturbed
-candidate, and the Muenzner suite a perturbed F (the last two tests).
+candidate, the Muenzner suite a perturbed F, and the q* batteries a
+closed form with one component negated (the last three tests).
 
 A defect is a monkeypatch of table entries or of alpha, planted in the
 product that the checks under test see (``on.multiply``, the ``circ`` the
@@ -17,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from octoverify import circ as circ_module
-from octoverify import cli
+from octoverify import cli, identities, mirror
 from octoverify import octonion as on
 from octoverify.circ import Side, nom_from_t, verify_normalized
 from octoverify.identities import QCandidate, QLabel, fkm_candidate, norm_identity_check
@@ -173,3 +174,48 @@ def test_the_munzner_suite_fails_on_a_perturbed_f(monkeypatch, algebra, side):
         detail = next(c["detail"] for c in suite["checks"] if c["name"] == name)
         assert detail["gradient_identity"]["residual_terms"] > 0
         assert detail["laplacian_identity"]["sign"] != 0
+
+
+def negated_component(k):
+    """``q_star_fkm_eval`` with component k of its value negated."""
+
+    def q(nom, x, y, z):
+        v = list(q_star_fkm_eval(nom, x, y, z))
+        v[k] = -v[k]
+        return tuple(v)
+
+    return q
+
+
+# the checks that fail when component 3 of q*_FKM is negated, by t
+Q_STAR_FAILING = {
+    Fraction(0): {
+        "mirror": ["extracted_q_matches_closed_form", "gradient_pair_identity", "p_dot_q"],
+        "identities": ["fkm_exchange_battery", "fkm_skew_battery", "fkm_anti_battery", "cor69_endpoints"],
+        "classify": ["completed"],
+    },
+    HALF: {
+        "mirror": ["extracted_q_matches_closed_form", "gradient_pair_identity", "p_dot_q"],
+        "identities": [
+            "fkm_exchange_battery",
+            "fkm_skew_battery",
+            "fkm_anti_battery",
+            "r_classification_perpendicular",
+            "cor69_endpoints",
+        ],
+        "classify": ["completed"],
+    },
+}
+
+
+@pytest.mark.parametrize("t", sorted(Q_STAR_FAILING))
+def test_the_q_star_batteries_fail_on_a_negated_component(monkeypatch, capsys, t):
+    # the negated form keeps |q*|^2, so the norm identity still passes; the
+    # classifier refuses the FKM candidates whose batteries failed
+    bad = negated_component(3)
+    monkeypatch.setattr(mirror, "q_star_fkm_eval", bad)
+    monkeypatch.setattr(identities, "q_star_fkm_eval", bad)
+    report, code = cli.run(cli.RunConfig(alpha_t=t, suites=("mirror", "identities", "classify"), trials=20))
+    assert code == 1
+    assert {s["name"]: [c["name"] for c in s["checks"] if not c["pass"]] for s in report["suites"]} == Q_STAR_FAILING[t]
+    capsys.readouterr()

@@ -390,25 +390,25 @@ def test_condition_b_recipe_r_values(ot_octonion):
 
 
 def test_ot_q_fails_condition_b_at_x_star(fkm_systems, fkm_polys):
-    from octoverify.mirror import cubic_components, q_star_ot_eval
+    from octoverify.mirror import TrilinearTable, q_star_ot_eval
 
     key = ("left", Fraction(0))
     fkm = fkm_systems[key]
     frame = fkm_mirror_frame(fkm)
     formula = fkm_formula_forms(fkm.nom)
-    q_forms = [Rt2Poly.zero(22)] + [Rt2Poly.rational(p) for p in cubic_components(q_star_ot_eval, 8)]
+    q_forms = [Rt2Poly.zero(22)] + [Rt2Poly.rational(p) for p in TrilinearTable.of(q_star_ot_eval, 8).components()]
     cb = condition_b_check(fkm.system, frame, formula, q_forms)
     assert not cb.passed
     assert "linear_span_identity" in cb.failing()
 
 
 def test_ot_q_passes_condition_b_quaternion(fkm_quaternion):
-    from octoverify.mirror import cubic_components, q_star_ot_eval
+    from octoverify.mirror import TrilinearTable, q_star_ot_eval
 
     frame = fkm_mirror_frame(fkm_quaternion)
     formula = fkm_formula_forms(fkm_quaternion.nom)
     nv = 3 * 4 - 2
-    q_forms = [Rt2Poly.zero(nv)] + [Rt2Poly.rational(p) for p in cubic_components(q_star_ot_eval, 4)]
+    q_forms = [Rt2Poly.zero(nv)] + [Rt2Poly.rational(p) for p in TrilinearTable.of(q_star_ot_eval, 4).components()]
     cb = condition_b_check(fkm_quaternion.system, frame, formula, q_forms)
     assert cb.passed  # Remark-7.6 coincidence: (XY-YX)Z = X(YZ)-Y(XZ) in H
 
