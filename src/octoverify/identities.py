@@ -14,11 +14,12 @@ each identity once, as the values that must vanish, and checks it through
 one of two drivers in ``report``: ``proved`` or ``sampled`` on seeded
 ``octonion.random_octets`` draws, recorded as witnesses.  A proved
 identity is a polynomial in free slots that vanishes exactly when each of
-its coefficients does.  The skew and anti batteries evaluate ``eval`` on
-``octonion.symbolic_octets`` slots to get it; the exchange battery, whose
-other slots hold basis vectors or their products, reads each coefficient
-off the table as a sum of entries (``exchange_suite``).  Either way a pass
-is a proof of the identity.  Where an identity is checked both ways, the
+its coefficients does.  The anti battery evaluates ``eval`` on
+``octonion.symbolic_octets`` slots to get it; the exchange and skew
+batteries read each coefficient off the table as a sum of entries
+(``exchange_suite``, ``skew_suite``), so they evaluate ``eval`` on symbolic
+slots only to build the table.  Either way a pass is a proof of the
+identity.  Where an identity is checked both ways, the
 two witnesses share its one residual function.
 
 Classification compares components: each candidate carries the cubic
@@ -249,35 +250,52 @@ def exchange_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: 
 def skew_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int = 50) -> list:
     """Skew symmetries: the U/W exchange identity over V = e_0 or imaginary
     basis, skewness of <q(X,Y,Z),W> in (Z, W), proved and on samples, and
-    full antisymmetry of <q(X,Y,e_0),Z>."""
+    full antisymmetry of <q(X,Y,e_0),Z>.
+
+    The proved ones are read off ``q.table``, T[k; i, j, l] =
+    <q(e_i, e_j, e_l), e_k>, as in ``exchange_suite``; each vanishes exactly
+    when the coefficient of each monomial of its free slots does:
+    - U/W exchange at V = e_v (one instance per v), with e_u conj(e_v) =
+      s(u,v) e_p(u) from ``PRODUCT_TABLES[dim].sparse``: the coefficient of
+      U_u Y_j W_k is s(u,v) T[k; p(u), j, v] + s(k,v) T[u; p(k), j, v];
+    - skew in (Z, W): of X_i Y_j Z_l W_k, T[k; i, j, l] + T[l; i, j, k];
+    - R(X,Y,Z) = <q(X,Y,e_0),Z> + R(Y,X,Z) and + R(X,Z,Y): of X_i Y_j Z_k,
+      T[k; i, j, 0] + T[k; j, i, 0] and T[k; i, j, 0] + T[j; i, k, 0].
+    The sampled witness evaluates q directly."""
     dim = q.dim
     rng = rng or DeterministicRng(39)
-    E = [on.basis(i, dim) for i in range(dim)]
+    rows = q.table.rows  # rows[i][j][l]: the (k, den * T[k; i, j, l]) pairs
+    full, im = range(dim), range(1, dim)
+    _, products = on.PRODUCT_TABLES[dim].sparse
+    sign = [1] + [-1] * (dim - 1)  # conj(e_v) = sign[v] e_v
+
+    def unskewed(coeffs, swap):
+        """The keys of the sparse {key: den * T} at which the coefficient
+        plus the one at ``swap(*key)`` does not vanish."""
+        return [key for key, w in coeffs.items() if w + coeffs.get(swap(*key), 0)]
+
+    def uw_exchange(v):
+        # (j, u, k) -> den * <q(e_u conj(e_v), e_j, e_v), e_k>, the coefficient
+        # of U_u Y_j W_k in the first term
+        a = {}
+        for j in im:
+            for u in full:
+                for m, w in products[u][v]:
+                    for k, t in rows[m][j][v]:
+                        a[j, u, k] = a.get((j, u, k), 0) + sign[v] * w * t
+        return unskewed(a, lambda j, u, k: (j, k, u))
 
     def skew_zw(X, Y, Z, W):
         return (on.inner(q.eval(X, Y, Z), W) + on.inner(q.eval(X, Y, W), Z),)
 
-    def r(A, B):
-        return q.eval(A, B, E[0])
-
-    us, ys, ws = on.symbolic_octets(dim, "UyW")
-    xs, ys3, zs = on.symbolic_octets(dim, "XYZ")
+    zw = {(i, j, l, k): t for i in im for j in im for l, e in enumerate(rows[i][j]) for k, t in e}
+    r = {(i, j, k): t for i in full for j in full for k, t in rows[i][j][0]}  # den * T[k; i, j, 0]
     out = [
-        proved(
-            "<q(U conj V,Y,V),W> = -<q(W conj V,Y,V),U>",
-            (
-                on.inner(q.eval(on.multiply(us, on.conjugate(V)), ys, V), ws)
-                + on.inner(q.eval(on.multiply(ws, on.conjugate(V)), ys, V), us)
-                for V in E
-            ),
-        ),
-        proved("<q(X,Y,Z),W> skew in (Z,W)", skew_zw(*on.symbolic_octets(dim, "xyZW"))),
+        proved("<q(U conj V,Y,V),W> = -<q(W conj V,Y,V),U>", (uw_exchange(v) for v in full)),
+        proved("<q(X,Y,Z),W> skew in (Z,W)", (unskewed(zw, lambda i, j, l, k: (i, j, k, l)),)),
         proved(
             "<q(X,Y,e_0),Z> fully antisymmetric",
-            (
-                on.inner(r(xs, ys3), zs) + on.inner(r(ys3, xs), zs),
-                on.inner(r(xs, ys3), zs) + on.inner(r(xs, zs), ys3),
-            ),
+            (unskewed(r, lambda i, j, k: (j, i, k)), unskewed(r, lambda i, j, k: (i, k, j))),
         ),
         sampled("skew (Z,W) on samples", samples, lambda: on.random_octets(rng, dim, "xyZW"), skew_zw),
     ]

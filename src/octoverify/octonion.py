@@ -17,9 +17,11 @@ rational inputs enter as int numerators: ``scalars.int_scaled`` clears
 their denominators, as it does for the table's own entries.  ``inner``
 takes the same two routes.  The octonion product is the table
 ``PRODUCT_TABLES[dim]``, built at import for dims 4 and 8 from
-``cayley_dickson_multiply`` on int basis vectors (entries 0 and +-1); every
-normalized multiplication x o y is another such table (``circ.Nom.table``).  ``cayley_dickson_multiply`` keeps the recursive
-definition around as an independent oracle for the table.
+``cayley_dickson_multiply`` on the int basis vectors ``int_basis(dim)``
+(entries 0 and +-1); every normalized multiplication x o y is another such
+table (``circ.Nom.table``).  ``cayley_dickson_multiply`` keeps the recursive
+definition around as an independent oracle for the table, which the
+algebra suite runs on those same int vectors.
 
 The multiplication matrices (``left_mult_matrix``, ``right_mult_matrix``) and
 the generators J_a, J'_a (the table's ``left_ops``, ``right_ops``) are
@@ -170,10 +172,16 @@ class ProductTable:
         return [Op.of([row[a] for row in self.entries]).T for a in range(1, self.dim)]
 
 
+def int_basis(dim: int) -> list:
+    """e_0..e_{dim-1} as int octonions (padded to 8 coordinates; the
+    quaternions are the sub-span of coordinates 0..3): the vectors that
+    ``PRODUCT_TABLES`` is built from."""
+    return [tuple(int(j == i) for j in range(8)) for i in range(dim)]
+
+
 def _basis_product_table(dim: int) -> ProductTable:
-    """e_a e_b from the doubling rule on int basis vectors (padded to the
-    octonions; the quaternions are the sub-span of coordinates 0..3)."""
-    e = [tuple(int(j == i) for j in range(8)) for i in range(dim)]
+    """e_a e_b from the doubling rule on ``int_basis(dim)``."""
+    e = int_basis(dim)
     return ProductTable([[cayley_dickson_multiply(a, b)[:dim] for b in e] for a in e])
 
 

@@ -342,18 +342,3 @@ def random_rationals(rng: DeterministicRng, bound: int, count: int) -> list[Frac
 def random_rational(rng: DeterministicRng, bound: int) -> Fraction:
     """One draw of ``random_rationals``."""
     return random_rationals(rng, bound, 1)[0]
-
-
-def random_unit_rational_vector(rng: DeterministicRng, n: int) -> list[Fraction]:
-    """Exact unit vector in Q^n built from a random Pythagorean rotation chain."""
-    v = [Fraction(0)] * n
-    v[rng.next_int(0, n - 1)] = Fraction(1)
-    for _ in range(2 * n):
-        i = rng.next_int(0, n - 1)
-        j = rng.next_int(0, n - 1)
-        if i == j:
-            continue
-        c, s = pythagorean_unit(random_rational(rng, 4))
-        vi, vj = v[i], v[j]
-        v[i], v[j] = c * vi - s * vj, s * vi + c * vj
-    return v

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from . import octonion as on
 from .circ import Nom, Side, circ, right_ops
@@ -49,7 +48,6 @@ from .poly import (
     weighted_products,
 )
 from .report import Report
-from .scalars import DeterministicRng, random_unit_rational_vector
 
 
 @dataclass(frozen=True)
@@ -465,25 +463,57 @@ def blocks_from_forms(p_forms: list, d_plus: int, d_minus: int, d_zero: int) -> 
     return SecondFormBlocks(a_blocks, b_blocks, c_blocks, d_plus, d_minus, d_zero, [Op.of(s) for s in mats])
 
 
-def condition_a_check(blocks: SecondFormBlocks, rng: DeterministicRng | None = None, normals: int = 20) -> Report:
-    """Condition A: every B_a and C_a vanishes.  The report also verifies
-    S_n^3 = S_n, with S_n = sum_a n_a S_a, on random unit normals n and, when
-    A holds, the block relations A_a A_a^T = Id, A_a A_b^T + A_b A_a^T = 0,
+def _product_slots(a_rows: list, b_rows: list) -> tuple[list, list]:
+    """The ``weighted_products`` slots of the product of two sparse matrices
+    whose rows map a column to the place of its entry, one per entry (i, k)
+    it reaches, and the product's rows, which map k to that slot."""
+    slots, rows = [], []
+    for a_row in a_rows:
+        reach: dict = {}
+        for j, a in a_row.items():
+            for k, b in b_rows[j].items():
+                reach.setdefault(k, []).append((1, a, b))
+        rows.append({k: len(slots) + n for n, k in enumerate(reach)})
+        slots += reach.values()
+    return slots, rows
+
+
+def condition_a_check(blocks: SecondFormBlocks) -> Report:
+    """Condition A: every B_a and C_a vanishes.  The report also proves
+    S_n^3 = |n|^2 S_n for a symbolic normal n, with S_n = sum_a n_a S_a as
+    sparse rows of linear ``MultiPoly`` forms (S_n^2 and S_n^3 - |n|^2 S_n
+    are one ``weighted_products`` call each), and, when A holds, the block
+    relations A_a A_a^T = Id, A_a A_b^T + A_b A_a^T = 0,
     A_a^T A_b + A_b^T A_a = 0."""
     rep = Report("condition_a")
     zero_b = all(m.max_abs() == 0 for m in blocks.b_blocks)
     zero_c = all(m.max_abs() == 0 for m in blocks.c_blocks)
     rep.add("b_blocks_zero", zero_b)
     rep.add("c_blocks_zero", zero_c)
-    rng = rng or DeterministicRng(99)
     s = blocks.s_matrices
-    ok_cube = True
-    for _ in range(normals):
-        n = random_unit_rational_vector(rng, len(s))
-        s_n = reduce(Op.__add__, (c * m for c, m in zip(n, s)))
-        if s_n @ s_n @ s_n != s_n:
-            ok_cube = False
-    rep.add("shape_operator_cube", ok_cube, detail={"normals": normals})
+    nv = len(s)
+    coeffs: dict = {}  # (i, j) -> {n_a: entry (i, j) of S_a}
+    for a, m in enumerate(s):
+        for i, row in enumerate(m.rows):
+            for j, w in row.items():
+                coeffs.setdefault((i, j), {})[monomial_key(a)] = Fraction(w, m.den)
+    forms = [MultiPoly(nv, c) for c in coeffs.values()]
+    rows = [{} for _ in s[0].rows]
+    for place, (i, j) in enumerate(coeffs):
+        rows[i][j] = place
+    square_slots, square_rows = _product_slots(rows, rows)
+    squares = weighted_products(nv, forms, forms, square_slots)
+    cube_slots, cube_rows = _product_slots(square_rows, rows)
+    norm = len(squares)  # the place of |n|^2 after the squares
+    for row, cube_row in zip(rows, cube_rows):
+        for k, place in row.items():
+            minus = (-1, norm, place)
+            if k in cube_row:
+                cube_slots[cube_row[k]].append(minus)
+            else:
+                cube_slots.append([minus])
+    residuals = weighted_products(nv, [*squares, norm_sq_poly(nv)], forms, cube_slots)
+    rep.add("shape_operator_cube", not any(residuals))
     if zero_b and zero_c:
         a_ops = blocks.a_blocks
         ok9 = all((a @ a.T).scalar() == 1 for a in a_ops)

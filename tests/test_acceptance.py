@@ -32,7 +32,7 @@ from octoverify.identities import (
 )
 from octoverify.linalg import Op, random_rational_orthogonal
 from octoverify.mirror import TrilinearTable, q_star_ot_eval, verify_ot_equations
-from octoverify.poly import MultiPoly, Rt2Poly, monomial_exponents, munzner_verify, norm_sq_poly
+from octoverify.poly import MultiPoly, MunznerCalculus, Rt2Poly, monomial_exponents, munzner_verify, norm_sq_poly
 from octoverify.scalars import DeterministicRng, random_rational
 from octoverify.systems import (
     blocks_from_forms,
@@ -131,17 +131,18 @@ def test_c04_munzner_pdes(fkm_systems, fkm_polys, ot_octonion_poly):
     rng = DeterministicRng(1004)
     for name, f in systems:
         t0 = time.time()
-        rep = munzner_verify(f, 4, 7, 8)
+        calc = MunznerCalculus(f, 4)
+        rep = munzner_verify(calc, 7, 8)
         elapsed = time.time() - t0
         if not rep.passed or elapsed > 60:
             ok = False
-        rep_rand = munzner_verify(f, 4, 7, 8, rng=rng, trials=20, randomized=True)
+        rep_rand = munzner_verify(calc, 7, 8, rng=rng, trials=20, randomized=True)
         if rep_rand.passed != rep.passed:
             ok = False
     # randomized mode must also agree on a failing case
     s = norm_sq_poly(32)
     bad = s * s
-    if munzner_verify(bad, 4, 7, 8, rng=rng, trials=20, randomized=True).passed:
+    if munzner_verify(MunznerCalculus(bad, 4), 7, 8, rng=rng, trials=20, randomized=True).passed:
         ok = False
     _line(4, "Muenzner PDEs exact for 4 noms + OT, randomized agreement", ok)
 
@@ -249,7 +250,7 @@ def test_c10_condition_matrix(fkm_systems, fkm_polys, ot_octonion, ot_octonion_p
     if not rep.passed:
         ok = False
     blocks = blocks_from_forms(ot_forms.p, 8, 8, 7)
-    if not condition_a_check(blocks, DeterministicRng(1010)).passed:
+    if not condition_a_check(blocks).passed:
         ok = False
     if not condition_b_check(ot_octonion.system, ot_frame, ot_forms.p, ot_forms.q).passed:
         ok = False

@@ -431,3 +431,33 @@ def test_munzner_agreement_fails_when_both_routes_fail():
     assert code == 1
     assert not checks["fkm_munzner_exact"]
     assert not checks["fkm_munzner_randomized_agrees"]
+
+
+def test_only_the_randomized_munzner_route_reads_a_sabotaged_evaluator(monkeypatch):
+    # every value off by one: the exact route evaluates nothing, so only the
+    # randomized agreement and the value of F at the focal point fail
+    import octoverify.poly as poly
+
+    real = poly.evaluate
+    monkeypatch.setattr(poly, "evaluate", lambda polys, points: [[v + 1 for v in vs] for vs in real(polys, points)])
+    report, code = run(RunConfig(algebra="quaternion", alpha_t=Fraction(0), suites=("munzner",)))
+    assert code == 1
+    failing = [c["name"] for c in report["suites"][0]["checks"] if not c["pass"]]
+    assert failing == ["fkm_munzner_randomized_agrees", "fkm_polynomial_at_focal_rep"]
+
+
+def test_suite_munzner_differentiates_each_f_once(monkeypatch):
+    seen = {"gradient": [], "laplacian": []}
+    for name, polys in seen.items():
+
+        def counting(self, real=getattr(MultiPoly, name), polys=polys):
+            polys.append(self)
+            return real(self)
+
+        monkeypatch.setattr(MultiPoly, name, counting)
+    cfg = RunConfig(algebra="quaternion", alpha_t=Fraction(0), suites=("munzner",))
+    ctx = RunContext(cfg)
+    report, code = run(cfg, ctx)
+    assert code == 0
+    for polys in seen.values():
+        assert [id(p) for p in polys] == [id(ctx.fkm_poly), id(ctx.ot_poly)]

@@ -21,7 +21,7 @@ from octoverify.identities import (
     r_form,
     skew_suite,
 )
-from octoverify.mirror import q_star_fkm_eval
+from octoverify.mirror import TrilinearTable, q_star_fkm_eval
 from octoverify.octonion import cayley_dickson_multiply
 from octoverify.poly import MultiPoly, monomial_key
 from octoverify.scalars import DeterministicRng, random_rational
@@ -521,3 +521,105 @@ def test_exchange_suite_agrees_with_evaluation_on_moved_entries(side, t, entries
 def test_exchange_suite_agrees_with_evaluation_over_the_quaternions(side, t, entries):
     cand = _moved(fkm_candidate(nom_from_t(side, t, axis=1, dim=4)), entries)
     assert _exchange_outcomes(cand) == _exchange_by_evaluation(cand)
+
+
+def test_skew_suite_evaluates_symbolic_slots_only_for_the_table():
+    # the proved identities read q's coefficient table; eval sees symbolic
+    # slots once, when the table is built, and the sampled witness's draws
+    nom = nom_from_t(Side.LEFT, HALF)
+    ref = fkm_candidate(nom)
+    seen = []
+
+    def counting(X, Y, Z):
+        if any(isinstance(c, MultiPoly) for v in (X, Y, Z) for c in v):
+            seen.append((X, Y, Z))
+        return ref.eval(X, Y, Z)
+
+    cand = QCandidate(QLabel.CUSTOM, nom, counting)
+    results = skew_suite(cand, DeterministicRng(7), samples=2)
+    assert seen == [on.symbolic_octets(8, "XYZ")]
+    assert [(w.identity_name, w.inputs["instances"], w.passed) for w in results] == [
+        ("<q(U conj V,Y,V),W> = -<q(W conj V,Y,V),U>", 8, True),
+        ("<q(X,Y,Z),W> skew in (Z,W)", 1, True),
+        ("<q(X,Y,e_0),Z> fully antisymmetric", 2, True),
+        ("skew (Z,W) on samples", 2, True),
+    ]
+
+
+def _with_entry(table, i, j, l, k, w):
+    """``table`` with den * T[k; i, j, l] moved by the int w."""
+    rows = [[list(row) for row in plane] for plane in table.rows]
+    entry = dict(rows[i][j][l])
+    entry[k] = entry.get(k, 0) + w
+    rows[i][j][l] = tuple((c, v) for c, v in entry.items() if v)
+    return TrilinearTable(table.den, rows)
+
+
+def test_one_perturbed_table_entry_fails_the_uw_exchange():
+    # q.eval is untouched, so the sampled witness still passes: the proved
+    # ones read the table alone
+    cand = fkm_candidate(nom_from_t(Side.LEFT, HALF))
+    cand.table = _with_entry(cand.table, 1, 2, 3, 4, 1)
+    passed = {w.identity_name: w.passed for w in skew_suite(cand, DeterministicRng(7), samples=2)}
+    assert not passed["<q(U conj V,Y,V),W> = -<q(W conj V,Y,V),U>"]
+    assert passed["skew (Z,W) on samples"]
+    assert "skew" not in cand.verified
+
+
+def _skew_by_evaluation(q):
+    """The outcomes of ``skew_suite``'s three proved identities with q
+    evaluated on symbolic slots, each identity as its statement reads: an
+    oracle for the coefficient sums the suite reads off ``q.table``."""
+    dim = q.dim
+    E = [on.basis(i, dim) for i in range(dim)]
+    us, ys, ws = on.symbolic_octets(dim, "UyW")
+    xs, ys2, zs, ws2 = on.symbolic_octets(dim, "xyZW")
+    X, Y, Z = on.symbolic_octets(dim, "XYZ")
+
+    def r(a, b, c):
+        return on.inner(q.eval(a, b, E[0]), c)
+
+    return [
+        all(
+            not on.inner(q.eval(on.multiply(us, on.conjugate(v)), ys, v), ws)
+            + on.inner(q.eval(on.multiply(ws, on.conjugate(v)), ys, v), us)
+            for v in E
+        ),
+        not on.inner(q.eval(xs, ys2, zs), ws2) + on.inner(q.eval(xs, ys2, ws2), zs),
+        not r(X, Y, Z) + r(Y, X, Z) and not r(X, Y, Z) + r(X, Z, Y),
+    ]
+
+
+def _skew_outcomes(q):
+    return [w.passed for w in skew_suite(q, DeterministicRng(7), samples=1)[:3]]
+
+
+@pytest.mark.parametrize(
+    "side, t, entries",
+    [
+        (Side.LEFT, HALF, [(1, 2, 3, 4, C)]),
+        (Side.LEFT, HALF, [(1, 2, 1, 3, C)]),
+        (Side.LEFT, HALF, [(4, 0, 0, 2, C)]),
+        (Side.LEFT, HALF, [(2, 0, 0, 3, C)]),
+        (Side.LEFT, HALF, [(0, 3, 5, 6, C)]),
+        # skew in (Z, W) and antisymmetric at e_0, but not the U/W exchange
+        (Side.LEFT, HALF, [(1, 2, 3, 4, C), (1, 2, 4, 3, -C)]),
+        # antisymmetric at e_0 and the U/W exchange, but not skew in (Z, W)
+        (Side.RIGHT, Fraction(0), [(1, 2, 0, 3, C), (2, 1, 0, 3, -C), (1, 3, 0, 2, -C), (3, 1, 0, 2, C), (2, 3, 0, 1, C), (3, 2, 0, 1, -C)]),
+    ],
+    ids=lambda v: "+".join("".join(map(str, e[:4])) for e in v) if isinstance(v, list) else str(getattr(v, "value", v)),
+)
+def test_skew_suite_agrees_with_evaluation_on_moved_entries(side, t, entries):
+    cand = _moved(fkm_candidate(nom_from_t(side, t)), entries)
+    assert _skew_outcomes(cand) == _skew_by_evaluation(cand)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    side=st.sampled_from(list(Side)),
+    t=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(2, 3)]),
+    entries=st.lists(st.tuples(*[st.integers(0, 3)] * 4, st.sampled_from([Fraction(1), Fraction(-3, 7)])), max_size=2),
+)
+def test_skew_suite_agrees_with_evaluation_over_the_quaternions(side, t, entries):
+    cand = _moved(fkm_candidate(nom_from_t(side, t, axis=1, dim=4)), entries)
+    assert _skew_outcomes(cand) == _skew_by_evaluation(cand)

@@ -4,7 +4,16 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octoverify.poly import MultiPoly, Rt2Poly, monomial_exponents, monomial_key, munzner_verify, norm_sq_poly
+from octoverify.poly import (
+    MultiPoly,
+    MunznerCalculus,
+    Rt2Poly,
+    evaluate,
+    monomial_exponents,
+    monomial_key,
+    munzner_verify,
+    norm_sq_poly,
+)
 from octoverify.scalars import DeterministicRng, random_rational
 
 
@@ -178,28 +187,28 @@ def test_exponent_overflow_guard():
 def test_munzner_trivial_and_failing():
     # g = 1, F = x_0, m1 = m2: both identities hold
     f = vp(4, 0)
-    rep = munzner_verify(f, 1, 3, 3)
+    rep = munzner_verify(MunznerCalculus(f, 1), 3, 3)
     assert rep.passed
     # F = (sum x^2)^2 on R^32 with (m1, m2) = (7, 8): gradient identity holds
     # but lap F = 136|x|^2 != +-8|x|^2
     n = 32
     s = norm_sq_poly(n)
     f = s * s
-    rep = munzner_verify(f, 4, 7, 8)
+    rep = munzner_verify(MunznerCalculus(f, 4), 7, 8)
     assert not rep.passed
     names = {c.name: c.passed for c in rep.checks}
     assert names["gradient_identity"]
     assert not names["laplacian_identity"]
     with pytest.raises(ValueError):
-        munzner_verify(vp(2, 0) * vp(2, 1), 3, 1, 2)  # odd degree, m1 != m2
+        munzner_verify(MunznerCalculus(vp(2, 0) * vp(2, 1), 3), 1, 2)  # odd degree, m1 != m2
     with pytest.raises(ValueError):
-        munzner_verify(vp(2, 0) + MultiPoly.const(2, 1), 1, 2, 2)  # not homogeneous
+        munzner_verify(MunznerCalculus(vp(2, 0) + MultiPoly.const(2, 1), 1), 2, 2)  # not homogeneous
 
 
 def test_munzner_sign_flip_invariance(fkm_polys):
     f = fkm_polys[("left", Fraction(0))]
-    rep_pos = munzner_verify(f, 4, 7, 8)
-    rep_neg = munzner_verify(-f, 4, 7, 8)
+    rep_pos = munzner_verify(MunznerCalculus(f, 4), 7, 8)
+    rep_neg = munzner_verify(MunznerCalculus(-f, 4), 7, 8)
     assert rep_pos.passed and rep_neg.passed
     sign_pos = next(c.detail["sign"] for c in rep_pos.checks if c.name == "laplacian_identity")
     sign_neg = next(c.detail["sign"] for c in rep_neg.checks if c.name == "laplacian_identity")
@@ -451,6 +460,41 @@ def test_eval_many_matches_eval_at_each_point(a, pts):
     assert all(type(v) is Fraction for v in got)
 
 
+def _reference_value(d, pt):
+    """The {exponents: coefficient} polynomial d at pt, term by term in Fractions."""
+    total = Fraction(0)
+    for e, c in d.items():
+        term = Fraction(c)
+        for x, k in zip(pt, e):
+            term *= Fraction(x) ** k
+        total += term
+    return total
+
+
+@st.composite
+def families(draw):
+    """Polynomials over one small pool of monomials of mixed degrees, so that
+    they share monomials, followed by a constant polynomial and the zero one."""
+    pool = draw(st.lists(exponents, min_size=1, max_size=6, unique=True))
+    polys = draw(st.lists(st.dictionaries(st.sampled_from(pool), coeffs, max_size=6), min_size=1, max_size=4))
+    return [*polys, {(0,) * NV: draw(coeffs)}, {}]
+
+
+@settings(max_examples=80, deadline=None)
+@given(families(), st.lists(points, max_size=3))
+def test_evaluate_matches_a_per_term_reference(family, pts):
+    # a point with a zero coordinate and two different denominators, always
+    pts = [*pts, [0, Fraction(1, 2), Fraction(-2, 3)]]
+    got = evaluate([_poly(d) for d in family], pts)
+    assert got == [[_reference_value(d, pt) for pt in pts] for d in family]
+    assert all(type(v) is Fraction for row in got for v in row)
+
+
+def test_evaluate_refuses_polynomials_over_different_nvars():
+    with pytest.raises(ValueError, match="nvars mismatch"):
+        evaluate([vp(2, 0), vp(3, 0)], [[1, 2]])
+
+
 def test_eval_many_of_no_points_is_empty():
     assert _poly({(1, 0, 2): 3}).eval_many([]) == []
 
@@ -462,7 +506,7 @@ def test_eval_many_checks_every_point_before_evaluating(pos, monkeypatch):
     def no_decoding(key):
         raise AssertionError("a key was decoded before every point was checked")
 
-    monkeypatch.setattr(poly, "monomial_exponents", no_decoding)
+    monkeypatch.setattr(poly, "_place", no_decoding)
     p = _poly({(1, 0, 2): 3, (0, 1, 0): Fraction(1, 2)})
     good = [1, Fraction(1, 3), 2]
     short = [good, good, good]
@@ -482,12 +526,12 @@ def test_munzner_residual_terms_of_a_planted_f(fkm_polys):
     n = 5
     s = norm_sq_poly(n)
     m = MultiPoly(n, {monomial_key(0, 1, 2, 3): 1})
-    rep = munzner_verify(s * s + m, 4, 1, 2)
+    rep = munzner_verify(MunznerCalculus(s * s + m, 4), 1, 2)
     assert rep.checks[0].name == "gradient_identity" and not rep.checks[0].passed
     assert rep.checks[0].detail == {"residual_terms": 9}
     # the octonion FKM F at t = 0 with the same term planted
     f = fkm_polys[("left", Fraction(0))]
-    rep = munzner_verify(f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1}), 4, 7, 8)
+    rep = munzner_verify(MunznerCalculus(f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1}), 4), 7, 8)
     assert {c.name: (c.passed, c.detail) for c in rep.checks} == {
         "gradient_identity": (False, {"residual_terms": 292}),
         "laplacian_identity": (True, {"sign": -1}),

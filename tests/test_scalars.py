@@ -12,7 +12,6 @@ from octoverify.scalars import (
     pythagorean_unit,
     random_rational,
     random_rationals,
-    random_unit_rational_vector,
     rational_sqrt,
     stack_vectors,
     sum_zero,
@@ -150,13 +149,6 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(0)) == 0
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(-1)) is None
-
-
-def test_random_unit_rational_vector():
-    rng = DeterministicRng(17)
-    for n in (3, 8, 10):
-        v = random_unit_rational_vector(rng, n)
-        assert sum(x * x for x in v) == 1
 
 
 # ---------------------------------------------------------------------------
