@@ -3,7 +3,8 @@
 An identity that a suite states as the values that must vanish is checked
 with ``report.proved`` in symbolic slots, or, where its report entry records
 a sample count (``trials``, or a witness's ``instances``), with
-``report.sampled`` on seeded draws.
+``report.sampled``, which values the same symbolic residuals at seeded
+points.
 
 Exit codes: 0 all selected suites pass, 1 at least one identity fails (or a
 suite raised, which its report records as a failing check), 2 configuration
@@ -238,22 +239,18 @@ def suite_algebra(cfg: RunConfig, rng: DeterministicRng, ctx: RunContext) -> Rep
     ok = all(on.multiply(a, b) == cayley_dickson_multiply(a, b) for a in e for b in e)
     rep.add("table_matches_cayley_dickson_oracle", ok, detail={"pairs": 64})
 
-    w = sampled(
-        "norm_multiplicativity",
-        cfg.trials,
-        lambda: on.random_octets(rng, dim, "XY", bound=6),
-        lambda x, y: (on.norm_defect(on.multiply, x, y),),
-    )
+    x, y = on.symbolic_octets(dim, "XY")
+    w = sampled("norm_multiplicativity", [on.norm_defect(on.multiply, x, y)], 2 * dim, cfg.trials, rng, bound=6)
     rep.add(w.identity_name, w.passed, w.residual, detail={"trials": cfg.trials})
 
+    x, y, z = on.symbolic_octets(dim, "XYZ")
     w = sampled(
         "exchange_identities",
+        [on.inner(on.conjugate(x), on.conjugate(y)) - on.inner(x, y), *on.exchange_defects(on.multiply, x, y, z)],
+        3 * dim,
         cfg.trials,
-        lambda: on.random_octets(rng, dim, "XYZ", bound=6),
-        lambda x, y, z: (
-            on.inner(on.conjugate(x), on.conjugate(y)) - on.inner(x, y),
-            *on.exchange_defects(on.multiply, x, y, z),
-        ),
+        rng,
+        bound=6,
     )
     rep.add(w.identity_name, w.passed, w.residual, detail={"trials": cfg.trials})
 

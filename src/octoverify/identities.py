@@ -11,16 +11,15 @@ Each candidate carries one coefficient table of its ``eval``
 one symbolic evaluation on full slots, which also checks that ``eval`` is
 trilinear; ``r_form`` contracts it at rational slots.  Each battery states
 each identity once, as the values that must vanish, and checks it through
-one of two drivers in ``report``: ``proved`` or ``sampled`` on seeded
-``octonion.random_octets`` draws, recorded as witnesses.  A proved
+one of two drivers in ``report``, recorded as witnesses: ``proved``, or
+``sampled``, which values the same residuals at seeded points.  A proved
 identity is a polynomial in free slots that vanishes exactly when each of
 its coefficients does.  The anti battery evaluates ``eval`` on
 ``octonion.symbolic_octets`` slots to get it; the exchange and skew
 batteries read each coefficient off the table as a sum of entries
-(``exchange_suite``, ``skew_suite``), so they evaluate ``eval`` on symbolic
-slots only to build the table.  Either way a pass is a proof of the
-identity.  Where an identity is checked both ways, the
-two witnesses share its one residual function.
+(``exchange_suite``, ``skew_suite``).  Either way a pass is a proof of the
+identity.  A sampled witness values residuals of ``eval`` on symbolic
+slots; the anti battery samples the very residuals it proves.
 
 Classification compares components: each candidate carries the cubic
 component polynomials of its ``eval`` (``QCandidate.tensor``, read off its
@@ -172,7 +171,8 @@ def exchange_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: 
     y_f in <q(e_a,Y,e_p),e_a> + <q(e_a conj(e_p),Y,e_0),e_a> is
     T[a; a, f, p] + sum_k v_k T[a; k, f, 0] with v = e_a conj(e_p) read off
     the product's ``ProductTable.sparse``; each (a, p) is one instance of
-    its witness.  The sampled battery evaluates q directly."""
+    its witness.  The sampled battery evaluates q on symbolic slots and
+    values each residual at seeded points (``report.sampled``)."""
     dim = q.dim
     rng = rng or DeterministicRng(6)
     nomc = q.nom
@@ -226,7 +226,7 @@ def exchange_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: 
     transposed = proved("sixth identity transposed ordering (informational)", exchange("Y", o, aa_transposed))
     out.append(WitnessReport(transposed.identity_name, transposed.inputs, "validates", transposed.passed, 0, True))
 
-    # polarized battery on random imaginary X, Y and full Z, one value per sample
+    # polarized battery in imaginary X, Y and full Z, valued at seeded points
     checks = {
         "<q(X,Y,Z),Z> = 0 (Z imaginary or e_0)": lambda X, Y, Z: on.inner(q.eval(X, Y, on.imaginary_part(Z)), on.imaginary_part(Z)),
         "<q(X,Y,e_0),X> = 0": lambda X, Y, Z: on.inner(q.eval(X, Y, E[0]), X),
@@ -240,8 +240,8 @@ def exchange_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: 
         "<q(X,Y,Y),Z> = <q(X,Z o Y,e_0),Y>": lambda X, Y, Z: on.inner(q.eval(X, Y, Y), Z)
         - on.inner(q.eval(X, circ(nomc, Z, Y), E[0]), Y),
     }
-    draw = lambda: on.random_octets(rng, dim, "xyZ")
-    out += [sampled(name, samples, draw, lambda *slots, f=f: (f(*slots),)) for name, f in checks.items()]
+    slots = on.symbolic_octets(dim, "xyZ")
+    out += [sampled(name, [f(*slots)], 3 * dim - 2, samples, rng) for name, f in checks.items()]
     if all(w.passed for w in out):
         q.verified.add("exchange")
     return out
@@ -261,7 +261,8 @@ def skew_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
     - skew in (Z, W): of X_i Y_j Z_l W_k, T[k; i, j, l] + T[l; i, j, k];
     - R(X,Y,Z) = <q(X,Y,e_0),Z> + R(Y,X,Z) and + R(X,Z,Y): of X_i Y_j Z_k,
       T[k; i, j, 0] + T[k; j, i, 0] and T[k; i, j, 0] + T[j; i, k, 0].
-    The sampled witness evaluates q directly."""
+    The sampled witness evaluates q on symbolic slots and values the
+    residual at seeded points (``report.sampled``)."""
     dim = q.dim
     rng = rng or DeterministicRng(39)
     rows = q.table.rows  # rows[i][j][l]: the (k, den * T[k; i, j, l]) pairs
@@ -285,11 +286,10 @@ def skew_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
                         a[j, u, k] = a.get((j, u, k), 0) + sign[v] * w * t
         return unskewed(a, lambda j, u, k: (j, k, u))
 
-    def skew_zw(X, Y, Z, W):
-        return (on.inner(q.eval(X, Y, Z), W) + on.inner(q.eval(X, Y, W), Z),)
-
     zw = {(i, j, l, k): t for i in im for j in im for l, e in enumerate(rows[i][j]) for k, t in e}
     r = {(i, j, k): t for i in full for j in full for k, t in rows[i][j][0]}  # den * T[k; i, j, 0]
+    X, Y, Z, W = on.symbolic_octets(dim, "xyZW")
+    skew_zw = on.inner(q.eval(X, Y, Z), W) + on.inner(q.eval(X, Y, W), Z)
     out = [
         proved("<q(U conj V,Y,V),W> = -<q(W conj V,Y,V),U>", (uw_exchange(v) for v in full)),
         proved("<q(X,Y,Z),W> skew in (Z,W)", (unskewed(zw, lambda i, j, l, k: (i, j, k, l)),)),
@@ -297,7 +297,7 @@ def skew_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
             "<q(X,Y,e_0),Z> fully antisymmetric",
             (unskewed(r, lambda i, j, k: (j, i, k)), unskewed(r, lambda i, j, k: (i, k, j))),
         ),
-        sampled("skew (Z,W) on samples", samples, lambda: on.random_octets(rng, dim, "xyZW"), skew_zw),
+        sampled("skew (Z,W) on samples", [skew_zw], 4 * dim - 2, samples, rng),
     ]
     if all(w.passed for w in out):
         q.verified.add("skew")
@@ -325,12 +325,7 @@ def anti_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
         proved("<q(X,Y,W),Y o W> = 0", [v2]),
         proved("<q(X,Y,U),XV> + <q(X,Y,V),XU> = 0", [a1]),
         proved("<q(X,Y,U),Y o V> + <q(X,Y,V),Y o U> = 0", [a2]),
-        sampled(
-            "vanishing pairings on samples",
-            samples,
-            lambda: on.random_octets(rng, dim, "xyW"),
-            lambda X, Y, W: pairings(X, Y, W, W),
-        ),
+        sampled("vanishing pairings on samples", [v1, v2], 3 * dim - 2, samples, rng),
     ]
     if all(w.passed for w in out):
         q.verified.add("anti")

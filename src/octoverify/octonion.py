@@ -9,13 +9,13 @@ so the quaternions are the sub-span of coordinates 0..3.
 
 ``ProductTable`` holds the products e_a e_b of some bilinear multiplication
 on all basis pairs and is its one sparse kernel: it extends the table
-bilinearly over any commutative coefficient ring, reading only pairs of
-nonzero coordinates.  Polynomial coordinates are summed slot by slot by
-``poly.weighted_products``, in one pass per product.  Fraction, int, float
-and ``scalars.SampleBatch`` coordinates run one accumulation loop, which
-rational inputs enter as int numerators: ``scalars.int_scaled`` clears
-their denominators, as it does for the table's own entries.  ``inner``
-takes the same two routes.  The octonion product is the table
+bilinearly over polynomial, rational, int and float coordinates, reading
+only pairs of nonzero coordinates.  Polynomial coordinates are summed slot
+by slot by ``poly.weighted_products``, in one pass per product.  Fraction,
+int and float coordinates run one accumulation loop, which rational inputs
+enter as int numerators: ``scalars.int_scaled`` clears their denominators,
+as it does for the table's own entries.  ``inner`` takes the same two
+routes.  The octonion product is the table
 ``PRODUCT_TABLES[dim]``, built at import for dims 4 and 8 from
 ``cayley_dickson_multiply`` on the int basis vectors ``int_basis(dim)``
 (entries 0 and +-1); every normalized multiplication x o y is another such
@@ -26,9 +26,8 @@ algebra suite runs on those same int vectors.
 The multiplication matrices (``left_mult_matrix``, ``right_mult_matrix``) and
 the generators J_a, J'_a (the table's ``left_ops``, ``right_ops``) are
 ``linalg.Op``s, so they take rational coordinates only.  ``symbolic_octets``
-gives polynomial-coordinate slots for the symbolic proofs, ``random_octets``
-seeded rational slots in the same layout for the sampled checks (which
-evaluate them batched, see ``report.sampled``).
+gives the polynomial-coordinate slots that every identity is stated in,
+proved there or valued at seeded points (``report.proved``, ``sampled``).
 ``norm_defect`` and ``exchange_defects`` state the identities every
 orthogonal multiplication satisfies, once, for any product ``mul``: the
 octonion product and every x o y.
@@ -44,7 +43,7 @@ from typing import Sequence
 
 from .linalg import Op
 from .poly import MultiPoly, weighted_products
-from .scalars import DeterministicRng, fill_zero, int_scaled, random_rationals, sum_zero
+from .scalars import fill_zero, int_scaled, sum_zero
 
 Coord = Sequence
 
@@ -114,12 +113,12 @@ class ProductTable:
         Only pairs of nonzero coordinates are read.  With polynomial
         coordinates (``zero`` is a ``MultiPoly``) each slot is the triples
         (w, a, b) of its pairs, summed by ``poly.weighted_products`` over
-        D in one pass.  Any other coordinates run one loop that sums
-        w * (x_a y_b) per slot.  Rational inputs (``zero`` is a
+        D in one pass.  Rational, int and float coordinates run one loop
+        that sums w * (x_a y_b) per slot.  Rational inputs (``zero`` is a
         ``Fraction``) enter it as ``int_scaled`` numerators over one
         denominator d, and each slot comes out as one ``Fraction`` over
-        d * d * D, or the shared ``zero``.  Any other slot is divided by D
-        once and widened to ``zero``'s type by ``scalars.fill_zero``."""
+        d * d * D, or the shared ``zero``.  An int or float slot is divided
+        by D once and widened to ``zero``'s type by ``scalars.fill_zero``."""
         dim = self.dim
         if len(x) != dim or len(y) != dim:
             raise ValueError("dimension mismatch")
@@ -221,7 +220,7 @@ def inner(x, y):
     coordinates are summed by ``poly.weighted_products`` in one pass.
     Rational inputs (the zero is ``Fraction(0)``) enter one loop as the int
     numerators of ``int_scaled`` and come out as one ``Fraction``, or the
-    shared zero; any other coordinates run the same loop as they are.
+    shared zero; int and float coordinates run the same loop as they are.
     """
     zero = sum_zero(x, y)
     pairs = [(a, b) for a, b in zip(x, y, strict=True) if a and b]
@@ -284,28 +283,17 @@ def j_prime_generators(dim: int = 8) -> list:
     return _table(dim).right_ops()
 
 
-def _octets(dim: int, names: str, zero, coords) -> tuple:
-    """One element per letter: a lowercase letter is purely imaginary (slot 0
-    is ``zero``), an uppercase letter is a full element; ``coords(n)`` gives
-    the letter's next n coordinates, letter by letter."""
-    return tuple(tuple(([zero] if ch.islower() else []) + coords(dim - ch.islower())) for ch in names)
-
-
 def symbolic_octets(dim: int, names: str) -> tuple:
-    """Tuple of symbolic elements, one per letter (see ``_octets``), over
-    consecutive variables of one shared ring: dim - 1 variables for a
-    lowercase letter, dim for an uppercase one."""
+    """Tuple of symbolic elements, one per letter, over consecutive variables
+    of one shared ring: a lowercase letter is purely imaginary (slot 0 is the
+    zero polynomial, then dim - 1 variables), an uppercase letter is a full
+    element (dim variables)."""
     nv = sum(dim - ch.islower() for ch in names)
-    var = iter(range(nv))
-    return _octets(dim, names, MultiPoly.zero(nv), lambda n: [MultiPoly.variable(nv, next(var)) for _ in range(n)])
-
-
-def random_octets(rng: DeterministicRng, dim: int, names: str, bound: int = 5) -> tuple:
-    """Tuple of seeded rational elements in the layout of ``symbolic_octets``;
-    slot 0 of a lowercase letter is ``Fraction(0)``, and the other
-    coordinates of each letter are one ``random_rationals(rng, bound, n)``
-    call, drawn letter by letter."""
-    return _octets(dim, names, Fraction(0), lambda n: random_rationals(rng, bound, n))
+    zero, var = MultiPoly.zero(nv), iter(range(nv))
+    return tuple(
+        tuple(([zero] if ch.islower() else []) + [MultiPoly.variable(nv, next(var)) for _ in range(dim - ch.islower())])
+        for ch in names
+    )
 
 
 def norm_defect(mul, x, y):

@@ -1,12 +1,9 @@
 """Check/report containers with deterministic JSON serialization, and the two
 drivers that check an identity stated as the values that must vanish:
-``proved`` for polynomials in symbolic slots, ``sampled`` for seeded draws.
-
-``sampled`` evaluates its residual function once per chunk of draws, on
-slots whose coordinates are ``scalars.SampleBatch``es that hold every draw
-of the chunk, so a residual must be a branch-free ring expression in its
-slots (``+ - *`` with ints and Fractions, through the kernels' generic
-paths) that draws nothing itself."""
+``proved`` for polynomials in symbolic slots, ``sampled`` for the same
+polynomials valued at seeded points.  Both take the identity's residuals
+in ``octonion.symbolic_octets`` slots, so a sampled check becomes a proof
+by calling ``proved`` on its residuals instead."""
 
 from __future__ import annotations
 
@@ -14,13 +11,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from .scalars import SampleBatch, stack_vectors
+from .scalars import DeterministicRng, random_rationals
 
 SCHEMA_VERSION = "1"
-
-# Draws evaluated together by ``sampled``: the batch amortises the per-call
-# cost of the kernels, and the chunk bounds the memory held by the batch.
-SAMPLES_PER_CHUNK = 100
 
 
 def encode_value(v: Any) -> Any:
@@ -151,26 +144,30 @@ def proved(name: str, residuals) -> WitnessReport:
     return WitnessReport(name, {"instances": count}, None, None, 0 if ok else 1, ok)
 
 
-def sampled(name: str, samples: int, draw, residuals) -> WitnessReport:
-    """The witness that every value of ``residuals(*draw())`` vanishes on
-    ``samples`` draws (typically of ``octonion.random_octets``, which draws
-    each letter's coordinates in one ``scalars.random_rationals`` call).
+def sampled(name: str, residuals, nvars: int, samples: int, rng: DeterministicRng, bound: int = 5) -> WitnessReport:
+    """The witness that every value in ``residuals`` vanishes at ``samples``
+    seeded points.  The residuals are what ``proved`` takes: polynomials
+    over ``nvars`` variables (``octonion.symbolic_octets`` slots) or plain
+    rationals.
 
-    The draws are made in order, ``SAMPLES_PER_CHUNK`` at a time; each slot
-    of a chunk is stacked by ``scalars.stack_vectors``, and ``residuals`` is
-    called once per chunk on the stacked slots, so each value it returns is
-    a ``SampleBatch`` holding that value for every draw of the chunk (a
-    plain rational value counts once).  Every draw is made, also after a
-    failing sample, so the generator behind ``draw`` ends at the same place
-    either way; the recorded residual is the worst |value| over every
-    sample.  ``samples`` < 1 raises ``ValueError``: a pass over no draws
-    would witness nothing."""
+    The points are split in order from one ``scalars.random_rationals(rng,
+    bound, nvars * samples)`` call, so each point draws the slots' variables
+    letter by letter.  Only the nonzero residuals are valued, at every
+    point, by ``poly.evaluate``: a zero polynomial is 0 at every point.
+    Every draw is made either way, so ``rng`` ends at the same place
+    whether the identity holds or not.  The recorded residual is the worst
+    |value| over every point (a plain rational counts once).  ``samples``
+    < 1 raises ``ValueError`` before any draw: a pass over no points would
+    witness nothing."""
+    from .poly import MultiPoly, evaluate  # poly imports this module
+
     if samples < 1:
         raise ValueError(f"{name}: sampled needs at least one sample, not {samples}")
-    worst = Fraction(0)
-    for start in range(0, samples, SAMPLES_PER_CHUNK):
-        draws = [draw() for _ in range(min(SAMPLES_PER_CHUNK, samples - start))]
-        for v in residuals(*map(stack_vectors, zip(*draws))):
-            if v:
-                worst = max(worst, *map(abs, v.values() if isinstance(v, SampleBatch) else (v,)))
+    coords = random_rationals(rng, bound, nvars * samples)
+    nonzero = [r for r in residuals if r]
+    polys = [r for r in nonzero if type(r) is MultiPoly]
+    worst = max((abs(r) for r in nonzero if type(r) is not MultiPoly), default=Fraction(0))
+    if polys:
+        points = [coords[i * nvars : (i + 1) * nvars] for i in range(samples)]
+        worst = max(worst, *(abs(v) for values in evaluate(polys, points) for v in values))
     return WitnessReport(name, {"instances": samples}, None, None, worst, worst == 0)

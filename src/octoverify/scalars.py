@@ -1,10 +1,10 @@
 """Exact scalar helpers: the one exact ingress of the kernels, the zeros of
-the zero-skipping kernels, the batched scalar of the sampled checks,
-deterministic randomness, and rational points on the unit circle.
+the zero-skipping kernels, deterministic randomness, and rational points on
+the unit circle.
 
 ``int_scaled`` is where rational data enters every exact kernel
-(``linalg.Op``, ``kernel_basis``, ``MultiPoly``, ``ProductTable`` and
-``inner``, ``stack_vectors``): it clears the denominators of a sequence in
+(``linalg.Op``, ``kernel_basis``, ``MultiPoly`` and ``poly.evaluate``,
+``ProductTable`` and ``inner``): it clears the denominators of a sequence in
 one place and raises ``TypeError`` for anything but an ``int`` or a
 ``Fraction`` (a ``bool``, or a float whose binary expansion would pass for
 an exact rational).
@@ -14,15 +14,6 @@ CLI's ``--mode float`` computes its own residuals in ``suite_nom_float``).
 Angles are realized as rational points on the unit circle via the Pythagorean
 parametrization c = (1-t^2)/(1+t^2), s = 2t/(1+t^2), which keeps every
 downstream identity exactly checkable.
-
-``SampleBatch`` is one exact scalar that holds a coordinate of many seeded
-draws at once (``report.sampled`` stacks each slot with ``stack_vectors``),
-so a residual runs the unchanged generic paths of the kernels once per batch
-of draws instead of once per draw.  Every coordinate of a slot shares one
-``dens`` list, so a product reuses the previous product's denominator list
-when it has the same operands (the same two ``dens`` lists, or the same list
-and an equal int denominator): a one-entry memo in ``_dens_times``.  Sums
-of such products then find one shared ``dens`` object.
 
 The seeded draws are counter-based splitmix64 (``DeterministicRng``).
 ``random_rationals`` makes many draws in one loop, each from two counters,
@@ -47,22 +38,15 @@ RATIONAL_ZERO = Fraction(0)
 EXACT_TYPES = frozenset({int, Fraction})
 
 
-def _exact_kinds(values) -> set:
-    """The entry types of ``values``; anything but an int or a Fraction, a
-    ``bool`` too, raises ``TypeError``."""
-    kinds = set(map(type, values))
-    if not kinds <= EXACT_TYPES:
-        bad = next(type(v).__name__ for v in values if type(v) not in EXACT_TYPES)
-        raise TypeError(f"exact kernels take int or Fraction entries, not {bad}")
-    return kinds
-
-
 def int_scaled(values) -> tuple[int, list[int]]:
     """(den, ints) with ``values[k] == ints[k] / den`` and den the lcm of the
     denominators.  ``values`` is a sequence (it is read more than once) whose
     entries are exactly ints or Fractions; anything else, a ``bool`` too,
     raises ``TypeError``."""
-    kinds = _exact_kinds(values)
+    kinds = set(map(type, values))
+    if not kinds <= EXACT_TYPES:
+        bad = next(type(v).__name__ for v in values if type(v) not in EXACT_TYPES)
+        raise TypeError(f"exact kernels take int or Fraction entries, not {bad}")
     if Fraction not in kinds:
         return 1, list(values)
     pairs = [v.as_integer_ratio() for v in values]
@@ -87,8 +71,7 @@ def sum_zero(*vectors):
     least one is a Fraction, or there are none), and the int ``0`` when all
     are ints.  Otherwise it is the sum of one zero per other coordinate
     type: ``MultiPoly.zero`` with the coordinates' ``nvars`` for a
-    ``MultiPoly``, and ``c - c`` for any other type, which is a zero
-    ``SampleBatch`` over the batch's ``dens`` or ``0.0``.
+    ``MultiPoly``, and ``c - c``, which is ``0.0``, for a float.
     """
     kinds = set()
     for v in vectors:
@@ -110,131 +93,6 @@ def fill_zero(slots: list, zero) -> list:
     ``zero``'s type, so the kernel returns what the dense loop returned."""
     kind = type(zero)
     return [zero if v is None else v if type(v) is kind else zero + v for v in slots]
-
-
-# The last product formed by ``_dens_times``, as (dens, factor, product).  It
-# holds its operands, so their ids cannot be reused while it is kept, and it
-# is replaced as one tuple, so another thread reads either entry whole.
-_last_dens_product: tuple = (None, None, None)
-
-
-def _dens_times(dens: list, factor) -> list:
-    """``dens`` times ``factor`` sample by sample, where ``factor`` is the
-    ``dens`` of another batch of the same samples or an int.  A call with
-    the operands of the previous one (the same two lists, or the same list
-    and an equal int) returns the previous product: every coordinate of a
-    slot shares one ``dens``, so a kernel forms the same product for each
-    pair of coordinates it multiplies."""
-    global _last_dens_product
-    last_dens, last_factor, product = _last_dens_product
-    if last_dens is dens and (last_factor is factor or (type(factor) is int and last_factor == factor)):
-        return product
-    product = [d * factor for d in dens] if type(factor) is int else [d * e for d, e in zip(dens, factor)]
-    _last_dens_product = (dens, factor, product)
-    return product
-
-
-class SampleBatch:
-    """One exact scalar per sample of a batch of draws: sample i holds
-    ``nums[i] / dens[i]``, int numerators over per-sample int denominators,
-    left unreduced.  It is a commutative ring element under ``+ - *`` with
-    another batch of the same samples or with an int or ``Fraction`` (on
-    either side), so the kernels' generic paths evaluate a residual for every
-    sample of the batch in one pass.
-
-    A sum of two batches over equal ``dens`` adds the numerators only; every
-    product inside one kernel call shares its ``dens`` (``stack_vectors``
-    gives all coordinates of a slot one ``dens``, and ``_dens_times`` forms
-    their product once), so that is the common case.  Truth is "some sample
-    is nonzero", so a zero-skipping kernel skips only a coordinate that is
-    zero in every sample.  There is no single value to compare or hash:
-    ``==``, ordering and ``hash`` raise ``TypeError``, so code that branches
-    on a value fails loudly.  Batches are never modified; results may share
-    ``nums`` or ``dens`` lists."""
-
-    __slots__ = ("nums", "dens")
-
-    def __init__(self, nums: list, dens: list):
-        self.nums = nums
-        self.dens = dens
-
-    def values(self) -> list[Fraction]:
-        """The reduced value of each sample."""
-        return [Fraction(n, d) for n, d in zip(self.nums, self.dens)]
-
-    def __bool__(self) -> bool:
-        return any(self.nums)
-
-    def __neg__(self) -> "SampleBatch":
-        return SampleBatch([-n for n in self.nums], self.dens)
-
-    def __add__(self, other):
-        nums, dens = self.nums, self.dens
-        if type(other) is SampleBatch:
-            if other.dens is dens or other.dens == dens:
-                return SampleBatch([a + b for a, b in zip(nums, other.nums)], dens)
-            return SampleBatch(
-                [a * e + b * d for a, d, b, e in zip(nums, dens, other.nums, other.dens)],
-                [d * e for d, e in zip(dens, other.dens)],
-            )
-        if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            if q == 1:
-                return SampleBatch([a + p * d for a, d in zip(nums, dens)], dens)
-            return SampleBatch([a * q + p * d for a, d in zip(nums, dens)], [d * q for d in dens])
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is SampleBatch or isinstance(other, (int, Fraction)):
-            return self + -other
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return -self + other
-        return NotImplemented
-
-    def __mul__(self, other):
-        if type(other) is SampleBatch:
-            return SampleBatch([a * b for a, b in zip(self.nums, other.nums)], _dens_times(self.dens, other.dens))
-        if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            nums = self.nums if p == 1 else [a * p for a in self.nums]
-            return SampleBatch(nums, self.dens if q == 1 else _dens_times(self.dens, q))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def _no_single_value(self, other):
-        raise TypeError("a SampleBatch holds one value per sample: it cannot be compared")
-
-    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _no_single_value
-    __hash__ = None
-
-
-def stack_vectors(vectors) -> tuple:
-    """One slot of a batch of draws as ``SampleBatch`` coordinates:
-    ``vectors[i]`` is sample i's rational coordinate tuple, and coordinate k
-    of the result holds coordinate k of every sample.  Each sample's vector
-    is lifted to the lcm of its own denominators, as ``int_scaled`` lifts
-    it, so all coordinates share one ``dens``; the entry types of the whole
-    chunk are checked once, by ``int_scaled``'s rule."""
-    flat = [c for v in vectors for c in v]
-    _exact_kinds(flat)
-    dim = len(vectors[0]) if vectors else 0
-    if len(flat) != dim * len(vectors):
-        raise ValueError("the samples of a slot must have equal lengths")
-    if not dim:
-        return ()
-    ratios = [c.as_integer_ratio() for c in flat]
-    nums = [n for n, _ in ratios]
-    ds = [d for _, d in ratios]
-    dens = list(map(math.lcm, *(ds[k::dim] for k in range(dim))))
-    return tuple(
-        SampleBatch([n * (den // d) for n, d, den in zip(nums[k::dim], ds[k::dim], dens)], dens) for k in range(dim)
-    )
 
 
 def pythagorean_unit(t: Fraction) -> tuple[Fraction, Fraction]:

@@ -311,22 +311,24 @@ def _exchange_summary(results):
 
 def test_exchange_suite_evaluates_each_symbolic_triple_once():
     # the proved identities read q's coefficient table, built from one
-    # evaluation on full symbolic slots; a second battery reuses it
+    # evaluation on full symbolic slots, which a second battery reuses; the
+    # seven sampled identities evaluate q 11 times per battery, on the 22
+    # variables of imaginary X, Y and full Z
     nom = nom_from_t(Side.LEFT, Fraction(1, 2))
     for ref in (fkm_candidate(nom), ot_candidate(8)):
         seen = []
 
         def counting(X, Y, Z, q_eval=ref.eval):
-            # the sampled battery passes rational draws only
             if any(isinstance(c, MultiPoly) for v in (X, Y, Z) for c in v):
                 seen.append((X, Y, Z))
             return q_eval(X, Y, Z)
 
         cand = QCandidate(QLabel.CUSTOM, ref.nom, counting)
         results = exchange_suite(cand, DeterministicRng(7), samples=2)
-        assert seen == [on.symbolic_octets(8, "XYZ")]
+        assert seen[0] == on.symbolic_octets(8, "XYZ") and len(seen) == 1 + 11
         exchange_suite(cand, DeterministicRng(7), samples=2)
-        assert len(seen) == 1
+        assert len(seen) == 1 + 2 * 11
+        assert {c.nvars for slots in seen[1:] for v in slots for c in v if isinstance(c, MultiPoly)} == {22}
         # the transposed ordering does not validate for either candidate
         assert results[6].rhs is False
         assert _exchange_summary(results) == _exchange_summary(exchange_suite(ref, DeterministicRng(7), samples=2))
@@ -523,9 +525,10 @@ def test_exchange_suite_agrees_with_evaluation_over_the_quaternions(side, t, ent
     assert _exchange_outcomes(cand) == _exchange_by_evaluation(cand)
 
 
-def test_skew_suite_evaluates_symbolic_slots_only_for_the_table():
+def test_skew_suite_evaluates_symbolic_slots_for_the_table_and_the_sampled_residual():
     # the proved identities read q's coefficient table; eval sees symbolic
-    # slots once, when the table is built, and the sampled witness's draws
+    # slots once when the table is built, and twice for the sampled
+    # witness's residual <q(X,Y,Z),W> + <q(X,Y,W),Z>
     nom = nom_from_t(Side.LEFT, HALF)
     ref = fkm_candidate(nom)
     seen = []
@@ -537,7 +540,8 @@ def test_skew_suite_evaluates_symbolic_slots_only_for_the_table():
 
     cand = QCandidate(QLabel.CUSTOM, nom, counting)
     results = skew_suite(cand, DeterministicRng(7), samples=2)
-    assert seen == [on.symbolic_octets(8, "XYZ")]
+    x, y, z, w = on.symbolic_octets(8, "xyZW")
+    assert seen == [on.symbolic_octets(8, "XYZ"), (x, y, z), (x, y, w)]
     assert [(w.identity_name, w.inputs["instances"], w.passed) for w in results] == [
         ("<q(U conj V,Y,V),W> = -<q(W conj V,Y,V),U>", 8, True),
         ("<q(X,Y,Z),W> skew in (Z,W)", 1, True),

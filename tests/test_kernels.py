@@ -17,7 +17,7 @@ from octoverify import octonion as on
 from octoverify.linalg import Op, kernel_basis
 from octoverify.circ import Side, nom_from_t
 from octoverify.poly import MultiPoly, monomial_key, weighted_products
-from octoverify.scalars import stack_vectors, sum_zero
+from octoverify.scalars import sum_zero
 
 PROPS = settings(max_examples=60, deadline=None)
 
@@ -212,7 +212,6 @@ INGRESS = {
     "kernel_basis": lambda v: kernel_basis([v[:4], v[4:]], 4),
     "MultiPoly": lambda v: MultiPoly(1, dict(enumerate(v))),
     "eval_many": lambda v: MultiPoly.variable(8, 0).eval_many([v]),
-    "stack_vectors": lambda v: stack_vectors([v]),
     "ProductTable.sparse": lambda v: on.ProductTable([[v[0:2], v[2:4]], [v[4:6], v[6:8]]]).sparse,
 }
 

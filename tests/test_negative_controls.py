@@ -1,8 +1,10 @@
 """Negative controls for the proved checks of the algebra and nom suites: a
 planted defect must fail exactly the checks that state the identity it
 breaks.  The norm identity of the identities suite gets a perturbed
-candidate, the Muenzner suite a perturbed F, and the q* batteries a
-closed form with one component negated (the last three tests).
+candidate, the Muenzner suite a perturbed F, the q* batteries a closed
+form with one component negated, the mirror suite a negated closed second
+form, and the clifford suite a change of basis that is not orthogonal (the
+last five tests).
 
 A defect is a monkeypatch of table entries or of alpha, planted in the
 product that the checks under test see (``on.multiply``, the ``circ`` the
@@ -21,11 +23,12 @@ from octoverify import circ as circ_module
 from octoverify import cli, identities, mirror
 from octoverify import octonion as on
 from octoverify.circ import Side, nom_from_t, verify_normalized
+from octoverify.linalg import Op
 from octoverify.identities import QCandidate, QLabel, fkm_candidate, norm_identity_check
 from octoverify.mirror import q_star_fkm_eval
 from octoverify.poly import MultiPoly, monomial_key
 from octoverify.scalars import sum_zero
-from octoverify.systems import fkm_polynomial
+from octoverify.systems import fkm_formula_forms, fkm_polynomial
 
 HALF = Fraction(1, 2)
 E56 = [(5, 6), (6, 5)]  # e5 e6 and e6 e5: both factors outside the quaternions
@@ -218,4 +221,32 @@ def test_the_q_star_batteries_fail_on_a_negated_component(monkeypatch, capsys, t
     report, code = cli.run(cli.RunConfig(alpha_t=t, suites=("mirror", "identities", "classify"), trials=20))
     assert code == 1
     assert {s["name"]: [c["name"] for c in s["checks"] if not c["pass"]] for s in report["suites"]} == Q_STAR_FAILING[t]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "algebra, t",
+    [("octonion", Fraction(0)), ("octonion", HALF), ("quaternion", Fraction(0))],
+    ids=["octonion t=0", "octonion t=1/2", "quaternion t=0"],
+)
+def test_the_mirror_suite_fails_on_a_negated_closed_second_form(monkeypatch, algebra, t):
+    # the expansion forms extracted from F no longer match the closed p*;
+    # the matrix-route check reads the intact formula inside systems
+    monkeypatch.setattr(cli, "fkm_formula_forms", lambda nom: [-p for p in fkm_formula_forms(nom)])
+    report, code = cli.run(cli.RunConfig(algebra=algebra, alpha_t=t, suites=("mirror",), trials=20))
+    assert code == 1
+    assert {s["name"]: [c["name"] for c in s["checks"] if not c["pass"]] for s in report["suites"]} == {
+        "mirror": ["extracted_p_matches_formula"]
+    }
+
+
+def test_the_clifford_suite_fails_on_a_non_orthogonal_change_of_basis(monkeypatch, capsys):
+    # 2 Id in place of the random orthogonal O: the A-system O J_a squares to
+    # -4 Id, so normalizing it raises and the suite records one failing check
+    monkeypatch.setattr(cli, "random_rational_orthogonal", lambda rng, n: Op.identity(n) * 2)
+    report, code = cli.run(cli.RunConfig(suites=("clifford",), trials=20))
+    assert code == 1
+    assert [[(c["name"], c["pass"], c["detail"]) for c in s["checks"]] for s in report["suites"]] == [
+        [("completed", False, "ValueError: A-system relations fail first at pair (1, 1)")]
+    ]
     capsys.readouterr()

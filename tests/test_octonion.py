@@ -194,37 +194,6 @@ def test_vector_ops_refuse_unequal_lengths(op):
             op(x, y)
 
 
-@pytest.mark.parametrize("dim", [4, 8])
-def test_random_octets_has_the_symbolic_layout(dim):
-    names = "xYzW"
-    drawn = on.random_octets(DeterministicRng(1), dim, names)
-    symbolic = on.symbolic_octets(dim, names)
-    assert len(drawn) == len(symbolic) == len(names)
-    for ch, v, s in zip(names, drawn, symbolic):
-        assert len(v) == len(s) == dim
-        assert all(type(c) is Fraction for c in v)
-        # a lowercase letter is imaginary in both; an uppercase letter has a free slot 0
-        assert (v[0] == 0 and s[0].is_zero()) if ch.islower() else not s[0].is_zero()
-    assert any(v[0] for v in on.random_octets(DeterministicRng(2), dim, "X" * 20))
-
-
-@pytest.mark.parametrize("dim", [4, 8])
-def test_random_octets_draws_the_loops_it_replaces_point_for_point(dim):
-    # the per-coordinate loops the batteries (bound 5) and the algebra suite
-    # (bound 6) drew their slots with
-    def imag(rng, bound=5):
-        return tuple([Fraction(0)] + [random_rational(rng, bound) for _ in range(dim - 1)])
-
-    def full(rng, bound=5):
-        return tuple(random_rational(rng, bound) for _ in range(dim))
-
-    old, new = DeterministicRng(5), DeterministicRng(5)
-    for _ in range(20):
-        assert on.random_octets(new, dim, "xyZW") == (imag(old), imag(old), full(old), full(old))
-        assert on.random_octets(new, dim, "XYZ", bound=6) == (full(old, 6), full(old, 6), full(old, 6))
-        assert new.counter == old.counter
-
-
 def test_defects_do_not_vanish_for_a_non_orthogonal_product():
     # the coordinatewise product is bilinear but neither orthogonal nor
     # exchange-symmetric
@@ -233,7 +202,8 @@ def test_defects_do_not_vanish_for_a_non_orthogonal_product():
 
     assert on.norm_defect(hadamard, E[1], E[2]) == -1
     assert any(on.exchange_defects(hadamard, E[1], E[1], E[1]))
-    x, y, z = on.random_octets(DeterministicRng(0), 8, "XYZ")
+    rng = DeterministicRng(0)
+    x, y, z = (rand_oct(rng, bound=5) for _ in range(3))
     assert on.norm_defect(hadamard, x, y) != 0
     assert any(on.exchange_defects(hadamard, x, y, z))
     assert on.norm_defect(on.multiply, x, y) == 0 and not any(on.exchange_defects(on.multiply, x, y, z))

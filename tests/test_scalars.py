@@ -1,5 +1,4 @@
 import math
-import operator
 from fractions import Fraction
 
 import pytest
@@ -7,14 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from octoverify.scalars import (
     DeterministicRng,
-    SampleBatch,
     int_scaled,
     pythagorean_unit,
     random_rational,
     random_rationals,
     rational_sqrt,
-    stack_vectors,
-    sum_zero,
 )
 
 
@@ -149,149 +145,6 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(0)) == 0
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(-1)) is None
-
-
-# ---------------------------------------------------------------------------
-# SampleBatch against Fraction arithmetic, sample by sample
-# ---------------------------------------------------------------------------
-
-BATCH_PROPS = settings(max_examples=80, deadline=None)
-SAMPLES = 5
-ints = st.integers(-30, 30)
-scalars = st.one_of(ints, st.fractions(min_value=-9, max_value=9, max_denominator=12))
-
-
-def _batch(nums, dens):
-    # unreduced on purpose: each sample's denominator is scaled by a factor
-    # that the numerator shares
-    return SampleBatch([n * f for n, f in zip(nums, dens)], [d * f for d, f in zip(dens, dens)])
-
-
-batches = st.builds(
-    _batch,
-    st.lists(ints, min_size=SAMPLES, max_size=SAMPLES),
-    st.lists(st.integers(1, 12), min_size=SAMPLES, max_size=SAMPLES),
-)
-
-
-@st.composite
-def batch_pairs(draw):
-    """Two batches of the same samples, over equal ``dens`` about half the time."""
-    a, b = draw(batches), draw(batches)
-    if draw(st.booleans()):
-        b = SampleBatch([n * d for n, d in zip(b.nums, a.dens)], a.dens)
-    return a, b
-
-
-RING_OPS = [operator.add, operator.sub, operator.mul]
-
-
-@BATCH_PROPS
-@given(batch_pairs())
-def test_batch_ring_operations_match_fractions(pair):
-    a, b = pair
-    for op in RING_OPS:
-        got = op(a, b)
-        assert type(got) is SampleBatch
-        assert got.values() == [op(u, v) for u, v in zip(a.values(), b.values())]
-    assert (-a).values() == [-u for u in a.values()]
-    assert bool(a) == any(a.values())
-
-
-@BATCH_PROPS
-@given(batches, scalars)
-def test_batch_scalar_operations_match_fractions_on_either_side(a, c):
-    for op in RING_OPS:
-        left, right = op(a, c), op(c, a)
-        assert type(left) is SampleBatch and type(right) is SampleBatch
-        assert left.values() == [op(u, c) for u in a.values()]
-        assert right.values() == [op(c, u) for u in a.values()]
-
-
-@st.composite
-def batch_pools(draw):
-    """Batches of the same samples: the second shares the first's ``dens``
-    object, the third has an equal but distinct ``dens`` list, and the
-    fourth a different one."""
-    a, d = draw(batches), draw(batches)
-    nums = st.lists(ints, min_size=SAMPLES, max_size=SAMPLES)
-    return [a, SampleBatch(draw(nums), a.dens), SampleBatch(draw(nums), list(a.dens)), d]
-
-
-# (left index, right index or scalar): a product of two pool batches or of
-# a batch and an int or Fraction
-pool_products = st.lists(
-    st.tuples(st.integers(0, 3), st.one_of(st.integers(0, 3), scalars.map(lambda c: (c,)))),
-    min_size=1,
-    max_size=12,
-)
-
-
-@BATCH_PROPS
-@given(batch_pools(), pool_products)
-def test_batch_products_match_fractions_whatever_the_previous_product(pool, products):
-    # the products share ``dens`` lists through a memo of the last one, which
-    # must not serve a product with other operands: a*b, a*c, a*b, a*(1/2), ...
-    for i, j in products:
-        left, right = pool[i], pool[j] if type(j) is int else j[0]
-        rights = right.values() if type(j) is int else [right] * SAMPLES
-        want = [u * v for u, v in zip(left.values(), rights)]
-        for got in (left * right, right * left):
-            assert type(got) is SampleBatch and got.values() == want
-
-
-def test_batch_has_no_single_value_to_compare_or_hash():
-    a = SampleBatch([1, 0], [2, 1])
-    for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
-        with pytest.raises(TypeError):
-            op(a, a)
-        with pytest.raises(TypeError):
-            op(a, 0)
-    with pytest.raises(TypeError):
-        hash(a)
-    # truth is "some sample is nonzero"
-    assert a and not SampleBatch([0, 0], [3, 5])
-
-
-def test_stack_vectors_lifts_each_sample_to_its_own_lcm():
-    vectors = [(Fraction(1, 2), Fraction(1, 3), 0), (Fraction(-4), 1, Fraction(5, 7))]
-    slot = stack_vectors(vectors)
-    assert [c.values() for c in slot] == [list(col) for col in zip(*vectors)]
-    assert all(c.dens is slot[0].dens for c in slot) and slot[0].dens == [6, 7]
-    # a zero of the batch's kind, which the kernels return for an empty sum
-    zero = sum_zero(slot, (Fraction(1),) * 3)
-    assert type(zero) is SampleBatch and zero.values() == [0, 0] and not zero
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 8).flatmap(
-        lambda dim: st.lists(
-            st.lists(st.one_of(st.integers(-9, 9), st.fractions(max_denominator=12)), min_size=dim, max_size=dim),
-            max_size=6,
-        )
-    )
-)
-def test_stack_vectors_equals_int_scaled_per_sample(vectors):
-    slot = stack_vectors(vectors)
-    scaled = [int_scaled(v) for v in vectors]
-    if not vectors:
-        assert slot == ()
-        return
-    assert [c.dens for c in slot] == [[d for d, _ in scaled]] * len(vectors[0])
-    assert [c.nums for c in slot] == [list(col) for col in zip(*(ints for _, ints in scaled))]
-    assert all(type(n) is int for c in slot for n in c.nums)
-
-
-def test_stack_vectors_checks_the_whole_chunk():
-    good = (Fraction(1, 2), 3)
-    with pytest.raises(TypeError):
-        stack_vectors([good, good, (Fraction(1), 0.5)])
-    with pytest.raises(TypeError):
-        stack_vectors([(True, 1), good])
-    with pytest.raises(ValueError):
-        stack_vectors([good, (Fraction(1),)])
-    assert stack_vectors([(), ()]) == ()
 
 
 @settings(max_examples=200, deadline=None)
