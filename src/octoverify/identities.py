@@ -10,16 +10,17 @@ Each candidate carries one coefficient table of its ``eval``
 (``QCandidate.table``, a ``mirror.TrilinearTable``), built on first use from
 one symbolic evaluation on full slots, which also checks that ``eval`` is
 trilinear; ``r_form`` contracts it at rational slots.  Each battery states
-each identity once, as the values that must vanish, and checks it through
-one of two drivers in ``report``, recorded as witnesses: ``proved``, or
-``sampled``, which values the same residuals at seeded points.  A proved
-identity is a polynomial in free slots that vanishes exactly when each of
-its coefficients does.  The anti battery evaluates ``eval`` on
-``octonion.symbolic_octets`` slots to get it; the exchange and skew
-batteries read each coefficient off the table as a sum of entries
-(``exchange_suite``, ``skew_suite``).  Either way a pass is a proof of the
-identity.  A sampled witness values residuals of ``eval`` on symbolic
-slots; the anti battery samples the very residuals it proves.
+each identity once, as the values that must vanish, and proves it with
+``report.proved``, recorded as a witness.  A proved identity is a
+polynomial in free slots that vanishes exactly when each of its
+coefficients does.  The anti battery and the exchange battery's polarised
+identities evaluate ``eval`` on ``octonion.symbolic_octets`` slots to get
+it; the other identities of the exchange and skew batteries read each
+coefficient off the table as a sum of entries (``exchange_suite``,
+``skew_suite``).  Either way a pass is a proof of the identity.  The
+batteries are a pure function of the candidate, so each candidate runs
+them once (``QCandidate.batteries``), and ``classify_q`` refuses a
+candidate that fails them.
 
 Classification compares components: each candidate carries the cubic
 component polynomials of its ``eval`` (``QCandidate.tensor``, read off its
@@ -32,7 +33,7 @@ themselves live only in ``mirror.q_star_ot_eval`` and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -41,8 +42,7 @@ from . import octonion as on
 from .circ import Nom, Side, circ, cos_sin_2theta, theta_axis
 from .mirror import TrilinearTable, q_star_fkm_eval, q_star_ot_eval
 from .poly import MultiPoly
-from .report import Report, WitnessReport, proved, sampled
-from .scalars import DeterministicRng
+from .report import Report, WitnessReport, proved
 
 
 class QLabel(enum.Enum):
@@ -53,16 +53,31 @@ class QLabel(enum.Enum):
     UNKNOWN = "Unknown"
 
 
+@dataclass(frozen=True)
+class Batteries:
+    """The identity batteries' verdict on one candidate: the witness lists
+    of ``exchange_suite``, ``skew_suite`` and ``anti_suite``, and
+    ``norm_identity_check``."""
+
+    exchange: list
+    skew: list
+    anti: list
+    norm: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.norm and all(w.passed for ws in (self.exchange, self.skew, self.anti) for w in ws)
+
+
 @dataclass
 class QCandidate:
-    """A trilinear candidate q* with the ``verified`` flags its batteries
-    set.  ``table`` and ``tensor`` are cached on first use, so a different
-    ``eval`` needs a new candidate."""
+    """A trilinear candidate q*.  ``table``, ``tensor`` and ``batteries``
+    are cached on first use, so a different ``eval`` needs a new
+    candidate."""
 
     label: QLabel
     nom: Nom
     eval: Callable  # (X, Y, Z) coordinate tuples -> coordinate tuple
-    verified: set = field(default_factory=set)
 
     @property
     def dim(self) -> int:
@@ -79,6 +94,11 @@ class QCandidate:
         """The components of ``eval`` as cubic polynomials, read off ``table``
         (``TrilinearTable.components``)."""
         return self.table.components()
+
+    @cached_property
+    def batteries(self) -> Batteries:
+        """The identity batteries on ``eval``, each run once."""
+        return Batteries(exchange_suite(self), skew_suite(self), anti_suite(self), norm_identity_check(self))
 
 
 def fkm_candidate(nom: Nom) -> QCandidate:
@@ -154,13 +174,25 @@ def crucial_classify(q: QCandidate, x: tuple, y: tuple) -> Report:
 # identity batteries
 # ---------------------------------------------------------------------------
 
+# The witnesses that were once valued at 25 seeded points keep the schema-v1
+# record {"instances": 25} with a Fraction residual.  Each is proved in
+# symbolic slots now, and a proof implies the count, so the record
+# understates and never overstates.  ROADMAP item 1 (the schema-v2
+# benchmark change) replaces the count with ``evidence``.
+RECORDED_INSTANCES = 25
 
-def exchange_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int = 100) -> list:
+
+def recorded(name: str, passed: bool) -> WitnessReport:
+    """The proved witness ``name`` in its schema-v1 record (see
+    ``RECORDED_INSTANCES``): residual 0 on a pass, 1 on a failure."""
+    return WitnessReport(name, {"instances": RECORDED_INSTANCES}, None, None, Fraction(0 if passed else 1), passed)
+
+
+def exchange_suite(q: QCandidate) -> list:
     """The six exchange identities of the third form plus their six
-    imaginary-vector corollaries, verified symbolically over free slots and on
-    random samples.
+    imaginary-vector corollaries, proved over free slots.
 
-    The symbolic identities are read off ``q.table``, T[k; i, j, l] =
+    The basis-slot identities are read off ``q.table``, T[k; i, j, l] =
     <q(e_i, e_j, e_l), e_k>, with the purely imaginary X and Y as free slots.
     The two bilinear ones vanish exactly when the coefficients of their
     monomials do: T[a; i, j, a] for q(X,Y,e_a) _|_ e_a, and the symmetric
@@ -171,12 +203,10 @@ def exchange_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: 
     y_f in <q(e_a,Y,e_p),e_a> + <q(e_a conj(e_p),Y,e_0),e_a> is
     T[a; a, f, p] + sum_k v_k T[a; k, f, 0] with v = e_a conj(e_p) read off
     the product's ``ProductTable.sparse``; each (a, p) is one instance of
-    its witness.  The sampled battery evaluates q on symbolic slots and
-    values each residual at seeded points (``report.sampled``)."""
+    its witness.  The polarised identities evaluate q on symbolic slots,
+    once per distinct triple, and are recorded by ``recorded``."""
     dim = q.dim
-    rng = rng or DeterministicRng(6)
     nomc = q.nom
-    E = [on.basis(i, dim) for i in range(dim)]
     coeff = q.table.coeff  # den * T[k; i, j, l]
     im = range(1, dim)  # the coordinates of the purely imaginary slots X, Y
 
@@ -226,31 +256,26 @@ def exchange_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: 
     transposed = proved("sixth identity transposed ordering (informational)", exchange("Y", o, aa_transposed))
     out.append(WitnessReport(transposed.identity_name, transposed.inputs, "validates", transposed.passed, 0, True))
 
-    # polarized battery in imaginary X, Y and full Z, valued at seeded points
-    checks = {
-        "<q(X,Y,Z),Z> = 0 (Z imaginary or e_0)": lambda X, Y, Z: on.inner(q.eval(X, Y, on.imaginary_part(Z)), on.imaginary_part(Z)),
-        "<q(X,Y,e_0),X> = 0": lambda X, Y, Z: on.inner(q.eval(X, Y, E[0]), X),
-        "<q(X,Y,e_0),Y> = 0": lambda X, Y, Z: on.inner(q.eval(X, Y, E[0]), Y),
-        "<q(X,Y,Z),X> = -<q(X conj(Z),Y,e_0),X>": lambda X, Y, Z: on.inner(q.eval(X, Y, Z), X)
-        + on.inner(q.eval(on.multiply(X, on.conjugate(Z)), Y, E[0]), X),
-        "<q(X,Y,Z),Y> = -<q(X,Y o conj(Z),e_0),Y>": lambda X, Y, Z: on.inner(q.eval(X, Y, Z), Y)
-        + on.inner(q.eval(X, circ(nomc, Y, on.conjugate(Z)), E[0]), Y),
-        "<q(X,Y,X),Z> = <q(ZX,Y,e_0),X>": lambda X, Y, Z: on.inner(q.eval(X, Y, X), Z)
-        - on.inner(q.eval(on.multiply(Z, X), Y, E[0]), X),
-        "<q(X,Y,Y),Z> = <q(X,Z o Y,e_0),Y>": lambda X, Y, Z: on.inner(q.eval(X, Y, Y), Z)
-        - on.inner(q.eval(X, circ(nomc, Z, Y), E[0]), Y),
+    # the polarised battery in imaginary X, Y and full Z
+    X, Y, Z = on.symbolic_octets(dim, "xyZ")
+    e0, inner, conj = on.basis(0, dim), on.inner, on.conjugate
+    xyz, xy0, im_z = q.eval(X, Y, Z), q.eval(X, Y, e0), on.imaginary_part(Z)
+    polarised = {
+        "<q(X,Y,Z),Z> = 0 (Z imaginary or e_0)": inner(q.eval(X, Y, im_z), im_z),
+        "<q(X,Y,e_0),X> = 0": inner(xy0, X),
+        "<q(X,Y,e_0),Y> = 0": inner(xy0, Y),
+        "<q(X,Y,Z),X> = -<q(X conj(Z),Y,e_0),X>": inner(xyz, X) + inner(q.eval(on.multiply(X, conj(Z)), Y, e0), X),
+        "<q(X,Y,Z),Y> = -<q(X,Y o conj(Z),e_0),Y>": inner(xyz, Y) + inner(q.eval(X, circ(nomc, Y, conj(Z)), e0), Y),
+        "<q(X,Y,X),Z> = <q(ZX,Y,e_0),X>": inner(q.eval(X, Y, X), Z) - inner(q.eval(on.multiply(Z, X), Y, e0), X),
+        "<q(X,Y,Y),Z> = <q(X,Z o Y,e_0),Y>": inner(q.eval(X, Y, Y), Z) - inner(q.eval(X, circ(nomc, Z, Y), e0), Y),
     }
-    slots = on.symbolic_octets(dim, "xyZ")
-    out += [sampled(name, [f(*slots)], 3 * dim - 2, samples, rng) for name, f in checks.items()]
-    if all(w.passed for w in out):
-        q.verified.add("exchange")
-    return out
+    return out + [recorded(name, not r) for name, r in polarised.items()]
 
 
-def skew_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int = 50) -> list:
+def skew_suite(q: QCandidate) -> list:
     """Skew symmetries: the U/W exchange identity over V = e_0 or imaginary
-    basis, skewness of <q(X,Y,Z),W> in (Z, W), proved and on samples, and
-    full antisymmetry of <q(X,Y,e_0),Z>.
+    basis, skewness of <q(X,Y,Z),W> in (Z, W), and full antisymmetry of
+    <q(X,Y,e_0),Z>.
 
     The proved ones are read off ``q.table``, T[k; i, j, l] =
     <q(e_i, e_j, e_l), e_k>, as in ``exchange_suite``; each vanishes exactly
@@ -261,10 +286,9 @@ def skew_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
     - skew in (Z, W): of X_i Y_j Z_l W_k, T[k; i, j, l] + T[l; i, j, k];
     - R(X,Y,Z) = <q(X,Y,e_0),Z> + R(Y,X,Z) and + R(X,Z,Y): of X_i Y_j Z_k,
       T[k; i, j, 0] + T[k; j, i, 0] and T[k; i, j, 0] + T[j; i, k, 0].
-    The sampled witness evaluates q on symbolic slots and values the
-    residual at seeded points (``report.sampled``)."""
+    "skew (Z,W) on samples" is the skew proof's verdict under its schema-v1
+    name (``recorded``)."""
     dim = q.dim
-    rng = rng or DeterministicRng(39)
     rows = q.table.rows  # rows[i][j][l]: the (k, den * T[k; i, j, l]) pairs
     full, im = range(dim), range(1, dim)
     _, products = on.PRODUCT_TABLES[dim].sparse
@@ -288,27 +312,24 @@ def skew_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
 
     zw = {(i, j, l, k): t for i in im for j in im for l, e in enumerate(rows[i][j]) for k, t in e}
     r = {(i, j, k): t for i in full for j in full for k, t in rows[i][j][0]}  # den * T[k; i, j, 0]
-    X, Y, Z, W = on.symbolic_octets(dim, "xyZW")
-    skew_zw = on.inner(q.eval(X, Y, Z), W) + on.inner(q.eval(X, Y, W), Z)
-    out = [
+    skew_zw = proved("<q(X,Y,Z),W> skew in (Z,W)", (unskewed(zw, lambda i, j, l, k: (i, j, k, l)),))
+    return [
         proved("<q(U conj V,Y,V),W> = -<q(W conj V,Y,V),U>", (uw_exchange(v) for v in full)),
-        proved("<q(X,Y,Z),W> skew in (Z,W)", (unskewed(zw, lambda i, j, l, k: (i, j, k, l)),)),
+        skew_zw,
         proved(
             "<q(X,Y,e_0),Z> fully antisymmetric",
             (unskewed(r, lambda i, j, k: (j, i, k)), unskewed(r, lambda i, j, k: (i, k, j))),
         ),
-        sampled("skew (Z,W) on samples", [skew_zw], 4 * dim - 2, samples, rng),
+        recorded("skew (Z,W) on samples", skew_zw.passed),
     ]
-    if all(w.passed for w in out):
-        q.verified.add("skew")
-    return out
 
 
-def anti_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int = 50) -> list:
-    """Vanishing pairings <q(X,Y,W), XW> = <q(X,Y,W), Y o W> = 0, proved and
-    on samples, and their anti-symmetrized (U, V) versions."""
+def anti_suite(q: QCandidate) -> list:
+    """Vanishing pairings <q(X,Y,W), XW> = <q(X,Y,W), Y o W> = 0 and their
+    anti-symmetrized (U, V) versions, proved.  "vanishing pairings on
+    samples" is the verdict of the first two under its schema-v1 name
+    (``recorded``)."""
     dim = q.dim
-    rng = rng or DeterministicRng(67)
     nomc = q.nom
 
     def pairings(X, Y, U, V):
@@ -320,16 +341,14 @@ def anti_suite(q: QCandidate, rng: DeterministicRng | None = None, samples: int 
     v1, v2 = pairings(xs, ys, ws, ws)
     xs2, ys2, us, vs = on.symbolic_octets(dim, "xyUV")
     a1, a2 = on.add(pairings(xs2, ys2, us, vs), pairings(xs2, ys2, vs, us))
-    out = [
-        proved("<q(X,Y,W),XW> = 0", [v1]),
-        proved("<q(X,Y,W),Y o W> = 0", [v2]),
+    w1, w2 = proved("<q(X,Y,W),XW> = 0", [v1]), proved("<q(X,Y,W),Y o W> = 0", [v2])
+    return [
+        w1,
+        w2,
         proved("<q(X,Y,U),XV> + <q(X,Y,V),XU> = 0", [a1]),
         proved("<q(X,Y,U),Y o V> + <q(X,Y,V),Y o U> = 0", [a2]),
-        sampled("vanishing pairings on samples", [v1, v2], 3 * dim - 2, samples, rng),
+        recorded("vanishing pairings on samples", w1.passed and w2.passed),
     ]
-    if all(w.passed for w in out):
-        q.verified.add("anti")
-    return out
 
 
 def norm_identity_check(q: QCandidate) -> bool:
@@ -338,10 +357,7 @@ def norm_identity_check(q: QCandidate) -> bool:
     Equal components prove it at once (so an FKM candidate squares
     nothing); only components that differ have their norms compared."""
     ref = fkm_candidate(q.nom).tensor
-    ok = q.tensor == ref or (on.norm_sq(q.tensor) - on.norm_sq(ref)).is_zero()
-    if ok:
-        q.verified.add("norm")
-    return ok
+    return q.tensor == ref or (on.norm_sq(q.tensor) - on.norm_sq(ref)).is_zero()
 
 
 def good_identity_check(q: QCandidate) -> bool:
@@ -409,18 +425,14 @@ class Classification:
     note: str = ""
 
 
-REQUIRED_SUITES = {"exchange", "skew", "anti", "norm"}
-
-
 def classify_q(q: QCandidate, references: list) -> Classification:
     """Match q against the endpoint candidates ``references`` (OT, FKM-left
     and FKM-right at alpha = e_0, in that order): q matches a reference when
-    their cubic components are equal.  Requires the identity suites to have
-    run and passed on q (a suite marks the candidate only when every witness
-    passed); never coerces an unmatched candidate."""
-    missing = REQUIRED_SUITES - q.verified
-    if missing:
-        raise ValueError(f"classification requires suites {sorted(missing)} to have run and passed")
+    their cubic components are equal.  Raises ``ValueError`` unless q passes
+    its identity batteries (``QCandidate.batteries``); never coerces an
+    unmatched candidate."""
+    if not q.batteries.passed:
+        raise ValueError("classification requires the identity suites to have passed on q")
     matches = [ref.label for ref in references if ref.tensor == q.tensor]
     if not matches:
         return Classification(QLabel.UNKNOWN, [])

@@ -26,8 +26,8 @@ algebra suite runs on those same int vectors.
 The multiplication matrices (``left_mult_matrix``, ``right_mult_matrix``) and
 the generators J_a, J'_a (the table's ``left_ops``, ``right_ops``) are
 ``linalg.Op``s, so they take rational coordinates only.  ``symbolic_octets``
-gives the polynomial-coordinate slots that every identity is stated in,
-proved there or valued at seeded points (``report.proved``, ``sampled``).
+gives the polynomial-coordinate slots that every identity is stated in and
+proved in (``report.proved``).
 ``norm_defect`` and ``exchange_defects`` state the identities every
 orthogonal multiplication satisfies, once, for any product ``mul``: the
 octonion product and every x o y.

@@ -25,8 +25,8 @@ polynomial terms.  ``fraction_terms`` hands the coefficients out as
 ``Fraction`` values to the few readers that want them (``dump``,
 ``exponent_dict``, the expansion-form extraction).  ``evaluate`` values
 several polynomials at several points in ints, each distinct monomial once
-per point; ``eval_many`` and ``eval`` are its one-polynomial case, so there
-is one evaluator.  Both Muenzner routes read one F's degree check,
+per point; ``eval`` is its one-polynomial, one-point case, so there is
+one evaluator.  Both Muenzner routes read one F's degree check,
 gradient and Laplacian off one ``MunznerCalculus``.
 
 Only ints and ``Fraction`` enter, by the rule of ``scalars.int_scaled``,
@@ -323,10 +323,6 @@ class MultiPoly:
     def eval(self, point: list) -> Fraction:
         """Exact value at a point of ints and Fractions (see ``evaluate``)."""
         return evaluate([self], [point])[0][0]
-
-    def eval_many(self, points: list) -> list[Fraction]:
-        """Exact values at several points of ints and Fractions (see ``evaluate``)."""
-        return evaluate([self], points)[0]
 
     # -- structure ----------------------------------------------------------
     def is_homogeneous(self, degree: int | None = None) -> bool:

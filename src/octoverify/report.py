@@ -1,17 +1,13 @@
-"""Check/report containers with deterministic JSON serialization, and the two
-drivers that check an identity stated as the values that must vanish:
-``proved`` for polynomials in symbolic slots, ``sampled`` for the same
-polynomials valued at seeded points.  Both take the identity's residuals
-in ``octonion.symbolic_octets`` slots, so a sampled check becomes a proof
-by calling ``proved`` on its residuals instead."""
+"""Check/report containers with deterministic JSON serialization, and
+``proved``, the driver that checks an identity stated as the values that
+must vanish: its residuals, polynomials in ``octonion.symbolic_octets``
+slots, are zero exactly when the identity holds."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
-
-from .scalars import DeterministicRng, random_rationals
 
 SCHEMA_VERSION = "1"
 
@@ -143,31 +139,3 @@ def proved(name: str, residuals) -> WitnessReport:
         ok = not r and ok
     return WitnessReport(name, {"instances": count}, None, None, 0 if ok else 1, ok)
 
-
-def sampled(name: str, residuals, nvars: int, samples: int, rng: DeterministicRng, bound: int = 5) -> WitnessReport:
-    """The witness that every value in ``residuals`` vanishes at ``samples``
-    seeded points.  The residuals are what ``proved`` takes: polynomials
-    over ``nvars`` variables (``octonion.symbolic_octets`` slots) or plain
-    rationals.
-
-    The points are split in order from one ``scalars.random_rationals(rng,
-    bound, nvars * samples)`` call, so each point draws the slots' variables
-    letter by letter.  Only the nonzero residuals are valued, at every
-    point, by ``poly.evaluate``: a zero polynomial is 0 at every point.
-    Every draw is made either way, so ``rng`` ends at the same place
-    whether the identity holds or not.  The recorded residual is the worst
-    |value| over every point (a plain rational counts once).  ``samples``
-    < 1 raises ``ValueError`` before any draw: a pass over no points would
-    witness nothing."""
-    from .poly import MultiPoly, evaluate  # poly imports this module
-
-    if samples < 1:
-        raise ValueError(f"{name}: sampled needs at least one sample, not {samples}")
-    coords = random_rationals(rng, bound, nvars * samples)
-    nonzero = [r for r in residuals if r]
-    polys = [r for r in nonzero if type(r) is MultiPoly]
-    worst = max((abs(r) for r in nonzero if type(r) is not MultiPoly), default=Fraction(0))
-    if polys:
-        points = [coords[i * nvars : (i + 1) * nvars] for i in range(samples)]
-        worst = max(worst, *(abs(v) for values in evaluate(polys, points) for v in values))
-    return WitnessReport(name, {"instances": samples}, None, None, worst, worst == 0)

@@ -15,10 +15,10 @@ Angles are realized as rational points on the unit circle via the Pythagorean
 parametrization c = (1-t^2)/(1+t^2), s = 2t/(1+t^2), which keeps every
 downstream identity exactly checkable.
 
-The seeded draws are counter-based splitmix64 (``DeterministicRng``).
-``random_rationals`` makes many draws in one loop, each from two counters,
-and reads each value from a per-bound table of interned ``Fraction``s
-(filled on first draw), so a draw builds and reduces no ``Fraction``;
+The seeded draws are counter-based splitmix64 (``DeterministicRng``).  The
+verifiers prove their identities, so the few draws left are the randomized
+Muenzner route's points and ``linalg.random_rational_orthogonal``'s
+rotations: ``random_rationals`` draws each rational from two counters, and
 ``random_rational`` is its single draw.
 """
 
@@ -157,44 +157,15 @@ class DeterministicRng:
         return DeterministicRng(_splitmix64(self.seed, tag ^ 0xD6E8FEB86659FD93), 0)
 
 
-class _RationalTable(dict):
-    """The values ``random_rationals`` draws at one bound b, interned: key
-    i * b + j holds ``Fraction(i - b, j + 1)`` for 0 <= i <= 2b, 0 <= j < b.
-    An entry is built on its first draw, so the table never holds more than
-    the (2b+1)·b possible values, nor more than were drawn."""
-
-    def __init__(self, bound: int):
-        super().__init__()
-        self.bound = bound
-
-    def __missing__(self, key: int) -> Fraction:
-        i, j = divmod(key, self.bound)
-        value = self[key] = Fraction(i - self.bound, j + 1)
-        return value
-
-
-_RATIONAL_TABLES: dict[int, _RationalTable] = {}
-
-
 def random_rationals(rng: DeterministicRng, bound: int, count: int) -> list[Fraction]:
     """``count`` successive random rationals with |numerator|, denominator
-    <= bound (so |r| <= bound).  Each is drawn from two counters of ``rng``,
-    as ``Fraction(rng.next_int(-bound, bound), rng.next_int(1, bound))``, and
-    read from the bound's table of interned values instead of being built
-    and reduced."""
+    <= bound (so |r| <= bound), each
+    ``Fraction(rng.next_int(-bound, bound), rng.next_int(1, bound))``."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if count < 0:
         raise ValueError("count must be >= 0")
-    table = _RATIONAL_TABLES.get(bound)
-    if table is None:
-        table = _RATIONAL_TABLES.setdefault(bound, _RationalTable(bound))
-    seed, start, span = rng.seed, rng.counter, 2 * bound + 1
-    rng.counter = start + 2 * count
-    return [
-        table[_splitmix64(seed, n) % span * bound + _splitmix64(seed, n + 1) % bound]
-        for n in range(start, start + 2 * count, 2)
-    ]
+    return [Fraction(rng.next_int(-bound, bound), rng.next_int(1, bound)) for _ in range(count)]
 
 
 def random_rational(rng: DeterministicRng, bound: int) -> Fraction:

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from octoverify import identities
 from octoverify import octonion as on
 from octoverify.circ import Nom, Side, circ_definition
 from octoverify.cli import ALL_SUITES, RunConfig, RunContext, build_parser, main, run, suite_nom_float, sweep_theta
 from octoverify.poly import MultiPoly, monomial_key
-from octoverify.report import Report
+from octoverify.report import Report, WitnessReport
 from octoverify.scalars import DeterministicRng
 
 SMALL = ("algebra", "clifford")
@@ -173,48 +174,52 @@ def test_one_definition_serves_the_product_and_circ_checks(monkeypatch, name, fa
     assert {s["name"]: [c["name"] for c in s["checks"] if not c["pass"]] for s in report["suites"]} == failing
 
 
-def _count_calls(monkeypatch, name):
-    """Record the first argument of every call of ``cli.<name>``."""
+def _count_calls(monkeypatch, name, owner=None):
+    """Record the first argument of every call of ``<owner>.<name>``, where
+    ``owner`` is a module (``cli`` by default)."""
     import octoverify.cli as cli
 
+    owner = owner or cli
     calls = []
-    real = getattr(cli, name)
+    real = getattr(owner, name)
 
     def counting(first, *args, **kwargs):
         calls.append(first)
         return real(first, *args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
 def test_classify_reuses_the_identities_batteries(monkeypatch):
-    calls = _count_calls(monkeypatch, "exchange_suite")
+    calls = _count_calls(monkeypatch, "exchange_suite", identities)
     report, code = run(small_cfg(alpha_t=Fraction(1, 2), suites=("identities", "classify")))
     assert code == 0
-    # identities: FKM, OT and the unsymmetrized candidate; classify: only the
-    # two endpoint candidates, which the identities suite did not prove
-    assert len(calls) == 5
+    # each candidate runs its batteries once (QCandidate.batteries): FKM and
+    # OT in identities, then only the two endpoint candidates in classify
+    assert len(calls) == 4 and len({id(c) for c in calls}) == 4
 
 
 def test_classify_alone_proves_all_four_candidates(monkeypatch):
-    calls = _count_calls(monkeypatch, "exchange_suite")
+    calls = _count_calls(monkeypatch, "exchange_suite", identities)
     report, code = run(small_cfg(alpha_t=Fraction(1, 2), suites=("classify",)))
     assert code == 0
     assert len(calls) == 4 and len({id(c) for c in calls}) == 4
 
 
-def test_classify_reruns_a_candidate_whose_battery_failed(monkeypatch):
-    import octoverify.cli as cli
-
+def test_classify_fails_on_a_candidate_whose_anti_battery_fails(monkeypatch, capsys):
     cfg = small_cfg(algebra="quaternion", alpha_t=Fraction(1, 2), suites=("classify",))
     ctx = RunContext(cfg)
     cand = ctx.candidate("fkm", ctx.nom)
-    cand.verified |= {"exchange", "skew", "norm"}  # as if its anti battery had failed
-    calls = _count_calls(monkeypatch, "exchange_suite")
-    rep = cli.suite_classify(cfg, DeterministicRng(0), ctx)
-    assert rep.passed
-    assert len(calls) == 4 and sum(c is cand for c in calls) == 1
+    anti_suite = identities.anti_suite
+    planted = WitnessReport("planted", {"instances": 1}, None, None, 1, False)
+    monkeypatch.setattr(identities, "anti_suite", lambda q: [*anti_suite(q), *([planted] if q is cand else [])])
+    report, code = run(cfg, ctx)
+    assert code == 1 and not cand.batteries.passed
+    assert [[(c["name"], c["pass"], c["detail"]) for c in s["checks"]] for s in report["suites"]] == [
+        [("completed", False, "ValueError: classification requires the identity suites to have passed on q")]
+    ]
+    capsys.readouterr()
 
 
 def test_run_builds_each_system_once(monkeypatch):

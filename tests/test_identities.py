@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from octoverify import octonion as on
 from octoverify.circ import Nom, Side, circ, nom_from_t
 from octoverify.identities import (
-    REQUIRED_SUITES,
+    RECORDED_INSTANCES,
+    Batteries,
     QCandidate,
     QLabel,
     anti_suite,
@@ -102,26 +103,24 @@ def test_crucial_classify_branches():
 )
 def test_identity_batteries_pass(maker):
     cand = maker()
-    rng = DeterministicRng(7)
-    assert all(w.passed for w in exchange_suite(cand, rng, samples=15))
-    assert all(w.passed for w in skew_suite(cand, rng, samples=15))
-    assert all(w.passed for w in anti_suite(cand, rng, samples=15))
+    assert all(w.passed for w in exchange_suite(cand))
+    assert all(w.passed for w in skew_suite(cand))
+    assert all(w.passed for w in anti_suite(cand))
     assert norm_identity_check(cand)
 
 
 def test_batteries_quaternion_candidates():
-    rng = DeterministicRng(8)
     for cand in (fkm_candidate(nom_from_t(Side.LEFT, Fraction(0), axis=1, dim=4)), ot_candidate(4)):
-        assert all(w.passed for w in exchange_suite(cand, rng, samples=10))
-        assert all(w.passed for w in skew_suite(cand, rng, samples=10))
-        assert all(w.passed for w in anti_suite(cand, rng, samples=10))
-        assert norm_identity_check(cand)
+        b = cand.batteries
+        assert b.passed and b.norm
+        # the cached value holds what the batteries return
+        assert [w.to_json() for w in b.exchange] == [w.to_json() for w in exchange_suite(cand)]
+        assert cand.batteries is b
 
 
 def test_unsymmetrized_candidate_fails():
     cand = QCandidate(QLabel.CUSTOM, nom_from_t(Side.LEFT, Fraction(0)), lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z))
-    rng = DeterministicRng(9)
-    results = exchange_suite(cand, rng, samples=10)
+    results = exchange_suite(cand)
     assert not all(w.passed for w in results)
 
 
@@ -200,13 +199,8 @@ def test_quaternion_c_minus_one_candidate_violates_pairing():
     assert val == obstruction_c_minus_one(4, xq, yq, wq) == 2
 
 
-def _prepared(cand):
-    rng = DeterministicRng(12)
-    exchange_suite(cand, rng, samples=3)
-    skew_suite(cand, rng, samples=3)
-    anti_suite(cand, rng, samples=3)
-    norm_identity_check(cand)
-    return cand
+# preset into a candidate's cache, so that only the matcher is under test
+PASSED = Batteries([], [], [], True)
 
 
 def _endpoints(dim):
@@ -217,24 +211,29 @@ def _endpoints(dim):
 
 def test_classify_q_labels():
     refs = _endpoints(8)
-    assert classify_q(_prepared(ot_candidate(8)), refs).label is QLabel.OT_TYPE
-    assert classify_q(_prepared(fkm_candidate(nom_from_t(Side.LEFT, Fraction(0)))), refs).label is QLabel.FKM_LEFT
-    assert classify_q(_prepared(fkm_candidate(nom_from_t(Side.RIGHT, Fraction(0)))), refs).label is QLabel.FKM_RIGHT
+    assert classify_q(ot_candidate(8), refs).label is QLabel.OT_TYPE
+    assert classify_q(fkm_candidate(nom_from_t(Side.LEFT, Fraction(0))), refs).label is QLabel.FKM_LEFT
+    assert classify_q(fkm_candidate(nom_from_t(Side.RIGHT, Fraction(0))), refs).label is QLabel.FKM_RIGHT
 
 
 def test_classify_q_requires_suites():
+    # classify_q runs the batteries of a fresh candidate itself, and refuses
+    # a candidate whose batteries, read from its cache, did not all pass
+    cand = ot_candidate(8)
+    assert classify_q(cand, _endpoints(8)).label is QLabel.OT_TYPE and cand.batteries.passed
+    cand.batteries = Batteries(cand.batteries.exchange, cand.batteries.skew, cand.batteries.anti, False)
     with pytest.raises(ValueError, match="suites"):
-        classify_q(ot_candidate(8), _endpoints(8))
+        classify_q(cand, _endpoints(8))
 
 
 def test_classify_q_quaternion_coincidence():
-    cls = classify_q(_prepared(ot_candidate(4)), _endpoints(4))
+    cls = classify_q(ot_candidate(4), _endpoints(4))
     assert QLabel.OT_TYPE in cls.matches and QLabel.FKM_LEFT in cls.matches
     assert "coincidence" in cls.note
 
 
 def test_classify_q_unknown_for_nonendpoint():
-    cand = _prepared(fkm_candidate(nom_from_t(Side.LEFT, Fraction(1, 2))))
+    cand = fkm_candidate(nom_from_t(Side.LEFT, Fraction(1, 2)))
     assert classify_q(cand, _endpoints(8)).label is QLabel.UNKNOWN
 
 
@@ -267,14 +266,14 @@ def _oracle_matches(cand):
 def test_classify_q_matches_the_cayley_dickson_oracle(dim, side, t):
     refs = _endpoints(dim)
     cand = fkm_candidate(nom_from_t(side, t, axis=4 if dim == 8 else 1, dim=dim))
-    cand.verified.update(REQUIRED_SUITES)  # the matcher alone is under test
+    cand.batteries = PASSED
     assert classify_q(cand, refs).matches == _oracle_matches(cand)
 
 
 @pytest.mark.parametrize("dim", [4, 8])
 def test_classify_q_ot_matches_the_cayley_dickson_oracle(dim):
     cand = ot_candidate(dim)
-    cand.verified.update(REQUIRED_SUITES)
+    cand.batteries = PASSED
     want = [QLabel.OT_TYPE, QLabel.FKM_LEFT] if dim == 4 else [QLabel.OT_TYPE]
     assert _oracle_matches(cand) == want
     assert classify_q(cand, _endpoints(dim)).matches == want
@@ -287,7 +286,8 @@ def test_classify_q_unknown_when_one_basis_triple_differs():
         # adds X_1 Y_2 Z_3 e_4: trilinear, nonzero only on (e_1, e_2, e_3)
         return on.add(left.eval(X, Y, Z), on.scale(X[1] * Y[2] * Z[3], E[4]))
 
-    cand = QCandidate(QLabel.CUSTOM, left.nom, bumped, set(REQUIRED_SUITES))
+    cand = QCandidate(QLabel.CUSTOM, left.nom, bumped)
+    cand.batteries = PASSED
     assert [a for a in range(8) if cand.tensor[a] != left.tensor[a]] == [4]
     # x_1 y_2 z_3 in the (x_1..x_7, y_1..y_7, z_0..z_7) layout
     assert cand.tensor[4] - left.tensor[4] == MultiPoly(22, {monomial_key(0, 8, 17): 1})
@@ -297,10 +297,10 @@ def test_classify_q_unknown_when_one_basis_triple_differs():
 
 def test_failed_battery_blocks_classification():
     # q = (XY)Z is not symmetrized: over the quaternions it fails the exchange
-    # and skew batteries, so they must not mark it and classify_q must refuse it
+    # and skew batteries, so classify_q must refuse it
     cand = QCandidate(QLabel.CUSTOM, Nom(Side.LEFT, on.basis(0, 4)), lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z))
-    _prepared(cand)
-    assert "exchange" not in cand.verified and "skew" not in cand.verified
+    b = cand.batteries
+    assert not all(w.passed for w in b.exchange) and not all(w.passed for w in b.skew)
     with pytest.raises(ValueError, match="passed"):
         classify_q(cand, _endpoints(4))
 
@@ -310,10 +310,10 @@ def _exchange_summary(results):
 
 
 def test_exchange_suite_evaluates_each_symbolic_triple_once():
-    # the proved identities read q's coefficient table, built from one
+    # the basis-slot identities read q's coefficient table, built from one
     # evaluation on full symbolic slots, which a second battery reuses; the
-    # seven sampled identities evaluate q 11 times per battery, on the 22
-    # variables of imaginary X, Y and full Z
+    # seven polarised identities evaluate q once on each of their 9 distinct
+    # triples per battery, on the 22 variables of imaginary X, Y and full Z
     nom = nom_from_t(Side.LEFT, Fraction(1, 2))
     for ref in (fkm_candidate(nom), ot_candidate(8)):
         seen = []
@@ -324,14 +324,14 @@ def test_exchange_suite_evaluates_each_symbolic_triple_once():
             return q_eval(X, Y, Z)
 
         cand = QCandidate(QLabel.CUSTOM, ref.nom, counting)
-        results = exchange_suite(cand, DeterministicRng(7), samples=2)
-        assert seen[0] == on.symbolic_octets(8, "XYZ") and len(seen) == 1 + 11
-        exchange_suite(cand, DeterministicRng(7), samples=2)
-        assert len(seen) == 1 + 2 * 11
+        results = exchange_suite(cand)
+        assert seen[0] == on.symbolic_octets(8, "XYZ") and len(seen) == 1 + 9
+        exchange_suite(cand)
+        assert len(seen) == 1 + 2 * 9
         assert {c.nvars for slots in seen[1:] for v in slots for c in v if isinstance(c, MultiPoly)} == {22}
         # the transposed ordering does not validate for either candidate
         assert results[6].rhs is False
-        assert _exchange_summary(results) == _exchange_summary(exchange_suite(ref, DeterministicRng(7), samples=2))
+        assert _exchange_summary(results) == _exchange_summary(exchange_suite(ref))
         assert _exchange_summary(results) == [
             ("q(X,Y,e_a) _|_ e_a", 8, True),
             ("q(X,Y,e_0) _|_ X and Y", 2, True),
@@ -340,13 +340,13 @@ def test_exchange_suite_evaluates_each_symbolic_triple_once():
             ("<q(e_a,Y,e_a),e_p> = -<q(e_p conj(e_a),Y,e_0),e_a>", 64, True),
             ("<q(X,e_a,e_a),e_p> = -<q(X,e_p o conj(e_a),e_0),e_a>", 64, True),
             ("sixth identity transposed ordering (informational)", 64, True),
-            ("<q(X,Y,Z),Z> = 0 (Z imaginary or e_0)", 2, True),
-            ("<q(X,Y,e_0),X> = 0", 2, True),
-            ("<q(X,Y,e_0),Y> = 0", 2, True),
-            ("<q(X,Y,Z),X> = -<q(X conj(Z),Y,e_0),X>", 2, True),
-            ("<q(X,Y,Z),Y> = -<q(X,Y o conj(Z),e_0),Y>", 2, True),
-            ("<q(X,Y,X),Z> = <q(ZX,Y,e_0),X>", 2, True),
-            ("<q(X,Y,Y),Z> = <q(X,Z o Y,e_0),Y>", 2, True),
+            ("<q(X,Y,Z),Z> = 0 (Z imaginary or e_0)", RECORDED_INSTANCES, True),
+            ("<q(X,Y,e_0),X> = 0", RECORDED_INSTANCES, True),
+            ("<q(X,Y,e_0),Y> = 0", RECORDED_INSTANCES, True),
+            ("<q(X,Y,Z),X> = -<q(X conj(Z),Y,e_0),X>", RECORDED_INSTANCES, True),
+            ("<q(X,Y,Z),Y> = -<q(X,Y o conj(Z),e_0),Y>", RECORDED_INSTANCES, True),
+            ("<q(X,Y,X),Z> = <q(ZX,Y,e_0),X>", RECORDED_INSTANCES, True),
+            ("<q(X,Y,Y),Z> = <q(X,Z o Y,e_0),Y>", RECORDED_INSTANCES, True),
         ]
 
 
@@ -361,10 +361,9 @@ def test_exchange_suite_catches_a_defect_seen_only_through_the_memo():
         return on.add(left.eval(X, Y, Z), on.scale(X[1] * Y[2] * Z[1], E[3]))
 
     cand = QCandidate(QLabel.CUSTOM, left.nom, perturbed)
-    passed = {w.identity_name: w.passed for w in exchange_suite(cand, DeterministicRng(7), samples=2)}
+    passed = {w.identity_name: w.passed for w in exchange_suite(cand)}
     assert passed["<q(e_a,Y,e_p),e_a> = -<q(e_a conj(e_p),Y,e_0),e_a>"]
     assert not passed["<q(e_a,Y,e_a),e_p> = -<q(e_p conj(e_a),Y,e_0),e_a>"]
-    assert "exchange" not in cand.verified
 
 
 @pytest.mark.parametrize(
@@ -382,7 +381,7 @@ def test_a_candidate_that_is_not_trilinear_is_refused_at_its_table(q_eval, monom
     with pytest.raises(ValueError, match=message):
         cand.table
     with pytest.raises(ValueError, match=message):
-        exchange_suite(cand, DeterministicRng(7), samples=2)
+        exchange_suite(cand)
 
 
 _rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=7))
@@ -481,7 +480,7 @@ def _moved(ref, entries):
 
 
 def _exchange_outcomes(q):
-    results = exchange_suite(q, DeterministicRng(7), samples=1)
+    results = exchange_suite(q)
     return [w.passed for w in results[:6]] + [results[6].rhs]
 
 
@@ -525,10 +524,10 @@ def test_exchange_suite_agrees_with_evaluation_over_the_quaternions(side, t, ent
     assert _exchange_outcomes(cand) == _exchange_by_evaluation(cand)
 
 
-def test_skew_suite_evaluates_symbolic_slots_for_the_table_and_the_sampled_residual():
-    # the proved identities read q's coefficient table; eval sees symbolic
-    # slots once when the table is built, and twice for the sampled
-    # witness's residual <q(X,Y,Z),W> + <q(X,Y,W),Z>
+def test_skew_suite_evaluates_symbolic_slots_only_for_the_table():
+    # every identity reads q's coefficient table, so eval sees symbolic slots
+    # once, when the table is built; "skew (Z,W) on samples" is the skew
+    # proof's verdict under its schema-v1 name
     nom = nom_from_t(Side.LEFT, HALF)
     ref = fkm_candidate(nom)
     seen = []
@@ -539,14 +538,13 @@ def test_skew_suite_evaluates_symbolic_slots_for_the_table_and_the_sampled_resid
         return ref.eval(X, Y, Z)
 
     cand = QCandidate(QLabel.CUSTOM, nom, counting)
-    results = skew_suite(cand, DeterministicRng(7), samples=2)
-    x, y, z, w = on.symbolic_octets(8, "xyZW")
-    assert seen == [on.symbolic_octets(8, "XYZ"), (x, y, z), (x, y, w)]
+    results = skew_suite(cand)
+    assert seen == [on.symbolic_octets(8, "XYZ")]
     assert [(w.identity_name, w.inputs["instances"], w.passed) for w in results] == [
         ("<q(U conj V,Y,V),W> = -<q(W conj V,Y,V),U>", 8, True),
         ("<q(X,Y,Z),W> skew in (Z,W)", 1, True),
         ("<q(X,Y,e_0),Z> fully antisymmetric", 2, True),
-        ("skew (Z,W) on samples", 2, True),
+        ("skew (Z,W) on samples", RECORDED_INSTANCES, True),
     ]
 
 
@@ -560,14 +558,15 @@ def _with_entry(table, i, j, l, k, w):
 
 
 def test_one_perturbed_table_entry_fails_the_uw_exchange():
-    # q.eval is untouched, so the sampled witness still passes: the proved
-    # ones read the table alone
+    # q.eval is untouched: every identity reads the table alone, and the
+    # moved entry T[4; 1, 2, 3] breaks the skew in (Z, W) too, which the
+    # schema-v1 witness restates
     cand = fkm_candidate(nom_from_t(Side.LEFT, HALF))
     cand.table = _with_entry(cand.table, 1, 2, 3, 4, 1)
-    passed = {w.identity_name: w.passed for w in skew_suite(cand, DeterministicRng(7), samples=2)}
+    passed = {w.identity_name: w.passed for w in skew_suite(cand)}
     assert not passed["<q(U conj V,Y,V),W> = -<q(W conj V,Y,V),U>"]
-    assert passed["skew (Z,W) on samples"]
-    assert "skew" not in cand.verified
+    assert not passed["<q(X,Y,Z),W> skew in (Z,W)"] and not passed["skew (Z,W) on samples"]
+    assert passed["<q(X,Y,e_0),Z> fully antisymmetric"]
 
 
 def _skew_by_evaluation(q):
@@ -595,7 +594,7 @@ def _skew_by_evaluation(q):
 
 
 def _skew_outcomes(q):
-    return [w.passed for w in skew_suite(q, DeterministicRng(7), samples=1)[:3]]
+    return [w.passed for w in skew_suite(q)[:3]]
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ import matrix_oracle as naive
 from octoverify import octonion as on
 from octoverify.linalg import Op, kernel_basis
 from octoverify.circ import Side, nom_from_t
-from octoverify.poly import MultiPoly, monomial_key, weighted_products
+from octoverify.poly import MultiPoly, evaluate, monomial_key, weighted_products
 from octoverify.scalars import sum_zero
 
 PROPS = settings(max_examples=60, deadline=None)
@@ -211,7 +211,7 @@ INGRESS = {
     "Op.apply": lambda v: Op.identity(8).apply(v),
     "kernel_basis": lambda v: kernel_basis([v[:4], v[4:]], 4),
     "MultiPoly": lambda v: MultiPoly(1, dict(enumerate(v))),
-    "eval_many": lambda v: MultiPoly.variable(8, 0).eval_many([v]),
+    "evaluate": lambda v: evaluate([MultiPoly.variable(8, 0)], [v]),
     "ProductTable.sparse": lambda v: on.ProductTable([[v[0:2], v[2:4]], [v[4:6], v[6:8]]]).sparse,
 }
 

@@ -453,9 +453,9 @@ def test_eval_matches_naive_fraction_evaluation(a, pt):
 
 @settings(max_examples=60, deadline=None)
 @given(oracles, st.lists(points, max_size=4))
-def test_eval_many_matches_eval_at_each_point(a, pts):
+def test_evaluate_of_one_polynomial_matches_eval_at_each_point(a, pts):
     p = _poly(a)
-    got = p.eval_many(pts)
+    got = evaluate([p], pts)[0]
     assert got == [p.eval(pt) for pt in pts]
     assert all(type(v) is Fraction for v in got)
 
@@ -495,12 +495,12 @@ def test_evaluate_refuses_polynomials_over_different_nvars():
         evaluate([vp(2, 0), vp(3, 0)], [[1, 2]])
 
 
-def test_eval_many_of_no_points_is_empty():
-    assert _poly({(1, 0, 2): 3}).eval_many([]) == []
+def test_evaluate_at_no_points_is_empty():
+    assert evaluate([_poly({(1, 0, 2): 3})], []) == [[]]
 
 
 @pytest.mark.parametrize("pos", [0, 1, 2])
-def test_eval_many_checks_every_point_before_evaluating(pos, monkeypatch):
+def test_evaluate_checks_every_point_before_evaluating(pos, monkeypatch):
     import octoverify.poly as poly
 
     def no_decoding(key):
@@ -512,11 +512,11 @@ def test_eval_many_checks_every_point_before_evaluating(pos, monkeypatch):
     short = [good, good, good]
     short[pos] = [1, 2]
     with pytest.raises(ValueError, match="nvars"):
-        p.eval_many(short)
+        evaluate([p], short)
     floaty = [good, good, good]
     floaty[pos] = [1, 0.5, 2]
     with pytest.raises(TypeError):
-        p.eval_many(floaty)
+        evaluate([p], floaty)
 
 
 def test_munzner_residual_terms_of_a_planted_f(fkm_polys):

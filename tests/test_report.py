@@ -9,7 +9,7 @@ from octoverify import octonion as on
 from octoverify.circ import Nom, Side, circ, nom_from_t
 from octoverify.identities import QCandidate, QLabel
 from octoverify.poly import MultiPoly
-from octoverify.report import WitnessReport, proved, sampled
+from octoverify.report import WitnessReport, proved
 from octoverify.scalars import DeterministicRng, random_rationals
 
 
@@ -34,82 +34,9 @@ def test_proved_judges_plain_rational_residuals_too():
 
 
 # ---------------------------------------------------------------------------
-# sampled: symbolic residuals valued at seeded points
-# ---------------------------------------------------------------------------
-
-
-def _xy_residuals(failing):
-    """Residuals over the 7 variables of imaginary x and full y at d = 4:
-    <x,y> - <y,x>, which vanishes, and x_1 y_0 as well if ``failing``."""
-    x, y = on.symbolic_octets(4, "xY")
-    return [on.inner(x, y) - on.inner(y, x), *([x[1] * y[0]] if failing else [])], x[1], y[0]
-
-
-def test_sampled_makes_every_draw_after_a_failing_sample():
-    counters = []
-    for failing in (False, True):
-        rng = DeterministicRng(3)
-        residuals, _, _ = _xy_residuals(failing)
-        w = sampled("id", residuals, 7, 10, rng)
-        assert (w.passed, w.inputs) == (not failing, {"instances": 10})
-        counters.append(rng.counter)
-    assert counters == [10 * 7 * 2] * 2  # 3 + 4 coordinates, two ints each
-
-
-def test_sampled_reports_the_worst_value():
-    residuals, x1, y0 = _xy_residuals(True)
-    w = sampled("id", [*residuals, 2 * x1], 7, 10, DeterministicRng(3))
-    coords = random_rationals(DeterministicRng(3), 5, 70)
-    points = [coords[i : i + 7] for i in range(0, 70, 7)]
-    # x_1 is a point's first coordinate and y_0 its fourth
-    assert w.residual == max(max(abs(p[0] * p[3]), abs(2 * p[0])) for p in points) > 0
-    assert not w.passed
-
-
-def _vanishing_at_the_first(n, seed):
-    """A polynomial in one variable that vanishes at the first ``n`` of the
-    points ``sampled`` draws from ``DeterministicRng(seed)``, and the point
-    after them."""
-    *first, last = random_rationals(DeterministicRng(seed), 5, n + 1)
-    x = MultiPoly.variable(1, 0)
-    p = MultiPoly.const(1, 1)
-    for a in set(first):
-        p = p * (x - a)
-    return p, last
-
-
-def test_sampled_catches_a_defect_in_the_last_sample_only():
-    p, last = _vanishing_at_the_first(9, 3)
-    bad = sampled("id", [p], 1, 10, DeterministicRng(3))
-    assert bad.residual == abs(p.eval([last])) > 0 and not bad.passed
-    assert sampled("id", [p], 1, 9, DeterministicRng(3)).passed
-
-
-def test_sampled_passes_when_the_defect_is_never_drawn():
-    p, _ = _vanishing_at_the_first(25, 4)
-    rng = DeterministicRng(4)
-    ok = sampled("id", [p], 1, 25, rng)
-    assert ok.passed and ok.residual == 0 and rng.counter == 25 * 2
-    assert p.eval([Fraction(7)])  # p is not the zero polynomial
-
-
-def test_sampled_counts_a_plain_rational_value_once():
-    rng = DeterministicRng(3)
-    w = sampled("constant", [Fraction(-2, 3), MultiPoly.zero(4), Fraction(1, 2)], 4, 150, rng)
-    assert w.residual == Fraction(2, 3) and not w.passed and w.inputs == {"instances": 150}
-    assert rng.counter == 150 * 4 * 2
-
-
-@pytest.mark.parametrize("samples", [0, -1])
-def test_sampled_refuses_a_witness_over_no_draws(samples):
-    rng = DeterministicRng(3)
-    with pytest.raises(ValueError, match="at least one sample"):
-        sampled("none", [MultiPoly.variable(4, 0)], 4, samples, rng)
-    assert rng.counter == 0
-
-
-# ---------------------------------------------------------------------------
-# the driver against the per-draw loop on rational slots
+# proofs against the per-draw loop on rational slots: an identity proved in
+# symbolic slots holds at every seeded rational point, and one that fails
+# there fails at some drawn point too
 # ---------------------------------------------------------------------------
 
 
@@ -120,7 +47,7 @@ def draw_slots(rng, dim, letters, bound=5):
     return tuple(tuple([Fraction(0)] * ch.islower() + random_rationals(rng, bound, dim - ch.islower())) for ch in letters)
 
 
-def reference_sampled(name, samples, draw, residuals):
+def per_draw_witness(name, samples, draw, residuals):
     """The per-draw driver: ``residuals`` on each draw's own rational slots."""
     worst = Fraction(0)
     for _ in range(samples):
@@ -131,16 +58,11 @@ def reference_sampled(name, samples, draw, residuals):
 
 
 def _both(samples, dim, letters, residuals, bound=6):
-    """(witness JSON, generator counter) of ``sampled`` on the symbolic
-    residuals and of the per-draw loop on rational slots."""
+    """The verdicts of ``proved`` on the symbolic residuals and of the
+    per-draw loop on rational slots."""
+    w = proved("id", residuals(*on.symbolic_octets(dim, letters)))
     rng = DeterministicRng(23)
-    slots = on.symbolic_octets(dim, letters)
-    nvars = sum(dim - ch.islower() for ch in letters)
-    w = sampled("id", residuals(*slots), nvars, samples, rng, bound)
-    out = [(w.to_json(), rng.counter)]
-    rng = DeterministicRng(23)
-    w = reference_sampled("id", samples, lambda: draw_slots(rng, dim, letters, bound), residuals)
-    return out + [(w.to_json(), rng.counter)]
+    return w.passed, per_draw_witness("id", samples, lambda: draw_slots(rng, dim, letters, bound), residuals).passed
 
 
 HALF = nom_from_t(Side.LEFT, Fraction(1, 2))
@@ -180,28 +102,27 @@ def _not_orthogonal(x, y):
         "imaginary slots passing",
     ],
 )
-def test_sampled_equals_the_per_sample_loop(samples, dim, letters, residuals, passes):
-    symbolic, reference = _both(samples, dim, letters, residuals)
-    assert symbolic == reference
-    assert symbolic[0]["pass"] is passes
+def test_proved_agrees_with_the_per_sample_loop(samples, dim, letters, residuals, passes):
+    assert _both(samples, dim, letters, residuals) == (passes, passes)
 
 
 def test_algebra_suite_equals_the_per_sample_loop(monkeypatch):
-    # the algebra suite's two sampled checks with a planted product defect,
-    # at d = 4 and d = 8, against the per-draw loop on the same generator
+    # the verdicts of the algebra suite's two proofs that record ``trials``,
+    # with a planted product defect, at d = 4 and d = 8, against the
+    # per-draw loop
     monkeypatch.setattr(on, "multiply", _not_orthogonal)
     for algebra in ("quaternion", "octonion"):
         cfg = cli.RunConfig(algebra=algebra, seed=16, suites=("algebra",), trials=40)
         rng = DeterministicRng(16)
         checks = {c.name: c for c in cli.suite_algebra(cfg, rng, None).checks}
         dim, ref_rng = cfg.dim, DeterministicRng(16)
-        norm = reference_sampled(
+        norm = per_draw_witness(
             "norm_multiplicativity",
             40,
             lambda: draw_slots(ref_rng, dim, "XY", 6),
             lambda x, y: (on.norm_defect(_not_orthogonal, x, y),),
         )
-        exchange = reference_sampled(
+        exchange = per_draw_witness(
             "exchange_identities",
             40,
             lambda: draw_slots(ref_rng, dim, "XYZ", 6),
@@ -212,15 +133,14 @@ def test_algebra_suite_equals_the_per_sample_loop(monkeypatch):
         )
         for w in (norm, exchange):
             check = checks[w.identity_name]
-            assert (check.passed, check.residual) == (w.passed, w.residual)
+            assert (check.passed, check.detail) == (w.passed, {"trials": 40})
             assert not w.passed
-        assert rng.counter == ref_rng.counter
 
 
 def _reference_batteries(q, rng, samples):
-    """The sampled witnesses of the exchange, skew and anti batteries, in
-    their order, each identity restated on the rational slots of the
-    per-draw loop."""
+    """The witnesses of the exchange, skew and anti batteries that record
+    ``RECORDED_INSTANCES``, in their order, each identity restated on the
+    rational slots of the per-draw loop."""
     dim, e0, o = q.dim, on.basis(0, q.dim), partial(circ, q.nom)
     inner, mul, conj, im = on.inner, on.multiply, on.conjugate, on.imaginary_part
     exchange = {
@@ -235,11 +155,11 @@ def _reference_batteries(q, rng, samples):
         "<q(X,Y,Y),Z> = <q(X,Z o Y,e_0),Y>": lambda X, Y, Z: inner(q.eval(X, Y, Y), Z) - inner(q.eval(X, o(Z, Y), e0), Y),
     }
     out = [
-        reference_sampled(name, samples, lambda: draw_slots(rng, dim, "xyZ"), lambda *s, f=f: (f(*s),))
+        per_draw_witness(name, samples, lambda: draw_slots(rng, dim, "xyZ"), lambda *s, f=f: (f(*s),))
         for name, f in exchange.items()
     ]
     out.append(
-        reference_sampled(
+        per_draw_witness(
             "skew (Z,W) on samples",
             samples,
             lambda: draw_slots(rng, dim, "xyZW"),
@@ -247,7 +167,7 @@ def _reference_batteries(q, rng, samples):
         )
     )
     out.append(
-        reference_sampled(
+        per_draw_witness(
             "vanishing pairings on samples",
             samples,
             lambda: draw_slots(rng, dim, "xyW"),
@@ -259,20 +179,18 @@ def _reference_batteries(q, rng, samples):
 
 @pytest.mark.parametrize("dim", [4, 8])
 def test_batteries_of_a_failing_candidate_equal_the_per_sample_loop(dim):
-    # q = (XY)Z is not an exchange-symmetric third form: the batteries record
-    # nonzero sampled residuals, which both drivers must agree on
+    # q = (XY)Z is not an exchange-symmetric third form: the batteries'
+    # proofs fail, and the per-draw loop must agree on each verdict
     nom = Nom(Side.LEFT, on.basis(0, dim)) if dim == 4 else HALF
     cand = QCandidate(QLabel.CUSTOM, nom, lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z))
-    ref_rng = DeterministicRng(5)
-    reference = _reference_batteries(cand, ref_rng, 30)
+    reference = _reference_batteries(cand, DeterministicRng(5), 30)
     names = {w["identity"] for w in reference}
-    rng = DeterministicRng(5)
     witnesses = [
         w.to_json()
         for battery in (identities.exchange_suite, identities.skew_suite, identities.anti_suite)
-        for w in battery(cand, rng, samples=30)
+        for w in battery(cand)
         if w.identity_name in names
     ]
-    assert witnesses == reference
-    assert rng.counter == ref_rng.counter
-    assert any(w["residual"] != "0" for w in witnesses)
+    assert [(w["identity"], w["pass"]) for w in witnesses] == [(w["identity"], w["pass"]) for w in reference]
+    assert {w["inputs"]["instances"] for w in witnesses} == {identities.RECORDED_INSTANCES}
+    assert {w["residual"] for w in witnesses if not w["pass"]} == {"1"}

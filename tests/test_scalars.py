@@ -59,11 +59,12 @@ def test_random_rational_bounds_and_determinism():
 
 
 # ---------------------------------------------------------------------------
-# the random stream, pinned: a passing sampled check reports 0 whatever was
-# drawn, so unchanged reports cannot show that the draws are unchanged
+# the random stream, pinned: a passing randomized check (the Muenzner route,
+# the clifford suite's orthogonal change of basis) reports no draw, so
+# unchanged reports cannot show that the draws are unchanged
 # ---------------------------------------------------------------------------
 
-# Written by the per-draw generator that the bulk draw replaced.
+# Written by the per-draw generator.
 GOLDEN_U64 = [
     0xE220A8397B1DCDAF,
     0x6E789E6AA1B965F4,
