@@ -22,6 +22,9 @@ for dense data (it passes an ``Op`` through and converts dense rows of
 the same entries, each cleared of denominators by ``int_scaled``, which
 raises TypeError for anything else.  ``kernel_basis`` is one sparse integer
 elimination.
+
+Nothing here is random: the orthogonal change of basis that the clifford
+suite conjugates J by is one fixed ``Op``, ``cli.change_of_basis``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import RATIONAL_ZERO, DeterministicRng, int_scaled, pythagorean_unit, random_rational
+from .scalars import RATIONAL_ZERO, int_scaled
 
 
 class Op:
@@ -269,18 +272,3 @@ def kernel_basis(rows, ncols: int) -> list[list[Fraction]]:
             if c != pc:
                 basis[c][pc] = Fraction(-x, lead)
     return list(basis.values())
-
-
-def random_rational_orthogonal(rng: DeterministicRng, n: int) -> Op:
-    """Exact orthogonal matrix: product of 2n Pythagorean Givens rotations."""
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        i = rng.next_int(0, n - 1)
-        j = rng.next_int(0, n - 1)
-        if i == j:
-            continue
-        c, s = pythagorean_unit(random_rational(rng, 3))
-        for row in m:
-            ri, rj = row[i], row[j]
-            row[i], row[j] = c * ri - s * rj, s * ri + c * rj
-    return Op.of(m)

@@ -23,16 +23,14 @@ coordinates builds no polynomial per pair.  ``substitute_linear``, F
 products are each one call of it too; no other loop multiplies and sums
 polynomial terms.  ``fraction_terms`` hands the coefficients out as
 ``Fraction`` values to the few readers that want them (``dump``,
-``exponent_dict``, the expansion-form extraction).  ``evaluate`` values
-several polynomials at several points in ints, each distinct monomial once
-per point; ``eval`` is its one-polynomial, one-point case, so there is
-one evaluator.  Both Muenzner routes read one F's degree check,
-gradient and Laplacian off one ``MunznerCalculus``.
+``exponent_dict``, the expansion-form extraction).  ``eval`` values a
+polynomial at one point in ints.  ``munzner_verify`` proves the
+Cartan-Muenzner PDEs of one F as polynomial identities.
 
 Only ints and ``Fraction`` enter, by the rule of ``scalars.int_scaled``,
-which clears the denominators of the constructor's coefficients and of each
-point of ``evaluate``: the constructor, ``const``, scalar ``+ - *`` and
-``evaluate`` raise ``TypeError`` for anything else, a ``bool`` too (a float
+which clears the denominators of the constructor's coefficients and of
+``eval``'s point: the constructor, ``const``, scalar ``+ - *`` and
+``eval`` raise ``TypeError`` for anything else, a ``bool`` too (a float
 would otherwise be stored as a binary fraction, or compare unequal to the
 rational it stands for).
 
@@ -58,13 +56,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable
 
 from .report import Report
-from .scalars import EXACT_TYPES, DeterministicRng, int_scaled, random_rationals
+from .scalars import EXACT_TYPES, int_scaled
 
 BITS = 5
 _EXP_MASK = (1 << BITS) - 1
@@ -321,8 +317,24 @@ class MultiPoly:
         return MultiPoly._adopt(self.nvars, out, self.den)
 
     def eval(self, point: list) -> Fraction:
-        """Exact value at a point of ints and Fractions (see ``evaluate``)."""
-        return evaluate([self], [point])[0][0]
+        """Exact value at a point of ints and Fractions.
+
+        The point's denominators are cleared by ``int_scaled`` before
+        anything is evaluated: with q their lcm and b_i = q x_i, a term
+        c x^e of degree d is c b^e / q^d, so the terms are summed in ints
+        per degree and the value is one Fraction."""
+        if len(point) != self.nvars:
+            raise ValueError("point length does not match nvars")
+        q, b = int_scaled(point)
+        by_degree: dict[int, int] = {}
+        for k, c in self.terms.items():
+            d = 0
+            for i, e in monomial_exponents(k):
+                c *= b[i] ** e
+                d += e
+            by_degree[d] = by_degree.get(d, 0) + c
+        top = max(by_degree, default=0)
+        return Fraction(sum(s * q ** (top - d) for d, s in by_degree.items()), self.den * q**top)
 
     # -- structure ----------------------------------------------------------
     def is_homogeneous(self, degree: int | None = None) -> bool:
@@ -513,83 +525,6 @@ def weighted_products(nvars: int, x, y, slots, den: int = 1) -> list[MultiPoly]:
     return out
 
 
-def _place(key: int, at: dict, groups: list) -> tuple[int, int, int]:
-    """The (group, index, degree) of monomial ``key`` in ``evaluate``'s
-    groups; a new one is filed as its prefix (filed first) times x_i^e, the
-    power of its last variable."""
-    m = at.get(key)
-    if m is None:
-        i = (key.bit_length() - 1) // BITS
-        e = key >> (BITS * i)
-        g, below, d = _place(key & ((1 << (BITS * i)) - 1), at, groups)
-        if g + 1 == len(groups):
-            groups.append(([], []))
-        prefixes, slots = groups[g + 1]
-        m = at[key] = (g + 1, len(prefixes), d + e)
-        prefixes.append(below)
-        slots.append((i << BITS) | e)
-    return m
-
-
-def evaluate(polys, points) -> list[list[Fraction]]:
-    """``values[p][j]``, the exact value of polynomial ``polys[p]`` (all
-    over one ``nvars``) at ``points[j]``, a point of ints and Fractions.
-
-    Every point is checked and its denominators cleared by ``int_scaled``
-    before anything is evaluated: with q their lcm and b_i = q a_i, a term
-    c x^e of degree d is c b^e / q^d.  Each distinct monomial is decoded
-    once, as its prefix times one power b_i^e, and valued once per point as
-    that product, one C-level pass per number of variables.  A polynomial
-    is then one dot product of its int numerators with those values per
-    degree, and one Fraction."""
-    nvars = polys[0].nvars if polys else 0
-    for p in polys:
-        if p.nvars != nvars:
-            raise ValueError(f"nvars mismatch: {nvars} != {p.nvars}")
-    scaled = []
-    for point in points:
-        if len(point) != nvars:
-            raise ValueError("point length does not match nvars")
-        scaled.append(int_scaled(point))
-    # group g holds the monomials in g variables: the index of each one's
-    # prefix in group g - 1 and the slot (i << BITS) | e of its power b_i^e
-    groups: list = [([None], [None])]
-    at = {0: (0, 0, 0)}  # packed key -> (group, index in it, degree)
-    by_degree = []
-    for p in polys:
-        terms: dict[int, tuple[list, list]] = {}  # degree -> numerators, places
-        for k, c in p.terms.items():
-            m = _place(k, at, groups)
-            nums, places = terms.setdefault(m[2], ([], []))
-            nums.append(c)
-            places.append(m)
-        by_degree.append(terms)
-    maxexp = max((slot & _EXP_MASK for _, slots in groups[1:] for slot in slots), default=0)
-    # a monomial's place in the values of all groups, laid end to end
-    offsets = list(accumulate((len(prefixes) for prefixes, _ in groups), initial=0))
-    plans = [
-        (p.den, sorted((d, nums, [offsets[g] + i for g, i, _ in places]) for d, (nums, places) in terms.items()))
-        for p, terms in zip(polys, by_degree)
-    ]
-    out: list[list[Fraction]] = [[] for _ in polys]
-    for q, b in scaled:
-        powers = [0] * (nvars << BITS)
-        for i, bi in enumerate(b):
-            v = 1
-            for e in range(1, maxexp + 1):
-                v *= bi
-                powers[(i << BITS) | e] = v
-        values, group = [1], [1]
-        for prefixes, slots in groups[1:]:
-            group = list(map(mul, map(group.__getitem__, prefixes), map(powers.__getitem__, slots)))
-            values += group
-        for (den, terms), o in zip(plans, out):
-            top = terms[-1][0] if terms else 0
-            total = sum(sum(map(mul, nums, map(values.__getitem__, places))) * q ** (top - d) for d, nums, places in terms)
-            o.append(Fraction(total, den * q**top))
-    return out
-
-
 def norm_sq_poly(nvars: int) -> MultiPoly:
     return MultiPoly._adopt(nvars, {2 << (BITS * i): 1 for i in range(nvars)}, 1, 2)
 
@@ -663,38 +598,18 @@ def rt2_poly(nvars: int, terms: Iterable[tuple[int, Fraction, int]]) -> Rt2Poly:
 # the Muenzner verifier
 # ---------------------------------------------------------------------------
 
-class MunznerCalculus:
-    """F of degree g with what both Muenzner routes read of it, each derived
-    once: ``homogeneous`` (whether F is homogeneous of degree g),
-    ``gradient`` and ``laplacian``.  A check of one F builds one and drops
-    it afterwards; nothing is kept from one polynomial to the next."""
-
-    def __init__(self, f: MultiPoly, g: int):
-        self.f = f
-        self.g = g
-        self.homogeneous = f.is_homogeneous(g)
-        self.gradient = f.gradient()
-        self.laplacian = f.laplacian()
-
-
-def _gradient_residual_terms(calc: MunznerCalculus) -> int:
-    """The number of terms of |grad F|^2 - g^2 |x|^(2g-2).  Its degree-2g-2
-    temporaries all die on return, before a caller records anything."""
-    n, g, grads = calc.f.nvars, calc.g, calc.gradient
+def _gradient_residual_terms(grads: list[MultiPoly], g: int) -> int:
+    """The number of terms of |grad F|^2 - g^2 |x|^(2g-2), for the partials
+    ``grads`` of F.  Its degree-2g-2 temporaries all die on return, before
+    a caller records anything."""
+    n = len(grads)
     grad_sq = weighted_products(n, grads, grads, [[(1, i, i) for i in range(n)]])[0]
     return len((grad_sq - g * g * norm_sq_poly(n) ** max(g - 1, 0)).terms)
 
 
-def munzner_verify(
-    calc: MunznerCalculus,
-    m1: int,
-    m2: int,
-    rng: DeterministicRng | None = None,
-    trials: int = 20,
-    randomized: bool = False,
-) -> Report:
-    """Check the two Cartan-Muenzner PDEs for F or -F on R^nvars, with F
-    and its degree g and derivatives read off ``calc``:
+def munzner_verify(f: MultiPoly, g: int, m1: int, m2: int) -> Report:
+    """Check the two Cartan-Muenzner PDEs for F or -F on R^nvars, for F
+    homogeneous of degree g:
 
         |grad F|^2 = g^2 |x|^(2g-2)
         lap F      = (m2 - m1) g^2 |x|^(g-2) / 2
@@ -702,50 +617,24 @@ def munzner_verify(
     The gradient identity is sign-invariant; the Laplacian identity fixes the
     sign, which the report records (sign +1 means F itself satisfies it with
     the multiplicities as given, -1 means -F does).  Both are proved as
-    polynomial identities; only ``randomized=True`` samples them instead, at
-    ``trials`` random points, under check names ending in ``_randomized``.
-    The sampled route draws all the points first and then values every
-    partial derivative and the Laplacian at all of them in one ``evaluate``
-    call.  Both routes read the one gradient and Laplacian of ``calc``.
+    polynomial identities.  F's gradient and Laplacian are derived once,
+    before either identity is multiplied out.
     """
     rep = Report("munzner")
-    f, g = calc.f, calc.g
     n = f.nvars
-    if not calc.homogeneous:
+    if not f.is_homogeneous(g):
         raise ValueError(f"F must be homogeneous of degree {g}")
     if (g < 2 or g % 2 != 0) and m1 != m2:
         raise ValueError("degree g with g-2 odd or negative needs m1 == m2")
+    grads = f.gradient()
+    lap = f.laplacian()
 
-    lap_half = Fraction((m2 - m1) * g * g, 2)
-
-    if randomized:
-        rng = rng or DeterministicRng(0)
-        ok_grad = True
-        ok_lap_pos = True
-        ok_lap_neg = True
-        pts = [random_rationals(rng, 7, n) for _ in range(trials)]
-        *partials, lap_vals = evaluate([*calc.gradient, calc.laplacian], pts)
-        grad_sq = [sum(v * v for v in vs) for vs in zip(*partials)]
-        for pt, gv, lv in zip(pts, grad_sq, lap_vals):
-            r2 = sum(x * x for x in pt)
-            if gv != g * g * r2 ** (g - 1):
-                ok_grad = False
-            want = lap_half * r2 ** ((g - 2) // 2) if g >= 2 else Fraction(0)
-            if lv != want:
-                ok_lap_pos = False
-            if -lv != want:
-                ok_lap_neg = False
-        rep.add("gradient_identity_randomized", ok_grad, detail={"trials": trials})
-        sign = 1 if ok_lap_pos else (-1 if ok_lap_neg else 0)
-        rep.add("laplacian_identity_randomized", ok_lap_pos or ok_lap_neg, detail={"sign": sign})
-        return rep
-
-    terms = _gradient_residual_terms(calc)
+    terms = _gradient_residual_terms(grads, g)
     rep.add("gradient_identity", not terms, detail={"residual_terms": terms})
 
-    # g < 2 forces m1 == m2, so lap_half is 0 wherever the power is clamped
-    lap = calc.laplacian
-    want = lap_half * norm_sq_poly(n) ** (max(g - 2, 0) // 2)
+    # g < 2 forces m1 == m2, so the Laplacian's target is 0 wherever the
+    # power is clamped
+    want = Fraction((m2 - m1) * g * g, 2) * norm_sq_poly(n) ** (max(g - 2, 0) // 2)
     sign = 1 if lap == want else (-1 if lap == -want else 0)
     rep.add("laplacian_identity", sign != 0, detail={"sign": sign})
     return rep

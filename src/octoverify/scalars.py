@@ -1,9 +1,8 @@
 """Exact scalar helpers: the one exact ingress of the kernels, the zeros of
-the zero-skipping kernels, deterministic randomness, and rational points on
-the unit circle.
+the zero-skipping kernels, and rational points on the unit circle.
 
 ``int_scaled`` is where rational data enters every exact kernel
-(``linalg.Op``, ``kernel_basis``, ``MultiPoly`` and ``poly.evaluate``,
+(``linalg.Op``, ``kernel_basis``, ``MultiPoly`` and ``MultiPoly.eval``,
 ``ProductTable`` and ``inner``): it clears the denominators of a sequence in
 one place and raises ``TypeError`` for anything but an ``int`` or a
 ``Fraction`` (a ``bool``, or a float whose binary expansion would pass for
@@ -15,24 +14,16 @@ Angles are realized as rational points on the unit circle via the Pythagorean
 parametrization c = (1-t^2)/(1+t^2), s = 2t/(1+t^2), which keeps every
 downstream identity exactly checkable.
 
-The seeded draws are counter-based splitmix64 (``DeterministicRng``).  The
-verifiers prove their identities, so the few draws left are the randomized
-Muenzner route's points and ``linalg.random_rational_orthogonal``'s
-rotations: ``random_rationals`` draws each rational from two counters, and
-``random_rational`` is its single draw.
+There is no random generator here: exact mode proves every identity and
+reads no seed (float mode's norm check draws its points from the standard
+library's ``random.Random``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 RATIONAL_ZERO = Fraction(0)
 EXACT_TYPES = frozenset({int, Fraction})
@@ -117,57 +108,3 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def _splitmix64(seed: int, n: int) -> int:
-    """Output number n of the splitmix64 stream of ``seed``."""
-    z = (seed + (n + 1) * _GAMMA) & _MASK64
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK64
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK64
-    z ^= z >> 31
-    return z
-
-
-@dataclass
-class DeterministicRng:
-    """Counter-based splittable generator: output depends only on (seed, counter).
-
-    Advancing the counter is the only mutation; ``fork`` derives an
-    independent stream.
-    """
-
-    seed: int
-    counter: int = 0
-
-    def next_u64(self) -> int:
-        v = _splitmix64(self.seed, self.counter)
-        self.counter += 1
-        return v
-
-    def next_int(self, lo: int, hi: int) -> int:
-        """Uniform-ish integer in [lo, hi] (inclusive)."""
-        if hi < lo:
-            raise ValueError("empty range")
-        return lo + self.next_u64() % (hi - lo + 1)
-
-    def fork(self, tag: int) -> "DeterministicRng":
-        """Independent stream derived from (seed, tag)."""
-        return DeterministicRng(_splitmix64(self.seed, tag ^ 0xD6E8FEB86659FD93), 0)
-
-
-def random_rationals(rng: DeterministicRng, bound: int, count: int) -> list[Fraction]:
-    """``count`` successive random rationals with |numerator|, denominator
-    <= bound (so |r| <= bound), each
-    ``Fraction(rng.next_int(-bound, bound), rng.next_int(1, bound))``."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    return [Fraction(rng.next_int(-bound, bound), rng.next_int(1, bound)) for _ in range(count)]
-
-
-def random_rational(rng: DeterministicRng, bound: int) -> Fraction:
-    """One draw of ``random_rationals``."""
-    return random_rationals(rng, bound, 1)[0]

@@ -24,7 +24,7 @@ from octoverify.circ import (
 from matrix_oracle import dense, signed_pairs
 from octoverify.clifford import verify_skew_rep
 from octoverify.poly import MultiPoly
-from octoverify.scalars import DeterministicRng, random_rational
+from conftest import Draws
 
 E = [on.basis(i) for i in range(8)]
 
@@ -49,10 +49,10 @@ def test_circ_pythagorean_value():
 
 def test_circ_bilinear_and_normalized():
     nom = nom_from_t(Side.LEFT, Fraction(1, 3))
-    rng = DeterministicRng(41)
+    rng = Draws(41)
     for _ in range(50):
-        x = tuple(random_rational(rng, 5) for _ in range(8))
-        y = tuple(random_rational(rng, 5) for _ in range(8))
+        x = tuple(rng.rational(5) for _ in range(8))
+        y = tuple(rng.rational(5) for _ in range(8))
         assert on.norm_sq(circ(nom, x, y)) == on.norm_sq(x) * on.norm_sq(y)
         assert circ(nom, E[0], y) == y
         assert circ(nom, x, E[0]) == x
@@ -151,14 +151,14 @@ def test_comparison_check_branches():
 
 
 def test_circ_exchange_identities():
-    rng = DeterministicRng(43)
+    rng = Draws(43)
     for t in (Fraction(0), Fraction(1, 2)):
         for side in (Side.LEFT, Side.RIGHT):
             nom = nom_from_t(side, t)
             for _ in range(60):
-                x = tuple(random_rational(rng, 4) for _ in range(8))
-                y = tuple(random_rational(rng, 4) for _ in range(8))
-                z = tuple(random_rational(rng, 4) for _ in range(8))
+                x = tuple(rng.rational(4) for _ in range(8))
+                y = tuple(rng.rational(4) for _ in range(8))
+                z = tuple(rng.rational(4) for _ in range(8))
                 assert on.inner(circ(nom, x, y), z) == on.inner(y, circ(nom, on.conjugate(x), z))
                 assert on.inner(circ(nom, x, y), z) == on.inner(x, circ(nom, z, on.conjugate(y)))
                 lhs = on.add(
@@ -169,13 +169,13 @@ def test_circ_exchange_identities():
 
 
 def test_quaternionic_restriction():
-    rng = DeterministicRng(44)
+    rng = Draws(44)
     # alpha inside the quaternion span: restriction to H is xy or yx
     for side, t in ((Side.LEFT, Fraction(2, 5)), (Side.RIGHT, Fraction(2, 5))):
         nom = nom_from_t(side, t, axis=2)
         for _ in range(80):
-            x = tuple([random_rational(rng, 4) for _ in range(4)] + [Fraction(0)] * 4)
-            y = tuple([random_rational(rng, 4) for _ in range(4)] + [Fraction(0)] * 4)
+            x = tuple([rng.rational(4) for _ in range(4)] + [Fraction(0)] * 4)
+            y = tuple([rng.rational(4) for _ in range(4)] + [Fraction(0)] * 4)
             want = on.multiply(x, y) if side is Side.LEFT else on.multiply(y, x)
             assert circ(nom, x, y) == want
 

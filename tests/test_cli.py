@@ -6,10 +6,20 @@ import pytest
 from octoverify import identities
 from octoverify import octonion as on
 from octoverify.circ import Nom, Side, circ_definition
-from octoverify.cli import ALL_SUITES, RunConfig, RunContext, build_parser, main, run, suite_nom_float, sweep_theta
+from octoverify.cli import (
+    ALL_SUITES,
+    RunConfig,
+    RunContext,
+    build_parser,
+    change_of_basis,
+    main,
+    run,
+    suite_nom_float,
+    sweep_theta,
+)
+from octoverify.linalg import Op
 from octoverify.poly import MultiPoly, monomial_key
 from octoverify.report import Report, WitnessReport
-from octoverify.scalars import DeterministicRng
 
 SMALL = ("algebra", "clifford")
 
@@ -61,6 +71,24 @@ def test_config_errors_exit_2():
     assert main(["--alpha-t", "1/2", "--suites", "nonsense"]) == 2
 
 
+def _fail_if_run(*args):
+    raise AssertionError("the run started")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-poly"])
+def test_an_unwritable_path_is_a_config_error_before_the_run(flag, tmp_path, monkeypatch, capsys):
+    import octoverify.cli as cli
+
+    monkeypatch.setattr(cli, "run", _fail_if_run)
+    monkeypatch.setattr(cli, "RunContext", _fail_if_run)
+    path = tmp_path / "missing" / "file"
+    assert main(["--algebra", "quaternion", "--suites", "clifford", flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not path.parent.exists()
+
+
 def test_alpha_t_zero_denominator_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--alpha-t", "1/0", "--suites", "algebra"])
@@ -101,7 +129,7 @@ def test_validate_rejects_empty_and_repeated_suites():
 def test_suite_failure_exit_1(monkeypatch):
     import octoverify.cli as cli
 
-    def failing_suite(cfg, rng, ctx):
+    def failing_suite(cfg, ctx):
         rep = Report("algebra")
         rep.add("deliberately_failing_identity", False)
         return rep
@@ -116,7 +144,7 @@ def test_suite_failure_exit_1(monkeypatch):
 def test_an_exception_in_a_suite_fails_that_suite_and_the_run_goes_on(monkeypatch, tmp_path, capsys):
     import octoverify.cli as cli
 
-    def raising_suite(cfg, rng, ctx):
+    def raising_suite(cfg, ctx):
         raise RuntimeError("planted")
 
     monkeypatch.setitem(cli.SUITE_FUNCS, "algebra", raising_suite)
@@ -328,7 +356,7 @@ def _definition_clifford_residual(nom: Nom) -> float:
 
 
 def _float_clifford_check(cfg: RunConfig, ctx: RunContext):
-    rep = suite_nom_float(cfg, DeterministicRng(0), ctx)
+    rep = suite_nom_float(cfg, ctx)
     return next(c for c in rep.checks if c.name == "left_ops_clifford_residual")
 
 
@@ -426,7 +454,8 @@ def test_report_schema_validation():
 
 
 def test_munzner_agreement_fails_when_both_routes_fail():
-    # F + x0 x1 x2 x3 fails the exact and the randomized Muenzner check alike
+    # F + x0 x1 x2 x3 fails the exact Muenzner proof, and the agreement entry
+    # records that proof's verdict
     cfg = RunConfig(algebra="quaternion", alpha_t=Fraction(0), suites=("munzner",))
     ctx = RunContext(cfg)
     f = ctx.fkm_poly
@@ -438,17 +467,33 @@ def test_munzner_agreement_fails_when_both_routes_fail():
     assert not checks["fkm_munzner_randomized_agrees"]
 
 
-def test_only_the_randomized_munzner_route_reads_a_sabotaged_evaluator(monkeypatch):
-    # every value off by one: the exact route evaluates nothing, so only the
-    # randomized agreement and the value of F at the focal point fail
-    import octoverify.poly as poly
-
-    real = poly.evaluate
-    monkeypatch.setattr(poly, "evaluate", lambda polys, points: [[v + 1 for v in vs] for vs in real(polys, points)])
-    report, code = run(RunConfig(algebra="quaternion", alpha_t=Fraction(0), suites=("munzner",)))
+def test_only_the_focal_value_reads_a_sabotaged_evaluator(monkeypatch):
+    # every value off by one: the proofs evaluate no polynomial, so of all
+    # suites only the value of F at the focal point fails
+    real = MultiPoly.eval
+    monkeypatch.setattr(MultiPoly, "eval", lambda self, point: real(self, point) + 1)
+    report, code = run(RunConfig(algebra="quaternion", alpha_t=Fraction(0)))
     assert code == 1
-    failing = [c["name"] for c in report["suites"][0]["checks"] if not c["pass"]]
-    assert failing == ["fkm_munzner_randomized_agrees", "fkm_polynomial_at_focal_rep"]
+    failing = [c["name"] for s in report["suites"] for c in s["checks"] if not c["pass"]]
+    assert failing == ["fkm_polynomial_at_focal_rep"]
+
+
+def test_exact_reports_do_not_read_the_seed():
+    reports = []
+    for seed in (0, 4242):
+        report, code = run(RunConfig(algebra="quaternion", seed=seed))
+        assert code == 0
+        report.pop("timing")
+        report["config"].pop("seed")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_change_of_basis_is_a_dense_rational_orthogonal(dim):
+    o = change_of_basis(dim)
+    assert o @ o.T == Op.identity(dim)
+    assert all(len(row) == dim for row in o.rows)
 
 
 def test_suite_munzner_differentiates_each_f_once(monkeypatch):

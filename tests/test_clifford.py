@@ -18,8 +18,9 @@ from octoverify.clifford import (
     volume_sign,
 )
 from matrix_oracle import add, dense, identity, max_abs, mul, neg, scale, sub, transpose, zeros
-from octoverify.linalg import Op, random_rational_orthogonal
-from octoverify.scalars import DeterministicRng, sum_zero
+from conftest import Draws
+from octoverify.linalg import Op
+from octoverify.scalars import sum_zero
 
 
 def test_delta_dimension_table():
@@ -74,10 +75,10 @@ def test_normalize_identity_a_system():
 
 
 def test_normalize_seeded_a_systems():
-    rng = DeterministicRng(101)
+    rng = Draws(101)
     j = on.j_generators()
-    for trial in range(3):
-        o = random_rational_orthogonal(rng.fork(trial), 8)
+    for _ in range(3):
+        o = rng.orthogonal(8)
         a = [o @ m for m in j]
         norm = normalize_a_system(a)
         assert refined_residual(norm, a) == 0
@@ -88,8 +89,7 @@ def test_normalize_seeded_a_systems():
 
 def test_refined_residual_refuses_a_short_system():
     # a prefix of a correct system would otherwise compare as a perfect fit
-    rng = DeterministicRng(101)
-    o = random_rational_orthogonal(rng, 8)
+    o = Draws(101).orthogonal(8)
     a = [o @ m for m in on.j_generators()]
     norm = normalize_a_system(a)
     with pytest.raises(ValueError):
@@ -122,9 +122,8 @@ def conjugation_residual(result: IntertwinerResult, rep1: list, rep2: list) -> F
 
 
 def test_find_intertwiner_conjugated():
-    rng = DeterministicRng(55)
     j = on.j_generators()
-    o = random_rational_orthogonal(rng, 8)
+    o = Draws(55).orthogonal(8)
     rep2 = [o @ m @ o.T for m in j]
     res = find_intertwiner(j, rep2)
     assert res.found
@@ -158,7 +157,7 @@ def test_find_intertwiner_raises_on_a_reducible_pair():
     # one complex structure on R^4 is reducible: the kernel is 8-dimensional
     # and no scanned K has K K^T = lam Id, yet the pair is equivalent
     j = on.j_generators(4)[:1]
-    o = random_rational_orthogonal(DeterministicRng(0), 4)
+    o = Draws(0).orthogonal(4)
     rep2 = [o @ j[0] @ o.T]
     with pytest.raises(ValueError, match="reducible"):
         find_intertwiner(j, rep2)
@@ -173,12 +172,9 @@ def test_skew_rep_plus_identity_is_orthogonal_multiplication():
         for m in map(dense, rep):
             entries.append([tuple(m[r][b] for r in range(8)) for b in range(8)])
         table = ProductTable(entries)
-        rng = DeterministicRng(77)
-        from octoverify.scalars import random_rational
-
+        rng = Draws(77)
         for _ in range(50):
-            x = tuple(random_rational(rng, 5) for _ in range(8))
-            y = tuple(random_rational(rng, 5) for _ in range(8))
+            x, y = tuple(rng.rationals(5, 8)), tuple(rng.rationals(5, 8))
             assert on.norm_sq(table.product(x, y, sum_zero(x, y))) == on.norm_sq(x) * on.norm_sq(y)
         assert table.product(on.basis(0, 8), on.basis(3, 8), sum_zero(on.basis(0, 8))) == on.basis(3, 8)
 

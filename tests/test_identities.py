@@ -25,7 +25,7 @@ from octoverify.identities import (
 from octoverify.mirror import TrilinearTable, q_star_fkm_eval
 from octoverify.octonion import cayley_dickson_multiply
 from octoverify.poly import MultiPoly, monomial_key
-from octoverify.scalars import DeterministicRng, random_rational
+from conftest import Draws
 
 E = [on.basis(i) for i in range(8)]
 
@@ -133,12 +133,12 @@ def test_good_identity():
 
 def test_diagonal_q_vanishes_only_at_endpoints():
     # q(X, X, Z) is identically zero for the theta = 0/pi endpoint noms
-    rng = DeterministicRng(10)
+    rng = Draws(10)
     for side in (Side.LEFT, Side.RIGHT):
         cand = fkm_candidate(nom_from_t(side, Fraction(0)))
         for _ in range(20):
-            x = tuple([Fraction(0)] + [random_rational(rng, 4) for _ in range(7)])
-            z = tuple(random_rational(rng, 4) for _ in range(8))
+            x = tuple([Fraction(0)] + [rng.rational(4) for _ in range(7)])
+            z = tuple(rng.rational(4) for _ in range(8))
             assert cand.eval(x, x, z) == on.zero(8)
     # ... but not for interior theta; at theta = pi/2 axis-perpendicular unit X
     # still vanish while mixed X do not (hand-computed witness value)
@@ -153,13 +153,13 @@ def test_diagonal_q_vanishes_only_at_endpoints():
 
 def test_global_sign_flip_property():
     nom = nom_from_t(Side.LEFT, Fraction(1, 3))
-    rng = DeterministicRng(11)
+    rng = Draws(11)
     from octoverify.mirror import EigenDecomp, p_star
 
     for _ in range(30):
-        x = tuple([Fraction(0)] + [random_rational(rng, 4) for _ in range(7)])
-        y = tuple([Fraction(0)] + [random_rational(rng, 4) for _ in range(7)])
-        z = tuple(random_rational(rng, 4) for _ in range(8))
+        x = tuple([Fraction(0)] + [rng.rational(4) for _ in range(7)])
+        y = tuple([Fraction(0)] + [rng.rational(4) for _ in range(7)])
+        z = tuple(rng.rational(4) for _ in range(8))
         w = EigenDecomp(x, y, z)
         wn = EigenDecomp(on.neg(x), on.neg(y), on.neg(z))
         assert p_star(nom, w).p_minus1 == p_star(nom, wn).p_minus1

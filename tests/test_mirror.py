@@ -20,7 +20,7 @@ from octoverify.mirror import (
 )
 from octoverify.linalg import Op
 from octoverify.poly import MultiPoly, monomial_key
-from octoverify.scalars import DeterministicRng, random_rational
+from conftest import Draws
 from octoverify.identities import fkm_candidate, ot_candidate
 from octoverify.systems import closed_second_form, extract_expansion_forms, fkm_formula_forms, fkm_mirror_frame
 
@@ -135,11 +135,11 @@ def test_q_star_fkm_values():
     assert q_star_fkm_eval(nom, E[1], E[0], E[5]) == ZERO
     # quaternion right-shifted form vanishes by associativity
     nom4r = nom_from_t(Side.RIGHT, Fraction(0), axis=1, dim=4)
-    rng = DeterministicRng(71)
+    rng = Draws(71)
     for _ in range(40):
-        x = tuple([Fraction(0)] + [random_rational(rng, 4) for _ in range(3)])
-        y = tuple([Fraction(0)] + [random_rational(rng, 4) for _ in range(3)])
-        z = tuple(random_rational(rng, 4) for _ in range(4))
+        x = tuple([Fraction(0)] + [rng.rational(4) for _ in range(3)])
+        y = tuple([Fraction(0)] + [rng.rational(4) for _ in range(3)])
+        z = tuple(rng.rational(4) for _ in range(4))
         assert q_star_fkm_eval(nom4r, x, y, z) == on.zero(4)
 
 
@@ -246,24 +246,24 @@ def test_tensor_contract_matches_closed_form():
     # the components, evaluated at a point, are the closed form at that point
     nom = nom_from_t(Side.LEFT, Fraction(1, 3))
     comps = TrilinearTable.of(lambda X, Y, Z: q_star_fkm_eval(nom, X, Y, Z), 8).components()
-    rng = DeterministicRng(81)
+    rng = Draws(81)
     for _ in range(60):
-        x = tuple([Fraction(0)] + [random_rational(rng, 4) for _ in range(7)])
-        y = tuple([Fraction(0)] + [random_rational(rng, 4) for _ in range(7)])
-        z = tuple(random_rational(rng, 4) for _ in range(8))
+        x = tuple([Fraction(0)] + [rng.rational(4) for _ in range(7)])
+        y = tuple([Fraction(0)] + [rng.rational(4) for _ in range(7)])
+        z = tuple(rng.rational(4) for _ in range(8))
         point = list(x[1:] + y[1:] + z)
         assert tuple(f.eval(point) for f in comps) == q_star_fkm_eval(nom, x, y, z)
 
 
 def test_norm_identity_between_families():
     # |q*| agreement is an equality of norms, not vectors, for the OT form
-    rng = DeterministicRng(82)
+    rng = Draws(82)
     nom = nom_from_t(Side.LEFT, Fraction(0))
     vec_differs = False
     for _ in range(500):
-        x = tuple([Fraction(0)] + [random_rational(rng, 4) for _ in range(7)])
-        y = tuple([Fraction(0)] + [random_rational(rng, 4) for _ in range(7)])
-        z = tuple(random_rational(rng, 4) for _ in range(8))
+        x = tuple([Fraction(0)] + [rng.rational(4) for _ in range(7)])
+        y = tuple([Fraction(0)] + [rng.rational(4) for _ in range(7)])
+        z = tuple(rng.rational(4) for _ in range(8))
         a = q_star_ot_eval(x, y, z)
         b = q_star_fkm_eval(nom, x, y, z)
         assert on.norm_sq(a) == on.norm_sq(b)

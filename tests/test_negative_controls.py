@@ -254,9 +254,9 @@ def test_the_mirror_suite_fails_on_a_negated_closed_second_form(monkeypatch, alg
 
 
 def test_the_clifford_suite_fails_on_a_non_orthogonal_change_of_basis(monkeypatch, capsys):
-    # 2 Id in place of the random orthogonal O: the A-system O J_a squares to
-    # -4 Id, so normalizing it raises and the suite records one failing check
-    monkeypatch.setattr(cli, "random_rational_orthogonal", lambda rng, n: Op.identity(n) * 2)
+    # 2 Id in place of the orthogonal O: the A-system O J_a squares to -4 Id,
+    # so normalizing it raises and the suite records one failing check
+    monkeypatch.setattr(cli, "change_of_basis", lambda dim: Op.identity(dim) * 2)
     report, code = cli.run(cli.RunConfig(suites=("clifford",), trials=20))
     assert code == 1
     assert [[(c["name"], c["pass"], c["detail"]) for c in s["checks"]] for s in report["suites"]] == [

@@ -6,13 +6,13 @@ from octoverify import octonion as on
 from octoverify.circ import Nom, Side, left_ops, right_ops
 from octoverify.linalg import Op
 from octoverify.octonion import cayley_dickson_multiply
-from octoverify.scalars import DeterministicRng, random_rational
+from conftest import Draws
 
 E = [on.basis(i) for i in range(8)]
 
 
 def rand_oct(rng, dim=8, bound=6):
-    return tuple(random_rational(rng, bound) for _ in range(dim))
+    return tuple(rng.rational(bound) for _ in range(dim))
 
 
 def test_table_matches_cayley_dickson_oracle():
@@ -54,7 +54,7 @@ def test_generators_are_the_endpoint_nom_operators(dim):
 
 
 def test_identity_element():
-    rng = DeterministicRng(2)
+    rng = Draws(2)
     for _ in range(20):
         x = rand_oct(rng)
         assert on.multiply(E[0], x) == x
@@ -78,7 +78,7 @@ def test_inner_is_coordinate_dot_and_product_formula():
     for i in range(8):
         for j in range(8):
             assert on.inner(E[i], E[j]) == (1 if i == j else 0)
-    rng = DeterministicRng(4)
+    rng = Draws(4)
     for _ in range(100):
         x, y = rand_oct(rng), rand_oct(rng)
         via_product = on.scale(
@@ -89,7 +89,7 @@ def test_inner_is_coordinate_dot_and_product_formula():
 
 
 def test_exchange_identities():
-    rng = DeterministicRng(5)
+    rng = Draws(5)
     for _ in range(300):
         x, y, z = rand_oct(rng), rand_oct(rng), rand_oct(rng)
         assert on.inner(on.conjugate(x), on.conjugate(y)) == on.inner(x, y)
@@ -108,7 +108,7 @@ def test_exchange_identities():
 
 
 def test_perpendicular_imaginary_rules():
-    rng = DeterministicRng(6)
+    rng = Draws(6)
     for _ in range(100):
         x = (Fraction(0),) + rand_oct(rng, 7)
         y0 = (Fraction(0),) + rand_oct(rng, 7)
@@ -123,7 +123,7 @@ def test_perpendicular_imaginary_rules():
 
 
 def test_norm_multiplicativity():
-    rng = DeterministicRng(7)
+    rng = Draws(7)
     for _ in range(1000):
         x, y = rand_oct(rng), rand_oct(rng)
         assert on.norm_sq(on.multiply(x, y)) == on.norm_sq(x) * on.norm_sq(y)
@@ -134,7 +134,7 @@ def test_mult_matrices():
     assert dense(on.left_mult_matrix(E[0])) == ident
     col0 = [row[0] for row in dense(on.left_mult_matrix(E[1]))]
     assert tuple(col0) == E[1]
-    rng = DeterministicRng(8)
+    rng = Draws(8)
     u, z = rand_oct(rng), rand_oct(rng)
     assert tuple(on.left_mult_matrix(u).apply(z)) == on.multiply(u, z)
     assert tuple(on.right_mult_matrix(u).apply(z)) == on.multiply(z, u)
@@ -177,7 +177,7 @@ def test_clifford_relations_and_volume_signs():
 
 
 def test_quaternion_subspan():
-    rng = DeterministicRng(9)
+    rng = Draws(9)
     for _ in range(200):
         x = rand_oct(rng, 4) + (Fraction(0),) * 4
         y = rand_oct(rng, 4) + (Fraction(0),) * 4
@@ -202,7 +202,7 @@ def test_defects_do_not_vanish_for_a_non_orthogonal_product():
 
     assert on.norm_defect(hadamard, E[1], E[2]) == -1
     assert any(on.exchange_defects(hadamard, E[1], E[1], E[1]))
-    rng = DeterministicRng(0)
+    rng = Draws(0)
     x, y, z = (rand_oct(rng, bound=5) for _ in range(3))
     assert on.norm_defect(hadamard, x, y) != 0
     assert any(on.exchange_defects(hadamard, x, y, z))

@@ -6,15 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from octoverify.poly import (
     MultiPoly,
-    MunznerCalculus,
     Rt2Poly,
-    evaluate,
     monomial_exponents,
     monomial_key,
     munzner_verify,
     norm_sq_poly,
 )
-from octoverify.scalars import DeterministicRng, random_rational
+from conftest import Draws
 
 
 def vp(n, i):
@@ -50,12 +48,12 @@ def test_gradient():
 
 
 def test_euler_identity_homogeneous_cubic():
-    rng = DeterministicRng(12)
+    rng = Draws(12)
     n = 4
     p = MultiPoly.zero(n)
     for _ in range(15):
-        i, j, k = rng.next_int(0, n - 1), rng.next_int(0, n - 1), rng.next_int(0, n - 1)
-        p = p + random_rational(rng, 5) * (vp(n, i) * vp(n, j) * vp(n, k))
+        i, j, k = rng.randint(0, n - 1), rng.randint(0, n - 1), rng.randint(0, n - 1)
+        p = p + rng.rational(5) * (vp(n, i) * vp(n, j) * vp(n, k))
     euler = MultiPoly.zero(n)
     for i, d in enumerate(p.gradient()):
         euler = euler + vp(n, i) * d
@@ -83,14 +81,14 @@ def test_eval():
 
 
 def test_ring_laws_random():
-    rng = DeterministicRng(14)
+    rng = Draws(14)
     n = 3
 
     def rand_poly():
         p = MultiPoly.zero(n)
         for _ in range(6):
-            i, j = rng.next_int(0, n - 1), rng.next_int(0, n - 1)
-            p = p + random_rational(rng, 4) * (vp(n, i) * vp(n, j))
+            i, j = rng.randint(0, n - 1), rng.randint(0, n - 1)
+            p = p + rng.rational(4) * (vp(n, i) * vp(n, j))
         return p
 
     for _ in range(25):
@@ -140,21 +138,21 @@ def test_substitute_linear_matches_sympy():
     n, m = 4, 3
     R, *xs = ring(",".join(f"x{i}" for i in range(n)), QQ)
     S, *us = ring(",".join(f"u{j}" for j in range(m)), QQ)
-    rng = DeterministicRng(23)
+    rng = Draws(23)
     # a degree-4 polynomial with a square, a cube, a fourth power and a
     # constant, through rational affine forms
     f = MultiPoly.const(n, Fraction(-2, 7))
     want = R(QQ(-2, 7))
     for idx in [(0, 1, 2, 3), (0, 0, 1, 3), (2, 2, 2), (1, 1, 1, 1), (3, 0), (2,)]:
-        c = random_rational(rng, 5)
+        c = rng.rational(5)
         f = f + c * MultiPoly(n, {monomial_key(*idx): 1})
         want += QQ(c.numerator, c.denominator) * sympy.prod([xs[i] for i in idx], start=R.one)
     forms, images = [], []
     for _ in range(n):
-        c0 = random_rational(rng, 4)
+        c0 = rng.rational(4)
         lf, im = MultiPoly.const(m, c0), S(QQ(c0.numerator, c0.denominator))
         for j in range(m):
-            c = random_rational(rng, 6)
+            c = rng.rational(6)
             lf, im = lf + c * vp(m, j), im + QQ(c.numerator, c.denominator) * us[j]
         forms.append(lf)
         images.append(im)
@@ -187,28 +185,28 @@ def test_exponent_overflow_guard():
 def test_munzner_trivial_and_failing():
     # g = 1, F = x_0, m1 = m2: both identities hold
     f = vp(4, 0)
-    rep = munzner_verify(MunznerCalculus(f, 1), 3, 3)
+    rep = munzner_verify(f, 1, 3, 3)
     assert rep.passed
     # F = (sum x^2)^2 on R^32 with (m1, m2) = (7, 8): gradient identity holds
     # but lap F = 136|x|^2 != +-8|x|^2
     n = 32
     s = norm_sq_poly(n)
     f = s * s
-    rep = munzner_verify(MunznerCalculus(f, 4), 7, 8)
+    rep = munzner_verify(f, 4, 7, 8)
     assert not rep.passed
     names = {c.name: c.passed for c in rep.checks}
     assert names["gradient_identity"]
     assert not names["laplacian_identity"]
     with pytest.raises(ValueError):
-        munzner_verify(MunznerCalculus(vp(2, 0) * vp(2, 1), 3), 1, 2)  # odd degree, m1 != m2
+        munzner_verify(vp(2, 0) * vp(2, 1), 3, 1, 2)  # odd degree, m1 != m2
     with pytest.raises(ValueError):
-        munzner_verify(MunznerCalculus(vp(2, 0) + MultiPoly.const(2, 1), 1), 2, 2)  # not homogeneous
+        munzner_verify(vp(2, 0) + MultiPoly.const(2, 1), 1, 2, 2)  # not homogeneous
 
 
 def test_munzner_sign_flip_invariance(fkm_polys):
     f = fkm_polys[("left", Fraction(0))]
-    rep_pos = munzner_verify(MunznerCalculus(f, 4), 7, 8)
-    rep_neg = munzner_verify(MunznerCalculus(-f, 4), 7, 8)
+    rep_pos = munzner_verify(f, 4, 7, 8)
+    rep_neg = munzner_verify(-f, 4, 7, 8)
     assert rep_pos.passed and rep_neg.passed
     sign_pos = next(c.detail["sign"] for c in rep_pos.checks if c.name == "laplacian_identity")
     sign_neg = next(c.detail["sign"] for c in rep_neg.checks if c.name == "laplacian_identity")
@@ -451,15 +449,6 @@ def test_eval_matches_naive_fraction_evaluation(a, pt):
     assert got == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(oracles, st.lists(points, max_size=4))
-def test_evaluate_of_one_polynomial_matches_eval_at_each_point(a, pts):
-    p = _poly(a)
-    got = evaluate([p], pts)[0]
-    assert got == [p.eval(pt) for pt in pts]
-    assert all(type(v) is Fraction for v in got)
-
-
 def _reference_value(d, pt):
     """The {exponents: coefficient} polynomial d at pt, term by term in Fractions."""
     total = Fraction(0)
@@ -485,38 +474,30 @@ def families(draw):
 def test_evaluate_matches_a_per_term_reference(family, pts):
     # a point with a zero coordinate and two different denominators, always
     pts = [*pts, [0, Fraction(1, 2), Fraction(-2, 3)]]
-    got = evaluate([_poly(d) for d in family], pts)
+    got = [[_poly(d).eval(pt) for pt in pts] for d in family]
     assert got == [[_reference_value(d, pt) for pt in pts] for d in family]
     assert all(type(v) is Fraction for row in got for v in row)
 
 
-def test_evaluate_refuses_polynomials_over_different_nvars():
-    with pytest.raises(ValueError, match="nvars mismatch"):
-        evaluate([vp(2, 0), vp(3, 0)], [[1, 2]])
-
-
-def test_evaluate_at_no_points_is_empty():
-    assert evaluate([_poly({(1, 0, 2): 3})], []) == [[]]
-
-
 @pytest.mark.parametrize("pos", [0, 1, 2])
-def test_evaluate_checks_every_point_before_evaluating(pos, monkeypatch):
+def test_eval_checks_the_point_before_evaluating(pos, monkeypatch):
     import octoverify.poly as poly
 
     def no_decoding(key):
-        raise AssertionError("a key was decoded before every point was checked")
+        raise AssertionError("a key was decoded before the point was checked")
 
-    monkeypatch.setattr(poly, "_place", no_decoding)
+    monkeypatch.setattr(poly, "monomial_exponents", no_decoding)
     p = _poly({(1, 0, 2): 3, (0, 1, 0): Fraction(1, 2)})
     good = [1, Fraction(1, 3), 2]
-    short = [good, good, good]
-    short[pos] = [1, 2]
     with pytest.raises(ValueError, match="nvars"):
-        evaluate([p], short)
-    floaty = [good, good, good]
-    floaty[pos] = [1, 0.5, 2]
+        p.eval(good[:pos] + good[pos + 1 :])
+    floaty = list(good)
+    floaty[pos] = 0.5
     with pytest.raises(TypeError):
-        evaluate([p], floaty)
+        p.eval(floaty)
+    floaty[pos] = True
+    with pytest.raises(TypeError):
+        p.eval(floaty)
 
 
 def test_munzner_residual_terms_of_a_planted_f(fkm_polys):
@@ -526,12 +507,12 @@ def test_munzner_residual_terms_of_a_planted_f(fkm_polys):
     n = 5
     s = norm_sq_poly(n)
     m = MultiPoly(n, {monomial_key(0, 1, 2, 3): 1})
-    rep = munzner_verify(MunznerCalculus(s * s + m, 4), 1, 2)
+    rep = munzner_verify(s * s + m, 4, 1, 2)
     assert rep.checks[0].name == "gradient_identity" and not rep.checks[0].passed
     assert rep.checks[0].detail == {"residual_terms": 9}
     # the octonion FKM F at t = 0 with the same term planted
     f = fkm_polys[("left", Fraction(0))]
-    rep = munzner_verify(MunznerCalculus(f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1}), 4), 7, 8)
+    rep = munzner_verify(f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1}), 4, 7, 8)
     assert {c.name: (c.passed, c.detail) for c in rep.checks} == {
         "gradient_identity": (False, {"residual_terms": 292}),
         "laplacian_identity": (True, {"sign": -1}),

@@ -10,7 +10,7 @@ from octoverify.circ import Nom, Side, circ, nom_from_t
 from octoverify.identities import QCandidate, QLabel
 from octoverify.poly import MultiPoly
 from octoverify.report import WitnessReport, proved
-from octoverify.scalars import DeterministicRng, random_rationals
+from conftest import Draws
 
 
 def test_proved_counts_every_instance():
@@ -42,9 +42,9 @@ def test_proved_judges_plain_rational_residuals_too():
 
 def draw_slots(rng, dim, letters, bound=5):
     """Seeded rational slots in the layout of ``on.symbolic_octets``: each
-    letter's coordinates one ``random_rationals`` call, letter by letter,
+    letter's coordinates one ``Draws.rationals`` call, letter by letter,
     and slot 0 of a lowercase letter 0, drawing nothing."""
-    return tuple(tuple([Fraction(0)] * ch.islower() + random_rationals(rng, bound, dim - ch.islower())) for ch in letters)
+    return tuple(tuple([Fraction(0)] * ch.islower() + rng.rationals(bound, dim - ch.islower())) for ch in letters)
 
 
 def per_draw_witness(name, samples, draw, residuals):
@@ -61,7 +61,7 @@ def _both(samples, dim, letters, residuals, bound=6):
     """The verdicts of ``proved`` on the symbolic residuals and of the
     per-draw loop on rational slots."""
     w = proved("id", residuals(*on.symbolic_octets(dim, letters)))
-    rng = DeterministicRng(23)
+    rng = Draws(23)
     return w.passed, per_draw_witness("id", samples, lambda: draw_slots(rng, dim, letters, bound), residuals).passed
 
 
@@ -113,9 +113,8 @@ def test_algebra_suite_equals_the_per_sample_loop(monkeypatch):
     monkeypatch.setattr(on, "multiply", _not_orthogonal)
     for algebra in ("quaternion", "octonion"):
         cfg = cli.RunConfig(algebra=algebra, seed=16, suites=("algebra",), trials=40)
-        rng = DeterministicRng(16)
-        checks = {c.name: c for c in cli.suite_algebra(cfg, rng, None).checks}
-        dim, ref_rng = cfg.dim, DeterministicRng(16)
+        checks = {c.name: c for c in cli.suite_algebra(cfg, None).checks}
+        dim, ref_rng = cfg.dim, Draws(16)
         norm = per_draw_witness(
             "norm_multiplicativity",
             40,
@@ -183,7 +182,7 @@ def test_batteries_of_a_failing_candidate_equal_the_per_sample_loop(dim):
     # proofs fail, and the per-draw loop must agree on each verdict
     nom = Nom(Side.LEFT, on.basis(0, dim)) if dim == 4 else HALF
     cand = QCandidate(QLabel.CUSTOM, nom, lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z))
-    reference = _reference_batteries(cand, DeterministicRng(5), 30)
+    reference = _reference_batteries(cand, Draws(5), 30)
     names = {w["identity"] for w in reference}
     witnesses = [
         w.to_json()

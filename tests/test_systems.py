@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from octoverify import octonion as on
 from octoverify.circ import Nom, Side, circ_definition, nom_from_t
 from octoverify.clifford import verify_symmetric_system
-from octoverify.poly import MunznerCalculus, Rt2Poly, munzner_verify
+from octoverify.poly import Rt2Poly, munzner_verify
 from matrix_oracle import add, dense, identity, mul, transpose, zeros
 from octoverify.linalg import Op
 from octoverify.systems import (
@@ -162,11 +162,11 @@ def test_fkm_polynomial_matches_sympy(which):
 
 def test_munzner_fkm_and_ot(fkm_polys, ot_octonion_poly):
     f = fkm_polys[("left", Fraction(1, 2))]
-    rep = munzner_verify(MunznerCalculus(f, 4), 7, 8)
+    rep = munzner_verify(f, 4, 7, 8)
     assert rep.passed
     sign = next(c.detail["sign"] for c in rep.checks if c.name == "laplacian_identity")
     assert sign == -1  # -F satisfies the (7,8)-oriented Laplacian identity
-    rep = munzner_verify(MunznerCalculus(ot_octonion_poly, 4), 7, 8)
+    rep = munzner_verify(ot_octonion_poly, 4, 7, 8)
     assert rep.passed
     sign = next(c.detail["sign"] for c in rep.checks if c.name == "laplacian_identity")
     assert sign == 1
