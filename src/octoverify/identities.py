@@ -33,7 +33,7 @@ themselves live only in ``mirror.q_star_ot_eval`` and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -73,11 +73,14 @@ class Batteries:
 class QCandidate:
     """A trilinear candidate q*.  ``table``, ``tensor`` and ``batteries``
     are cached on first use, so a different ``eval`` needs a new
-    candidate."""
+    candidate.  ``reference`` is the FKM candidate at ``nom`` that
+    ``norm_identity_check`` compares with (an FKM candidate is its own);
+    without one, that check builds it."""
 
     label: QLabel
     nom: Nom
     eval: Callable  # (X, Y, Z) coordinate tuples -> coordinate tuple
+    reference: QCandidate | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -105,7 +108,9 @@ def fkm_candidate(nom: Nom) -> QCandidate:
     label = QLabel.CUSTOM
     if nom.alpha == on.basis(0, nom.dim):
         label = QLabel.FKM_LEFT if nom.side is Side.LEFT else QLabel.FKM_RIGHT
-    return QCandidate(label, nom, lambda X, Y, Z: q_star_fkm_eval(nom, X, Y, Z))
+    cand = QCandidate(label, nom, lambda X, Y, Z: q_star_fkm_eval(nom, X, Y, Z))
+    cand.reference = cand
+    return cand
 
 
 def ot_candidate(dim: int = 8) -> QCandidate:
@@ -353,10 +358,11 @@ def anti_suite(q: QCandidate) -> list:
 
 def norm_identity_check(q: QCandidate) -> bool:
     """|q(X,Y,Z)|^2 = |X(Y o Z) - Y o (XZ)|^2 as a polynomial identity, with
-    the right side read off the table of the FKM candidate at q's nom.
-    Equal components prove it at once (so an FKM candidate squares
-    nothing); only components that differ have their norms compared."""
-    ref = fkm_candidate(q.nom).tensor
+    the right side read off the table of the FKM candidate at q's nom,
+    ``q.reference`` when q has one.  Equal components prove it at once (so
+    an FKM candidate squares nothing); only components that differ have
+    their norms compared."""
+    ref = (q.reference or fkm_candidate(q.nom)).tensor
     return q.tensor == ref or (on.norm_sq(q.tensor) - on.norm_sq(ref)).is_zero()
 
 

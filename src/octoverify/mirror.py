@@ -26,7 +26,7 @@ from math import lcm
 from . import octonion as on
 from .circ import Nom, circ
 from .linalg import Op
-from .poly import MultiPoly, Rt2Poly, monomial_exponents, monomial_key, norm_sq_poly
+from .poly import MultiPoly, Rt2Poly, monomial_exponents, monomial_key, norm_sq_poly, residual_terms
 from .report import Report, proved
 from .systems import ScaledVec
 
@@ -327,9 +327,14 @@ def verify_ot_equations(p_forms: list, q: tuple) -> Report:
     p_vec = [f.b for f in p_forms[1:]]
     rep = Report("ot_equations")
 
+    nv = p_minus1.nvars
     g = p_minus1 * p_minus1 + 2 * on.norm_sq(p_vec)
-    diff = 16 * on.norm_sq(q) - (16 * (g * norm_sq_poly(p_minus1.nvars)) - on.norm_sq(g.gradient()))
-    rep.add("third_form_norm_identity", diff.is_zero(), detail={"residual_terms": len(diff.terms)})
+    grad_g = g.gradient()
+    # 16 |q*|^2 + |grad G|^2 - 16 G |x|^2
+    k = len(q) + len(grad_g)
+    triples = [(16 if a < len(q) else 1, a, a) for a in range(k)] + [(-16, k, k)]
+    terms = residual_terms(nv, [*q, *grad_g, g], [*q, *grad_g, norm_sq_poly(nv)], triples)
+    rep.add("third_form_norm_identity", not terms, detail={"residual_terms": terms})
 
     gpm1 = p_minus1.gradient()
     gpa = [f.gradient() for f in p_vec]

@@ -19,8 +19,11 @@ and sums a square's cross terms once, doubled.  ``MultiPoly.__mul__`` is
 its one-triple case, and the octonion kernels (``ProductTable.product``,
 ``inner``) hand it every output slot's triples, so a product of polynomial
 coordinates builds no polynomial per pair.  ``substitute_linear``, F
-(``systems.fkm_polynomial``), the Muenzner gradient identity and ``Rt2Poly``
-products are each one call of it too; no other loop multiplies and sums
+(``systems.fkm_polynomial``) and ``Rt2Poly`` products are each one call of
+it too, and the Muenzner gradient identity and the Ozeki-Takeuchi norm
+identity one call per block: ``residual_terms`` counts a residual's terms
+one block of monomials with the same lowest variable at a time, since
+packed exponents add without carry.  No other loop multiplies and sums
 polynomial terms.  ``fraction_terms`` hands the coefficients out as
 ``Fraction`` values to the few readers that want them (``dump``,
 ``exponent_dict``, the expansion-form extraction).  ``eval`` values a
@@ -56,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable
 
@@ -458,9 +462,10 @@ def weighted_products(nvars: int, x, y, slots, den: int = 1) -> list[MultiPoly]:
     ``MultiPoly``s over ``nvars`` variables, ints or Fractions, and int
     weights w.  This is the one product of polynomials: ``MultiPoly.__mul__``
     is its one-triple case, ``octonion.ProductTable.product`` and
-    ``octonion.inner`` hand it the triples of every output slot, and F, the
-    Muenzner identity, ``MultiPoly.substitute_linear`` and ``Rt2Poly``
-    products are each one call.  x and y may be the same sequence.
+    ``octonion.inner`` hand it the triples of every output slot, F,
+    ``MultiPoly.substitute_linear`` and ``Rt2Poly`` products are each one
+    call, and ``residual_terms`` makes one call per lowest-variable block
+    of its output.  x and y may be the same sequence.
 
     Each operand's denominators are cleared once, to their lcm, so a slot
     sums its products as int numerators straight into one dict over one
@@ -523,6 +528,61 @@ def weighted_products(nvars: int, x, y, slots, den: int = 1) -> list[MultiPoly]:
             acc = {k: c for k, c in acc.items() if c}
         out.append(MultiPoly._adopt(nvars, acc, den, bound))
     return out
+
+
+def residual_terms(nvars: int, x, y, triples) -> int:
+    """``len(weighted_products(nvars, x, y, [triples])[0].terms)``, summed
+    one block of output monomials at a time.
+
+    Block v holds the monomials whose lowest variable is v, the constant
+    block nvars.  Under the exponent guard packed fields add without
+    carry, so block v of P Q is P_v Q_v + P_v Q_>v + P_>v Q_v (of a
+    square, P_v^2 + 2 P_v P_>v): one ``weighted_products`` call.  The
+    count does not change under the common scale that puts every
+    coordinate over one denominator."""
+    coords = list({id(c): c for c in chain(x, y)}.values())
+    at = {id(c): i for i, c in enumerate(coords)}
+    pairs = [(w, at[id(x[a])], at[id(y[b])]) for w, a, b in triples]
+    _, factors, bound = _operand(nvars, coords)
+    n = len(coords)
+    blocks = [[{} for _ in range(n)] for _ in range(nvars + 1)]  # blocks[v][i]: block v of coords[i]
+    for i, (s, terms) in enumerate(factors):
+        if terms is None:
+            if s:
+                blocks[nvars][i][0] = s
+            continue
+        if s != 1:
+            terms = {k: c * s for k, c in terms.items()}
+        for k, c in terms.items():
+            # k & -k is the lowest set bit of k; the constant's index, -1, is block nvars
+            blocks[((k & -k).bit_length() - 1) // BITS][i][k] = c
+    above = [{} for _ in range(n)]  # above[i]: the blocks of coords[i] above v
+    empty = MultiPoly.zero(nvars)
+    count = 0
+    for v in range(nvars, -1, -1):
+        here = blocks[v]
+        slot = []
+        for w, i, j in pairs:
+            if i == j:
+                if here[i]:
+                    slot.append((w, i, i))
+                    if above[i]:
+                        slot.append((2 * w, i, n + i))
+                continue
+            if here[i]:
+                if here[j]:
+                    slot.append((w, i, j))
+                if above[j]:
+                    slot.append((w, i, n + j))
+            if here[j] and above[i]:
+                slot.append((w, n + i, j))
+        if slot:
+            ops = [MultiPoly._adopt(nvars, t, 1, bound) if t else empty for t in chain(here, above)]
+            count += len(weighted_products(nvars, ops, ops, [slot])[0].terms)
+        for t, b in zip(above, here):
+            t.update(b)
+        blocks[v] = None  # merged into above: free the copy
+    return count
 
 
 def norm_sq_poly(nvars: int) -> MultiPoly:
@@ -598,15 +658,6 @@ def rt2_poly(nvars: int, terms: Iterable[tuple[int, Fraction, int]]) -> Rt2Poly:
 # the Muenzner verifier
 # ---------------------------------------------------------------------------
 
-def _gradient_residual_terms(grads: list[MultiPoly], g: int) -> int:
-    """The number of terms of |grad F|^2 - g^2 |x|^(2g-2), for the partials
-    ``grads`` of F.  Its degree-2g-2 temporaries all die on return, before
-    a caller records anything."""
-    n = len(grads)
-    grad_sq = weighted_products(n, grads, grads, [[(1, i, i) for i in range(n)]])[0]
-    return len((grad_sq - g * g * norm_sq_poly(n) ** max(g - 1, 0)).terms)
-
-
 def munzner_verify(f: MultiPoly, g: int, m1: int, m2: int) -> Report:
     """Check the two Cartan-Muenzner PDEs for F or -F on R^nvars, for F
     homogeneous of degree g:
@@ -629,7 +680,12 @@ def munzner_verify(f: MultiPoly, g: int, m1: int, m2: int) -> Report:
     grads = f.gradient()
     lap = f.laplacian()
 
-    terms = _gradient_residual_terms(grads, g)
+    # |grad F|^2 - g^2 |x|^(2g-2), with |x|^(2g-2) a product of two powers
+    # of |x|^2, so that it is never built
+    e = max(g - 1, 0)
+    x = [*grads, norm_sq_poly(n) ** (e // 2)]
+    y = [*grads, norm_sq_poly(n) ** (e - e // 2)]
+    terms = residual_terms(n, x, y, [*((1, i, i) for i in range(n)), (-g * g, n, n)])
     rep.add("gradient_identity", not terms, detail={"residual_terms": terms})
 
     # g < 2 forces m1 == m2, so the Laplacian's target is 0 wherever the

@@ -258,6 +258,25 @@ def test_run_builds_each_system_once(monkeypatch):
     assert len(fkm) == 1 and len(ot) == 1
 
 
+def test_a_run_builds_each_coefficient_table_once(monkeypatch, tmp_path):
+    from octoverify.mirror import TrilinearTable
+
+    tables = []
+    real = TrilinearTable.of
+
+    def counting(q_eval, dim):
+        tables.append(real(q_eval, dim))
+        return tables[-1]
+
+    monkeypatch.setattr(TrilinearTable, "of", staticmethod(counting))
+    # the octonion-full argv: the q* of the configured nom, OT, FKM-left and
+    # FKM-right at alpha = e_0 and the unsymmetrised (XY)Z, each built once;
+    # the norm identity reads its FKM reference off the run's candidates
+    assert main(["--alpha-t", "1/2", "--trials", "200", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(tables) == 5
+    assert len({(t.den, repr(t.rows)) for t in tables}) == 5
+
+
 def test_sweep_theta(monkeypatch):
     cfg = small_cfg(suites=("classify",))
     reports, code = sweep_theta(cfg, [Fraction(0), Fraction(0)])

@@ -16,7 +16,7 @@ import matrix_oracle as naive
 from octoverify import octonion as on
 from octoverify.linalg import Op, kernel_basis
 from octoverify.circ import Side, nom_from_t
-from octoverify.poly import MultiPoly, monomial_key, weighted_products
+from octoverify.poly import MultiPoly, monomial_key, residual_terms, weighted_products
 from octoverify.scalars import sum_zero
 
 PROPS = settings(max_examples=60, deadline=None)
@@ -349,6 +349,52 @@ def test_squares_equal_the_products_of_distinct_copies(p, x, data):
     for w, a, b in triples:
         _accumulate(want, Fraction(w, 3), _times(_fraction_terms(x[a]), _fraction_terms(x[b])))
     assert got.fraction_terms() == {k: c for k, c in want.items() if c}
+
+
+@PROPS
+@given(st.lists(poly_coords, min_size=1, max_size=6), st.lists(poly_coords, min_size=1, max_size=6), st.booleans(), st.data())
+def test_residual_terms_counts_the_terms_of_one_weighted_products_call(x, y, square, data):
+    # ints, Fractions with unlike denominators, polynomials with constant
+    # terms; with y = x, every (w, a, a) is a square
+    x = _with_a_poly(tuple(x))
+    y = x if square else tuple(y)
+    triples = [
+        (data.draw(weights), data.draw(st.integers(0, len(x) - 1)), data.draw(st.integers(0, len(y) - 1)))
+        for _ in range(data.draw(st.integers(1, 8)))
+    ]
+    if square:
+        triples += [(data.draw(weights), a, a) for a in range(len(x))]
+    assert residual_terms(PNV, x, y, triples) == len(weighted_products(PNV, x, y, [triples])[0].terms)
+    # a sum that cancels completely: every block is empty
+    assert residual_terms(PNV, x, y, triples + [(-w, a, b) for w, a, b in triples]) == 0
+
+
+def test_residual_terms_of_blocks_down_to_the_constant():
+    n = 4
+    v = [MultiPoly.variable(n, i) for i in range(n)]
+    p = v[0] * v[3] + v[1] + Fraction(1, 3)  # one term in each of blocks 0, 1 and n
+    q = v[2] * v[2] - 2
+    x, y = (p, q, Fraction(1, 2)), (p, q, 3)
+    # p^2 + p q + 3/2 has 6 + 6 terms, three of them on the shared
+    # monomials x_0 x_3, x_1 and 1 (the constant 1/9 - 2/3 + 3/2)
+    triples = [(1, 0, 0), (1, 0, 1), (1, 2, 2)]
+    assert residual_terms(n, x, y, triples) == len(weighted_products(n, x, y, [triples])[0].terms) == 9
+    # (p - b)(p + b) - p^2 + b^2 = 0 for b = x_0 x_3, in every block
+    b = v[0] * v[3]
+    assert residual_terms(n, (p - b, p, b), (p + b, p, b), [(1, 0, 0), (-1, 1, 1), (1, 2, 2)]) == 0
+
+
+def test_residual_terms_raises_where_weighted_products_does():
+    v = MultiPoly.variable(2, 1)
+    x15, x16 = v**15, v**16
+    with pytest.raises(OverflowError):
+        residual_terms(2, (x16,), (x16,), [(1, 0, 0)])
+    with pytest.raises(OverflowError):
+        residual_terms(2, (x16, v), (x15, x16), [(1, 0, 1)])
+    # the operands' bounds fail, but no pair of polynomials passes 17
+    assert residual_terms(2, (x16, v), (v, x16), [(1, 0, 0), (1, 1, 1)]) == 1
+    with pytest.raises(ValueError, match="nvars"):
+        residual_terms(3, (v,), (v,), [(1, 0, 0)])
 
 
 def test_polynomial_exponent_guard_in_product_and_inner():

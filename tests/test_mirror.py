@@ -19,7 +19,7 @@ from octoverify.mirror import (
     verify_ot_equations,
 )
 from octoverify.linalg import Op
-from octoverify.poly import MultiPoly, monomial_key
+from octoverify.poly import MultiPoly, monomial_key, norm_sq_poly, weighted_products
 from conftest import Draws
 from octoverify.identities import fkm_candidate, ot_candidate
 from octoverify.systems import closed_second_form, extract_expansion_forms, fkm_formula_forms, fkm_mirror_frame
@@ -289,9 +289,19 @@ def test_verify_ot_equations_mutation_fails(noms):
     a = next(a for a, f in enumerate(qt) if f)  # drop the first monomial of the first nonzero component
     key, c = next(iter(qt[a].fraction_terms().items()))
     mut = qt[:a] + (qt[a] - MultiPoly(qt[a].nvars, {key: c}),) + qt[a + 1 :]
-    rep = verify_ot_equations(fkm_formula_forms(nom), mut)
+    p_forms = fkm_formula_forms(nom)
+    rep = verify_ot_equations(p_forms, mut)
     assert not rep.passed
     assert "third_form_norm_identity" in rep.failing()
+    # the count is that of 16|q*|^2 + |grad G|^2 - 16 G |x|^2 summed by one call
+    p_minus1, p_vec = p_forms[0].a, [f.b for f in p_forms[1:]]
+    nv = p_minus1.nvars
+    g = p_minus1 * p_minus1 + 2 * on.norm_sq(p_vec)
+    grad_g = g.gradient()
+    k = len(mut) + len(grad_g)
+    triples = [(16 if a < len(mut) else 1, a, a) for a in range(k)] + [(-16, k, k)]
+    whole = weighted_products(nv, [*mut, *grad_g, g], [*mut, *grad_g, norm_sq_poly(nv)], [triples])[0]
+    assert rep.checks[0].detail == {"residual_terms": len(whole.terms)} == {"residual_terms": 42}
 
 
 def test_verify_ot_equations_rejects_a_rational_p_component(noms):

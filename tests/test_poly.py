@@ -1,4 +1,5 @@
 from fractions import Fraction
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -517,3 +518,19 @@ def test_munzner_residual_terms_of_a_planted_f(fkm_polys):
         "gradient_identity": (False, {"residual_terms": 292}),
         "laplacian_identity": (True, {"sign": -1}),
     }
+
+
+def test_munzner_verify_peak_memory_stays_small(fkm_polys):
+    # the gradient identity of the octonion F at t = 1/2 multiplies out one
+    # lowest-variable block at a time; summed into one accumulator, its
+    # 66 912 keys put the heap peak near 7.6 MB
+    f = fkm_polys[("left", Fraction(1, 2))]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rep = munzner_verify(f, 4, 7, 8)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB above the start"
