@@ -36,11 +36,24 @@ def _square_dim(ops: list) -> int:
     return n
 
 
+def _anticommutator(a: Op, b: Op) -> Op:
+    """a b + b a as m + m^T with m = a b, one product: equal when
+    b a = (a b)^T, as for two symmetric or two skew matrices."""
+    m = a @ b
+    return m + m.T
+
+
+def _two_products(a: Op, b: Op) -> Op:
+    return a @ b + b @ a
+
+
 def verify_skew_rep(ops: list) -> Report:
     """Check orthogonality E E^T = Id, E^2 = -Id, and pairwise anticommutation.
 
     Each residual is the largest |entry| of the difference; pass means
-    literally zero.
+    literally zero.  Once the first two hold, E^T = E^-1 = -E, so each
+    anticommutator is one product m plus m^T; otherwise it takes two, so a
+    broken input's residuals are those of the defining sums.
     """
     rep = Report("skew_rep")
     if not ops:
@@ -49,7 +62,8 @@ def verify_skew_rep(ops: list) -> Report:
     ident = Op.identity(_square_dim(ops))
     worst_orth = max((m @ m.T - ident).max_abs() for m in ops)
     worst_sq = max((m @ m + ident).max_abs() for m in ops)
-    worst_anti = max(((a @ b + b @ a).max_abs() for i, a in enumerate(ops) for b in ops[i + 1 :]), default=Fraction(0))
+    anti = _anticommutator if worst_orth == 0 and worst_sq == 0 else _two_products
+    worst_anti = max((anti(a, b).max_abs() for i, a in enumerate(ops) for b in ops[i + 1 :]), default=Fraction(0))
     rep.add("orthogonality", worst_orth == 0, worst_orth)
     rep.add("square_minus_id", worst_sq == 0, worst_sq)
     rep.add("anticommutation", worst_anti == 0, worst_anti)
@@ -78,15 +92,19 @@ class SymmetricCliffordSystem:
 
 
 def verify_symmetric_system(sys: SymmetricCliffordSystem) -> Report:
+    """Check symmetry P^T = P and P_a P_b + P_b P_a = 2 delta_ab Id; once
+    every P is symmetric, P_b P_a = (P_a P_b)^T and each pair takes one
+    product."""
     rep = Report("symmetric_clifford_system")
     ops = sys.operators
     ident = Op.identity(sys.dim)
     worst_sym = max((m - m.T).max_abs() for m in ops)
+    anti = _anticommutator if worst_sym == 0 else _two_products
     worst_cliff = Fraction(0)
     for a in range(len(ops)):
         for b in range(a, len(ops)):
-            anti = ops[a] @ ops[b] + ops[b] @ ops[a]
-            worst_cliff = max(worst_cliff, (anti - 2 * ident if a == b else anti).max_abs())
+            m = anti(ops[a], ops[b])
+            worst_cliff = max(worst_cliff, (m - 2 * ident if a == b else m).max_abs())
     rep.add("symmetry", worst_sym == 0, worst_sym)
     rep.add("clifford_relations", worst_cliff == 0, worst_cliff)
     return rep

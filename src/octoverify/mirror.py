@@ -26,7 +26,7 @@ from math import lcm
 from . import octonion as on
 from .circ import Nom, circ
 from .linalg import Op
-from .poly import MultiPoly, Rt2Poly, monomial_exponents, monomial_key, norm_sq_poly, residual_terms
+from .poly import MultiPoly, Rt2Poly, monomial_exponents, monomial_key, norm_sq_poly, radial_shift, residual_terms
 from .report import Report, proved
 from .systems import ScaledVec
 
@@ -310,7 +310,12 @@ def verify_ot_equations(p_forms: list, q: tuple) -> Report:
     """Three named exact checks over the tangent coordinates:
 
       norm_identity:   16|q*|^2 = 16 G (|X|^2+|Y|^2+|Z|^2) - |grad G|^2,
-                       G = p_-1^2 + sum_a (p*_a)^2
+                       G = p_-1^2 + sum_a (p*_a)^2, proved on the
+                       ``poly.radial_shift`` H = G - c|x|^4 of a quartic G:
+                       by Euler's identity the residual is
+                       16|q*|^2 + |grad H|^2 + (32c - 16)|x|^2 H
+                       + 16(c^2 - c)|x|^6 (at d = 8, c = 1), the same
+                       polynomial, so the same ``residual_terms``
       gradient_pairs:  <grad p*_i, grad q*_j> + <grad p*_j, grad q*_i> = 0
                        for all -1 <= i != j <= m1 (q*_-1 = 0)
       p_dot_q:         <p*, q*> = 0
@@ -329,11 +334,17 @@ def verify_ot_equations(p_forms: list, q: tuple) -> Report:
 
     nv = p_minus1.nvars
     g = p_minus1 * p_minus1 + 2 * on.norm_sq(p_vec)
-    grad_g = g.gradient()
-    # 16 |q*|^2 + |grad G|^2 - 16 G |x|^2
-    k = len(q) + len(grad_g)
-    triples = [(16 if a < len(q) else 1, a, a) for a in range(k)] + [(-16, k, k)]
-    terms = residual_terms(nv, [*q, *grad_g, g], [*q, *grad_g, norm_sq_poly(nv)], triples)
+    c, h = radial_shift(g, 4) if g.is_homogeneous(4) else (Fraction(0), g)
+    grad_h = h.gradient()
+    # 16 |q*|^2 + |grad G|^2 - 16 G |x|^2 with G = H + c |x|^4, times den(c)^2:
+    # 16 |q*|^2 + |grad H|^2 + (32 c - 16) |x|^2 H + 16 (c^2 - c) |x|^6; a
+    # triple of weight 0 is left out
+    a, b = c.numerator, c.denominator
+    sq = norm_sq_poly(nv)
+    k = len(q) + len(grad_h)
+    triples = [(16 * b * b if i < len(q) else b * b, i, i) for i in range(k)]
+    triples += [t for t in ((16 * b * (2 * a - b), k, k), (16 * a * (a - b), k + 1, k + 1)) if t[0]]
+    terms = residual_terms(nv, [*q, *grad_h, h, sq], [*q, *grad_h, sq, sq * sq], triples)
     rep.add("third_form_norm_identity", not terms, detail={"residual_terms": terms})
 
     gpm1 = p_minus1.gradient()

@@ -20,14 +20,18 @@ its one-triple case, and the octonion kernels (``ProductTable.product``,
 ``inner``) hand it every output slot's triples, so a product of polynomial
 coordinates builds no polynomial per pair.  ``substitute_linear``, F
 (``systems.fkm_polynomial``) and ``Rt2Poly`` products are each one call of
-it too, and the Muenzner gradient identity and the Ozeki-Takeuchi norm
-identity one call per block: ``residual_terms`` counts a residual's terms
-one block of monomials with the same lowest variable at a time, since
-packed exponents add without carry.  No other loop multiplies and sums
-polynomial terms.  ``fraction_terms`` hands the coefficients out as
-``Fraction`` values to the few readers that want them (``dump``,
-``exponent_dict``, the expansion-form extraction).  ``eval`` values a
-polynomial at one point in ints.  ``munzner_verify`` proves the
+it too.  The loop that multiplies and sums polynomial terms is one
+function, ``_slot_sum``, and ``weighted_products`` and ``residual_terms``
+are its only callers: the Muenzner gradient identity and the
+Ozeki-Takeuchi norm identity count a residual's terms one block of
+monomials with the same lowest variable at a time, since packed exponents
+add without carry.  Both are summed around a quartic's ``radial_shift``
+H = F - c|x|^g, which has fewer terms than F: by Euler's identity
+<x, grad H> = g H the residual is the same polynomial, so its term count is
+the same, from fewer term products.  ``fraction_terms`` hands the
+coefficients out as ``Fraction`` values to the few readers that want them
+(``dump``, ``exponent_dict``, the expansion-form extraction).  ``eval``
+values a polynomial at one point in ints.  ``munzner_verify`` proves the
 Cartan-Muenzner PDEs of one F as polynomial identities.
 
 Only ints and ``Fraction`` enter, by the rule of ``scalars.int_scaled``,
@@ -464,8 +468,8 @@ def weighted_products(nvars: int, x, y, slots, den: int = 1) -> list[MultiPoly]:
     is its one-triple case, ``octonion.ProductTable.product`` and
     ``octonion.inner`` hand it the triples of every output slot, F,
     ``MultiPoly.substitute_linear`` and ``Rt2Poly`` products are each one
-    call, and ``residual_terms`` makes one call per lowest-variable block
-    of its output.  x and y may be the same sequence.
+    call, and ``residual_terms`` runs its loop, ``_slot_sum``, once per
+    lowest-variable block of its output.  x and y may be the same sequence.
 
     Each operand's denominators are cleared once, to their lcm, so a slot
     sums its products as int numerators straight into one dict over one
@@ -483,51 +487,68 @@ def weighted_products(nvars: int, x, y, slots, den: int = 1) -> list[MultiPoly]:
     leave the packing range.  The sum that passed is the results' bound."""
     dx, fx, mx = _operand(nvars, x)
     dy, fy, my = (dx, fx, mx) if y is x else _operand(nvars, y)
-    bound = mx + my
+    bound = _product_bound(x, y, mx + my, slots)
+    den *= dx * dy
+    out = []
+    for triples in slots:
+        acc = _slot_sum(triples, fx, fy)
+        if not all(acc.values()):
+            acc = {k: c for k, c in acc.items() if c}
+        out.append(MultiPoly._adopt(nvars, acc, den, bound))
+    return out
+
+
+def _slot_sum(triples, fx, fy) -> dict[int, int]:
+    """The int numerators of sum(w * x[a] * y[b]) over the triples, zeros kept,
+    for factor lists fx, fy of (int scale, numerator dict or None for a
+    rational) as ``_operand`` builds them: the one loop that multiplies and
+    sums polynomial terms."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for w, a, b in triples:
+        sa, pa = fx[a]
+        sb, pb = fy[b]
+        s = w * sa * sb
+        if pa is None:
+            pa, pb = pb, None
+            if pa is None:
+                acc[0] = get(0, 0) + s
+                continue
+        if pb is None:
+            for k, c in pa.items():
+                acc[k] = get(k, 0) + c * s
+        elif pa is pb:
+            items = list(pa.items())
+            for i, (k1, c1) in enumerate(items):
+                cs = c1 * s
+                k = k1 + k1
+                acc[k] = get(k, 0) + cs * c1
+                cs += cs
+                for k2, c2 in items[i + 1 :]:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + cs * c2
+        else:
+            pb = pb.items()
+            for k1, c1 in pa.items():
+                c1 *= s
+                for k2, c2 in pb:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+def _product_bound(x, y, bound: int, slots) -> int:
+    """The exponent guard of a product of coordinates x, y: ``bound``, the
+    sum of the operands' bounds, when it is in range, else the largest sum
+    of exact ``maxexp``s over the pairs the triples of ``slots`` name;
+    ``OverflowError`` when that leaves the packing range too."""
     if bound > _EXP_MAX:
         # the operands' bounds fail: take the exact exponents of each pair
         ex, ey = ([c.maxexp if type(c) is MultiPoly else 0 for c in v] for v in (x, y))
         bound = max((ex[a] + ey[b] for triples in slots for _, a, b in triples), default=0)
         if bound > _EXP_MAX:
             raise OverflowError("monomial exponent would exceed packing limit")
-    den *= dx * dy
-    out = []
-    for triples in slots:
-        acc: dict[int, int] = {}
-        get = acc.get
-        for w, a, b in triples:
-            sa, pa = fx[a]
-            sb, pb = fy[b]
-            s = w * sa * sb
-            if pa is None:
-                pa, pb = pb, None
-                if pa is None:
-                    acc[0] = get(0, 0) + s
-                    continue
-            if pb is None:
-                for k, c in pa.items():
-                    acc[k] = get(k, 0) + c * s
-            elif pa is pb:
-                items = list(pa.items())
-                for i, (k1, c1) in enumerate(items):
-                    cs = c1 * s
-                    k = k1 + k1
-                    acc[k] = get(k, 0) + cs * c1
-                    cs += cs
-                    for k2, c2 in items[i + 1 :]:
-                        k = k1 + k2
-                        acc[k] = get(k, 0) + cs * c2
-            else:
-                pb = pb.items()
-                for k1, c1 in pa.items():
-                    c1 *= s
-                    for k2, c2 in pb:
-                        k = k1 + k2
-                        acc[k] = get(k, 0) + c1 * c2
-        if not all(acc.values()):
-            acc = {k: c for k, c in acc.items() if c}
-        out.append(MultiPoly._adopt(nvars, acc, den, bound))
-    return out
+    return bound
 
 
 def residual_terms(nvars: int, x, y, triples) -> int:
@@ -535,15 +556,17 @@ def residual_terms(nvars: int, x, y, triples) -> int:
     one block of output monomials at a time.
 
     Block v holds the monomials whose lowest variable is v, the constant
-    block nvars.  Under the exponent guard packed fields add without
-    carry, so block v of P Q is P_v Q_v + P_v Q_>v + P_>v Q_v (of a
-    square, P_v^2 + 2 P_v P_>v): one ``weighted_products`` call.  The
-    count does not change under the common scale that puts every
-    coordinate over one denominator."""
-    coords = list({id(c): c for c in chain(x, y)}.values())
+    block nvars.  Under the exponent guard, checked once on the whole
+    coordinates as ``weighted_products`` checks it, packed fields add
+    without carry, so block v of P Q is P_v Q_v + P_v Q_>v + P_>v Q_v (of
+    a square, P_v^2 + 2 P_v P_>v): one ``_slot_sum`` over the bare
+    numerator dicts of the blocks.  The count does not change under the
+    common scale that puts every coordinate over one denominator."""
+    coords = list({id(c): c for _, a, b in triples for c in (x[a], y[b])}.values())
     at = {id(c): i for i, c in enumerate(coords)}
     pairs = [(w, at[id(x[a])], at[id(y[b])]) for w, a, b in triples]
     _, factors, bound = _operand(nvars, coords)
+    _product_bound(x, y, bound + bound, (triples,))
     n = len(coords)
     blocks = [[{} for _ in range(n)] for _ in range(nvars + 1)]  # blocks[v][i]: block v of coords[i]
     for i, (s, terms) in enumerate(factors):
@@ -557,7 +580,6 @@ def residual_terms(nvars: int, x, y, triples) -> int:
             # k & -k is the lowest set bit of k; the constant's index, -1, is block nvars
             blocks[((k & -k).bit_length() - 1) // BITS][i][k] = c
     above = [{} for _ in range(n)]  # above[i]: the blocks of coords[i] above v
-    empty = MultiPoly.zero(nvars)
     count = 0
     for v in range(nvars, -1, -1):
         here = blocks[v]
@@ -577,8 +599,8 @@ def residual_terms(nvars: int, x, y, triples) -> int:
             if here[j] and above[i]:
                 slot.append((w, n + i, j))
         if slot:
-            ops = [MultiPoly._adopt(nvars, t, 1, bound) if t else empty for t in chain(here, above)]
-            count += len(weighted_products(nvars, ops, ops, [slot])[0].terms)
+            ops = [(1, t) for t in chain(here, above)]
+            count += sum(map(bool, _slot_sum(slot, ops, ops).values()))
         for t, b in zip(above, here):
             t.update(b)
         blocks[v] = None  # merged into above: free the copy
@@ -658,6 +680,34 @@ def rt2_poly(nvars: int, terms: Iterable[tuple[int, Fraction, int]]) -> Rt2Poly:
 # the Muenzner verifier
 # ---------------------------------------------------------------------------
 
+def radial_shift(f: MultiPoly, g: int) -> tuple[Fraction, MultiPoly]:
+    """(c, H) with H = F - c |x|^g for F homogeneous of even degree g >= 2:
+    c is the ratio F / |x|^g that the most monomials of |x|^g share (the
+    first one seen on a tie), so H has fewer terms than F wherever F is
+    mostly a multiple of |x|^g.  (0, F) for odd g, g < 2, or c = 0.
+
+    Euler's identity <x, grad H> = g H rewrites the sums of squares of
+    grad F around H: grad F = grad H + c g |x|^(g-2) x, so
+
+        |grad F|^2 = |grad H|^2 + 2 c g^2 |x|^(g-2) H + c^2 g^2 |x|^(2g-2)
+
+    and lap F = lap H + c g (g + n - 2) |x|^(g-2) on R^n.  Both sides are the
+    same polynomial, so a residual summed from H has the terms the one
+    summed from F has, from fewer term products."""
+    if g < 2 or g % 2:
+        return Fraction(0), f
+    radial = norm_sq_poly(f.nvars) ** (g // 2)
+    seen: dict[tuple[int, int], int] = {}  # reduced (numerator, denominator) -> count
+    get, den = f.terms.get, f.den
+    for k, m in radial.terms.items():
+        a, b = get(k, 0), den * m
+        d = gcd(a, b)
+        r = (a // d, b // d)
+        seen[r] = seen.get(r, 0) + 1
+    c = Fraction(*max(seen, key=seen.get))
+    return (c, f - c * radial) if c else (c, f)
+
+
 def munzner_verify(f: MultiPoly, g: int, m1: int, m2: int) -> Report:
     """Check the two Cartan-Muenzner PDEs for F or -F on R^nvars, for F
     homogeneous of degree g:
@@ -668,8 +718,14 @@ def munzner_verify(f: MultiPoly, g: int, m1: int, m2: int) -> Report:
     The gradient identity is sign-invariant; the Laplacian identity fixes the
     sign, which the report records (sign +1 means F itself satisfies it with
     the multiplicities as given, -1 means -F does).  Both are proved as
-    polynomial identities.  F's gradient and Laplacian are derived once,
-    before either identity is multiplied out.
+    polynomial identities, on the ``radial_shift`` H = F - c |x|^g: only H
+    is differentiated, once, before either identity is multiplied out, and
+    the gradient residual, times den(c)^2, is
+
+        |grad H|^2 + 2 c g^2 |x|^(g-2) H + (c^2 - 1) g^2 |x|^(2g-2),
+
+    the same polynomial as |grad F|^2 - g^2 |x|^(2g-2) up to that scale, so
+    its ``residual_terms`` count is the same.
     """
     rep = Report("munzner")
     n = f.nvars
@@ -677,20 +733,30 @@ def munzner_verify(f: MultiPoly, g: int, m1: int, m2: int) -> Report:
         raise ValueError(f"F must be homogeneous of degree {g}")
     if (g < 2 or g % 2 != 0) and m1 != m2:
         raise ValueError("degree g with g-2 odd or negative needs m1 == m2")
-    grads = f.gradient()
-    lap = f.laplacian()
+    c, h = radial_shift(f, g)
+    grads = h.gradient()
+    lap = h.laplacian()
 
-    # |grad F|^2 - g^2 |x|^(2g-2), with |x|^(2g-2) a product of two powers
-    # of |x|^2, so that it is never built
+    # |x|^(2g-2) is a product of two powers of |x|^2, so that it is never
+    # built; a triple of weight 0 (c = 0, or c^2 = 1) is left out
+    a, b = c.numerator, c.denominator
+    sq = norm_sq_poly(n)
+    powers = [MultiPoly.const(n, 1), sq]  # powers[k] = |x|^(2k)
+    while len(powers) <= g // 2:
+        powers.append(powers[-1] * sq)
     e = max(g - 1, 0)
-    x = [*grads, norm_sq_poly(n) ** (e // 2)]
-    y = [*grads, norm_sq_poly(n) ** (e - e // 2)]
-    terms = residual_terms(n, x, y, [*((1, i, i) for i in range(n)), (-g * g, n, n)])
+    x = [*grads, h, powers[e // 2]]
+    y = [*grads, powers[max(g - 2, 0) // 2], powers[e - e // 2]]
+    triples = [(b * b, i, i) for i in range(n)]
+    triples += [t for t in ((2 * a * b * g * g, n, n), ((a * a - b * b) * g * g, n + 1, n + 1)) if t[0]]
+    terms = residual_terms(n, x, y, triples)
     rep.add("gradient_identity", not terms, detail={"residual_terms": terms})
 
-    # g < 2 forces m1 == m2, so the Laplacian's target is 0 wherever the
-    # power is clamped
-    want = Fraction((m2 - m1) * g * g, 2) * norm_sq_poly(n) ** (max(g - 2, 0) // 2)
+    # lap F = lap H + c g (g + n - 2) |x|^(g-2); g < 2 forces m1 == m2, so
+    # the Laplacian's target is 0 wherever the power is clamped
+    if c:
+        lap += c * g * (g + n - 2) * powers[g // 2 - 1]
+    want = Fraction((m2 - m1) * g * g, 2) * powers[max(g - 2, 0) // 2]
     sign = 1 if lap == want else (-1 if lap == -want else 0)
     rep.add("laplacian_identity", sign != 0, detail={"sign": sign})
     return rep

@@ -185,16 +185,15 @@ class FocalFrame:
 
 
 def frame_check(frame: FocalFrame, ambient_dim: int) -> Report:
+    """Unit vectors (with their half tags), pairwise orthogonality and the
+    vector count.  Orthogonality is the off-diagonal of one Gram product
+    V V^T of the coordinate rows: a half tag scales a vector by a power of
+    sqrt2, which keeps a zero inner product zero."""
     rep = Report("frame")
     vecs = [frame.point] + frame.tangent + frame.normals
-    ok_unit = all(v.norm_sq() == 1 for v in vecs)
-    rep.add("unit_vectors", ok_unit)
-    ok_orth = True
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if on.inner(vecs[i].coords, vecs[j].coords) != 0:
-                ok_orth = False
-    rep.add("orthogonality", ok_orth)
+    rep.add("unit_vectors", all(v.norm_sq() == 1 for v in vecs))
+    v = Op.of([vec.coords for vec in vecs])
+    rep.add("orthogonality", all(row.keys() <= {i} for i, row in enumerate((v @ v.T).rows)))
     rep.add("dimension", len(vecs) == ambient_dim)
     return rep
 

@@ -218,10 +218,7 @@ _edits = st.lists(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(_edits)
-def test_verify_skew_rep_residuals_match_fraction_oracle(edits):
-    mats = _perturbed([dense(m) for m in on.j_generators(4)], edits)
+def _assert_skew_rep_matches_oracle(mats: list) -> None:
     got = {c.name: c for c in verify_skew_rep([Op.of(m) for m in mats]).checks}
     ident = identity(len(mats[0]))
     want = {
@@ -234,12 +231,7 @@ def test_verify_skew_rep_residuals_match_fraction_oracle(edits):
         assert got[name].passed == (residual == 0), name
 
 
-@settings(max_examples=40, deadline=None)
-@given(_edits)
-def test_verify_symmetric_system_residuals_match_fraction_oracle(edits):
-    base = _block_system([identity(4)] + [dense(m) for m in on.j_generators(4)])
-    assert verify_symmetric_system(SymmetricCliffordSystem([Op.of(m) for m in base], 0)).passed
-    mats = _perturbed(base, edits)
+def _assert_symmetric_system_matches_oracle(mats: list) -> None:
     got = {c.name: c for c in verify_symmetric_system(SymmetricCliffordSystem([Op.of(m) for m in mats], 0)).checks}
     sym = max(max_abs(sub(m, transpose(m))) for m in mats)
     ident = identity(len(mats[0]))
@@ -252,3 +244,44 @@ def test_verify_symmetric_system_residuals_match_fraction_oracle(edits):
     for name, residual in (("symmetry", sym), ("clifford_relations", cliff)):
         assert got[name].residual == residual, name
         assert got[name].passed == (residual == 0), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(_edits)
+def test_verify_skew_rep_residuals_match_fraction_oracle(edits):
+    _assert_skew_rep_matches_oracle(_perturbed([dense(m) for m in on.j_generators(4)], edits))
+
+
+def test_verify_skew_rep_one_product_residuals_match_fraction_oracle():
+    # orthogonal generators with E^2 = -Id, so E^T = -E and each
+    # anticommutator comes from one product, that do not all anticommute:
+    # a repeated J_a, J_a beside -J_a, and J_0 J_1, which commutes with J_2
+    j0, j1, j2 = (dense(m) for m in on.j_generators(4))
+    for mats in ([j0, j0], [j0, neg(j0), j1], [j0, j1, mul(j0, j1), j2]):
+        assert max(max_abs(add(mul(m, m), identity(4))) for m in mats) == 0
+        _assert_skew_rep_matches_oracle(mats)
+        assert not verify_skew_rep([Op.of(m) for m in mats]).checks[2].passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(_edits)
+def test_verify_symmetric_system_residuals_match_fraction_oracle(edits):
+    # random edits almost always break symmetry: the two-product route
+    base = _block_system([identity(4)] + [dense(m) for m in on.j_generators(4)])
+    assert verify_symmetric_system(SymmetricCliffordSystem([Op.of(m) for m in base], 0)).passed
+    _assert_symmetric_system_matches_oracle(_perturbed(base, edits))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_edits)
+def test_verify_symmetric_system_symmetric_edits_match_fraction_oracle(edits):
+    # each edit changes entries (i, j) and (j, i) alike, so every operator
+    # stays symmetric and each anticommutator comes from one product
+    mats = [[list(row) for row in m] for m in _block_system([identity(4)] + [dense(m) for m in on.j_generators(4)])]
+    for k, i, j, delta in edits:
+        m = mats[k % len(mats)]
+        m[i][j] += delta
+        if i != j:
+            m[j][i] += delta
+    assert all(m == transpose(m) for m in mats)
+    _assert_symmetric_system_matches_oracle(mats)

@@ -19,7 +19,7 @@ from octoverify.mirror import (
     verify_ot_equations,
 )
 from octoverify.linalg import Op
-from octoverify.poly import MultiPoly, monomial_key, norm_sq_poly, weighted_products
+from octoverify.poly import MultiPoly, monomial_key, norm_sq_poly, radial_shift, weighted_products
 from conftest import Draws
 from octoverify.identities import fkm_candidate, ot_candidate
 from octoverify.systems import closed_second_form, extract_expansion_forms, fkm_formula_forms, fkm_mirror_frame
@@ -293,10 +293,12 @@ def test_verify_ot_equations_mutation_fails(noms):
     rep = verify_ot_equations(p_forms, mut)
     assert not rep.passed
     assert "third_form_norm_identity" in rep.failing()
-    # the count is that of 16|q*|^2 + |grad G|^2 - 16 G |x|^2 summed by one call
+    # the count is that of 16|q*|^2 + |grad G|^2 - 16 G |x|^2 summed by one
+    # call, although the verifier sums it from G's radial shift G - |x|^4
     p_minus1, p_vec = p_forms[0].a, [f.b for f in p_forms[1:]]
     nv = p_minus1.nvars
     g = p_minus1 * p_minus1 + 2 * on.norm_sq(p_vec)
+    assert radial_shift(g, 4)[0] == 1
     grad_g = g.gradient()
     k = len(mut) + len(grad_g)
     triples = [(16 if a < len(mut) else 1, a, a) for a in range(k)] + [(-16, k, k)]

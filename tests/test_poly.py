@@ -12,6 +12,8 @@ from octoverify.poly import (
     monomial_key,
     munzner_verify,
     norm_sq_poly,
+    radial_shift,
+    weighted_products,
 )
 from conftest import Draws
 
@@ -508,15 +510,70 @@ def test_munzner_residual_terms_of_a_planted_f(fkm_polys):
     n = 5
     s = norm_sq_poly(n)
     m = MultiPoly(n, {monomial_key(0, 1, 2, 3): 1})
+    assert radial_shift(s * s + m, 4) == (1, m)
     rep = munzner_verify(s * s + m, 4, 1, 2)
     assert rep.checks[0].name == "gradient_identity" and not rep.checks[0].passed
     assert rep.checks[0].detail == {"residual_terms": 9}
     # the octonion FKM F at t = 0 with the same term planted
     f = fkm_polys[("left", Fraction(0))]
-    rep = munzner_verify(f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1}), 4, 7, 8)
+    planted = f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1})
+    assert radial_shift(planted, 4)[0] == -1  # the count comes from the shifted residual
+    rep = munzner_verify(planted, 4, 7, 8)
     assert {c.name: (c.passed, c.detail) for c in rep.checks} == {
         "gradient_identity": (False, {"residual_terms": 292}),
         "laplacian_identity": (True, {"sign": -1}),
+    }
+
+
+RNV = 6  # variables of the radial-shift property
+
+
+def _unshifted_gradient_terms(f: MultiPoly, g: int) -> int:
+    """The terms of |grad F|^2 - g^2 |x|^(2g-2), summed from F by one call."""
+    n = f.nvars
+    e = max(g - 1, 0)
+    grads = f.gradient()
+    x = [*grads, norm_sq_poly(n) ** (e // 2)]
+    y = [*grads, norm_sq_poly(n) ** (e - e // 2)]
+    return len(weighted_products(n, x, y, [[*((1, i, i) for i in range(n)), (-g * g, n, n)]])[0].terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 4]),
+    st.sampled_from([0, 1, -1, Fraction(3, 5), Fraction(-7, 4)]),
+    # sparse noise: a monomial of distinct variables is harmonic
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(0, RNV - 1), min_size=4, max_size=4),
+            st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+        ),
+        max_size=3,
+    ),
+    # m2 - m1; lap(c |x|^g) = c g (g + n - 2) |x|^(g-2) meets the target
+    # at 6c for g = 2 and 4c for g = 4 (n = 6)
+    st.sampled_from([0, 4, -4, 6, -6, -7, 1]),
+)
+def test_radial_shift_keeps_the_munzner_residuals(g, c, noise, k):
+    terms = {}
+    for idx, coef in noise:
+        key = monomial_key(*idx[:g])
+        terms[key] = terms.get(key, 0) + coef
+    noise = MultiPoly(RNV, terms)
+    radial = norm_sq_poly(RNV) ** (g // 2)
+    f = noise + c * radial if g % 2 == 0 else noise
+    shift, h = radial_shift(f, g)
+    if g % 2 or not shift:
+        assert shift == 0 and h is f  # odd degree or c = 0: the unshifted route
+    elif not radial.terms.keys() & noise.terms.keys():
+        assert (shift, h) == (c, noise)
+    m1, m2 = (7, 7) if g % 2 else (7, 7 + k)
+    rep = munzner_verify(f, g, m1, m2)
+    want = Fraction((m2 - m1) * g * g, 2) * norm_sq_poly(RNV) ** (max(g - 2, 0) // 2)
+    lap = f.laplacian()
+    assert {check.name: check.detail for check in rep.checks} == {
+        "gradient_identity": {"residual_terms": _unshifted_gradient_terms(f, g)},
+        "laplacian_identity": {"sign": 1 if lap == want else (-1 if lap == -want else 0)},
     }
 
 

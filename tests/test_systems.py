@@ -190,6 +190,27 @@ def test_frames_orthonormal(fkm_systems, ot_octonion):
     assert frame_check(ot_plus_frame(ot_octonion), 32).passed
 
 
+def test_frame_check_negative_controls(fkm_systems):
+    # each defect fails exactly its own check; the mirror frame mixes half
+    # tags (x* and the Z-type tangents carry 1/sqrt2)
+    fr = fkm_mirror_frame(fkm_systems[("left", Fraction(1, 2))])
+    assert {v.half for v in [fr.point] + fr.tangent} == {-1, 0}
+    t = fr.tangent
+    # a unit tangent vector that is not orthogonal: the first X-type one
+    # tilted toward the second by a Pythagorean angle
+    tilted = ScaledVec(tuple(Fraction(3, 5) * a + Fraction(4, 5) * b for a, b in zip(t[0].coords, t[1].coords)), t[0].half)
+    assert tilted.norm_sq() == 1
+    # a rescaled vector: the last Z-type tangent twice as long, still
+    # orthogonal to every other vector
+    longer = replace(t[-1], half=t[-1].half + 2)
+    for broken, name in (
+        (replace(fr, tangent=[tilted] + t[1:]), "orthogonality"),
+        (replace(fr, tangent=t[:-1] + [longer]), "unit_vectors"),
+        (replace(fr, normals=fr.normals[:-1]), "dimension"),
+    ):
+        assert frame_check(broken, 32).failing() == [name]
+
+
 @pytest.mark.parametrize("key", [("left", Fraction(0)), ("right", Fraction(0)), ("left", Fraction(1, 2)), ("left", Fraction(1, 3))])
 def test_second_form_matrix_equals_formula(fkm_systems, key):
     rep = second_form_at_focal(fkm_systems[key])
