@@ -32,7 +32,8 @@ the same, from fewer term products.  ``fraction_terms`` hands the
 coefficients out as ``Fraction`` values to the few readers that want them
 (``dump``, ``exponent_dict``, the expansion-form extraction).  ``eval``
 values a polynomial at one point in ints.  ``munzner_verify`` proves the
-Cartan-Muenzner PDEs of one F as polynomial identities.
+Cartan-Muenzner PDEs of one F as polynomial identities, summed over the
+Clifford defects of the squares F is built from, when it is given them.
 
 Only ints and ``Fraction`` enter, by the rule of ``scalars.int_scaled``,
 which clears the denominators of the constructor's coefficients and of
@@ -708,7 +709,7 @@ def radial_shift(f: MultiPoly, g: int) -> tuple[Fraction, MultiPoly]:
     return (c, f - c * radial) if c else (c, f)
 
 
-def munzner_verify(f: MultiPoly, g: int, m1: int, m2: int) -> Report:
+def munzner_verify(f: MultiPoly, g: int, m1: int, m2: int, squares) -> Report:
     """Check the two Cartan-Muenzner PDEs for F or -F on R^nvars, for F
     homogeneous of degree g:
 
@@ -717,45 +718,92 @@ def munzner_verify(f: MultiPoly, g: int, m1: int, m2: int) -> Report:
 
     The gradient identity is sign-invariant; the Laplacian identity fixes the
     sign, which the report records (sign +1 means F itself satisfies it with
-    the multiplicities as given, -1 means -F does).  Both are proved as
-    polynomial identities, on the ``radial_shift`` H = F - c |x|^g: only H
-    is differentiated, once, before either identity is multiplied out, and
-    the gradient residual, times den(c)^2, is
+    the multiplicities as given, -1 means -F does).
 
-        |grad H|^2 + 2 c g^2 |x|^(g-2) H + (c^2 - 1) g^2 |x|^(2g-2),
+    ``squares`` holds the (rational w_i, homogeneous quadratic Q_i) pairs
+    that F was built from, only at g = 4, or is () for an F without them.
+    With (c, E) the ``radial_shift`` of F - S, S = sum_i w_i Q_i^2, F is
+    c |x|^g + S + E, homogeneous exactly when each Q_i is a quadratic and
+    E is homogeneous.  With G_ij = <grad Q_i, grad Q_j>, the Clifford
+    defects D_ii = 32 c w_i |x|^2 + 4 w_i^2 G_ii and D_ij = 8 w_i w_j G_ij
+    (i < j), and Euler's identity, |grad F|^2 - g^2 |x|^(2g-2) is
 
-    the same polynomial as |grad F|^2 - g^2 |x|^(2g-2) up to that scale, so
-    its ``residual_terms`` count is the same.
+        sum_{i<=j} Q_i Q_j D_ij + (c^2 - 1) g^2 |x|^(2g-2)
+            + 2 c g^2 |x|^(g-2) E + 2 <grad S, grad E> + |grad E|^2
+
+    for any squares, so they are a hint, not an assumption: the residual,
+    times den(c)^2, is the same polynomial and has the same
+    ``residual_terms``.  No squares leave the radial shift's residual
+    alone.  A zero D_ij or E is never multiplied out, so for F built from
+    a Clifford system (every D_ij zero, E zero, c = 1) only the Q_i are
+    differentiated.  lap F = lap E + c g (g + n - 2) |x|^(g-2)
+    + sum_i 2 w_i (G_ii + lap(Q_i) Q_i) on R^n.
     """
     rep = Report("munzner")
     n = f.nvars
-    if not f.is_homogeneous(g):
-        raise ValueError(f"F must be homogeneous of degree {g}")
     if (g < 2 or g % 2 != 0) and m1 != m2:
         raise ValueError("degree g with g-2 odd or negative needs m1 == m2")
-    c, h = radial_shift(f, g)
-    grads = h.gradient()
-    lap = h.laplacian()
+    if squares and g != 4:
+        raise ValueError("squares are given only for a quartic F")
+    ws = [Fraction(_rational(w)) for w, _ in squares]
+    qs = [q for _, q in squares]
+    if any(q.nvars != n or not q.is_homogeneous(2) for q in qs):
+        raise ValueError("each square must be a homogeneous quadratic over F's variables")
+    k = len(qs)
+    den = lcm(*(w.denominator for w in ws))
+    s = weighted_products(n, qs, qs, [[(int(w * den), i, i) for i, w in enumerate(ws)]], den)[0]
+    c, e = radial_shift(f - s, g)
+    if not e.is_homogeneous(g):
+        raise ValueError(f"F must be homogeneous of degree {g}")
 
-    # |x|^(2g-2) is a product of two powers of |x|^2, so that it is never
-    # built; a triple of weight 0 (c = 0, or c^2 = 1) is left out
-    a, b = c.numerator, c.denominator
     sq = norm_sq_poly(n)
-    powers = [MultiPoly.const(n, 1), sq]  # powers[k] = |x|^(2k)
+    powers = [MultiPoly.const(n, 1), sq]  # powers[j] = |x|^(2j)
     while len(powers) <= g // 2:
         powers.append(powers[-1] * sq)
-    e = max(g - 1, 0)
-    x = [*grads, h, powers[e // 2]]
-    y = [*grads, powers[max(g - 2, 0) // 2], powers[e - e // 2]]
-    triples = [(b * b, i, i) for i in range(n)]
-    triples += [t for t in ((2 * a * b * g * g, n, n), ((a * a - b * b) * g * g, n + 1, n + 1)) if t[0]]
+    dq = [d for q in qs for d in q.gradient()]  # dq[i * n + v] = dQ_i / dx_v
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    gram = weighted_products(n, dq, dq, [[(1, i * n + v, j * n + v) for v in range(n)] for i, j in pairs])
+    ds, rows = [], [[] for _ in range(k)]  # rows[i]: (place of D_ij in ds, j) of each nonzero D_ij
+    for (i, j), gij in zip(pairs, gram):
+        if i == j:
+            dij = 4 * ws[i] ** 2 * gij + 32 * c * ws[i] * sq
+        elif gij:
+            dij = 8 * ws[i] * ws[j] * gij
+        else:
+            continue
+        if dij:
+            rows[i].append((len(ds), j))
+            ds.append(dij)
+    # R_i = sum_{j>=i} D_ij Q_j + 4 w_i <grad Q_i, grad E>, so that the
+    # squares' part of the residual is sum_i Q_i R_i
+    rs = weighted_products(n, ds, qs, [[(1, t, j) for t, j in row] for row in rows])
+    de = e.gradient() if e else []
+    if de:
+        cross = weighted_products(n, dq, de, [[(1, i * n + v, v) for v in range(n)] for i in range(k)])
+        rs = [r + 4 * w * t for r, w, t in zip(rs, ws, cross)]
+
+    # |x|^(2g-2) is a product of two powers of |x|^2, so that it is never
+    # built; the weights are scaled by den(c)^2, and a product with a zero
+    # factor or a zero weight (c = 0, or c^2 = 1) is left out
+    a, b = c.numerator, c.denominator
+    m = len(de)
+    p = max(g - 1, 0)
+    x = [*de, e, powers[p // 2], *qs]
+    y = [*de, powers[max(g - 2, 0) // 2], powers[p - p // 2], *rs]
+    triples = [(b * b, v, v) for v in range(m)]
+    triples += [t for t in ((2 * a * b * g * g if e else 0, m, m), ((a * a - b * b) * g * g, m + 1, m + 1)) if t[0]]
+    triples += [(b * b, m + 2 + i, m + 2 + i) for i, r in enumerate(rs) if r]
     terms = residual_terms(n, x, y, triples)
     rep.add("gradient_identity", not terms, detail={"residual_terms": terms})
 
-    # lap F = lap H + c g (g + n - 2) |x|^(g-2); g < 2 forces m1 == m2, so
-    # the Laplacian's target is 0 wherever the power is clamped
+    # g < 2 forces m1 == m2, so the Laplacian's target is 0 wherever the
+    # power is clamped
+    lap = e.laplacian() if e else MultiPoly.zero(n)
     if c:
         lap += c * g * (g + n - 2) * powers[g // 2 - 1]
+    for (i, j), gij in zip(pairs, gram):
+        if i == j:  # lap(Q_i^2) = 2 |grad Q_i|^2 + 2 lap(Q_i) Q_i
+            lap += 2 * ws[i] * (gij + qs[i] * qs[i].laplacian())
     want = Fraction((m2 - m1) * g * g, 2) * powers[max(g - 2, 0) // 2]
     sign = 1 if lap == want else (-1 if lap == -want else 0)
     rep.add("laplacian_identity", sign != 0, detail={"sign": sign})

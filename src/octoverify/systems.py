@@ -140,23 +140,31 @@ def build_ot_system(block_dim: int = 8) -> OtSystem:
     return OtSystem(AmbientSplit(block_dim), SymmetricCliffordSystem(ops, first_index=0))
 
 
-def fkm_polynomial(system: SymmetricCliffordSystem) -> MultiPoly:
-    """F(x) = <x,x>^2 - 2 sum_i <P_i x, x>^2, homogeneous of degree 4.
-
-    Each quadratic form <P x, x> is built from the int numerators of P over
-    its denominator, and F is one ``weighted_products`` call over
-    [|x|^2, <P_i x, x>...]."""
+def fkm_squares(system: SymmetricCliffordSystem) -> list[tuple[int, MultiPoly]]:
+    """The weighted squares of F: (-2, <P_i x, x>) for each operator P_i,
+    the quadratic form built from the int numerators of P_i over its
+    denominator.  ``fkm_polynomial`` builds F from them, and the Muenzner
+    suite hands them to ``poly.munzner_verify``."""
     n = system.dim
-    quads = [norm_sq_poly(n)]
+    squares = []
     for m in system.operators:
         q: dict = {}
         for r, row in enumerate(m.rows):
             for k, c in row.items():
                 key = monomial_key(r, k)
                 q[key] = q.get(key, 0) + c
-        quads.append(MultiPoly._adopt(n, {key: c for key, c in q.items() if c}, m.den))
-    triples = [(1, 0, 0)] + [(-2, i, i) for i in range(1, len(quads))]
-    return weighted_products(n, quads, quads, [triples])[0]
+        squares.append((-2, MultiPoly._adopt(n, {key: c for key, c in q.items() if c}, m.den)))
+    return squares
+
+
+def fkm_polynomial(system: SymmetricCliffordSystem) -> MultiPoly:
+    """F(x) = <x,x>^2 - 2 sum_i <P_i x, x>^2, homogeneous of degree 4: one
+    ``weighted_products`` call over [|x|^2, <P_i x, x>...], the forms of
+    ``fkm_squares``."""
+    squares = fkm_squares(system)
+    quads = [norm_sq_poly(system.dim), *(q for _, q in squares)]
+    triples = [(1, 0, 0)] + [(w, i, i) for i, (w, _) in enumerate(squares, 1)]
+    return weighted_products(system.dim, quads, quads, [triples])[0]
 
 
 def focal_check(system: SymmetricCliffordSystem, x: ScaledVec) -> bool:

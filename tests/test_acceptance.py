@@ -129,13 +129,13 @@ def test_c04_munzner_pdes(fkm_systems, fkm_polys, ot_octonion_poly):
     systems.append(("ot", ot_octonion_poly))
     for name, f in systems:
         t0 = time.time()
-        rep = munzner_verify(f, 4, 7, 8)
+        rep = munzner_verify(f, 4, 7, 8, ())
         elapsed = time.time() - t0
         if not rep.passed or elapsed > 60:
             ok = False
     # |x|^4 on R^32 meets the gradient identity but not the Laplacian one
     s = norm_sq_poly(32)
-    if munzner_verify(s * s, 4, 7, 8).passed:
+    if munzner_verify(s * s, 4, 7, 8, ()).passed:
         ok = False
     _line(4, "Muenzner PDEs exact for 4 noms + OT, and fail for |x|^4", ok)
 

@@ -18,8 +18,9 @@ from octoverify.cli import (
     sweep_theta,
 )
 from octoverify.linalg import Op
-from octoverify.poly import MultiPoly, monomial_key, radial_shift
+from octoverify.poly import MultiPoly, monomial_key
 from octoverify.report import Report, WitnessReport
+from octoverify.systems import fkm_squares
 
 SMALL = ("algebra", "clifford")
 
@@ -515,7 +516,7 @@ def test_change_of_basis_is_a_dense_rational_orthogonal(dim):
     assert all(len(row) == dim for row in o.rows)
 
 
-def test_suite_munzner_differentiates_each_f_once(monkeypatch):
+def test_suite_munzner_differentiates_only_quadratics(monkeypatch):
     seen = {"gradient": [], "laplacian": []}
     for name, polys in seen.items():
 
@@ -528,8 +529,9 @@ def test_suite_munzner_differentiates_each_f_once(monkeypatch):
     ctx = RunContext(cfg)
     report, code = run(cfg, ctx)
     assert code == 0
-    # each F is derived once, through its radial shift H = F - c|x|^4
-    # (F itself when c = 0)
-    shifted = [radial_shift(f, 4)[1] for f in (ctx.fkm_poly, ctx.ot_poly)]
+    # each F is proved on the squares it is built from: F minus them is
+    # |x|^4, so only the forms <P_i x, x> are differentiated, once each
+    forms = [q for system in (ctx.fkm.system, ctx.ot.system) for _, q in fkm_squares(system)]
     for polys in seen.values():
-        assert polys == shifted
+        assert polys == forms
+        assert all(p.is_homogeneous(2) and p for p in polys)

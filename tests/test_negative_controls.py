@@ -1,11 +1,12 @@
 """Negative controls for the proved checks of the algebra and nom suites: a
 planted defect must fail exactly the checks that state the identity it
 breaks.  The norm identity of the identities suite gets a perturbed
-candidate, the Muenzner suite a perturbed F, the q* batteries a closed
-form with one component negated, the mirror suite a negated closed second
-form, and the clifford suite a change of basis that is not orthogonal (the
-last five tests).  A norm defect that vanishes on a coordinate plane must
-fail the algebra suite at one trial, where a seeded draw could miss it.
+candidate, the Muenzner suite a perturbed F and an FKM system with one
+operator entry changed, the q* batteries a closed form with one component
+negated, the mirror suite a negated closed second form, and the clifford
+suite a change of basis that is not orthogonal (the last six tests).  A
+norm defect that vanishes on a coordinate plane must fail the algebra
+suite at one trial, where a seeded draw could miss it.
 
 A defect is a monkeypatch of table entries or of alpha, planted in the
 product that the checks under test see (``on.multiply``, the ``circ`` the
@@ -16,6 +17,7 @@ the identities' own checks are the ones that fail.  A defect in the octonion
 table itself stops both suites at a precondition instead (the last test).
 The scaled-alpha control of ``verify_normalized`` is in ``test_circ.py``."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,12 +26,13 @@ from octoverify import circ as circ_module
 from octoverify import cli, identities, mirror
 from octoverify import octonion as on
 from octoverify.circ import Side, nom_from_t, verify_normalized
+from octoverify.clifford import SymmetricCliffordSystem
 from octoverify.linalg import Op
 from octoverify.identities import QCandidate, QLabel, fkm_candidate, norm_identity_check
 from octoverify.mirror import q_star_fkm_eval
-from octoverify.poly import MultiPoly, monomial_key
+from octoverify.poly import MultiPoly, monomial_key, munzner_verify
 from octoverify.scalars import sum_zero
-from octoverify.systems import fkm_formula_forms, fkm_polynomial
+from octoverify.systems import build_fkm_system, fkm_formula_forms, fkm_polynomial
 
 HALF = Fraction(1, 2)
 E56 = [(5, 6), (6, 5)]  # e5 e6 and e6 e5: both factors outside the quaternions
@@ -190,6 +193,41 @@ def test_the_munzner_suite_fails_on_a_perturbed_f(monkeypatch, algebra, side):
         detail = next(c["detail"] for c in suite["checks"] if c["name"] == name)
         assert detail["gradient_identity"]["residual_terms"] > 0
         assert detail["laplacian_identity"]["sign"] != 0
+
+
+def broken_fkm_system(nom):
+    """``build_fkm_system(nom)`` with 1 added to the (0, 0) entry of its third
+    operator: still symmetric, no longer a Clifford system."""
+    fkm = build_fkm_system(nom)
+    ops = list(fkm.system.operators)
+    n = fkm.system.dim
+    ops[2] = ops[2] + Op.of([[int(i == j == 0) for j in range(n)] for i in range(n)])
+    return replace(fkm, system=SymmetricCliffordSystem(ops, fkm.system.first_index))
+
+
+@pytest.mark.parametrize(
+    "algebra, t, terms", [("octonion", HALF, 2573), ("quaternion", Fraction(0), 309)], ids=["octonion", "quaternion"]
+)
+def test_the_munzner_suite_fails_on_a_clifford_defect(monkeypatch, algebra, t, terms):
+    # F is rebuilt from the broken system, so F minus its squares is |x|^4
+    # and only the squares' Clifford defects D_ij carry the failure; the
+    # count is the one that the radial shift of F alone gives
+    monkeypatch.setattr(cli, "build_fkm_system", broken_fkm_system)
+    cfg = cli.RunConfig(algebra=algebra, alpha_t=t, suites=("munzner",), trials=20)
+    report, code = cli.run(cfg)
+    assert code == 1
+    (suite,) = report["suites"]
+    assert [c["name"] for c in suite["checks"] if not c["pass"]] == [
+        "fkm_clifford_relations",
+        "fkm_munzner_exact",
+        "fkm_munzner_randomized_agrees",
+    ]
+    fkm = broken_fkm_system(cfg.build_nom())
+    m1, m2 = cli._munzner_multiplicities(cfg.dim, len(fkm.system.operators))
+    generic = munzner_verify(fkm_polynomial(fkm.system), 4, m1, m2, ())
+    detail = next(c["detail"] for c in suite["checks"] if c["name"] == "fkm_munzner_exact")
+    assert detail == {c.name: c.detail for c in generic.checks}
+    assert detail == {"gradient_identity": {"residual_terms": terms}, "laplacian_identity": {"sign": 0}}
 
 
 def negated_component(k):

@@ -188,28 +188,28 @@ def test_exponent_overflow_guard():
 def test_munzner_trivial_and_failing():
     # g = 1, F = x_0, m1 = m2: both identities hold
     f = vp(4, 0)
-    rep = munzner_verify(f, 1, 3, 3)
+    rep = munzner_verify(f, 1, 3, 3, ())
     assert rep.passed
     # F = (sum x^2)^2 on R^32 with (m1, m2) = (7, 8): gradient identity holds
     # but lap F = 136|x|^2 != +-8|x|^2
     n = 32
     s = norm_sq_poly(n)
     f = s * s
-    rep = munzner_verify(f, 4, 7, 8)
+    rep = munzner_verify(f, 4, 7, 8, ())
     assert not rep.passed
     names = {c.name: c.passed for c in rep.checks}
     assert names["gradient_identity"]
     assert not names["laplacian_identity"]
     with pytest.raises(ValueError):
-        munzner_verify(vp(2, 0) * vp(2, 1), 3, 1, 2)  # odd degree, m1 != m2
+        munzner_verify(vp(2, 0) * vp(2, 1), 3, 1, 2, ())  # odd degree, m1 != m2
     with pytest.raises(ValueError):
-        munzner_verify(vp(2, 0) + MultiPoly.const(2, 1), 1, 2, 2)  # not homogeneous
+        munzner_verify(vp(2, 0) + MultiPoly.const(2, 1), 1, 2, 2, ())  # not homogeneous
 
 
 def test_munzner_sign_flip_invariance(fkm_polys):
     f = fkm_polys[("left", Fraction(0))]
-    rep_pos = munzner_verify(f, 4, 7, 8)
-    rep_neg = munzner_verify(-f, 4, 7, 8)
+    rep_pos = munzner_verify(f, 4, 7, 8, ())
+    rep_neg = munzner_verify(-f, 4, 7, 8, ())
     assert rep_pos.passed and rep_neg.passed
     sign_pos = next(c.detail["sign"] for c in rep_pos.checks if c.name == "laplacian_identity")
     sign_neg = next(c.detail["sign"] for c in rep_neg.checks if c.name == "laplacian_identity")
@@ -511,14 +511,14 @@ def test_munzner_residual_terms_of_a_planted_f(fkm_polys):
     s = norm_sq_poly(n)
     m = MultiPoly(n, {monomial_key(0, 1, 2, 3): 1})
     assert radial_shift(s * s + m, 4) == (1, m)
-    rep = munzner_verify(s * s + m, 4, 1, 2)
+    rep = munzner_verify(s * s + m, 4, 1, 2, ())
     assert rep.checks[0].name == "gradient_identity" and not rep.checks[0].passed
     assert rep.checks[0].detail == {"residual_terms": 9}
     # the octonion FKM F at t = 0 with the same term planted
     f = fkm_polys[("left", Fraction(0))]
     planted = f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1})
     assert radial_shift(planted, 4)[0] == -1  # the count comes from the shifted residual
-    rep = munzner_verify(planted, 4, 7, 8)
+    rep = munzner_verify(planted, 4, 7, 8, ())
     assert {c.name: (c.passed, c.detail) for c in rep.checks} == {
         "gradient_identity": (False, {"residual_terms": 292}),
         "laplacian_identity": (True, {"sign": -1}),
@@ -568,7 +568,7 @@ def test_radial_shift_keeps_the_munzner_residuals(g, c, noise, k):
     elif not radial.terms.keys() & noise.terms.keys():
         assert (shift, h) == (c, noise)
     m1, m2 = (7, 7) if g % 2 else (7, 7 + k)
-    rep = munzner_verify(f, g, m1, m2)
+    rep = munzner_verify(f, g, m1, m2, ())
     want = Fraction((m2 - m1) * g * g, 2) * norm_sq_poly(RNV) ** (max(g - 2, 0) // 2)
     lap = f.laplacian()
     assert {check.name: check.detail for check in rep.checks} == {
@@ -577,15 +577,106 @@ def test_radial_shift_keeps_the_munzner_residuals(g, c, noise, k):
     }
 
 
+# a monomial with an odd exponent is no monomial of |x|^4, so a noise E made
+# of them is exactly what the radial shift of F - S leaves
+odd_quartics = st.lists(st.integers(0, RNV - 1), min_size=4, max_size=4).filter(
+    lambda idx: any(idx.count(v) % 2 for v in idx)
+)
+quadratics = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, RNV - 1), st.integers(0, RNV - 1)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0, 2, Fraction(3, 5), Fraction(-7, 4)]),
+    st.lists(
+        st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool), quadratics),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(
+        st.tuples(odd_quartics, st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from([0, 4, -4, 6, 1]),
+)
+def test_munzner_squares_are_a_hint_that_keeps_the_residuals(c, drawn, noise, k):
+    # F = c|x|^4 + sum w_i Q_i^2 + E with random quadratics Q_i: the split
+    # along the squares proves the same identities, with the same count, as
+    # the radial shift of F alone
+    squares = []
+    for w, terms in drawn:
+        q = {}
+        for (i, j), coef in terms:
+            q[monomial_key(i, j)] = q.get(monomial_key(i, j), 0) + coef
+        squares.append((w, MultiPoly(RNV, q)))
+    e = {}
+    for idx, coef in noise:
+        e[monomial_key(*idx)] = e.get(monomial_key(*idx), 0) + coef
+    e = MultiPoly(RNV, e)
+    s = MultiPoly.zero(RNV)
+    for w, q in squares:
+        s += w * q * q
+    f = c * norm_sq_poly(RNV) ** 2 + s + e
+    if c:
+        assert radial_shift(f - s, 4) == (c, e)
+    rep = munzner_verify(f, 4, 7, 7 + k, squares)
+    assert [(ch.name, ch.passed, ch.detail) for ch in rep.checks] == [
+        (ch.name, ch.passed, ch.detail) for ch in munzner_verify(f, 4, 7, 7 + k, ()).checks
+    ]
+    assert rep.checks[0].detail == {"residual_terms": _unshifted_gradient_terms(f, 4)}
+
+
+@pytest.mark.parametrize("w", [1, -1, Fraction(1, 3)])
+def test_munzner_squares_of_a_form_with_a_trace(w):
+    # F = w |x|^4 given as w Q^2 for Q = |x|^2 on R^4: c = 0 and E = 0, so
+    # D_00 = 16 w^2 |x|^2 and the radial term carry the residual, which
+    # vanishes for w = +-1; lap Q = 8 is nonzero, and lap F = 24 w |x|^2
+    # meets the target 8 (m2 - m1) |x|^2 at m2 - m1 = 3 for w = +-1
+    n = 4
+    q = norm_sq_poly(n)
+    f = w * q * q
+    rep = munzner_verify(f, 4, 1, 4, [(w, q)])
+    generic = munzner_verify(f, 4, 1, 4, ())
+    assert [(c.name, c.detail) for c in rep.checks] == [(c.name, c.detail) for c in generic.checks]
+    assert rep.passed == (w in (1, -1))
+    assert rep.checks[1].detail == {"sign": w if w in (1, -1) else 0}
+
+
+def test_munzner_squares_must_be_quadratics_at_degree_four():
+    # F = |x|^4 - 2 <P x, x>^2 on R^2 for P = diag(1, -1), which squares to Id
+    n = 2
+    q = vp(n, 0) * vp(n, 0) - vp(n, 1) * vp(n, 1)
+    f = norm_sq_poly(n) ** 2 - 2 * q * q
+    assert munzner_verify(f, 4, 0, 0, [(-2, q)]).checks[0].detail == {"residual_terms": 0}
+    for bad in (vp(n, 0), q + vp(n, 1), MultiPoly.const(n, 1), vp(3, 0) * vp(3, 1)):
+        with pytest.raises(ValueError, match="homogeneous quadratic"):
+            munzner_verify(f, 4, 0, 0, [(-2, bad)])
+    with pytest.raises(ValueError, match="quartic"):
+        munzner_verify(q, 2, 0, 0, [(1, vp(n, 0))])
+    # F itself not homogeneous: its remainder E is not, the same error as
+    # without squares
+    for squares in ((), [(-2, q)]):
+        with pytest.raises(ValueError, match="F must be homogeneous of degree 4"):
+            munzner_verify(f + vp(n, 1), 4, 0, 0, squares)
+
+
 def test_munzner_verify_peak_memory_stays_small(fkm_polys):
-    # the gradient identity of the octonion F at t = 1/2 multiplies out one
-    # lowest-variable block at a time; summed into one accumulator, its
-    # 66 912 keys put the heap peak near 7.6 MB
+    # without squares, the gradient identity of the octonion F at t = 1/2
+    # multiplies out one lowest-variable block at a time; summed into one
+    # accumulator, its 66 912 keys put the heap peak near 7.6 MB
     f = fkm_polys[("left", Fraction(1, 2))]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        rep = munzner_verify(f, 4, 7, 8)
+        rep = munzner_verify(f, 4, 7, 8, ())
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

@@ -21,6 +21,7 @@ from octoverify.systems import (
     fkm_formula_forms,
     fkm_mirror_frame,
     fkm_polynomial,
+    fkm_squares,
     focal_check,
     frame_check,
     matrix_route_forms,
@@ -160,16 +161,17 @@ def test_fkm_polynomial_matches_sympy(which):
     assert got.exponent_dict() == {tuple(e): Fraction(c.numerator, c.denominator) for e, c in want.terms()}
 
 
-def test_munzner_fkm_and_ot(fkm_polys, ot_octonion_poly):
-    f = fkm_polys[("left", Fraction(1, 2))]
-    rep = munzner_verify(f, 4, 7, 8)
-    assert rep.passed
-    sign = next(c.detail["sign"] for c in rep.checks if c.name == "laplacian_identity")
-    assert sign == -1  # -F satisfies the (7,8)-oriented Laplacian identity
-    rep = munzner_verify(ot_octonion_poly, 4, 7, 8)
-    assert rep.passed
-    sign = next(c.detail["sign"] for c in rep.checks if c.name == "laplacian_identity")
-    assert sign == 1
+def test_munzner_fkm_and_ot(fkm_systems, fkm_polys, ot_octonion, ot_octonion_poly):
+    # -F satisfies the (7,8)-oriented Laplacian identity for FKM's F, F for
+    # OT's; on F's squares and without them
+    key = ("left", Fraction(1, 2))
+    for system, f, sign in ((fkm_systems[key].system, fkm_polys[key], -1), (ot_octonion.system, ot_octonion_poly, 1)):
+        for squares in (fkm_squares(system), ()):
+            rep = munzner_verify(f, 4, 7, 8, squares)
+            assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
+                ("gradient_identity", True, {"residual_terms": 0}),
+                ("laplacian_identity", True, {"sign": sign}),
+            ]
 
 
 def test_focal_check(fkm_systems):
