@@ -13,23 +13,23 @@ encoded by the side tag, not by the sign of alpha.
 Pythagorean alpha (built from a rational t) keeps every o-product rational.
 
 ``circ_definition`` evaluates the three chained octonion products above.  It
-is the definition, and the oracle that builds each multiplication's table:
-``Nom.table``, an ``octonion.ProductTable`` of the values e_a o e_b on all
-basis pairs, built on first use (never at import) and kept on the ``Nom``.
-The octonion product itself is such a table, so for a rational alpha ``circ``
-runs the same sparse bilinear kernel as ``octonion.multiply``, once, instead
-of three products; at t = 1/2 the table holds 88 nonzeros out of 512 over
-the denominator 25, and at the endpoints it is a signed permutation.  A float
-alpha (the CLI's float mode) and all-int coordinates keep the three-product
-definition, so float residuals are computed exactly as the definition
-computes them.
+is the definition, and it builds each multiplication's table: ``Nom.table``,
+an ``octonion.ProductTable`` of the values e_a o e_b on all basis pairs,
+built in ints on first use (never at import) and kept on the ``Nom``.  The
+octonion product itself is such a table, so for a rational alpha ``circ``
+runs the same sparse bilinear kernel as ``octonion.multiply``, once,
+instead of three products; at t = 1/2 the table holds 88 nonzeros out of
+512 over the denominator 25, and at the endpoints it is a signed
+permutation.  A float alpha (the CLI's float mode)
+and all-int coordinates keep the three-product definition, so float
+residuals are computed exactly as the definition computes them.
 
 The operators U_a(x) = e_a o x and R_a(x) = x o e_a (``left_ops``,
-``right_ops``) are the table's ``linalg.Op``s, read off it the way the
-octonion generators J_a, J'_a are read off the octonion table, so a float nom
-raises TypeError there; float mode reads ``Nom.table.entries`` itself.
-``nom_from_sharp_blocks`` goes the other way, from ``Op`` blocks A#_a back
-to a table.
+``right_ops``) are the table's ``linalg.Op``s (``ProductTable.ops``), as
+the octonion generators J_a, J'_a are the octonion table's, so a float nom
+raises TypeError there and at the table; float mode builds U_a from the
+definition.  ``nom_from_sharp_blocks`` goes the other way, from ``Op``
+blocks A#_a back to a table.
 
 ``verify_normalized`` proves |x o y|^2 = |x|^2 |y|^2 in symbolic slots x, y
 (``octonion.symbolic_octets``), which covers every basis pair as well.
@@ -44,7 +44,7 @@ from functools import cached_property, partial
 
 from . import octonion as on
 from .report import Report, proved
-from .scalars import pythagorean_unit, rational_sqrt, sum_zero
+from .scalars import int_scaled, pythagorean_unit, rational_sqrt, sum_zero
 
 
 class Side(enum.Enum):
@@ -66,13 +66,15 @@ class NormalizedOrthogonalMultiplication:
 
     @cached_property
     def table(self) -> on.ProductTable:
-        """e_a o e_b on all basis pairs, from ``circ_definition``; built on
-        first use and kept (the frozen fields it reads never change).  Every
-        caller gets the same table, so nothing may modify its entries."""
-        dim = self.dim
-        return on.ProductTable(
-            [[circ_definition(self, on.basis(a, dim), on.basis(b, dim)) for b in range(dim)] for a in range(dim)]
-        )
+        """e_a o e_b on all basis pairs: ``circ_definition`` on int basis
+        vectors and alpha's ``int_scaled`` numerators over den, which gives
+        den^2 e_a o e_b (it is quadratic in alpha), over den^2.  Built on
+        first use and kept (the frozen fields it reads never change) and
+        shared, so nothing may modify it."""
+        den, ints = int_scaled(self.alpha)
+        scaled, dim = Nom(self.side, tuple(ints)), self.dim
+        e = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+        return on.ProductTable.of([[circ_definition(scaled, x, y) for y in e] for x in e], den * den)
 
 
 Nom = NormalizedOrthogonalMultiplication
@@ -123,12 +125,12 @@ def circ(nom: Nom, x, y):
 
 def left_ops(nom: Nom) -> list:
     """U_a(x) = e_a o x for a = 1..dim-1 (column b is e_a o e_b)."""
-    return nom.table.left_ops()
+    return list(nom.table.ops[0])
 
 
 def right_ops(nom: Nom) -> list:
     """R_a(x) = x o e_a for a = 1..dim-1 (column b is e_b o e_a)."""
-    return nom.table.right_ops()
+    return list(nom.table.ops[1])
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ def nom_from_sharp_blocks(sharp: list) -> on.ProductTable:
     for a, cols in enumerate(columns, start=1):
         if cols[0] != on.basis(a, dim):
             raise ValueError(f"A#_{a}(e_0) != e_{a}")
-    return on.ProductTable([[on.basis(b, dim) for b in range(dim)]] + columns)
+    return on.ProductTable.of([[on.basis(b, dim) for b in range(dim)]] + columns)
 
 
 def comparison_check(nom: Nom, a, b) -> Report:

@@ -36,6 +36,7 @@ from .circ import (
     Nom,
     Side,
     circ,
+    circ_definition,
     comparison_check,
     left_ops,
     nom_from_sharp_blocks,
@@ -57,12 +58,11 @@ from .identities import (
     QLabel,
     classify_q,
     crucial_classify,
-    exchange_suite,
+    exchange_witnesses,
     fkm_candidate,
     good_identity_check,
     obstruction_c_minus_one,
     ot_candidate,
-    r_form,
 )
 from .linalg import Op
 from .mirror import (
@@ -355,7 +355,7 @@ def suite_nom(cfg: RunConfig, ctx: RunContext) -> Report:
             rep.add("comparison_parallel", cc2.passed)
 
     rebuilt = nom_from_sharp_blocks(left_ops(nom))
-    rep.add("sharp_blocks_round_trip", rebuilt.entries == nom.table.entries)
+    rep.add("sharp_blocks_round_trip", rebuilt == nom.table)
 
     w = proved("circ_exchange_identities", on.exchange_defects(partial(circ, nom), *on.symbolic_octets(dim, "XYZ")))
     rep.add(w.identity_name, w.passed, Fraction(w.residual))
@@ -511,26 +511,25 @@ def suite_identities(cfg: RunConfig, ctx: RunContext) -> Report:
         rep.add("r_classification_perpendicular", cc.passed)
         cc2 = crucial_classify(fkmc, on.basis(1, 8), on.neg(on.basis(5, 8)))
         rep.add("r_classification_parallel", cc2.passed)
-    left_end = ctx.candidate("fkm", Nom(Side.LEFT, on.basis(0, dim)))
-    right_end = ctx.candidate("fkm", Nom(Side.RIGHT, on.basis(0, dim)))
-    ok_l = all(
-        r_form(left_end, on.basis(i, dim), on.basis(j, dim))
-        == on.sub(
-            on.multiply(on.basis(i, dim), on.basis(j, dim)),
-            on.multiply(on.basis(j, dim), on.basis(i, dim)),
-        )
-        for i in range(1, dim)
-        for j in range(1, dim)
-    )
-    ok_r = all(
-        r_form(right_end, on.basis(i, dim), on.basis(j, dim)) == on.zero(dim)
-        for i in range(1, dim)
-        for j in range(1, dim)
-    )
+    # R(e_i, e_j) = q(e_i, e_j, e_0), row (i, j, 0) of an endpoint's table:
+    # e_i e_j - e_j e_i on the left (the octonion table's den is 1), 0 on the right
+    left_end = ctx.candidate("fkm", Nom(Side.LEFT, on.basis(0, dim))).table
+    right_end = ctx.candidate("fkm", Nom(Side.RIGHT, on.basis(0, dim))).table
+    products = on.PRODUCT_TABLES[dim].sparse[1]
+
+    def commutator(i, j):
+        out = dict(products[i][j])
+        for k, w in products[j][i]:
+            out[k] = out.get(k, 0) - w
+        return {k: left_end.den * w for k, w in out.items() if w}
+
+    im = range(1, dim)
+    ok_l = all(dict(left_end.rows[i][j][0]) == commutator(i, j) for i in im for j in im)
+    ok_r = not any(right_end.rows[i][j][0] for i in im for j in im)
     rep.add("cor69_endpoints", ok_l and ok_r)
 
     bad = QCandidate(QLabel.CUSTOM, nom, lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z))
-    rep.add("unsymmetrized_candidate_fails", not all(w.passed for w in exchange_suite(bad)))
+    rep.add("unsymmetrized_candidate_fails", not all(w.passed for w in exchange_witnesses(bad)))
 
     if dim == 8:
         x, y = on.basis(1, 8), on.basis(2, 8)
@@ -596,8 +595,8 @@ def suite_nom_float(cfg: RunConfig, ctx: RunContext) -> Report:
         v = circ(nom, on.basis(0, dim), tuple(float(c) for c in on.basis(b, dim)))
         worst = max(worst, max(abs(v[r] - (1.0 if r == b else 0.0)) for r in range(dim)))
     rep.add("e0_identity_residual", worst <= tol, worst)
-    # U_a[i][k] = <e_a o e_k, e_i>, read off the float table for a = 1..dim-1
-    ops = nom.table.entries[1:]
+    # U_a[i][k] = <e_a o e_k, e_i> for a = 1..dim-1, from the float definition
+    ops = [[circ_definition(nom, on.basis(a, dim), on.basis(k, dim)) for k in range(dim)] for a in range(1, dim)]
     worst = 0.0
     for a in range(len(ops)):
         for b in range(a, len(ops)):

@@ -36,15 +36,22 @@ def _square_dim(ops: list) -> int:
     return n
 
 
-def _anticommutator(a: Op, b: Op) -> Op:
-    """a b + b a as m + m^T with m = a b, one product: equal when
-    b a = (a b)^T, as for two symmetric or two skew matrices."""
-    m = a @ b
-    return m + m.T
+def _residual(a: Op, b: Op, lam: int = 0, twice: bool = True) -> Fraction:
+    """The largest |entry| of m + m^T - 2 lam Id (``twice``) or m - lam Id
+    for m = a b, read off the int numerators of that one product.  m + m^T
+    is a b + b a when b a = (a b)^T, as for two symmetric or two skew
+    matrices."""
+    den = a.den * b.den
+    m = a.int_product(b)
+    for i, row in enumerate(m if lam else ()):  # m - lam Id, so m + m^T - 2 lam Id too
+        row[i] = row.get(i, 0) - lam * den
+    entries = (x + m[c].get(i, 0) if twice else x for i, row in enumerate(m) for c, x in row.items())
+    return Fraction(max(map(abs, entries), default=0), den)
 
 
-def _two_products(a: Op, b: Op) -> Op:
-    return a @ b + b @ a
+def _two_products(a: Op, b: Op, lam: int = 0) -> Fraction:
+    """The largest |entry| of a b + b a - 2 lam Id, from both products."""
+    return (a @ b + b @ a - 2 * lam * Op.identity(a.ncols)).max_abs()
 
 
 def verify_skew_rep(ops: list) -> Report:
@@ -59,11 +66,11 @@ def verify_skew_rep(ops: list) -> Report:
     if not ops:
         rep.add("nonempty", False)
         return rep
-    ident = Op.identity(_square_dim(ops))
-    worst_orth = max((m @ m.T - ident).max_abs() for m in ops)
-    worst_sq = max((m @ m + ident).max_abs() for m in ops)
-    anti = _anticommutator if worst_orth == 0 and worst_sq == 0 else _two_products
-    worst_anti = max((anti(a, b).max_abs() for i, a in enumerate(ops) for b in ops[i + 1 :]), default=Fraction(0))
+    _square_dim(ops)
+    worst_orth = max(_residual(m, m.T, 1, False) for m in ops)
+    worst_sq = max(_residual(m, m, -1, False) for m in ops)
+    anti = _residual if worst_orth == 0 and worst_sq == 0 else _two_products
+    worst_anti = max((anti(a, b) for i, a in enumerate(ops) for b in ops[i + 1 :]), default=Fraction(0))
     rep.add("orthogonality", worst_orth == 0, worst_orth)
     rep.add("square_minus_id", worst_sq == 0, worst_sq)
     rep.add("anticommutation", worst_anti == 0, worst_anti)
@@ -97,14 +104,9 @@ def verify_symmetric_system(sys: SymmetricCliffordSystem) -> Report:
     product."""
     rep = Report("symmetric_clifford_system")
     ops = sys.operators
-    ident = Op.identity(sys.dim)
     worst_sym = max((m - m.T).max_abs() for m in ops)
-    anti = _anticommutator if worst_sym == 0 else _two_products
-    worst_cliff = Fraction(0)
-    for a in range(len(ops)):
-        for b in range(a, len(ops)):
-            m = anti(ops[a], ops[b])
-            worst_cliff = max(worst_cliff, (m - 2 * ident if a == b else m).max_abs())
+    anti = _residual if worst_sym == 0 else _two_products
+    worst_cliff = max(anti(ops[a], ops[b], int(a == b)) for a in range(len(ops)) for b in range(a, len(ops)))
     rep.add("symmetry", worst_sym == 0, worst_sym)
     rep.add("clifford_relations", worst_cliff == 0, worst_cliff)
     return rep
@@ -195,14 +197,12 @@ def find_intertwiner(rep1: list, rep2: list) -> IntertwinerResult:
 
 
 def verify_a_system(ops: list) -> Report:
-    """A_a A_b^T + A_b A_a^T = 2 delta_ab Id; failure names the first bad pair."""
+    """A_a A_b^T + A_b A_a^T = 2 delta_ab Id, one product A_a A_b^T per
+    pair; failure names the first bad pair."""
     rep = Report("a_system")
-    first_bad = None
-    for a in range(len(ops)):
-        for b in range(a, len(ops)):
-            x, y = ops[a], ops[b]
-            if first_bad is None and (x @ y.T + y @ x.T).scalar() != (2 if a == b else 0):
-                first_bad = (a + 1, b + 1)
+    ts = [x.T for x in ops]
+    pairs = ((a, b) for a in range(len(ops)) for b in range(a, len(ops)))
+    first_bad = next(((a + 1, b + 1) for a, b in pairs if _residual(ops[a], ts[b], int(a == b))), None)
     rep.add("defining_relations", first_bad is None, detail={"first_failing_pair": first_bad})
     return rep
 

@@ -194,8 +194,14 @@ def recorded(name: str, passed: bool) -> WitnessReport:
 
 
 def exchange_suite(q: QCandidate) -> list:
+    """All of ``exchange_witnesses``."""
+    return list(exchange_witnesses(q))
+
+
+def exchange_witnesses(q: QCandidate):
     """The six exchange identities of the third form plus their six
-    imaginary-vector corollaries, proved over free slots.
+    imaginary-vector corollaries, proved over free slots, one witness at a
+    time.
 
     The basis-slot identities are read off ``q.table``, T[k; i, j, l] =
     <q(e_i, e_j, e_l), e_k>, with the purely imaginary X and Y as free slots.
@@ -241,25 +247,23 @@ def exchange_suite(q: QCandidate) -> list:
     # <q(e_a, e_a), e_p> + <q(conj(e_a) e_p, e_0), e_a>
     aa_transposed = [((p, a, a), (sign[a], a, p, a)) for a, p in pairs]
     octonion, o = on.PRODUCT_TABLES[dim], nomc.table
-    out = [
-        proved("q(X,Y,e_a) _|_ e_a", ([(i, j) for i in im for j in im if coeff(a, i, j, a)] for a in range(dim))),
-        proved(
-            "q(X,Y,e_0) _|_ X and Y",
-            (
-                [(i, j, k) for j in im for i in im for k in range(i, dim) if coeff(k, i, j, 0) + coeff(i, k, j, 0)],
-                [(i, j, k) for i in im for j in im for k in range(j, dim) if coeff(k, i, j, 0) + coeff(j, i, k, 0)],
-            ),
+    yield proved("q(X,Y,e_a) _|_ e_a", ([(i, j) for i in im for j in im if coeff(a, i, j, a)] for a in range(dim)))
+    yield proved(
+        "q(X,Y,e_0) _|_ X and Y",
+        (
+            [(i, j, k) for j in im for i in im for k in range(i, dim) if coeff(k, i, j, 0) + coeff(i, k, j, 0)],
+            [(i, j, k) for i in im for j in im for k in range(j, dim) if coeff(k, i, j, 0) + coeff(j, i, k, 0)],
         ),
-        proved("<q(e_a,Y,e_p),e_a> = -<q(e_a conj(e_p),Y,e_0),e_a>", exchange("X", octonion, ap)),
-        proved("<q(X,e_a,e_p),e_a> = -<q(X,e_a o conj(e_p),e_0),e_a>", exchange("Y", o, ap)),
-        proved("<q(e_a,Y,e_a),e_p> = -<q(e_p conj(e_a),Y,e_0),e_a>", exchange("X", octonion, aa)),
-        proved("<q(X,e_a,e_a),e_p> = -<q(X,e_p o conj(e_a),e_0),e_a>", exchange("Y", o, aa)),
-    ]
+    )
+    yield proved("<q(e_a,Y,e_p),e_a> = -<q(e_a conj(e_p),Y,e_0),e_a>", exchange("X", octonion, ap))
+    yield proved("<q(X,e_a,e_p),e_a> = -<q(X,e_a o conj(e_p),e_0),e_a>", exchange("Y", o, ap))
+    yield proved("<q(e_a,Y,e_a),e_p> = -<q(e_p conj(e_a),Y,e_0),e_a>", exchange("X", octonion, aa))
+    yield proved("<q(X,e_a,e_a),e_p> = -<q(X,e_p o conj(e_a),e_0),e_a>", exchange("Y", o, aa))
     # informational: the e_p o conj(e_a) ordering is what the identity asserts;
     # whether the transposed conj(e_a) o e_p ordering also validates is recorded,
     # never required
     transposed = proved("sixth identity transposed ordering (informational)", exchange("Y", o, aa_transposed))
-    out.append(WitnessReport(transposed.identity_name, transposed.inputs, "validates", transposed.passed, 0, True))
+    yield WitnessReport(transposed.identity_name, transposed.inputs, "validates", transposed.passed, 0, True)
 
     # the polarised battery in imaginary X, Y and full Z
     X, Y, Z = on.symbolic_octets(dim, "xyZ")
@@ -274,7 +278,7 @@ def exchange_suite(q: QCandidate) -> list:
         "<q(X,Y,X),Z> = <q(ZX,Y,e_0),X>": inner(q.eval(X, Y, X), Z) - inner(q.eval(on.multiply(Z, X), Y, e0), X),
         "<q(X,Y,Y),Z> = <q(X,Z o Y,e_0),Y>": inner(q.eval(X, Y, Y), Z) - inner(q.eval(X, circ(nomc, Z, Y), e0), Y),
     }
-    return out + [recorded(name, not r) for name, r in polarised.items()]
+    yield from (recorded(name, not r) for name, r in polarised.items())
 
 
 def skew_suite(q: QCandidate) -> list:

@@ -112,9 +112,9 @@ class Op:
                 out[c][i] = x
         return Op._wrap(self.den, out, len(self.rows))
 
-    def __matmul__(self, other):
-        if not isinstance(other, Op):
-            return NotImplemented
+    def int_product(self, other: "Op") -> list:
+        """The rows of self @ other: unreduced int numerators (zeros kept)
+        over ``self.den * other.den``."""
         if self.ncols != len(other.rows):
             raise ValueError("matrix shapes do not chain")
         b = other.rows
@@ -124,7 +124,13 @@ class Op:
             for j, x in row.items():
                 for c, y in b[j].items():
                     acc[c] = acc.get(c, 0) + x * y
-            out.append({c: v for c, v in acc.items() if v})
+            out.append(acc)
+        return out
+
+    def __matmul__(self, other):
+        if not isinstance(other, Op):
+            return NotImplemented
+        out = [{c: v for c, v in acc.items() if v} for acc in self.int_product(other)]
         return Op._adopt(self.den * other.den, out, other.ncols)
 
     def _merge(self, other, sign: int):

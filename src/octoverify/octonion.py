@@ -14,7 +14,7 @@ only pairs of nonzero coordinates.  Polynomial coordinates are summed slot
 by slot by ``poly.weighted_products``, in one pass per product.  Fraction,
 int and float coordinates run one accumulation loop, which rational inputs
 enter as int numerators: ``scalars.int_scaled`` clears their denominators,
-as it does for the table's own entries.  ``inner`` takes the same two
+as it does for a table's dense entries.  ``inner`` takes the same two
 routes.  The octonion product is the table
 ``PRODUCT_TABLES[dim]``, built at import for dims 4 and 8 from
 ``cayley_dickson_multiply`` on the int basis vectors ``int_basis(dim)``
@@ -24,8 +24,8 @@ definition around as an independent oracle for the table, which the
 algebra suite runs on those same int vectors.
 
 The multiplication matrices (``left_mult_matrix``, ``right_mult_matrix``) and
-the generators J_a, J'_a (the table's ``left_ops``, ``right_ops``) are
-``linalg.Op``s, so they take rational coordinates only.  ``symbolic_octets``
+the generators J_a, J'_a (the table's ``ops``) are ``linalg.Op``s, so they
+take rational coordinates only.  ``symbolic_octets``
 gives the polynomial-coordinate slots that every identity is stated in and
 proved in (``report.proved``).
 ``norm_defect`` and ``exchange_defects`` state the identities every
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
+from math import gcd
 from typing import Sequence
 
 from .linalg import Op
@@ -85,25 +86,27 @@ class ProductTable:
     """Table of basis products e_a e_b with its bilinear extension.
 
     One kernel serves the octonion product (``PRODUCT_TABLES``) and every
-    normalized multiplication (``circ.Nom.table``).  ``product`` reads the
-    entries in a sparse form built on first use, ``sparse``: one common
-    denominator D and, for each (a, b), the nonzero coordinates of e_a e_b as
-    ``(k, w)`` pairs with int w = D * value."""
+    normalized multiplication (``circ.Nom.table``).  Its one form,
+    ``sparse``, is one common denominator D and, for each (a, b), the
+    nonzero coordinates of e_a e_b as ``(k, w)`` pairs with int w = D *
+    value, canonical as in ``linalg.Op``, so ``==`` compares values."""
 
-    entries: list  # entries[a][b] = coordinate tuple of e_a e_b
+    sparse: tuple  # (D, rows)
+
+    @staticmethod
+    def of(entries, den: int = 1) -> "ProductTable":
+        """The table of e_a e_b = entries[a][b] / den, from int or Fraction
+        coordinates (``int_scaled``)."""
+        d, ints = int_scaled([c for row in entries for v in row for c in v])
+        den *= d
+        g = gcd(den, *ints)
+        it = iter(ints)
+        rows = [[tuple((k, w // g) for k, w in enumerate(islice(it, len(v))) if w) for v in row] for row in entries]
+        return ProductTable((den // g, rows))
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def sparse(self) -> tuple[int, list]:
-        """(D, rows) with ``rows[a][b]`` the ``(k, w)`` pairs of e_a e_b; the
-        entries must be ints or Fractions (``int_scaled``)."""
-        den, ints = int_scaled([c for row in self.entries for v in row for c in v])
-        it = iter(ints)
-        rows = [[tuple((k, w) for k, w in enumerate(islice(it, len(v))) if w) for v in row] for row in self.entries]
-        return den, rows
+        return len(self.sparse[1])
 
     def product(self, x, y, zero) -> tuple:
         """sum_ab x_a y_b (e_a e_b), with the slot types of the dense sum;
@@ -162,13 +165,18 @@ class ProductTable:
             out = [None if v is None else v * scale for v in out]
         return tuple(fill_zero(out, zero))
 
-    def left_ops(self) -> list:
-        """L_a(x) = e_a x for a = 1..dim-1 as ``Op``s (column b is e_a e_b)."""
-        return [Op.of(self.entries[a]).T for a in range(1, self.dim)]
-
-    def right_ops(self) -> list:
-        """R_a(x) = x e_a for a = 1..dim-1 as ``Op``s (column b is e_b e_a)."""
-        return [Op.of([row[a] for row in self.entries]).T for a in range(1, self.dim)]
+    @cached_property
+    def ops(self) -> tuple:
+        """(L, R): L_a(x) = e_a x and R_a(x) = x e_a for a = 1..dim-1, as
+        ``Op``s built once from ``sparse`` (column b is e_a e_b, e_b e_a)."""
+        den, rows = self.sparse
+        dim = self.dim
+        left, right = ([[{} for _ in range(dim)] for _ in range(dim)] for _ in "LR")
+        for a, row in enumerate(rows):
+            for b, pairs in enumerate(row):
+                for k, w in pairs:
+                    left[a][k][b] = right[b][k][a] = w
+        return tuple(tuple(Op._adopt(den, m, dim) for m in side[1:]) for side in (left, right))
 
 
 def int_basis(dim: int) -> list:
@@ -181,7 +189,7 @@ def int_basis(dim: int) -> list:
 def _basis_product_table(dim: int) -> ProductTable:
     """e_a e_b from the doubling rule on ``int_basis(dim)``."""
     e = int_basis(dim)
-    return ProductTable([[cayley_dickson_multiply(a, b)[:dim] for b in e] for a in e])
+    return ProductTable.of([[cayley_dickson_multiply(a, b)[:dim] for b in e] for a in e])
 
 
 PRODUCT_TABLES = {dim: _basis_product_table(dim) for dim in (4, 8)}
@@ -275,12 +283,12 @@ def right_mult_matrix(u) -> Op:
 
 def j_generators(dim: int = 8) -> list:
     """Left-multiplication generators J_i(z) = e_i z, i = 1..dim-1."""
-    return _table(dim).left_ops()
+    return list(_table(dim).ops[0])
 
 
 def j_prime_generators(dim: int = 8) -> list:
     """Right-multiplication generators J'_i(z) = z e_i."""
-    return _table(dim).right_ops()
+    return list(_table(dim).ops[1])
 
 
 def symbolic_octets(dim: int, names: str) -> tuple:

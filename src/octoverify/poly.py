@@ -666,15 +666,17 @@ class Rt2Poly:
         return isinstance(other, Rt2Poly) and self.a == other.a and self.b == other.b
 
 
-def rt2_poly(nvars: int, terms: Iterable[tuple[int, Fraction, int]]) -> Rt2Poly:
-    """The sum of c * 2^(kfold/2) * (monomial ``key``) over the (key, c, kfold)
-    triples: an even kfold adds c * 2^(kfold/2) to the rational part, an odd
-    one c * 2^((kfold-1)/2) to the sqrt2 part."""
+def rt2_poly(nvars: int, terms: Iterable[tuple[int, int, int]], den: int = 1) -> Rt2Poly:
+    """The sum of c 2^(kfold/2) / den (monomial ``key``) over the (key, int
+    c, kfold) triples: c 2^(kfold//2) / den goes to the rational part for an
+    even kfold, else to the sqrt2 part, summed in ints over den 2^-low."""
+    terms = list(terms)
+    low = min([0] + [kfold // 2 for _, _, kfold in terms])
     parts: tuple[dict, dict] = ({}, {})
     for key, c, kfold in terms:
         part = parts[kfold % 2]
-        part[key] = part.get(key, 0) + c * Fraction(2) ** (kfold // 2)
-    return Rt2Poly(MultiPoly(nvars, parts[0]), MultiPoly(nvars, parts[1]))
+        part[key] = part.get(key, 0) + (c << (kfold // 2 - low))
+    return Rt2Poly(*(MultiPoly._adopt(nvars, {k: c for k, c in p.items() if c}, den << -low) for p in parts))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from . import octonion as on
 from .circ import Nom, Side, circ, right_ops
-from .clifford import SymmetricCliffordSystem, volume_sign
+from .clifford import SymmetricCliffordSystem, verify_a_system, volume_sign
 from .linalg import Op
 from .poly import (
     MultiPoly,
@@ -298,7 +298,7 @@ def extract_expansion_forms(f: MultiPoly, frame: FocalFrame) -> ExtractedForms:
     q_terms: list[list] = [[] for _ in range(ncount)]
     t4_coeff = Fraction(0)
 
-    for key, cv in fc.fraction_terms().items():
+    for key, cv in fc.terms.items():  # cv / fc.den
         tdeg = 0
         wslots = []
         tangent_vars = []
@@ -314,7 +314,7 @@ def extract_expansion_forms(f: MultiPoly, frame: FocalFrame) -> ExtractedForms:
         if tdeg == 4 and not wslots and not tangent_vars:
             if kfold % 2 != 0:
                 raise ValueError("t^4 coefficient carries sqrt2; frame is inconsistent")
-            t4_coeff = cv * Fraction(2) ** (kfold // 2)
+            t4_coeff = Fraction(cv, fc.den) * Fraction(2) ** (kfold // 2)
             continue
         if len(wslots) != 1 or wslots[0][1] != 1:
             continue
@@ -325,12 +325,12 @@ def extract_expansion_forms(f: MultiPoly, frame: FocalFrame) -> ExtractedForms:
             target = q_terms[widx]
         else:
             continue
-        target.append((monomial_key(*tangent_vars), cv / 8, kfold))
+        target.append((monomial_key(*tangent_vars), cv, kfold))
 
     if t4_coeff != 1:
         raise ValueError(f"expansion point is not on the +1 focal locus (t^4 coeff {t4_coeff})")
-    ps = [rt2_poly(tcount, t) for t in p_terms]
-    qs = [rt2_poly(tcount, t) for t in q_terms]
+    ps = [rt2_poly(tcount, t, 8 * fc.den) for t in p_terms]
+    qs = [rt2_poly(tcount, t, 8 * fc.den) for t in q_terms]
     return ExtractedForms(ps, qs, tcount)
 
 
@@ -358,11 +358,9 @@ def matrix_route_forms(system: SymmetricCliffordSystem, frame: FocalFrame) -> li
     for m in system.operators:
         g = v @ m @ vt
         terms = (
-            (monomial_key(j, k), -Fraction(x, g.den), halves[j] + halves[k])
-            for j, row in enumerate(g.rows)
-            for k, x in row.items()
+            (monomial_key(j, k), -x, halves[j] + halves[k]) for j, row in enumerate(g.rows) for k, x in row.items()
         )
-        out.append(rt2_poly(tcount, terms))
+        out.append(rt2_poly(tcount, terms, g.den))
     return out
 
 
@@ -489,9 +487,9 @@ def condition_a_check(blocks: SecondFormBlocks) -> Report:
     """Condition A: every B_a and C_a vanishes.  The report also proves
     S_n^3 = |n|^2 S_n for a symbolic normal n, with S_n = sum_a n_a S_a as
     sparse rows of linear ``MultiPoly`` forms (S_n^2 and S_n^3 - |n|^2 S_n
-    are one ``weighted_products`` call each), and, when A holds, the block
-    relations A_a A_a^T = Id, A_a A_b^T + A_b A_a^T = 0,
-    A_a^T A_b + A_b^T A_a = 0."""
+    are one ``weighted_products`` call each), and, when A holds, that the
+    A_a and the A_a^T are A-systems (``clifford.verify_a_system``):
+    A_a A_b^T + A_b A_a^T = 2 delta_ab Id = A_a^T A_b + A_b^T A_a."""
     rep = Report("condition_a")
     zero_b = all(m.max_abs() == 0 for m in blocks.b_blocks)
     zero_c = all(m.max_abs() == 0 for m in blocks.c_blocks)
@@ -523,12 +521,7 @@ def condition_a_check(blocks: SecondFormBlocks) -> Report:
     rep.add("shape_operator_cube", not any(residuals))
     if zero_b and zero_c:
         a_ops = blocks.a_blocks
-        ok9 = all((a @ a.T).scalar() == 1 for a in a_ops)
-        for i, a in enumerate(a_ops):
-            for b in a_ops[i + 1 :]:
-                if (a @ b.T + b @ a.T).scalar() != 0 or (a.T @ b + b.T @ a).scalar() != 0:
-                    ok9 = False
-        rep.add("a_block_relations", ok9)
+        rep.add("a_block_relations", all(verify_a_system(ops).passed for ops in (a_ops, [a.T for a in a_ops])))
     return rep
 
 
@@ -572,11 +565,8 @@ def condition_b_check(
     for a in range(nops):
         g = nrm @ system.operators[a] @ vt
         for b in range(nops):
-            terms = (
-                (monomial_key(j), Fraction(x, g.den), frame.tangent[j].half + frame.normals[b].half)
-                for j, x in g.rows[b].items()
-            )
-            r[a][b] = rt2_poly(tcount, terms)
+            terms = ((monomial_key(j), x, frame.tangent[j].half + frame.normals[b].half) for j, x in g.rows[b].items())
+            r[a][b] = rt2_poly(tcount, terms, g.den)
 
     skew = all((r[a][b] + r[b][a]).is_zero() for a in range(nops) for b in range(nops))
     rep.add("r_skew_symmetric", skew)

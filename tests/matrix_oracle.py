@@ -1,6 +1,7 @@
 """Naive dense ``Fraction`` matrices: the triple-loop oracle that the tests
-hold ``linalg.Op`` and the matrix verifiers to, and ``signed_pairs``, the
-signed-permutation form of a product table.  Nothing here skips a zero or
+hold ``linalg.Op`` and the matrix verifiers to, ``table_entries``, the dense
+values of a product table, and ``signed_pairs``, its signed-permutation
+form.  Nothing here skips a zero or
 scales to ints."""
 
 from fractions import Fraction
@@ -51,11 +52,26 @@ def max_abs(a: list) -> Fraction:
     return max((abs(Fraction(x)) for row in a for x in row), default=Fraction(0))
 
 
+def table_entries(table) -> list:
+    """entries[a][b]: the coordinates of e_a e_b in a ``ProductTable``, as
+    Fractions."""
+    den, rows = table.sparse
+    out = []
+    for row in rows:
+        out.append([])
+        for pairs in row:
+            v = [Fraction(0)] * len(rows)
+            for k, w in pairs:
+                v[k] = Fraction(w, den)
+            out[-1].append(tuple(v))
+    return out
+
+
 def signed_pairs(table) -> list | None:
     """The (sign, index) form of a ``ProductTable`` whose every entry e_a e_b
     is a signed basis vector, else None."""
     out = []
-    for row in table.entries:
+    for row in table_entries(table):
         orow = []
         for v in row:
             nz = [(k, c) for k, c in enumerate(v) if c != 0]

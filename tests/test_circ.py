@@ -21,7 +21,7 @@ from octoverify.circ import (
     theta_axis,
     verify_normalized,
 )
-from matrix_oracle import dense, signed_pairs
+from matrix_oracle import dense, signed_pairs, table_entries
 from octoverify.clifford import verify_skew_rep
 from octoverify.poly import MultiPoly
 from conftest import Draws
@@ -103,18 +103,19 @@ def test_nom_from_sharp_blocks_octonion_tables():
     table = nom_from_sharp_blocks(j)
     for a in range(8):
         for b in range(8):
-            assert table.entries[a][b] == on.multiply(E[a], E[b])
+            assert table_entries(table)[a][b] == on.multiply(E[a], E[b])
     jp = [on.right_mult_matrix(E[i]) for i in range(1, 8)]
     table = nom_from_sharp_blocks(jp)
     for a in range(8):
         for b in range(8):
-            assert table.entries[a][b] == on.multiply(E[b], E[a])
+            assert table_entries(table)[a][b] == on.multiply(E[b], E[a])
 
 
 def test_nom_from_sharp_blocks_round_trip():
     nom = nom_from_t(Side.LEFT, Fraction(1, 2))
     rebuilt = nom_from_sharp_blocks(left_ops(nom))
-    assert rebuilt.entries == nom.table.entries
+    assert rebuilt == nom.table
+    assert table_entries(rebuilt) == table_entries(nom.table)
     assert signed_pairs(rebuilt) is None  # generic alpha is not a signed table
     t0 = nom_from_t(Side.LEFT, Fraction(0)).table
     pairs = signed_pairs(t0)
@@ -244,14 +245,29 @@ def test_float_alpha_keeps_the_definition(theta, side, values):
     x, y = tuple(values[:8]), tuple(values[8:])
     assert circ(nom, x, y) == circ_definition(nom, x, y)
     assert circ(nom, E[0], x) == circ_definition(nom, E[0], x)
-    # float mode reads U_a off the table: column b of U_a is entries[a][b]
-    entries = nom.table.entries
-    for a in range(1, 8):
-        for b in range(8):
-            assert list(entries[a][b]) == list(circ_definition(nom, E[a], E[b]))
-    # the operators are exact, so a float nom is refused there
+    # the table and the operators are exact, so a float nom is refused there
+    # (float mode builds U_a from the definition)
+    with pytest.raises(TypeError):
+        nom.table
     with pytest.raises(TypeError):
         left_ops(nom)
+
+
+@PROPS
+@given(sides, st.sampled_from([(4, 1), (8, 1), (8, 4)]), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+def test_int_built_table_is_the_definition_on_fraction_basis_vectors(side, dim_axis, t):
+    dim, axis = dim_axis
+    nom = nom_from_t(side, t, axis=axis, dim=dim)
+    basis = [on.basis(i, dim) for i in range(dim)]
+    want = [[circ_definition(nom, x, y) for y in basis] for x in basis]
+    assert table_entries(nom.table) == want
+    # the same alpha in floats stays on the definition, which agrees
+    fnom = Nom(side, tuple(float(c) for c in nom.alpha))
+    for x, row in zip(basis, want):
+        for y, v in zip(basis, row):
+            got = circ(fnom, x, y)
+            assert got == circ_definition(fnom, x, y)
+            assert all(type(g) is float and abs(g - w) < 1e-12 for g, w in zip(got, v))
 
 
 def test_circ_dimension_mismatch_raises():

@@ -7,6 +7,8 @@ from octoverify import octonion as on
 from octoverify.octonion import ProductTable
 from octoverify.clifford import (
     IntertwinerResult,
+    _residual,
+    _two_products,
     SymmetricCliffordSystem,
     delta_dimension,
     find_intertwiner,
@@ -171,7 +173,7 @@ def test_skew_rep_plus_identity_is_orthogonal_multiplication():
         entries = [[on.basis(b, 8) for b in range(8)]]
         for m in map(dense, rep):
             entries.append([tuple(m[r][b] for r in range(8)) for b in range(8)])
-        table = ProductTable(entries)
+        table = ProductTable.of(entries)
         rng = Draws(77)
         for _ in range(50):
             x, y = tuple(rng.rationals(5, 8)), tuple(rng.rationals(5, 8))
@@ -244,6 +246,46 @@ def _assert_symmetric_system_matches_oracle(mats: list) -> None:
     for name, residual in (("symmetry", sym), ("clifford_relations", cliff)):
         assert got[name].residual == residual, name
         assert got[name].passed == (residual == 0), name
+
+
+def _assert_a_system_matches_oracle(mats: list) -> None:
+    ident = identity(len(mats[0]))
+    bad = [
+        (a + 1, b + 1)
+        for a in range(len(mats))
+        for b in range(a, len(mats))
+        if add(mul(mats[a], transpose(mats[b])), mul(mats[b], transpose(mats[a])))
+        != scale(Fraction(2 if a == b else 0), ident)
+    ]
+    rep = verify_a_system([Op.of(m) for m in mats])
+    assert rep.passed == (not bad)
+    assert rep.checks[0].detail["first_failing_pair"] == (bad[0] if bad else None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_edits)
+def test_verify_a_system_first_failing_pair_matches_fraction_oracle(edits):
+    # J_a J_b^T + J_b J_a^T = -(J_a J_b + J_b J_a) = 2 delta_ab Id
+    _assert_a_system_matches_oracle(_perturbed([dense(m) for m in on.j_generators(4)], edits))
+
+
+def _square_pairs(n: int):
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.tuples(matrix, matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(_square_pairs), st.integers(-1, 1), st.booleans())
+def test_residual_kernels_match_fraction_oracle(ab, lam, twice):
+    """Every residual the one-product kernel returns, and the two-product
+    one, against the dense sums: a b + (a b)^T - 2 lam Id or a b - lam Id,
+    and a b + b a - 2 lam Id."""
+    a, b = ab
+    m, ident = mul(a, b), identity(len(a))
+    want = sub(add(m, transpose(m)), scale(2 * lam, ident)) if twice else sub(m, scale(lam, ident))
+    assert _residual(Op.of(a), Op.of(b), lam, twice) == max_abs(want)
+    assert _two_products(Op.of(a), Op.of(b), lam) == max_abs(sub(add(m, mul(b, a)), scale(2 * lam, ident)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,6 +16,7 @@ from octoverify.identities import (
     fkm_candidate,
     good_identity_check,
     exchange_suite,
+    exchange_witnesses,
     norm_identity_check,
     obstruction_c_minus_one,
     ot_candidate,
@@ -122,6 +123,12 @@ def test_unsymmetrized_candidate_fails():
     cand = QCandidate(QLabel.CUSTOM, nom_from_t(Side.LEFT, Fraction(0)), lambda X, Y, Z: on.multiply(on.multiply(X, Y), Z))
     results = exchange_suite(cand)
     assert not all(w.passed for w in results)
+    assert [w.to_json() for w in exchange_witnesses(cand)] == [w.to_json() for w in results]
+    # the CLI's check stops at the first failing witness, which is the first
+    # one wherever the CLI runs it
+    for dim, t in ((8, Fraction(0)), (8, Fraction(1, 2)), (4, Fraction(0))):
+        bad = QCandidate(QLabel.CUSTOM, nom_from_t(Side.LEFT, t, dim=dim), cand.eval)
+        assert not next(exchange_witnesses(bad)).passed
 
 
 def test_good_identity():

@@ -212,7 +212,7 @@ INGRESS = {
     "kernel_basis": lambda v: kernel_basis([v[:4], v[4:]], 4),
     "MultiPoly": lambda v: MultiPoly(1, dict(enumerate(v))),
     "evaluate": lambda v: MultiPoly.variable(8, 0).eval(v),
-    "ProductTable.sparse": lambda v: on.ProductTable([[v[0:2], v[2:4]], [v[4:6], v[6:8]]]).sparse,
+    "ProductTable.sparse": lambda v: on.ProductTable.of([[v[0:2], v[2:4]], [v[4:6], v[6:8]]]).sparse,
 }
 
 
@@ -265,10 +265,11 @@ def _accumulate(into: dict, w, p: dict) -> None:
 def _reference_product(table, x, y) -> list:
     """sum_ab x_a y_b (e_a e_b) pair by pair, in Fraction coefficients."""
     out = [{} for _ in range(table.dim)]
+    entries = naive.table_entries(table)
     for a, xa in enumerate(x):
         for b, yb in enumerate(y):
             pq = _times(_fraction_terms(xa), _fraction_terms(yb))
-            for k, w in enumerate(table.entries[a][b]):
+            for k, w in enumerate(entries[a][b]):
                 _accumulate(out[k], Fraction(w), pq)
     return [{k: c for k, c in o.items() if c} for o in out]
 

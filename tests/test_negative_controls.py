@@ -41,10 +41,11 @@ E12 = [(1, 2), (2, 1)]  # e1 e2 and e2 e1: inside the quaternions
 
 def negated(table: on.ProductTable, pairs) -> on.ProductTable:
     """``table`` with e_a e_b negated for each (a, b) in ``pairs``."""
-    entries = [list(row) for row in table.entries]
+    den, rows = table.sparse
+    rows = [list(row) for row in rows]
     for a, b in pairs:
-        entries[a][b] = on.neg(entries[a][b])
-    return on.ProductTable(entries)
+        rows[a][b] = tuple((k, -w) for k, w in rows[a][b])
+    return on.ProductTable((den, rows))
 
 
 def defective_product(pairs):

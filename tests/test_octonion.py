@@ -33,7 +33,7 @@ def test_mult_table_invariants():
             assert sorted(k for _, k in pairs[i]) == list(range(dim))
             assert sorted(pairs[r][i][1] for r in range(dim)) == list(range(dim))
     assert on.PRODUCT_TABLES[8].sparse[0] == 1
-    assert all(type(c) is int for row in on.PRODUCT_TABLES[8].entries for v in row for c in v)
+    assert all(type(w) is int for row in on.PRODUCT_TABLES[8].sparse[1] for pairs in row for _, w in pairs)
 
 
 def test_multiply_refuses_unsupported_shapes():

@@ -13,6 +13,7 @@ from octoverify.poly import (
     munzner_verify,
     norm_sq_poly,
     radial_shift,
+    rt2_poly,
     weighted_products,
 )
 from conftest import Draws
@@ -226,6 +227,32 @@ def test_rt2_poly():
     assert (a - a).is_zero()
     assert Rt2Poly.rational(vp(n, 0)).is_rational()
     assert Rt2Poly.sqrt2_times(vp(n, 0)).is_pure_sqrt2()
+
+
+def test_rt2_poly_negative_half_tags():
+    # 2^(-1/2) = sqrt2 / 2, 2^(-1) and 3 * 2^(-3/2) = 3 sqrt2 / 4, over den 5
+    x = monomial_key(0)
+    got = rt2_poly(1, iter([(x, 1, -1), (0, 1, -2), (x, 3, -3)]), 5)
+    assert got.a == MultiPoly(1, {0: Fraction(1, 10)})
+    assert got.b == MultiPoly(1, {x: Fraction(1, 10) + Fraction(3, 20)})
+    assert rt2_poly(1, []) == Rt2Poly.zero(1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(-5, 5), st.integers(-5, 4)), max_size=8),
+    st.integers(1, 12),
+)
+def test_rt2_poly_matches_the_fraction_sum(raw, den):
+    """Half tags of either sign, cancelling terms and a shared monomial,
+    against c / den * 2^(kfold // 2) summed in Fractions."""
+    terms = [(monomial_key(v), c, kfold) for v, c, kfold in raw]
+    want: tuple[dict, dict] = ({}, {})
+    for key, c, kfold in terms:
+        part = want[kfold % 2]
+        part[key] = part.get(key, 0) + Fraction(c, den) * Fraction(2) ** (kfold // 2)
+    got = rt2_poly(3, iter(terms), den)
+    assert (got.a, got.b) == tuple(MultiPoly(3, part) for part in want)
 
 
 def test_nvars_mismatch_errors():
