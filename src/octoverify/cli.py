@@ -45,6 +45,7 @@ from .circ import (
     verify_normalized,
 )
 from .clifford import (
+    SymmetricCliffordSystem,
     delta_dimension,
     find_intertwiner,
     normalize_a_system,
@@ -66,10 +67,8 @@ from .identities import (
 )
 from .linalg import Op
 from .mirror import (
-    EigenDecomp,
     assemble_star_blocks,
     mirror_points,
-    p_star,
     sharp_from_q0,
     star_blocks_identity_check,
     trilinearity_extract,
@@ -79,7 +78,6 @@ from .poly import MultiPoly, Rt2Poly, monomial_key, munzner_verify
 from .report import SCHEMA_VERSION, Report, encode_value, proved
 from .systems import (
     FkmSystem,
-    OtSystem,
     blocks_from_forms,
     build_fkm_system,
     build_ot_system,
@@ -91,10 +89,11 @@ from .systems import (
     fkm_polynomial,
     fkm_squares,
     focal_check,
+    frame_check,
+    matrix_route_forms,
     ot_display_report,
     ot_plus_frame,
     perturb_mirror,
-    second_form_at_focal,
 )
 
 ALL_SUITES = ("algebra", "clifford", "nom", "munzner", "mirror", "identities", "classify")
@@ -181,7 +180,7 @@ class RunContext:
     FKM and OT systems and their polynomials ``F``.
 
     No consumer mutates a system or an ``F`` (munzner, mirror, classify and
-    ``--dump-poly`` only read operators, splits, frames and terms), so one
+    ``--dump-poly`` only read operators, frames and terms), so one
     copy serves them all.  Each ``F`` is kept from its first consumer to the
     end of the run.  The run's heap peak (tracemalloc), 1.9 MiB at octonion
     t = 1/2 and 1.3 MiB at t = 0, is set by the temporaries of the
@@ -216,7 +215,7 @@ class RunContext:
         return build_fkm_system(self.nom)
 
     @cached_property
-    def ot(self) -> OtSystem:
+    def ot(self) -> SymmetricCliffordSystem:
         return build_ot_system(self.cfg.dim)
 
     @cached_property
@@ -225,7 +224,7 @@ class RunContext:
 
     @cached_property
     def ot_poly(self) -> MultiPoly:
-        return fkm_polynomial(self.ot.system)
+        return fkm_polynomial(self.ot)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +385,10 @@ def suite_munzner(cfg: RunConfig, ctx: RunContext) -> Report:
     vs = verify_symmetric_system(fkm.system)
     rep.add("fkm_clifford_relations", vs.passed, vs.max_residual())
     f = ctx.fkm_poly
-    rep.add("fkm_polynomial_degree4", f.is_homogeneous(4))
     m1, m2 = _munzner_multiplicities(cfg.dim, len(fkm.system.operators))
-    mv = munzner_verify(f, 4, m1, m2, fkm_squares(fkm.system))
+    mv = munzner_verify(f, m1, m2, fkm_squares(fkm.system))
+    # munzner_verify raises unless F is a homogeneous quartic
+    rep.add("fkm_polynomial_degree4", True)
     rep.add("fkm_munzner_exact", mv.passed, detail={c.name: c.detail for c in mv.checks})
     # the schema-v1 entry of a sampled re-check of the same PDEs (see the
     # module docstring)
@@ -399,13 +399,13 @@ def suite_munzner(cfg: RunConfig, ctx: RunContext) -> Report:
     rep.add("fkm_polynomial_at_focal_rep", f.eval(list(frame.point.coords)) == 4)
 
     ot = ctx.ot
-    vso = verify_symmetric_system(ot.system)
+    vso = verify_symmetric_system(ot)
     rep.add("ot_clifford_relations", vso.passed, vso.max_residual())
     fo = ctx.ot_poly
-    m1o, m2o = _munzner_multiplicities(cfg.dim, len(ot.system.operators))
-    mvo = munzner_verify(fo, 4, m1o, m2o, fkm_squares(ot.system))
+    m1o, m2o = _munzner_multiplicities(cfg.dim, len(ot.operators))
+    mvo = munzner_verify(fo, m1o, m2o, fkm_squares(ot))
     rep.add("ot_munzner_exact", mvo.passed, detail={c.name: c.detail for c in mvo.checks})
-    rep.add("ot_point_focal", focal_check(ot.system, ot_plus_frame(ot).point))
+    rep.add("ot_point_focal", focal_check(ot, ot_plus_frame(ot).point))
     return rep
 
 
@@ -415,12 +415,17 @@ def suite_mirror(cfg: RunConfig, ctx: RunContext) -> Report:
     nom = ctx.nom
     fkm = ctx.fkm
 
-    sf = second_form_at_focal(fkm)
-    rep.add("second_form_matrix_vs_formula", sf.passed)
-
     frame = fkm_mirror_frame(fkm)
-    forms = extract_expansion_forms(ctx.fkm_poly, frame)
+    if not focal_check(fkm.system, frame.point):
+        raise ValueError("frame point is not on the focal zero locus")
     formula = fkm_formula_forms(nom)
+    matrix = matrix_route_forms(fkm.system, frame)
+    rep.add(
+        "second_form_matrix_vs_formula",
+        frame_check(frame, fkm.system.dim).passed and all((a - b).is_zero() for a, b in zip(matrix, formula, strict=True)),
+    )
+
+    forms = extract_expansion_forms(ctx.fkm_poly, frame)
     rep.add("extracted_p_matches_formula", all((a - b).is_zero() for a, b in zip(forms.p, formula, strict=True)))
     rep.add("q_original_component_vanishes", forms.q[0].is_zero())
 
@@ -451,7 +456,7 @@ def suite_mirror(cfg: RunConfig, ctx: RunContext) -> Report:
     blocks = blocks_from_forms(ot_forms.p, dim, dim, dim - 1)
     ca = condition_a_check(blocks)
     rep.add("ot_condition_a", ca.passed)
-    cbo = condition_b_check(ot.system, ot_frame, ot_forms.p, ot_forms.q)
+    cbo = condition_b_check(ot, ot_frame, ot_forms.p, ot_forms.q)
     rep.add("ot_condition_b_at_x_plus", cbo.passed)
     try:
         trilinearity_extract(ot_forms.q, (dim, dim, dim - 1))
@@ -462,8 +467,8 @@ def suite_mirror(cfg: RunConfig, ctx: RunContext) -> Report:
 
     zero = on.zero(dim)
     d = dim
-    x_pt = fkm.split.join(zero, zero, on.neg(on.basis(0, d)), zero)
-    n_pt = fkm.split.join(zero, on.basis(0, d), zero, zero)
+    x_pt = zero + zero + on.neg(on.basis(0, d)) + zero
+    n_pt = zero + on.basis(0, d) + zero + zero
     mf = mirror_points(x_pt, n_pt)
     rep.add("mirror_point_matches_frame", mf.x_star.coords == frame.point.coords)
 
@@ -484,11 +489,12 @@ def suite_mirror(cfg: RunConfig, ctx: RunContext) -> Report:
     rec = sharp_from_q0(q0, d - 1)
     rep.add("sharp_from_q0_round_trip", rec == sharp)
 
-    x_val = p_star(nom, EigenDecomp(on.basis(1, d), zero, on.basis(0, d)))
-    rep.add(
-        "p_star_spot_value",
-        x_val.p_minus1 == 1 and x_val.p_vec.coords == on.neg(on.basis(1, d)) and x_val.p_vec.half == 1,
-    )
+    # p*(e_1, 0, e_0) = (1, -sqrt2 e_1), read off the second form extracted
+    # from F: x_1 and z_0 are the tangent variables 0 and 2(d - 1)
+    point = [0] * forms.nvars
+    point[0] = point[2 * (d - 1)] = 1
+    values = [(p.a.eval(point), p.b.eval(point)) for p in forms.p]
+    rep.add("p_star_spot_value", values == [(1, 0)] + [(0, -int(a == 1)) for a in range(d)])
     return rep
 
 

@@ -1,5 +1,7 @@
-"""Mirror points, the closed second/third fundamental forms at x*, and the
-Ozeki-Takeuchi integrability identities.
+"""Mirror points, the closed third fundamental forms at x*, and the
+Ozeki-Takeuchi integrability identities.  The closed second form at x* is
+``systems.closed_second_form``; the mirror suite reads its values off the
+forms extracted from F there.
 
 Index bookkeeping: at the mirror point x* the form components are indexed
 -1, 0..m1 (the -1 slot is the diagonal form |X|^2 - |Y|^2, and the original
@@ -101,35 +103,8 @@ def star_blocks_identity_check(b_star: list, c_star: list) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# closed forms at x*
+# the closed third forms
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EigenDecomp:
-    """Tangent decomposition W = X + Y + Z; X, Y purely imaginary."""
-
-    x: tuple
-    y: tuple
-    z: tuple
-
-    def __post_init__(self):
-        if self.x[0] != 0 or self.y[0] != 0:
-            raise ValueError("X and Y must be purely imaginary")
-        if not (len(self.x) == len(self.y) == len(self.z)):
-            raise ValueError("component dimension mismatch")
-
-
-@dataclass(frozen=True)
-class PStarValue:
-    p_minus1: Fraction
-    p_vec: ScaledVec  # actual vector = coords * sqrt2 (half = 1)
-
-
-def p_star(nom: Nom, w: EigenDecomp) -> PStarValue:
-    """p*_-1 = |X|^2 - |Y|^2 and p*_vec = -sqrt2 (XZ + Y o Z)."""
-    vec = on.neg(on.add(on.multiply(w.x, w.z), circ(nom, w.y, w.z)))
-    return PStarValue(on.norm_sq(w.x) - on.norm_sq(w.y), ScaledVec(vec, 1))
 
 
 def q_star_fkm_eval(nom: Nom, x: tuple, y: tuple, z: tuple) -> tuple:
@@ -340,7 +315,7 @@ def verify_ot_equations(p_forms: list, q: tuple) -> Report:
 
     nv = p_minus1.nvars
     g = p_minus1 * p_minus1 + 2 * on.norm_sq(p_vec)
-    c, h = radial_shift(g, 4) if g.is_homogeneous(4) else (Fraction(0), g)
+    c, h = radial_shift(g) if g.is_homogeneous(4) else (Fraction(0), g)
     grad_h = h.gradient()
     # 16 |q*|^2 + |grad G|^2 - 16 G |x|^2 with G = H + c |x|^4, times den(c)^2:
     # 16 |q*|^2 + |grad H|^2 + (32 c - 16) |x|^2 H + 16 (c^2 - c) |x|^6; a

@@ -26,14 +26,14 @@ are its only callers: the Muenzner gradient identity and the
 Ozeki-Takeuchi norm identity count a residual's terms one block of
 monomials with the same lowest variable at a time, since packed exponents
 add without carry.  Both are summed around a quartic's ``radial_shift``
-H = F - c|x|^g, which has fewer terms than F: by Euler's identity
-<x, grad H> = g H the residual is the same polynomial, so its term count is
+H = F - c|x|^4, which has fewer terms than F: by Euler's identity
+<x, grad H> = 4 H the residual is the same polynomial, so its term count is
 the same, from fewer term products.  ``fraction_terms`` hands the
 coefficients out as ``Fraction`` values to the few readers that want them
 (``dump``, ``exponent_dict``, the expansion-form extraction).  ``eval``
 values a polynomial at one point in ints.  ``munzner_verify`` proves the
-Cartan-Muenzner PDEs of one F as polynomial identities, summed over the
-Clifford defects of the squares F is built from, when it is given them.
+Cartan-Muenzner PDEs of one quartic F as polynomial identities, summed over
+the Clifford defects of the squares F is built from, when it is given them.
 
 Only ints and ``Fraction`` enter, by the rule of ``scalars.int_scaled``,
 which clears the denominators of the constructor's coefficients and of
@@ -683,23 +683,21 @@ def rt2_poly(nvars: int, terms: Iterable[tuple[int, int, int]], den: int = 1) ->
 # the Muenzner verifier
 # ---------------------------------------------------------------------------
 
-def radial_shift(f: MultiPoly, g: int) -> tuple[Fraction, MultiPoly]:
-    """(c, H) with H = F - c |x|^g for F homogeneous of even degree g >= 2:
-    c is the ratio F / |x|^g that the most monomials of |x|^g share (the
-    first one seen on a tie), so H has fewer terms than F wherever F is
-    mostly a multiple of |x|^g.  (0, F) for odd g, g < 2, or c = 0.
+def radial_shift(f: MultiPoly) -> tuple[Fraction, MultiPoly]:
+    """(c, H) with H = F - c |x|^4 for a homogeneous quartic F: c is the
+    ratio F / |x|^4 that the most monomials of |x|^4 share (the first one
+    seen on a tie), so H has fewer terms than F wherever F is mostly a
+    multiple of |x|^4.  (0, F) for c = 0.
 
-    Euler's identity <x, grad H> = g H rewrites the sums of squares of
-    grad F around H: grad F = grad H + c g |x|^(g-2) x, so
+    Euler's identity <x, grad H> = 4 H rewrites the sums of squares of
+    grad F around H: grad F = grad H + 4 c |x|^2 x, so
 
-        |grad F|^2 = |grad H|^2 + 2 c g^2 |x|^(g-2) H + c^2 g^2 |x|^(2g-2)
+        |grad F|^2 = |grad H|^2 + 32 c |x|^2 H + 16 c^2 |x|^6
 
-    and lap F = lap H + c g (g + n - 2) |x|^(g-2) on R^n.  Both sides are the
-    same polynomial, so a residual summed from H has the terms the one
-    summed from F has, from fewer term products."""
-    if g < 2 or g % 2:
-        return Fraction(0), f
-    radial = norm_sq_poly(f.nvars) ** (g // 2)
+    and lap F = lap H + 4 c (n + 2) |x|^2 on R^n.  Both sides are the same
+    polynomial, so a residual summed from H has the terms the one summed
+    from F has, from fewer term products."""
+    radial = norm_sq_poly(f.nvars) ** 2
     seen: dict[tuple[int, int], int] = {}  # reduced (numerator, denominator) -> count
     get, den = f.terms.get, f.den
     for k, m in radial.terms.items():
@@ -711,42 +709,39 @@ def radial_shift(f: MultiPoly, g: int) -> tuple[Fraction, MultiPoly]:
     return (c, f - c * radial) if c else (c, f)
 
 
-def munzner_verify(f: MultiPoly, g: int, m1: int, m2: int, squares) -> Report:
-    """Check the two Cartan-Muenzner PDEs for F or -F on R^nvars, for F
-    homogeneous of degree g:
+def munzner_verify(f: MultiPoly, m1: int, m2: int, squares) -> Report:
+    """Check the two Cartan-Muenzner PDEs for F or -F on R^nvars, for F a
+    homogeneous quartic:
 
-        |grad F|^2 = g^2 |x|^(2g-2)
-        lap F      = (m2 - m1) g^2 |x|^(g-2) / 2
+        |grad F|^2 = 16 |x|^6
+        lap F      = 8 (m2 - m1) |x|^2
 
     The gradient identity is sign-invariant; the Laplacian identity fixes the
     sign, which the report records (sign +1 means F itself satisfies it with
     the multiplicities as given, -1 means -F does).
 
     ``squares`` holds the (rational w_i, homogeneous quadratic Q_i) pairs
-    that F was built from, only at g = 4, or is () for an F without them.
-    With (c, E) the ``radial_shift`` of F - S, S = sum_i w_i Q_i^2, F is
-    c |x|^g + S + E, homogeneous exactly when each Q_i is a quadratic and
-    E is homogeneous.  With G_ij = <grad Q_i, grad Q_j>, the Clifford
-    defects D_ii = 32 c w_i |x|^2 + 4 w_i^2 G_ii and D_ij = 8 w_i w_j G_ij
-    (i < j), and Euler's identity, |grad F|^2 - g^2 |x|^(2g-2) is
+    that F was built from, or is () for an F without them.  With (c, E) the
+    ``radial_shift`` of F - S, S = sum_i w_i Q_i^2, F is c |x|^4 + S + E,
+    a homogeneous quartic exactly when each Q_i is a quadratic and E is a
+    homogeneous quartic; otherwise ``ValueError``.  With
+    G_ij = <grad Q_i, grad Q_j>, the Clifford defects
+    D_ii = 32 c w_i |x|^2 + 4 w_i^2 G_ii and D_ij = 8 w_i w_j G_ij (i < j),
+    and Euler's identity, |grad F|^2 - 16 |x|^6 is
 
-        sum_{i<=j} Q_i Q_j D_ij + (c^2 - 1) g^2 |x|^(2g-2)
-            + 2 c g^2 |x|^(g-2) E + 2 <grad S, grad E> + |grad E|^2
+        sum_{i<=j} Q_i Q_j D_ij + 16 (c^2 - 1) |x|^6
+            + 32 c |x|^2 E + 2 <grad S, grad E> + |grad E|^2
 
     for any squares, so they are a hint, not an assumption: the residual,
     times den(c)^2, is the same polynomial and has the same
     ``residual_terms``.  No squares leave the radial shift's residual
     alone.  A zero D_ij or E is never multiplied out, so for F built from
     a Clifford system (every D_ij zero, E zero, c = 1) only the Q_i are
-    differentiated.  lap F = lap E + c g (g + n - 2) |x|^(g-2)
+    differentiated.  lap F = lap E + 4 c (n + 2) |x|^2
     + sum_i 2 w_i (G_ii + lap(Q_i) Q_i) on R^n.
     """
     rep = Report("munzner")
     n = f.nvars
-    if (g < 2 or g % 2 != 0) and m1 != m2:
-        raise ValueError("degree g with g-2 odd or negative needs m1 == m2")
-    if squares and g != 4:
-        raise ValueError("squares are given only for a quartic F")
     ws = [Fraction(_rational(w)) for w, _ in squares]
     qs = [q for _, q in squares]
     if any(q.nvars != n or not q.is_homogeneous(2) for q in qs):
@@ -754,14 +749,11 @@ def munzner_verify(f: MultiPoly, g: int, m1: int, m2: int, squares) -> Report:
     k = len(qs)
     den = lcm(*(w.denominator for w in ws))
     s = weighted_products(n, qs, qs, [[(int(w * den), i, i) for i, w in enumerate(ws)]], den)[0]
-    c, e = radial_shift(f - s, g)
-    if not e.is_homogeneous(g):
-        raise ValueError(f"F must be homogeneous of degree {g}")
+    c, e = radial_shift(f - s)
+    if not e.is_homogeneous(4):
+        raise ValueError("F must be homogeneous of degree 4")
 
     sq = norm_sq_poly(n)
-    powers = [MultiPoly.const(n, 1), sq]  # powers[j] = |x|^(2j)
-    while len(powers) <= g // 2:
-        powers.append(powers[-1] * sq)
     dq = [d for q in qs for d in q.gradient()]  # dq[i * n + v] = dQ_i / dx_v
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     gram = weighted_products(n, dq, dq, [[(1, i * n + v, j * n + v) for v in range(n)] for i, j in pairs])
@@ -784,29 +776,26 @@ def munzner_verify(f: MultiPoly, g: int, m1: int, m2: int, squares) -> Report:
         cross = weighted_products(n, dq, de, [[(1, i * n + v, v) for v in range(n)] for i in range(k)])
         rs = [r + 4 * w * t for r, w, t in zip(rs, ws, cross)]
 
-    # |x|^(2g-2) is a product of two powers of |x|^2, so that it is never
-    # built; the weights are scaled by den(c)^2, and a product with a zero
-    # factor or a zero weight (c = 0, or c^2 = 1) is left out
+    # |x|^6 is the product |x|^2 |x|^4, so that it is never built; the
+    # weights are scaled by den(c)^2, and a product with a zero factor or a
+    # zero weight (c = 0, or c^2 = 1) is left out
     a, b = c.numerator, c.denominator
     m = len(de)
-    p = max(g - 1, 0)
-    x = [*de, e, powers[p // 2], *qs]
-    y = [*de, powers[max(g - 2, 0) // 2], powers[p - p // 2], *rs]
+    x = [*de, e, sq, *qs]
+    y = [*de, sq, sq * sq, *rs]
     triples = [(b * b, v, v) for v in range(m)]
-    triples += [t for t in ((2 * a * b * g * g if e else 0, m, m), ((a * a - b * b) * g * g, m + 1, m + 1)) if t[0]]
+    triples += [t for t in ((32 * a * b if e else 0, m, m), (16 * (a * a - b * b), m + 1, m + 1)) if t[0]]
     triples += [(b * b, m + 2 + i, m + 2 + i) for i, r in enumerate(rs) if r]
     terms = residual_terms(n, x, y, triples)
     rep.add("gradient_identity", not terms, detail={"residual_terms": terms})
 
-    # g < 2 forces m1 == m2, so the Laplacian's target is 0 wherever the
-    # power is clamped
     lap = e.laplacian() if e else MultiPoly.zero(n)
     if c:
-        lap += c * g * (g + n - 2) * powers[g // 2 - 1]
+        lap += 4 * c * (n + 2) * sq
     for (i, j), gij in zip(pairs, gram):
         if i == j:  # lap(Q_i^2) = 2 |grad Q_i|^2 + 2 lap(Q_i) Q_i
             lap += 2 * ws[i] * (gij + qs[i] * qs[i].laplacian())
-    want = Fraction((m2 - m1) * g * g, 2) * powers[max(g - 2, 0) // 2]
+    want = 8 * (m2 - m1) * sq
     sign = 1 if lap == want else (-1 if lap == -want else 0)
     rep.add("laplacian_identity", sign != 0, detail={"sign": sign})
     return rep

@@ -1,7 +1,9 @@
 """The explicit OT-FKM operator families and their focal-point machinery.
 
-Ambient space is R^32 (four octonion slots) or R^16 (four quaternion slots).
-The FKM family acts by
+Ambient space is R^32 (four octonion slots) or R^16 (four quaternion slots),
+and an ambient vector is its four slots concatenated as one tuple.  An
+``FkmSystem`` is its nom and its ``SymmetricCliffordSystem``; the OT family
+is the bare ``SymmetricCliffordSystem``.  The FKM family acts by
 
     P_-1: (A, X, Y, B) -> (A, -X, Y, -B)
     P_a:  (A, X, Y, B) -> (-X e_a, -A conj(e_a), -B o conj(e_a), -Y o e_a)
@@ -20,7 +22,10 @@ the maps above; the tests keep those maps as the oracle.
 Mirror points like x* = (0, e_0, -e_0, 0)/sqrt(2) carry the sqrt(2) as a
 half-power-of-two tag on a rational representative (ScaledVec), so focal
 checks, tangent frames, and the degree-4 expansion of F at such points all
-stay in exact rational arithmetic (sqrt-2 parts live in Rt2Poly).
+stay in exact rational arithmetic (sqrt-2 parts live in Rt2Poly).  The
+closed second form at a mirror point is stated once, ``closed_second_form``:
+the mirror suite compares the matrix route and the expansion of F at x*
+with it.
 
 Sign conventions are explicit and recorded rather than implicit: normal
 frames are declared per construction (n_i = P_i(x*) at mirror points,
@@ -51,20 +56,6 @@ from .report import Report
 
 
 @dataclass(frozen=True)
-class AmbientSplit:
-    """Four algebra blocks: ambient vector = (slot1, slot2, slot3, slot4)."""
-
-    block_dim: int  # 4 (quaternion) or 8 (octonion)
-
-    @property
-    def ambient_dim(self) -> int:
-        return 4 * self.block_dim
-
-    def join(self, a, b, c, d) -> tuple:
-        return tuple(a) + tuple(b) + tuple(c) + tuple(d)
-
-
-@dataclass(frozen=True)
 class ScaledVec:
     """coords * 2^(half/2); |coords|^2 * 2^half stays rational for any half."""
 
@@ -79,14 +70,7 @@ class ScaledVec:
 @dataclass
 class FkmSystem:
     nom: Nom
-    split: AmbientSplit
-    system: SymmetricCliffordSystem  # indices -1..block_dim-1
-
-
-@dataclass
-class OtSystem:
-    split: AmbientSplit
-    system: SymmetricCliffordSystem  # indices 0..block_dim-1
+    system: SymmetricCliffordSystem  # indices -1..nom.dim-1
 
 
 def build_fkm_system(nom: Nom) -> FkmSystem:
@@ -114,13 +98,13 @@ def build_fkm_system(nom: Nom) -> FkmSystem:
     ])]
     ops.append(p_a(one, one, one, one))
     ops += [p_a(r1, -r1, ro, -ro) for r1, ro in zip(on.j_prime_generators(d), right_ops(nom))]
-    return FkmSystem(nom, AmbientSplit(d), SymmetricCliffordSystem(ops, first_index=-1))
+    return FkmSystem(nom, SymmetricCliffordSystem(ops, first_index=-1))
 
 
-def build_ot_system(block_dim: int = 8) -> OtSystem:
+def build_ot_system(block_dim: int = 8) -> SymmetricCliffordSystem:
     """P_0 = (I, -I) on the diagonal with I in blocks (3, 4) and (4, 3);
     P_a has J_a, -J_a, J_a, -J_a in blocks (1, 2), (2, 1), (3, 4), (4, 3),
-    with J_a(x) = e_a x."""
+    with J_a(x) = e_a x; indices 0..block_dim-1."""
     one = Op.identity(block_dim)
     ops = [Op.blocks([
         [one, None, None, None],
@@ -137,7 +121,7 @@ def build_ot_system(block_dim: int = 8) -> OtSystem:
         ])
         for j in on.j_generators(block_dim)
     ]
-    return OtSystem(AmbientSplit(block_dim), SymmetricCliffordSystem(ops, first_index=0))
+    return SymmetricCliffordSystem(ops, first_index=0)
 
 
 def fkm_squares(system: SymmetricCliffordSystem) -> list[tuple[int, MultiPoly]]:
@@ -214,23 +198,22 @@ def fkm_mirror_frame(fkm: FkmSystem) -> FocalFrame:
     Z-type (e_p, 0, 0, e_p)/sqrt2, matching the symbolic (X, Y, Z) variable
     layout used by the closed-form routes.
     """
-    return fkm_perturbed_frame(fkm, Op.identity(fkm.split.block_dim))
+    return fkm_perturbed_frame(fkm, Op.identity(fkm.nom.dim))
 
 
-def ot_plus_frame(ot: OtSystem) -> FocalFrame:
+def ot_plus_frame(ot: SymmetricCliffordSystem) -> FocalFrame:
     """Frame at the Condition-A point x = (0, 0, e_0, 0) with normals -P_i(x).
 
     The minus orientation makes the extracted second fundamental form match
     the standard display p_0 = |u|^2 - |v|^2, p_a = 2<e_a, u conj(v)>.
     """
-    d = ot.split.block_dim
-    sp = ot.split
+    d = ot.dim // 4
     zero = on.zero(d)
-    x0 = ScaledVec(sp.join(zero, zero, on.basis(0, d), zero), 0)
-    tangent = [ScaledVec(sp.join(on.basis(a, d), zero, zero, zero), 0) for a in range(d)]
-    tangent += [ScaledVec(sp.join(zero, on.basis(a, d), zero, zero), 0) for a in range(d)]
-    tangent += [ScaledVec(sp.join(zero, zero, on.basis(p, d), zero), 0) for p in range(1, d)]
-    normals = [ScaledVec(on.neg(ot.system.operator(i).apply(x0.coords)), 0) for i in ot.system.indices]
+    x0 = ScaledVec(zero + zero + on.basis(0, d) + zero, 0)
+    tangent = [ScaledVec(on.basis(a, d) + zero + zero + zero, 0) for a in range(d)]
+    tangent += [ScaledVec(zero + on.basis(a, d) + zero + zero, 0) for a in range(d)]
+    tangent += [ScaledVec(zero + zero + on.basis(p, d) + zero, 0) for p in range(1, d)]
+    normals = [ScaledVec(on.neg(ot.operator(i).apply(x0.coords)), 0) for i in ot.indices]
     return FocalFrame(x0, tangent, normals)
 
 
@@ -241,14 +224,13 @@ def fkm_perturbed_frame(fkm: FkmSystem, u: Op) -> FocalFrame:
     Tangent order: X-type (0, e_alpha, 0, 0), Y-type (0, 0, U(e_mu), 0), then
     Z-type (e_p, 0, 0, U(e_p))/sqrt2.  The orthogonal U comes from
     ``mirror_intertwiner``; U = Id gives x* itself (``fkm_mirror_frame``)."""
-    d = fkm.split.block_dim
-    sp = fkm.split
+    d = fkm.nom.dim
     zero = on.zero(d)
-    n = on.neg(tuple(u.apply(on.basis(0, d))))
-    xs = ScaledVec(sp.join(zero, on.basis(0, d), n, zero), -1)
-    tangent = [ScaledVec(sp.join(zero, on.basis(a, d), zero, zero), 0) for a in range(1, d)]
-    tangent += [ScaledVec(sp.join(zero, zero, u.apply(on.basis(m, d)), zero), 0) for m in range(1, d)]
-    tangent += [ScaledVec(sp.join(on.basis(p, d), zero, zero, u.apply(on.basis(p, d))), -1) for p in range(d)]
+    n = on.neg(u.apply(on.basis(0, d)))
+    xs = ScaledVec(zero + on.basis(0, d) + n + zero, -1)
+    tangent = [ScaledVec(zero + on.basis(a, d) + zero + zero, 0) for a in range(1, d)]
+    tangent += [ScaledVec(zero + zero + tuple(u.apply(on.basis(m, d))) + zero, 0) for m in range(1, d)]
+    tangent += [ScaledVec(on.basis(p, d) + zero + zero + tuple(u.apply(on.basis(p, d))), -1) for p in range(d)]
     normals = [ScaledVec(tuple(fkm.system.operator(i).apply(xs.coords)), -1) for i in fkm.system.indices]
     return FocalFrame(xs, tangent, normals)
 
@@ -378,23 +360,6 @@ def closed_second_form(dim: int, yz) -> list:
 def fkm_formula_forms(nom: Nom) -> list:
     """The closed second form at x*: p_a = -sqrt2 <XZ + Y o Z, e_a>."""
     return closed_second_form(nom.dim, lambda y, z: circ(nom, y, z))
-
-
-def second_form_at_focal(fkm: FkmSystem) -> Report:
-    """Exact identity: -P_i restricted to the tangent space at x* equals the
-    closed second-fundamental form (-sqrt2 (XZ + Y o Z), with |X|^2 - |Y|^2 on
-    the P_-1 slot), as polynomials in unit tangent coordinates."""
-    rep = Report("second_form_at_focal")
-    frame = fkm_mirror_frame(fkm)
-    if not focal_check(fkm.system, frame.point):
-        raise ValueError("frame point is not on the focal zero locus")
-    fr = frame_check(frame, fkm.split.ambient_dim)
-    rep.add("frame_orthonormal", fr.passed)
-    got = matrix_route_forms(fkm.system, frame)
-    want = fkm_formula_forms(fkm.nom)
-    ok = all((g - w).is_zero() for g, w in zip(got, want, strict=True))
-    rep.add("matrix_equals_formula", ok)
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +600,7 @@ def perturb_mirror(fkm: FkmSystem) -> Report:
 
     frame = fkm_perturbed_frame(fkm, u)
     rep.add("perturbed_point_focal", focal_check(fkm.system, frame.point))
-    fr = frame_check(frame, fkm.split.ambient_dim)
+    fr = frame_check(frame, fkm.system.dim)
     rep.add("frame_orthonormal", fr.passed)
 
     got = matrix_route_forms(fkm.system, frame)
@@ -655,9 +620,9 @@ def perturb_mirror(fkm: FkmSystem) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def ot_display_report(ot: OtSystem, f: MultiPoly) -> tuple[Report, ExtractedForms, FocalFrame]:
+def ot_display_report(ot: SymmetricCliffordSystem, f: MultiPoly) -> tuple[Report, ExtractedForms, FocalFrame]:
     """Verify the standard displays at x = (0, 0, e_0, 0), reading the forms
-    out of f = fkm_polynomial(ot.system):
+    out of f = fkm_polynomial(ot):
 
         p_0 = |u|^2 - |v|^2,    p_a = 2 <e_a, u conj(v)>,
         q_0 = 2 <z, u conj(v)>.
@@ -671,11 +636,11 @@ def ot_display_report(ot: OtSystem, f: MultiPoly) -> tuple[Report, ExtractedForm
     with the coordinate dot <u, v>, which the report asserts.
     """
     rep = Report("ot_displays")
-    d = ot.split.block_dim
+    d = ot.dim // 4
     frame = ot_plus_frame(ot)
-    fr = frame_check(frame, ot.split.ambient_dim)
+    fr = frame_check(frame, ot.dim)
     rep.add("frame_orthonormal", fr.passed)
-    rep.add("point_focal", focal_check(ot.system, frame.point))
+    rep.add("point_focal", focal_check(ot, frame.point))
     forms = extract_expansion_forms(f, frame)
 
     us, vs, zs = on.symbolic_octets(d, "UVz")  # the frame's 3d - 1 tangent variables

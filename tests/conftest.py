@@ -73,7 +73,7 @@ def ot_octonion():
 
 @pytest.fixture(scope="session")
 def ot_octonion_poly(ot_octonion):
-    return fkm_polynomial(ot_octonion.system)
+    return fkm_polynomial(ot_octonion)
 
 
 @pytest.fixture(scope="session")

@@ -41,8 +41,8 @@ from octoverify.systems import (
     extract_expansion_forms,
     fkm_formula_forms,
     fkm_mirror_frame,
+    matrix_route_forms,
     ot_display_report,
-    second_form_at_focal,
 )
 
 E = [on.basis(i) for i in range(8)]
@@ -129,13 +129,13 @@ def test_c04_munzner_pdes(fkm_systems, fkm_polys, ot_octonion_poly):
     systems.append(("ot", ot_octonion_poly))
     for name, f in systems:
         t0 = time.time()
-        rep = munzner_verify(f, 4, 7, 8, ())
+        rep = munzner_verify(f, 7, 8, ())
         elapsed = time.time() - t0
         if not rep.passed or elapsed > 60:
             ok = False
     # |x|^4 on R^32 meets the gradient identity but not the Laplacian one
     s = norm_sq_poly(32)
-    if munzner_verify(s * s, 4, 7, 8, ()).passed:
+    if munzner_verify(s * s, 7, 8, ()).passed:
         ok = False
     _line(4, "Muenzner PDEs exact for 4 noms + OT, and fail for |x|^4", ok)
 
@@ -143,7 +143,9 @@ def test_c04_munzner_pdes(fkm_systems, fkm_polys, ot_octonion_poly):
 def test_c05_second_fundamental_form(fkm_systems):
     ok = True
     for key in NOM_KEYS:
-        if not second_form_at_focal(fkm_systems[key]).passed:
+        fkm = fkm_systems[key]
+        got = matrix_route_forms(fkm.system, fkm_mirror_frame(fkm))
+        if not all((g - w).is_zero() for g, w in zip(got, fkm_formula_forms(fkm.nom), strict=True)):
             ok = False
     _line(5, "second fundamental form: matrix route == -sqrt2(XZ + Y o Z)", ok)
 
@@ -244,7 +246,7 @@ def test_c10_condition_matrix(fkm_systems, fkm_polys, ot_octonion, ot_octonion_p
     blocks = blocks_from_forms(ot_forms.p, 8, 8, 7)
     if not condition_a_check(blocks).passed:
         ok = False
-    if not condition_b_check(ot_octonion.system, ot_frame, ot_forms.p, ot_forms.q).passed:
+    if not condition_b_check(ot_octonion, ot_frame, ot_forms.p, ot_forms.q).passed:
         ok = False
     # FKM: Condition B true at x* for every tested nom
     for key in NOM_KEYS:

@@ -489,13 +489,14 @@ def test_munzner_agreement_fails_when_both_routes_fail():
 
 def test_only_the_focal_value_reads_a_sabotaged_evaluator(monkeypatch):
     # every value off by one: the proofs evaluate no polynomial, so of all
-    # suites only the value of F at the focal point fails
+    # suites only the two spot values fail, F's at the focal point and p*'s,
+    # which the mirror suite reads off the second form extracted from F at x*
     real = MultiPoly.eval
     monkeypatch.setattr(MultiPoly, "eval", lambda self, point: real(self, point) + 1)
     report, code = run(RunConfig(algebra="quaternion", alpha_t=Fraction(0)))
     assert code == 1
     failing = [c["name"] for s in report["suites"] for c in s["checks"] if not c["pass"]]
-    assert failing == ["fkm_polynomial_at_focal_rep"]
+    assert failing == ["fkm_polynomial_at_focal_rep", "p_star_spot_value"]
 
 
 def test_exact_reports_do_not_read_the_seed():
@@ -531,7 +532,7 @@ def test_suite_munzner_differentiates_only_quadratics(monkeypatch):
     assert code == 0
     # each F is proved on the squares it is built from: F minus them is
     # |x|^4, so only the forms <P_i x, x> are differentiated, once each
-    forms = [q for system in (ctx.fkm.system, ctx.ot.system) for _, q in fkm_squares(system)]
+    forms = [q for system in (ctx.fkm.system, ctx.ot) for _, q in fkm_squares(system)]
     for polys in seen.values():
         assert polys == forms
         assert all(p.is_homogeneous(2) and p for p in polys)

@@ -52,6 +52,21 @@ def test_verify_skew_rep():
         verify_skew_rep([j[0], Op.of([row[:4] for row in dense(j[1])[:4]])])
 
 
+@pytest.mark.parametrize("dim", [4, 8])
+def test_verify_skew_rep_on_one_generator(dim):
+    # one generator has no pair to anticommute: that residual is 0 whether
+    # the generator passes (J_1) or fails its own checks (2 J_1, for which
+    # E E^T = 4 Id and E^2 = -4 Id)
+    e = on.j_generators(dim)[1]
+    for ops, orth, sq in (([e], 0, 0), ([e * 2], 3, 3)):
+        got = {c.name: (c.passed, c.residual) for c in verify_skew_rep(ops).checks}
+        assert got == {
+            "orthogonality": (orth == 0, orth),
+            "square_minus_id": (sq == 0, sq),
+            "anticommutation": (True, 0),
+        }
+
+
 def test_verify_symmetric_system(fkm_systems):
     assert verify_symmetric_system(fkm_systems[("left", Fraction(0))].system).passed
     ident = Op.identity(4)

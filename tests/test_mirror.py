@@ -6,11 +6,9 @@ from matrix_oracle import dense
 from octoverify import octonion as on
 from octoverify.circ import Side, left_ops, nom_from_t
 from octoverify.mirror import (
-    EigenDecomp,
     TrilinearTable,
     assemble_star_blocks,
     mirror_points,
-    p_star,
     q_star_fkm_eval,
     q_star_ot_eval,
     sharp_from_q0,
@@ -98,38 +96,28 @@ def test_star_blocks_identity_checks_gram_diagonal():
     assert not star_blocks_identity_check(b_star, [stretched]).passed
 
 
+def p_star_at(nom, x: tuple, y: tuple, z: tuple) -> tuple:
+    """(p*_-1, p_vec) of the closed second form ``fkm_formula_forms`` at
+    imaginary X = x, Y = y and Z = z, with p*_a = sqrt2 <p_vec, e_a>."""
+    point = [*x[1:], *y[1:], *z]
+    forms = fkm_formula_forms(nom)
+    assert forms[0].is_rational() and all(f.is_pure_sqrt2() for f in forms[1:])
+    return forms[0].a.eval(point), tuple(f.b.eval(point) for f in forms[1:])
+
+
 def test_p_star_values():
     nom = nom_from_t(Side.LEFT, Fraction(0))
-    v = p_star(nom, EigenDecomp(E[1], ZERO, E[0]))
-    assert v.p_minus1 == 1
-    assert v.p_vec.coords == on.neg(E[1]) and v.p_vec.half == 1
-    v = p_star(nom, EigenDecomp(ZERO, E[1], E[2]))
-    assert v.p_minus1 == -1
-    assert v.p_vec.coords == on.neg(E[3])  # -(e_1 e_2)
+    assert p_star_at(nom, E[1], ZERO, E[0]) == (1, on.neg(E[1]))
+    assert p_star_at(nom, ZERO, E[1], E[2]) == (-1, on.neg(E[3]))  # -(e_1 e_2)
     # quaternionic restriction: same formula after forgetting the complement
     nom4 = nom_from_t(Side.LEFT, Fraction(0), axis=1, dim=4)
     e41 = on.basis(1, 4)
-    e40 = on.basis(0, 4)
-    z4 = on.zero(4)
-    v4 = p_star(nom4, EigenDecomp(e41, z4, e40))
-    assert v4.p_minus1 == 1 and v4.p_vec.coords == on.neg(e41)
-    with pytest.raises(ValueError):
-        EigenDecomp(E[0], ZERO, E[0])
-
-
-def q_star_fkm(nom, w: EigenDecomp) -> tuple:
-    """q*(W,W,W) = X(Y o Z) - Y o (XZ) at the eigen-decomposition W."""
-    return q_star_fkm_eval(nom, w.x, w.y, w.z)
-
-
-def q_star_ot(w: EigenDecomp) -> tuple:
-    """q*(W,W,W) = (XY - YX) Z at the eigen-decomposition W."""
-    return q_star_ot_eval(w.x, w.y, w.z)
+    assert p_star_at(nom4, e41, on.zero(4), on.basis(0, 4)) == (1, on.neg(e41))
 
 
 def test_q_star_fkm_values():
     nom = nom_from_t(Side.LEFT, Fraction(0))
-    assert q_star_fkm(nom, EigenDecomp(E[1], E[2], E[0])) == on.scale(Fraction(2), E[3])
+    assert q_star_fkm_eval(nom, E[1], E[2], E[0]) == on.scale(Fraction(2), E[3])
     # extension convention: q*(e_0, Y, Z) = 0, q*(X, e_0, Z) = 0
     assert q_star_fkm_eval(nom, E[0], E[2], E[5]) == ZERO
     assert q_star_fkm_eval(nom, E[1], E[0], E[5]) == ZERO
@@ -144,9 +132,9 @@ def test_q_star_fkm_values():
 
 
 def test_q_star_ot_values():
-    assert q_star_ot(EigenDecomp(E[1], E[2], E[0])) == on.scale(Fraction(2), E[3])
-    assert q_star_ot(EigenDecomp(E[1], E[1], E[5])) == ZERO
-    assert q_star_ot(EigenDecomp(E[1], E[2], E[3])) == on.scale(Fraction(-2), E[0])
+    assert q_star_ot_eval(E[1], E[2], E[0]) == on.scale(Fraction(2), E[3])
+    assert q_star_ot_eval(E[1], E[1], E[5]) == ZERO
+    assert q_star_ot_eval(E[1], E[2], E[3]) == on.scale(Fraction(-2), E[0])
 
 
 def test_sharp_from_q0_ot_gives_j():
@@ -298,7 +286,7 @@ def test_verify_ot_equations_mutation_fails(noms):
     p_minus1, p_vec = p_forms[0].a, [f.b for f in p_forms[1:]]
     nv = p_minus1.nvars
     g = p_minus1 * p_minus1 + 2 * on.norm_sq(p_vec)
-    assert radial_shift(g, 4)[0] == 1
+    assert radial_shift(g)[0] == 1
     grad_g = g.gradient()
     k = len(mut) + len(grad_g)
     triples = [(16 if a < len(mut) else 1, a, a) for a in range(k)] + [(-16, k, k)]

@@ -187,30 +187,22 @@ def test_exponent_overflow_guard():
 
 
 def test_munzner_trivial_and_failing():
-    # g = 1, F = x_0, m1 = m2: both identities hold
-    f = vp(4, 0)
-    rep = munzner_verify(f, 1, 3, 3, ())
-    assert rep.passed
     # F = (sum x^2)^2 on R^32 with (m1, m2) = (7, 8): gradient identity holds
     # but lap F = 136|x|^2 != +-8|x|^2
     n = 32
     s = norm_sq_poly(n)
     f = s * s
-    rep = munzner_verify(f, 4, 7, 8, ())
+    rep = munzner_verify(f, 7, 8, ())
     assert not rep.passed
     names = {c.name: c.passed for c in rep.checks}
     assert names["gradient_identity"]
     assert not names["laplacian_identity"]
-    with pytest.raises(ValueError):
-        munzner_verify(vp(2, 0) * vp(2, 1), 3, 1, 2, ())  # odd degree, m1 != m2
-    with pytest.raises(ValueError):
-        munzner_verify(vp(2, 0) + MultiPoly.const(2, 1), 1, 2, 2, ())  # not homogeneous
 
 
 def test_munzner_sign_flip_invariance(fkm_polys):
     f = fkm_polys[("left", Fraction(0))]
-    rep_pos = munzner_verify(f, 4, 7, 8, ())
-    rep_neg = munzner_verify(-f, 4, 7, 8, ())
+    rep_pos = munzner_verify(f, 7, 8, ())
+    rep_neg = munzner_verify(-f, 7, 8, ())
     assert rep_pos.passed and rep_neg.passed
     sign_pos = next(c.detail["sign"] for c in rep_pos.checks if c.name == "laplacian_identity")
     sign_neg = next(c.detail["sign"] for c in rep_neg.checks if c.name == "laplacian_identity")
@@ -537,15 +529,15 @@ def test_munzner_residual_terms_of_a_planted_f(fkm_polys):
     n = 5
     s = norm_sq_poly(n)
     m = MultiPoly(n, {monomial_key(0, 1, 2, 3): 1})
-    assert radial_shift(s * s + m, 4) == (1, m)
-    rep = munzner_verify(s * s + m, 4, 1, 2, ())
+    assert radial_shift(s * s + m) == (1, m)
+    rep = munzner_verify(s * s + m, 1, 2, ())
     assert rep.checks[0].name == "gradient_identity" and not rep.checks[0].passed
     assert rep.checks[0].detail == {"residual_terms": 9}
     # the octonion FKM F at t = 0 with the same term planted
     f = fkm_polys[("left", Fraction(0))]
     planted = f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1})
-    assert radial_shift(planted, 4)[0] == -1  # the count comes from the shifted residual
-    rep = munzner_verify(planted, 4, 7, 8, ())
+    assert radial_shift(planted)[0] == -1  # the count comes from the shifted residual
+    rep = munzner_verify(planted, 7, 8, ())
     assert {c.name: (c.passed, c.detail) for c in rep.checks} == {
         "gradient_identity": (False, {"residual_terms": 292}),
         "laplacian_identity": (True, {"sign": -1}),
@@ -555,19 +547,16 @@ def test_munzner_residual_terms_of_a_planted_f(fkm_polys):
 RNV = 6  # variables of the radial-shift property
 
 
-def _unshifted_gradient_terms(f: MultiPoly, g: int) -> int:
-    """The terms of |grad F|^2 - g^2 |x|^(2g-2), summed from F by one call."""
+def _unshifted_gradient_terms(f: MultiPoly) -> int:
+    """The terms of |grad F|^2 - 16 |x|^6, summed from F by one call."""
     n = f.nvars
-    e = max(g - 1, 0)
     grads = f.gradient()
-    x = [*grads, norm_sq_poly(n) ** (e // 2)]
-    y = [*grads, norm_sq_poly(n) ** (e - e // 2)]
-    return len(weighted_products(n, x, y, [[*((1, i, i) for i in range(n)), (-g * g, n, n)]])[0].terms)
+    sq = norm_sq_poly(n)
+    return len(weighted_products(n, [*grads, sq], [*grads, sq * sq], [[*((1, i, i) for i in range(n)), (-16, n, n)]])[0].terms)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from([1, 2, 3, 4]),
     st.sampled_from([0, 1, -1, Fraction(3, 5), Fraction(-7, 4)]),
     # sparse noise: a monomial of distinct variables is harmonic
     st.lists(
@@ -577,29 +566,28 @@ def _unshifted_gradient_terms(f: MultiPoly, g: int) -> int:
         ),
         max_size=3,
     ),
-    # m2 - m1; lap(c |x|^g) = c g (g + n - 2) |x|^(g-2) meets the target
-    # at 6c for g = 2 and 4c for g = 4 (n = 6)
+    # m2 - m1; lap(c |x|^4) = 4 c (n + 2) |x|^2 meets the target
+    # 8 (m2 - m1) |x|^2 at 4c (n = 6)
     st.sampled_from([0, 4, -4, 6, -6, -7, 1]),
 )
-def test_radial_shift_keeps_the_munzner_residuals(g, c, noise, k):
+def test_radial_shift_keeps_the_munzner_residuals(c, noise, k):
     terms = {}
     for idx, coef in noise:
-        key = monomial_key(*idx[:g])
+        key = monomial_key(*idx)
         terms[key] = terms.get(key, 0) + coef
     noise = MultiPoly(RNV, terms)
-    radial = norm_sq_poly(RNV) ** (g // 2)
-    f = noise + c * radial if g % 2 == 0 else noise
-    shift, h = radial_shift(f, g)
-    if g % 2 or not shift:
-        assert shift == 0 and h is f  # odd degree or c = 0: the unshifted route
+    radial = norm_sq_poly(RNV) ** 2
+    f = noise + c * radial
+    shift, h = radial_shift(f)
+    if not shift:
+        assert h is f  # c = 0: the unshifted route
     elif not radial.terms.keys() & noise.terms.keys():
         assert (shift, h) == (c, noise)
-    m1, m2 = (7, 7) if g % 2 else (7, 7 + k)
-    rep = munzner_verify(f, g, m1, m2, ())
-    want = Fraction((m2 - m1) * g * g, 2) * norm_sq_poly(RNV) ** (max(g - 2, 0) // 2)
+    rep = munzner_verify(f, 7, 7 + k, ())
+    want = 8 * k * norm_sq_poly(RNV)
     lap = f.laplacian()
     assert {check.name: check.detail for check in rep.checks} == {
-        "gradient_identity": {"residual_terms": _unshifted_gradient_terms(f, g)},
+        "gradient_identity": {"residual_terms": _unshifted_gradient_terms(f)},
         "laplacian_identity": {"sign": 1 if lap == want else (-1 if lap == -want else 0)},
     }
 
@@ -653,12 +641,12 @@ def test_munzner_squares_are_a_hint_that_keeps_the_residuals(c, drawn, noise, k)
         s += w * q * q
     f = c * norm_sq_poly(RNV) ** 2 + s + e
     if c:
-        assert radial_shift(f - s, 4) == (c, e)
-    rep = munzner_verify(f, 4, 7, 7 + k, squares)
+        assert radial_shift(f - s) == (c, e)
+    rep = munzner_verify(f, 7, 7 + k, squares)
     assert [(ch.name, ch.passed, ch.detail) for ch in rep.checks] == [
-        (ch.name, ch.passed, ch.detail) for ch in munzner_verify(f, 4, 7, 7 + k, ()).checks
+        (ch.name, ch.passed, ch.detail) for ch in munzner_verify(f, 7, 7 + k, ()).checks
     ]
-    assert rep.checks[0].detail == {"residual_terms": _unshifted_gradient_terms(f, 4)}
+    assert rep.checks[0].detail == {"residual_terms": _unshifted_gradient_terms(f)}
 
 
 @pytest.mark.parametrize("w", [1, -1, Fraction(1, 3)])
@@ -670,8 +658,8 @@ def test_munzner_squares_of_a_form_with_a_trace(w):
     n = 4
     q = norm_sq_poly(n)
     f = w * q * q
-    rep = munzner_verify(f, 4, 1, 4, [(w, q)])
-    generic = munzner_verify(f, 4, 1, 4, ())
+    rep = munzner_verify(f, 1, 4, [(w, q)])
+    generic = munzner_verify(f, 1, 4, ())
     assert [(c.name, c.detail) for c in rep.checks] == [(c.name, c.detail) for c in generic.checks]
     assert rep.passed == (w in (1, -1))
     assert rep.checks[1].detail == {"sign": w if w in (1, -1) else 0}
@@ -682,17 +670,15 @@ def test_munzner_squares_must_be_quadratics_at_degree_four():
     n = 2
     q = vp(n, 0) * vp(n, 0) - vp(n, 1) * vp(n, 1)
     f = norm_sq_poly(n) ** 2 - 2 * q * q
-    assert munzner_verify(f, 4, 0, 0, [(-2, q)]).checks[0].detail == {"residual_terms": 0}
+    assert munzner_verify(f, 0, 0, [(-2, q)]).checks[0].detail == {"residual_terms": 0}
     for bad in (vp(n, 0), q + vp(n, 1), MultiPoly.const(n, 1), vp(3, 0) * vp(3, 1)):
         with pytest.raises(ValueError, match="homogeneous quadratic"):
-            munzner_verify(f, 4, 0, 0, [(-2, bad)])
-    with pytest.raises(ValueError, match="quartic"):
-        munzner_verify(q, 2, 0, 0, [(1, vp(n, 0))])
+            munzner_verify(f, 0, 0, [(-2, bad)])
     # F itself not homogeneous: its remainder E is not, the same error as
     # without squares
     for squares in ((), [(-2, q)]):
         with pytest.raises(ValueError, match="F must be homogeneous of degree 4"):
-            munzner_verify(f + vp(n, 1), 4, 0, 0, squares)
+            munzner_verify(f + vp(n, 1), 0, 0, squares)
 
 
 def test_munzner_verify_peak_memory_stays_small(fkm_polys):
@@ -703,7 +689,7 @@ def test_munzner_verify_peak_memory_stays_small(fkm_polys):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        rep = munzner_verify(f, 4, 7, 8, ())
+        rep = munzner_verify(f, 7, 8, ())
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

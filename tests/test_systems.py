@@ -29,7 +29,6 @@ from octoverify.systems import (
     ot_display_report,
     ot_plus_frame,
     perturb_mirror,
-    second_form_at_focal,
 )
 
 E = [on.basis(i) for i in range(8)]
@@ -104,12 +103,12 @@ def test_fkm_blocks_equal_the_maps(d, side, t):
 @pytest.mark.parametrize("d", [4, 8])
 def test_ot_blocks_equal_the_maps(d):
     ot = build_ot_system(d)
-    assert ot.system.first_index == 0
-    assert ot.system.operators == [_matrix_of(f, d) for f in _ot_maps(d)]
+    assert ot.first_index == 0
+    assert ot.operators == [_matrix_of(f, d) for f in _ot_maps(d)]
 
 
 def test_fkm_quaternion_system(fkm_quaternion):
-    assert fkm_quaternion.split.ambient_dim == 16
+    assert fkm_quaternion.system.dim == 16
     assert verify_symmetric_system(fkm_quaternion.system).passed
 
 
@@ -123,9 +122,9 @@ def test_fkm_systems_ten_pythagorean_alphas():
 
 
 def test_ot_systems_pass(ot_octonion, ot_quaternion):
-    assert verify_symmetric_system(ot_octonion.system).passed
-    assert verify_symmetric_system(ot_quaternion.system).passed
-    p0 = ot_octonion.system.operator(0)
+    assert verify_symmetric_system(ot_octonion).passed
+    assert verify_symmetric_system(ot_quaternion).passed
+    p0 = ot_octonion.operator(0)
     assert p0 @ p0 == Op.identity(32)
 
 
@@ -145,7 +144,7 @@ def test_fkm_polynomial_matches_sympy(which):
     from sympy.polys.rings import ring
 
     if which == "ot":
-        system = build_ot_system(4).system
+        system = build_ot_system(4)
     else:
         t = Fraction(0) if which == "fkm t=0" else Fraction(1, 2)
         system = build_fkm_system(nom_from_t(Side.LEFT, t, axis=1, dim=4)).system
@@ -165,9 +164,9 @@ def test_munzner_fkm_and_ot(fkm_systems, fkm_polys, ot_octonion, ot_octonion_pol
     # -F satisfies the (7,8)-oriented Laplacian identity for FKM's F, F for
     # OT's; on F's squares and without them
     key = ("left", Fraction(1, 2))
-    for system, f, sign in ((fkm_systems[key].system, fkm_polys[key], -1), (ot_octonion.system, ot_octonion_poly, 1)):
+    for system, f, sign in ((fkm_systems[key].system, fkm_polys[key], -1), (ot_octonion, ot_octonion_poly, 1)):
         for squares in (fkm_squares(system), ()):
-            rep = munzner_verify(f, 4, 7, 8, squares)
+            rep = munzner_verify(f, 7, 8, squares)
             assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
                 ("gradient_identity", True, {"residual_terms": 0}),
                 ("laplacian_identity", True, {"sign": sign}),
@@ -180,7 +179,7 @@ def test_focal_check(fkm_systems):
     assert focal_check(fkm.system, frame.point)
     zero = on.zero(8)
     # x = (0, e_0, 0, 0): <P_-1 x, x> = -1
-    x = ScaledVec(fkm.split.join(zero, E[0], zero, zero), 0)
+    x = ScaledVec(zero + E[0] + zero + zero, 0)
     assert not focal_check(fkm.system, x)
     assert not focal_check(fkm.system, ScaledVec(frame.point.coords, 0))  # norm 2
 
@@ -215,8 +214,11 @@ def test_frame_check_negative_controls(fkm_systems):
 
 @pytest.mark.parametrize("key", [("left", Fraction(0)), ("right", Fraction(0)), ("left", Fraction(1, 2)), ("left", Fraction(1, 3))])
 def test_second_form_matrix_equals_formula(fkm_systems, key):
-    rep = second_form_at_focal(fkm_systems[key])
-    assert rep.passed, key
+    fkm = fkm_systems[key]
+    frame = fkm_mirror_frame(fkm)
+    assert focal_check(fkm.system, frame.point) and frame_check(frame, 32).passed, key
+    got = matrix_route_forms(fkm.system, frame)
+    assert all((g - w).is_zero() for g, w in zip(got, fkm_formula_forms(fkm.nom), strict=True)), key
 
 
 def test_second_form_spot_values(fkm_systems):
@@ -406,7 +408,7 @@ def test_condition_b_fkm_and_ot(fkm_systems, fkm_polys, ot_octonion, ot_octonion
     assert cb.passed
 
     rep, ot_forms, ot_frame = ot_display_report(ot_octonion, ot_octonion_poly)
-    cbo = condition_b_check(ot_octonion.system, ot_frame, ot_forms.p, ot_forms.q)
+    cbo = condition_b_check(ot_octonion, ot_frame, ot_forms.p, ot_forms.q)
     assert cbo.passed
 
 
@@ -427,7 +429,7 @@ def test_condition_b_recipe_r_values(ot_octonion):
     # coordinate exactly (tangent layout: u_0..7, v_0..7, z_1..7)
     frame = ot_plus_frame(ot_octonion)
     tcount = len(frame.tangent)
-    p0 = ot_octonion.system.operator(0)
+    p0 = ot_octonion.operator(0)
     for b in range(1, 8):
         vals = []
         for j, tv in enumerate(frame.tangent):
