@@ -4,7 +4,8 @@ Covers verification of the defining relations, normalization of A-systems
 (A_a A_b^T + A_b A_a^T = 2 delta_ab Id) to the standard left-multiplication
 generators, exact intertwiner search between representations, volume signs,
 and the delta(m) dimension table.  Every matrix taken or returned is a
-``linalg.Op``.
+``linalg.Op``, and every representation, A-system or symmetric system is a
+plain list of them in index order.
 """
 
 from __future__ import annotations
@@ -77,33 +78,12 @@ def verify_skew_rep(ops: list) -> Report:
     return rep
 
 
-@dataclass
-class SymmetricCliffordSystem:
-    """Family P_first, ..., P_{first+len-1} of symmetric orthogonal operators
-    with P_i P_j + P_j P_i = 2 delta_ij Id.  The usual index range is -1..m
-    with index -1 stored at slot 0.  The operators are ``Op``s."""
-
-    operators: list
-    first_index: int = -1
-
-    @property
-    def indices(self) -> list[int]:
-        return list(range(self.first_index, self.first_index + len(self.operators)))
-
-    def operator(self, index: int) -> Op:
-        return self.operators[index - self.first_index]
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].ncols
-
-
-def verify_symmetric_system(sys: SymmetricCliffordSystem) -> Report:
-    """Check symmetry P^T = P and P_a P_b + P_b P_a = 2 delta_ab Id; once
-    every P is symmetric, P_b P_a = (P_a P_b)^T and each pair takes one
-    product."""
+def verify_symmetric_system(ops: list) -> Report:
+    """Check symmetry P^T = P and P_a P_b + P_b P_a = 2 delta_ab Id for a
+    symmetric Clifford system, the ``Op``s P_i in index order (-1..m for the
+    FKM family, 0..m for the OT family); once every P is symmetric,
+    P_b P_a = (P_a P_b)^T and each pair takes one product."""
     rep = Report("symmetric_clifford_system")
-    ops = sys.operators
     worst_sym = max((m - m.T).max_abs() for m in ops)
     anti = _residual if worst_sym == 0 else _two_products
     worst_cliff = max(anti(ops[a], ops[b], int(a == b)) for a in range(len(ops)) for b in range(a, len(ops)))
@@ -121,16 +101,6 @@ def volume_sign(ops: list) -> int:
     if lam in (1, -1):
         return int(lam)
     raise ValueError("not a full irreducible system: product of generators is not +-Id")
-
-
-@dataclass
-class IntertwinerResult:
-    found: bool
-    matrix: Op | None = None
-
-    @staticmethod
-    def not_equivalent() -> "IntertwinerResult":
-        return IntertwinerResult(False)
 
 
 def _kernel_of_intertwiner_system(rep1: list, rep2: list) -> list:
@@ -152,12 +122,9 @@ def _kernel_of_intertwiner_system(rep1: list, rep2: list) -> list:
     return kernel_basis(rows, n * n)
 
 
-def _as_matrix(vec: list, n: int) -> Op:
-    return Op.of([vec[i * n : (i + 1) * n] for i in range(n)])
-
-
-def find_intertwiner(rep1: list, rep2: list) -> IntertwinerResult:
-    """Orthogonal O with O rep1_a O^{-1} = rep2_a for all a, or NotEquivalent.
+def find_intertwiner(rep1: list, rep2: list) -> Op | None:
+    """Orthogonal O with O rep1_a O^{-1} = rep2_a for all a, or None when
+    the two are not equivalent.
 
     Solves the stacked homogeneous system O X_a - Y_a O = 0 exactly; an empty
     kernel means not equivalent.  Any nonzero kernel element K of an
@@ -173,7 +140,7 @@ def find_intertwiner(rep1: list, rep2: list) -> IntertwinerResult:
     n = _square_dim(list(rep1) + list(rep2))
     ker = _kernel_of_intertwiner_system(rep1, rep2)
     if not ker:
-        return IntertwinerResult.not_equivalent()
+        return None
 
     candidates = [vec for vec in ker]
     for i in range(len(ker)):
@@ -182,13 +149,13 @@ def find_intertwiner(rep1: list, rep2: list) -> IntertwinerResult:
             candidates.append([x - y for x, y in zip(ker[i], ker[j])])
     first = None
     for vec in candidates:
-        K = _as_matrix(vec, n)
+        K = Op.of([vec[i * n : (i + 1) * n] for i in range(n)])
         lam = (K @ K.T).scalar()
         if not lam:
             continue
         root = rational_sqrt(lam)
         if root is not None:
-            return IntertwinerResult(True, K * (1 / root))
+            return K * (1 / root)
         if first is None:
             first = lam
     if first is None:
@@ -234,10 +201,9 @@ def normalize_a_system(a_ops: list) -> NormalizedASystem:
     j = octonion.j_generators(n)
     jm = j[m - 1]
     jjm = [j[a] @ jm for a in range(m - 1)]
-    res = find_intertwiner(jjm, witness[:-1])
-    if not res.found:
+    O = find_intertwiner(jjm, witness[:-1])
+    if O is None:
         raise ValueError("no intertwiner between witness and J_a J_m generators")
-    O = res.matrix
     # P <- O J_m^{-1} = O (-J_m), Q <- Q0 O  gives P^{-1} A_a Q = J_a.
     return NormalizedASystem(witness, O @ -jm, q0 @ O)
 

@@ -135,25 +135,20 @@ def crucial_classify(q: QCandidate, x: tuple, y: tuple) -> Report:
 
     Perpendicular configuration ({X, Y, XY} all perpendicular to the axis):
     equality with the + sign and |R|^2 = 2 + 2cos(2 theta) for a left-shifted
-    o, 2 - 2cos(2 theta) for a right-shifted one (R = 0 at theta = 0).  Parallel
+    o, 2 - 2cos(2 theta) for a right-shifted one.  Parallel
     configuration (XY parallel to the axis): equality up to a recorded sign.
-    Degenerate axis (theta in {0, pi}) delegates to the endpoint values
-    R = XY - YX (left) / R = 0 (right).  Anything else is an error.
+    Anything else, a degenerate axis (theta in {0, pi}) included, is an
+    error.
     """
     rep = Report("r_classification")
     dim = q.dim
     if on.norm_sq(x) != 1 or on.norm_sq(y) != 1 or on.inner(x, y) != 0:
         raise ValueError("X, Y must be orthonormal")
-    got = r_form(q, x, y)
     ta = theta_axis(q.nom.alpha)
-    xy = on.multiply(x, y)
     if ta.degenerate:
-        if q.nom.side is Side.LEFT:
-            want = on.sub(xy, on.multiply(y, x))
-            rep.add("endpoint_left_xy_minus_yx", got == want)
-        else:
-            rep.add("endpoint_right_zero", got == on.zero(dim))
-        return rep
+        raise ValueError("degenerate axis: no perpendicular or parallel configuration")
+    got = r_form(q, x, y)
+    xy = on.multiply(x, y)
     axis = ta.axis
     pred = on.sub(xy, circ(q.nom, y, x))
     perp = on.inner(x, axis) == 0 and on.inner(y, axis) == 0 and on.inner(xy, axis) == 0

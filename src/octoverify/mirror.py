@@ -1,7 +1,7 @@
-"""Mirror points, the closed third fundamental forms at x*, and the
-Ozeki-Takeuchi integrability identities.  The closed second form at x* is
-``systems.closed_second_form``; the mirror suite reads its values off the
-forms extracted from F there.
+"""The mirror point x* = (x + n0)/sqrt2, the closed third fundamental forms
+at x*, and the Ozeki-Takeuchi integrability identities.  The closed second
+form at x* is ``systems.closed_second_form``; the mirror suite reads its
+values off the forms extracted from F there.
 
 Index bookkeeping: at the mirror point x* the form components are indexed
 -1, 0..m1 (the -1 slot is the diagonal form |X|^2 - |Y|^2, and the original
@@ -33,24 +33,13 @@ from .report import Report, proved
 from .systems import ScaledVec
 
 
-@dataclass(frozen=True)
-class MirrorFrame:
-    x: tuple
-    n0: tuple
-    x_sharp: tuple
-    x_star: ScaledVec
-    n0_star: ScaledVec
-
-
-def mirror_points(x: tuple, n0: tuple) -> MirrorFrame:
-    """x# = n0, x* = (x + n0)/sqrt2, n0* = (x - n0)/sqrt2 for unit x _|_ n0."""
+def mirror_point(x: tuple, n0: tuple) -> ScaledVec:
+    """The mirror point x* = (x + n0)/sqrt2 for unit x _|_ n0."""
     if on.norm_sq(x) != 1 or on.norm_sq(n0) != 1:
         raise ValueError("x and n0 must be unit vectors")
     if on.inner(x, n0) != 0:
         raise ValueError("x and n0 must be orthogonal")
-    x_star = ScaledVec(on.add(x, n0), -1)
-    n0_star = ScaledVec(on.sub(x, n0), -1)
-    return MirrorFrame(tuple(x), tuple(n0), tuple(n0), x_star, n0_star)
+    return ScaledVec(on.add(x, n0), -1)
 
 
 # ---------------------------------------------------------------------------

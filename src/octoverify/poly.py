@@ -45,7 +45,8 @@ rational it stands for).
 The supported exponent range is 0..30 per variable, and it is enforced at
 both ends.  ``_pack``, and through it ``MultiPoly.parse`` (the reader for
 ``--dump-poly`` output), raises ``ValueError`` for an exponent outside that
-range or for more exponents than ``nvars``.  ``weighted_products`` raises
+range, and ``parse`` for a line without exactly ``nvars`` exponents, a
+monomial on two lines or a zero denominator.  ``weighted_products`` raises
 ``OverflowError`` rather than silently corrupting keys when a product could
 leave it.  That guard is checked once per call, from each operand's largest
 exponent, ``maxexp``, or a bound on it: variables, constants, products,
@@ -76,11 +77,9 @@ _EXP_MASK = (1 << BITS) - 1
 _EXP_MAX = (1 << BITS) - 2  # one value below the 5-bit field, kept as headroom
 
 
-def _pack(exponents: Iterable[int], nvars: int) -> int:
+def _pack(exponents: Iterable[int]) -> int:
     key = 0
     for i, e in enumerate(exponents):
-        if i >= nvars:
-            raise ValueError(f"more than nvars={nvars} exponents")
         if not 0 <= e <= _EXP_MAX:
             raise ValueError(f"exponent {e} of x{i} outside 0..{_EXP_MAX}")
         if e:
@@ -411,14 +410,23 @@ class MultiPoly:
 
     @staticmethod
     def parse(text: str, nvars: int) -> "MultiPoly":
+        """The inverse of ``dump``.  A line whose exponent count is not
+        ``nvars``, a monomial on two lines or a zero denominator raises
+        ``ValueError``."""
         terms = {}
         for line in text.strip().splitlines():
             if not line.strip():
                 continue
             head, *exps = line.split()
-            num, den = head.split("/")
-            key = _pack((int(e) for e in exps), nvars)
-            terms[key] = Fraction(int(num), int(den))
+            if len(exps) != nvars:
+                raise ValueError(f"{len(exps)} exponents, not nvars={nvars}: {line!r}")
+            num, den = map(int, head.split("/"))
+            if not den:
+                raise ValueError(f"zero denominator: {line!r}")
+            key = _pack(map(int, exps))
+            if key in terms:
+                raise ValueError(f"a second term for one monomial: {line!r}")
+            terms[key] = Fraction(num, den)
         return MultiPoly(nvars, terms)
 
     def __repr__(self):

@@ -2,8 +2,9 @@
 
 Ambient space is R^32 (four octonion slots) or R^16 (four quaternion slots),
 and an ambient vector is its four slots concatenated as one tuple.  An
-``FkmSystem`` is its nom and its ``SymmetricCliffordSystem``; the OT family
-is the bare ``SymmetricCliffordSystem``.  The FKM family acts by
+``FkmSystem`` is its nom and its symmetric Clifford system, the list of its
+``Op``s P_-1, P_0, ..., P_m1; the OT family is the bare list P_0, ..., P_m.
+The FKM family acts by
 
     P_-1: (A, X, Y, B) -> (A, -X, Y, -B)
     P_a:  (A, X, Y, B) -> (-X e_a, -A conj(e_a), -B o conj(e_a), -Y o e_a)
@@ -41,7 +42,7 @@ from fractions import Fraction
 
 from . import octonion as on
 from .circ import Nom, Side, circ, right_ops
-from .clifford import SymmetricCliffordSystem, verify_a_system, volume_sign
+from .clifford import verify_a_system, volume_sign
 from .linalg import Op
 from .poly import (
     MultiPoly,
@@ -70,7 +71,7 @@ class ScaledVec:
 @dataclass
 class FkmSystem:
     nom: Nom
-    system: SymmetricCliffordSystem  # indices -1..nom.dim-1
+    system: list  # the Ops P_-1, ..., P_{nom.dim-1}
 
 
 def build_fkm_system(nom: Nom) -> FkmSystem:
@@ -98,13 +99,13 @@ def build_fkm_system(nom: Nom) -> FkmSystem:
     ])]
     ops.append(p_a(one, one, one, one))
     ops += [p_a(r1, -r1, ro, -ro) for r1, ro in zip(on.j_prime_generators(d), right_ops(nom))]
-    return FkmSystem(nom, SymmetricCliffordSystem(ops, first_index=-1))
+    return FkmSystem(nom, ops)
 
 
-def build_ot_system(block_dim: int = 8) -> SymmetricCliffordSystem:
+def build_ot_system(block_dim: int = 8) -> list:
     """P_0 = (I, -I) on the diagonal with I in blocks (3, 4) and (4, 3);
     P_a has J_a, -J_a, J_a, -J_a in blocks (1, 2), (2, 1), (3, 4), (4, 3),
-    with J_a(x) = e_a x; indices 0..block_dim-1."""
+    with J_a(x) = e_a x; the ``Op``s P_0, ..., P_{block_dim-1}."""
     one = Op.identity(block_dim)
     ops = [Op.blocks([
         [one, None, None, None],
@@ -121,17 +122,17 @@ def build_ot_system(block_dim: int = 8) -> SymmetricCliffordSystem:
         ])
         for j in on.j_generators(block_dim)
     ]
-    return SymmetricCliffordSystem(ops, first_index=0)
+    return ops
 
 
-def fkm_squares(system: SymmetricCliffordSystem) -> list[tuple[int, MultiPoly]]:
+def fkm_squares(system: list) -> list[tuple[int, MultiPoly]]:
     """The weighted squares of F: (-2, <P_i x, x>) for each operator P_i,
     the quadratic form built from the int numerators of P_i over its
     denominator.  ``fkm_polynomial`` builds F from them, and the Muenzner
     suite hands them to ``poly.munzner_verify``."""
-    n = system.dim
+    n = system[0].ncols
     squares = []
-    for m in system.operators:
+    for m in system:
         q: dict = {}
         for r, row in enumerate(m.rows):
             for k, c in row.items():
@@ -141,21 +142,22 @@ def fkm_squares(system: SymmetricCliffordSystem) -> list[tuple[int, MultiPoly]]:
     return squares
 
 
-def fkm_polynomial(system: SymmetricCliffordSystem) -> MultiPoly:
+def fkm_polynomial(system: list) -> MultiPoly:
     """F(x) = <x,x>^2 - 2 sum_i <P_i x, x>^2, homogeneous of degree 4: one
     ``weighted_products`` call over [|x|^2, <P_i x, x>...], the forms of
     ``fkm_squares``."""
     squares = fkm_squares(system)
-    quads = [norm_sq_poly(system.dim), *(q for _, q in squares)]
+    n = system[0].ncols
+    quads = [norm_sq_poly(n), *(q for _, q in squares)]
     triples = [(1, 0, 0)] + [(w, i, i) for i, (w, _) in enumerate(squares, 1)]
-    return weighted_products(system.dim, quads, quads, [triples])[0]
+    return weighted_products(n, quads, quads, [triples])[0]
 
 
-def focal_check(system: SymmetricCliffordSystem, x: ScaledVec) -> bool:
+def focal_check(system: list, x: ScaledVec) -> bool:
     """x lies on the focal zero locus: |x| = 1 and <P_i x, x> = 0 for all i."""
     if x.norm_sq() != 1:
         return False
-    return all(on.inner(tuple(m.apply(x.coords)), x.coords) == 0 for m in system.operators)
+    return all(on.inner(tuple(m.apply(x.coords)), x.coords) == 0 for m in system)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +170,7 @@ class FocalFrame:
     """Orthonormal (point | tangent | normal) frame with exact scaling tags.
 
     tangent order fixes the variable order of all extracted/assembled forms;
-    normals are indexed by the system's operator indices.
+    normals are in the order of the system's operators.
     """
 
     point: ScaledVec
@@ -201,19 +203,19 @@ def fkm_mirror_frame(fkm: FkmSystem) -> FocalFrame:
     return fkm_perturbed_frame(fkm, Op.identity(fkm.nom.dim))
 
 
-def ot_plus_frame(ot: SymmetricCliffordSystem) -> FocalFrame:
+def ot_plus_frame(ot: list) -> FocalFrame:
     """Frame at the Condition-A point x = (0, 0, e_0, 0) with normals -P_i(x).
 
     The minus orientation makes the extracted second fundamental form match
     the standard display p_0 = |u|^2 - |v|^2, p_a = 2<e_a, u conj(v)>.
     """
-    d = ot.dim // 4
+    d = ot[0].ncols // 4
     zero = on.zero(d)
     x0 = ScaledVec(zero + zero + on.basis(0, d) + zero, 0)
     tangent = [ScaledVec(on.basis(a, d) + zero + zero + zero, 0) for a in range(d)]
     tangent += [ScaledVec(zero + on.basis(a, d) + zero + zero, 0) for a in range(d)]
     tangent += [ScaledVec(zero + zero + on.basis(p, d) + zero, 0) for p in range(1, d)]
-    normals = [ScaledVec(on.neg(ot.operator(i).apply(x0.coords)), 0) for i in ot.indices]
+    normals = [ScaledVec(on.neg(m.apply(x0.coords)), 0) for m in ot]
     return FocalFrame(x0, tangent, normals)
 
 
@@ -231,7 +233,7 @@ def fkm_perturbed_frame(fkm: FkmSystem, u: Op) -> FocalFrame:
     tangent = [ScaledVec(zero + on.basis(a, d) + zero + zero, 0) for a in range(1, d)]
     tangent += [ScaledVec(zero + zero + tuple(u.apply(on.basis(m, d))) + zero, 0) for m in range(1, d)]
     tangent += [ScaledVec(on.basis(p, d) + zero + zero + tuple(u.apply(on.basis(p, d))), -1) for p in range(d)]
-    normals = [ScaledVec(tuple(fkm.system.operator(i).apply(xs.coords)), -1) for i in fkm.system.indices]
+    normals = [ScaledVec(tuple(m.apply(xs.coords)), -1) for m in fkm.system]
     return FocalFrame(xs, tangent, normals)
 
 
@@ -326,7 +328,7 @@ def _rows_op(vecs: list) -> Op:
     return Op.of([v.coords for v in vecs])
 
 
-def matrix_route_forms(system: SymmetricCliffordSystem, frame: FocalFrame) -> list:
+def matrix_route_forms(system: list, frame: FocalFrame) -> list:
     """Quadratics -<P_i v(c), v(c)> in unit tangent coordinates, as Rt2Poly:
     with V the tangent representatives as rows, the coefficient of c_j c_k is
     -(G_jk + G_kj) for j < k and -G_jj on the diagonal, G = V P_i V^T.  A
@@ -337,7 +339,7 @@ def matrix_route_forms(system: SymmetricCliffordSystem, frame: FocalFrame) -> li
     v = _rows_op(frame.tangent)
     vt = v.T
     out = []
-    for m in system.operators:
+    for m in system:
         g = v @ m @ vt
         terms = (
             (monomial_key(j, k), -x, halves[j] + halves[k]) for j, row in enumerate(g.rows) for k, x in row.items()
@@ -376,9 +378,6 @@ class SecondFormBlocks:
     a_blocks: list
     b_blocks: list
     c_blocks: list
-    d_plus: int
-    d_minus: int
-    d_zero: int
     s_matrices: list  # full symmetric matrices incl. S_0, in tangent coords
 
 
@@ -430,7 +429,7 @@ def blocks_from_forms(p_forms: list, d_plus: int, d_minus: int, d_zero: int) -> 
         a_blocks.append(Op.of([row[d_plus : d_plus + d_minus] for row in s[:d_plus]]))
         b_blocks.append(Op.of([row[d_plus + d_minus :] for row in s[:d_plus]]))
         c_blocks.append(Op.of([row[d_plus + d_minus :] for row in s[d_plus : d_plus + d_minus]]))
-    return SecondFormBlocks(a_blocks, b_blocks, c_blocks, d_plus, d_minus, d_zero, [Op.of(s) for s in mats])
+    return SecondFormBlocks(a_blocks, b_blocks, c_blocks, [Op.of(s) for s in mats])
 
 
 def _product_slots(a_rows: list, b_rows: list) -> tuple[list, list]:
@@ -496,7 +495,7 @@ def condition_a_check(blocks: SecondFormBlocks) -> Report:
 
 
 def condition_b_check(
-    system: SymmetricCliffordSystem,
+    system: list,
     frame: FocalFrame,
     p_forms: list,
     q_forms: list,
@@ -510,10 +509,10 @@ def condition_b_check(
     """
     rep = Report("condition_b")
     tcount = len(frame.tangent)
-    nops = len(system.operators)
+    nops = len(system)
     orient = []
     for i, nvec in enumerate(frame.normals):
-        pi_x = tuple(system.operators[i].apply(frame.point.coords))
+        pi_x = tuple(system[i].apply(frame.point.coords))
         if nvec.coords == pi_x:
             orient.append(1)
         elif nvec.coords == on.neg(pi_x):
@@ -528,7 +527,7 @@ def condition_b_check(
     vt = _rows_op(frame.tangent).T
     nrm = _rows_op(frame.normals)
     for a in range(nops):
-        g = nrm @ system.operators[a] @ vt
+        g = nrm @ system[a] @ vt
         for b in range(nops):
             terms = ((monomial_key(j), x, frame.tangent[j].half + frame.normals[b].half) for j, x in g.rows[b].items())
             r[a][b] = rt2_poly(tcount, terms, g.den)
@@ -600,7 +599,7 @@ def perturb_mirror(fkm: FkmSystem) -> Report:
 
     frame = fkm_perturbed_frame(fkm, u)
     rep.add("perturbed_point_focal", focal_check(fkm.system, frame.point))
-    fr = frame_check(frame, fkm.system.dim)
+    fr = frame_check(frame, 4 * d)
     rep.add("frame_orthonormal", fr.passed)
 
     got = matrix_route_forms(fkm.system, frame)
@@ -620,7 +619,7 @@ def perturb_mirror(fkm: FkmSystem) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def ot_display_report(ot: SymmetricCliffordSystem, f: MultiPoly) -> tuple[Report, ExtractedForms, FocalFrame]:
+def ot_display_report(ot: list, f: MultiPoly) -> tuple[Report, ExtractedForms, FocalFrame]:
     """Verify the standard displays at x = (0, 0, e_0, 0), reading the forms
     out of f = fkm_polynomial(ot):
 
@@ -636,9 +635,9 @@ def ot_display_report(ot: SymmetricCliffordSystem, f: MultiPoly) -> tuple[Report
     with the coordinate dot <u, v>, which the report asserts.
     """
     rep = Report("ot_displays")
-    d = ot.dim // 4
+    d = ot[0].ncols // 4
     frame = ot_plus_frame(ot)
-    fr = frame_check(frame, ot.dim)
+    fr = frame_check(frame, 4 * d)
     rep.add("frame_orthonormal", fr.passed)
     rep.add("point_focal", focal_check(ot, frame.point))
     forms = extract_expansion_forms(f, frame)

@@ -118,7 +118,7 @@ def test_c03_normalization_pipeline():
         norm = normalize_a_system(a)
         if refined_residual(norm, a) != 0:
             ok = False
-    if find_intertwiner(j, on.j_prime_generators()).found:
+    if find_intertwiner(j, on.j_prime_generators()) is not None:
         ok = False
     _line(3, "A-system normalization pipeline (10 seeded systems, J vs J')", ok)
 

@@ -84,12 +84,12 @@ def test_crucial_classify_branches():
     assert rep.passed
     sign = next(c.detail["sign"] for c in rep.checks if c.name == "parallel_value_up_to_sign")
     assert sign in (1, -1)
-    with pytest.raises(ValueError):
-        crucial_classify(cand, E[1], E[4])  # neither branch
-    repd = crucial_classify(fkm_candidate(nom_from_t(Side.LEFT, Fraction(0))), E[1], E[2])
-    assert repd.passed and repd.checks[0].name == "endpoint_left_xy_minus_yx"
-    repd = crucial_classify(fkm_candidate(nom_from_t(Side.RIGHT, Fraction(0))), E[1], E[2])
-    assert repd.passed and repd.checks[0].name == "endpoint_right_zero"
+    with pytest.raises(ValueError, match="neither branch"):
+        crucial_classify(cand, E[1], E[4])
+    # a degenerate axis has no branch: the endpoint values are cor69_endpoints'
+    for side in (Side.LEFT, Side.RIGHT):
+        with pytest.raises(ValueError, match="degenerate axis"):
+            crucial_classify(fkm_candidate(nom_from_t(side, Fraction(0))), E[1], E[2])
 
 
 @pytest.mark.parametrize(

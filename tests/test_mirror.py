@@ -8,7 +8,7 @@ from octoverify.circ import Side, left_ops, nom_from_t
 from octoverify.mirror import (
     TrilinearTable,
     assemble_star_blocks,
-    mirror_points,
+    mirror_point,
     q_star_fkm_eval,
     q_star_ot_eval,
     sharp_from_q0,
@@ -30,27 +30,22 @@ def _amb(*slots):
     return tuple(sum((list(s) for s in slots), []))
 
 
-def test_mirror_points_example():
+def test_mirror_point_example():
     x = _amb(ZERO, ZERO, on.neg(E[0]), ZERO)
     n0 = _amb(ZERO, E[0], ZERO, ZERO)
-    mf = mirror_points(x, n0)
-    assert mf.x_sharp == n0
-    assert mf.x_star.coords == _amb(ZERO, E[0], on.neg(E[0]), ZERO)
-    assert mf.x_star.half == -1
-    assert mf.x_star.norm_sq() == 1
-    assert mf.n0_star.norm_sq() == 1
-    assert on.inner(mf.x_star.coords, mf.n0_star.coords) == 0
-    # swapping x and n0 fixes x* and negates n0*
-    mf2 = mirror_points(n0, x)
-    assert mf2.x_star.coords == mf.x_star.coords
-    assert mf2.n0_star.coords == on.neg(mf.n0_star.coords)
+    x_star = mirror_point(x, n0)
+    assert x_star.coords == _amb(ZERO, E[0], on.neg(E[0]), ZERO)
+    assert x_star.half == -1
+    assert x_star.norm_sq() == 1
+    # swapping x and n0 fixes x*
+    assert mirror_point(n0, x) == x_star
 
 
-def test_mirror_points_preconditions():
+def test_mirror_point_preconditions():
     with pytest.raises(ValueError):
-        mirror_points(_amb(E[0], ZERO, ZERO, ZERO), _amb(E[0], ZERO, ZERO, ZERO))
+        mirror_point(_amb(E[0], ZERO, ZERO, ZERO), _amb(E[0], ZERO, ZERO, ZERO))
     with pytest.raises(ValueError):
-        mirror_points(_amb(on.scale(Fraction(2), E[0]), ZERO, ZERO, ZERO), _amb(ZERO, E[0], ZERO, ZERO))
+        mirror_point(_amb(on.scale(Fraction(2), E[0]), ZERO, ZERO, ZERO), _amb(ZERO, E[0], ZERO, ZERO))
 
 
 def test_assemble_star_blocks_dimensions_and_zero_column():

@@ -268,6 +268,19 @@ def test_parse_rejects_unrepresentable_exponents(line, nvars):
         MultiPoly.parse(line, nvars)
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("1/1 2 0\n3/1 2 0", "a second term"),  # used to keep the last line
+        ("1/1 2", "1 exponents"),  # used to read as x0^2 over 2 variables
+        ("1/0 2 0", "zero denominator"),  # used to raise ZeroDivisionError
+    ],
+)
+def test_parse_rejects_ambiguous_lines(text, match):
+    with pytest.raises(ValueError, match=match):
+        MultiPoly.parse(text, 2)
+
+
 def test_parse_accepts_top_of_exponent_range():
     p = MultiPoly.parse("2/3 30 0\n1/1 0 1", 2)
     assert p == Fraction(2, 3) * vp(2, 0) ** 30 + vp(2, 1)

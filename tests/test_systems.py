@@ -37,9 +37,8 @@ E = [on.basis(i) for i in range(8)]
 def test_fkm_systems_pass(fkm_systems):
     for key, fkm in fkm_systems.items():
         assert verify_symmetric_system(fkm.system).passed, key
-        assert fkm.system.indices[0] == -1
-    # P_-1 is symmetric diagonal +-1 with square Id
-    p = dense(fkm_systems[("left", Fraction(0))].system.operator(-1))
+    # P_-1, the first operator, is symmetric diagonal +-1 with square Id
+    p = dense(fkm_systems[("left", Fraction(0))].system[0])
     assert all(p[i][j] == (0 if i != j else p[i][i]) for i in range(32) for j in range(32))
     assert all(p[i][i] in (1, -1) for i in range(32))
 
@@ -96,19 +95,16 @@ def _ot_maps(d):
 def test_fkm_blocks_equal_the_maps(d, side, t):
     nom = nom_from_t(side, t, axis=4 if d == 8 else 1, dim=d)
     fkm = build_fkm_system(nom)
-    assert fkm.system.first_index == -1
-    assert fkm.system.operators == [_matrix_of(f, d) for f in _fkm_maps(nom)]
+    assert fkm.system == [_matrix_of(f, d) for f in _fkm_maps(nom)]
 
 
 @pytest.mark.parametrize("d", [4, 8])
 def test_ot_blocks_equal_the_maps(d):
-    ot = build_ot_system(d)
-    assert ot.first_index == 0
-    assert ot.operators == [_matrix_of(f, d) for f in _ot_maps(d)]
+    assert build_ot_system(d) == [_matrix_of(f, d) for f in _ot_maps(d)]
 
 
 def test_fkm_quaternion_system(fkm_quaternion):
-    assert fkm_quaternion.system.dim == 16
+    assert all(len(m.rows) == m.ncols == 16 for m in fkm_quaternion.system)
     assert verify_symmetric_system(fkm_quaternion.system).passed
 
 
@@ -124,7 +120,7 @@ def test_fkm_systems_ten_pythagorean_alphas():
 def test_ot_systems_pass(ot_octonion, ot_quaternion):
     assert verify_symmetric_system(ot_octonion).passed
     assert verify_symmetric_system(ot_quaternion).passed
-    p0 = ot_octonion.operator(0)
+    p0 = ot_octonion[0]
     assert p0 @ p0 == Op.identity(32)
 
 
@@ -148,11 +144,11 @@ def test_fkm_polynomial_matches_sympy(which):
     else:
         t = Fraction(0) if which == "fkm t=0" else Fraction(1, 2)
         system = build_fkm_system(nom_from_t(Side.LEFT, t, axis=1, dim=4)).system
-    n = system.dim
+    n = system[0].ncols
     R, *xs = ring(",".join(f"x{i}" for i in range(n)), QQ)
     r2 = sum((x * x for x in xs), R.zero)
     want = r2 * r2
-    for op in system.operators:
+    for op in system:
         q = sum((QQ(c, op.den) * xs[r] * xs[k] for r, row in enumerate(op.rows) for k, c in row.items()), R.zero)
         want -= 2 * q * q
     got = fkm_polynomial(system)
@@ -349,7 +345,8 @@ def _fraction_condition_a(blocks):
     norm = {tuple(2 * x for x in e): Fraction(1) for e in n}
     cube = _form_matrix_product(_form_matrix_product(s, s), s)
     ok_cube = all(cube[i][j] == _form_product(norm, s[i][j]) for i in range(nv) for j in range(nv))
-    a_mats, dp, dm = [dense(m) for m in blocks.a_blocks], blocks.d_plus, blocks.d_minus
+    a_mats = [dense(m) for m in blocks.a_blocks]
+    dp, dm = len(a_mats[0]), len(a_mats[0][0])
     ok_a = all(mul(a, transpose(a)) == identity(dp) for a in a_mats)
     for x in range(len(a_mats)):
         for y in range(x + 1, len(a_mats)):
@@ -429,7 +426,7 @@ def test_condition_b_recipe_r_values(ot_octonion):
     # coordinate exactly (tangent layout: u_0..7, v_0..7, z_1..7)
     frame = ot_plus_frame(ot_octonion)
     tcount = len(frame.tangent)
-    p0 = ot_octonion.operator(0)
+    p0 = ot_octonion[0]
     for b in range(1, 8):
         vals = []
         for j, tv in enumerate(frame.tangent):
