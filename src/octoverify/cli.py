@@ -181,10 +181,11 @@ class RunContext:
     No consumer mutates a system or an ``F`` (munzner, mirror, classify and
     ``--dump-poly`` only read operators, frames and terms), so one
     copy serves them all.  Each ``F`` is kept from its first consumer to the
-    end of the run.  The run's heap peak (tracemalloc), 1.9 MiB at octonion
-    t = 1/2 and 1.3 MiB at t = 0, is set by the temporaries of the
-    identities proofs, with the mirror suite's close behind, not by what
-    it holds; the munzner suite peaks under 0.9 MiB."""
+    end of the run.  The run's heap peak (tracemalloc, started after
+    import), 1.4 MiB at octonion t = 1/2 and 1.2 MiB at t = 0, is set by
+    the temporaries of the mirror suite's proofs (1.0 MiB above the heap
+    it starts from), not by what it holds; the munzner suite peaks 0.7 MiB
+    above its start and the identities suite 0.4 MiB."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg

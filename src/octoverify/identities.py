@@ -9,18 +9,21 @@ the two families are
 Each candidate carries one coefficient table of its ``eval``
 (``QCandidate.table``, a ``mirror.TrilinearTable``), built on first use from
 one symbolic evaluation on full slots, which also checks that ``eval`` is
-trilinear; ``r_form`` contracts it at rational slots.  Each battery states
-each identity once, as the values that must vanish, and proves it with
-``report.proved``, recorded as a witness.  A proved identity is a
+trilinear; that evaluation is the only one on symbolic slots.  Each battery
+states each identity once, as the values that must vanish, and proves it
+with ``report.proved``, recorded as a witness.  A proved identity is a
 polynomial in free slots that vanishes exactly when each of its
-coefficients does.  The anti battery and the exchange battery's polarised
-identities evaluate ``eval`` on ``octonion.symbolic_octets`` slots to get
-it; the other identities of the exchange and skew batteries read each
-coefficient off the table as a sum of entries (``exchange_suite``,
-``skew_suite``).  Either way a pass is a proof of the identity.  The
-batteries are a pure function of the candidate, so each candidate runs
-them once (``QCandidate.batteries``), and ``classify_q`` refuses a
-candidate that fails them.
+coefficients does.  The basis-slot identities of the exchange and skew
+batteries read each coefficient off the table as a sum of entries
+(``exchange_suite``, ``skew_suite``).  The others form the polynomial:
+q(X, Y, Z) on the ``octonion.symbolic_octets`` slots "xyZ" is the
+candidate's components, and q at any other slots, symbolic or rational
+(``r_form``, ``good_identity_check``), is ``TrilinearTable.contract``.  The
+anti battery's (U, V) identities are the polarisations of its W ones,
+re-keyed term by term (``anti_suite``).  Either way a pass is a proof of
+the identity.  The batteries are a pure function of the candidate, so each
+candidate runs them once (``QCandidate.batteries``), and ``classify_q``
+refuses a candidate that fails them.
 
 Classification compares components: each candidate carries the cubic
 component polynomials of its ``eval`` (``QCandidate.tensor``, read off its
@@ -209,8 +212,9 @@ def exchange_witnesses(q: QCandidate):
     y_f in <q(e_a,Y,e_p),e_a> + <q(e_a conj(e_p),Y,e_0),e_a> is
     T[a; a, f, p] + sum_k v_k T[a; k, f, 0] with v = e_a conj(e_p) read off
     the product's ``ProductTable.sparse``; each (a, p) is one instance of
-    its witness.  The polarised identities evaluate q on symbolic slots,
-    once per distinct triple, and are recorded by ``recorded``."""
+    its witness.  The polarised identities are stated in the "xyZ" slots:
+    q(X, Y, Z) is ``q.tensor`` and q at each other triple is
+    ``q.table.contract``; they are recorded by ``recorded``."""
     dim = q.dim
     nomc = q.nom
     coeff = q.table.coeff  # den * T[k; i, j, l]
@@ -260,18 +264,19 @@ def exchange_witnesses(q: QCandidate):
     transposed = proved("sixth identity transposed ordering (informational)", exchange("Y", o, aa_transposed))
     yield WitnessReport(transposed.identity_name, transposed.inputs, "validates", transposed.passed, 0, True)
 
-    # the polarised battery in imaginary X, Y and full Z
+    # the polarised battery in imaginary X, Y and full Z: q(X, Y, Z) is
+    # q.tensor, and q at every other triple is contracted from q.table
     X, Y, Z = on.symbolic_octets(dim, "xyZ")
-    e0, inner, conj = on.basis(0, dim), on.inner, on.conjugate
-    xyz, xy0, im_z = q.eval(X, Y, Z), q.eval(X, Y, e0), on.imaginary_part(Z)
+    e0, inner, conj, at = on.basis(0, dim), on.inner, on.conjugate, q.table.contract
+    xyz, xy0, im_z = q.tensor, at(X, Y, e0), on.imaginary_part(Z)
     polarised = {
-        "<q(X,Y,Z),Z> = 0 (Z imaginary or e_0)": inner(q.eval(X, Y, im_z), im_z),
+        "<q(X,Y,Z),Z> = 0 (Z imaginary or e_0)": inner(at(X, Y, im_z), im_z),
         "<q(X,Y,e_0),X> = 0": inner(xy0, X),
         "<q(X,Y,e_0),Y> = 0": inner(xy0, Y),
-        "<q(X,Y,Z),X> = -<q(X conj(Z),Y,e_0),X>": inner(xyz, X) + inner(q.eval(on.multiply(X, conj(Z)), Y, e0), X),
-        "<q(X,Y,Z),Y> = -<q(X,Y o conj(Z),e_0),Y>": inner(xyz, Y) + inner(q.eval(X, circ(nomc, Y, conj(Z)), e0), Y),
-        "<q(X,Y,X),Z> = <q(ZX,Y,e_0),X>": inner(q.eval(X, Y, X), Z) - inner(q.eval(on.multiply(Z, X), Y, e0), X),
-        "<q(X,Y,Y),Z> = <q(X,Z o Y,e_0),Y>": inner(q.eval(X, Y, Y), Z) - inner(q.eval(X, circ(nomc, Z, Y), e0), Y),
+        "<q(X,Y,Z),X> = -<q(X conj(Z),Y,e_0),X>": inner(xyz, X) + inner(at(on.multiply(X, conj(Z)), Y, e0), X),
+        "<q(X,Y,Z),Y> = -<q(X,Y o conj(Z),e_0),Y>": inner(xyz, Y) + inner(at(X, circ(nomc, Y, conj(Z)), e0), Y),
+        "<q(X,Y,X),Z> = <q(ZX,Y,e_0),X>": inner(at(X, Y, X), Z) - inner(at(on.multiply(Z, X), Y, e0), X),
+        "<q(X,Y,Y),Z> = <q(X,Z o Y,e_0),Y>": inner(at(X, Y, Y), Z) - inner(at(X, circ(nomc, Z, Y), e0), Y),
     }
     yield from (recorded(name, not r) for name, r in polarised.items())
 
@@ -330,21 +335,17 @@ def skew_suite(q: QCandidate) -> list:
 
 def anti_suite(q: QCandidate) -> list:
     """Vanishing pairings <q(X,Y,W), XW> = <q(X,Y,W), Y o W> = 0 and their
-    anti-symmetrized (U, V) versions, proved.  "vanishing pairings on
-    samples" is the verdict of the first two under its schema-v1 name
-    (``recorded``)."""
+    anti-symmetrized (U, V) versions, proved.  The "xyW" slots of
+    ``octonion.symbolic_octets`` are the layout of ``q.tensor``, so
+    q(X, Y, W) is the tensor.  A pairing is Q(W) = B(W, W), and its (U, V)
+    version B(U, V) + B(V, U) is sum_b v_b dQ/dw_b at W = U: in the "xyUV"
+    layout U holds W's variables, so ``MultiPoly.polarised`` re-keys Q's
+    terms into it, with no product.  "vanishing pairings on samples" is the
+    verdict of the first two under its schema-v1 name (``recorded``)."""
     dim = q.dim
-    nomc = q.nom
-
-    def pairings(X, Y, U, V):
-        """<q(X,Y,U), XV> and <q(X,Y,U), Y o V>."""
-        val = q.eval(X, Y, U)
-        return on.inner(val, on.multiply(X, V)), on.inner(val, circ(nomc, Y, V))
-
     xs, ys, ws = on.symbolic_octets(dim, "xyW")
-    v1, v2 = pairings(xs, ys, ws, ws)
-    xs2, ys2, us, vs = on.symbolic_octets(dim, "xyUV")
-    a1, a2 = on.add(pairings(xs2, ys2, us, vs), pairings(xs2, ys2, vs, us))
+    v1, v2 = on.inner(q.tensor, on.multiply(xs, ws)), on.inner(q.tensor, circ(q.nom, ys, ws))
+    a1, a2 = (v.polarised(2 * (dim - 1), dim) for v in (v1, v2))
     w1, w2 = proved("<q(X,Y,W),XW> = 0", [v1]), proved("<q(X,Y,W),Y o W> = 0", [v2])
     return [
         w1,
@@ -359,21 +360,25 @@ def norm_identity_check(q: QCandidate) -> bool:
     """|q(X,Y,Z)|^2 = |X(Y o Z) - Y o (XZ)|^2 as a polynomial identity, with
     the right side read off the table of the FKM candidate at q's nom,
     ``q.reference`` when q has one.  Equal components prove it at once (so
-    an FKM candidate squares nothing); only components that differ have
-    their norms compared."""
+    an FKM candidate squares nothing); otherwise |q|^2 - |r|^2 is one
+    product, sum_k (q_k - r_k)(q_k + r_k), over the components that
+    differ."""
     ref = (q.reference or fkm_candidate(q.nom)).tensor
-    return q.tensor == ref or (on.norm_sq(q.tensor) - on.norm_sq(ref)).is_zero()
+    if q.tensor == ref:
+        return True
+    return on.inner([a - b for a, b in zip(q.tensor, ref)], [a + b for a, b in zip(q.tensor, ref)]).is_zero()
 
 
 def good_identity_check(q: QCandidate) -> bool:
     """|q(X,X,Z)|^2 = sin^2(2 theta) |X((XZ)e) - (X(XZ))e|^2 for unit
     imaginary X perpendicular to the axis e (symbolic in Z); at the theta=0/pi
-    endpoints q(X,X,Z) vanishes identically."""
+    endpoints q(X,X,Z) vanishes identically.  q(X, X, Z) is contracted
+    from ``q.table``."""
     dim = q.dim
     ta = theta_axis(q.nom.alpha)
     if ta.degenerate:
         xs, _, zs = on.symbolic_octets(dim, "xyZ")
-        return on.norm_sq(q.eval(xs, xs, zs)).is_zero()
+        return on.norm_sq(q.table.contract(xs, xs, zs)).is_zero()
     _, s2 = cos_sin_2theta(q.nom)
     e = ta.axis
     nvz = dim
@@ -386,7 +391,7 @@ def good_identity_check(q: QCandidate) -> bool:
             on.add(on.scale(Fraction(3, 5), on.basis(i, dim)), on.scale(Fraction(4, 5), on.basis(j, dim)))
         )
     for x in units:
-        val = on.norm_sq(q.eval(x, x, zs))
+        val = on.norm_sq(q.table.contract(x, x, zs))
         xz = on.multiply(x, zs)
         ref = on.sub(on.multiply(x, on.multiply(xz, e)), on.multiply(on.multiply(x, xz), e))
         if not (val - s2 * s2 * on.norm_sq(ref)).is_zero():

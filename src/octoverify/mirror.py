@@ -12,8 +12,9 @@ The third form q* is one thing throughout: the tuple of its renamed
 components <q*(X, Y, Z), e_a>, a = 0..m1, as cubic ``MultiPoly``s over the
 (x_1.., y_1.., z_0..) layout of ``octonion.symbolic_octets(dim, "xyZ")``.
 A closed form's ``TrilinearTable`` holds its coefficients on basis triples,
-from one symbolic evaluation on full slots, and ``TrilinearTable.components``
-reads the tuple off that table; ``trilinearity_extract`` reads it off the
+from one symbolic evaluation on full slots, ``TrilinearTable.components``
+reads the tuple off that table, and ``TrilinearTable.contract`` values the
+form at any other slots; ``trilinearity_extract`` reads it off the
 expansion at x*, and ``verify_ot_equations``, Condition B and the
 classifier consume it as it is.
 """
@@ -22,14 +23,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 
 from . import octonion as on
 from .circ import Nom, circ
 from .linalg import Op
-from .poly import MultiPoly, Rt2Poly, monomial_exponents, monomial_key, norm_sq_poly, radial_shift, residual_terms
+from .poly import (
+    MultiPoly,
+    Rt2Poly,
+    monomial_exponents,
+    monomial_key,
+    norm_sq_poly,
+    radial_shift,
+    residual_terms,
+    weighted_products,
+)
 from .report import Report, proved
+from .scalars import int_scaled
 from .systems import ScaledVec
 
 
@@ -192,20 +202,51 @@ class TrilinearTable:
         return 0
 
     def contract(self, x, y, z) -> tuple:
-        """q(x, y, z) at rational slots, in ``Fraction`` coordinates."""
-        out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                plane = self.rows[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        row = plane[j]
-                        for l, zl in enumerate(z):
-                            if zl:
-                                p = xi * yj * zl
-                                for k, w in row[l]:
-                                    out[k] += p * w
-        return tuple(Fraction(v) / self.den for v in out)
+        """q(x, y, z) for slots of ``MultiPoly``, int or ``Fraction``
+        coordinates.  A slot without a polynomial is rational: its
+        ``int_scaled`` numerators are summed into the entries, so that at
+        three rational slots the value is in ``Fraction`` coordinates, and
+        otherwise it is one ``weighted_products`` call over the products of
+        the polynomial slots' coordinates (a lone one is paired with 1).  At
+        three polynomial slots a first call forms <q(e_i, y, z), e_k> for
+        each nonzero x_i, and a second sums them against x."""
+        den, polys, parts = self.den, [], []
+        for s in (x, y, z):
+            # (index, its key in the polynomial slots, int factor) per nonzero coordinate
+            if any(type(c) is MultiPoly for c in s):
+                parts.append([(i, (i,), 1) for i, c in enumerate(s) if c])
+                polys.append(s)
+            else:
+                d, ints = int_scaled(s)
+                den *= d
+                parts.append([(i, (), n) for i, n in enumerate(ints) if n])
+        acc = [{} for _ in range(self.dim)]  # acc[k]: key -> int weight of its product in component k
+        for i, ki, si in parts[0]:
+            plane = self.rows[i]
+            for j, kj, sj in parts[1]:
+                row, kij, sij = plane[j], ki + kj, si * sj
+                for l, kl, sl in parts[2]:
+                    key, s = kij + kl, sij * sl
+                    for k, w in row[l]:
+                        t = acc[k]
+                        t[key] = t.get(key, 0) + s * w
+        if not polys:
+            return tuple(Fraction(t.get((), 0), den) for t in acc)
+        nvars = next(c.nvars for s in polys for c in s if type(c) is MultiPoly)
+        if len(polys) < 3:
+            # a key (a,) of a lone polynomial slot is the triple (w, a, 0) with the 1
+            a, b = (*polys, (1,))[:2]
+            slots = [[(w, *key, 0)[:3] for key, w in t.items() if w] for t in acc]
+            return tuple(weighted_products(nvars, a, b, slots, den))
+        at: dict = {}  # (i, k) -> the triples (w, j, l) of <q(e_i, y, z), e_k>
+        for k, t in enumerate(acc):
+            for (i, j, l), w in t.items():
+                if w:
+                    at.setdefault((i, k), []).append((w, j, l))
+        slots = [[] for _ in acc]
+        for p, (i, k) in enumerate(at):
+            slots[k].append((1, i, p))
+        return tuple(weighted_products(nvars, x, weighted_products(nvars, y, z, list(at.values())), slots, den))
 
     def components(self) -> tuple:
         """The components <q(X, Y, Z), e_a>, a = 0..dim-1, at purely
@@ -287,7 +328,8 @@ def verify_ot_equations(p_forms: list, q: tuple) -> Report:
                        56 ms summed over them against 34 ms from H
                        (CPython 3.11, 2-vCPU x86 VM)
       gradient_pairs:  <grad p*_i, grad q*_j> + <grad p*_j, grad q*_i> = 0
-                       for all -1 <= i != j <= m1 (q*_-1 = 0)
+                       for all -1 <= i != j <= m1 (q*_-1 = 0), one
+                       ``weighted_products`` call with one slot per pair
       p_dot_q:         <p*, q*> = 0
 
     p_forms is the closed second form as ``systems.closed_second_form``
@@ -317,20 +359,20 @@ def verify_ot_equations(p_forms: list, q: tuple) -> Report:
     terms = residual_terms(nv, [*q, *grad_h, h, sq], [*q, *grad_h, sq, sq * sq], triples)
     rep.add("third_form_norm_identity", not terms, detail={"residual_terms": terms})
 
-    gpm1 = p_minus1.gradient()
-    gpa = [f.gradient() for f in p_vec]
-    gqa = [f.gradient() for f in q]
-    n = len(gqa)
-    pairs = proved(
-        "gradient_pair_identity",
-        chain(
-            # (i, j) = (-1, a): q_-1 = 0, so only <grad p_-1, grad q_a> remains;
-            # the sqrt2 on p_a multiplies the vanished term and drops out
-            (on.inner(gpm1, gq) for gq in gqa),
-            # (i, j) = (a, b), a != b >= 0: both terms share the sqrt2 factor
-            (on.inner(gpa[a], gqa[b]) + on.inner(gpa[b], gqa[a]) for a in range(n) for b in range(a + 1, n)),
-        ),
-    )
+    # gp[i * nv + v] = d p_{i-1} / dx_v with p_-1 first, gq[a * nv + v] = d q_a / dx_v
+    gp = [d for f in (p_minus1, *p_vec) for d in f.gradient()]
+    gq = [d for f in q for d in f.gradient()]
+    n = len(q)
+
+    def dot(i, a):
+        """The triples of <grad p_{i-1}, grad q_a>."""
+        return [(1, i * nv + v, a * nv + v) for v in range(nv) if gp[i * nv + v] and gq[a * nv + v]]
+
+    # (i, j) = (-1, a): q_-1 = 0, so only <grad p_-1, grad q_a> remains; the
+    # sqrt2 on p_a multiplies the vanished term and drops out.  (i, j) = (a, b),
+    # a != b >= 0: both terms share the sqrt2 factor.  One slot per pair.
+    slots = [dot(0, a) for a in range(n)] + [dot(a + 1, b) + dot(b + 1, a) for a in range(n) for b in range(a + 1, n)]
+    pairs = proved("gradient_pair_identity", weighted_products(nv, gp, gq, slots))
     rep.add("gradient_pair_identity", pairs.passed)
     rep.add("p_dot_q", on.inner(p_vec, q).is_zero())
     return rep

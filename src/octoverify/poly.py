@@ -305,6 +305,24 @@ class MultiPoly:
                 i += 1
         return [MultiPoly._adopt(self.nvars, g, self.den, self._expbound) for g in gs]
 
+    def polarised(self, first: int, shift: int) -> "MultiPoly":
+        """sum_{v >= first} x_{v + shift} dF/dx_v over nvars + shift
+        variables, term by term: one power of x_v moves to x_{v + shift},
+        times its exponent.  For F(W) = B(W, W) in the variables from
+        ``first`` on, it is B(U, V) + B(V, U) with U in W's variables and V
+        in the ``shift`` after them."""
+        out: dict[int, int] = {}
+        for k, c in self.terms.items():
+            kk, v = k >> (BITS * first), first
+            while kk:
+                e = kk & _EXP_MASK
+                if e:
+                    k2 = k + (1 << (BITS * (v + shift))) - (1 << (BITS * v))
+                    out[k2] = out.get(k2, 0) + c * e
+                kk >>= BITS
+                v += 1
+        return MultiPoly._adopt(self.nvars + shift, {k: c for k, c in out.items() if c}, self.den)
+
     def laplacian(self) -> "MultiPoly":
         out: dict[int, int] = {}
         for k, c in self.terms.items():

@@ -402,11 +402,14 @@ def blocks_from_forms(p_forms: list, d_plus: int, d_minus: int, d_zero: int) -> 
     must be zero (``ValueError`` otherwise), into the standard eigenbasis
     blocks.
 
-    p_forms[0] must be the diagonal form |x_+|^2 - |x_-|^2.
+    p_forms[0] must be the diagonal form |x_+|^2 - |x_-|^2, and the block
+    sizes must add up to the forms' variables (``ValueError`` otherwise).
     """
     nv = d_plus + d_minus + d_zero
     mats = []
     for f in p_forms:
+        if f.a.nvars != nv:
+            raise ValueError(f"block sizes {d_plus} + {d_minus} + {d_zero} != the forms' {f.a.nvars} variables")
         if not f.is_rational():
             raise ValueError("block extraction expects rational forms")
         mats.append(_hessian_half(f.a, nv))

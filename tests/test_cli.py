@@ -278,6 +278,35 @@ def test_a_run_builds_each_coefficient_table_once(monkeypatch, tmp_path):
     assert len({(t.den, repr(t.rows)) for t in tables}) == 5
 
 
+def test_a_run_evaluates_each_candidate_on_symbolic_slots_once(monkeypatch, tmp_path):
+    import octoverify.cli as cli
+
+    seen = {}  # id of a candidate -> its evaluations on slots that hold a polynomial
+
+    def counted(make):
+        def making(*args):
+            cand = make(*args)
+            q_eval, key = cand.eval, id(cand)
+            seen[key] = 0
+
+            def counting(X, Y, Z):
+                if any(isinstance(c, MultiPoly) for v in (X, Y, Z) for c in v):
+                    seen[key] += 1
+                return q_eval(X, Y, Z)
+
+            cand.eval = counting
+            return cand
+
+        return making
+
+    for name in ("fkm_candidate", "ot_candidate", "QCandidate"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    # the octonion-full argv: each of the five candidates is evaluated on the
+    # symbolic slots of its coefficient table, and on no others
+    assert main(["--alpha-t", "1/2", "--trials", "200", "--out", str(tmp_path / "r.json")]) == 0
+    assert list(seen.values()) == [1] * 5
+
+
 def test_sweep_theta(monkeypatch):
     cfg = small_cfg(suites=("classify",))
     reports, code = sweep_theta(cfg, [Fraction(0), Fraction(0)])

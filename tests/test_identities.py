@@ -310,26 +310,30 @@ def _exchange_summary(results):
     return [(w.identity_name, w.inputs["instances"], w.passed) for w in results]
 
 
+def _counting(ref):
+    """A candidate with ``ref``'s eval and nom, and the list of the slots it
+    is evaluated on that hold a polynomial."""
+    seen = []
+
+    def counting(X, Y, Z):
+        if any(isinstance(c, MultiPoly) for v in (X, Y, Z) for c in v):
+            seen.append((X, Y, Z))
+        return ref.eval(X, Y, Z)
+
+    return QCandidate(QLabel.CUSTOM, ref.nom, counting), seen
+
+
 def test_exchange_suite_evaluates_each_symbolic_triple_once():
-    # the basis-slot identities read q's coefficient table, built from one
-    # evaluation on full symbolic slots, which a second battery reuses; the
-    # seven polarised identities evaluate q once on each of their 9 distinct
-    # triples per battery, on the 22 variables of imaginary X, Y and full Z
+    # eval sees symbolic slots once, the full slots q's coefficient table is
+    # built from: every battery and good_identity_check read the table, its
+    # components and its contractions, and a second run reuses them
     nom = nom_from_t(Side.LEFT, Fraction(1, 2))
     for ref in (fkm_candidate(nom), ot_candidate(8)):
-        seen = []
-
-        def counting(X, Y, Z, q_eval=ref.eval):
-            if any(isinstance(c, MultiPoly) for v in (X, Y, Z) for c in v):
-                seen.append((X, Y, Z))
-            return q_eval(X, Y, Z)
-
-        cand = QCandidate(QLabel.CUSTOM, ref.nom, counting)
+        cand, seen = _counting(ref)
         results = exchange_suite(cand)
-        assert seen[0] == on.symbolic_octets(8, "XYZ") and len(seen) == 1 + 9
+        assert cand.batteries.passed and good_identity_check(cand)
         exchange_suite(cand)
-        assert len(seen) == 1 + 2 * 9
-        assert {c.nvars for slots in seen[1:] for v in slots for c in v if isinstance(c, MultiPoly)} == {22}
+        assert seen == [on.symbolic_octets(8, "XYZ")]
         # the transposed ordering does not validate for either candidate
         assert results[6].rhs is False
         assert _exchange_summary(results) == _exchange_summary(exchange_suite(ref))
@@ -424,6 +428,12 @@ def test_the_table_contracts_to_eval(key, data):
     if key[0] == "ot":
         m = _cd_multiply
         assert value == m(on.sub(m(X, Y), m(Y, X)), Z)
+    # slots that hold polynomials, one symbolic octet in two slots and
+    # products among them, over one ring, each slot possibly rational
+    xs, ys, zs = on.symbolic_octets(cand.dim, "xyZ")
+    pool = [X, Y, xs, ys, zs, on.multiply(xs, on.conjugate(zs)), circ(cand.nom, zs, ys), on.add(zs, Y)]
+    slots = data.draw(st.tuples(*[st.sampled_from(pool)] * 3))
+    assert cand.table.contract(*slots) == cand.eval(*slots)
 
 
 def _exchange_by_evaluation(q):
@@ -529,16 +539,7 @@ def test_skew_suite_evaluates_symbolic_slots_only_for_the_table():
     # every identity reads q's coefficient table, so eval sees symbolic slots
     # once, when the table is built; "skew (Z,W) on samples" is the skew
     # proof's verdict under its schema-v1 name
-    nom = nom_from_t(Side.LEFT, HALF)
-    ref = fkm_candidate(nom)
-    seen = []
-
-    def counting(X, Y, Z):
-        if any(isinstance(c, MultiPoly) for v in (X, Y, Z) for c in v):
-            seen.append((X, Y, Z))
-        return ref.eval(X, Y, Z)
-
-    cand = QCandidate(QLabel.CUSTOM, nom, counting)
+    cand, seen = _counting(fkm_candidate(nom_from_t(Side.LEFT, HALF)))
     results = skew_suite(cand)
     assert seen == [on.symbolic_octets(8, "XYZ")]
     assert [(w.identity_name, w.inputs["instances"], w.passed) for w in results] == [
@@ -627,3 +628,108 @@ def test_skew_suite_agrees_with_evaluation_on_moved_entries(side, t, entries):
 def test_skew_suite_agrees_with_evaluation_over_the_quaternions(side, t, entries):
     cand = _moved(fkm_candidate(nom_from_t(side, t, axis=1, dim=4)), entries)
     assert _skew_outcomes(cand) == _skew_by_evaluation(cand)
+
+
+def _polarised_by_evaluation(q):
+    """The outcomes of ``exchange_suite``'s seven polarised identities with
+    q evaluated on symbolic slots, each identity as its statement reads: an
+    oracle for the tensor and the table contractions the suite reads."""
+    dim = q.dim
+    X, Y, Z = on.symbolic_octets(dim, "xyZ")
+    e0, inner, conj = on.basis(0, dim), on.inner, on.conjugate
+    xyz, xy0, im_z = q.eval(X, Y, Z), q.eval(X, Y, e0), on.imaginary_part(Z)
+    residuals = [
+        inner(q.eval(X, Y, im_z), im_z),
+        inner(xy0, X),
+        inner(xy0, Y),
+        inner(xyz, X) + inner(q.eval(on.multiply(X, conj(Z)), Y, e0), X),
+        inner(xyz, Y) + inner(q.eval(X, circ(q.nom, Y, conj(Z)), e0), Y),
+        inner(q.eval(X, Y, X), Z) - inner(q.eval(on.multiply(Z, X), Y, e0), X),
+        inner(q.eval(X, Y, Y), Z) - inner(q.eval(X, circ(q.nom, Z, Y), e0), Y),
+    ]
+    return [not r for r in residuals]
+
+
+def _pairings(q, X, Y, U, V):
+    """<q(X,Y,U), XV> and <q(X,Y,U), Y o V>, with q evaluated."""
+    val = q.eval(X, Y, U)
+    return on.inner(val, on.multiply(X, V)), on.inner(val, circ(q.nom, Y, V))
+
+
+def _anti_residuals(q):
+    """The residuals of ``anti_suite``'s four proved identities with q
+    evaluated on symbolic slots and each (U, V) identity multiplied out as
+    it reads: an oracle for the tensor and its re-keyed polarisations."""
+    xs, ys, ws = on.symbolic_octets(q.dim, "xyW")
+    xs2, ys2, us, vs = on.symbolic_octets(q.dim, "xyUV")
+    return [*_pairings(q, xs, ys, ws, ws), *on.add(_pairings(q, xs2, ys2, us, vs), _pairings(q, xs2, ys2, vs, us))]
+
+
+def _anti_by_evaluation(q):
+    return [not r for r in _anti_residuals(q)]
+
+
+def _polarised_and_anti_outcomes(q):
+    return [w.passed for w in exchange_suite(q)[7:]], [w.passed for w in anti_suite(q)[:4]]
+
+
+def _similarity_entries(dim, mul, fixed, u):
+    """The entries c X_i Y_j Z_l e_k of C Y_fixed X (Z e_u) (``mul`` the
+    algebra product) or C X_fixed Y o (Z e_u) (``mul`` a nom's o), which is
+    perpendicular to XZ or to Y o Z: it moves one pairing of the anti
+    battery and not the other."""
+    E = [on.basis(i, dim) for i in range(dim)]
+    out = []
+    for a in range(dim):
+        for l in range(dim):
+            for k, v in enumerate(mul(E[a], on.multiply(E[l], E[u]))):
+                if v:
+                    out.append((a, fixed, l, k, C * v) if mul is on.multiply else (fixed, a, l, k, C * v))
+    return out
+
+
+@pytest.mark.parametrize(
+    "side, t, entries",
+    [
+        (Side.LEFT, HALF, [(1, 4, 1, 7, C)]),
+        (Side.LEFT, HALF, [(6, 5, 0, 5, C)]),
+        (Side.LEFT, HALF, [(4, 3, 6, 0, C)]),
+        (Side.LEFT, HALF, [(0, 1, 0, 4, C)]),
+        (Side.LEFT, Fraction(0), [(1, 0, 0, 6, C)]),
+        (Side.RIGHT, HALF, [(6, 5, 7, 1, C), (6, 3, 0, 4, C)]),
+        # C Y_2 W: perpendicular to W, so both pairings and their
+        # polarisations still vanish, but not every polarised identity holds
+        (Side.LEFT, HALF, [(1, 2, l, l, C) for l in range(8)]),
+        (Side.RIGHT, Fraction(0), [(1, 2, l, l, C) for l in range(8)]),
+        # one pairing moves and the other does not
+        (Side.LEFT, HALF, _similarity_entries(8, on.multiply, 2, 3)),
+        (Side.RIGHT, HALF, _similarity_entries(8, on.multiply, 2, 1)),
+        (Side.LEFT, HALF, _similarity_entries(8, lambda u, v: circ(nom_from_t(Side.LEFT, HALF), u, v), 2, 3)),
+    ],
+    ids=lambda v: f"{len(v)}-entries-{v[0][:4]}" if isinstance(v, list) else str(getattr(v, "value", v)),
+)
+def test_polarised_and_anti_batteries_agree_with_evaluation_on_moved_entries(side, t, entries):
+    cand = _moved(fkm_candidate(nom_from_t(side, t)), entries)
+    assert _polarised_and_anti_outcomes(cand) == (_polarised_by_evaluation(cand), _anti_by_evaluation(cand))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    side=st.sampled_from(list(Side)),
+    t=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(2, 3)]),
+    entries=st.lists(st.tuples(*[st.integers(0, 3)] * 4, st.sampled_from([Fraction(1), Fraction(-3, 7)])), max_size=2),
+)
+def test_polarised_and_anti_batteries_agree_with_evaluation_over_the_quaternions(side, t, entries):
+    cand = _moved(fkm_candidate(nom_from_t(side, t, axis=1, dim=4)), entries)
+    assert _polarised_and_anti_outcomes(cand) == (_polarised_by_evaluation(cand), _anti_by_evaluation(cand))
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_the_re_keyed_polarisations_are_the_direct_products(dim):
+    # on a candidate whose pairings do not vanish, each pairing Q(W) of the
+    # "xyW" slots, re-keyed, is the (U, V) residual multiplied out in the
+    # "xyUV" slots, term for term
+    nom = nom_from_t(Side.LEFT, HALF, axis=4 if dim == 8 else 1, dim=dim)
+    cand = _moved(fkm_candidate(nom), [(1, 2, 1, 3, C), (2, 3, 0, 1, -C)])
+    q_w, direct = _anti_residuals(cand)[:2], _anti_residuals(cand)[2:]
+    assert all(direct) and [p.polarised(2 * (dim - 1), dim) for p in q_w] == direct

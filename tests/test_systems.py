@@ -289,6 +289,17 @@ def test_blocks_from_forms_refuses_a_sqrt2_part(ot_octonion, ot_octonion_poly):
         blocks_from_forms(p, 8, 8, 7)
 
 
+def test_blocks_from_forms_refuses_sizes_that_miss_the_forms(ot_quaternion):
+    # the quaternion OT forms at x_+ have 4 + 4 + 3 = 11 variables; a d_zero
+    # that misses them once returned blocks of the wrong size
+    _, forms, _ = ot_display_report(ot_quaternion, fkm_polynomial(ot_quaternion))
+    assert {f.a.nvars for f in forms.p} == {11}
+    assert condition_a_check(blocks_from_forms(forms.p, 4, 4, 3)).passed
+    for d_zero in (2, 4):
+        with pytest.raises(ValueError, match="11 variables"):
+            blocks_from_forms(forms.p, 4, 4, d_zero)
+
+
 @pytest.fixture(scope="module")
 def ot_blocks(ot_octonion, ot_octonion_poly):
     _, forms, _ = ot_display_report(ot_octonion, ot_octonion_poly)
