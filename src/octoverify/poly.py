@@ -4,6 +4,8 @@ Monomials are packed into a single integer key, 5 bits of exponent per
 variable, so multiplying monomials is one integer addition and term dicts hash
 fast.  That keeps the degree-6 identity |grad F|^2 - 16|x|^6 in 32 variables
 (a couple of million term products) well inside the exact-arithmetic budget.
+``monomial_exponents`` is the one reader of packed fields: it jumps from
+one nonzero field to the next, and every other decoder of a key walks it.
 
 Coefficients are plain ints over one shared denominator: a ``MultiPoly`` is
 ``terms`` (packed key -> nonzero int numerator) divided by ``den`` (a positive
@@ -97,20 +99,24 @@ def monomial_key(*indices: int) -> int:
 
 
 def _unpack(key: int, nvars: int) -> tuple[int, ...]:
-    return tuple((key >> (BITS * i)) & _EXP_MASK for i in range(nvars))
+    exps = [0] * nvars
+    for i, e in monomial_exponents(key):
+        exps[i] = e
+    return tuple(exps)
 
 
 def monomial_exponents(key: int) -> list[tuple[int, int]]:
     """The (variable index, exponent) pairs of a packed key with a nonzero
-    exponent, in index order."""
+    exponent, in index order: the one reader of packed fields.  Each step
+    jumps to the lowest nonzero field, whose index is that of the key's
+    lowest set bit ``key & -key``, and clears it."""
     out = []
-    i = 0
     while key:
-        e = key & _EXP_MASK
-        if e:
-            out.append((i, e))
-        key >>= BITS
-        i += 1
+        i = ((key & -key).bit_length() - 1) // BITS
+        s = BITS * i
+        e = (key >> s) & _EXP_MASK
+        out.append((i, e))
+        key ^= e << s
     return out
 
 
@@ -173,13 +179,7 @@ class MultiPoly:
             if not any(map(_high_bits(self.nvars).__and__, terms)):
                 m = 1 if any(terms) else 0
             else:
-                m = 0
-                for k in terms:
-                    while k:
-                        e = k & _EXP_MASK
-                        if e > m:
-                            m = e
-                        k >>= BITS
+                m = max(e for k in terms for _, e in monomial_exponents(k))
             self._maxexp = self._expbound = m
         return self._maxexp
 
@@ -295,14 +295,8 @@ class MultiPoly:
     def gradient(self) -> list["MultiPoly"]:
         gs: list[dict] = [dict() for _ in range(self.nvars)]
         for k, c in self.terms.items():
-            kk = k
-            i = 0
-            while kk:
-                e = kk & _EXP_MASK
-                if e:
-                    gs[i][k - (1 << (BITS * i))] = c * e
-                kk >>= BITS
-                i += 1
+            for i, e in monomial_exponents(k):
+                gs[i][k - (1 << (BITS * i))] = c * e
         return [MultiPoly._adopt(self.nvars, g, self.den, self._expbound) for g in gs]
 
     def polarised(self, first: int, shift: int) -> "MultiPoly":
@@ -313,23 +307,16 @@ class MultiPoly:
         in the ``shift`` after them."""
         out: dict[int, int] = {}
         for k, c in self.terms.items():
-            kk, v = k >> (BITS * first), first
-            while kk:
-                e = kk & _EXP_MASK
-                if e:
-                    k2 = k + (1 << (BITS * (v + shift))) - (1 << (BITS * v))
-                    out[k2] = out.get(k2, 0) + c * e
-                kk >>= BITS
-                v += 1
+            for v, e in monomial_exponents(k >> (BITS * first)):
+                v += first
+                k2 = k + (1 << (BITS * (v + shift))) - (1 << (BITS * v))
+                out[k2] = out.get(k2, 0) + c * e
         return MultiPoly._adopt(self.nvars + shift, {k: c for k, c in out.items() if c}, self.den)
 
     def laplacian(self) -> "MultiPoly":
         out: dict[int, int] = {}
         for k, c in self.terms.items():
-            kk = k
-            i = 0
-            while kk:
-                e = kk & _EXP_MASK
+            for i, e in monomial_exponents(k):
                 if e >= 2:
                     k2 = k - (2 << (BITS * i))
                     v = out.get(k2)
@@ -338,8 +325,6 @@ class MultiPoly:
                         out[k2] = s
                     elif v is not None:
                         del out[k2]
-                kk >>= BITS
-                i += 1
         return MultiPoly._adopt(self.nvars, out, self.den)
 
     def eval(self, point: list) -> Fraction:
@@ -364,14 +349,7 @@ class MultiPoly:
 
     # -- structure ----------------------------------------------------------
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = set()
-        for k in self.terms:
-            d = 0
-            kk = k
-            while kk:
-                d += kk & _EXP_MASK
-                kk >>= BITS
-            degs.add(d)
+        degs = {sum(e for _, e in monomial_exponents(k)) for k in self.terms}
         if not degs:
             return True
         if len(degs) > 1:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -375,6 +376,25 @@ def test_cli_dump_poly(tmp_path):
     f = MultiPoly.parse(path.read_text(), 32)
     assert f.is_homogeneous(4)
     assert len(f.terms) == 1040  # frozen term count for the t = 0 system
+
+
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (["--algebra", "quaternion"], 200, "729af4002a51f3cd9784e8cfb27e2ed80a4894bc3f7de97b2d651412ee3f87ce"),
+        (["--alpha-t", "1/2"], 1232, "26ee38fa4103a9af0048b8779119a76aacef9c1cc59414c8b647bcdf34061e2d"),
+    ],
+    ids=["quaternion-t0", "octonion-t1_2"],
+)
+def test_cli_dump_poly_bytes_are_frozen(tmp_path, argv, lines, digest):
+    # every line of the dump, its order and its exponent columns: a term
+    # decoded to other exponents, or sorted elsewhere, changes the digest
+    path = tmp_path / "fkm.txt"
+    code = main([*argv, "--suites", "algebra", "--trials", "10", "--dump-poly", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    data = path.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_cli_float_mode(tmp_path):

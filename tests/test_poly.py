@@ -3,11 +3,13 @@ import tracemalloc
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from octoverify.poly import (
     MultiPoly,
     Rt2Poly,
+    _pack,
+    _unpack,
     monomial_exponents,
     monomial_key,
     munzner_verify,
@@ -533,6 +535,99 @@ def test_eval_checks_the_point_before_evaluating(pos, monkeypatch):
     floaty[pos] = True
     with pytest.raises(TypeError):
         p.eval(floaty)
+
+
+# -- the field walker and its readers, over up to 40 variables -------------------
+
+
+def exponent_vectors(n):
+    """Exponent vectors of length n with entries 0..30: dense ones, and
+    sparse ones with at most four nonzero fields."""
+    dense = st.lists(st.integers(0, 30), min_size=n, max_size=n)
+    sparse = st.dictionaries(st.integers(0, n - 1), st.integers(1, 30), max_size=4).map(
+        lambda d: [d.get(i, 0) for i in range(n)]
+    )
+    return st.one_of(sparse, dense).map(tuple)
+
+
+@st.composite
+def wide_oracles(draw):
+    """(n, {exponent tuple: coefficient}) over 1..40 variables."""
+    n = draw(st.integers(1, 40))
+    return n, draw(st.dictionaries(exponent_vectors(n), coeffs, max_size=6))
+
+
+def _field_by_field(key):
+    """The nonzero (index, exponent) fields of a key, read one 5-bit field at a time."""
+    out, i = [], 0
+    while key:
+        if key & 31:
+            out.append((i, key & 31))
+        key >>= 5
+        i += 1
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40).flatmap(exponent_vectors))
+@example((0,) * 39 + (30,))
+@example((30,) * 40)
+@example((0,))
+def test_monomial_exponents_matches_a_field_by_field_decode(v):
+    key = _pack(v)
+    assert monomial_exponents(key) == _field_by_field(key) == [(i, e) for i, e in enumerate(v) if e]
+    assert _unpack(key, len(v)) == v
+
+
+def _oracle_gradient(d, n):
+    out = [{} for _ in range(n)]
+    for e, c in d.items():
+        for i in range(n):
+            if e[i]:
+                out[i][e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+    return out
+
+
+def _oracle_laplacian(d, n):
+    out = {}
+    for e, c in d.items():
+        for i in range(n):
+            if e[i] >= 2:
+                k = e[:i] + (e[i] - 2,) + e[i + 1 :]
+                out[k] = out.get(k, 0) + c * e[i] * (e[i] - 1)
+    return _clean(out)
+
+
+def _oracle_polarised(d, n, first, shift):
+    out = {}
+    for e, c in d.items():
+        wide = e + (0,) * shift
+        for v in range(first, n):
+            if e[v]:
+                k = list(wide)
+                k[v] -= 1
+                k[v + shift] += 1
+                out[tuple(k)] = out.get(tuple(k), 0) + c * e[v]
+    return _clean(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_oracles(), st.data())
+def test_field_readers_match_the_exponent_oracle(oracle, data):
+    n, a = oracle
+    d = _clean(a)
+    p = MultiPoly(n, {_pack_exps(e): c for e, c in a.items()})
+    assert p.exponent_dict() == d
+    assert [g.exponent_dict() for g in p.gradient()] == _oracle_gradient(d, n)
+    assert p.laplacian().exponent_dict() == _oracle_laplacian(d, n)
+    first = data.draw(st.integers(0, n))
+    shift = data.draw(st.integers(max(1, n - first), n - first + 2))  # onto variables past the last
+    assert p.polarised(first, shift).exponent_dict() == _oracle_polarised(d, n, first, shift)
+    assert p.maxexp == max((x for e in d for x in e), default=0)
+    degrees = {sum(e) for e in d}
+    assert p.is_homogeneous() == (len(degrees) <= 1)
+    for degree in degrees:
+        assert p.is_homogeneous(degree) == (degrees == {degree})
 
 
 def test_munzner_residual_terms_of_a_planted_f(fkm_polys):
