@@ -424,7 +424,7 @@ def suite_mirror(cfg: RunConfig, ctx: RunContext) -> Report:
         frame_check(frame, 4 * dim).passed and all((a - b).is_zero() for a, b in zip(matrix, formula, strict=True)),
     )
 
-    forms = extract_expansion_forms(ctx.fkm_poly, frame)
+    forms = extract_expansion_forms(ctx.fkm_poly, fkm_squares(fkm.system), frame)
     rep.add("extracted_p_matches_formula", all((a - b).is_zero() for a, b in zip(forms.p, formula, strict=True)))
     rep.add("q_original_component_vanishes", forms.q[0].is_zero())
 

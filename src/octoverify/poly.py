@@ -22,7 +22,10 @@ its one-triple case, and the octonion kernels (``ProductTable.product``,
 ``inner``) hand it every output slot's triples, so a product of polynomial
 coordinates builds no polynomial per pair.  ``substitute_linear``, F
 (``systems.fkm_polynomial``) and ``Rt2Poly`` products are each one call of
-it too.  The loop that multiplies and sums polynomial terms is one
+it too, and F's expansion at a focal frame
+(``systems.extract_expansion_forms``) is two: the squares F is built of
+substituted, then summed with one slot per grade that a form is read
+from.  The loop that multiplies and sums polynomial terms is one
 function, ``_slot_sum``, and ``weighted_products`` and ``residual_terms``
 are its only callers: the Muenzner gradient identity and the
 Ozeki-Takeuchi norm identity count a residual's terms one block of
@@ -31,8 +34,9 @@ add without carry.  Both are summed around a quartic's ``radial_shift``
 H = F - c|x|^4, which has fewer terms than F: by Euler's identity
 <x, grad H> = 4 H the residual is the same polynomial, so its term count is
 the same, from fewer term products.  ``fraction_terms`` hands the
-coefficients out as ``Fraction`` values to the few readers that want them
-(``dump``, ``exponent_dict``, the expansion-form extraction).  ``eval``
+coefficients out as ``Fraction`` values to the few readers that want them:
+``exponent_dict``, and through it ``dump`` and the two readers of a form's
+matrix, ``systems.blocks_from_forms`` and ``mirror.sharp_from_q0``.  ``eval``
 values a polynomial at one point in ints.  ``munzner_verify`` proves the
 Cartan-Muenzner PDEs of one quartic F as polynomial identities, summed over
 the Clifford defects of the squares F is built from, when it is given them.

@@ -39,17 +39,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import octonion as on
 from .circ import Nom, Side, circ, right_ops
 from .clifford import verify_a_system, volume_sign
 from .linalg import Op
 from .poly import (
+    BITS,
     MultiPoly,
     Rt2Poly,
     monomial_exponents,
     monomial_key,
     norm_sq_poly,
+    radial_shift,
     rt2_poly,
     weighted_products,
 )
@@ -252,7 +255,36 @@ class ExtractedForms:
     nvars: int
 
 
-def extract_expansion_forms(f: MultiPoly, frame: FocalFrame) -> ExtractedForms:
+def _grade(key: int, halves: list, tcount: int) -> tuple:
+    """(t-degree, normal index, tangent degree, sqrt2 fold) of a monomial
+    in the frame's variables (t, tangent, normal): the normal index is a
+    for a lone normal variable w_a of exponent 1, None for none and -1 for
+    more; the fold is sum_i half_i e_i."""
+    tdeg = ydeg = fold = 0
+    w = None
+    for i, e in monomial_exponents(key):
+        fold += halves[i] * e
+        if i == 0:
+            tdeg = e
+        elif i <= tcount:
+            ydeg += e
+        else:
+            w = i - 1 - tcount if w is None and e == 1 else -1
+    return tdeg, w, ydeg, fold
+
+
+def _form_of(tdeg: int, w, ydeg: int):
+    """What a graded monomial is read into: "t4" for t^4 alone, ("p", a)
+    for t w_a times a tangent quadratic, ("q", a) for w_a times a tangent
+    cubic, None for the rest of the expansion."""
+    if w is None:
+        return "t4" if (tdeg, ydeg) == (4, 0) else None
+    if w >= 0 and (tdeg, ydeg) in ((1, 2), (0, 3)):
+        return ("p" if tdeg else "q", w)
+    return None
+
+
+def extract_expansion_forms(f: MultiPoly, squares, frame: FocalFrame) -> ExtractedForms:
     """Read the second/third fundamental forms out of the degree-4 expansion
 
         F(t x + y + w) = t^4 + (2|y|^2 - 6|w|^2) t^2 + 8 (sum_a p_a w_a) t
@@ -260,62 +292,108 @@ def extract_expansion_forms(f: MultiPoly, frame: FocalFrame) -> ExtractedForms:
 
     at a focal point (value +1).  All frame vectors are rational-with-half-tag;
     per-monomial powers of sqrt2 are folded into Rt2Poly coefficients.
+
+    F is expanded from the squares it is built of, as ``poly.munzner_verify``
+    proves the Muenzner PDEs: ``squares`` holds the (rational w_i, quadratic
+    Q_i) pairs of F (``fkm_squares``), or is (), and with (c, E) the
+    ``radial_shift`` of F - sum_i w_i Q_i^2, F = c |x|^2 |x|^2
+    + sum_i w_i Q_i^2 + E, so the squares are a hint and not an assumption.
+    One ``weighted_products`` call substitutes the frame's linear forms L
+    into |x|^2 and every Q_i.  Each substituted term is graded by its
+    t-degree, its normal variable, its tangent degree and its sqrt2 fold,
+    and the squares are summed in a second call with one slot per output
+    grade and sqrt2 parity: t^4, each p_a (t w_a), each q_a (w_a), and the
+    rest of the expansion, so that every product is still formed.  A
+    product's power of 2 beyond the lowest fold goes into its weight, so a
+    slot is one polynomial, and p_a and q_a are read off their slots by
+    subtracting the t and w_a fields from the keys: no term of the
+    expansion is decoded.  E(L), zero for a Clifford system's F, is
+    substituted, graded term by term and summed into the same slots.
     """
     tcount = len(frame.tangent)
-    ncount = len(frame.normals)
-    nv_target = 1 + tcount + ncount
-    ambient = f.nvars
-    halves = [frame.point.half] + [v.half for v in frame.tangent] + [v.half for v in frame.normals]
-    reps = [frame.point.coords] + [v.coords for v in frame.tangent] + [v.coords for v in frame.normals]
+    vecs = [frame.point, *frame.tangent, *frame.normals]
+    nv = len(vecs)
+    halves = [v.half for v in vecs]
+    n = f.nvars
+    lin = [MultiPoly(nv, {monomial_key(j): v.coords[r] for j, v in enumerate(vecs) if v.coords[r]}) for r in range(n)]
 
-    forms = []
-    for r in range(ambient):
-        lf = MultiPoly(nv_target)
-        for j in range(nv_target):
-            c = reps[j][r]
-            if c:
-                lf = lf + c * MultiPoly.variable(nv_target, j)
-        forms.append(lf)
-    fc = f.substitute_linear(forms)
+    ws = [Fraction(w) for w, _ in squares]
+    qs = [q for _, q in squares]
+    wden = lcm(*(w.denominator for w in ws))
+    s = weighted_products(n, qs, qs, [[(int(w * wden), i, i) for i, w in enumerate(ws)]], wden)[0]
+    c, e = radial_shift(f - s)
+    if c:
+        ws.insert(0, c)
+        qs.insert(0, norm_sq_poly(n))
 
-    p_terms: list[list] = [[] for _ in range(ncount)]
-    q_terms: list[list] = [[] for _ in range(ncount)]
-    t4_coeff = Fraction(0)
+    # Q_i(L) for each quadratic, from the triples (coefficient, x_r, x_s) of its terms
+    qden = lcm(*(q.den for q in qs))
+    slots = []
+    for q in qs:
+        scale = qden // q.den
+        slot = []
+        for key, cq in q.terms.items():
+            rs = [r for r, k in monomial_exponents(key) for _ in range(k)]
+            if len(rs) != 2:
+                raise ValueError("each square must be a homogeneous quadratic over F's variables")
+            slot.append((cq * scale, *rs))
+        slots.append(slot)
+    # (rational weight, numerators' polynomial, squared?): w_i Q_i(L)^2, and E(L) times 1
+    owners = [(w / (g.den * g.den), g, True) for w, g in zip(ws, weighted_products(nv, lin, lin, slots, qden))]
+    if e:
+        ec = e.substitute_linear(lin)
+        owners.append((Fraction(1, ec.den), ec, False))
+    den = lcm(*(w.denominator for w, _, _ in owners))
 
-    for key, cv in fc.terms.items():  # cv / fc.den
-        tdeg = 0
-        wslots = []
-        tangent_vars = []
-        kfold = 0
-        for idx, e in monomial_exponents(key):
-            kfold += halves[idx] * e
-            if idx == 0:
-                tdeg = e
-            elif idx <= tcount:
-                tangent_vars += [idx - 1] * e
-            else:
-                wslots.append((idx - 1 - tcount, e))
-        if tdeg == 4 and not wslots and not tangent_vars:
-            if kfold % 2 != 0:
-                raise ValueError("t^4 coefficient carries sqrt2; frame is inconsistent")
-            t4_coeff = Fraction(cv, fc.den) * Fraction(2) ** (kfold // 2)
-            continue
-        if len(wslots) != 1 or wslots[0][1] != 1:
-            continue
-        widx = wslots[0][0]
-        if tdeg == 1 and len(tangent_vars) == 2:
-            target = p_terms[widx]
-        elif tdeg == 0 and len(tangent_vars) == 3:
-            target = q_terms[widx]
+    # the graded parts of each owner, numerators over 1, summed in one call
+    # with one slot per (form, fold parity): a product of fold low + 2k +
+    # parity, low = 4 min(halves), has its weight times 2^k
+    low = 4 * min(halves)
+    polys: list = [1]  # E(L)'s parts are paired with this 1, of grade (0, None, 0, 0)
+    places: dict = {}
+    triples: list = []
+    for w, g, square in owners:
+        by_grade: dict = {}
+        for key, cg in g.terms.items():
+            by_grade.setdefault(_grade(key, halves, tcount), {})[key] = cg
+        row = [(grade, len(polys) + k) for k, grade in enumerate(by_grade)]
+        polys += [MultiPoly._adopt(nv, terms, 1, g._expbound) for terms in by_grade.values()]
+        weight = int(w * den)
+        if square:
+            pairs = [(x, y, 1 if i == j else 2) for i, x in enumerate(row) for j, y in enumerate(row) if i <= j]
         else:
-            continue
-        target.append((monomial_key(*tangent_vars), cv, kfold))
+            pairs = [(x, ((0, None, 0, 0), 0), 1) for x in row]
+        for ((t1, w1, y1, f1), u), ((t2, w2, y2, f2), v), k in pairs:
+            fold = f1 + f2 - low
+            form = _form_of(t1 + t2, w2 if w1 is None else (w1 if w2 is None else -1), y1 + y2)
+            place = places.setdefault((form, fold % 2), len(triples))
+            if place == len(triples):
+                triples.append([])
+            triples[place].append((k * weight << fold // 2, u, v))
+    sums = dict(zip(places, weighted_products(nv, polys, polys, triples, den)))
+    zero = MultiPoly.zero(nv)
+    h = low // 2  # a slot's value is its polynomial times 2^h, times sqrt2 at odd parity
 
+    if sums.get(("t4", 1)):
+        raise ValueError("t^4 coefficient carries sqrt2; frame is inconsistent")
+    t4 = sums.get(("t4", 0), zero)
+    t4_coeff = Fraction(t4.terms.get(monomial_key(0, 0, 0, 0), 0), t4.den) * Fraction(2) ** h
     if t4_coeff != 1:
         raise ValueError(f"expansion point is not on the +1 focal locus (t^4 coeff {t4_coeff})")
-    ps = [rt2_poly(tcount, t, 8 * fc.den) for t in p_terms]
-    qs = [rt2_poly(tcount, t, 8 * fc.den) for t in q_terms]
-    return ExtractedForms(ps, qs, tcount)
+
+    def read(kind: str, a: int) -> Rt2Poly:
+        """p_a or q_a: the keys of 8 p_a (8 q_a) less t w_a (w_a), shifted
+        onto the tangent variables, over 8."""
+        strip = monomial_key(*((0,) if kind == "p" else ()), 1 + tcount + a)
+        parts = []
+        for parity in (0, 1):
+            p = sums.get(((kind, a), parity), zero)
+            terms = {(k - strip) >> BITS: cp << max(h, 0) for k, cp in p.terms.items()}
+            parts.append(MultiPoly._adopt(tcount, terms, 8 * p.den << max(-h, 0)))
+        return Rt2Poly(*parts)
+
+    ncount = len(frame.normals)
+    return ExtractedForms([read("p", a) for a in range(ncount)], [read("q", a) for a in range(ncount)], tcount)
 
 
 # ---------------------------------------------------------------------------
@@ -535,15 +613,21 @@ def condition_b_check(
             terms = ((monomial_key(j), x, frame.tangent[j].half + frame.normals[b].half) for j, x in g.rows[b].items())
             r[a][b] = rt2_poly(tcount, terms, g.den)
 
-    skew = all((r[a][b] + r[b][a]).is_zero() for a in range(nops) for b in range(nops))
+    # r_ab + r_ba is symmetric in (a, b): the pairs a <= b settle it
+    skew = all((r[a][b] + r[b][a]).is_zero() for a in range(nops) for b in range(a, nops))
     rep.add("r_skew_symmetric", skew)
 
-    sums = []
+    # sum_a r_ab p_a for every b in one call over the sqrt2 parts: with
+    # r = A + sqrt2 B and p = C + sqrt2 D, r p = AC + 2BD + sqrt2 (AD + BC)
+    x = [part for row in r for f in row for part in (f.a, f.b)]  # x[2 (a nops + b) + k]
+    y = [part for f in p_forms for part in (f.a, f.b)]
+    slots = []
     for b in range(nops):
-        acc = Rt2Poly.zero(tcount)
-        for a in range(nops):
-            acc = acc + r[a][b] * p_forms[a]
-        sums.append(acc)
+        at = [(2 * (a * nops + b), 2 * a) for a in range(nops)]
+        slots.append([t for i, j in at for t in ((1, i, j), (2, i + 1, j + 1)) if x[t[1]] and y[t[2]]])
+        slots.append([t for i, j in at for t in ((1, i, j + 1), (1, i + 1, j)) if x[t[1]] and y[t[2]]])
+    parts = weighted_products(tcount, x, y, slots)
+    sums = [Rt2Poly(*parts[2 * b : 2 * b + 2]) for b in range(nops)]
     plus_ok = all((s - q).is_zero() for s, q in zip(sums, q_forms, strict=True))
     minus_ok = all((s + q).is_zero() for s, q in zip(sums, q_forms, strict=True))
     sign = 1 if plus_ok else (-1 if minus_ok else 0)
@@ -643,7 +727,7 @@ def ot_display_report(ot: list, f: MultiPoly) -> tuple[Report, ExtractedForms, F
     fr = frame_check(frame, 4 * d)
     rep.add("frame_orthonormal", fr.passed)
     rep.add("point_focal", focal_check(ot, frame.point))
-    forms = extract_expansion_forms(f, frame)
+    forms = extract_expansion_forms(f, fkm_squares(ot), frame)
 
     us, vs, zs = on.symbolic_octets(d, "UVz")  # the frame's 3d - 1 tangent variables
 

@@ -41,6 +41,7 @@ from octoverify.systems import (
     extract_expansion_forms,
     fkm_formula_forms,
     fkm_mirror_frame,
+    fkm_squares,
     matrix_route_forms,
     ot_display_report,
 )
@@ -252,7 +253,7 @@ def test_c10_condition_matrix(fkm_systems, fkm_polys, ot_octonion, ot_octonion_p
     for key in NOM_KEYS:
         fkm = fkm_systems[key]
         frame = fkm_mirror_frame(fkm)
-        forms = extract_expansion_forms(fkm_polys[key], frame)
+        forms = extract_expansion_forms(fkm_polys[key], fkm_squares(fkm.system), frame)
         formula = fkm_formula_forms(fkm.nom)
         if not condition_b_check(fkm.system, frame, formula, forms.q).passed:
             ok = False

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,13 @@ from octoverify.linalg import Op
 from octoverify.poly import MultiPoly, monomial_key, norm_sq_poly, radial_shift, weighted_products
 from conftest import Draws
 from octoverify.identities import fkm_candidate, ot_candidate
-from octoverify.systems import closed_second_form, extract_expansion_forms, fkm_formula_forms, fkm_mirror_frame
+from octoverify.systems import (
+    closed_second_form,
+    extract_expansion_forms,
+    fkm_formula_forms,
+    fkm_mirror_frame,
+    fkm_squares,
+)
 
 E = [on.basis(i) for i in range(8)]
 ZERO = on.zero(8)
@@ -172,7 +179,7 @@ def test_sharp_from_q0_round_trip_and_errors():
 def test_trilinearity_extract_success(fkm_systems, fkm_polys):
     key = ("left", Fraction(1, 2))
     fkm = fkm_systems[key]
-    forms = extract_expansion_forms(fkm_polys[key], fkm_mirror_frame(fkm))
+    forms = extract_expansion_forms(fkm_polys[key], fkm_squares(fkm.system), fkm_mirror_frame(fkm))
     qt = trilinearity_extract(forms.q, (7, 7, 8))
     assert len(qt) == 8
     closed = TrilinearTable.of(lambda X, Y, Z: q_star_fkm_eval(fkm.nom, X, Y, Z), 8).components()
@@ -193,6 +200,12 @@ def test_trilinearity_extract_errors():
         MultiPoly.variable(nv, 0) * MultiPoly.variable(nv, 7) * MultiPoly.variable(nv, 14)
     )
     with pytest.raises(ValueError, match="index-0"):
+        trilinearity_extract(bad2, (7, 7, 8))
+    # the shape is checked on every component before the vanishing one, and
+    # the error names the first bad monomial by its exponents
+    bad2[3] = bad[1]
+    exps = (1, 1, 1) + (0,) * (nv - 3)
+    with pytest.raises(ValueError, match=re.escape(f"non-trilinear monomial {exps} in component 3")):
         trilinearity_extract(bad2, (7, 7, 8))
 
 

@@ -243,7 +243,7 @@ def test_extraction_matches_formula(fkm_systems, fkm_polys):
     key = ("left", Fraction(1, 3))
     fkm = fkm_systems[key]
     frame = fkm_mirror_frame(fkm)
-    forms = extract_expansion_forms(fkm_polys[key], frame)
+    forms = extract_expansion_forms(fkm_polys[key], fkm_squares(fkm.system), frame)
     formula = fkm_formula_forms(fkm.nom)
     assert all((a - b).is_zero() for a, b in zip(forms.p, formula))
     assert forms.q[0].is_zero()
@@ -256,7 +256,7 @@ def test_extraction_requires_focal_value():
     frame = fkm_mirror_frame(fkm)
     bad = frame.__class__(ScaledVec(frame.tangent[0].coords, 0), frame.tangent, frame.normals)
     with pytest.raises(ValueError):
-        extract_expansion_forms(f, bad)
+        extract_expansion_forms(f, fkm_squares(fkm.system), bad)
 
 
 def test_ot_displays_and_condition_a(ot_octonion, ot_octonion_poly):
@@ -410,7 +410,7 @@ def test_condition_b_fkm_and_ot(fkm_systems, fkm_polys, ot_octonion, ot_octonion
     key = ("left", Fraction(1, 2))
     fkm = fkm_systems[key]
     frame = fkm_mirror_frame(fkm)
-    forms = extract_expansion_forms(fkm_polys[key], frame)
+    forms = extract_expansion_forms(fkm_polys[key], fkm_squares(fkm.system), frame)
     formula = fkm_formula_forms(fkm.nom)
     cb = condition_b_check(fkm.system, frame, formula, forms.q)
     assert cb.passed
@@ -425,7 +425,7 @@ def test_condition_b_refuses_a_q_list_of_the_wrong_length(fkm_systems, fkm_polys
     key = ("left", Fraction(1, 2))
     fkm = fkm_systems[key]
     frame = fkm_mirror_frame(fkm)
-    q = extract_expansion_forms(fkm_polys[key], frame).q
+    q = extract_expansion_forms(fkm_polys[key], fkm_squares(fkm.system), frame).q
     formula = fkm_formula_forms(fkm.nom)
     for short in (q[:-1], []):
         with pytest.raises(ValueError):
