@@ -73,10 +73,11 @@ from .mirror import (
     trilinearity_extract,
     verify_ot_equations,
 )
-from .poly import MultiPoly, Rt2Poly, monomial_key, munzner_verify
+from .poly import MultiPoly, Rt2Poly, SquareSplit, monomial_key, munzner_verify, split_squares
 from .report import SCHEMA_VERSION, Report, encode_value, proved
 from .systems import (
     FkmSystem,
+    FocalFrame,
     blocks_from_forms,
     build_fkm_system,
     build_ot_system,
@@ -176,16 +177,17 @@ class RunConfig:
 class RunContext:
     """What one run builds once and its suites share: the configured nom, the
     q* candidates (with their coefficient tables and battery verdicts), the
-    FKM and OT systems and their polynomials ``F``.
+    FKM and OT systems, and for each its F split around its squares
+    (``poly.split_squares``) and its focal frame (x* for FKM, x_+ for OT),
+    which the munzner and mirror suites and ``--dump-poly`` read.
 
-    No consumer mutates a system or an ``F`` (munzner, mirror, classify and
-    ``--dump-poly`` only read operators, frames and terms), so one
-    copy serves them all.  Each ``F`` is kept from its first consumer to the
-    end of the run.  The run's heap peak (tracemalloc, started after
-    import), 1.4 MiB at octonion t = 1/2 and 1.2 MiB at t = 0, is set by
+    No consumer mutates any of them, so one copy serves them all: each is
+    built by its first consumer and kept to the end of the run, and none
+    outlives the context.  The run's heap peak (tracemalloc, started after
+    import), 1.7 MiB at octonion t = 1/2 and 1.1 MiB at t = 0, is set by
     the temporaries of the mirror suite's proofs (1.0 MiB above the heap
-    it starts from), not by what it holds; the munzner suite peaks 0.7 MiB
-    above its start and the identities suite 0.4 MiB."""
+    it starts from), not by what it holds (the splits and frames, 0.35
+    MiB); the munzner suite peaks 0.7 MiB above its start, identities 0.4."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -219,12 +221,20 @@ class RunContext:
         return build_ot_system(self.cfg.dim)
 
     @cached_property
-    def fkm_poly(self) -> MultiPoly:
-        return fkm_polynomial(self.fkm.system)
+    def fkm_split(self) -> SquareSplit:
+        return split_squares(fkm_polynomial(self.fkm.system), fkm_squares(self.fkm.system))
 
     @cached_property
-    def ot_poly(self) -> MultiPoly:
-        return fkm_polynomial(self.ot)
+    def ot_split(self) -> SquareSplit:
+        return split_squares(fkm_polynomial(self.ot), fkm_squares(self.ot))
+
+    @cached_property
+    def fkm_frame(self) -> FocalFrame:
+        return fkm_mirror_frame(self.fkm)
+
+    @cached_property
+    def ot_frame(self) -> FocalFrame:
+        return ot_plus_frame(self.ot)
 
 
 # ---------------------------------------------------------------------------
@@ -369,42 +379,32 @@ def suite_nom(cfg: RunConfig, ctx: RunContext) -> Report:
     return rep
 
 
-def _munzner_multiplicities(dim: int, n_ops: int) -> tuple[int, int]:
-    # FKM convention on R^{2l}: m1 = (#ops - 1), m2 = l - m1 - 1; reported
-    # sorted so that m2 = m1 + 1.
-    l = 2 * dim
-    m = n_ops - 1
-    m1, m2 = m, l - m - 1
-    return (min(m1, m2), max(m1, m2))
-
-
 def suite_munzner(cfg: RunConfig, ctx: RunContext) -> Report:
     rep = Report("munzner")
+    # both systems have the multiplicities (d - 1, d), sorted so that m2 = m1 + 1
+    m1, m2 = cfg.dim - 1, cfg.dim
     fkm = ctx.fkm
     vs = verify_symmetric_system(fkm.system)
     rep.add("fkm_clifford_relations", vs.passed, vs.max_residual())
-    f = ctx.fkm_poly
-    m1, m2 = _munzner_multiplicities(cfg.dim, len(fkm.system))
-    mv = munzner_verify(f, m1, m2, fkm_squares(fkm.system))
-    # munzner_verify raises unless F is a homogeneous quartic
+    split = ctx.fkm_split
+    mv = munzner_verify(split, m1, m2)
+    # split_squares raises unless F is a homogeneous quartic
     rep.add("fkm_polynomial_degree4", True)
     rep.add("fkm_munzner_exact", mv.passed, detail={c.name: c.detail for c in mv.checks})
     # the schema-v1 entry of a sampled re-check of the same PDEs (see the
     # module docstring)
     rep.add("fkm_munzner_randomized_agrees", mv.passed)
 
-    frame = fkm_mirror_frame(fkm)
+    frame = ctx.fkm_frame
     rep.add("fkm_mirror_point_focal", focal_check(fkm.system, frame.point))
-    rep.add("fkm_polynomial_at_focal_rep", f.eval(list(frame.point.coords)) == 4)
+    rep.add("fkm_polynomial_at_focal_rep", split.f.eval(list(frame.point.coords)) == 4)
 
     ot = ctx.ot
     vso = verify_symmetric_system(ot)
     rep.add("ot_clifford_relations", vso.passed, vso.max_residual())
-    fo = ctx.ot_poly
-    m1o, m2o = _munzner_multiplicities(cfg.dim, len(ot))
-    mvo = munzner_verify(fo, m1o, m2o, fkm_squares(ot))
+    mvo = munzner_verify(ctx.ot_split, m1, m2)
     rep.add("ot_munzner_exact", mvo.passed, detail={c.name: c.detail for c in mvo.checks})
-    rep.add("ot_point_focal", focal_check(ot, ot_plus_frame(ot).point))
+    rep.add("ot_point_focal", focal_check(ot, ctx.ot_frame.point))
     return rep
 
 
@@ -414,7 +414,7 @@ def suite_mirror(cfg: RunConfig, ctx: RunContext) -> Report:
     nom = ctx.nom
     fkm = ctx.fkm
 
-    frame = fkm_mirror_frame(fkm)
+    frame = ctx.fkm_frame
     if not focal_check(fkm.system, frame.point):
         raise ValueError("frame point is not on the focal zero locus")
     formula = fkm_formula_forms(nom)
@@ -424,7 +424,7 @@ def suite_mirror(cfg: RunConfig, ctx: RunContext) -> Report:
         frame_check(frame, 4 * dim).passed and all((a - b).is_zero() for a, b in zip(matrix, formula, strict=True)),
     )
 
-    forms = extract_expansion_forms(ctx.fkm_poly, fkm_squares(fkm.system), frame)
+    forms = extract_expansion_forms(ctx.fkm_split, frame)
     rep.add("extracted_p_matches_formula", all((a - b).is_zero() for a, b in zip(forms.p, formula, strict=True)))
     rep.add("q_original_component_vanishes", forms.q[0].is_zero())
 
@@ -449,8 +449,8 @@ def suite_mirror(cfg: RunConfig, ctx: RunContext) -> Report:
         else:
             rep.add("ot_q_passes_condition_b_quaternion", cb_ot.passed)
 
-    ot = ctx.ot
-    disp, ot_forms, ot_frame = ot_display_report(ot, ctx.ot_poly)
+    ot, ot_frame = ctx.ot, ctx.ot_frame
+    disp, ot_forms = ot_display_report(ot, ctx.ot_split, ot_frame)
     rep.add("ot_displays", disp.passed, detail={"failing": disp.failing()})
     blocks = blocks_from_forms(ot_forms.p, dim, dim, dim - 1)
     ca = condition_a_check(blocks)
@@ -809,7 +809,7 @@ def main(argv: list | None = None) -> int:
 
         ctx = RunContext(cfg)
         if dump is not None:
-            dump.write(ctx.fkm_poly.dump() + "\n")
+            dump.write(ctx.fkm_split.f.dump() + "\n")
 
         if args.sweep_t is not None:
             reports, code = sweep_theta(cfg, ts)

@@ -285,9 +285,8 @@ def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> tuple:
     q_forms is indexed -1, 0..m1 (extraction order); ranges = (d_x, d_y, d_z)
     declares the three tangent variable ranges.  Checks, in order: every
     monomial has degree exactly 1 in each range (error names the first
-    violating monomial); the original index--1 component vanishes; and
-    <grad p_-1, grad q_a> = 0 for all a, with p_-1 = |x|^2 - |y|^2 over the
-    first two ranges.  Returns the components after the vanished one.
+    violating monomial), and the original index--1 component vanishes.
+    Returns the components after the vanished one.
     """
     dx, dy, _ = ranges
     comps = []
@@ -298,9 +297,7 @@ def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> tuple:
             f = f.a
         comps.append(f)
     # trilinearity first: the shape failure is the informative error
-    spans: list = []  # per component, the d_x - d_y of each of its terms
     for a, f in enumerate(comps):
-        span = []
         for place, key in enumerate(f.terms):
             degs = [0, 0, 0]
             for v, e in monomial_exponents(key):
@@ -308,16 +305,8 @@ def trilinearity_extract(q_forms: list, ranges: tuple[int, int, int]) -> tuple:
             if degs != [1, 1, 1]:
                 exps = list(f.exponent_dict())[place]
                 raise ValueError(f"non-trilinear monomial {exps} in component {a}")
-            span.append(degs[0] - degs[1])
-        spans.append(span)
     if not comps[0].is_zero():
         raise ValueError("original index-0 third-form component does not vanish")
-    # p_-1 = |x|^2 - |y|^2 has grad (2x, -2y, 0), so by Euler's identity
-    # <grad p_-1, grad q> is q with each term c x^k re-keyed to 2 (d_x - d_y) c
-    # x^k: zero exactly when every term has d_x = d_y
-    for a, span in enumerate(spans[1:]):
-        if any(span):
-            raise ValueError(f"<grad p_-1, grad q_{a}> != 0")
     return tuple(comps[1:])
 
 

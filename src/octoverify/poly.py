@@ -37,9 +37,10 @@ the same, from fewer term products.  ``fraction_terms`` hands the
 coefficients out as ``Fraction`` values to the few readers that want them:
 ``exponent_dict``, and through it ``dump`` and the two readers of a form's
 matrix, ``systems.blocks_from_forms`` and ``mirror.sharp_from_q0``.  ``eval``
-values a polynomial at one point in ints.  ``munzner_verify`` proves the
-Cartan-Muenzner PDEs of one quartic F as polynomial identities, summed over
-the Clifford defects of the squares F is built from, when it is given them.
+values a polynomial at one point in ints.  ``split_squares`` splits a
+quartic F once around the squares it is built from; ``munzner_verify``
+proves the Cartan-Muenzner PDEs on that split, and
+``systems.extract_expansion_forms`` expands F at a focal frame from it.
 
 Only ints and ``Fraction`` enter, by the rule of ``scalars.int_scaled``,
 which clears the denominators of the constructor's coefficients and of
@@ -717,7 +718,40 @@ def radial_shift(f: MultiPoly) -> tuple[Fraction, MultiPoly]:
     return (c, f - c * radial) if c else (c, f)
 
 
-def munzner_verify(f: MultiPoly, m1: int, m2: int, squares) -> Report:
+@dataclass(frozen=True)
+class SquareSplit:
+    """A homogeneous quartic F split around the squares it is built of:
+    F = c |x|^4 + sum_i w_i Q_i^2 + E, as ``split_squares`` builds it."""
+
+    f: MultiPoly
+    weights: tuple  # the rational w_i, as Fractions
+    quads: tuple  # the homogeneous quadratics Q_i over F's variables
+    c: Fraction
+    e: MultiPoly
+
+
+def split_squares(f: MultiPoly, squares) -> SquareSplit:
+    """F split around ``squares``, the (rational w_i, homogeneous quadratic
+    Q_i) pairs F was built from (``systems.fkm_squares``), or (): with
+    S = sum_i w_i Q_i^2, (c, E) is the ``radial_shift`` of F - S, so
+    F = c |x|^4 + S + E for any squares, which are a hint, not an
+    assumption (E = 0 and c = 1 for F built from a Clifford system).
+    ``ValueError`` unless each Q_i is a homogeneous quadratic over F's
+    variables and E, so F, is a homogeneous quartic."""
+    n = f.nvars
+    ws = tuple(Fraction(_rational(w)) for w, _ in squares)
+    qs = tuple(q for _, q in squares)
+    if any(q.nvars != n or not q.is_homogeneous(2) for q in qs):
+        raise ValueError("each square must be a homogeneous quadratic over F's variables")
+    den = lcm(*(w.denominator for w in ws))
+    s = weighted_products(n, qs, qs, [[(int(w * den), i, i) for i, w in enumerate(ws)]], den)[0]
+    c, e = radial_shift(f - s)
+    if not e.is_homogeneous(4):
+        raise ValueError("F must be homogeneous of degree 4")
+    return SquareSplit(f, ws, qs, c, e)
+
+
+def munzner_verify(split: SquareSplit, m1: int, m2: int) -> Report:
     """Check the two Cartan-Muenzner PDEs for F or -F on R^nvars, for F a
     homogeneous quartic:
 
@@ -728,38 +762,25 @@ def munzner_verify(f: MultiPoly, m1: int, m2: int, squares) -> Report:
     sign, which the report records (sign +1 means F itself satisfies it with
     the multiplicities as given, -1 means -F does).
 
-    ``squares`` holds the (rational w_i, homogeneous quadratic Q_i) pairs
-    that F was built from, or is () for an F without them.  With (c, E) the
-    ``radial_shift`` of F - S, S = sum_i w_i Q_i^2, F is c |x|^4 + S + E,
-    a homogeneous quartic exactly when each Q_i is a quadratic and E is a
-    homogeneous quartic; otherwise ``ValueError``.  With
-    G_ij = <grad Q_i, grad Q_j>, the Clifford defects
-    D_ii = 32 c w_i |x|^2 + 4 w_i^2 G_ii and D_ij = 8 w_i w_j G_ij (i < j),
-    and Euler's identity, |grad F|^2 - 16 |x|^6 is
+    F is read through its ``split_squares`` split, F = c |x|^4 + S + E,
+    S = sum_i w_i Q_i^2.  With G_ij = <grad Q_i, grad Q_j>, the Clifford
+    defects D_ii = 32 c w_i |x|^2 + 4 w_i^2 G_ii and D_ij = 8 w_i w_j G_ij
+    (i < j), and Euler's identity, |grad F|^2 - 16 |x|^6 is
 
         sum_{i<=j} Q_i Q_j D_ij + 16 (c^2 - 1) |x|^6
             + 32 c |x|^2 E + 2 <grad S, grad E> + |grad E|^2
 
-    for any squares, so they are a hint, not an assumption: the residual,
-    times den(c)^2, is the same polynomial and has the same
-    ``residual_terms``.  No squares leave the radial shift's residual
-    alone.  A zero D_ij or E is never multiplied out, so for F built from
-    a Clifford system (every D_ij zero, E zero, c = 1) only the Q_i are
-    differentiated.  lap F = lap E + 4 c (n + 2) |x|^2
+    for any squares: the residual, times den(c)^2, is the same polynomial
+    and has the same ``residual_terms``.  No squares leave the radial
+    shift's residual alone.  A zero D_ij or E is never multiplied out, so
+    for F built from a Clifford system (every D_ij zero, E zero, c = 1)
+    only the Q_i are differentiated.  lap F = lap E + 4 c (n + 2) |x|^2
     + sum_i 2 w_i (G_ii + lap(Q_i) Q_i) on R^n.
     """
     rep = Report("munzner")
-    n = f.nvars
-    ws = [Fraction(_rational(w)) for w, _ in squares]
-    qs = [q for _, q in squares]
-    if any(q.nvars != n or not q.is_homogeneous(2) for q in qs):
-        raise ValueError("each square must be a homogeneous quadratic over F's variables")
+    n = split.f.nvars
+    ws, qs, c, e = split.weights, split.quads, split.c, split.e
     k = len(qs)
-    den = lcm(*(w.denominator for w in ws))
-    s = weighted_products(n, qs, qs, [[(int(w * den), i, i) for i, w in enumerate(ws)]], den)[0]
-    c, e = radial_shift(f - s)
-    if not e.is_homogeneous(4):
-        raise ValueError("F must be homogeneous of degree 4")
 
     sq = norm_sq_poly(n)
     dq = [d for q in qs for d in q.gradient()]  # dq[i * n + v] = dQ_i / dx_v

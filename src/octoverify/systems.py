@@ -49,10 +49,10 @@ from .poly import (
     BITS,
     MultiPoly,
     Rt2Poly,
+    SquareSplit,
     monomial_exponents,
     monomial_key,
     norm_sq_poly,
-    radial_shift,
     rt2_poly,
     weighted_products,
 )
@@ -131,8 +131,8 @@ def build_ot_system(block_dim: int = 8) -> list:
 def fkm_squares(system: list) -> list[tuple[int, MultiPoly]]:
     """The weighted squares of F: (-2, <P_i x, x>) for each operator P_i,
     the quadratic form built from the int numerators of P_i over its
-    denominator.  ``fkm_polynomial`` builds F from them, and the Muenzner
-    suite hands them to ``poly.munzner_verify``."""
+    denominator.  ``fkm_polynomial`` builds F from them, and
+    ``poly.split_squares`` splits F around them."""
     n = system[0].ncols
     squares = []
     for m in system:
@@ -284,7 +284,7 @@ def _form_of(tdeg: int, w, ydeg: int):
     return None
 
 
-def extract_expansion_forms(f: MultiPoly, squares, frame: FocalFrame) -> ExtractedForms:
+def extract_expansion_forms(split: SquareSplit, frame: FocalFrame) -> ExtractedForms:
     """Read the second/third fundamental forms out of the degree-4 expansion
 
         F(t x + y + w) = t^4 + (2|y|^2 - 6|w|^2) t^2 + 8 (sum_a p_a w_a) t
@@ -293,20 +293,16 @@ def extract_expansion_forms(f: MultiPoly, squares, frame: FocalFrame) -> Extract
     at a focal point (value +1).  All frame vectors are rational-with-half-tag;
     per-monomial powers of sqrt2 are folded into Rt2Poly coefficients.
 
-    F is expanded from the squares it is built of, as ``poly.munzner_verify``
-    proves the Muenzner PDEs: ``squares`` holds the (rational w_i, quadratic
-    Q_i) pairs of F (``fkm_squares``), or is (), and with (c, E) the
-    ``radial_shift`` of F - sum_i w_i Q_i^2, F = c |x|^2 |x|^2
-    + sum_i w_i Q_i^2 + E, so the squares are a hint and not an assumption.
-    One ``weighted_products`` call substitutes the frame's linear forms L
-    into |x|^2 and every Q_i.  Each substituted term is graded by its
-    t-degree, its normal variable, its tangent degree and its sqrt2 fold,
-    and the squares are summed in a second call with one slot per output
-    grade and sqrt2 parity: t^4, each p_a (t w_a), each q_a (w_a), and the
-    rest of the expansion, so that every product is still formed.  A
-    product's power of 2 beyond the lowest fold goes into its weight, so a
-    slot is one polynomial, and p_a and q_a are read off their slots by
-    subtracting the t and w_a fields from the keys: no term of the
+    F is expanded from its ``poly.split_squares`` split, F = c |x|^2 |x|^2
+    + sum_i w_i Q_i^2 + E.  One ``weighted_products`` call substitutes the
+    frame's linear forms L into |x|^2 and every Q_i.  Each substituted term
+    is graded by its t-degree, its normal variable, its tangent degree and
+    its sqrt2 fold, and the squares are summed in a second call with one
+    slot per output grade and sqrt2 parity: t^4, each p_a (t w_a), each q_a
+    (w_a), and the rest of the expansion, so that every product is still
+    formed.  A product's power of 2 beyond the lowest fold goes into its
+    weight, so a slot is one polynomial, and p_a and q_a are read off their
+    slots by subtracting the t and w_a fields from the keys: no term of the
     expansion is decoded.  E(L), zero for a Clifford system's F, is
     substituted, graded term by term and summed into the same slots.
     """
@@ -314,17 +310,12 @@ def extract_expansion_forms(f: MultiPoly, squares, frame: FocalFrame) -> Extract
     vecs = [frame.point, *frame.tangent, *frame.normals]
     nv = len(vecs)
     halves = [v.half for v in vecs]
-    n = f.nvars
+    n = split.f.nvars
     lin = [MultiPoly(nv, {monomial_key(j): v.coords[r] for j, v in enumerate(vecs) if v.coords[r]}) for r in range(n)]
 
-    ws = [Fraction(w) for w, _ in squares]
-    qs = [q for _, q in squares]
-    wden = lcm(*(w.denominator for w in ws))
-    s = weighted_products(n, qs, qs, [[(int(w * wden), i, i) for i, w in enumerate(ws)]], wden)[0]
-    c, e = radial_shift(f - s)
-    if c:
-        ws.insert(0, c)
-        qs.insert(0, norm_sq_poly(n))
+    c, e = split.c, split.e
+    ws = [c, *split.weights] if c else list(split.weights)
+    qs = [norm_sq_poly(n), *split.quads] if c else list(split.quads)
 
     # Q_i(L) for each quadratic, from the triples (coefficient, x_r, x_s) of its terms
     qden = lcm(*(q.den for q in qs))
@@ -333,10 +324,7 @@ def extract_expansion_forms(f: MultiPoly, squares, frame: FocalFrame) -> Extract
         scale = qden // q.den
         slot = []
         for key, cq in q.terms.items():
-            rs = [r for r, k in monomial_exponents(key) for _ in range(k)]
-            if len(rs) != 2:
-                raise ValueError("each square must be a homogeneous quadratic over F's variables")
-            slot.append((cq * scale, *rs))
+            slot.append((cq * scale, *(r for r, k in monomial_exponents(key) for _ in range(k))))
         slots.append(slot)
     # (rational weight, numerators' polynomial, squared?): w_i Q_i(L)^2, and E(L) times 1
     owners = [(w / (g.den * g.den), g, True) for w, g in zip(ws, weighted_products(nv, lin, lin, slots, qden))]
@@ -706,9 +694,9 @@ def perturb_mirror(fkm: FkmSystem) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def ot_display_report(ot: list, f: MultiPoly) -> tuple[Report, ExtractedForms, FocalFrame]:
+def ot_display_report(ot: list, split: SquareSplit, frame: FocalFrame) -> tuple[Report, ExtractedForms]:
     """Verify the standard displays at x = (0, 0, e_0, 0), reading the forms
-    out of f = fkm_polynomial(ot):
+    out of F's split at ``frame``, its ``ot_plus_frame``:
 
         p_0 = |u|^2 - |v|^2,    p_a = 2 <e_a, u conj(v)>,
         q_0 = 2 <z, u conj(v)>.
@@ -723,11 +711,10 @@ def ot_display_report(ot: list, f: MultiPoly) -> tuple[Report, ExtractedForms, F
     """
     rep = Report("ot_displays")
     d = ot[0].ncols // 4
-    frame = ot_plus_frame(ot)
     fr = frame_check(frame, 4 * d)
     rep.add("frame_orthonormal", fr.passed)
     rep.add("point_focal", focal_check(ot, frame.point))
-    forms = extract_expansion_forms(f, fkm_squares(ot), frame)
+    forms = extract_expansion_forms(split, frame)
 
     us, vs, zs = on.symbolic_octets(d, "UVz")  # the frame's 3d - 1 tangent variables
 
@@ -748,4 +735,4 @@ def ot_display_report(ot: list, f: MultiPoly) -> tuple[Report, ExtractedForms, F
         if forms.q[a] != Rt2Poly.rational(-disp):
             ok_qa = False
     rep.add("qa_display_corrected", ok_qa, detail={"sign": -1, "inner_product": "<u,v>"})
-    return rep, forms, frame
+    return rep, forms

@@ -11,8 +11,16 @@ import pytest
 
 from octoverify.circ import Side, nom_from_t
 from octoverify.linalg import Op
+from octoverify.poly import split_squares
 from octoverify.scalars import pythagorean_unit
-from octoverify.systems import build_fkm_system, build_ot_system, fkm_polynomial
+from octoverify.systems import (
+    build_fkm_system,
+    build_ot_system,
+    fkm_polynomial,
+    fkm_squares,
+    ot_display_report,
+    ot_plus_frame,
+)
 
 
 class Draws(random.Random):
@@ -74,6 +82,13 @@ def ot_octonion():
 @pytest.fixture(scope="session")
 def ot_octonion_poly(ot_octonion):
     return fkm_polynomial(ot_octonion)
+
+
+def ot_display(ot: list) -> tuple:
+    """(report, forms, frame) of ``ot_display_report`` at the OT system's
+    x_+, with F split around its squares as a run splits it."""
+    frame = ot_plus_frame(ot)
+    return (*ot_display_report(ot, split_squares(fkm_polynomial(ot), fkm_squares(ot)), frame), frame)
 
 
 @pytest.fixture(scope="session")

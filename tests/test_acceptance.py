@@ -31,8 +31,8 @@ from octoverify.identities import (
 )
 from octoverify.linalg import Op
 from octoverify.mirror import TrilinearTable, q_star_ot_eval, verify_ot_equations
-from octoverify.poly import MultiPoly, Rt2Poly, monomial_exponents, munzner_verify, norm_sq_poly
-from conftest import Draws
+from octoverify.poly import MultiPoly, Rt2Poly, monomial_exponents, munzner_verify, norm_sq_poly, split_squares
+from conftest import Draws, ot_display
 from octoverify.systems import (
     blocks_from_forms,
     closed_second_form,
@@ -43,7 +43,6 @@ from octoverify.systems import (
     fkm_mirror_frame,
     fkm_squares,
     matrix_route_forms,
-    ot_display_report,
 )
 
 E = [on.basis(i) for i in range(8)]
@@ -130,13 +129,13 @@ def test_c04_munzner_pdes(fkm_systems, fkm_polys, ot_octonion_poly):
     systems.append(("ot", ot_octonion_poly))
     for name, f in systems:
         t0 = time.time()
-        rep = munzner_verify(f, 7, 8, ())
+        rep = munzner_verify(split_squares(f, ()), 7, 8)
         elapsed = time.time() - t0
         if not rep.passed or elapsed > 60:
             ok = False
     # |x|^4 on R^32 meets the gradient identity but not the Laplacian one
     s = norm_sq_poly(32)
-    if munzner_verify(s * s, 7, 8, ()).passed:
+    if munzner_verify(split_squares(s * s, ()), 7, 8).passed:
         ok = False
     _line(4, "Muenzner PDEs exact for 4 noms + OT, and fail for |x|^4", ok)
 
@@ -238,10 +237,10 @@ def test_c09_exclusion_witnesses():
     _line(9, f"c = -1 obstruction witnesses (octonion {oct_val}, quaternion {quat_val})", ok)
 
 
-def test_c10_condition_matrix(fkm_systems, fkm_polys, ot_octonion, ot_octonion_poly, ot_quaternion):
+def test_c10_condition_matrix(fkm_systems, fkm_polys, ot_octonion, ot_quaternion):
     ok = True
     # OT: Condition A and B true at x in M_+
-    rep, ot_forms, ot_frame = ot_display_report(ot_octonion, ot_octonion_poly)
+    rep, ot_forms, ot_frame = ot_display(ot_octonion)
     if not rep.passed:
         ok = False
     blocks = blocks_from_forms(ot_forms.p, 8, 8, 7)
@@ -253,7 +252,7 @@ def test_c10_condition_matrix(fkm_systems, fkm_polys, ot_octonion, ot_octonion_p
     for key in NOM_KEYS:
         fkm = fkm_systems[key]
         frame = fkm_mirror_frame(fkm)
-        forms = extract_expansion_forms(fkm_polys[key], fkm_squares(fkm.system), frame)
+        forms = extract_expansion_forms(split_squares(fkm_polys[key], fkm_squares(fkm.system)), frame)
         formula = fkm_formula_forms(fkm.nom)
         if not condition_b_check(fkm.system, frame, formula, forms.q).passed:
             ok = False

@@ -19,7 +19,7 @@ from octoverify.cli import (
     sweep_theta,
 )
 from octoverify.linalg import Op
-from octoverify.poly import MultiPoly, monomial_key
+from octoverify.poly import MultiPoly, monomial_key, split_squares
 from octoverify.report import Report, WitnessReport
 from octoverify.systems import fkm_squares
 
@@ -170,8 +170,8 @@ def test_a_non_trilinear_cubic_form_fails_the_mirror_suite_with_a_report():
 
     cfg = RunConfig(algebra="quaternion", alpha_t=Fraction(0), suites=("munzner", "mirror"))
     ctx = RunContext(cfg)
-    f = ctx.fkm_poly
-    ctx.fkm_poly = f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1})
+    f = ctx.fkm_split.f
+    ctx.fkm_split = split_squares(f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1}), fkm_squares(ctx.fkm.system))
     report, code = run(cfg, ctx)
     validate_report(report)
     assert code == 1
@@ -258,6 +258,42 @@ def test_run_builds_each_system_once(monkeypatch):
     report, code = run(small_cfg(algebra="quaternion", alpha_t=Fraction(1, 2), suites=("munzner", "mirror", "classify")))
     assert code == 0
     assert len(fkm) == 1 and len(ot) == 1
+
+
+def test_a_run_splits_each_f_and_builds_each_frame_once(monkeypatch):
+    import octoverify.cli as cli
+    import octoverify.mirror as mirror
+    import octoverify.poly as poly
+    import octoverify.systems as systems
+
+    splits = _count_calls(monkeypatch, "split_squares")
+    # each name is counted where the run reads it and in its own module,
+    # where the other builders of systems would find it
+    frames = {name: [_count_calls(monkeypatch, name, owner) for owner in (cli, systems)] for name in ("fkm_mirror_frame", "ot_plus_frame")}
+    shifts = [_count_calls(monkeypatch, "radial_shift", owner) for owner in (poly, mirror)]
+    cfg = RunConfig(algebra="quaternion", alpha_t=Fraction(1, 2), suites=("munzner", "mirror"))
+    ctx = RunContext(cfg)
+    report, code = run(cfg, ctx)
+    assert code == 0
+    # the munzner suite splits FKM's F and OT's, and the mirror suite reads
+    # the same splits and frames
+    assert splits == [ctx.fkm_split.f, ctx.ot_split.f]
+    assert {name: sum(map(len, calls)) for name, calls in frames.items()} == {"fkm_mirror_frame": 1, "ot_plus_frame": 1}
+    # one radial shift per split, and one for the OT norm identity of the
+    # closed second form at x*
+    assert [len(calls) for calls in shifts] == [2, 1]
+
+
+@pytest.mark.parametrize("suites", [("mirror",), ("mirror", "munzner"), ("munzner", "mirror")], ids=",".join)
+def test_the_munzner_and_mirror_suites_check_the_same_in_any_order(suites):
+    # the two suites share F's splits and the focal frames, built by
+    # whichever runs first
+    full, code = run(RunConfig(algebra="quaternion", alpha_t=Fraction(1, 2)))
+    assert code == 0
+    want = {s["name"]: s for s in full["suites"]}
+    report, code = run(RunConfig(algebra="quaternion", alpha_t=Fraction(1, 2), suites=suites))
+    assert code == 0
+    assert report["suites"] == [want[name] for name in suites]
 
 
 def test_a_run_builds_each_coefficient_table_once(monkeypatch, tmp_path):
@@ -527,8 +563,8 @@ def test_munzner_agreement_fails_when_both_routes_fail():
     # records that proof's verdict
     cfg = RunConfig(algebra="quaternion", alpha_t=Fraction(0), suites=("munzner",))
     ctx = RunContext(cfg)
-    f = ctx.fkm_poly
-    ctx.fkm_poly = f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1})
+    f = ctx.fkm_split.f
+    ctx.fkm_split = split_squares(f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1}), fkm_squares(ctx.fkm.system))
     report, code = run(cfg, ctx)
     checks = {c["name"]: c["pass"] for c in report["suites"][0]["checks"]}
     assert code == 1

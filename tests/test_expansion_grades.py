@@ -15,7 +15,7 @@ import octoverify.poly as poly
 import octoverify.systems as systems
 from conftest import make_nom
 from expansion_oracle import decoded_expansion_forms, frame_forms
-from octoverify.poly import MultiPoly, monomial_key
+from octoverify.poly import MultiPoly, monomial_key, split_squares
 from octoverify.systems import (
     ScaledVec,
     build_fkm_system,
@@ -31,7 +31,7 @@ T_VALUES = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3
 
 
 def _graded(f, squares, frame):
-    forms = extract_expansion_forms(f, squares, frame)
+    forms = extract_expansion_forms(split_squares(f, squares), frame)
     return forms.p, forms.q
 
 
@@ -111,7 +111,7 @@ def test_a_square_that_is_not_quadratic_is_refused():
     system, f, frame = _frames(4)[1]
     cubic = MultiPoly(16, {monomial_key(0, 1, 2): 1})
     with pytest.raises(ValueError, match="homogeneous quadratic"):
-        extract_expansion_forms(f, [(1, cubic)], frame)
+        split_squares(f, [(1, cubic)])
 
 
 def test_extraction_decodes_fewer_keys_than_the_expansion_has_terms(monkeypatch):
@@ -129,7 +129,7 @@ def test_extraction_decodes_fewer_keys_than_the_expansion_has_terms(monkeypatch)
 
     for module in (poly, systems):
         monkeypatch.setattr(module, "monomial_exponents", counting)
-    forms = extract_expansion_forms(f, squares, frame)
+    forms = extract_expansion_forms(split_squares(f, squares), frame)
     assert expansion_terms == 1962
     assert 0 < len(keys) < expansion_terms
     assert (forms.p, forms.q) == decoded_expansion_forms(f, frame)

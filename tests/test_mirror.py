@@ -18,7 +18,7 @@ from octoverify.mirror import (
     verify_ot_equations,
 )
 from octoverify.linalg import Op
-from octoverify.poly import MultiPoly, monomial_key, norm_sq_poly, radial_shift, weighted_products
+from octoverify.poly import MultiPoly, monomial_key, norm_sq_poly, radial_shift, split_squares, weighted_products
 from conftest import Draws
 from octoverify.identities import fkm_candidate, ot_candidate
 from octoverify.systems import (
@@ -179,7 +179,7 @@ def test_sharp_from_q0_round_trip_and_errors():
 def test_trilinearity_extract_success(fkm_systems, fkm_polys):
     key = ("left", Fraction(1, 2))
     fkm = fkm_systems[key]
-    forms = extract_expansion_forms(fkm_polys[key], fkm_squares(fkm.system), fkm_mirror_frame(fkm))
+    forms = extract_expansion_forms(split_squares(fkm_polys[key], fkm_squares(fkm.system)), fkm_mirror_frame(fkm))
     qt = trilinearity_extract(forms.q, (7, 7, 8))
     assert len(qt) == 8
     closed = TrilinearTable.of(lambda X, Y, Z: q_star_fkm_eval(fkm.nom, X, Y, Z), 8).components()

@@ -29,7 +29,7 @@ from octoverify.circ import Side, nom_from_t, verify_normalized
 from octoverify.linalg import Op
 from octoverify.identities import QCandidate, QLabel, fkm_candidate, norm_identity_check
 from octoverify.mirror import q_star_fkm_eval
-from octoverify.poly import MultiPoly, monomial_key, munzner_verify
+from octoverify.poly import MultiPoly, monomial_key, munzner_verify, split_squares
 from octoverify.scalars import sum_zero
 from octoverify.systems import build_fkm_system, fkm_formula_forms, fkm_polynomial
 
@@ -223,8 +223,7 @@ def test_the_munzner_suite_fails_on_a_clifford_defect(monkeypatch, algebra, t, t
         "fkm_munzner_randomized_agrees",
     ]
     fkm = broken_fkm_system(cfg.build_nom())
-    m1, m2 = cli._munzner_multiplicities(cfg.dim, len(fkm.system))
-    generic = munzner_verify(fkm_polynomial(fkm.system), m1, m2, ())
+    generic = munzner_verify(split_squares(fkm_polynomial(fkm.system), ()), cfg.dim - 1, cfg.dim)
     detail = next(c["detail"] for c in suite["checks"] if c["name"] == "fkm_munzner_exact")
     assert detail == {c.name: c.detail for c in generic.checks}
     assert detail == {"gradient_identity": {"residual_terms": terms}, "laplacian_identity": {"sign": 0}}

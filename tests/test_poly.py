@@ -16,6 +16,7 @@ from octoverify.poly import (
     norm_sq_poly,
     radial_shift,
     rt2_poly,
+    split_squares,
     weighted_products,
 )
 from conftest import Draws
@@ -194,7 +195,7 @@ def test_munzner_trivial_and_failing():
     n = 32
     s = norm_sq_poly(n)
     f = s * s
-    rep = munzner_verify(f, 7, 8, ())
+    rep = munzner_verify(split_squares(f, ()), 7, 8)
     assert not rep.passed
     names = {c.name: c.passed for c in rep.checks}
     assert names["gradient_identity"]
@@ -203,8 +204,8 @@ def test_munzner_trivial_and_failing():
 
 def test_munzner_sign_flip_invariance(fkm_polys):
     f = fkm_polys[("left", Fraction(0))]
-    rep_pos = munzner_verify(f, 7, 8, ())
-    rep_neg = munzner_verify(-f, 7, 8, ())
+    rep_pos = munzner_verify(split_squares(f, ()), 7, 8)
+    rep_neg = munzner_verify(split_squares(-f, ()), 7, 8)
     assert rep_pos.passed and rep_neg.passed
     sign_pos = next(c.detail["sign"] for c in rep_pos.checks if c.name == "laplacian_identity")
     sign_neg = next(c.detail["sign"] for c in rep_neg.checks if c.name == "laplacian_identity")
@@ -638,14 +639,14 @@ def test_munzner_residual_terms_of_a_planted_f(fkm_polys):
     s = norm_sq_poly(n)
     m = MultiPoly(n, {monomial_key(0, 1, 2, 3): 1})
     assert radial_shift(s * s + m) == (1, m)
-    rep = munzner_verify(s * s + m, 1, 2, ())
+    rep = munzner_verify(split_squares(s * s + m, ()), 1, 2)
     assert rep.checks[0].name == "gradient_identity" and not rep.checks[0].passed
     assert rep.checks[0].detail == {"residual_terms": 9}
     # the octonion FKM F at t = 0 with the same term planted
     f = fkm_polys[("left", Fraction(0))]
     planted = f + MultiPoly(f.nvars, {monomial_key(0, 1, 2, 3): 1})
     assert radial_shift(planted)[0] == -1  # the count comes from the shifted residual
-    rep = munzner_verify(planted, 7, 8, ())
+    rep = munzner_verify(split_squares(planted, ()), 7, 8)
     assert {c.name: (c.passed, c.detail) for c in rep.checks} == {
         "gradient_identity": (False, {"residual_terms": 292}),
         "laplacian_identity": (True, {"sign": -1}),
@@ -691,7 +692,7 @@ def test_radial_shift_keeps_the_munzner_residuals(c, noise, k):
         assert h is f  # c = 0: the unshifted route
     elif not radial.terms.keys() & noise.terms.keys():
         assert (shift, h) == (c, noise)
-    rep = munzner_verify(f, 7, 7 + k, ())
+    rep = munzner_verify(split_squares(f, ()), 7, 7 + k)
     want = 8 * k * norm_sq_poly(RNV)
     lap = f.laplacian()
     assert {check.name: check.detail for check in rep.checks} == {
@@ -750,9 +751,9 @@ def test_munzner_squares_are_a_hint_that_keeps_the_residuals(c, drawn, noise, k)
     f = c * norm_sq_poly(RNV) ** 2 + s + e
     if c:
         assert radial_shift(f - s) == (c, e)
-    rep = munzner_verify(f, 7, 7 + k, squares)
+    rep = munzner_verify(split_squares(f, squares), 7, 7 + k)
     assert [(ch.name, ch.passed, ch.detail) for ch in rep.checks] == [
-        (ch.name, ch.passed, ch.detail) for ch in munzner_verify(f, 7, 7 + k, ()).checks
+        (ch.name, ch.passed, ch.detail) for ch in munzner_verify(split_squares(f, ()), 7, 7 + k).checks
     ]
     assert rep.checks[0].detail == {"residual_terms": _unshifted_gradient_terms(f)}
 
@@ -766,8 +767,8 @@ def test_munzner_squares_of_a_form_with_a_trace(w):
     n = 4
     q = norm_sq_poly(n)
     f = w * q * q
-    rep = munzner_verify(f, 1, 4, [(w, q)])
-    generic = munzner_verify(f, 1, 4, ())
+    rep = munzner_verify(split_squares(f, [(w, q)]), 1, 4)
+    generic = munzner_verify(split_squares(f, ()), 1, 4)
     assert [(c.name, c.detail) for c in rep.checks] == [(c.name, c.detail) for c in generic.checks]
     assert rep.passed == (w in (1, -1))
     assert rep.checks[1].detail == {"sign": w if w in (1, -1) else 0}
@@ -778,15 +779,15 @@ def test_munzner_squares_must_be_quadratics_at_degree_four():
     n = 2
     q = vp(n, 0) * vp(n, 0) - vp(n, 1) * vp(n, 1)
     f = norm_sq_poly(n) ** 2 - 2 * q * q
-    assert munzner_verify(f, 0, 0, [(-2, q)]).checks[0].detail == {"residual_terms": 0}
+    assert munzner_verify(split_squares(f, [(-2, q)]), 0, 0).checks[0].detail == {"residual_terms": 0}
     for bad in (vp(n, 0), q + vp(n, 1), MultiPoly.const(n, 1), vp(3, 0) * vp(3, 1)):
         with pytest.raises(ValueError, match="homogeneous quadratic"):
-            munzner_verify(f, 0, 0, [(-2, bad)])
+            munzner_verify(split_squares(f, [(-2, bad)]), 0, 0)
     # F itself not homogeneous: its remainder E is not, the same error as
     # without squares
     for squares in ((), [(-2, q)]):
         with pytest.raises(ValueError, match="F must be homogeneous of degree 4"):
-            munzner_verify(f + vp(n, 1), 0, 0, squares)
+            munzner_verify(split_squares(f + vp(n, 1), squares), 0, 0)
 
 
 def test_munzner_verify_peak_memory_stays_small(fkm_polys):
@@ -797,7 +798,7 @@ def test_munzner_verify_peak_memory_stays_small(fkm_polys):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        rep = munzner_verify(f, 7, 8, ())
+        rep = munzner_verify(split_squares(f, ()), 7, 8)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from octoverify import octonion as on
 from octoverify.circ import Nom, Side, circ_definition, nom_from_t
 from octoverify.clifford import verify_symmetric_system
-from octoverify.poly import Rt2Poly, munzner_verify
+from octoverify.poly import Rt2Poly, munzner_verify, split_squares
+from conftest import ot_display
 from matrix_oracle import add, dense, identity, mul, transpose, zeros
 from octoverify.linalg import Op
 from octoverify.systems import (
@@ -26,7 +27,6 @@ from octoverify.systems import (
     frame_check,
     matrix_route_forms,
     mirror_intertwiner,
-    ot_display_report,
     ot_plus_frame,
     perturb_mirror,
 )
@@ -162,7 +162,7 @@ def test_munzner_fkm_and_ot(fkm_systems, fkm_polys, ot_octonion, ot_octonion_pol
     key = ("left", Fraction(1, 2))
     for system, f, sign in ((fkm_systems[key].system, fkm_polys[key], -1), (ot_octonion, ot_octonion_poly, 1)):
         for squares in (fkm_squares(system), ()):
-            rep = munzner_verify(f, 7, 8, squares)
+            rep = munzner_verify(split_squares(f, squares), 7, 8)
             assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
                 ("gradient_identity", True, {"residual_terms": 0}),
                 ("laplacian_identity", True, {"sign": sign}),
@@ -243,7 +243,7 @@ def test_extraction_matches_formula(fkm_systems, fkm_polys):
     key = ("left", Fraction(1, 3))
     fkm = fkm_systems[key]
     frame = fkm_mirror_frame(fkm)
-    forms = extract_expansion_forms(fkm_polys[key], fkm_squares(fkm.system), frame)
+    forms = extract_expansion_forms(split_squares(fkm_polys[key], fkm_squares(fkm.system)), frame)
     formula = fkm_formula_forms(fkm.nom)
     assert all((a - b).is_zero() for a, b in zip(forms.p, formula))
     assert forms.q[0].is_zero()
@@ -256,11 +256,11 @@ def test_extraction_requires_focal_value():
     frame = fkm_mirror_frame(fkm)
     bad = frame.__class__(ScaledVec(frame.tangent[0].coords, 0), frame.tangent, frame.normals)
     with pytest.raises(ValueError):
-        extract_expansion_forms(f, fkm_squares(fkm.system), bad)
+        extract_expansion_forms(split_squares(f, fkm_squares(fkm.system)), bad)
 
 
-def test_ot_displays_and_condition_a(ot_octonion, ot_octonion_poly):
-    rep, forms, frame = ot_display_report(ot_octonion, ot_octonion_poly)
+def test_ot_displays_and_condition_a(ot_octonion):
+    rep, forms, frame = ot_display(ot_octonion)
     assert rep.passed, rep.failing()
     blocks = blocks_from_forms(forms.p, 8, 8, 7)
     # A_a = J_a on the nose at the Condition-A point
@@ -270,8 +270,8 @@ def test_ot_displays_and_condition_a(ot_octonion, ot_octonion_poly):
     assert ca.passed
 
 
-def test_condition_a_rejects_nonzero_b(ot_octonion, ot_octonion_poly):
-    rep, forms, frame = ot_display_report(ot_octonion, ot_octonion_poly)
+def test_condition_a_rejects_nonzero_b(ot_octonion):
+    rep, forms, frame = ot_display(ot_octonion)
     blocks = blocks_from_forms(forms.p, 8, 8, 7)
     b0 = dense(blocks.b_blocks[0])
     b0[0][0] = Fraction(1)
@@ -281,8 +281,8 @@ def test_condition_a_rejects_nonzero_b(ot_octonion, ot_octonion_poly):
     assert "b_blocks_zero" in ca.failing()
 
 
-def test_blocks_from_forms_refuses_a_sqrt2_part(ot_octonion, ot_octonion_poly):
-    _, forms, _ = ot_display_report(ot_octonion, ot_octonion_poly)
+def test_blocks_from_forms_refuses_a_sqrt2_part(ot_octonion):
+    _, forms, _ = ot_display(ot_octonion)
     p = list(forms.p)
     p[1] = p[1] + Rt2Poly.sqrt2_times(p[1].a)
     with pytest.raises(ValueError, match="rational forms"):
@@ -292,7 +292,7 @@ def test_blocks_from_forms_refuses_a_sqrt2_part(ot_octonion, ot_octonion_poly):
 def test_blocks_from_forms_refuses_sizes_that_miss_the_forms(ot_quaternion):
     # the quaternion OT forms at x_+ have 4 + 4 + 3 = 11 variables; a d_zero
     # that misses them once returned blocks of the wrong size
-    _, forms, _ = ot_display_report(ot_quaternion, fkm_polynomial(ot_quaternion))
+    _, forms, _ = ot_display(ot_quaternion)
     assert {f.a.nvars for f in forms.p} == {11}
     assert condition_a_check(blocks_from_forms(forms.p, 4, 4, 3)).passed
     for d_zero in (2, 4):
@@ -301,8 +301,8 @@ def test_blocks_from_forms_refuses_sizes_that_miss_the_forms(ot_quaternion):
 
 
 @pytest.fixture(scope="module")
-def ot_blocks(ot_octonion, ot_octonion_poly):
-    _, forms, _ = ot_display_report(ot_octonion, ot_octonion_poly)
+def ot_blocks(ot_octonion):
+    _, forms, _ = ot_display(ot_octonion)
     return blocks_from_forms(forms.p, 8, 8, 7)
 
 
@@ -406,16 +406,16 @@ def test_condition_a_int_verdict_matches_fraction_oracle(ot_blocks, scale, s_edi
     assert _verdicts(condition_a_check(blocks)) == _fraction_condition_a(blocks)
 
 
-def test_condition_b_fkm_and_ot(fkm_systems, fkm_polys, ot_octonion, ot_octonion_poly):
+def test_condition_b_fkm_and_ot(fkm_systems, fkm_polys, ot_octonion):
     key = ("left", Fraction(1, 2))
     fkm = fkm_systems[key]
     frame = fkm_mirror_frame(fkm)
-    forms = extract_expansion_forms(fkm_polys[key], fkm_squares(fkm.system), frame)
+    forms = extract_expansion_forms(split_squares(fkm_polys[key], fkm_squares(fkm.system)), frame)
     formula = fkm_formula_forms(fkm.nom)
     cb = condition_b_check(fkm.system, frame, formula, forms.q)
     assert cb.passed
 
-    rep, ot_forms, ot_frame = ot_display_report(ot_octonion, ot_octonion_poly)
+    rep, ot_forms, ot_frame = ot_display(ot_octonion)
     cbo = condition_b_check(ot_octonion, ot_frame, ot_forms.p, ot_forms.q)
     assert cbo.passed
 
@@ -425,7 +425,7 @@ def test_condition_b_refuses_a_q_list_of_the_wrong_length(fkm_systems, fkm_polys
     key = ("left", Fraction(1, 2))
     fkm = fkm_systems[key]
     frame = fkm_mirror_frame(fkm)
-    q = extract_expansion_forms(fkm_polys[key], fkm_squares(fkm.system), frame).q
+    q = extract_expansion_forms(split_squares(fkm_polys[key], fkm_squares(fkm.system)), frame).q
     formula = fkm_formula_forms(fkm.nom)
     for short in (q[:-1], []):
         with pytest.raises(ValueError):
